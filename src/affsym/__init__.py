@@ -3,17 +3,17 @@ action on almost symplectic forms, and H-selfadjoint canonical pairs."""
 
 __version__ = "0.1.0"
 
-from .canonical import CanonicalPair, classify, decompose, rank, sip, sip_signature
+from .canonical import CanonicalPair, classify, decompose, rank, sip_signature
 from .expr import parse_expr, to_source
 from .geometry import (CurvatureTensor, InducedStructure, Scenario, curvature,
                        fundamental_residuals, induced_structure, structure_jets)
 from .jets import Jet, eval_jet
 from .model import (BlockSpec, ComplexBlock, GaussModel, RealBlock, assemble,
-                    build_block, model_curvature, tridiagonal_omega)
+                    build_block, model_curvature, sip_matrix, tridiagonal_omega)
 from .scenarios import load_scenario, scenario_from_dict
 from .tensor_ops import (AlgebraicCurvature, CovariantField, GeometricCurvature,
-                         alternating_sum_identity, nabla_S_codazzi, nabla_power,
-                         nabla_tensor, r_power_action, r_power_tensor)
+                         alternating_sum_identity, nabla_tensor, r_power_action,
+                         r_power_tensor)
 from .verify import (OracleResult, OracleSpec, check_rank_theorem, list_oracles,
                      run_oracle, sample_spec, theorem_witness)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockSpec, ComplexBlock, RealBlock, build_block, sip_matrix
+from .model import BlockSpec, ComplexBlock, RealBlock, build_block
 
 
 class CanonicalError(ValueError):
@@ -31,15 +31,8 @@ class NotSelfadjointError(CanonicalError):
     pass
 
 
-def sip(n: int) -> np.ndarray:
-    """The n x n standard involutory permutation (anti-diagonal ones)."""
-    if n < 1:
-        raise CanonicalError("sip size must be >= 1")
-    return sip_matrix(n)
-
-
 def sip_signature(n: int):
-    """Signature (positive, negative) of sip(n)."""
+    """Signature (positive, negative) of sip_matrix(n)."""
     if n < 1:
         raise CanonicalError("sip size must be >= 1")
     if n % 2 == 0:

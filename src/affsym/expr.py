@@ -304,18 +304,3 @@ def evaluate(e: Expr, env: dict) -> float:
                 raise EvalDomainError("sqrt of non-positive value")
             return math.sqrt(x)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def variables(e: Expr) -> set:
-    """Names of all variables referenced by ``e``."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return variables(e.operand)
-    if isinstance(e, Bin):
-        return variables(e.lhs) | variables(e.rhs)
-    if isinstance(e, Pow):
-        return variables(e.base)
-    if isinstance(e, Call):
-        return variables(e.arg)
-    return set()

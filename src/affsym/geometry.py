@@ -7,10 +7,10 @@ the flat ambient derivative splits along the moving frame
     d_i d_j f = Gamma^k_ij d_k f + h_ij xi
     d_i xi    = -S^k_i d_k f + tau_i xi
 
-Both splittings are obtained from one linear solve per right-hand side
-against the frame matrix.  Carrying the solve over jet-valued scalars
-(the constant-term LU is factored once, higher coefficients follow by a
-graded convolution recursion) yields the coordinate partials of Gamma,
+Both splittings come from one solve against the frame matrix, with every
+right-hand side stacked.  Carrying the solve over jet coefficient arrays
+(the constant-term LU is factored once, higher coefficients follow degree
+by degree from the jet product) yields the coordinate partials of Gamma,
 h, S, tau to roundoff, with no step-size tuning.
 """
 
@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
 
 from . import expr as ex
-from .jets import Jet, eval_jet, jet_space
+from .jets import eval_jet, jet_space
 
 #: frames with condition number beyond this are rejected
 FRAME_COND_LIMIT = 1e12
@@ -84,138 +84,86 @@ class Scenario:
         return self
 
 
-def _conv_groups(space):
-    """Multiplication pairs grouped by target index, constant term excluded."""
-    ii, jj, tt = space.mul_table
-    keep = ii != 0
-    groups = [[] for _ in range(space.size)]
-    for a, b, t in zip(ii[keep], jj[keep], tt[keep]):
-        groups[t].append((a, b))
-    return groups
-
-
-def _jet_matrix_solve(f0_lu, f_coeffs, rhs_coeffs, groups):
-    """Solve F c = r for jet coefficient stacks, degree by degree.
-
-    f_coeffs: (ncoeff, N, N); rhs_coeffs: (ncoeff, N).  The degree-0 system
-    is the factored frame; each higher coefficient subtracts the convolution
-    of lower ones.
-    """
-    ncoeff = rhs_coeffs.shape[0]
-    sol = np.zeros_like(rhs_coeffs)
-    for t in range(ncoeff):
-        acc = rhs_coeffs[t].copy()
-        for a, b in groups[t]:
-            acc -= f_coeffs[a] @ sol[b]
-        sol[t] = lu_solve(f0_lu, acc)
-    return sol
-
-
 class StructureJets:
-    """Jet-valued Gamma, h, S, tau at one point of a scenario."""
+    """Gamma, h, S, tau at one point of a scenario as jet coefficient arrays.
+
+    Each array carries the coefficient axis of ``jet_space(dim, order)``
+    first: ``gamma[c, k, i, j]`` is coefficient c of Gamma^k_ij,
+    ``S[c, k, i]`` of S^k_i, and ``h[c, i, j]``, ``tau[c, i]`` likewise.
+    ``frame`` holds the frame matrix {d_1 f, ..., d_n f, xi} and ``rhs`` the
+    stacked right-hand sides (d_i d_j f for i <= j, then d_i xi), both as
+    coefficient arrays.
+    """
 
     def __init__(self, scenario, point, order):
         n = scenario.dim
         coords = scenario.coords
         self.scenario = scenario
         self.point = tuple(float(v) for v in point)
-        self.coords = coords
         self.dim = n
         self.order = order
 
         f_jets = [eval_jet(c, point, order + 2, coords) for c in scenario.immersion]
         xi_jets = [eval_jet(c, point, order + 1, coords) for c in scenario.transversal]
-        amb = n + 1
-        if len(f_jets) != amb or len(xi_jets) != amb:
+        if len(f_jets) != n + 1 or len(xi_jets) != n + 1:
             raise GeometryError("immersion/transversal must have 2n+1 components")
 
         space = jet_space(n, order)
-        ncoeff = space.size
-        frame = np.zeros((ncoeff, amb, amb))
-        for j in range(n):
-            for r in range(amb):
-                frame[:, r, j] = f_jets[r].partial(j).truncate(order).c
-        for r in range(amb):
-            frame[:, r, n] = xi_jets[r].truncate(order).c
+        up = jet_space(n, order + 1)
+        f = np.stack([jet.c for jet in f_jets], axis=1)
+        xi = np.stack([jet.c for jet in xi_jets], axis=1)
+        df = [jet_space(n, order + 2).partial(f, j) for j in range(n)]
+        iu = np.triu_indices(n)
+        self.frame = np.stack(df + [xi], axis=2)[: space.size]
+        self.rhs = np.stack([up.partial(df[i], j) for i, j in zip(*iu)]
+                            + [up.partial(xi, i) for i in range(n)], axis=2)
 
-        f0 = frame[0]
+        f0 = self.frame[0]
         self.cond = float(np.linalg.cond(f0))
         if not np.isfinite(self.cond) or self.cond > FRAME_COND_LIMIT:
             raise SingularFrameError(
                 f"frame condition {self.cond:.3e} at point {self.point}")
-        f0_lu = lu_factor(f0)
-        groups = _conv_groups(space)
+        sol = _graded_solve(space, self.frame, self.rhs)
 
-        gamma = np.empty((n, n, n), dtype=object)
-        h = np.empty((n, n), dtype=object)
-        s_op = np.empty((n, n), dtype=object)
-        tau = np.empty(n, dtype=object)
+        npairs = len(iu[0])
+        self.gamma = np.empty((space.size, n, n, n))
+        self.gamma[:, :, iu[0], iu[1]] = sol[:, :n, :npairs]
+        self.gamma[:, :, iu[1], iu[0]] = sol[:, :n, :npairs]
+        self.h = np.empty((space.size, n, n))
+        self.h[:, iu[0], iu[1]] = sol[:, n, :npairs]
+        self.h[:, iu[1], iu[0]] = sol[:, n, :npairs]
+        self.S = -sol[:, :n, npairs:]
+        self.tau = sol[:, n, npairs:]
 
-        for i in range(n):
-            for j in range(i, n):
-                rhs = np.zeros((ncoeff, amb))
-                for r in range(amb):
-                    rhs[:, r] = f_jets[r].partial(i).partial(j).truncate(order).c
-                sol = _jet_matrix_solve(f0_lu, frame, rhs, groups)
-                for k in range(n):
-                    jet = Jet(space, sol[:, k].copy(), self.point)
-                    gamma[k, i, j] = jet
-                    gamma[k, j, i] = jet
-                hij = Jet(space, sol[:, n].copy(), self.point)
-                h[i, j] = hij
-                h[j, i] = hij
-        for i in range(n):
-            rhs = np.zeros((ncoeff, amb))
-            for r in range(amb):
-                rhs[:, r] = xi_jets[r].partial(i).truncate(order).c
-            sol = _jet_matrix_solve(f0_lu, frame, rhs, groups)
-            for k in range(n):
-                s_op[k, i] = Jet(space, -sol[:, k], self.point)
-            tau[i] = Jet(space, sol[:, n].copy(), self.point)
 
-        self.gamma_jets = gamma
-        self.h_jets = h
-        self.S_jets = s_op
-        self.tau_jets = tau
+def _graded_solve(space, frame, rhs):
+    """Solve frame @ sol = rhs for jet coefficient arrays, degree by degree.
 
-    def _values(self, jets):
-        out = np.zeros(jets.shape)
-        for idx in np.ndindex(*jets.shape):
-            out[idx] = jets[idx].value
-        return out
-
-    def _partials(self, jets):
-        n = self.dim
-        out = np.zeros((n,) + jets.shape)
-        units = [tuple(1 if a == l else 0 for a in range(n)) for l in range(n)]
-        for idx in np.ndindex(*jets.shape):
-            for l in range(n):
-                out[(l,) + idx] = jets[idx].coefficient(units[l])
-        return out
-
-    def gamma_values(self):
-        return self._values(self.gamma_jets)
-
-    def gamma_partials(self):
-        return self._partials(self.gamma_jets)
-
-    def h_values(self):
-        return self._values(self.h_jets)
-
-    def h_partials(self):
-        return self._partials(self.h_jets)
-
-    def S_values(self):
-        return self._values(self.S_jets)
-
-    def S_partials(self):
-        return self._partials(self.S_jets)
-
-    def tau_values(self):
-        return self._values(self.tau_jets)
-
-    def tau_partials(self):
-        return self._partials(self.tau_jets)
+    frame: (ncoeff, N, N); rhs: (ncoeff, N, K).  The constant-term frame is
+    factored once; the coefficients of each degree subtract the jet product
+    of the frame's higher terms with the lower-degree solution found so far.
+    """
+    lu, piv = lu_factor(frame[0])
+    higher = frame.copy()
+    higher[0] = 0.0
+    sol = np.zeros_like(rhs)
+    lo = 0
+    for hi in space.prefix:
+        acc = rhs[lo:hi] - space.einsum("rs,sk->rk", higher, sol)[lo:hi]
+        # one column per (coefficient, right-hand side) pair
+        x = np.moveaxis(acc, 1, 0).reshape(acc.shape[1], -1)
+        for i, p in enumerate(piv):
+            x[[i, p]] = x[[p, i]]
+        for i in range(1, len(x)):
+            x[i] -= lu[i, :i] @ x[:i]
+        # divide by the pivots: a batched triangular solve multiplies by
+        # their reciprocals, which makes exact solutions (h = 2 Id on a
+        # paraboloid) inexact in the last bit
+        for i in range(len(x) - 1, -1, -1):
+            x[i] = (x[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
+        sol[lo:hi] = np.moveaxis(x.reshape(acc.shape[1], hi - lo, -1), 0, 1)
+        lo = hi
+    return sol
 
 
 def structure_jets(scenario, point, order: int) -> StructureJets:
@@ -239,20 +187,30 @@ class InducedStructure:
     cond: float
 
 
-def induced_structure(scenario, point) -> InducedStructure:
-    sj = structure_jets(scenario, point, order=1)
-    dtau_src = sj.tau_partials()  # dtau_src[l, i] = d_l tau_i
-    dtau = dtau_src - dtau_src.T  # dtau[i, j] = d_i tau_j - d_j tau_i
+def induced_structure(source, point=None) -> InducedStructure:
+    """Pointwise values and first partials of the induced structure.
+
+    ``source`` is a solved StructureJets of order >= 1, or a Scenario whose
+    structure is then solved at ``point`` to order 1.
+    """
+    sj = source if isinstance(source, StructureJets) \
+        else structure_jets(source, point, order=1)
+    if sj.order < 1:
+        raise GeometryError("the induced structure needs structure jets of order >= 1")
+    index_of = jet_space(sj.dim, sj.order).index_of
+    units = [index_of[tuple(int(a == l) for a in range(sj.dim))]
+             for l in range(sj.dim)]
+    dtau_src = sj.tau[units]  # dtau_src[l, i] = d_l tau_i
     return InducedStructure(
         point=sj.point,
-        gamma=sj.gamma_values(),
-        dgamma=sj.gamma_partials(),
-        h=sj.h_values(),
-        S=sj.S_values(),
-        tau=sj.tau_values(),
-        dtau=dtau,
-        dh=sj.h_partials(),
-        dS=sj.S_partials(),
+        gamma=sj.gamma[0],
+        dgamma=sj.gamma[units],
+        h=sj.h[0],
+        S=sj.S[0],
+        tau=sj.tau[0],
+        dtau=dtau_src - dtau_src.T,  # dtau[i, j] = d_i tau_j - d_j tau_i
+        dh=sj.h[units],
+        dS=sj.S[units],
         cond=sj.cond,
     )
 
@@ -316,26 +274,16 @@ def fundamental_residuals(st: InducedStructure, curv: CurvatureTensor) -> Fundam
     return FundamentalResiduals(gauss, codazzi_h, codazzi_s, ricci)
 
 
-def frame_residual(scenario, point) -> float:
+def frame_residual(sj: StructureJets) -> float:
     """Relative reconstruction error of the two splitting formulas."""
-    n = scenario.dim
-    coords = scenario.coords
-    st = induced_structure(scenario, point)
-    f_jets = [eval_jet(c, point, 2, coords) for c in scenario.immersion]
-    xi_jets = [eval_jet(c, point, 1, coords) for c in scenario.transversal]
-    frame = np.array([[f.partial(j).value for f in f_jets] for j in range(n)]).T
-    xi = np.array([f.value for f in xi_jets])
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            ddf = np.array([f.partial(i).partial(j).value for f in f_jets])
-            rebuilt = frame @ st.gamma[:, i, j] + st.h[i, j] * xi
-            worst = max(worst, np.max(np.abs(ddf - rebuilt)) / max(1.0, np.max(np.abs(ddf))))
-    for i in range(n):
-        dxi = np.array([f.partial(i).value for f in xi_jets])
-        rebuilt = -frame @ st.S[:, i] + st.tau[i] * xi
-        worst = max(worst, np.max(np.abs(dxi - rebuilt)) / max(1.0, np.max(np.abs(dxi))))
-    return worst
+    n = sj.dim
+    frame, rhs = sj.frame[0], sj.rhs[0]
+    iu = np.triu_indices(n)
+    coeffs = np.concatenate([
+        np.vstack([sj.gamma[0][:, iu[0], iu[1]], sj.h[0][iu]]),
+        np.vstack([-sj.S[0], sj.tau[0]])], axis=1)
+    err = np.max(np.abs(rhs - frame @ coeffs), axis=0)
+    return float(np.max(err / np.maximum(1.0, np.max(np.abs(rhs), axis=0))))
 
 
 def is_locally_equiaffine(st: InducedStructure, tol: float = 1e-10) -> bool:

@@ -5,6 +5,11 @@ scalar at a point, up to a fixed total degree: the coefficient attached to
 multi-index m is (d^m f)(x) / m!.  Arithmetic is exact for polynomials up
 to the truncation order; elementary functions are propagated through their
 univariate Taylor series.
+
+Jet-valued tensors are plain float arrays with the coefficient axis first;
+``JetSpace.einsum`` multiplies and contracts them and ``JetSpace.partial``
+differentiates them, whole.  ``Jet`` wraps one scalar for expression
+evaluation.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ class JetSpace:
         # prefix length of the coefficient table for each truncation order
         self.prefix = [int(np.sum(self.degrees <= q)) for q in range(order + 1)]
         self._mul_table = None
+        self._product_plan = None
         self._partial_maps = None
 
     @property
@@ -93,6 +99,36 @@ class JetSpace:
                                np.concatenate(tt))
         return self._mul_table
 
+    def einsum(self, subscripts, a, b):
+        """Jet product of two coefficient arrays, contracted like ``np.einsum``.
+
+        ``a`` and ``b`` hold the coefficient axis first, of this space or of
+        a higher order in the same dimension (graded order makes truncation
+        a prefix).  ``subscripts`` names the other axes and must not use
+        ``z``; the result carries this space's coefficient axis first.
+        """
+        if self._product_plan is None:
+            # every target t receives the pair (t, 0), so no segment is empty
+            ii, jj, tt = self.mul_table
+            by_target = np.argsort(tt, kind="stable")
+            starts = np.searchsorted(tt[by_target], np.arange(self.size))
+            self._product_plan = (ii[by_target], jj[by_target], starts)
+        ii, jj, starts = self._product_plan
+        operands, out = subscripts.split("->")
+        left, right = operands.split(",")
+        terms = np.einsum(f"z{left},z{right}->z{out}", a[ii], b[jj])
+        return np.add.reduceat(terms, starts, axis=0)
+
+    def partial(self, c, axis):
+        """Derivative along a coordinate of a coefficient array (coefficient
+        axis first, this order or higher); the result is one order lower."""
+        if self.order == 0:
+            raise JetOrderError("cannot differentiate an order-0 jet")
+        src, dst, scale = self.partial_maps[axis]
+        out = np.zeros((jet_space(self.dim, self.order - 1).size,) + c.shape[1:])
+        out[dst] = scale.reshape((-1,) + (1,) * (c.ndim - 1)) * c[src]
+        return out
+
     @property
     def partial_maps(self):
         if self._partial_maps is None:
@@ -114,29 +150,28 @@ class JetSpace:
 
 
 class Jet:
-    __slots__ = ("space", "c", "point")
+    __slots__ = ("space", "c")
 
-    def __init__(self, space, coeffs, point=None):
+    def __init__(self, space, coeffs):
         self.space = space
         self.c = coeffs
-        self.point = point
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def constant(space, value, point=None):
+    def constant(space, value):
         c = np.zeros(space.size)
         c[0] = value
-        return Jet(space, c, point)
+        return Jet(space, c)
 
     @staticmethod
-    def variable(space, axis, value, point=None):
+    def variable(space, axis, value):
         c = np.zeros(space.size)
         c[0] = value
         if space.order >= 1:
             unit = tuple(1 if a == axis else 0 for a in range(space.dim))
             c[space.index_of[unit]] = 1.0
-        return Jet(space, c, point)
+        return Jet(space, c)
 
     # -- accessors ----------------------------------------------------
 
@@ -169,17 +204,12 @@ class Jet:
         if order > self.order:
             raise JetOrderError(f"cannot extend a jet of order {self.order} to {order}")
         sub = jet_space(self.space.dim, order)
-        return Jet(sub, self.c[: sub.size].copy(), self.point)
+        return Jet(sub, self.c[: sub.size].copy())
 
     def partial(self, axis):
         """Derivative jet along a coordinate; drops one order."""
-        if self.order == 0:
-            raise JetOrderError("cannot differentiate an order-0 jet")
-        src, dst, scale = self.space.partial_maps[axis]
-        lower = jet_space(self.space.dim, self.order - 1)
-        c = np.zeros(lower.size)
-        c[dst] = scale * self.c[src]
-        return Jet(lower, c, self.point)
+        return Jet(jet_space(self.space.dim, self.order - 1),
+                   self.space.partial(self.c, axis))
 
     # -- ring arithmetic ----------------------------------------------
 
@@ -188,40 +218,40 @@ class Jet:
             if other.space is not self.space:
                 raise JetError("jet order/dimension mismatch")
             return other
-        return Jet.constant(self.space, float(other), self.point)
+        return Jet.constant(self.space, float(other))
 
     def __add__(self, other):
         o = self._coerce(other)
-        return Jet(self.space, self.c + o.c, self.point)
+        return Jet(self.space, self.c + o.c)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return Jet(self.space, self.c - o.c, self.point)
+        return Jet(self.space, self.c - o.c)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return Jet(self.space, o.c - self.c, self.point)
+        return Jet(self.space, o.c - self.c)
 
     def __neg__(self):
-        return Jet(self.space, -self.c, self.point)
+        return Jet(self.space, -self.c)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.c * float(other), self.point)
+            return Jet(self.space, self.c * float(other))
         o = self._coerce(other)
         ii, jj, tt = self.space.mul_table
         out = np.zeros(self.space.size)
         np.add.at(out, tt, self.c[ii] * o.c[jj])
-        return Jet(self.space, out, self.point)
+        return Jet(self.space, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.c / float(other), self.point)
+            return Jet(self.space, self.c / float(other))
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -236,9 +266,9 @@ class Jet:
 
     def _series(self, coeffs):
         """Evaluate sum_j coeffs[j] * (self - value)^j by Horner."""
-        tilde = Jet(self.space, self.c.copy(), self.point)
+        tilde = Jet(self.space, self.c.copy())
         tilde.c[0] = 0.0
-        acc = Jet.constant(self.space, coeffs[-1], self.point)
+        acc = Jet.constant(self.space, coeffs[-1])
         for k in range(len(coeffs) - 2, -1, -1):
             acc = acc * tilde + coeffs[k]
         return acc
@@ -248,7 +278,7 @@ class Jet:
         if e == int(e):
             n = int(e)
             if n >= 0:
-                out = Jet.constant(self.space, 1.0, self.point)
+                out = Jet.constant(self.space, 1.0)
                 for _ in range(n):
                     out = out * self
                 return out
@@ -313,16 +343,16 @@ _CALLS = {"sin": jet_sin, "cos": jet_cos, "tan": jet_tan,
           "exp": jet_exp, "ln": jet_ln, "sqrt": jet_sqrt}
 
 
-def _eval(e, env, space, point):
+def _eval(e, env, space):
     if isinstance(e, ex.Num):
-        return Jet.constant(space, e.value, point)
+        return Jet.constant(space, e.value)
     if isinstance(e, ex.Var):
         return env[e.name]
     if isinstance(e, ex.Neg):
-        return -_eval(e.operand, env, space, point)
+        return -_eval(e.operand, env, space)
     if isinstance(e, ex.Bin):
-        a = _eval(e.lhs, env, space, point)
-        b = _eval(e.rhs, env, space, point)
+        a = _eval(e.lhs, env, space)
+        b = _eval(e.rhs, env, space)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -331,9 +361,9 @@ def _eval(e, env, space, point):
             return a * b
         return a / b
     if isinstance(e, ex.Pow):
-        return _eval(e.base, env, space, point) ** e.exponent
+        return _eval(e.base, env, space) ** e.exponent
     if isinstance(e, ex.Call):
-        return _CALLS[e.func](_eval(e.arg, env, space, point))
+        return _CALLS[e.func](_eval(e.arg, env, space))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -350,6 +380,6 @@ def eval_jet(e, point, order: int, coords, max_order: int = MAX_JET_ORDER) -> Je
     if len(point) != len(coords):
         raise JetError("point dimension does not match coordinate count")
     space = jet_space(len(coords), order)
-    env = {name: Jet.variable(space, i, point[i], point)
+    env = {name: Jet.variable(space, i, point[i])
            for i, name in enumerate(coords)}
-    return _eval(e, env, space, point)
+    return _eval(e, env, space)

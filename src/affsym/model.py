@@ -127,19 +127,6 @@ def assemble(blocks, validate: bool = True) -> GaussModel:
     return GaussModel(dim, s, h, blocks)
 
 
-def complex_first(blocks):
-    """Reorder a block list with complex blocks ahead of real ones."""
-    blocks = list(blocks)
-    return tuple(b for b in blocks if isinstance(b, ComplexBlock)) + \
-        tuple(b for b in blocks if isinstance(b, RealBlock))
-
-
-def real_first(blocks):
-    blocks = list(blocks)
-    return tuple(b for b in blocks if isinstance(b, RealBlock)) + \
-        tuple(b for b in blocks if isinstance(b, ComplexBlock))
-
-
 def model_curvature(m: GaussModel, x, y, z) -> np.ndarray:
     """Curvature by the Gauss rule: h(Y,Z) SX - h(X,Z) SY."""
     x = np.asarray(x, dtype=float)

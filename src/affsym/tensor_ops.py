@@ -8,9 +8,10 @@ geometric induced structure):
   with R^k.T = R.(R^{k-1}.T) and R^0.T = T;
 * covariant derivatives, (nabla T)(X1,...) = X1(T(X2,...)) minus the
   connection contractions, iterated as nabla^{k+1} T = nabla(nabla^k T),
-  evaluated with jet-valued components so no finite differencing is needed.
+  computed as whole jet coefficient arrays so no finite differencing is
+  needed.
 
-Evaluation of single components uses the recursion verbatim (memoized on
+Single components of R^k.T use the recursion verbatim (memoized on
 basis-index tuples); full-tensor scans use an equivalent contraction form.
 """
 
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, jet_space
+from .geometry import gauss_curvature_tensor
+from .jets import eval_jet, jet_space
 from .model import GaussModel
 
 #: recursion caps; all catalog oracles need small powers only
@@ -48,10 +50,6 @@ class AlgebraicCurvature:
         self.dim = m.dim
         self._images = {}
 
-    def apply(self, x, y, z):
-        from .model import model_curvature
-        return model_curvature(self.model, x, y, z)
-
     def basis_image(self, i, j, t):
         """Nonzeros of R(e_i, e_j) e_t as ((index, coeff), ...)."""
         key = (i, j, t)
@@ -64,8 +62,7 @@ class AlgebraicCurvature:
         return out
 
     def full_tensor(self):
-        s, h = self.model.S, self.model.H
-        return np.einsum("jt,li->ltij", h, s) - np.einsum("it,lj->ltij", h, s)
+        return gauss_curvature_tensor(self.model.S, self.model.H)
 
 
 class GeometricCurvature:
@@ -77,9 +74,6 @@ class GeometricCurvature:
         self.R = np.asarray(r, dtype=float)
         self.dim = self.R.shape[0]
         self._images = {}
-
-    def apply(self, x, y, z):
-        return np.einsum("ltij,t,i,j->l", self.R, z, x, y)
 
     def basis_image(self, i, j, t):
         key = (i, j, t)
@@ -104,8 +98,7 @@ def _expand_arg(arg, dim):
     return tuple((int(m), float(vec[m])) for m in np.nonzero(vec)[0])
 
 
-def r_power_action(provider, tensor, k: int, args, memo: bool = True,
-                   k_cap: int | None = None) -> float:
+def r_power_action(provider, tensor, k: int, args, memo: bool = True) -> float:
     """Evaluate (R^k . T)(args) by the defining recursion.
 
     ``tensor`` is a dense (0,p) component array; ``args`` are 2k+p basis
@@ -116,9 +109,8 @@ def r_power_action(provider, tensor, k: int, args, memo: bool = True,
     p = t.ndim
     if k < 0:
         raise ArityError("k must be >= 0")
-    cap = provider.cap if k_cap is None else k_cap
-    if k > cap:
-        raise RecursionCapError(f"power {k} exceeds cap {cap} for this provider")
+    if k > provider.cap:
+        raise RecursionCapError(f"power {k} exceeds cap {provider.cap} for this provider")
     if len(args) != 2 * k + p:
         raise ArityError(f"expected {2 * k + p} arguments, got {len(args)}")
     dim = provider.dim
@@ -195,113 +187,44 @@ class CovariantField:
         arr = np.asarray(array, dtype=float)
         return CovariantField(arr.ndim, arr.astype(object))
 
-    def values_at(self, point, coords):
-        from .expr import evaluate
-        out = np.zeros(self.components.shape)
-        env = dict(zip(coords, point))
+    def jets(self, point, order):
+        """Component jets at ``point`` as one coefficient array
+        (ncoeff, n, ..., n); constant components stay constants."""
+        space = jet_space(len(point), order)
+        out = np.zeros((space.size,) + self.components.shape)
         for idx in np.ndindex(*self.components.shape):
             c = self.components[idx]
-            out[idx] = float(c) if isinstance(c, (int, float)) else evaluate(c, env)
+            if isinstance(c, (int, float)):
+                out[(0,) + idx] = c
+            else:
+                out[(slice(None),) + idx] = eval_jet(c, point, order, self.coords).c
         return out
-
-    def component_jet(self, idxs, point, order, coords):
-        from .jets import eval_jet
-        c = self.components[idxs]
-        if isinstance(c, (int, float)):
-            return Jet.constant(jet_space(len(point), order), float(c), tuple(point))
-        return eval_jet(c, point, order, coords)
-
-
-class NablaEvaluator:
-    """Recursive jet-valued evaluation of nabla^k T components at a point.
-
-    ``structure`` must provide coords, point, dim and gamma_jets (an object
-    array [k, i, j] of jets); produced by geometry.structure_jets.
-    """
-
-    def __init__(self, field: CovariantField, structure):
-        self.field = field
-        self.s = structure
-        self.dim = structure.dim
-        self._memo = {}
-        self._gamma_cache = {}
-
-    def _gamma(self, m, i, j, order):
-        key = (m, i, j, order)
-        g = self._gamma_cache.get(key)
-        if g is None:
-            g = self.s.gamma_jets[m, i, j].truncate(order)
-            self._gamma_cache[key] = g
-        return g
-
-    def _jet(self, k, idxs, order):
-        key = (k, idxs, order)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        if k == 0:
-            out = self.field.component_jet(idxs, self.s.point, order, self.s.coords)
-        else:
-            i0, rest = idxs[0], idxs[1:]
-            out = self._jet(k - 1, rest, order + 1).partial(i0)
-            for slot, it in enumerate(rest):
-                for m in range(self.dim):
-                    g = self._gamma(m, i0, it, order)
-                    if not g.c.any():
-                        continue
-                    out = out - g * self._jet(
-                        k - 1, rest[:slot] + (m,) + rest[slot + 1:], order)
-        self._memo[key] = out
-        return out
-
-    def component(self, k, idxs) -> float:
-        if k > self.s.order + 1:
-            raise RecursionCapError(
-                f"nabla^{k} needs structure jets of order {k - 1}, have {self.s.order}")
-        return self._jet(k, tuple(idxs), 0).value
-
-
-def nabla_power(field: CovariantField, structure, k: int, idxs) -> float:
-    """Single component of nabla^k T at the structure's base point."""
-    if k < 0:
-        raise ArityError("k must be >= 0")
-    if len(idxs) != k + field.arity:
-        raise ArityError(f"expected {k + field.arity} indices, got {len(idxs)}")
-    return NablaEvaluator(field, structure).component(k, idxs)
 
 
 def nabla_tensor(field: CovariantField, structure, k: int) -> np.ndarray:
-    """Dense nabla^k T at the base point (arity k + p)."""
-    ev = NablaEvaluator(field, structure)
-    n = structure.dim
-    out = np.zeros((n,) * (k + field.arity))
-    for idxs in np.ndindex(*out.shape):
-        out[idxs] = ev.component(k, idxs)
-    return out
+    """Dense nabla^k T at the structure's base point (arity k + p).
 
-
-def nabla_S_codazzi(structure, i: int, j: int):
-    """Both sides of the shape-operator Codazzi identity at a point.
-
-    Returns ((nabla_i S)(e_j) - tau_i S e_j, (nabla_j S)(e_i) - tau_j S e_i)
-    as component vectors; equality is the caller's check.
+    Step by step on whole coefficient arrays:
+    (nabla T)_{i r_1..r_a} = d_i T_{r_1..r_a} - sum_s Gamma^m_{i r_s} T_{r_1..m..r_a},
+    where step j (of k) works at jet order k - j, so the field enters at
+    order k and Gamma at order k - 1 at most.
     """
+    if k < 0:
+        raise ArityError("k must be >= 0")
+    if k > structure.order + 1:
+        raise RecursionCapError(
+            f"nabla^{k} needs structure jets of order {k - 1}, have {structure.order}")
     n = structure.dim
-    s_val = structure.S_values()
-    ds = structure.S_partials()
-    gamma = structure.gamma_values()
-    tau = structure.tau_values()
-
-    def side(a, b):
-        vec = np.zeros(n)
-        for kk in range(n):
-            term = ds[a, kk, b]
-            term += sum(gamma[kk, a, m] * s_val[m, b] for m in range(n))
-            term -= sum(gamma[m, a, b] * s_val[kk, m] for m in range(n))
-            vec[kk] = term - tau[a] * s_val[kk, b]
-        return vec
-
-    return side(i, j), side(j, i)
+    t = field.jets(structure.point, k)
+    for q in range(k - 1, -1, -1):
+        space = jet_space(n, q)
+        slots = "abcdefgh"[: t.ndim - 1]
+        out = np.stack([jet_space(n, q + 1).partial(t, l) for l in range(n)], axis=1)
+        for s, r in enumerate(slots):
+            out -= space.einsum(f"mi{r},{slots[:s]}m{slots[s + 1:]}->i{slots}",
+                                structure.gamma, t)
+        t = out
+    return t[0]
 
 
 def alternating_sum_identity(field: CovariantField, structure, provider,
@@ -320,10 +243,9 @@ def alternating_sum_identity(field: CovariantField, structure, provider,
     for a, b in x_pairs:
         flat.extend((a, b))
     flat.extend(y_idxs)
-    t_val = field.values_at(structure.point, structure.coords)
-    lhs = r_power_action(provider, t_val, k, flat)
+    lhs = r_power_action(provider, field.jets(structure.point, 0)[0], k, flat)
 
-    ev = NablaEvaluator(field, structure)
+    nabla = nabla_tensor(field, structure, 2 * k)
     rhs = 0.0
     for bits in range(2 ** k):
         sgn = 1.0
@@ -336,5 +258,5 @@ def alternating_sum_identity(field: CovariantField, structure, provider,
             else:
                 idxs.extend((a, b))
         idxs.extend(y_idxs)
-        rhs += sgn * ev.component(2 * k, tuple(idxs))
+        rhs += sgn * nabla[tuple(idxs)]
     return lhs, rhs

@@ -1217,16 +1217,18 @@ class RankVerdict:
     point: tuple | None = None
 
 
-def check_rank_theorem(target, p: int, tol: float = 1e-8, point=None,
-                       omega=None) -> RankVerdict:
+def check_rank_theorem(target, p: int, tol: float = 1e-8, omega=None) -> RankVerdict:
     """Tie a vanishing operator power to the rank-one conclusion.
 
-    ``target`` is a GaussModel or a geometry.Scenario (then ``point`` picks
-    the sample point).  Verdict PASS means the operator vanished and the
-    shape conclusions hold, FAIL that they do not, VACUOUS that the
-    operator does not vanish at this power.
+    ``target`` is a GaussModel or a geometry.StructureJets solved at one
+    sample point (to order p - 1 or more when p <= NABLA_RANK_CAP); there
+    ``nabla^p`` is taken of the scenario's omega field, or of ``omega``
+    held constant.  Verdict PASS means the operator vanished and the shape
+    conclusions hold, FAIL that they do not, VACUOUS that the operator does
+    not vanish at this power.
     """
     max_nabla = None
+    point = None
     if isinstance(target, GaussModel):
         w = np.asarray(omega, dtype=float) if omega is not None \
             else tridiagonal_omega(target.dim)
@@ -1235,29 +1237,29 @@ def check_rank_theorem(target, p: int, tol: float = 1e-8, point=None,
         prov = AlgebraicCurvature(target)
         s_op, h = target.S, target.H
     else:
-        if point is None:
-            point = target.sample_points[0]
-        st = geometry.induced_structure(target, point)
-        w = target.omega_at(point) if omega is None else np.asarray(omega, dtype=float)
+        sc, point = target.scenario, target.point
+        st = geometry.induced_structure(target)
+        if omega is None:
+            w, field = sc.omega_at(point), CovariantField(2, sc.omega, sc.coords)
+        else:
+            w = np.asarray(omega, dtype=float)
+            field = CovariantField.constant(w)
         if abs(np.linalg.det(w)) < 1e-12:
             raise OracleError("degenerate 2-form in rank check")
         prov = GeometricCurvature(geometry.curvature(st).R)
         s_op, h = st.S, st.h
         if p <= NABLA_RANK_CAP:
-            sj = geometry.structure_jets(target, point, order=p - 1)
-            field = CovariantField.constant(w)
-            max_nabla = float(np.max(np.abs(nabla_tensor(field, sj, p))))
+            max_nabla = float(np.max(np.abs(nabla_tensor(field, target, p))))
 
     tensor = r_power_tensor(prov, w, p)
     max_r = float(np.max(np.abs(tensor)))
     vanished = max_r < tol or (max_nabla is not None and max_nabla < tol)
     if not vanished:
         return RankVerdict("VACUOUS", p, max_r, max_nabla, canonical.rank(s_op),
-                           None, None, tuple(point) if point is not None else None)
+                           None, None, point)
     rank_s = canonical.rank(s_op)
     pair = canonical.decompose(s_op, h)
     summary = canonical.classify(pair)
     ok = rank_s <= 1 and summary.admissible_shape
     return RankVerdict("PASS" if ok else "FAIL", p, max_r, max_nabla, rank_s,
-                       summary.admissible_shape, summary.final_form,
-                       tuple(point) if point is not None else None)
+                       summary.admissible_shape, summary.final_form, point)

@@ -175,8 +175,8 @@ def test_criterion_5_theorem_witnesses_and_rank_verdicts():
         sc = load_scenario(scenario_name)
         outcome = []
         for point in sc.sample_points:
-            per_power = [verify.check_rank_theorem(sc, p, 1e-8, point=point)
-                         for p in range(1, 4)]
+            sj = geo.structure_jets(sc, point, 2)
+            per_power = [verify.check_rank_theorem(sj, p, 1e-8) for p in range(1, 4)]
             assert all(v.verdict != "FAIL" for v in per_power), (scenario_name, point)
             triggered = [v.verdict for v in per_power if v.verdict != "VACUOUS"]
             outcome.append(triggered[0] if triggered else "VACUOUS")

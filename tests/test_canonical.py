@@ -3,19 +3,19 @@ import pytest
 
 from affsym import geometry as geo
 from affsym.canonical import (CanonicalError, NotSelfadjointError, classify,
-                              decompose, rank, signature, sip, sip_signature)
-from affsym.model import ComplexBlock, RealBlock, assemble
+                              decompose, rank, signature, sip_signature)
+from affsym.model import ComplexBlock, RealBlock, assemble, sip_matrix
 from affsym.scenarios import load_scenario
 
 
 def test_sip_matrix_and_signature():
-    assert np.array_equal(sip(1), [[1.0]])
-    assert np.array_equal(sip(3), [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    assert np.array_equal(sip_matrix(1), [[1.0]])
+    assert np.array_equal(sip_matrix(3), [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     assert sip_signature(4) == (2, 2)
     assert sip_signature(5) == (3, 2)
     assert sip_signature(1) == (1, 0)
     for n in range(1, 13):
-        s = sip(n)
+        s = sip_matrix(n)
         assert np.array_equal(s @ s, np.eye(n))
         assert np.array_equal(s, s.T)
         assert sip_signature(n) == signature(s)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from affsym.cli import main
 from affsym.model import RealBlock, assemble
 
@@ -164,3 +165,82 @@ def test_strict_flag_promotes_warnings(tmp_path):
     }))
     assert main(["check-geometry", "--scenario", str(sc)]) == 0
     assert main(["check-geometry", "--scenario", str(sc), "--strict"]) == 1
+
+
+def _shipped(name, **changes):
+    from importlib import resources
+    data = json.loads(resources.files("affsym").joinpath(
+        "data", f"{name}.json").read_bytes())
+    data.update(changes)
+    return data
+
+
+def _usage_error(argv, capsys):
+    """Exit code and the stderr lines of a run expected to fail on input."""
+    rc = main(argv)
+    return rc, capsys.readouterr().err.strip().splitlines()
+
+
+def test_rank_theorem_differentiates_the_omega_field(tmp_path):
+    # Gamma = 0 on the paraboloid, so nabla omega = d omega, and
+    # d_1 omega_01 = 2 u1 = 0.6 at the first sample point
+    omega = _shipped("paraboloid")["omega"]
+    omega[0][1], omega[1][0] = "1 + u1*u1", "-(1 + u1*u1)"
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped("paraboloid", omega=omega)))
+    out = tmp_path / "rep.json"
+    assert main(["check-geometry", "--scenario", str(sc), "--output", str(out)]) == 0
+    rec = {r["name"]: r for r in _load(out)["checks"]}
+    assert abs(rec["rank_theorem@point0"]["params"]["max_nabla"] - 0.6) < 1e-12
+    assert rec["alternating_identity@point0"]["status"] == "PASS"
+
+
+@pytest.mark.parametrize("scenario, check", [
+    # structure jets of order 5 (immersion order 7) beyond the jet cap
+    ("paraboloid", {"name": "alternating_identity", "p_max": 3}),
+    # R^4 omega at dim 6 would hold 6^10 entries, beyond the tensor cap
+    ("paper_example_n3", {"name": "rank_theorem", "p_max": 4}),
+    # checks that would run on nothing
+    ("paraboloid", {"name": "rank_theorem", "p_max": 0}),
+    ("paraboloid", {"name": "alternating_identity", "p_max": 1, "trials": 0}),
+])
+def test_check_beyond_caps_is_usage_error(scenario, check, tmp_path, capsys):
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped(scenario, checks=[check])))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and check["name"] in err[0]
+
+
+def test_jet_domain_error_at_sample_point_is_usage_error(tmp_path, capsys):
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({
+        "name": "dom", "dim": 4, "coords": ["a", "b", "c", "d"],
+        "immersion": ["a", "b", "c", "d", "ln(a)"],
+        "transversal": ["0", "0", "0", "0", "1"],
+        "omega": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
+        "sample_points": [[-1.0, 0.0, 0.0, 0.0]],
+    }))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and "ln" in err[0]
+
+
+def test_oracles_zero_trials_is_usage_error(capsys):
+    rc, err = _usage_error(["oracles", "--trials", "0"], capsys)
+    assert rc == 2 and len(err) == 1 and "--trials" in err[0]
+
+
+def test_oracles_zero_p_max_is_usage_error(capsys):
+    rc, err = _usage_error(["oracles", "--p-max", "0"], capsys)
+    assert rc == 2 and len(err) == 1 and "--p-max" in err[0]
+
+
+def test_decompose_applies_tol(tmp_path, capsys):
+    # ||A^T H - H A|| = 1e-6: rejected at the default 1e-8, accepted at 1e-4
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"dim": 2, "A": [1.0, 1e-6, 0.0, 2.0],
+                               "H": [1.0, 0.0, 0.0, 1.0]}))
+    rc, err = _usage_error(["decompose", str(mat)], capsys)
+    assert rc == 2 and len(err) == 1 and "selfadjoint" in err[0]
+    out = tmp_path / "rep.json"
+    assert main(["decompose", str(mat), "--tol", "1e-4", "--output", str(out)]) == 0
+    assert _load(out)["parameters"]["tol"] == 1e-4

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from affsym.canonical import classify, decompose
 from affsym.model import (ComplexBlock, ModelError, RealBlock, assemble,
-                          build_block, complex_first, model_curvature,
-                          random_omega, real_first, sip_matrix,
-                          tridiagonal_omega)
+                          build_block, model_curvature, random_omega,
+                          sip_matrix, tridiagonal_omega)
 
 
 def test_real_block_forms():
@@ -72,11 +72,14 @@ def test_assemble_rejects_odd_and_small():
 
 
 def test_reorder_helpers():
-    blocks = [RealBlock(2, 0, 1), ComplexBlock(1, 0, 1), RealBlock(1, 1, 1)]
-    cf = complex_first(blocks)
-    assert isinstance(cf[0], ComplexBlock) and len(cf) == 3
-    rf = real_first(cf)
-    assert isinstance(rf[-1], ComplexBlock)
+    # block order moves blocks along the diagonal, not the canonical shape
+    blocks = [RealBlock(2, 0, 1), ComplexBlock(1, 0, 1), RealBlock(1, 1, 1),
+              RealBlock(1, -1, -1)]
+    complex_first = [blocks[1], blocks[3], blocks[0], blocks[2]]
+    a, b = assemble(blocks), assemble(complex_first)
+    assert b.blocks == tuple(complex_first)
+    assert np.array_equal(b.S[:2, :2], build_block(blocks[1])[0])
+    assert classify(decompose(a.S, a.H)) == classify(decompose(b.S, b.H))
 
 
 def test_model_curvature_examples():

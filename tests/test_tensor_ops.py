@@ -4,11 +4,11 @@ import pytest
 from affsym import geometry as geo
 from affsym.model import ComplexBlock, RealBlock, assemble, tridiagonal_omega
 from affsym.scenarios import load_scenario
+from affsym.expr import parse_expr
 from affsym.tensor_ops import (AlgebraicCurvature, ArityError, CovariantField,
                                GeometricCurvature, RecursionCapError,
-                               alternating_sum_identity, nabla_S_codazzi,
-                               nabla_power, nabla_tensor, r_power_action,
-                               r_power_tensor)
+                               alternating_sum_identity, nabla_tensor,
+                               r_power_action, r_power_tensor)
 
 
 def _model():
@@ -122,7 +122,7 @@ def test_geometric_example_values():
 def _fd_nabla(field, scenario, k, point, idxs, h=1e-5):
     """Index-formula oracle with central-difference coordinate derivatives."""
     if k == 0:
-        return field.values_at(point, scenario.coords)[tuple(idxs)]
+        return field.jets(point, 0)[0][tuple(idxs)]
     i0, rest = idxs[0], tuple(idxs[1:])
     up = list(point)
     dn = list(point)
@@ -144,7 +144,7 @@ def test_nabla_zero_is_component():
     sj = geo.structure_jets(sc, sc.sample_points[0], 0)
     w = sc.omega_at(sc.sample_points[0])
     field = CovariantField.constant(w)
-    assert nabla_power(field, sj, 0, (1, 2)) == w[1, 2]
+    assert nabla_tensor(field, sj, 0)[1, 2] == w[1, 2]
 
 
 def test_flat_connection_constant_form():
@@ -159,10 +159,11 @@ def test_nabla_matches_finite_differences_on_sphere():
     point = sc.sample_points[0]
     field = CovariantField.constant(sc.omega_at(point))
     sj = geo.structure_jets(sc, point, 1)
+    nabla = nabla_tensor(field, sj, 1)
     for i in range(4):
         for j in range(4):
             for k in range(4):
-                got = nabla_power(field, sj, 1, (i, j, k))
+                got = nabla[i, j, k]
                 ref = _fd_nabla(field, sc, 1, point, (i, j, k))
                 assert abs(got - ref) < 1e-7
 
@@ -172,10 +173,11 @@ def test_nabla_two_matches_finite_differences():
     point = sc.sample_points[2]
     field = CovariantField.constant(sc.omega_at(point))
     sj = geo.structure_jets(sc, point, 1)
+    nabla = nabla_tensor(field, sj, 2)
     rng = np.random.default_rng(6)
     for _ in range(8):
         idxs = tuple(int(v) for v in rng.integers(0, 4, size=4))
-        got = nabla_power(field, sj, 2, idxs)
+        got = nabla[idxs]
         ref = _fd_nabla(field, sc, 2, point, idxs, h=2e-4)
         assert abs(got - ref) < 1e-5 * max(1.0, abs(ref))
 
@@ -185,26 +187,55 @@ def test_nabla_order_cap():
     sj = geo.structure_jets(sc, sc.sample_points[0], 1)
     field = CovariantField.constant(tridiagonal_omega(4))
     with pytest.raises(RecursionCapError):
-        nabla_power(field, sj, 3, (0, 0, 0, 1, 2))
+        nabla_tensor(field, sj, 3)
+
+
+def test_nabla_of_expression_field_matches_finite_differences():
+    # a non-constant 2-form: the d(omega) term must enter nabla omega
+    sc = load_scenario("centroaffine_sphere")
+    point = sc.sample_points[0]
+    src = [["0", "1 + t1*t2", "0", "sin(t3)"],
+           ["-(1 + t1*t2)", "0", "exp(t1)", "0"],
+           ["0", "-exp(t1)", "0", "t2^2"],
+           ["-sin(t3)", "0", "-t2^2", "0"]]
+    comps = [[parse_expr(c, sc.coords) for c in row] for row in src]
+    field = CovariantField(2, comps, sc.coords)
+    sj = geo.structure_jets(sc, point, 1)
+    nabla = nabla_tensor(field, sj, 1)
+    for idxs in np.ndindex(4, 4, 4):
+        assert abs(nabla[idxs] - _fd_nabla(field, sc, 1, point, idxs)) < 1e-7
+    nabla = nabla_tensor(field, sj, 2)
+    rng = np.random.default_rng(16)
+    for _ in range(8):
+        idxs = tuple(int(v) for v in rng.integers(0, 4, size=4))
+        ref = _fd_nabla(field, sc, 2, point, idxs, h=2e-4)
+        assert abs(nabla[idxs] - ref) < 1e-5 * max(1.0, abs(ref))
+
+
+def _codazzi_sides(st):
+    """side[i, k, j] = ((nabla_i S) e_j - tau_i S e_j)^k from pointwise data."""
+    return (st.dS + np.einsum("kim,mj->ikj", st.gamma, st.S)
+            - np.einsum("mij,km->ikj", st.gamma, st.S)
+            - np.einsum("i,kj->ikj", st.tau, st.S))
 
 
 def test_codazzi_shape_sides():
     for name, tol in (("paraboloid", 1e-14), ("paper_example_n2", 1e-8),
                       ("centroaffine_sphere", 1e-12)):
         sc = load_scenario(name)
-        sj = geo.structure_jets(sc, sc.sample_points[0], 1)
-        for i in range(sc.dim):
-            for j in range(sc.dim):
-                a, b = nabla_S_codazzi(sj, i, j)
-                assert np.max(np.abs(a - b)) < tol
+        st = geo.induced_structure(geo.structure_jets(sc, sc.sample_points[0], 1))
+        assert geo.fundamental_residuals(st, geo.curvature(st)).codazzi_s < tol
+        side = _codazzi_sides(st)
+        assert np.max(np.abs(side - np.transpose(side, (2, 1, 0)))) < tol
 
 
 def test_sphere_codazzi_sides_vanish():
     # S = identity is parallel and tau = 0, so both sides are zero
     sc = load_scenario("centroaffine_sphere")
-    sj = geo.structure_jets(sc, sc.sample_points[1], 1)
-    a, b = nabla_S_codazzi(sj, 0, 2)
-    assert np.max(np.abs(a)) < 1e-12 and np.max(np.abs(b)) < 1e-12
+    st = geo.induced_structure(geo.structure_jets(sc, sc.sample_points[1], 1))
+    side = _codazzi_sides(st)
+    assert np.max(np.abs(side[0, :, 2])) < 1e-12
+    assert np.max(np.abs(side[2, :, 0])) < 1e-12
 
 
 def test_alternating_identity_on_scenarios():

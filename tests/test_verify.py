@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from affsym import verify
+from affsym.geometry import structure_jets
 from affsym.model import ComplexBlock, RealBlock, assemble, tridiagonal_omega
 from affsym.scenarios import load_scenario
 from affsym.verify import (OracleError, OracleSpec, check_rank_theorem,
@@ -180,14 +181,15 @@ def test_check_rank_theorem_on_models():
 
 def test_check_rank_theorem_on_scenarios():
     sc = load_scenario("paper_example_n2")
-    v = check_rank_theorem(sc, 3, point=sc.sample_points[0])
+    v = check_rank_theorem(structure_jets(sc, sc.sample_points[0], 2), 3)
     assert v.verdict == "PASS" and v.rank_s == 1
     assert v.max_nabla is not None
 
     sc = load_scenario("paraboloid")
-    v = check_rank_theorem(sc, 1, point=sc.sample_points[0])
+    v = check_rank_theorem(structure_jets(sc, sc.sample_points[0], 1), 1)
     assert v.verdict == "PASS" and v.rank_s == 0
 
     sc = load_scenario("centroaffine_sphere")
+    sj = structure_jets(sc, sc.sample_points[0], 2)
     for p in (1, 2, 3):
-        assert check_rank_theorem(sc, p, point=sc.sample_points[0]).verdict == "VACUOUS"
+        assert check_rank_theorem(sj, p).verdict == "VACUOUS"
