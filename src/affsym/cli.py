@@ -29,9 +29,10 @@ from . import __version__, canonical, geometry, verify
 from .expr import ExprError
 from .jets import MAX_JET_ORDER, JetError
 from .model import RealBlock
-from .scenarios import ScenarioFormatError, load_scenario, scenario_digest
+from .scenarios import (ScenarioFormatError, json_dim, load_scenario,
+                        scenario_digest)
 from .tensor_ops import (TENSOR_ENTRY_CAP, CovariantField, GeometricCurvature,
-                         alternating_sum_identity)
+                         alternating_sum_identity, nabla_tensor)
 
 _DEFAULT_CHECKS = (
     {"name": "frame", "tol": 1e-9},
@@ -187,13 +188,15 @@ def _geometry_records(sc, seed, tol_cli, p_max_cli, order):
                 trials = int(check.get("trials", 50))
                 rng = np.random.default_rng((seed, 17, pi))
                 prov = GeometricCurvature(curv.R)
+                w = omega.jets(point, 0)[0]
+                nabla = nabla_tensor(omega, sj, 2 * p_max)
                 worst = 0.0
                 for _ in range(trials):
                     pairs = [(int(a), int(b)) for a, b in
                              rng.integers(0, sc.dim, size=(p_max, 2))]
                     ys = [int(v) for v in rng.integers(0, sc.dim, size=2)]
                     lhs, rhs = alternating_sum_identity(
-                        omega, sj, prov, p_max, pairs, ys)
+                        w, nabla, prov, p_max, pairs, ys)
                     worst = max(worst, abs(lhs - rhs))
                 records.append(_record(label, "PASS" if worst < tol else "FAIL",
                                        worst, tol,
@@ -269,9 +272,11 @@ def cmd_decompose(args):
     try:
         with open(args.matrix_file) as fh:
             data = json.load(fh)
-        dim = int(data["dim"])
+        dim = json_dim(data)
         a = np.asarray(data["A"], dtype=float).reshape(dim, dim)
         h = np.asarray(data["H"], dtype=float).reshape(dim, dim)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(h))):
+            raise ValueError("A and H must have finite entries")
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
         print(f"error: cannot read matrix file: {err}", file=sys.stderr)
         return 2

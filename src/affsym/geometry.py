@@ -27,6 +27,9 @@ from .jets import eval_jet, jet_space
 #: frames with condition number beyond this are rejected
 FRAME_COND_LIMIT = 1e12
 
+#: a 2-form with |det| below this counts as degenerate
+OMEGA_DET_MIN = 1e-12
+
 
 class GeometryError(ValueError):
     pass
@@ -73,13 +76,18 @@ class Scenario:
                 raise ConstraintError(name, point)
 
     def validate(self, tol: float = 1e-10):
-        """Reject bad sample points up front: constraints, antisymmetry, frame."""
+        """Reject bad sample points up front: constraints, antisymmetry,
+        degenerate omega, frame."""
         for pt in self.sample_points:
             self.check_constraints(pt)
             w = self.omega_at(pt)
             if np.max(np.abs(w + w.T)) > tol:
                 raise GeometryError(
                     f"omega not antisymmetric at sample point {tuple(pt)}")
+            if not abs(np.linalg.det(w)) >= OMEGA_DET_MIN:
+                raise GeometryError(
+                    f"omega degenerate at sample point {tuple(pt)}: "
+                    f"|det| below {OMEGA_DET_MIN:g}")
             structure_jets(self, pt, order=0)  # raises SingularFrameError if bad
         return self
 

@@ -42,10 +42,21 @@ def _parse_field(source, coords, where):
         raise ScenarioFormatError(f"in {where}: {err}") from err
 
 
+def json_dim(data) -> int:
+    """The ``dim`` of a decoded JSON object; it must be a JSON integer."""
+    if not isinstance(data, dict):
+        raise ScenarioFormatError(
+            f"expected a JSON object at the top level, got {type(data).__name__}")
+    dim = data["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ScenarioFormatError(f"dim must be a JSON integer, got {dim!r}")
+    return dim
+
+
 def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
     try:
+        dim = json_dim(data)
         name = str(data["name"])
-        dim = int(data["dim"])
         coords = tuple(str(c) for c in data["coords"])
         imm_src = list(data["immersion"])
         trans_src = list(data["transversal"])
@@ -68,6 +79,8 @@ def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
     for p in points:
         if len(p) != dim:
             raise ScenarioFormatError(f"sample point {p} has wrong dimension")
+        if not np.all(np.isfinite(p)):
+            raise ScenarioFormatError(f"sample point {p} is not finite")
 
     immersion = tuple(_parse_field(s, coords, f"immersion[{i}]")
                       for i, s in enumerate(imm_src))

@@ -12,10 +12,13 @@ geometric induced structure):
   needed.
 
 Single components of R^k.T use the recursion verbatim (memoized on
-basis-index tuples); full-tensor scans use an equivalent contraction form.
+basis-index tuples); full-tensor scans use an equivalent contraction form;
+values at vector arguments run the recursion on the vectors themselves.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from .model import GaussModel
 #: recursion caps; all catalog oracles need small powers only
 K_CAP_ALGEBRAIC = 8
 K_CAP_GEOMETRIC = 3
-NABLA_CAP = 3
 
 #: entry cap for materializing R^k.T as a dense array
 TENSOR_ENTRY_CAP = 40_000_000
@@ -49,6 +51,7 @@ class AlgebraicCurvature:
         self.model = m
         self.dim = m.dim
         self._images = {}
+        self._full = None
 
     def basis_image(self, i, j, t):
         """Nonzeros of R(e_i, e_j) e_t as ((index, coeff), ...)."""
@@ -62,7 +65,9 @@ class AlgebraicCurvature:
         return out
 
     def full_tensor(self):
-        return gauss_curvature_tensor(self.model.S, self.model.H)
+        if self._full is None:
+            self._full = gauss_curvature_tensor(self.model.S, self.model.H)
+        return self._full
 
 
 class GeometricCurvature:
@@ -149,6 +154,53 @@ def r_power_action(provider, tensor, k: int, args, memo: bool = True) -> float:
     return eval_args(0, ())
 
 
+def r_power_probe(provider, tensor, k: int, vectors) -> np.ndarray:
+    """Evaluate (R^k . T) at vector arguments by the recursion on vectors.
+
+    ``vectors`` has shape (..., 2k+p, n) and the result has shape (...).
+    Each level forms R(X, Y) for every branch at once (one n^2 x n^2 GEMM
+    against the provider's full tensor), then branches once per remaining
+    slot Z, which becomes -R(X, Y)Z.  The leaves contract the last p
+    vectors with T and the branch axis is summed.
+    """
+    t = np.asarray(tensor, dtype=float)
+    v = np.asarray(vectors, dtype=float)
+    p, n = t.ndim, provider.dim
+    if k < 0:
+        raise ArityError("k must be >= 0")
+    if k > provider.cap:
+        raise RecursionCapError(f"power {k} exceeds cap {provider.cap} for this provider")
+    if v.shape[-2:] != (2 * k + p, n):
+        raise ArityError(f"expected vectors of shape (..., {2 * k + p}, {n}), "
+                         f"got {v.shape}")
+    batch = v.shape[:-2]
+    size, branches, entries = math.prod(batch), 1, 0
+    for q in range(2 * k + p - 2, p - 1, -2):
+        # a level holds X (x) Y products and the q-fold new branches
+        entries = max(entries, size * branches * max(n * n, q * q * n))
+        branches *= q
+    # the leaf contraction holds one n^(p-1) partial per branch
+    entries = max(entries, size * branches * n ** max(p - 1, 0))
+    if entries > TENSOR_ENTRY_CAP:
+        raise RecursionCapError(f"R^{k} probe would hold {entries} entries")
+    r2 = provider.full_tensor().reshape(n * n, n * n)
+    v = v.reshape(size, 2 * k + p, n)
+    for _ in range(k):
+        b, q = v.shape[0], v.shape[1] - 2
+        xy = (v[:, 0, :, None] * v[:, 1, None, :]).reshape(b, n * n)
+        r_xy = (xy @ r2.T).reshape(b, n, n)
+        rest = v[:, 2:]
+        out = np.repeat(rest[:, None], q, axis=1)
+        diag = np.arange(q)
+        out[:, diag, diag] = -(rest @ r_xy.transpose(0, 2, 1))
+        v = out.reshape(b * q, q, n)
+    leaves = np.broadcast_to(t.reshape(1, -1), (len(v), t.size))
+    for s in range(p):
+        leaves = np.einsum("bi,bij->bj", v[:, s],
+                           leaves.reshape(len(v), n, n ** (p - s - 1)))
+    return leaves.reshape(batch + (branches,)).sum(axis=-1)
+
+
 def r_power_tensor(provider, tensor, k: int,
                    entry_cap: int = TENSOR_ENTRY_CAP) -> np.ndarray:
     """Materialize R^k . T as a dense array of arity 2k+p."""
@@ -227,9 +279,11 @@ def nabla_tensor(field: CovariantField, structure, k: int) -> np.ndarray:
     return t[0]
 
 
-def alternating_sum_identity(field: CovariantField, structure, provider,
-                             k: int, x_pairs, y_idxs):
+def alternating_sum_identity(omega, nabla, provider, k: int, x_pairs, y_idxs):
     """Both sides of the curvature-vs-derivative alternating identity.
+
+    ``omega`` is the (0,p) tensor at the point and ``nabla`` its dense
+    nabla^{2k} there (arity 2k + p), computed once by the caller.
 
     lhs = (R^k . T)(X^1_1, X^1_{-1}, ..., Y...);
     rhs = sum over sign assignments a of sgn(a) *
@@ -237,15 +291,15 @@ def alternating_sum_identity(field: CovariantField, structure, provider,
     """
     if len(x_pairs) != k:
         raise ArityError(f"need {k} argument pairs, got {len(x_pairs)}")
-    if 2 * k > NABLA_CAP + 1:
-        raise RecursionCapError(f"rhs needs nabla^{2 * k}, beyond the order cap")
+    if np.ndim(nabla) != 2 * k + np.ndim(omega):
+        raise ArityError(f"rhs needs nabla^{2 * k} of the tensor, got arity "
+                         f"{np.ndim(nabla)}")
     flat = []
     for a, b in x_pairs:
         flat.extend((a, b))
     flat.extend(y_idxs)
-    lhs = r_power_action(provider, field.jets(structure.point, 0)[0], k, flat)
+    lhs = r_power_action(provider, omega, k, flat)
 
-    nabla = nabla_tensor(field, structure, 2 * k)
     rhs = 0.0
     for bits in range(2 ** k):
         sgn = 1.0

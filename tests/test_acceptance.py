@@ -16,8 +16,8 @@ from affsym.cli import main as cli_main
 from affsym.model import ComplexBlock, RealBlock, assemble
 from affsym.scenarios import load_scenario
 from affsym.tensor_ops import (CovariantField, GeometricCurvature,
-                               alternating_sum_identity, r_power_action,
-                               r_power_tensor)
+                               alternating_sum_identity, nabla_tensor,
+                               r_power_action, r_power_tensor)
 
 SHIPPED = ("paper_example_n2", "paper_example_n3", "paraboloid",
            "centroaffine_sphere")
@@ -196,11 +196,12 @@ def test_criterion_6_alternating_identity():
             st = geo.induced_structure(sc, point)
             prov = GeometricCurvature(geo.curvature(st).R)
             sj = geo.structure_jets(sc, point, 1)
-            field = CovariantField.constant(sc.omega_at(point))
+            w = sc.omega_at(point)
+            nabla = nabla_tensor(CovariantField.constant(w), sj, 2)
             for _ in range(50):
                 pair = (int(rng.integers(0, sc.dim)), int(rng.integers(0, sc.dim)))
                 ys = tuple(int(v) for v in rng.integers(0, sc.dim, size=2))
-                lhs, rhs = alternating_sum_identity(field, sj, prov, 1, [pair], ys)
+                lhs, rhs = alternating_sum_identity(w, nabla, prov, 1, [pair], ys)
                 worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-7
     _verdict(6, ok, f"k=1 identity over 50 tuples per scenario, worst gap {worst:.3e}")

@@ -244,3 +244,45 @@ def test_decompose_applies_tol(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["decompose", str(mat), "--tol", "1e-4", "--output", str(out)]) == 0
     assert _load(out)["parameters"]["tol"] == 1e-4
+
+
+def test_degenerate_omega_is_usage_error(tmp_path, capsys):
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped("paraboloid", omega=[[0] * 4] * 4)))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and "degenerate" in err[0]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_sample_point_is_usage_error(value, tmp_path, capsys):
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped("paraboloid",
+                                      sample_points=[[value, 0.0, 0.0, 0.0]])))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and "finite" in err[0]
+
+
+@pytest.mark.parametrize("key", ["A", "H"])
+def test_non_finite_decompose_matrix_is_usage_error(key, tmp_path, capsys):
+    data = {"dim": 2, "A": [1.0, 0.0, 0.0, 2.0], "H": [1.0, 0.0, 0.0, 1.0]}
+    data[key][1] = float("nan")
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps(data))
+    rc, err = _usage_error(["decompose", str(mat)], capsys)
+    assert rc == 2 and len(err) == 1 and "finite" in err[0]
+
+
+@pytest.mark.parametrize("command", ["check-geometry", "decompose"])
+@pytest.mark.parametrize("dim", [4.5, "4", "four", None, "array"])
+def test_dim_must_be_json_integer(command, dim, tmp_path, capsys):
+    if command == "check-geometry":
+        data = _shipped("paraboloid", dim=dim)
+    else:
+        data = {"dim": dim, "A": [0.0] * 16, "H": np.eye(4).ravel().tolist()}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps([data] if dim == "array" else data))
+    argv = ["check-geometry", "--scenario", str(path)] if command == "check-geometry" \
+        else ["decompose", str(path)]
+    rc, err = _usage_error(argv, capsys)
+    assert rc == 2 and len(err) == 1
+    assert ("JSON object" if dim == "array" else "JSON integer") in err[0]

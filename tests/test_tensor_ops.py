@@ -1,14 +1,20 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy.linalg import block_diag
 
 from affsym import geometry as geo
-from affsym.model import ComplexBlock, RealBlock, assemble, tridiagonal_omega
-from affsym.scenarios import load_scenario
+from affsym.model import (ComplexBlock, GaussModel, RealBlock, assemble,
+                          build_block, random_omega, tridiagonal_omega)
+from affsym.scenarios import BUILTIN_NAMES, load_scenario
 from affsym.expr import parse_expr
 from affsym.tensor_ops import (AlgebraicCurvature, ArityError, CovariantField,
                                GeometricCurvature, RecursionCapError,
                                alternating_sum_identity, nabla_tensor,
-                               r_power_action, r_power_tensor)
+                               r_power_action, r_power_probe, r_power_tensor)
 
 
 def _model():
@@ -246,12 +252,13 @@ def test_alternating_identity_on_scenarios():
         st = geo.induced_structure(sc, point)
         prov = GeometricCurvature(geo.curvature(st).R)
         sj = geo.structure_jets(sc, point, 1)
-        field = CovariantField.constant(sc.omega_at(point))
+        w = sc.omega_at(point)
+        nabla = nabla_tensor(CovariantField.constant(w), sj, 2)
         rng = np.random.default_rng(8)
         for _ in range(20):
             pair = (int(rng.integers(0, sc.dim)), int(rng.integers(0, sc.dim)))
             ys = tuple(int(v) for v in rng.integers(0, sc.dim, size=2))
-            lhs, rhs = alternating_sum_identity(field, sj, prov, 1, [pair], ys)
+            lhs, rhs = alternating_sum_identity(w, nabla, prov, 1, [pair], ys)
             assert abs(lhs - rhs) < 1e-7
 
 
@@ -261,10 +268,13 @@ def test_alternating_identity_example_value():
     st = geo.induced_structure(sc, point)
     prov = GeometricCurvature(geo.curvature(st).R)
     sj = geo.structure_jets(sc, point, 1)
-    field = CovariantField.constant(sc.omega_at(point))
-    lhs, rhs = alternating_sum_identity(field, sj, prov, 1, [(0, 2)], (0, 2))
+    w = sc.omega_at(point)
+    nabla = nabla_tensor(CovariantField.constant(w), sj, 2)
+    lhs, rhs = alternating_sum_identity(w, nabla, prov, 1, [(0, 2)], (0, 2))
     assert abs(lhs - (-2.0)) < 1e-12
     assert abs(lhs - rhs) < 1e-7
+    with pytest.raises(ArityError):  # k = 2 needs nabla^4, not nabla^2
+        alternating_sum_identity(w, nabla, prov, 2, [(0, 2), (1, 3)], (0, 2))
 
 
 def test_alternating_identity_depth_two():
@@ -274,10 +284,126 @@ def test_alternating_identity_depth_two():
     st = geo.induced_structure(sc, point)
     prov = GeometricCurvature(geo.curvature(st).R)
     sj = geo.structure_jets(sc, point, 3)
-    field = CovariantField.constant(sc.omega_at(point))
+    w = sc.omega_at(point)
+    nabla = nabla_tensor(CovariantField.constant(w), sj, 4)
     rng = np.random.default_rng(14)
     for _ in range(6):
         pairs = [(int(a), int(b)) for a, b in rng.integers(0, 4, size=(2, 2))]
         ys = tuple(int(v) for v in rng.integers(0, 4, size=2))
-        lhs, rhs = alternating_sum_identity(field, sj, prov, 2, pairs, ys)
+        lhs, rhs = alternating_sum_identity(w, nabla, prov, 2, pairs, ys)
         assert abs(lhs - rhs) < 1e-7
+
+
+# -- R^k.T at vector arguments -------------------------------------------
+
+
+def _contract(tensor, vectors):
+    """Full contraction of a dense tensor with one vector per slot."""
+    out = tensor
+    for vec in vectors:
+        out = np.tensordot(vec, out, axes=([0], [0]))
+    return float(out)
+
+
+def _assert_probe_matches_dense(prov, w, k, seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((2 * k + 2, prov.dim))
+    got = float(r_power_probe(prov, w, k, vectors))
+    ref = _contract(r_power_tensor(prov, w, k), vectors)
+    assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (got, ref)
+
+
+VALUES = hst.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+
+
+@hst.composite
+def block_models(draw):
+    """A block-built Gauss model of dim 2, 4 or 6."""
+    left = draw(hst.sampled_from((2, 4, 6)))
+    blocks = []
+    while left:
+        if left >= 2 and draw(hst.booleans()):
+            half = draw(hst.integers(1, left // 2))
+            blocks.append(ComplexBlock(half, draw(VALUES), draw(hst.floats(0.3, 1.5))))
+            left -= 2 * half
+        else:
+            size = draw(hst.integers(1, left))
+            blocks.append(RealBlock(size, draw(VALUES), draw(hst.sampled_from((1, -1)))))
+            left -= size
+    # assemble() starts at dim 4, so direct-sum the block pairs here
+    s_op, h = (block_diag(*mats) for mats in zip(*map(build_block, blocks)))
+    return GaussModel(len(s_op), s_op, h, tuple(blocks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_models(), hst.integers(0, 3), hst.integers(0, 2 ** 32 - 1))
+def test_probe_matches_dense_contraction_on_models(model, k, seed):
+    prov = AlgebraicCurvature(model)
+    w = random_omega(model.dim, np.random.default_rng(seed))
+    _assert_probe_matches_dense(prov, w, k, seed)
+
+
+@lru_cache(maxsize=None)
+def _scenario_curvature(name):
+    sc = load_scenario(name)
+    point = sc.sample_points[0]
+    structure = geo.induced_structure(sc, point)
+    return GeometricCurvature(geo.curvature(structure).R), sc.omega_at(point)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(0, 3), hst.integers(0, 2 ** 32 - 1))
+def test_probe_matches_dense_contraction_on_scenarios(name, k, seed):
+    prov, w = _scenario_curvature(name)
+    _assert_probe_matches_dense(prov, w, k, seed)
+
+
+def test_probe_batch_matches_single_calls():
+    prov = AlgebraicCurvature(_model())
+    rng = np.random.default_rng(5)
+    w = random_omega(4, rng)
+    for k in range(4):
+        vectors = rng.standard_normal((2, 3, 2 * k + 2, 4))
+        batched = r_power_probe(prov, w, k, vectors)
+        assert batched.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            single = r_power_probe(prov, w, k, vectors[idx])
+            assert single.shape == ()
+            assert abs(batched[idx] - single) <= 1e-12 * max(1.0, abs(single))
+
+
+def test_probe_of_basis_vectors_is_the_component():
+    prov = AlgebraicCurvature(_model())
+    e = np.eye(4)
+    rng = np.random.default_rng(6)
+    # (0,p) tensors of every arity the recursion accepts, p = 0 included
+    for t in (np.array(1.5), rng.standard_normal(4), tridiagonal_omega(4),
+              rng.standard_normal((4, 4, 4))):
+        for k in range(3):
+            args = tuple(int(v) for v in rng.integers(0, 4, size=2 * k + t.ndim))
+            ref = r_power_action(prov, t, k, args)
+            got = r_power_probe(prov, t, k, e[list(args)].reshape(len(args), 4))
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_probe_arity_and_cap_checks():
+    prov = AlgebraicCurvature(_model())
+    w = tridiagonal_omega(4)
+    with pytest.raises(ArityError):
+        r_power_probe(prov, w, 1, np.ones((3, 4)))
+    with pytest.raises(ArityError):
+        r_power_probe(prov, w, 1, np.ones((4, 3)))
+    with pytest.raises(ArityError):
+        r_power_probe(prov, w, -1, np.ones((0, 4)))
+    with pytest.raises(RecursionCapError):
+        r_power_probe(prov, w, 9, np.ones((20, 4)))
+    sc_prov, sc_w = _scenario_curvature("paraboloid")
+    with pytest.raises(RecursionCapError):
+        r_power_probe(sc_prov, sc_w, 4, np.ones((10, 4)))
+    # (2k)!! branches: at k = 8 and dim 8 a level would exceed the entry cap
+    big = AlgebraicCurvature(assemble([RealBlock(4, 0.7, 1)] + [RealBlock(1, 0.0, 1)] * 4))
+    with pytest.raises(RecursionCapError, match="entries"):
+        r_power_probe(big, tridiagonal_omega(8), 8, np.ones((18, 8)))
+    # the leaves alone: k = 0 on a (0,9) tensor holds 4^8 partials per row
+    with pytest.raises(RecursionCapError, match="entries"):
+        r_power_probe(prov, np.zeros((4,) * 9), 0, np.ones((700, 9, 4)))

@@ -161,6 +161,14 @@ def test_witness_value_is_reproducible():
         assert r_power_action(prov, w, entry.power, entry.args) == entry.value
 
 
+def test_witness_is_deterministic_and_found_by_probe():
+    blocks = INADMISSIBLE["complex_4x4"]
+    first = theorem_witness(blocks, p_max=3, trials=2, seed=21)
+    assert first == theorem_witness(blocks, p_max=3, trials=2, seed=21)
+    assert first.all_found
+    assert {e.source for e in first.entries} == {"probe"}
+
+
 def test_check_rank_theorem_on_models():
     final = assemble([RealBlock(2, 0.0, 1), RealBlock(1, 0.0, 1),
                       RealBlock(1, 0.0, -1)])
