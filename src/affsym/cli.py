@@ -31,8 +31,9 @@ from .jets import MAX_JET_ORDER, JetError
 from .model import RealBlock
 from .scenarios import (ScenarioFormatError, json_dim, load_scenario,
                         scenario_digest)
-from .tensor_ops import (TENSOR_ENTRY_CAP, CovariantField, GeometricCurvature,
-                         alternating_sum_identity, nabla_tensor)
+from .tensor_ops import (K_CAP_GEOMETRIC, TENSOR_ENTRY_CAP, CovariantField,
+                         GeometricCurvature, alternating_sum_identity,
+                         nabla_tensor)
 
 _DEFAULT_CHECKS = (
     {"name": "frame", "tol": 1e-9},
@@ -97,8 +98,9 @@ def _structure_order(sc, p_max_cli):
     """Structure jet order that every check of ``sc`` fits in.
 
     Each sample point is solved once at this order.  A check whose power
-    lies beyond the jet order cap or the dense-tensor entry cap, or that
-    would run on nothing, is rejected here as a scenario error.
+    lies beyond the jet order cap, the packed-tensor entry cap or the
+    geometric curvature power cap, or that would run on nothing, is
+    rejected here as a scenario error.
     """
     order = 1
     for check in sc.checks or _DEFAULT_CHECKS:
@@ -110,12 +112,16 @@ def _structure_order(sc, p_max_cli):
             raise ScenarioFormatError(f"check '{name}': p_max must be >= 1, got {p_max}")
         if name == "rank_theorem":
             need = min(p_max, verify.NABLA_RANK_CAP) - 1
-            entries = sc.dim ** (2 * p_max + 2)
+            entries = (sc.dim * (sc.dim - 1) // 2) ** (p_max + 1)
             if entries > TENSOR_ENTRY_CAP:
                 raise ScenarioFormatError(
-                    f"check 'rank_theorem': p_max {p_max} needs R^{p_max} omega "
-                    f"with {entries} entries at dim {sc.dim}, beyond the cap "
-                    f"{TENSOR_ENTRY_CAP}")
+                    f"check 'rank_theorem': p_max {p_max} needs packed R^{p_max} "
+                    f"omega with {entries} entries at dim {sc.dim}, beyond the "
+                    f"cap {TENSOR_ENTRY_CAP}")
+            if p_max > K_CAP_GEOMETRIC:
+                raise ScenarioFormatError(
+                    f"check 'rank_theorem': p_max {p_max} is beyond the "
+                    f"curvature power cap {K_CAP_GEOMETRIC}")
         else:
             need = 2 * p_max - 1
             if int(check.get("trials", 50)) < 1:
@@ -169,20 +175,11 @@ def _geometry_records(sc, seed, tol_cli, p_max_cli, order):
                                         "h_selfadjoint": selfadj},
                                        (time.perf_counter() - t0) * 1e3))
             elif name == "rank_theorem":
-                verdicts = [verify.check_rank_theorem(sj, p, tol)
-                            for p in range(1, p_max + 1)]
-                triggered = [v for v in verdicts if v.verdict != "VACUOUS"]
-                if not triggered:
-                    status, chosen = "VACUOUS", verdicts[-1]
-                else:
-                    chosen = triggered[0]
-                    status = chosen.verdict
+                v = verify.check_rank_theorem(sj, p_max, tol)
                 records.append(_record(
-                    label, status, chosen.max_r_power, tol,
-                    {"point": point, "power": chosen.power,
-                     "rank_S": chosen.rank_s,
-                     "max_nabla": chosen.max_nabla,
-                     "final_form": chosen.final_form},
+                    label, v.verdict, v.max_r_power, tol,
+                    {"point": point, "power": v.power, "rank_S": v.rank_s,
+                     "max_nabla": v.max_nabla, "final_form": v.final_form},
                     (time.perf_counter() - t0) * 1e3))
             elif name == "alternating_identity":
                 trials = int(check.get("trials", 50))

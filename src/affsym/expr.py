@@ -294,7 +294,10 @@ def evaluate(e: Expr, env: dict) -> float:
                 raise EvalDomainError("tan at an odd multiple of pi/2")
             return math.tan(x)
         if e.func == "exp":
-            return math.exp(x)
+            try:
+                return math.exp(x)
+            except OverflowError as err:
+                raise EvalDomainError(f"exp overflows at {x!r}") from err
         if e.func == "ln":
             if x <= 0.0:
                 raise EvalDomainError("ln of non-positive value")

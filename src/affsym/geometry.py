@@ -30,6 +30,9 @@ FRAME_COND_LIMIT = 1e12
 #: a 2-form with |det| below this counts as degenerate
 OMEGA_DET_MIN = 1e-12
 
+#: a 2-form with |w + w^T| above this counts as not antisymmetric
+OMEGA_ANTISYM_TOL = 1e-10
+
 
 class GeometryError(ValueError):
     pass
@@ -75,7 +78,7 @@ class Scenario:
             if ex.evaluate(e, env) <= 0.0:
                 raise ConstraintError(name, point)
 
-    def validate(self, tol: float = 1e-10):
+    def validate(self, tol: float = OMEGA_ANTISYM_TOL):
         """Reject bad sample points up front: constraints, antisymmetry,
         degenerate omega, frame."""
         for pt in self.sample_points:

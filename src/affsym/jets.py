@@ -320,7 +320,10 @@ def jet_tan(u: Jet) -> Jet:
 
 
 def jet_exp(u: Jet) -> Jet:
-    e0 = math.exp(u.value)
+    try:
+        e0 = math.exp(u.value)
+    except OverflowError as err:
+        raise JetDomainError(f"exp overflows at {u.value!r}") from err
     return u._series([e0 / math.factorial(j) for j in range(u.order + 1)])
 
 

@@ -53,6 +53,18 @@ def json_dim(data) -> int:
     return dim
 
 
+def _sample_points(raw) -> tuple:
+    """Sample points as float tuples; every coordinate must be a JSON number."""
+    if not isinstance(raw, list) or not all(isinstance(p, list) for p in raw):
+        raise ScenarioFormatError("sample_points must be a list of coordinate lists")
+    for p in raw:
+        for v in p:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ScenarioFormatError(
+                    f"sample point {p} has a non-numeric coordinate {v!r}")
+    return tuple(tuple(float(v) for v in p) for p in raw)
+
+
 def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
     try:
         dim = json_dim(data)
@@ -61,7 +73,7 @@ def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
         imm_src = list(data["immersion"])
         trans_src = list(data["transversal"])
         omega_src = list(data["omega"])
-        points = tuple(tuple(float(v) for v in p) for p in data["sample_points"])
+        points = _sample_points(data["sample_points"])
     except KeyError as err:
         raise ScenarioFormatError(f"missing scenario key {err}") from err
     if dim % 2 != 0 or dim < 4:
@@ -74,7 +86,8 @@ def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
     if len(trans_src) != dim + 1:
         raise ScenarioFormatError(
             f"expected {dim + 1} transversal components, got {len(trans_src)}")
-    if len(omega_src) != dim or any(len(row) != dim for row in omega_src):
+    if len(omega_src) != dim or any(not isinstance(row, list) or len(row) != dim
+                                    for row in omega_src):
         raise ScenarioFormatError("omega must be a dim x dim matrix")
     for p in points:
         if len(p) != dim:
@@ -92,9 +105,15 @@ def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
             v = omega_src[i][j]
             omega[i, j] = float(v) if isinstance(v, (int, float)) \
                 else _parse_field(v, coords, f"omega[{i}][{j}]")
+    for c in data.get("constraints", ()):
+        if not isinstance(c, dict) or not {"name", "expr"} <= c.keys():
+            raise ScenarioFormatError(f"constraint {c!r} needs keys 'name' and 'expr'")
     constraints = tuple(
         (str(c["name"]), _parse_field(c["expr"], coords, f"constraint '{c['name']}'"))
         for c in data.get("constraints", ()))
+    for c in data.get("checks", ()):
+        if not isinstance(c, dict) or "name" not in c:
+            raise ScenarioFormatError(f"check {c!r} needs a key 'name'")
     checks = tuple(dict(c) for c in data.get("checks", ()))
 
     sc = Scenario(name, dim, coords, immersion, transversal, omega,

@@ -12,8 +12,13 @@ geometric induced structure):
   needed.
 
 Single components of R^k.T use the recursion verbatim (memoized on
-basis-index tuples); full-tensor scans use an equivalent contraction form;
-values at vector arguments run the recursion on the vectors themselves.
+basis-index tuples); values at vector arguments run the recursion on the
+vectors themselves.  The whole of R^k.omega for a 2-form omega is held
+packed: it is antisymmetric in every slot pair (X_i, Y_i) and in its last
+two slots, so it has one axis over Lambda^2 per pair slot (pairs a < b in
+``np.triu_indices`` order) and N2^(k+1) entries, N2 = n(n-1)/2, instead of
+n^(2k+2).  Each level applies R(e_x, e_y), x < y, to every pair axis as
+one N2 x N2 matrix, the curvature operator on 2-forms.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 
 import numpy as np
 
-from .geometry import gauss_curvature_tensor
+from .geometry import OMEGA_ANTISYM_TOL, gauss_curvature_tensor
 from .jets import eval_jet, jet_space
 from .model import GaussModel
 
@@ -30,7 +35,7 @@ from .model import GaussModel
 K_CAP_ALGEBRAIC = 8
 K_CAP_GEOMETRIC = 3
 
-#: entry cap for materializing R^k.T as a dense array
+#: entry cap for materializing R^k.omega, packed or dense
 TENSOR_ENTRY_CAP = 40_000_000
 
 
@@ -201,22 +206,80 @@ def r_power_probe(provider, tensor, k: int, vectors) -> np.ndarray:
     return leaves.reshape(batch + (branches,)).sum(axis=-1)
 
 
+def pack_two_form(omega, n: int) -> np.ndarray:
+    """The coefficients omega[a, b], a < b, of a 2-form on R^n.
+
+    Raises ArityError unless omega is an antisymmetric n x n array (within
+    the tolerance scenarios are validated with): the packed form reads only
+    the upper triangle.
+    """
+    w = np.asarray(omega, dtype=float)
+    if w.shape != (n, n):
+        raise ArityError(f"expected a 2-form of shape ({n}, {n}), got {w.shape}")
+    if not np.max(np.abs(w + w.T)) <= OMEGA_ANTISYM_TOL:
+        raise ArityError("tensor is not an antisymmetric 2-form")
+    return w[np.triu_indices(n, 1)]
+
+
+def _pair_operator(provider) -> np.ndarray:
+    """rho[P, A, B]: the derivation R(e_x, e_y) on 2-forms, P = (x, y).
+
+    (rho_P w)(e_a, e_b) = w(R(e_x, e_y) e_a, e_b) + w(e_a, R(e_x, e_y) e_b)
+    for A = (a, b), expanded over the packed coefficients w_B, B = (c, d).
+    """
+    c, d = np.triu_indices(provider.dim, 1)
+    a, b = c[:, None], d[:, None]
+    r = provider.full_tensor()[:, :, c, d]    # r[m, t, P] = (R(e_x, e_y) e_t)^m
+    # r[c, a] etc. are indexed [A, B, P]; each delta is [A, B]
+    rho = (r[c, a] * (b == d)[..., None] - r[d, a] * (b == c)[..., None]
+           + r[d, b] * (a == c)[..., None] - r[c, b] * (a == d)[..., None])
+    return np.moveaxis(rho, 2, 0)
+
+
+def r_power_packed(provider, packed, k: int) -> np.ndarray:
+    """Apply k levels of R to a tensor with one Lambda^2 axis per pair slot.
+
+    A level maps T to -sum over pair axes s of rho(R(e_x, e_y)) applied on
+    axis s, with the new pair (x, y) as the leading axis: one tensordot per
+    existing axis.  ``pack_two_form(omega, n)`` gives R^0.omega.
+    """
+    t = np.asarray(packed, dtype=float)
+    n = provider.dim
+    n2 = n * (n - 1) // 2
+    if k < 0:
+        raise ArityError("k must be >= 0")
+    if k > provider.cap:
+        raise RecursionCapError(f"power {k} exceeds cap {provider.cap} for this provider")
+    if any(size != n2 for size in t.shape):
+        raise ArityError(f"packed axes must have length {n2}, got shape {t.shape}")
+    if n2 ** (t.ndim + k) > TENSOR_ENTRY_CAP:
+        raise RecursionCapError(
+            f"packed R^{k} tensor would hold {n2 ** (t.ndim + k)} entries")
+    rho = _pair_operator(provider)
+    for _ in range(k):
+        out = np.zeros((n2,) + t.shape)
+        for s in range(t.ndim):
+            out -= np.moveaxis(np.tensordot(rho, t, axes=([2], [s])), 1, s + 1)
+        t = out
+    return t
+
+
 def r_power_tensor(provider, tensor, k: int,
                    entry_cap: int = TENSOR_ENTRY_CAP) -> np.ndarray:
-    """Materialize R^k . T as a dense array of arity 2k+p."""
-    t = np.asarray(tensor, dtype=float)
+    """R^k . omega of a 2-form as a dense array of arity 2k+2: the packed
+    form of ``r_power_packed`` with each pair axis unpacked to n x n."""
     n = provider.dim
-    if n ** (2 * k + t.ndim) > entry_cap:
-        raise RecursionCapError(
-            f"R^{k} tensor would hold {n ** (2 * k + t.ndim)} entries")
-    r_full = provider.full_tensor()
-    for _ in range(k):
-        q = t.ndim
-        out = np.zeros((n, n) + t.shape)
-        for slot in range(q):
-            contrib = np.tensordot(r_full, t, axes=([0], [slot]))
-            out -= np.moveaxis(contrib, [1, 2, 0], [0, 1, slot + 2])
-        t = out
+    packed = pack_two_form(tensor, n)
+    if n ** (2 * k + 2) > entry_cap:
+        raise RecursionCapError(f"R^{k} tensor would hold {n ** (2 * k + 2)} entries")
+    t = r_power_packed(provider, packed, k)
+    a, b = np.triu_indices(n, 1)
+    unpack = np.zeros((len(a), n, n))
+    unpack[np.arange(len(a)), a, b] = 1.0
+    unpack[np.arange(len(a)), b, a] = -1.0
+    for _ in range(t.ndim):
+        # consume the leading pair axis, append its (n, n) slots at the end
+        t = np.tensordot(t, unpack, axes=([0], [0]))
     return t
 
 

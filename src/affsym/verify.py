@@ -28,8 +28,8 @@ from . import canonical, geometry
 from .model import (ComplexBlock, GaussModel, ModelError, RealBlock, assemble,
                     random_omega, tridiagonal_omega)
 from .tensor_ops import (AlgebraicCurvature, CovariantField, GeometricCurvature,
-                         nabla_tensor, r_power_action, r_power_probe,
-                         r_power_tensor)
+                         nabla_tensor, pack_two_form, r_power_action,
+                         r_power_packed, r_power_probe)
 
 #: per-draw tolerance: abs_err <= ORACLE_RTOL * max(1, |closed|)
 ORACLE_RTOL = 1e-9
@@ -1219,22 +1219,24 @@ class RankVerdict:
 
 
 def check_rank_theorem(target, p: int, tol: float = 1e-8, omega=None) -> RankVerdict:
-    """Tie a vanishing operator power to the rank-one conclusion.
+    """Tie the first vanishing operator power q <= p to the rank-one conclusion.
 
     ``target`` is a GaussModel or a geometry.StructureJets solved at one
     sample point (to order p - 1 or more when p <= NABLA_RANK_CAP); there
-    ``nabla^p`` is taken of the scenario's omega field, or of ``omega``
-    held constant.  Verdict PASS means the operator vanished and the shape
-    conclusions hold, FAIL that they do not, VACUOUS that the operator does
-    not vanish at this power.
+    ``nabla^q`` is taken of the scenario's omega field, or of ``omega``
+    held constant.  R^q omega is stepped one packed level at a time for
+    q = 1..p and the scan stops at the first q at which R^q omega or
+    nabla^q omega vanishes: R^{q+1} omega = R.(R^q omega) vanishes with
+    R^q omega, and nabla^{q+1} omega with nabla^q omega where that
+    vanishes identically, so no power beyond q is needed.  Verdict PASS
+    means the operator vanished at q and the shape conclusions hold, FAIL
+    that they do not, VACUOUS (reported at p) that neither operator
+    vanished up to p.
     """
-    max_nabla = None
-    point = None
+    field = point = None
     if isinstance(target, GaussModel):
         w = np.asarray(omega, dtype=float) if omega is not None \
             else tridiagonal_omega(target.dim)
-        if abs(np.linalg.det(w)) < geometry.OMEGA_DET_MIN:
-            raise OracleError("degenerate 2-form in rank check")
         prov = AlgebraicCurvature(target)
         s_op, h = target.S, target.H
     else:
@@ -1245,22 +1247,27 @@ def check_rank_theorem(target, p: int, tol: float = 1e-8, omega=None) -> RankVer
         else:
             w = np.asarray(omega, dtype=float)
             field = CovariantField.constant(w)
-        if abs(np.linalg.det(w)) < geometry.OMEGA_DET_MIN:
-            raise OracleError("degenerate 2-form in rank check")
         prov = GeometricCurvature(geometry.curvature(st).R)
         s_op, h = st.S, st.h
-        if p <= NABLA_RANK_CAP:
-            max_nabla = float(np.max(np.abs(nabla_tensor(field, target, p))))
+    if abs(np.linalg.det(w)) < geometry.OMEGA_DET_MIN:
+        raise OracleError("degenerate 2-form in rank check")
+    if not 1 <= p <= prov.cap:
+        raise OracleError(f"rank check power {p} outside 1..{prov.cap}")
 
-    tensor = r_power_tensor(prov, w, p)
-    max_r = float(np.max(np.abs(tensor)))
-    vanished = max_r < tol or (max_nabla is not None and max_nabla < tol)
-    if not vanished:
+    packed = pack_two_form(w, prov.dim)
+    for q in range(1, p + 1):
+        packed = r_power_packed(prov, packed, 1)
+        max_r = float(np.max(np.abs(packed)))
+        max_nabla = None
+        if field is not None and q <= NABLA_RANK_CAP:
+            max_nabla = float(np.max(np.abs(nabla_tensor(field, target, q))))
+        if max_r < tol or (max_nabla is not None and max_nabla < tol):
+            break
+    else:
         return RankVerdict("VACUOUS", p, max_r, max_nabla, canonical.rank(s_op),
                            None, None, point)
     rank_s = canonical.rank(s_op)
-    pair = canonical.decompose(s_op, h)
-    summary = canonical.classify(pair)
+    summary = canonical.classify(canonical.decompose(s_op, h))
     ok = rank_s <= 1 and summary.admissible_shape
-    return RankVerdict("PASS" if ok else "FAIL", p, max_r, max_nabla, rank_s,
+    return RankVerdict("PASS" if ok else "FAIL", q, max_r, max_nabla, rank_s,
                        summary.admissible_shape, summary.final_form, point)

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from affsym.cli import main
+from affsym.cli import _structure_order, main
 from affsym.model import RealBlock, assemble
+from affsym.scenarios import scenario_from_dict
 
 
 def _load(path):
@@ -198,7 +199,8 @@ def test_rank_theorem_differentiates_the_omega_field(tmp_path):
 @pytest.mark.parametrize("scenario, check", [
     # structure jets of order 5 (immersion order 7) beyond the jet cap
     ("paraboloid", {"name": "alternating_identity", "p_max": 3}),
-    # R^4 omega at dim 6 would hold 6^10 entries, beyond the tensor cap
+    # R^4 omega at dim 6 is beyond the curvature power cap 3 (packed, it
+    # would hold 15^5 entries, within the tensor cap)
     ("paper_example_n3", {"name": "rank_theorem", "p_max": 4}),
     # checks that would run on nothing
     ("paraboloid", {"name": "rank_theorem", "p_max": 0}),
@@ -286,3 +288,55 @@ def test_dim_must_be_json_integer(command, dim, tmp_path, capsys):
     rc, err = _usage_error(argv, capsys)
     assert rc == 2 and len(err) == 1
     assert ("JSON object" if dim == "array" else "JSON integer") in err[0]
+
+
+@pytest.mark.parametrize("field", ["immersion", "omega"])
+def test_exp_overflow_at_sample_point_is_usage_error(field, tmp_path, capsys):
+    # exp(800) overflows a double, in a jet (immersion) and a plain value (omega)
+    data = _shipped("paraboloid", sample_points=[[800.0, 0.0, 0.0, 0.0]])
+    if field == "immersion":
+        data["immersion"][-1] = "exp(u1)"
+    else:
+        data["omega"][0][1], data["omega"][1][0] = "exp(u1)", "-exp(u1)"
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(data))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and "exp" in err[0]
+
+
+@pytest.mark.parametrize("changes, words", [
+    ({"sample_points": [[None, 0.0, 0.0, 0.0]]}, "non-numeric coordinate None"),
+    ({"sample_points": [["one", 0.0, 0.0, 0.0]]}, "non-numeric coordinate 'one'"),
+    ({"constraints": [{"expr": "u1 + 10"}]}, "needs keys 'name' and 'expr'"),
+    ({"omega": [5, [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]}, "dim x dim matrix"),
+    ({"checks": ["frame"]}, "needs a key 'name'"),
+], ids=["null_coordinate", "string_coordinate", "nameless_constraint",
+        "scalar_omega_row", "string_check"])
+def test_malformed_scenario_field_is_usage_error(changes, words, tmp_path, capsys):
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped("paraboloid", **changes)))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and words in err[0]
+
+
+def _paraboloid(dim, p_max):
+    coords = [f"u{i}" for i in range(1, dim + 1)]
+    return {
+        "name": f"paraboloid{dim}", "dim": dim, "coords": coords,
+        "immersion": coords + [" + ".join(f"{c}^2" for c in coords)],
+        "transversal": ["0"] * dim + ["1"],
+        "omega": [[float(j == i + 1) - float(j == i - 1) for j in range(dim)]
+                  for i in range(dim)],
+        "sample_points": [[0.1 * i for i in range(1, dim + 1)]],
+        "checks": [{"name": "rank_theorem", "p_max": p_max}],
+    }
+
+
+def test_rank_theorem_cap_counts_packed_entries(tmp_path, capsys):
+    # dim 10: packed R^3 omega holds 45^4 = 4.1M entries (dense 10^8)
+    assert _structure_order(scenario_from_dict(_paraboloid(10, 3)), 3) == 2
+    # ... and R^4 omega 45^5 = 184.5M, beyond the cap
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_paraboloid(10, 4)))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and "184528125 entries" in err[0]

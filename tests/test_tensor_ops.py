@@ -14,7 +14,8 @@ from affsym.expr import parse_expr
 from affsym.tensor_ops import (AlgebraicCurvature, ArityError, CovariantField,
                                GeometricCurvature, RecursionCapError,
                                alternating_sum_identity, nabla_tensor,
-                               r_power_action, r_power_probe, r_power_tensor)
+                               pack_two_form, r_power_action, r_power_packed,
+                               r_power_probe, r_power_tensor)
 
 
 def _model():
@@ -317,9 +318,9 @@ VALUES = hst.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
 
 
 @hst.composite
-def block_models(draw):
-    """A block-built Gauss model of dim 2, 4 or 6."""
-    left = draw(hst.sampled_from((2, 4, 6)))
+def block_models(draw, dims=(2, 4, 6)):
+    """A block-built Gauss model whose dim is drawn from ``dims``."""
+    left = draw(hst.sampled_from(dims))
     blocks = []
     while left:
         if left >= 2 and draw(hst.booleans()):
@@ -407,3 +408,83 @@ def test_probe_arity_and_cap_checks():
     # the leaves alone: k = 0 on a (0,9) tensor holds 4^8 partials per row
     with pytest.raises(RecursionCapError, match="entries"):
         r_power_probe(prov, np.zeros((4,) * 9), 0, np.ones((700, 9, 4)))
+
+
+# -- R^k.omega packed on Lambda^2 ------------------------------------------
+
+
+def _dense_r_power(provider, tensor, k):
+    """Reference: R^k.T as a dense array, one contraction per slot."""
+    t = np.asarray(tensor, dtype=float)
+    n = provider.dim
+    r_full = provider.full_tensor()
+    for _ in range(k):
+        out = np.zeros((n, n) + t.shape)
+        for slot in range(t.ndim):
+            contrib = np.tensordot(r_full, t, axes=([0], [slot]))
+            out -= np.moveaxis(contrib, [1, 2, 0], [0, 1, slot + 2])
+        t = out
+    return t
+
+
+def _random_two_form(dim, seed):
+    w = np.triu(np.random.default_rng(seed).uniform(-1, 1, (dim, dim)), 1)
+    return w - w.T
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_models(dims=(2, 3, 4, 5, 6)), hst.integers(0, 3),
+       hst.integers(0, 2 ** 32 - 1))
+def test_packed_power_matches_dense_reference(model, k, seed):
+    prov = AlgebraicCurvature(model)
+    w = _random_two_form(model.dim, seed)
+    got, ref = r_power_tensor(prov, w, k), _dense_r_power(prov, w, k)
+    assert got.shape == ref.shape == (model.dim,) * (2 * k + 2)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    n2 = model.dim * (model.dim - 1) // 2
+    assert r_power_packed(prov, pack_two_form(w, model.dim), k).shape == (n2,) * (k + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_models(dims=(2, 3, 4, 5, 6)), hst.integers(0, 3),
+       hst.integers(0, 2 ** 32 - 1))
+def test_packed_power_matches_recursion(model, k, seed):
+    prov = AlgebraicCurvature(model)
+    w = _random_two_form(model.dim, seed)
+    tensor = r_power_tensor(prov, w, k)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        args = tuple(int(v) for v in rng.integers(0, model.dim, size=2 * k + 2))
+        ref = r_power_action(prov, w, k, args)
+        assert abs(tensor[args] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@settings(max_examples=20, deadline=None)
+@given(block_models(dims=(2, 3, 4, 5, 6)), hst.integers(0, 3),
+       hst.integers(0, 2 ** 32 - 1))
+def test_packed_power_rejects_non_two_forms(model, k, seed):
+    prov = AlgebraicCurvature(model)
+    n = model.dim
+    w = _random_two_form(n, seed)
+    w[0, n - 1] += 1e-6   # antisymmetric only to 1e-6
+    with pytest.raises(ArityError):
+        r_power_tensor(prov, w, k)
+    with pytest.raises(ArityError):
+        r_power_tensor(prov, np.zeros((n, n, n)), k)
+
+
+def test_packed_power_checks():
+    prov = AlgebraicCurvature(_model())
+    packed = pack_two_form(tridiagonal_omega(4), 4)
+    assert np.array_equal(r_power_packed(prov, packed, 0), packed)
+    with pytest.raises(ArityError):
+        r_power_packed(prov, packed, -1)
+    with pytest.raises(ArityError):   # a pair axis of the wrong length
+        r_power_packed(prov, np.zeros(5), 1)
+    with pytest.raises(RecursionCapError):
+        r_power_packed(prov, packed, 9)
+    with pytest.raises(RecursionCapError, match="entries"):
+        r_power_packed(prov, np.broadcast_to(0.0, (6,) * 10), 1)
+    sc_prov, sc_w = _scenario_curvature("paraboloid")
+    with pytest.raises(RecursionCapError):
+        r_power_tensor(sc_prov, sc_w, 4)

@@ -187,6 +187,19 @@ def test_check_rank_theorem_on_models():
         check_rank_theorem(zero, 1, omega=np.zeros((4, 4)))
 
 
+def test_check_rank_theorem_at_dimension_ten():
+    # packed R^3 omega holds 45^4 entries, the dense form 10^8
+    nilpotent = assemble([RealBlock(2, 0.0, 1)]
+                         + [RealBlock(1, 0.0, (-1) ** i) for i in range(8)])
+    verdict = check_rank_theorem(nilpotent, 3)
+    assert verdict.verdict == "PASS" and verdict.rank_s == 1
+    assert verdict.final_form == "rank_one_nilpotent"
+
+    identity = assemble([RealBlock(1, 1.0, 1)] * 10)
+    verdict = check_rank_theorem(identity, 3)
+    assert verdict.verdict == "VACUOUS" and verdict.power == 3
+
+
 def test_check_rank_theorem_on_scenarios():
     sc = load_scenario("paper_example_n2")
     v = check_rank_theorem(structure_jets(sc, sc.sample_points[0], 2), 3)
