@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import math
 import sys
 import time
 
@@ -33,7 +34,7 @@ from .scenarios import (ScenarioFormatError, json_dim, load_scenario,
                         scenario_digest)
 from .tensor_ops import (K_CAP_GEOMETRIC, TENSOR_ENTRY_CAP, CovariantField,
                          GeometricCurvature, alternating_sum_identity,
-                         nabla_tensor)
+                         nabla_powers)
 
 _DEFAULT_CHECKS = (
     {"name": "frame", "tol": 1e-9},
@@ -94,20 +95,36 @@ def _finish(records, base, output, strict):
     return 0
 
 
+def _check_field(name, key, value):
+    """Raise unless a check's ``p_max`` or ``trials`` is a JSON integer
+    >= 1, or its ``tol`` a finite JSON number > 0."""
+    if key == "tol":
+        ok = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+        want = "a finite number > 0"
+    else:
+        ok = isinstance(value, int) and value >= 1
+        want = "an integer >= 1"
+    if isinstance(value, bool) or not ok:
+        raise ScenarioFormatError(f"check '{name}': {key} must be {want}, got {value!r}")
+
+
 def _structure_order(sc, p_max_cli):
     """Structure jet order that every check of ``sc`` fits in.
 
-    Each sample point is solved once at this order.  A check whose power
-    lies beyond the jet order cap, the packed-tensor entry cap or the
-    geometric curvature power cap, or that would run on nothing, is
-    rejected here as a scenario error.
+    Each sample point is solved once at this order.  A check field of the
+    wrong type, or a check whose power lies beyond the jet order cap, the
+    packed-tensor entry cap or the geometric curvature power cap, or that
+    would run on nothing, is rejected here as a scenario error.
     """
     order = 1
     for check in sc.checks or _DEFAULT_CHECKS:
         name = check["name"]
+        for key in ("p_max", "trials", "tol"):
+            if key in check:
+                _check_field(name, key, check[key])
         if name not in ("rank_theorem", "alternating_identity"):
             continue
-        p_max = int(check.get("p_max", p_max_cli))
+        p_max = check.get("p_max", p_max_cli)
         if p_max < 1:
             raise ScenarioFormatError(f"check '{name}': p_max must be >= 1, got {p_max}")
         if name == "rank_theorem":
@@ -124,8 +141,6 @@ def _structure_order(sc, p_max_cli):
                     f"curvature power cap {K_CAP_GEOMETRIC}")
         else:
             need = 2 * p_max - 1
-            if int(check.get("trials", 50)) < 1:
-                raise ScenarioFormatError(f"check '{name}': trials must be >= 1")
         if need + 2 > MAX_JET_ORDER:
             raise ScenarioFormatError(
                 f"check '{name}': p_max {p_max} needs structure jets of order "
@@ -134,19 +149,24 @@ def _structure_order(sc, p_max_cli):
     return order
 
 
-def _geometry_records(sc, seed, tol_cli, p_max_cli, order):
+def _geometry_records(sc, structures, seed, tol_cli, p_max_cli):
+    """Records of every check at every sample point, from the point's one
+    structure solve in ``structures`` (``Scenario.validate``)."""
     checks = sc.checks if sc.checks else _DEFAULT_CHECKS
     omega = CovariantField(2, sc.omega, sc.coords)
+    uses_nabla = any(c["name"] in ("rank_theorem", "alternating_identity")
+                     for c in checks)
     records = []
-    for pi, point in enumerate(sc.sample_points):
-        sj = geometry.structure_jets(sc, point, order)
+    for pi, (point, sj) in enumerate(zip(sc.sample_points, structures)):
         st = geometry.induced_structure(sj)
         curv = geometry.curvature(st)
         res = geometry.fundamental_residuals(st, curv)
+        # omega and its nabla powers to the deepest one the solve carries
+        nablas = nabla_powers(omega, sj, sj.order + 1) if uses_nabla else None
         for check in checks:
             name = check["name"]
             tol = float(check.get("tol", tol_cli))
-            p_max = int(check.get("p_max", p_max_cli))
+            p_max = check.get("p_max", p_max_cli)
             label = f"{name}@point{pi}"
             t0 = time.perf_counter()
             if name in ("frame", "gauss_model", "codazzi_shape"):
@@ -175,25 +195,24 @@ def _geometry_records(sc, seed, tol_cli, p_max_cli, order):
                                         "h_selfadjoint": selfadj},
                                        (time.perf_counter() - t0) * 1e3))
             elif name == "rank_theorem":
-                v = verify.check_rank_theorem(sj, p_max, tol)
+                v = verify.check_rank_theorem(st, p_max, tol, curv=curv,
+                                              nablas=nablas)
                 records.append(_record(
                     label, v.verdict, v.max_r_power, tol,
                     {"point": point, "power": v.power, "rank_S": v.rank_s,
                      "max_nabla": v.max_nabla, "final_form": v.final_form},
                     (time.perf_counter() - t0) * 1e3))
             elif name == "alternating_identity":
-                trials = int(check.get("trials", 50))
+                trials = check.get("trials", 50)
                 rng = np.random.default_rng((seed, 17, pi))
                 prov = GeometricCurvature(curv.R)
-                w = omega.jets(point, 0)[0]
-                nabla = nabla_tensor(omega, sj, 2 * p_max)
                 worst = 0.0
                 for _ in range(trials):
                     pairs = [(int(a), int(b)) for a, b in
                              rng.integers(0, sc.dim, size=(p_max, 2))]
                     ys = [int(v) for v in rng.integers(0, sc.dim, size=2)]
                     lhs, rhs = alternating_sum_identity(
-                        w, nabla, prov, p_max, pairs, ys)
+                        nablas[0], nablas[2 * p_max], prov, p_max, pairs, ys)
                     worst = max(worst, abs(lhs - rhs))
                 records.append(_record(label, "PASS" if worst < tol else "FAIL",
                                        worst, tol,
@@ -209,8 +228,9 @@ def _geometry_records(sc, seed, tol_cli, p_max_cli, order):
 
 def cmd_check_geometry(args):
     try:
-        sc = load_scenario(args.scenario)
+        sc = load_scenario(args.scenario, validate=False)
         order = _structure_order(sc, args.p_max)
+        structures = sc.validate(order)
     except (ScenarioFormatError, geometry.GeometryError, JetError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -223,7 +243,7 @@ def cmd_check_geometry(args):
         "master_seed": args.seed,
         "parameters": {"tol": args.tol, "p_max": args.p_max},
     }
-    records = _geometry_records(sc, args.seed, args.tol, args.p_max, order)
+    records = _geometry_records(sc, structures, args.seed, args.tol, args.p_max)
     return _finish(records, base, args.output, args.strict)
 
 

@@ -78,11 +78,19 @@ class Scenario:
             if ex.evaluate(e, env) <= 0.0:
                 raise ConstraintError(name, point)
 
-    def validate(self, tol: float = OMEGA_ANTISYM_TOL):
-        """Reject bad sample points up front: constraints, antisymmetry,
-        degenerate omega, frame."""
+    def validate(self, order: int = 0, tol: float = OMEGA_ANTISYM_TOL) -> tuple:
+        """Reject bad sample points up front: constraints, frame,
+        antisymmetry, degenerate omega.
+
+        The constraint and frame checks are one structure solve per point,
+        to ``order``; the solves are returned in sample-point order, so a
+        caller that validates at the order its checks need solves each
+        point once.
+        """
+        solved = []
         for pt in self.sample_points:
-            self.check_constraints(pt)
+            # raises ConstraintError or SingularFrameError if bad
+            solved.append(structure_jets(self, pt, order))
             w = self.omega_at(pt)
             if np.max(np.abs(w + w.T)) > tol:
                 raise GeometryError(
@@ -91,8 +99,7 @@ class Scenario:
                 raise GeometryError(
                     f"omega degenerate at sample point {tuple(pt)}: "
                     f"|det| below {OMEGA_DET_MIN:g}")
-            structure_jets(self, pt, order=0)  # raises SingularFrameError if bad
-        return self
+        return tuple(solved)
 
 
 class StructureJets:

@@ -374,6 +374,8 @@ def eval_jet(e, point, order: int, coords, max_order: int = MAX_JET_ORDER) -> Je
     """Evaluate expression ``e`` at ``point`` as a jet of the given order.
 
     ``coords`` names the coordinates in the order matching ``point``.
+    Raises JetDomainError if a coefficient of the result is not finite
+    (an integer power that overflows, say).
     """
     if order < 0:
         raise JetOrderError("order must be >= 0")
@@ -385,4 +387,9 @@ def eval_jet(e, point, order: int, coords, max_order: int = MAX_JET_ORDER) -> Je
     space = jet_space(len(coords), order)
     env = {name: Jet.variable(space, i, point[i])
            for i, name in enumerate(coords)}
-    return _eval(e, env, space)
+    # an overflow is reported once, as the error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _eval(e, env, space)
+    if not np.all(np.isfinite(out.c)):
+        raise JetDomainError(f"'{ex.to_source(e)}' is not finite at {point}")
+    return out

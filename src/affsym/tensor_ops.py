@@ -236,12 +236,14 @@ def _pair_operator(provider) -> np.ndarray:
     return np.moveaxis(rho, 2, 0)
 
 
-def r_power_packed(provider, packed, k: int) -> np.ndarray:
-    """Apply k levels of R to a tensor with one Lambda^2 axis per pair slot.
+def r_power_levels(provider, packed, k: int):
+    """Yield R.T, R^2.T, ..., R^k.T of a tensor T with one Lambda^2 axis
+    per pair slot, one level at a time, from one pair operator.
 
     A level maps T to -sum over pair axes s of rho(R(e_x, e_y)) applied on
     axis s, with the new pair (x, y) as the leading axis: one tensordot per
-    existing axis.  ``pack_two_form(omega, n)`` gives R^0.omega.
+    existing axis.  ``pack_two_form(omega, n)`` gives R^0.omega.  The
+    checks, the entry cap on R^k.T among them, run at the first ``next``.
     """
     t = np.asarray(packed, dtype=float)
     n = provider.dim
@@ -261,6 +263,15 @@ def r_power_packed(provider, packed, k: int) -> np.ndarray:
         for s in range(t.ndim):
             out -= np.moveaxis(np.tensordot(rho, t, axes=([2], [s])), 1, s + 1)
         t = out
+        yield t
+
+
+def r_power_packed(provider, packed, k: int) -> np.ndarray:
+    """R^k.T of a tensor with one Lambda^2 axis per pair slot: the last
+    level of ``r_power_levels`` (T itself for k = 0)."""
+    t = np.asarray(packed, dtype=float)
+    for t in r_power_levels(provider, t, k):
+        pass
     return t
 
 
@@ -316,13 +327,14 @@ class CovariantField:
         return out
 
 
-def nabla_tensor(field: CovariantField, structure, k: int) -> np.ndarray:
-    """Dense nabla^k T at the structure's base point (arity k + p).
+def nabla_powers(field: CovariantField, structure, k: int) -> list:
+    """Dense [nabla^0 T, ..., nabla^k T] at the structure's base point.
 
-    Step by step on whole coefficient arrays:
+    One pass of k steps on whole coefficient arrays:
     (nabla T)_{i r_1..r_a} = d_i T_{r_1..r_a} - sum_s Gamma^m_{i r_s} T_{r_1..m..r_a},
     where step j (of k) works at jet order k - j, so the field enters at
-    order k and Gamma at order k - 1 at most.
+    order k and Gamma at order k - 1 at most.  nabla^j T at the point is
+    the order-0 coefficient of the array after step j.
     """
     if k < 0:
         raise ArityError("k must be >= 0")
@@ -331,6 +343,7 @@ def nabla_tensor(field: CovariantField, structure, k: int) -> np.ndarray:
             f"nabla^{k} needs structure jets of order {k - 1}, have {structure.order}")
     n = structure.dim
     t = field.jets(structure.point, k)
+    powers = [t[0]]
     for q in range(k - 1, -1, -1):
         space = jet_space(n, q)
         slots = "abcdefgh"[: t.ndim - 1]
@@ -339,7 +352,14 @@ def nabla_tensor(field: CovariantField, structure, k: int) -> np.ndarray:
             out -= space.einsum(f"mi{r},{slots[:s]}m{slots[s + 1:]}->i{slots}",
                                 structure.gamma, t)
         t = out
-    return t[0]
+        powers.append(t[0])
+    return powers
+
+
+def nabla_tensor(field: CovariantField, structure, k: int) -> np.ndarray:
+    """Dense nabla^k T at the structure's base point (arity k + p): the
+    last of ``nabla_powers``."""
+    return nabla_powers(field, structure, k)[-1]
 
 
 def alternating_sum_identity(omega, nabla, provider, k: int, x_pairs, y_idxs):

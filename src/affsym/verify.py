@@ -28,8 +28,8 @@ from . import canonical, geometry
 from .model import (ComplexBlock, GaussModel, ModelError, RealBlock, assemble,
                     random_omega, tridiagonal_omega)
 from .tensor_ops import (AlgebraicCurvature, CovariantField, GeometricCurvature,
-                         nabla_tensor, pack_two_form, r_power_action,
-                         r_power_packed, r_power_probe)
+                         nabla_powers, pack_two_form, r_power_action,
+                         r_power_levels, r_power_probe)
 
 #: per-draw tolerance: abs_err <= ORACLE_RTOL * max(1, |closed|)
 ORACLE_RTOL = 1e-9
@@ -1218,49 +1218,56 @@ class RankVerdict:
     point: tuple | None = None
 
 
-def check_rank_theorem(target, p: int, tol: float = 1e-8, omega=None) -> RankVerdict:
+def check_rank_theorem(target, p: int, tol: float = 1e-8, omega=None,
+                       curv=None, nablas=None) -> RankVerdict:
     """Tie the first vanishing operator power q <= p to the rank-one conclusion.
 
-    ``target`` is a GaussModel or a geometry.StructureJets solved at one
-    sample point (to order p - 1 or more when p <= NABLA_RANK_CAP); there
-    ``nabla^q`` is taken of the scenario's omega field, or of ``omega``
-    held constant.  R^q omega is stepped one packed level at a time for
-    q = 1..p and the scan stops at the first q at which R^q omega or
-    nabla^q omega vanishes: R^{q+1} omega = R.(R^q omega) vanishes with
-    R^q omega, and nabla^{q+1} omega with nabla^q omega where that
-    vanishes identically, so no power beyond q is needed.  Verdict PASS
-    means the operator vanished at q and the shape conclusions hold, FAIL
-    that they do not, VACUOUS (reported at p) that neither operator
-    vanished up to p.
+    ``target`` is one of:
+
+    * a GaussModel, with ``omega`` (default the tridiagonal form);
+    * a geometry.StructureJets solved at one sample point (to order p - 1
+      or more when p <= NABLA_RANK_CAP); nabla^q is taken of the
+      scenario's omega field, or of ``omega`` held constant;
+    * the InducedStructure of a point, passed with its ``curv`` and its
+      nabla chain ``nablas`` = [omega, nabla omega, ...] (``nabla_powers``
+      to min(p, NABLA_RANK_CAP) or beyond), as check-geometry holds them.
+
+    R^q omega is stepped one packed level at a time for q = 1..p and the
+    scan stops at the first q at which R^q omega or nabla^q omega
+    vanishes: R^{q+1} omega = R.(R^q omega) vanishes with R^q omega, and
+    nabla^{q+1} omega with nabla^q omega where that vanishes identically,
+    so no power beyond q is needed.  Verdict PASS means the operator
+    vanished at q and the shape conclusions hold, FAIL that they do not,
+    VACUOUS (reported at p) that neither operator vanished up to p.
     """
-    field = point = None
+    point = None
     if isinstance(target, GaussModel):
         w = np.asarray(omega, dtype=float) if omega is not None \
             else tridiagonal_omega(target.dim)
         prov = AlgebraicCurvature(target)
         s_op, h = target.S, target.H
     else:
-        sc, point = target.scenario, target.point
-        st = geometry.induced_structure(target)
-        if omega is None:
-            w, field = sc.omega_at(point), CovariantField(2, sc.omega, sc.coords)
-        else:
-            w = np.asarray(omega, dtype=float)
-            field = CovariantField.constant(w)
-        prov = GeometricCurvature(geometry.curvature(st).R)
-        s_op, h = st.S, st.h
+        if isinstance(target, geometry.StructureJets):
+            sc = target.scenario
+            field = CovariantField(2, sc.omega, sc.coords) if omega is None \
+                else CovariantField.constant(omega)
+            nablas = nabla_powers(field, target, min(max(p, 0), NABLA_RANK_CAP))
+            target = geometry.induced_structure(target)
+            curv = geometry.curvature(target)
+        w = nablas[0]
+        prov = GeometricCurvature(curv.R)
+        s_op, h, point = target.S, target.h, target.point
     if abs(np.linalg.det(w)) < geometry.OMEGA_DET_MIN:
         raise OracleError("degenerate 2-form in rank check")
     if not 1 <= p <= prov.cap:
         raise OracleError(f"rank check power {p} outside 1..{prov.cap}")
 
-    packed = pack_two_form(w, prov.dim)
-    for q in range(1, p + 1):
-        packed = r_power_packed(prov, packed, 1)
+    levels = r_power_levels(prov, pack_two_form(w, prov.dim), p)
+    for q, packed in enumerate(levels, start=1):
         max_r = float(np.max(np.abs(packed)))
         max_nabla = None
-        if field is not None and q <= NABLA_RANK_CAP:
-            max_nabla = float(np.max(np.abs(nabla_tensor(field, target, q))))
+        if nablas is not None and q <= NABLA_RANK_CAP:
+            max_nabla = float(np.max(np.abs(nablas[q])))
         if max_r < tol or (max_nabla is not None and max_nabla < tol):
             break
     else:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from affsym import geometry
 from affsym.cli import _structure_order, main
 from affsym.model import RealBlock, assemble
 from affsym.scenarios import scenario_from_dict
@@ -304,14 +305,52 @@ def test_exp_overflow_at_sample_point_is_usage_error(field, tmp_path, capsys):
     assert rc == 2 and len(err) == 1 and "exp" in err[0]
 
 
+def test_integer_power_overflow_at_sample_point_is_usage_error(tmp_path, capsys):
+    # 800^400 overflows a double through repeated jet products
+    data = _shipped("paraboloid", sample_points=[[800.0, 0.0, 0.0, 0.0]])
+    data["immersion"][-1] = "u1^400"
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(data))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and "not finite" in err[0]
+
+
+def test_check_geometry_solves_each_point_once(monkeypatch, tmp_path):
+    calls = {"solve": 0, "induced": 0}
+    solve, induced = geometry.StructureJets.__init__, geometry.induced_structure
+
+    def counted_solve(self, *args):
+        calls["solve"] += 1
+        solve(self, *args)
+
+    def counted_induced(*args):
+        calls["induced"] += 1
+        return induced(*args)
+
+    monkeypatch.setattr(geometry.StructureJets, "__init__", counted_solve)
+    monkeypatch.setattr(geometry, "induced_structure", counted_induced)
+    assert main(["check-geometry", "--scenario", "paper_example_n2",
+                 "--output", str(tmp_path / "rep.json")]) == 0
+    assert calls == {"solve": 3, "induced": 3}
+
+
 @pytest.mark.parametrize("changes, words", [
     ({"sample_points": [[None, 0.0, 0.0, 0.0]]}, "non-numeric coordinate None"),
     ({"sample_points": [["one", 0.0, 0.0, 0.0]]}, "non-numeric coordinate 'one'"),
     ({"constraints": [{"expr": "u1 + 10"}]}, "needs keys 'name' and 'expr'"),
     ({"omega": [5, [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]}, "dim x dim matrix"),
     ({"checks": ["frame"]}, "needs a key 'name'"),
+    ({"checks": [{"name": "rank_theorem", "p_max": "three"}]}, "'rank_theorem': p_max"),
+    ({"checks": [{"name": "rank_theorem", "p_max": 2.5}]}, "'rank_theorem': p_max"),
+    ({"checks": [{"name": "rank_theorem", "p_max": True}]}, "'rank_theorem': p_max"),
+    ({"checks": [{"name": "alternating_identity", "trials": "many"}]},
+     "'alternating_identity': trials"),
+    ({"checks": [{"name": "frame", "tol": "tiny"}]}, "'frame': tol"),
+    ({"checks": [{"name": "frame", "tol": 0}]}, "'frame': tol"),
+    ({"checks": [{"name": "frame", "tol": float("nan")}]}, "'frame': tol"),
 ], ids=["null_coordinate", "string_coordinate", "nameless_constraint",
-        "scalar_omega_row", "string_check"])
+        "scalar_omega_row", "string_check", "string_p_max", "float_p_max",
+        "bool_p_max", "string_trials", "string_tol", "zero_tol", "nan_tol"])
 def test_malformed_scenario_field_is_usage_error(changes, words, tmp_path, capsys):
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps(_shipped("paraboloid", **changes)))

@@ -13,8 +13,8 @@ from affsym.scenarios import BUILTIN_NAMES, load_scenario
 from affsym.expr import parse_expr
 from affsym.tensor_ops import (AlgebraicCurvature, ArityError, CovariantField,
                                GeometricCurvature, RecursionCapError,
-                               alternating_sum_identity, nabla_tensor,
-                               pack_two_form, r_power_action, r_power_packed,
+                               alternating_sum_identity, nabla_powers,
+                               nabla_tensor, pack_two_form, r_power_action, r_power_packed,
                                r_power_probe, r_power_tensor)
 
 
@@ -243,6 +243,29 @@ def test_sphere_codazzi_sides_vanish():
     side = _codazzi_sides(st)
     assert np.max(np.abs(side[0, :, 2])) < 1e-12
     assert np.max(np.abs(side[2, :, 0])) < 1e-12
+
+
+def test_nabla_powers_match_nabla_tensor():
+    # one chain to nabla^3 gives every power bit for bit as a pass of its own
+    cases = []
+    for name in BUILTIN_NAMES:
+        sc = load_scenario(name)
+        field = CovariantField(2, sc.omega, sc.coords)
+        cases += [(sc, field, point) for point in sc.sample_points]
+    sc = load_scenario("paraboloid")
+    src = [["0", "1 + u1*u1*sin(u2)", "0", "0"],
+           ["-(1 + u1*u1*sin(u2))", "0", "0", "0"],
+           ["0", "0", "0", "exp(u3)*(1 + u4*u4)"],
+           ["0", "0", "-(exp(u3)*(1 + u4*u4))", "0"]]
+    field = CovariantField(2, [[parse_expr(c, sc.coords) for c in row]
+                               for row in src], sc.coords)
+    cases += [(sc, field, point) for point in sc.sample_points]
+    for sc, field, point in cases:
+        sj = geo.structure_jets(sc, point, 2)
+        chain = nabla_powers(field, sj, 3)
+        assert len(chain) == 4
+        for q, nabla in enumerate(chain):
+            assert np.array_equal(nabla, nabla_tensor(field, sj, q))
 
 
 def test_alternating_identity_on_scenarios():
