@@ -7,7 +7,7 @@ from .canonical import CanonicalPair, classify, decompose, rank, sip_signature
 from .expr import parse_expr, to_source
 from .geometry import (CurvatureTensor, InducedStructure, Scenario, curvature,
                        fundamental_residuals, induced_structure, structure_jets)
-from .jets import Jet, eval_jet
+from .jets import eval_jet
 from .model import (BlockSpec, ComplexBlock, GaussModel, RealBlock, assemble,
                     build_block, model_curvature, sip_matrix, tridiagonal_omega)
 from .scenarios import load_scenario, scenario_from_dict

@@ -22,6 +22,9 @@ import numpy as np
 
 from .model import BlockSpec, ComplexBlock, RealBlock, build_block
 
+#: an H whose reciprocal condition number is at or below this is singular
+H_RCOND_MIN = 1e-10
+
 
 class CanonicalError(ValueError):
     pass
@@ -290,7 +293,7 @@ def decompose(a, h, tol: float = 1e-8, cluster_tol: float | None = None) -> Cano
         raise CanonicalError("A and H must be square and of equal size")
     if np.max(np.abs(h - h.T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
         raise CanonicalError("H is not symmetric")
-    if 1.0 / np.linalg.cond(h) <= 1e-10:
+    if 1.0 / np.linalg.cond(h) <= H_RCOND_MIN:
         raise CanonicalError("H is numerically singular")
     norm_a = float(np.max(np.abs(a)))
     norm_h = float(np.max(np.abs(h)))

@@ -149,20 +149,30 @@ def _structure_order(sc, p_max_cli):
     return order
 
 
-def _geometry_records(sc, structures, seed, tol_cli, p_max_cli):
-    """Records of every check at every sample point, from the point's one
-    structure solve in ``structures`` (``Scenario.validate``)."""
+def _omega_chains(sc, structures):
+    """Per sample point, omega and its nabla powers to the deepest one the
+    point's solve carries, or None if no check reads them.
+
+    This evaluates omega's jets, so an entry whose derivatives are not
+    finite at a sample point raises JetDomainError here, at load.
+    """
     checks = sc.checks if sc.checks else _DEFAULT_CHECKS
+    if not any(c["name"] in ("rank_theorem", "alternating_identity") for c in checks):
+        return [None] * len(structures)
     omega = CovariantField(2, sc.omega, sc.coords)
-    uses_nabla = any(c["name"] in ("rank_theorem", "alternating_identity")
-                     for c in checks)
+    return [nabla_powers(omega, sj, sj.order + 1) for sj in structures]
+
+
+def _geometry_records(sc, structures, chains, seed, tol_cli, p_max_cli):
+    """Records of every check at every sample point, from the point's one
+    structure solve in ``structures`` (``Scenario.validate``) and its
+    omega chain in ``chains`` (``_omega_chains``)."""
+    checks = sc.checks if sc.checks else _DEFAULT_CHECKS
     records = []
-    for pi, (point, sj) in enumerate(zip(sc.sample_points, structures)):
+    for pi, (point, sj, nablas) in enumerate(zip(sc.sample_points, structures, chains)):
         st = geometry.induced_structure(sj)
         curv = geometry.curvature(st)
         res = geometry.fundamental_residuals(st, curv)
-        # omega and its nabla powers to the deepest one the solve carries
-        nablas = nabla_powers(omega, sj, sj.order + 1) if uses_nabla else None
         for check in checks:
             name = check["name"]
             tol = float(check.get("tol", tol_cli))
@@ -231,6 +241,7 @@ def cmd_check_geometry(args):
         sc = load_scenario(args.scenario, validate=False)
         order = _structure_order(sc, args.p_max)
         structures = sc.validate(order)
+        chains = _omega_chains(sc, structures)
     except (ScenarioFormatError, geometry.GeometryError, JetError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -243,7 +254,8 @@ def cmd_check_geometry(args):
         "master_seed": args.seed,
         "parameters": {"tol": args.tol, "p_max": args.p_max},
     }
-    records = _geometry_records(sc, structures, args.seed, args.tol, args.p_max)
+    records = _geometry_records(sc, structures, chains, args.seed, args.tol,
+                                args.p_max)
     return _finish(records, base, args.output, args.strict)
 
 

@@ -1,4 +1,4 @@
-"""Closed-form coordinate expressions: AST, parser, printer, plain evaluation.
+"""Closed-form coordinate expressions: AST, parser and printer.
 
 Grammar (EBNF)::
 
@@ -10,12 +10,12 @@ Grammar (EBNF)::
 Identifiers are ``[A-Za-z_][A-Za-z0-9_]*``; numbers are unsigned decimals
 with optional fraction and exponent.  The exponent of ``^`` is a numeric
 literal, so ``^`` binds tighter than unary minus and chaining is impossible.
-Recognised functions: sin, cos, tan, exp, ln, sqrt.
+Recognised functions: sin, cos, tan, exp, ln, sqrt.  Expressions are
+evaluated, with their derivatives, by ``jets.eval_jet``.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -252,58 +252,4 @@ def to_source(e: Expr) -> str:
         if _prec(e.rhs) <= _PREC[e.op]:
             rhs = f"({rhs})"
         return f"{lhs}{e.op}{rhs}"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-class EvalDomainError(ExprError):
-    """Argument outside a function's domain during evaluation."""
-
-
-def evaluate(e: Expr, env: dict) -> float:
-    """Plain float evaluation of ``e`` with variable values from ``env``."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, env)
-    if isinstance(e, Bin):
-        a, b = evaluate(e.lhs, env), evaluate(e.rhs, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalDomainError("division by zero")
-        return a / b
-    if isinstance(e, Pow):
-        base = evaluate(e.base, env)
-        if e.exponent != int(e.exponent) and base <= 0.0:
-            raise EvalDomainError("non-integer power of non-positive base")
-        return base ** e.exponent
-    if isinstance(e, Call):
-        x = evaluate(e.arg, env)
-        if e.func == "sin":
-            return math.sin(x)
-        if e.func == "cos":
-            return math.cos(x)
-        if e.func == "tan":
-            if abs(math.cos(x)) < 1e-12:
-                raise EvalDomainError("tan at an odd multiple of pi/2")
-            return math.tan(x)
-        if e.func == "exp":
-            try:
-                return math.exp(x)
-            except OverflowError as err:
-                raise EvalDomainError(f"exp overflows at {x!r}") from err
-        if e.func == "ln":
-            if x <= 0.0:
-                raise EvalDomainError("ln of non-positive value")
-            return math.log(x)
-        if e.func == "sqrt":
-            if x <= 0.0:
-                raise EvalDomainError("sqrt of non-positive value")
-            return math.sqrt(x)
     raise TypeError(f"not an expression node: {e!r}")

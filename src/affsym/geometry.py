@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor
 
-from . import expr as ex
+from .canonical import H_RCOND_MIN
 from .jets import eval_jet, jet_space
 
 #: frames with condition number beyond this are rejected
@@ -64,23 +64,20 @@ class Scenario:
     checks: tuple = field(default=())
 
     def omega_at(self, point):
-        env = dict(zip(self.coords, point))
         out = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                c = self.omega[i, j]
-                out[i, j] = float(c) if isinstance(c, (int, float)) else ex.evaluate(c, env)
+        for (i, j), c in np.ndenumerate(self.omega):
+            out[i, j] = float(c) if isinstance(c, (int, float)) \
+                else eval_jet(c, point, 0, self.coords)[0]
         return out
 
     def check_constraints(self, point):
-        env = dict(zip(self.coords, point))
         for name, e in self.constraints:
-            if ex.evaluate(e, env) <= 0.0:
+            if eval_jet(e, point, 0, self.coords)[0] <= 0.0:
                 raise ConstraintError(name, point)
 
     def validate(self, order: int = 0, tol: float = OMEGA_ANTISYM_TOL) -> tuple:
         """Reject bad sample points up front: constraints, frame,
-        antisymmetry, degenerate omega.
+        degenerate h, antisymmetry, degenerate omega.
 
         The constraint and frame checks are one structure solve per point,
         to ``order``; the solves are returned in sample-point order, so a
@@ -90,7 +87,13 @@ class Scenario:
         solved = []
         for pt in self.sample_points:
             # raises ConstraintError or SingularFrameError if bad
-            solved.append(structure_jets(self, pt, order))
+            sj = structure_jets(self, pt, order)
+            solved.append(sj)
+            # the singularity test canonical.decompose applies to h
+            if 1.0 / np.linalg.cond(sj.h[0]) <= H_RCOND_MIN:
+                raise GeometryError(
+                    f"h degenerate at sample point {tuple(pt)}: "
+                    f"1/cond at or below {H_RCOND_MIN:g}")
             w = self.omega_at(pt)
             if np.max(np.abs(w + w.T)) > tol:
                 raise GeometryError(
@@ -128,8 +131,8 @@ class StructureJets:
 
         space = jet_space(n, order)
         up = jet_space(n, order + 1)
-        f = np.stack([jet.c for jet in f_jets], axis=1)
-        xi = np.stack([jet.c for jet in xi_jets], axis=1)
+        f = np.stack(f_jets, axis=1)
+        xi = np.stack(xi_jets, axis=1)
         df = [jet_space(n, order + 2).partial(f, j) for j in range(n)]
         iu = np.triu_indices(n)
         self.frame = np.stack(df + [xi], axis=2)[: space.size]

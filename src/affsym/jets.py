@@ -2,14 +2,16 @@
 
 A jet stores the value and all Taylor-normalized partial derivatives of a
 scalar at a point, up to a fixed total degree: the coefficient attached to
-multi-index m is (d^m f)(x) / m!.  Arithmetic is exact for polynomials up
-to the truncation order; elementary functions are propagated through their
-univariate Taylor series.
+multi-index m is (d^m f)(x) / m!.  Jets, and jet-valued tensors, are plain
+float arrays with the coefficient axis first; ``JetSpace.einsum``
+multiplies and contracts them and ``JetSpace.partial`` differentiates
+them, whole.
 
-Jet-valued tensors are plain float arrays with the coefficient axis first;
-``JetSpace.einsum`` multiplies and contracts them and ``JetSpace.partial``
-differentiates them, whole.  ``Jet`` wraps one scalar for expression
-evaluation.
+``eval_jet`` evaluates an expression straight into such an array: sums are
+array sums, products and quotients the jet product, and reciprocals,
+non-integer powers and the elementary functions one Horner series over
+that product (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+ch. 13).  Arithmetic is exact for polynomials up to the truncation order.
 """
 
 from __future__ import annotations
@@ -149,206 +151,96 @@ class JetSpace:
         return self._partial_maps
 
 
-class Jet:
-    __slots__ = ("space", "c")
-
-    def __init__(self, space, coeffs):
-        self.space = space
-        self.c = coeffs
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def constant(space, value):
-        c = np.zeros(space.size)
-        c[0] = value
-        return Jet(space, c)
-
-    @staticmethod
-    def variable(space, axis, value):
-        c = np.zeros(space.size)
-        c[0] = value
-        if space.order >= 1:
-            unit = tuple(1 if a == axis else 0 for a in range(space.dim))
-            c[space.index_of[unit]] = 1.0
-        return Jet(space, c)
-
-    # -- accessors ----------------------------------------------------
-
-    @property
-    def order(self):
-        return self.space.order
-
-    @property
-    def value(self):
-        return float(self.c[0])
-
-    def coefficient(self, multi_index):
-        return float(self.c[self.space.index_of[tuple(multi_index)]])
-
-    def derivative(self, multi_index):
-        """Un-normalized partial derivative for the given multi-index."""
-        m = tuple(multi_index)
-        fact = 1.0
-        for v in m:
-            fact *= math.factorial(v)
-        return self.coefficient(m) * fact
-
-    def coefficients(self):
-        """Mapping multi-index -> Taylor-normalized coefficient."""
-        return {m: float(v) for m, v in zip(self.space.multi_indices, self.c)}
-
-    def truncate(self, order):
-        if order == self.order:
-            return self
-        if order > self.order:
-            raise JetOrderError(f"cannot extend a jet of order {self.order} to {order}")
-        sub = jet_space(self.space.dim, order)
-        return Jet(sub, self.c[: sub.size].copy())
-
-    def partial(self, axis):
-        """Derivative jet along a coordinate; drops one order."""
-        return Jet(jet_space(self.space.dim, self.order - 1),
-                   self.space.partial(self.c, axis))
-
-    # -- ring arithmetic ----------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise JetError("jet order/dimension mismatch")
-            return other
-        return Jet.constant(self.space, float(other))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet(self.space, self.c + o.c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.space, self.c - o.c)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.space, o.c - self.c)
-
-    def __neg__(self):
-        return Jet(self.space, -self.c)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.space, self.c * float(other))
-        o = self._coerce(other)
-        ii, jj, tt = self.space.mul_table
-        out = np.zeros(self.space.size)
-        np.add.at(out, tt, self.c[ii] * o.c[jj])
-        return Jet(self.space, out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.space, self.c / float(other))
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def reciprocal(self):
-        if self.c[0] == 0.0:
-            raise JetDomainError("division by a jet with zero constant term")
-        u0 = self.c[0]
-        derivs = [(-1.0) ** j / u0 ** (j + 1) for j in range(self.order + 1)]
-        return self._series(derivs)
-
-    def _series(self, coeffs):
-        """Evaluate sum_j coeffs[j] * (self - value)^j by Horner."""
-        tilde = Jet(self.space, self.c.copy())
-        tilde.c[0] = 0.0
-        acc = Jet.constant(self.space, coeffs[-1])
-        for k in range(len(coeffs) - 2, -1, -1):
-            acc = acc * tilde + coeffs[k]
-        return acc
-
-    def __pow__(self, exponent):
-        e = float(exponent)
-        if e == int(e):
-            n = int(e)
-            if n >= 0:
-                out = Jet.constant(self.space, 1.0)
-                for _ in range(n):
-                    out = out * self
-                return out
-            return self.reciprocal() ** (-n)
-        if self.c[0] <= 0.0:
-            raise JetDomainError("non-integer power of a non-positive base")
-        u0 = self.c[0]
-        derivs, binom = [], 1.0
-        for j in range(self.order + 1):
-            derivs.append(binom * u0 ** (e - j))
-            binom *= (e - j) / (j + 1)
-        return self._series(derivs)
-
-    def __repr__(self):
-        return f"Jet(order={self.order}, value={self.value!r})"
+#: subscripts of the coefficient-wise jet product, for ``JetSpace.einsum``
+_PRODUCT = "...,...->..."
 
 
-# -- elementary functions ---------------------------------------------
+def _constant(space, value):
+    c = np.zeros(space.size)
+    c[0] = value
+    return c
 
 
-def jet_sin(u: Jet) -> Jet:
-    cycle = (math.sin(u.value), math.cos(u.value),
-             -math.sin(u.value), -math.cos(u.value))
-    derivs = [cycle[j % 4] / math.factorial(j) for j in range(u.order + 1)]
-    return u._series(derivs)
+def _series(space, u, coeffs):
+    """sum_j coeffs[j] * (u - u0)^j by Horner over the jet product, u0 being
+    the constant term of ``u``: a univariate Taylor series composed with u."""
+    tilde = u.copy()
+    tilde[0] = 0.0
+    acc = _constant(space, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = space.einsum(_PRODUCT, acc, tilde)
+        acc[0] += c
+    return acc
 
 
-def jet_cos(u: Jet) -> Jet:
-    cycle = (math.cos(u.value), -math.sin(u.value),
-             -math.cos(u.value), math.sin(u.value))
-    derivs = [cycle[j % 4] / math.factorial(j) for j in range(u.order + 1)]
-    return u._series(derivs)
-
-
-def jet_tan(u: Jet) -> Jet:
-    if abs(math.cos(u.value)) < 1e-12:
-        raise JetDomainError("tan at an odd multiple of pi/2")
-    return jet_sin(u) / jet_cos(u)
-
-
-def jet_exp(u: Jet) -> Jet:
+def _libm(fn, x):
+    """``fn(x)``, or NaN where ``math`` raises instead (sin or cos of an
+    infinite argument, exp beyond the double range)."""
     try:
-        e0 = math.exp(u.value)
-    except OverflowError as err:
-        raise JetDomainError(f"exp overflows at {u.value!r}") from err
-    return u._series([e0 / math.factorial(j) for j in range(u.order + 1)])
+        return fn(x)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
-def jet_ln(u: Jet) -> Jet:
-    if u.value <= 0.0:
-        raise JetDomainError("ln of a non-positive value")
-    u0 = u.value
-    derivs = [math.log(u0)]
-    derivs += [(-1.0) ** (j - 1) / (j * u0 ** j) for j in range(1, u.order + 1)]
-    return u._series(derivs)
+# Series coefficients are computed from u0 as a numpy scalar, so that an
+# overflow or underflow yields inf or NaN (reported by eval_jet's finite
+# check) rather than a Python arithmetic error.
 
 
-def jet_sqrt(u: Jet) -> Jet:
-    if u.value <= 0.0:
-        raise JetDomainError("sqrt of a non-positive value")
-    return u ** 0.5
+def _reciprocal(space, u):
+    u0 = u[0]
+    if u0 == 0.0:
+        raise JetDomainError("division by a jet with zero constant term")
+    return _series(space, u, [(-1.0) ** j / u0 ** (j + 1)
+                              for j in range(space.order + 1)])
 
 
-_CALLS = {"sin": jet_sin, "cos": jet_cos, "tan": jet_tan,
-          "exp": jet_exp, "ln": jet_ln, "sqrt": jet_sqrt}
+def _power(space, u, exponent):
+    e = float(exponent)
+    if e.is_integer():
+        base = u if e >= 0 else _reciprocal(space, u)
+        out = _constant(space, 1.0)
+        for _ in range(int(abs(e))):
+            out = space.einsum(_PRODUCT, out, base)
+        return out
+    u0 = u[0]
+    if u0 <= 0.0:
+        raise JetDomainError("non-integer power of a non-positive base")
+    coeffs, binom = [], 1.0
+    for j in range(space.order + 1):
+        coeffs.append(binom * u0 ** (e - j))
+        binom *= (e - j) / (j + 1)
+    return _series(space, u, coeffs)
+
+
+def _call(space, func, u):
+    """One of the elementary functions of ``expr.FUNCTIONS`` applied to ``u``."""
+    u0, k = u[0], space.order
+    if func == "tan":
+        if abs(_libm(math.cos, u0)) < 1e-12:
+            raise JetDomainError("tan at an odd multiple of pi/2")
+        return space.einsum(_PRODUCT, _call(space, "sin", u),
+                            _reciprocal(space, _call(space, "cos", u)))
+    if func in ("ln", "sqrt") and u0 <= 0.0:
+        raise JetDomainError(f"{func} of a non-positive value")
+    if func == "sqrt":
+        return _power(space, u, 0.5)
+    if func == "exp":
+        e0 = _libm(math.exp, u0)
+        coeffs = [e0 / math.factorial(j) for j in range(k + 1)]
+    elif func == "ln":
+        coeffs = [math.log(u0)]
+        coeffs += [(-1.0) ** (j - 1) / (j * u0 ** j) for j in range(1, k + 1)]
+    else:
+        s, c = _libm(math.sin, u0), _libm(math.cos, u0)
+        cycle = (s, c, -s, -c) if func == "sin" else (c, -s, -c, s)
+        coeffs = [cycle[j % 4] / math.factorial(j) for j in range(k + 1)]
+    return _series(space, u, coeffs)
 
 
 def _eval(e, env, space):
     if isinstance(e, ex.Num):
-        return Jet.constant(space, e.value)
+        return _constant(space, e.value)
     if isinstance(e, ex.Var):
         return env[e.name]
     if isinstance(e, ex.Neg):
@@ -360,22 +252,24 @@ def _eval(e, env, space):
             return a + b
         if e.op == "-":
             return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
+        if e.op == "/":
+            b = _reciprocal(space, b)
+        return space.einsum(_PRODUCT, a, b)
     if isinstance(e, ex.Pow):
-        return _eval(e.base, env, space) ** e.exponent
+        return _power(space, _eval(e.base, env, space), e.exponent)
     if isinstance(e, ex.Call):
-        return _CALLS[e.func](_eval(e.arg, env, space))
+        return _call(space, e.func, _eval(e.arg, env, space))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_jet(e, point, order: int, coords, max_order: int = MAX_JET_ORDER) -> Jet:
-    """Evaluate expression ``e`` at ``point`` as a jet of the given order.
+def eval_jet(e, point, order: int, coords, max_order: int = MAX_JET_ORDER) -> np.ndarray:
+    """Coefficient array of expression ``e`` at ``point`` to the given order.
 
-    ``coords`` names the coordinates in the order matching ``point``.
-    Raises JetDomainError if a coefficient of the result is not finite
-    (an integer power that overflows, say).
+    ``coords`` names the coordinates in the order matching ``point``; the
+    result has shape ``(jet_space(len(coords), order).size,)``, and its
+    order-0 coefficient is the value of ``e``.  Raises JetDomainError for
+    an argument outside a function's domain, and if a coefficient of the
+    result is not finite (an integer power that overflows, say).
     """
     if order < 0:
         raise JetOrderError("order must be >= 0")
@@ -385,11 +279,14 @@ def eval_jet(e, point, order: int, coords, max_order: int = MAX_JET_ORDER) -> Je
     if len(point) != len(coords):
         raise JetError("point dimension does not match coordinate count")
     space = jet_space(len(coords), order)
-    env = {name: Jet.variable(space, i, point[i])
-           for i, name in enumerate(coords)}
-    # an overflow is reported once, as the error below
-    with np.errstate(over="ignore", invalid="ignore"):
+    env = {}
+    for i, name in enumerate(coords):
+        env[name] = _constant(space, point[i])
+        if order >= 1:
+            env[name][space.index_of[tuple(int(a == i) for a in range(space.dim))]] = 1.0
+    # an overflow or invalid operation is reported once, as the error below
+    with np.errstate(all="ignore"):
         out = _eval(e, env, space)
-    if not np.all(np.isfinite(out.c)):
+    if not np.all(np.isfinite(out)):
         raise JetDomainError(f"'{ex.to_source(e)}' is not finite at {point}")
     return out

@@ -53,6 +53,15 @@ def json_dim(data) -> int:
     return dim
 
 
+def _json_list(data, key, default=None) -> list:
+    """``data[key]``, which must be a JSON list; ``default`` stands in for
+    an optional key that is absent."""
+    value = data[key] if default is None else data.get(key, default)
+    if not isinstance(value, list):
+        raise ScenarioFormatError(f"{key} must be a JSON list, got {value!r}")
+    return value
+
+
 def _sample_points(raw) -> tuple:
     """Sample points as float tuples; every coordinate must be a JSON number."""
     if not isinstance(raw, list) or not all(isinstance(p, list) for p in raw):
@@ -69,11 +78,13 @@ def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
     try:
         dim = json_dim(data)
         name = str(data["name"])
-        coords = tuple(str(c) for c in data["coords"])
-        imm_src = list(data["immersion"])
-        trans_src = list(data["transversal"])
-        omega_src = list(data["omega"])
+        coords = tuple(str(c) for c in _json_list(data, "coords"))
+        imm_src = _json_list(data, "immersion")
+        trans_src = _json_list(data, "transversal")
+        omega_src = data["omega"]
         points = _sample_points(data["sample_points"])
+        constraint_src = _json_list(data, "constraints", [])
+        check_src = _json_list(data, "checks", [])
     except KeyError as err:
         raise ScenarioFormatError(f"missing scenario key {err}") from err
     if dim % 2 != 0 or dim < 4:
@@ -86,8 +97,8 @@ def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
     if len(trans_src) != dim + 1:
         raise ScenarioFormatError(
             f"expected {dim + 1} transversal components, got {len(trans_src)}")
-    if len(omega_src) != dim or any(not isinstance(row, list) or len(row) != dim
-                                    for row in omega_src):
+    if not isinstance(omega_src, list) or len(omega_src) != dim or any(
+            not isinstance(row, list) or len(row) != dim for row in omega_src):
         raise ScenarioFormatError("omega must be a dim x dim matrix")
     for p in points:
         if len(p) != dim:
@@ -103,18 +114,21 @@ def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
     for i in range(dim):
         for j in range(dim):
             v = omega_src[i][j]
+            if isinstance(v, bool):
+                raise ScenarioFormatError(
+                    f"omega[{i}][{j}] must be a number or an expression, got {v!r}")
             omega[i, j] = float(v) if isinstance(v, (int, float)) \
                 else _parse_field(v, coords, f"omega[{i}][{j}]")
-    for c in data.get("constraints", ()):
+    for c in constraint_src:
         if not isinstance(c, dict) or not {"name", "expr"} <= c.keys():
             raise ScenarioFormatError(f"constraint {c!r} needs keys 'name' and 'expr'")
     constraints = tuple(
         (str(c["name"]), _parse_field(c["expr"], coords, f"constraint '{c['name']}'"))
-        for c in data.get("constraints", ()))
-    for c in data.get("checks", ()):
+        for c in constraint_src)
+    for c in check_src:
         if not isinstance(c, dict) or "name" not in c:
             raise ScenarioFormatError(f"check {c!r} needs a key 'name'")
-    checks = tuple(dict(c) for c in data.get("checks", ()))
+    checks = tuple(dict(c) for c in check_src)
 
     sc = Scenario(name, dim, coords, immersion, transversal, omega,
                   points, constraints, checks)

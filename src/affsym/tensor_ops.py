@@ -323,7 +323,7 @@ class CovariantField:
             if isinstance(c, (int, float)):
                 out[(0,) + idx] = c
             else:
-                out[(slice(None),) + idx] = eval_jet(c, point, order, self.coords).c
+                out[(slice(None),) + idx] = eval_jet(c, point, order, self.coords)
         return out
 
 

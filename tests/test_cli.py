@@ -305,10 +305,21 @@ def test_exp_overflow_at_sample_point_is_usage_error(field, tmp_path, capsys):
     assert rc == 2 and len(err) == 1 and "exp" in err[0]
 
 
-def test_integer_power_overflow_at_sample_point_is_usage_error(tmp_path, capsys):
-    # 800^400 overflows a double through repeated jet products
-    data = _shipped("paraboloid", sample_points=[[800.0, 0.0, 0.0, 0.0]])
-    data["immersion"][-1] = "u1^400"
+@pytest.mark.parametrize("field", ["immersion", "omega", "constraint", "ln_underflow",
+                                   "omega_ln_underflow"])
+def test_integer_power_overflow_at_sample_point_is_usage_error(field, tmp_path, capsys):
+    # 800^400 overflows a double through repeated jet products; at
+    # u1 = 1e-200, u1^2 underflows to 0 and the second coefficient of
+    # ln(u1), -1/(2 u1^2), overflows (in omega's nabla chain, not its value)
+    u1, entry = (1e-200, "ln(u1)") if field.endswith("ln_underflow") \
+        else (800.0, "u1^400")
+    data = _shipped("paraboloid", sample_points=[[u1, 0.0, 0.0, 0.0]])
+    if field.startswith("omega"):
+        data["omega"][0][1], data["omega"][1][0] = entry, f"-{entry}"
+    elif field == "constraint":
+        data["constraints"] = [{"name": "big", "expr": entry}]
+    else:
+        data["immersion"][-1] = entry
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps(data))
     rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
@@ -334,6 +345,16 @@ def test_check_geometry_solves_each_point_once(monkeypatch, tmp_path):
     assert calls == {"solve": 3, "induced": 3}
 
 
+def test_degenerate_second_fundamental_form_is_usage_error(tmp_path, capsys):
+    # the last immersion entry does not curve along u4, so h = diag(2, 2, 2, 0)
+    data = _shipped("paraboloid")
+    data["immersion"][-1] = "u1^2 + u2^2 + u3^2"
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(data))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and "h degenerate" in err[0]
+
+
 @pytest.mark.parametrize("changes, words", [
     ({"sample_points": [[None, 0.0, 0.0, 0.0]]}, "non-numeric coordinate None"),
     ({"sample_points": [["one", 0.0, 0.0, 0.0]]}, "non-numeric coordinate 'one'"),
@@ -348,9 +369,18 @@ def test_check_geometry_solves_each_point_once(monkeypatch, tmp_path):
     ({"checks": [{"name": "frame", "tol": "tiny"}]}, "'frame': tol"),
     ({"checks": [{"name": "frame", "tol": 0}]}, "'frame': tol"),
     ({"checks": [{"name": "frame", "tol": float("nan")}]}, "'frame': tol"),
+    ({"coords": 5}, "coords must be a JSON list"),
+    ({"immersion": "u1"}, "immersion must be a JSON list"),
+    ({"transversal": "1"}, "transversal must be a JSON list"),
+    ({"constraints": 5}, "constraints must be a JSON list"),
+    ({"checks": 5}, "checks must be a JSON list"),
+    ({"omega": [[0, True, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]},
+     "omega[0][1] must be a number or an expression, got True"),
 ], ids=["null_coordinate", "string_coordinate", "nameless_constraint",
         "scalar_omega_row", "string_check", "string_p_max", "float_p_max",
-        "bool_p_max", "string_trials", "string_tol", "zero_tol", "nan_tol"])
+        "bool_p_max", "string_trials", "string_tol", "zero_tol", "nan_tol",
+        "scalar_coords", "string_immersion", "string_transversal",
+        "scalar_constraints", "scalar_checks", "bool_omega_entry"])
 def test_malformed_scenario_field_is_usage_error(changes, words, tmp_path, capsys):
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps(_shipped("paraboloid", **changes)))

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affsym.expr import (Bin, Call, Neg, Num, ParseError, Pow,
-                         UnknownIdentifierError, Var, evaluate, parse_expr,
-                         to_source)
+from affsym.expr import (FUNCTIONS, Bin, Call, Neg, Num, ParseError, Pow,
+                         UnknownIdentifierError, Var, parse_expr, to_source)
+from affsym.jets import eval_jet
 
 COORDS = ("x", "y", "z0", "z1")
+
+
+def _value(e, point):
+    return eval_jet(e, point, 0, COORDS)[0]
 
 
 def test_product_of_var_and_call():
@@ -42,7 +48,7 @@ def test_parse_error_carries_offset_and_hint():
 def test_left_associativity_and_division():
     e = parse_expr("x - y - z0", COORDS)
     assert e == Bin("-", Bin("-", Var("x"), Var("y")), Var("z0"))
-    assert evaluate(parse_expr("12/4/3", COORDS), {}) == 1.0
+    assert _value(parse_expr("12/4/3", COORDS), (0.0,) * 4) == 1.0
 
 
 def _random_expr(rng, depth):
@@ -73,5 +79,23 @@ def test_print_parse_is_fixed_point():
 def test_printer_respects_precedence():
     src = "(x + y)*z0 - x/(y*z1)"
     e = parse_expr(src, COORDS)
-    env = {"x": 1.3, "y": -0.4, "z0": 2.0, "z1": 0.7}
-    assert evaluate(parse_expr(to_source(e), COORDS), env) == evaluate(e, env)
+    point = (1.3, -0.4, 2.0, 0.7)
+    assert _value(parse_expr(to_source(e), COORDS), point) == _value(e, point)
+
+
+# numeric literals are unsigned, as the parser produces them
+LITERALS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+EXPRS = st.recursive(
+    st.one_of(st.builds(Num, LITERALS), st.sampled_from(COORDS).map(Var)),
+    lambda sub: st.one_of(
+        st.builds(Bin, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Pow, sub, LITERALS),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRS)
+def test_parse_inverts_print(e):
+    assert parse_expr(to_source(e), COORDS) == e
