@@ -32,9 +32,9 @@ from .jets import MAX_JET_ORDER, JetError
 from .model import RealBlock
 from .scenarios import (ScenarioFormatError, json_dim, load_scenario,
                         scenario_digest)
-from .tensor_ops import (K_CAP_GEOMETRIC, TENSOR_ENTRY_CAP, CovariantField,
-                         GeometricCurvature, alternating_sum_identity,
-                         nabla_powers)
+from .tensor_ops import (K_CAP_ALGEBRAIC, K_CAP_GEOMETRIC, TENSOR_ENTRY_CAP,
+                         CovariantField, GeometricCurvature,
+                         alternating_sum_identity, nabla_powers)
 
 _DEFAULT_CHECKS = (
     {"name": "frame", "tol": 1e-9},
@@ -263,6 +263,10 @@ def cmd_oracles(args):
     if args.trials < 1 or args.p_max < 1:
         print("error: --trials and --p-max must be >= 1", file=sys.stderr)
         return 2
+    if args.p_max > K_CAP_ALGEBRAIC:
+        print(f"error: --p-max {args.p_max} is beyond the curvature power cap "
+              f"{K_CAP_ALGEBRAIC}", file=sys.stderr)
+        return 2
     pattern = args.filter or "*"
     matched = [oid for oid, _ in verify.list_oracles()
                if fnmatch.fnmatch(oid, pattern)]
@@ -280,8 +284,12 @@ def cmd_oracles(args):
     records = []
     for oid in matched:
         t0 = time.perf_counter()
-        results = verify.run_family(oid, args.trials, seed=args.seed,
-                                    p_max=args.p_max)
+        try:
+            results = verify.run_family(oid, args.trials, seed=args.seed,
+                                        p_max=args.p_max)
+        except verify.OracleError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
         by_power = {}
         for r in results:
             by_power.setdefault(verify.power_of(oid, r.params), []).append(r)

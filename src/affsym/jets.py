@@ -198,10 +198,15 @@ def _reciprocal(space, u):
 def _power(space, u, exponent):
     e = float(exponent)
     if e.is_integer():
+        # left-to-right binary powering: one squaring per bit of |e|, not
+        # |e| products; 1 * u equals u, so |e| <= 3 gives the products of
+        # repeated multiplication
         base = u if e >= 0 else _reciprocal(space, u)
         out = _constant(space, 1.0)
-        for _ in range(int(abs(e))):
-            out = space.einsum(_PRODUCT, out, base)
+        for bit in bin(int(abs(e)))[2:]:
+            out = space.einsum(_PRODUCT, out, out)
+            if bit == "1":
+                out = space.einsum(_PRODUCT, out, base)
         return out
     u0 = u[0]
     if u0 <= 0.0:

@@ -11,8 +11,8 @@ geometric induced structure):
   computed as whole jet coefficient arrays so no finite differencing is
   needed.
 
-Single components of R^k.T use the recursion verbatim (memoized on
-basis-index tuples); values at vector arguments run the recursion on the
+Single components of R^k.T use the recursion verbatim (memoized per
+level on basis-index tuples); values at vector arguments run the recursion on the
 vectors themselves.  The whole of R^k.omega for a 2-form omega is held
 packed: it is antisymmetric in every slot pair (X_i, Y_i) and in its last
 two slots, so it has one axis over Lambda^2 per pair slot (pairs a < b in
@@ -56,16 +56,31 @@ class AlgebraicCurvature:
         self.model = m
         self.dim = m.dim
         self._images = {}
+        self._s_cols = self._h_rows = None
         self._full = None
 
     def basis_image(self, i, j, t):
-        """Nonzeros of R(e_i, e_j) e_t as ((index, coeff), ...)."""
+        """Nonzeros of R(e_i, e_j) e_t as ((index, coeff), ...).
+
+        Computed in plain Python from the columns of S and the rows of H,
+        converted to lists once per provider: the same products and
+        subtraction, h[j, t] * S[:, i] - h[i, t] * S[:, j], as the numpy
+        expression.  When h[j, t] and h[i, t] are both zero the image is
+        () at once; a sip H has one nonzero per row, so most images are.
+        """
         key = (i, j, t)
         out = self._images.get(key)
         if out is None:
-            s, h = self.model.S, self.model.H
-            vec = h[j, t] * s[:, i] - h[i, t] * s[:, j]
-            out = tuple((int(m), float(vec[m])) for m in np.nonzero(vec)[0])
+            if self._h_rows is None:
+                self._s_cols = self.model.S.T.tolist()
+                self._h_rows = self.model.H.tolist()
+            hj, hi = self._h_rows[j][t], self._h_rows[i][t]
+            if hj == 0.0 and hi == 0.0:
+                out = ()
+            else:
+                vec = [hj * a - hi * b
+                       for a, b in zip(self._s_cols[i], self._s_cols[j])]
+                out = tuple((m, v) for m, v in enumerate(vec) if v != 0.0)
             self._images[key] = out
         return out
 
@@ -112,8 +127,12 @@ def r_power_action(provider, tensor, k: int, args, memo: bool = True) -> float:
     """Evaluate (R^k . T)(args) by the defining recursion.
 
     ``tensor`` is a dense (0,p) component array; ``args`` are 2k+p basis
-    indices or vectors (vectors expand multilinearly).  ``memo=False`` runs
-    the identical recursion without caching (for cross-checks).
+    indices or vectors (vectors expand multilinearly).  Each node takes
+    the provider's basis images R(e_x, e_y) e_z of its slots and skips a
+    slot whose image is empty (subtracting its 0.0 term is a no-op).  Values are
+    memoized in one dict per level, keyed by the basis-index tuple;
+    ``memo=False`` runs the identical recursion without caching (for
+    cross-checks).
     """
     t = np.asarray(tensor, dtype=float)
     p = t.ndim
@@ -124,26 +143,28 @@ def r_power_action(provider, tensor, k: int, args, memo: bool = True) -> float:
     if len(args) != 2 * k + p:
         raise ArityError(f"expected {2 * k + p} arguments, got {len(args)}")
     dim = provider.dim
-    cache = {} if memo else None
+    image_of = provider.basis_image
+    memos = [{} for _ in range(k + 1)] if memo else None
 
     def eval_idx(k, idxs):
         if k == 0:
             return float(t[idxs])
-        if cache is not None:
-            got = cache.get((k, idxs))
+        if memos is not None:
+            got = memos[k].get(idxs)
             if got is not None:
                 return got
         x, y = idxs[0], idxs[1]
         rest = idxs[2:]
         total = 0.0
-        for slot in range(len(rest)):
-            image = provider.basis_image(x, y, rest[slot])
-            acc = 0.0
-            for m, coeff in image:
-                acc += coeff * eval_idx(k - 1, rest[:slot] + (m,) + rest[slot + 1:])
-            total -= acc
-        if cache is not None:
-            cache[(k, idxs)] = total
+        for slot, z in enumerate(rest):
+            image = image_of(x, y, z)
+            if image:
+                acc = 0.0
+                for m, coeff in image:
+                    acc += coeff * eval_idx(k - 1, rest[:slot] + (m,) + rest[slot + 1:])
+                total -= acc
+        if memos is not None:
+            memos[k][idxs] = total
         return total
 
     expansions = [_expand_arg(a, dim) for a in args]

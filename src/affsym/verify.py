@@ -93,21 +93,27 @@ def _setup(params):
     return m, AlgebraicCurvature(m), w
 
 
+def _pick(rng, seq):
+    """One uniform pick from ``seq``: the draw ``rng.choice(seq)`` makes,
+    without its array conversion, so the generator stream is unchanged."""
+    return seq[int(rng.integers(0, len(seq)))]
+
+
 def _extras(rng, count, zero_eigs=False):
     """Trailing 1x1 real blocks."""
     out = []
     for _ in range(count):
         lam = 0.0 if zero_eigs else float(rng.uniform(-2.0, 2.0))
-        out.append(RealBlock(1, lam, int(rng.choice((-1, 1)))))
+        out.append(RealBlock(1, lam, _pick(rng, (-1, 1))))
     return out
 
 
 def _sign(rng):
-    return int(rng.choice((-1, 1)))
+    return _pick(rng, (-1, 1))
 
 
 def _nonzero(rng, lo=0.3, hi=2.0):
-    return float(rng.uniform(lo, hi) * rng.choice((-1, 1)))
+    return rng.uniform(lo, hi) * _pick(rng, (-1, 1))
 
 
 def _omega_for(rng, dim, zero_pairs=()):
@@ -227,10 +233,10 @@ def _r_kgt3_basics(params):
 def _s_lemma34(rng, p_max):
     k = int(rng.integers(4, 7))
     p = int(rng.integers(1, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, k, float(rng.choice((0.0, _nonzero(rng)))),
+    blocks, dim = _real_lead(rng, k, _pick(rng, (0.0, _nonzero(rng))),
                              _sign(rng), int(rng.integers(1, 3)))
     formula = ["repeat", "e2", "eik"][int(rng.integers(0, 3))]
-    i = int(rng.choice([t for t in range(dim) if t not in (1, k - 1)]))
+    i = _pick(rng, [t for t in range(dim) if t not in (1, k - 1)])
     return {"blocks": _encode_blocks(blocks), "k": k, "p": p, "formula": formula,
             "i": i, "omega": _omega_for(rng, dim).tolist()}
 
@@ -319,7 +325,7 @@ def _r_lematd(params):
 
 def _s_blk3_12(rng, p_max):
     p = int(rng.integers(1, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, 3, float(rng.choice((0.0, _nonzero(rng)))),
+    blocks, dim = _real_lead(rng, 3, _pick(rng, (0.0, _nonzero(rng))),
                              _sign(rng), int(rng.integers(1, 4)))
     return {"blocks": _encode_blocks(blocks), "p": p,
             "omega": _omega_for(rng, dim).tolist()}
@@ -337,8 +343,10 @@ def _r_blk3_12(params):
 # blk3_12ij ------------------------------------------------------------
 
 def _s_blk3_12ij(rng, p_max):
+    if p_max < 2:
+        raise OracleError(f"blk3_12ij needs p_max >= 2, got {p_max}")
     p = int(rng.integers(2, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, 3, float(rng.choice((0.0, _nonzero(rng)))),
+    blocks, dim = _real_lead(rng, 3, _pick(rng, (0.0, _nonzero(rng))),
                              _sign(rng), int(rng.integers(3, 6)))
     i = int(rng.integers(3, dim))
     j = int(rng.integers(3, dim))
@@ -361,7 +369,7 @@ def _r_blk3_12ij(params):
 def _s_blk3_122i(rng, p_max):
     p = int(rng.integers(1, min(p_max, 4) + 1))
     blocks, dim = _real_lead(rng, 3, 0.0, _sign(rng), int(rng.integers(1, 4)))
-    i = int(rng.choice([t for t in range(dim) if t != 2]))
+    i = _pick(rng, [t for t in range(dim) if t != 2])
     return {"blocks": _encode_blocks(blocks), "p": p, "i": i,
             "omega": _omega_for(rng, dim).tolist()}
 
@@ -397,12 +405,12 @@ def _r_blk3_2312(params):
 
 def _s_two_blk2(rng, p_max):
     variant = ["zero", "odd"][int(rng.integers(0, 2))]
-    alpha = float(rng.choice((0.0, _nonzero(rng))))
-    beta = float(rng.choice((0.0, _nonzero(rng))))
+    alpha = _pick(rng, (0.0, _nonzero(rng)))
+    beta = _pick(rng, (0.0, _nonzero(rng)))
     blocks = [RealBlock(2, alpha, _sign(rng)), RealBlock(2, beta, _sign(rng))]
     blocks += _extras(rng, int(rng.integers(0, 3)) * 2)
     dim = sum(b.dim for b in blocks)
-    i = int(rng.choice([t for t in range(dim) if t not in (1, 3)]))
+    i = _pick(rng, [t for t in range(dim) if t not in (1, 3)])
     pp = int(rng.integers(0, 2))
     p = int(rng.integers(1, min(p_max, 4) + 1))
     return {"blocks": _encode_blocks(blocks), "variant": variant, "i": i,
@@ -539,7 +547,7 @@ def _s_cx_c1(rng, p_max):
     blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
     blocks += _extras(rng, 2)
     dim = sum(b.dim for b in blocks)
-    i = int(rng.choice([t for t in range(2 * k - 1) if t != 2]))
+    i = _pick(rng, [t for t in range(2 * k - 1) if t != 2])
     return {"blocks": _encode_blocks(blocks), "k": k,
             "p": int(rng.integers(1, min(p_max, 4) + 1)),
             "i": i, "s": int(rng.integers(0, 2 * k)),
@@ -614,7 +622,7 @@ def _s_cx_b2(rng, p_max):
     blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
     blocks += _extras(rng, 2 * int(rng.integers(0, 2)))
     dim = sum(b.dim for b in blocks)
-    i = int(rng.choice([t for t in range(2 * k - 1) if t != 1]))
+    i = _pick(rng, [t for t in range(2 * k - 1) if t != 1])
     return {"blocks": _encode_blocks(blocks), "k": k,
             "p": int(rng.integers(1, min(p_max, 4) + 1)), "i": i,
             "variant": ["q1", "q2"][int(rng.integers(0, 2))],
@@ -639,7 +647,7 @@ def _s_cx_b3(rng, p_max):
     blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
     blocks += _extras(rng, 2 * int(rng.integers(0, 2)))
     dim = sum(b.dim for b in blocks)
-    i = int(rng.choice([t for t in range(1, 2 * k) if t != 2 * k - 2]))
+    i = _pick(rng, [t for t in range(1, 2 * k) if t != 2 * k - 2])
     return {"blocks": _encode_blocks(blocks), "k": k,
             "p": int(rng.integers(1, min(p_max, 4) + 1)), "i": i,
             "variant": ["t1", "t2"][int(rng.integers(0, 2))],
@@ -805,8 +813,8 @@ def _s_diag_pair(rng, p_max):
     dim = 2 * int(rng.integers(2, 5))
     blocks = [RealBlock(1, float(rng.uniform(-2, 2)), _sign(rng)) for _ in range(dim)]
     kk = int(rng.integers(0, dim))
-    jj = int(rng.choice([t for t in range(dim) if t != kk]))
-    i = int(rng.choice([t for t in range(dim) if t not in (kk, jj)]))
+    jj = _pick(rng, [t for t in range(dim) if t != kk])
+    i = _pick(rng, [t for t in range(dim) if t not in (kk, jj)])
     return {"blocks": _encode_blocks(blocks), "l": int(rng.integers(1, 3)),
             "kk": kk, "jj": jj, "i": i,
             "omega": _omega_for(rng, dim).tolist()}
@@ -833,7 +841,7 @@ def _s_x_z1z2_y(rng, p_max):
     z1, z2 = rng.choice(rest, size=2, replace=False)
     lams[int(z1)] = 0.0
     lams[int(z2)] = 0.0
-    y = int(rng.choice([t for t in range(dim) if t != int(z2)]))
+    y = _pick(rng, [t for t in range(dim) if t != int(z2)])
     blocks = [RealBlock(1, lams[t], _sign(rng)) for t in range(dim)]
     return {"blocks": _encode_blocks(blocks), "l": int(rng.integers(1, 3)),
             "x": x, "z1": int(z1), "z2": int(z2), "y": y,

@@ -233,8 +233,10 @@ def test_oracles_zero_trials_is_usage_error(capsys):
 
 
 def test_oracles_zero_p_max_is_usage_error(capsys):
-    rc, err = _usage_error(["oracles", "--p-max", "0"], capsys)
-    assert rc == 2 and len(err) == 1 and "--p-max" in err[0]
+    # 10 is beyond the algebraic power cap 8; blk3_12ij draws powers >= 2
+    for p_max, needle in (("0", "--p-max"), ("10", "--p-max"), ("1", "blk3_12ij")):
+        rc, err = _usage_error(["oracles", "--p-max", p_max], capsys)
+        assert rc == 2 and len(err) == 1 and needle in err[0], p_max
 
 
 def test_decompose_applies_tol(tmp_path, capsys):
@@ -306,13 +308,14 @@ def test_exp_overflow_at_sample_point_is_usage_error(field, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field", ["immersion", "omega", "constraint", "ln_underflow",
-                                   "omega_ln_underflow"])
+                                   "omega_ln_underflow", "huge_exponent"])
 def test_integer_power_overflow_at_sample_point_is_usage_error(field, tmp_path, capsys):
-    # 800^400 overflows a double through repeated jet products; at
-    # u1 = 1e-200, u1^2 underflows to 0 and the second coefficient of
-    # ln(u1), -1/(2 u1^2), overflows (in omega's nabla chain, not its value)
+    # 800^400 overflows a double through jet products; at u1 = 1e-200, u1^2
+    # underflows to 0 and the second coefficient of ln(u1), -1/(2 u1^2),
+    # overflows (in omega's nabla chain, not its value); an exponent of
+    # 10^9 must cost its bit length in products, not 10^9 of them
     u1, entry = (1e-200, "ln(u1)") if field.endswith("ln_underflow") \
-        else (800.0, "u1^400")
+        else (800.0, "u1^1000000000" if field == "huge_exponent" else "u1^400")
     data = _shipped("paraboloid", sample_points=[[u1, 0.0, 0.0, 0.0]])
     if field.startswith("omega"):
         data["omega"][0][1], data["omega"][1][0] = entry, f"-{entry}"

@@ -450,6 +450,81 @@ def _dense_r_power(provider, tensor, k):
     return t
 
 
+def _reference_r_power_action(provider, tensor, k, args, memo=True):
+    """Reference: the basis-index recursion with one cache keyed by (k,
+    idxs), every slot visited, and images taken from numpy arrays."""
+    t = np.asarray(tensor, dtype=float)
+    images, cache = {}, {} if memo else None
+
+    def image(i, j, z):
+        if (i, j, z) not in images:
+            if isinstance(provider, AlgebraicCurvature):
+                s, h = provider.model.S, provider.model.H
+                vec = h[j, z] * s[:, i] - h[i, z] * s[:, j]
+            else:
+                vec = provider.R[:, z, i, j]
+            images[i, j, z] = tuple((int(m), float(vec[m])) for m in np.nonzero(vec)[0])
+        return images[i, j, z]
+
+    def eval_idx(k, idxs):
+        if k == 0:
+            return float(t[idxs])
+        if cache is not None and (k, idxs) in cache:
+            return cache[k, idxs]
+        x, y, rest = idxs[0], idxs[1], idxs[2:]
+        total = 0.0
+        for slot in range(len(rest)):
+            acc = 0.0
+            for m, coeff in image(x, y, rest[slot]):
+                acc += coeff * eval_idx(k - 1, rest[:slot] + (m,) + rest[slot + 1:])
+            total -= acc
+        if cache is not None:
+            cache[k, idxs] = total
+        return total
+
+    def eval_args(pos, idxs):
+        if pos == len(args):
+            return eval_idx(k, idxs)
+        arg = args[pos]
+        if isinstance(arg, int):
+            terms = ((arg, 1.0),)
+        else:
+            terms = tuple((int(m), float(arg[m])) for m in np.nonzero(arg)[0])
+        out = 0.0
+        for m, coeff in terms:
+            out += coeff * eval_args(pos + 1, idxs + (m,))
+        return out
+
+    return eval_args(0, ())
+
+
+def _assert_recursion_matches_reference(prov, w, k, vectors, seed):
+    rng = np.random.default_rng(seed)
+    args = [int(v) for v in rng.integers(0, prov.dim, size=2 * k + 2)]
+    for slot in rng.choice(len(args), size=vectors, replace=False):
+        args[slot] = rng.standard_normal(prov.dim)
+    for memo in (True, False):
+        assert r_power_action(prov, w, k, args, memo=memo) == \
+            _reference_r_power_action(prov, w, k, args, memo=memo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_models(dims=(4, 6, 8)), hst.integers(0, 3), hst.integers(0, 2),
+       hst.integers(0, 2 ** 32 - 1))
+def test_recursion_matches_numpy_reference_bit_for_bit(model, k, vectors, seed):
+    prov = AlgebraicCurvature(model)
+    _assert_recursion_matches_reference(prov, _random_two_form(model.dim, seed), k,
+                                        vectors, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(0, 3), hst.integers(0, 2),
+       hst.integers(0, 2 ** 32 - 1))
+def test_geometric_recursion_matches_numpy_reference_bit_for_bit(name, k, vectors, seed):
+    prov, w = _scenario_curvature(name)
+    _assert_recursion_matches_reference(prov, w, k, vectors, seed)
+
+
 def _random_two_form(dim, seed):
     w = np.triu(np.random.default_rng(seed).uniform(-1, 1, (dim, dim)), 1)
     return w - w.T
