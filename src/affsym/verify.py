@@ -3,9 +3,15 @@
 Each catalog family pins one closed-form identity for the iterated
 curvature action on a block-built Gauss model: the brute value comes from
 the defining recursion (tensor_ops.r_power_action), the closed value from
-the formula, and the absolute error is the reported quantity.  Families
-whose hypotheses constrain the 2-form are met constructively by drawing
-the form with the required zero entries.
+the formula, and the absolute error is the reported quantity.
+
+A family is declared once, beside its closed form: its fields, in draw
+order, state the lead block(s) (``Lead``), the trailing blocks (``Trail``),
+each parameter with its allowed values (``Choice``: the power parameter,
+the variants, and each slot as a set in terms of (k, dim)) and the 2-form
+with its zero pairs (``Omega``); its ``power`` is the R^p a draw exercises.
+sample_spec draws the fields in order, run_oracle checks each of them,
+and power_of reads the power.
 
 Index convention: everything here is 0-based; a block of size k occupies
 indices 0..k-1, so the "end vector" of the lead block is index k-1.
@@ -19,6 +25,7 @@ rank(S) <= 1 with an admissible canonical shape.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +33,7 @@ import numpy as np
 
 from . import canonical, geometry
 from .model import (ComplexBlock, GaussModel, ModelError, RealBlock, assemble,
-                    random_omega, tridiagonal_omega)
+                    model_curvature, random_omega, tridiagonal_omega)
 from .tensor_ops import (AlgebraicCurvature, CovariantField, GeometricCurvature,
                          nabla_powers, pack_two_form, r_power_action,
                          r_power_levels, r_power_probe)
@@ -64,33 +71,20 @@ class OracleResult:
         return self.abs_err / max(1.0, abs(self.closed))
 
 
-# -- model/omega helpers ------------------------------------------------
+def _require(cond, hypothesis):
+    """OracleError naming the hypothesis, text or a function that words it
+    (so that a check that holds formats nothing), unless ``cond`` holds."""
+    if not cond:
+        raise OracleError("hypothesis violated: "
+                          + (hypothesis() if callable(hypothesis) else hypothesis))
 
 
-def _blocks_from_params(params):
-    blocks = []
-    for entry in params["blocks"]:
-        if entry[0] == "real":
-            blocks.append(RealBlock(int(entry[1]), float(entry[2]), int(entry[3])))
-        else:
-            blocks.append(ComplexBlock(int(entry[1]), float(entry[2]), float(entry[3])))
-    return blocks
-
-
-def _encode_blocks(blocks):
-    out = []
-    for b in blocks:
-        if isinstance(b, RealBlock):
-            out.append(["real", b.size, b.eigenvalue, b.sign])
-        else:
-            out.append(["complex", b.half_size, b.alpha, b.beta])
-    return out
-
-
-def _setup(params):
-    m = assemble(_blocks_from_params(params))
-    w = np.asarray(params["omega"], dtype=float)
-    return m, AlgebraicCurvature(m), w
+def _plain(v):
+    """An int that is no bool, a str, or a list of them: a slot 1 is not
+    1.0 or True."""
+    if isinstance(v, list):
+        return all(map(_plain, v))
+    return isinstance(v, str) or isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _pick(rng, seq):
@@ -99,696 +93,566 @@ def _pick(rng, seq):
     return seq[int(rng.integers(0, len(seq)))]
 
 
-def _extras(rng, count, zero_eigs=False):
-    """Trailing 1x1 real blocks."""
-    out = []
-    for _ in range(count):
-        lam = 0.0 if zero_eigs else float(rng.uniform(-2.0, 2.0))
-        out.append(RealBlock(1, lam, _pick(rng, (-1, 1))))
-    return out
-
-
 def _sign(rng):
     return _pick(rng, (-1, 1))
 
 
-def _nonzero(rng, lo=0.3, hi=2.0):
-    return rng.uniform(lo, hi) * _pick(rng, (-1, 1))
+def _nonzero(rng):
+    return rng.uniform(0.3, 2.0) * _pick(rng, (-1, 1))
 
 
-def _omega_for(rng, dim, zero_pairs=()):
-    return random_omega(dim, rng, zero_pairs=zero_pairs)
+def _extra(rng):
+    """One trailing 1x1 real block."""
+    return RealBlock(1, float(rng.uniform(-2.0, 2.0)), _sign(rng))
 
 
 def _pairs(pair, count):
     return tuple(pair) * count
 
 
-# -- catalog ------------------------------------------------------------
+def _without(seq, *drop):
+    return [t for t in seq if t not in drop]
+
+
+def _size(block):
+    return block.size if isinstance(block, RealBlock) else block.half_size
+
+
+def _decode(entry):
+    kind, size, a, b = entry
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"block entry {entry!r} is not finite")
+    if kind == "real":
+        return RealBlock(int(size), float(a), int(b))
+    if kind == "complex":
+        return ComplexBlock(int(size), float(a), float(b))
+    raise ValueError(f"unknown block kind {kind!r}")
+
+
+# -- family fields: each draws itself into a _Draw and checks itself ----
+
+NONZERO, ANY, ZERO = "nonzero", "zero or nonzero", "zero"
+
+_EIG = {
+    NONZERO: _nonzero,
+    ANY: lambda rng: _pick(rng, (0.0, _nonzero(rng))),
+    ZERO: lambda rng: 0.0,
+}
+
+
+class _Draw:
+    """One draw's params ``q``, blocks and lead size ``k``: being drawn from
+    ``rng`` under ``p_max``, or being checked with its 2-form ``w``."""
+
+    def __init__(self, fam, q, blocks, k, dim=0, rng=None, p_max=None, w=None):
+        self.fam, self.q, self.blocks, self.k, self.dim = fam, q, blocks, k, dim
+        self.rng, self.p_max, self.w, self.eigs = rng, p_max, w, []
+
+    def add(self, blocks):
+        self.blocks += blocks
+        self.dim += sum([b.dim for b in blocks])
 
 
 @dataclass(frozen=True)
+class Lead:
+    """``count`` real lead blocks of ``size``, or one complex block of
+    half-size ``size``; a (lo, hi) size is drawn first of all, as params
+    ``k``, and the identity holds for every size >= lo.  The real
+    eigenvalues are drawn ``eig`` (ZERO: nilpotent), then the signs, the
+    first sign before them with ``sign_first``."""
+    kind: str
+    size: int | tuple
+    eig: str = NONZERO
+    count: int = 1
+    sign_first: bool = False
+
+    def draw(self, d):
+        if self.kind == "complex":
+            d.add([ComplexBlock(d.k, _nonzero(d.rng), _nonzero(d.rng))])
+            return
+        signs = [_sign(d.rng)] if self.sign_first else []
+        eigs = [_EIG[self.eig](d.rng) for _ in range(self.count)]
+        signs += [_sign(d.rng) for _ in range(self.count - len(signs))]
+        d.add([RealBlock(d.k, a, s) for a, s in zip(eigs, signs)])
+
+    def check(self, d):
+        ranged = isinstance(self.size, tuple)
+        lo = self.size[0] if ranged else self.size
+        kind = RealBlock if self.kind == "real" else ComplexBlock
+        lead = d.blocks[:self.count]
+        _require(all(isinstance(b, kind) and (_size(b) >= lo if ranged else _size(b) == lo)
+                     for b in lead),
+                 lambda: f"lead block must be {self.kind} of size {'>= ' if ranged else ''}{lo}")
+        _require(self.eig != ZERO or all(b.eigenvalue == 0.0 for b in lead),
+                 "lead block must be nilpotent")
+        _require(not ranged or _plain(d.q["k"]) and d.q["k"] == d.k,
+                 "k must be the lead block size")
+
+
+@dataclass(frozen=True)
+class Trail:
+    """Trailing 1x1 real blocks: step * n of them for n drawn from lo..hi,
+    the first ``pre`` drawn before n, and one more if the dimension would
+    be odd.  ``split`` draws their eigenvalues here, counted in the
+    dimension at once, and their signs at the Signs field."""
+    lo: int
+    hi: int
+    step: int = 1
+    pre: int = 0
+    split: bool = False
+
+    def draw(self, d):
+        d.add([_extra(d.rng) for _ in range(self.pre)])
+        count = self.step * _pick(d.rng, range(self.lo, self.hi + 1)) - self.pre
+        count += (d.dim + count) % 2
+        if self.split:
+            d.eigs = [float(d.rng.uniform(-2.0, 2.0)) for _ in range(count)]
+            d.dim += count
+        else:
+            d.add([_extra(d.rng) for _ in range(count)])
+
+    def check(self, d):
+        tail = d.blocks[d.fam.lead.count if d.fam.lead else 0:]
+        _require(all(isinstance(b, RealBlock) and b.size == 1 for b in tail),
+                 "trailing blocks must be real of size 1")
+
+
+@dataclass(frozen=True)
+class Signs:
+    """The signs of a split Trail's blocks."""
+
+    def draw(self, d):
+        d.blocks += [RealBlock(1, lam, _sign(d.rng)) for lam in d.eigs]
+        d.eigs = []
+
+    def check(self, d):
+        pass
+
+
+@dataclass(frozen=True)
+class Choice:
+    """Parameter drawn uniformly from ``values``: fixed options (a power
+    parameter or a variant), or a slot's ``values(k, dim, params so far)``.
+    Fixed options are kept to those that can still exercise a power <=
+    p_max.  ``rule`` words the hypothesis where the set alone does not."""
+    name: str
+    values: object
+    rule: str = ""
+
+    def draw(self, d):
+        if callable(self.values):
+            values = self.values(d.k, d.dim, d.q)
+        elif d.p_max >= d.fam.most:
+            values = self.values
+        else:
+            values = [v for v in self.values
+                      if d.fam.least_power({**d.q, self.name: v}) <= d.p_max]
+        d.q[self.name] = _pick(d.rng, values)
+
+    def check(self, d):
+        values = self.values(d.k, d.dim, d.q) if callable(self.values) else self.values
+        _require(_plain(d.q[self.name]) and d.q[self.name] in values,
+                 lambda: f"{self.name} must be {self.rule or f'one of {list(values)}'}")
+
+
+@dataclass(frozen=True)
+class Nulls:
+    """Two distinct slots of a split Trail with no lead, drawn at once
+    from ``values(k, dim, params so far)``; their blocks have eigenvalue 0."""
+    names: tuple
+    values: object
+
+    def draw(self, d):
+        pair = d.rng.choice(self.values(d.k, d.dim, d.q), size=2, replace=False)
+        for name, t in zip(self.names, pair):
+            d.q[name] = int(t)
+            d.eigs[int(t)] = 0.0
+
+    def check(self, d):
+        values = self.values(d.k, d.dim, d.q)
+        z = [d.q[name] for name in self.names]
+        _require(all(_plain(t) and t in values for t in z) and z[0] != z[1]
+                 and all(d.blocks[t].eigenvalue == 0.0 for t in z),
+                 lambda: f"{' and '.join(self.names)} must be distinct null directions "
+                         f"in {values}")
+
+
+@dataclass(frozen=True)
+class Vectors:
+    """One vector of k coefficients per power step."""
+    name: str
+
+    def draw(self, d):
+        d.q[self.name] = [[float(v) for v in d.rng.uniform(-1, 1, size=d.k)]
+                          for _ in range(d.fam.power(d.q))]
+
+    def check(self, d):
+        xs = d.q[self.name]
+        _require(isinstance(xs, list) and len(xs) == d.fam.power(d.q) and all(
+            isinstance(x, list) and len(x) == d.k
+            and all(isinstance(c, (int, float)) and math.isfinite(c) for c in x)
+            for x in xs), lambda: f"{self.name} must hold k finite numbers per power step")
+
+
+@dataclass(frozen=True)
+class Omega:
+    """The 2-form, zero on ``pairs(k, params so far)``."""
+    pairs: object = lambda k, q: ()
+
+    def draw(self, d):
+        d.q["omega"] = random_omega(d.dim, d.rng, self.pairs(d.k, d.q)).tolist()
+
+    def check(self, d):
+        _require(d.w.shape == (d.dim, d.dim) and np.max(np.abs(d.w + d.w.T)) < 1e-12,
+                 "omega must be antisymmetric of the model dimension")
+        pairs = self.pairs(d.k, d.q)
+        _require(all(d.w[i, j] == 0.0 for i, j in pairs),
+                 lambda: f"omega must vanish on the pairs {pairs}")
+
+
+# -- catalog ------------------------------------------------------------
+
+
+@dataclass
 class OracleFamily:
     id: str
     description: str
-    sample: callable = field(repr=False, default=None)
-    run: callable = field(repr=False, default=None)
+    fields: tuple = field(repr=False)
+    closed: object = field(repr=False)
+    power: object = field(repr=False)
+
+    def __post_init__(self):
+        self.lead = next((f for f in self.fields if isinstance(f, Lead)), None)
+        self.least, self.most = self.least_power({}), max(self._powers({}))
+
+    def _powers(self, q):
+        """The powers of the completions of the partial params ``q``."""
+        free = [f for f in self.fields if isinstance(f, Choice)
+                and not callable(f.values) and f.name not in q]
+        for values in itertools.product(*(f.values for f in free)):
+            yield self.power({**q, **{f.name: v for f, v in zip(free, values)}})
+
+    def least_power(self, q):
+        return min(self._powers(q))
 
 
-def _real_lead(rng, k, alpha, eps, extras_even, zero_extras=False):
-    """Lead real block plus trailing 1x1s; returns blocks and dim."""
-    count = extras_even if (k + extras_even) % 2 == 0 else extras_even + 1
-    blocks = [RealBlock(k, alpha, eps)] + _extras(rng, count, zero_extras)
-    dim = k + count
-    if dim < 4:
-        blocks += _extras(rng, 2, zero_extras)
-        dim += 2
-    return blocks, dim
+CATALOG = {}
 
 
-# with_pi_x ------------------------------------------------------------
-
-def _s_with_pi_x(rng, p_max):
-    k = int(rng.integers(2, 6))
-    p = int(rng.integers(1, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, k, _nonzero(rng), _sign(rng), int(rng.integers(1, 4)))
-    xs = [[float(v) for v in rng.uniform(-1, 1, size=k)] for _ in range(p)]
-    i = int(rng.integers(1, dim))
-    return {"blocks": _encode_blocks(blocks), "k": k, "p": p, "xs": xs, "i": i,
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_with_pi_x(params):
-    m, prov, w = _setup(params)
-    k, p, i = params["k"], params["p"], params["i"]
-    args = []
-    for coeffs in params["xs"]:
-        vec = np.zeros(m.dim)
-        vec[:k] = coeffs
-        args.extend([vec, k - 1])
-    args.extend([i, k - 1])
-    brute = r_power_action(prov, w, p, args)
-    alpha = params["blocks"][0][2]
-    eps = params["blocks"][0][3]
-    proj = math.prod(c[0] for c in params["xs"])
-    closed = proj * eps ** p * alpha ** p * w[i, k - 1]
-    return brute, closed
+def _family(oracle_id, description, *fields, power=lambda q: q["p"]):
+    """Declare a family: its fields in draw order, its power and, below, its
+    closed form.  That takes the params, the model ``m``, the form ``w``, the
+    lead block's ``alpha`` with ``eps`` (real) or ``beta`` (complex), the
+    ``power`` and ``act(args, k=power)`` = R^k omega(args), and returns the
+    brute and the closed value."""
+    def register(closed):
+        CATALOG[oracle_id] = OracleFamily(oracle_id, description, fields, closed, power)
+        return closed
+    return register
 
 
-# rp_ei_ek -------------------------------------------------------------
-
-def _s_rp_ei_ek(rng, p_max):
-    k = int(rng.integers(2, 6))
-    p = int(rng.integers(1, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, k, _nonzero(rng), _sign(rng), int(rng.integers(1, 4)))
-    return {"blocks": _encode_blocks(blocks), "k": k, "p": p,
-            "i": int(rng.integers(1, dim)),
-            "omega": _omega_for(rng, dim).tolist()}
+P = Choice("p", range(1, 5))
+OMEGA = Omega()
 
 
-def _r_rp_ei_ek(params):
-    m, prov, w = _setup(params)
-    k, p, i = params["k"], params["p"], params["i"]
-    args = _pairs((0, k - 1), p) + (i, k - 1)
-    brute = r_power_action(prov, w, p, args)
-    alpha, eps = params["blocks"][0][2], params["blocks"][0][3]
-    return brute, eps ** p * alpha ** p * w[i, k - 1]
+def _cx_hyp_pairs(k, full):
+    """omega zero-pairs for the strong side condition on a 2k-block."""
+    return [(j, t) for j in (range(2, 2 * k) if full else (2,)) for t in (2 * k - 2, 2 * k - 1)]
 
 
-# kgt3_basics ----------------------------------------------------------
+@_family("with_pi_x", "single real block: projection-weighted power formula "
+         "against the block end vector",
+         P, Lead("real", (2, 5)), Trail(1, 3), Vectors("xs"),
+         Choice("i", lambda k, dim, q: range(1, dim)), OMEGA)
+def _with_pi_x(act, m, w, k, p, xs, i, alpha, eps, **_):
+    vecs = np.zeros((p, m.dim))
+    vecs[:, :k] = xs
+    args = [t for vec in vecs for t in (vec, k - 1)]
+    proj = math.prod(c[0] for c in xs)
+    return act(args + [i, k - 1]), proj * eps ** p * alpha ** p * w[i, k - 1]
 
-def _s_kgt3_basics(rng, p_max):
-    k = int(rng.integers(4, 7))
-    blocks, dim = _real_lead(rng, k, _nonzero(rng), _sign(rng), int(rng.integers(1, 3)))
-    formula = int(rng.integers(1, 7))
-    variant = int(rng.integers(0, 2))
-    return {"blocks": _encode_blocks(blocks), "k": k, "formula": formula,
-            "variant": variant, "component": int(rng.integers(0, dim)),
-            "omega": _omega_for(rng, dim).tolist()}
+
+@_family("rp_ei_ek", "single real block: (eps*alpha)^p scaling of omega against "
+         "the block end vector",
+         P, Lead("real", (2, 5)), Trail(1, 3),
+         Choice("i", lambda k, dim, q: range(1, dim)), OMEGA)
+def _rp_ei_ek(act, w, k, p, i, alpha, eps, **_):
+    return act(_pairs((0, k - 1), p) + (i, k - 1)), eps ** p * alpha ** p * w[i, k - 1]
 
 
-def _r_kgt3_basics(params):
-    from .model import model_curvature
-    m, _, _ = _setup(params)
-    k = params["k"]
-    alpha, eps = params["blocks"][0][2], params["blocks"][0][3]
+@_family("kgt3_basics", "real block of size > 3: the six basic curvature images",
+         Lead("real", (4, 6)), Trail(1, 2), Choice("formula", (1, 2, 3, 4, 5, 6)),
+         Choice("variant", (0, 1)), Choice("component", lambda k, dim, q: range(dim)),
+         OMEGA, power=lambda q: 1)
+def _kgt3_basics(m, k, formula, variant, component, alpha, eps, **_):
     e = m.basis
-    f, var = params["formula"], params["variant"]
     zero = np.zeros(m.dim)
     table = {
-        1: ((e(0), e(k - 2), e(0) if var == 0 else e(k - 2)), zero),
+        1: ((e(0), e(k - 2), e(0) if variant == 0 else e(k - 2)), zero),
         2: ((e(0), e(k - 2), e(1)), eps * alpha * e(0) + eps * e(1)),
         3: ((e(0), e(k - 2), e(k - 1)), -eps * alpha * e(k - 2) - eps * e(k - 1)),
         4: ((e(k - 2), e(k - 1), e(0)), eps * alpha * e(k - 2) + eps * e(k - 1)),
         5: ((e(k - 2), e(k - 1), e(1)), -eps * alpha * e(k - 1)),
-        6: ((e(k - 2), e(k - 1), e(k - 2) if var == 0 else e(k - 1)), zero),
+        6: ((e(k - 2), e(k - 1), e(k - 2) if variant == 0 else e(k - 1)), zero),
     }
-    (x, y, z), expected = table[f]
-    c = params["component"]
-    return float(model_curvature(m, x, y, z)[c]), float(expected[c])
+    (x, y, z), expected = table[formula]
+    return float(model_curvature(m, x, y, z)[component]), float(expected[component])
 
 
-# lemma34 --------------------------------------------------------------
-
-def _s_lemma34(rng, p_max):
-    k = int(rng.integers(4, 7))
-    p = int(rng.integers(1, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, k, _pick(rng, (0.0, _nonzero(rng))),
-                             _sign(rng), int(rng.integers(1, 3)))
-    formula = ["repeat", "e2", "eik"][int(rng.integers(0, 3))]
-    i = _pick(rng, [t for t in range(dim) if t not in (1, k - 1)])
-    return {"blocks": _encode_blocks(blocks), "k": k, "p": p, "formula": formula,
-            "i": i, "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_lemma34(params):
-    m, prov, w = _setup(params)
-    k, p = params["k"], params["p"]
-    alpha, eps = params["blocks"][0][2], params["blocks"][0][3]
-    lead = (0, k - 2)
-    if params["formula"] == "repeat":
-        args = _pairs(lead, p + 1)
-        return r_power_action(prov, w, p, args), 0.0
-    if params["formula"] == "e2":
-        args = _pairs(lead, p) + (1, k - 2)
+@_family("lemma34", "real block of size > 3: repeated-pair vanishing and "
+         "first-order closed forms",
+         P, Lead("real", (4, 6), ANY), Trail(1, 2),
+         Choice("formula", ("repeat", "e2", "eik")),
+         Choice("i", lambda k, dim, q: _without(range(dim), 1, k - 1)), OMEGA)
+def _lemma34(act, w, k, p, formula, i, alpha, eps, **_):
+    lead = _pairs((0, k - 2), p)
+    if formula == "repeat":
+        return act(lead + (0, k - 2)), 0.0
+    if formula == "e2":
         closed = (-1.0) ** p * eps ** p * (alpha * w[0, k - 2] + w[1, k - 2])
-        return r_power_action(prov, w, p, args), closed
-    i = params["i"]
-    args = _pairs(lead, p) + (i, k - 1)
-    closed = eps ** p * (alpha * w[i, k - 2] + w[i, k - 1])
-    return r_power_action(prov, w, p, args), closed
+        return act(lead + (1, k - 2)), closed
+    return act(lead + (i, k - 1)), eps ** p * (alpha * w[i, k - 2] + w[i, k - 1])
 
 
-# even_odd -------------------------------------------------------------
-
-def _s_even_odd(rng, p_max):
-    k = int(rng.integers(4, 7))
-    pp = int(rng.integers(0, 2))
-    blocks, dim = _real_lead(rng, k, _nonzero(rng), _sign(rng), int(rng.integers(1, 3)))
-    return {"blocks": _encode_blocks(blocks), "k": k, "pp": pp,
-            "parity": ["odd", "even"][int(rng.integers(0, 2))],
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_even_odd(params):
-    m, prov, w = _setup(params)
-    k, pp = params["k"], params["pp"]
-    alpha, eps = params["blocks"][0][2], params["blocks"][0][3]
-    lead = (0, k - 2)
-    if params["parity"] == "odd":
-        power = 2 * pp + 1
-        closed = -eps * alpha * (w[0, k - 1] - w[1, k - 2])
-    else:
-        power = 2 * pp + 2
-        closed = -alpha * (2 * alpha * w[0, k - 2] + w[1, k - 2] + w[0, k - 1])
-    args = _pairs(lead, power) + (1, k - 1)
-    return r_power_action(prov, w, power, args), closed
+@_family("even_odd", "real block of size > 3: odd/even power closed forms on the "
+         "(e1, e_{k-1}) pair",
+         Choice("pp", (0, 1)), Lead("real", (4, 6)), Trail(1, 2),
+         Choice("parity", ("odd", "even")), OMEGA,
+         power=lambda q: 2 * q["pp"] + (1 if q["parity"] == "odd" else 2))
+def _even_odd(act, w, power, k, parity, alpha, eps, **_):
+    args = _pairs((0, k - 2), power) + (1, k - 1)
+    if parity == "odd":
+        return act(args), -eps * alpha * (w[0, k - 1] - w[1, k - 2])
+    return act(args), -alpha * (2 * alpha * w[0, k - 2] + w[1, k - 2] + w[0, k - 1])
 
 
-# lemma36 --------------------------------------------------------------
-
-def _s_lemma36(rng, p_max):
-    k = int(rng.integers(4, 7))
-    p = int(rng.integers(1, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, k, _nonzero(rng), _sign(rng), int(rng.integers(1, 3)))
-    return {"blocks": _encode_blocks(blocks), "k": k, "p": p,
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_lemma36(params):
-    m, prov, w = _setup(params)
-    k, p = params["k"], params["p"]
-    alpha, eps = params["blocks"][0][2], params["blocks"][0][3]
-    args = (k - 2, k - 1) + _pairs((0, k - 2), p - 1) + (0, 1)
+@_family("lemma36", "real block of size > 3: closed form with the top pair leading",
+         P, Lead("real", (4, 6)), Trail(1, 2), OMEGA)
+def _lemma36(act, w, k, p, alpha, eps, **_):
     closed = eps ** p * alpha * (w[0, k - 1] + w[1, k - 2]) + eps ** p * w[1, k - 1]
-    return r_power_action(prov, w, p, args), closed
+    return act((k - 2, k - 1) + _pairs((0, k - 2), p - 1) + (0, 1)), closed
 
 
-# lematD ---------------------------------------------------------------
-
-def _s_lematd(rng, p_max):
-    k = int(rng.integers(4, 7))
-    p = int(rng.integers(1, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, k, _nonzero(rng), _sign(rng), int(rng.integers(1, 3)))
-    return {"blocks": _encode_blocks(blocks), "k": k, "p": p,
-            "omega": _omega_for(rng, dim).tolist()}
+@_family("lematD", "real block of size > 3: vanishing against (e1, e3)",
+         P, Lead("real", (4, 6)), Trail(1, 2), OMEGA)
+def _lematd(act, k, p, **_):
+    return act(_pairs((0, k - 2), p) + (0, 2)), 0.0
 
 
-def _r_lematd(params):
-    m, prov, w = _setup(params)
-    k, p = params["k"], params["p"]
-    args = _pairs((0, k - 2), p) + (0, 2)
-    return r_power_action(prov, w, p, args), 0.0
-
-
-# blk3_12 --------------------------------------------------------------
-
-def _s_blk3_12(rng, p_max):
-    p = int(rng.integers(1, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, 3, _pick(rng, (0.0, _nonzero(rng))),
-                             _sign(rng), int(rng.integers(1, 4)))
-    return {"blocks": _encode_blocks(blocks), "p": p,
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_blk3_12(params):
-    m, prov, w = _setup(params)
-    p = params["p"]
-    eps = params["blocks"][0][3]
-    args = _pairs((0, 1), p + 1)
+@_family("blk3_12", "3-dimensional real block: factorial power formula on (e1, e2)",
+         P, Lead("real", 3, ANY), Trail(1, 3), OMEGA)
+def _blk3_12(act, w, p, eps, **_):
     closed = (-1.0) ** p * eps ** p * math.factorial(p) * w[0, 1]
-    return r_power_action(prov, w, p, args), closed
+    return act(_pairs((0, 1), p + 1)), closed
 
 
-# blk3_12ij ------------------------------------------------------------
-
-def _s_blk3_12ij(rng, p_max):
-    if p_max < 2:
-        raise OracleError(f"blk3_12ij needs p_max >= 2, got {p_max}")
-    p = int(rng.integers(2, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, 3, _pick(rng, (0.0, _nonzero(rng))),
-                             _sign(rng), int(rng.integers(3, 6)))
-    i = int(rng.integers(3, dim))
-    j = int(rng.integers(3, dim))
-    return {"blocks": _encode_blocks(blocks), "p": p, "i": i, "j": j,
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_blk3_12ij(params):
-    m, prov, w = _setup(params)
-    p, i, j = params["p"], params["i"], params["j"]
-    alpha, eps = params["blocks"][0][2], params["blocks"][0][3]
-    args = _pairs((0, 1), p - 1) + (1, i, 0, j)
+@_family("blk3_12ij", "3-dimensional real block paired against outside directions",
+         Choice("p", range(2, 5)), Lead("real", 3, ANY), Trail(3, 5),
+         Choice("i", lambda k, dim, q: range(3, dim)),
+         Choice("j", lambda k, dim, q: range(3, dim)), OMEGA)
+def _blk3_12ij(act, m, w, p, i, j, alpha, eps, **_):
     closed = ((-1.0) ** p * eps ** (p - 1) * math.factorial(p - 1)
               * m.H[i, j] * (2 * alpha * w[0, 1] + w[0, 2]))
-    return r_power_action(prov, w, p, args), closed
+    return act(_pairs((0, 1), p - 1) + (1, i, 0, j)), closed
 
 
-# blk3_122i ------------------------------------------------------------
-
-def _s_blk3_122i(rng, p_max):
-    p = int(rng.integers(1, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, 3, 0.0, _sign(rng), int(rng.integers(1, 4)))
-    i = _pick(rng, [t for t in range(dim) if t != 2])
-    return {"blocks": _encode_blocks(blocks), "p": p, "i": i,
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_blk3_122i(params):
-    m, prov, w = _setup(params)
-    p, i = params["p"], params["i"]
-    eps = params["blocks"][0][3]
-    args = _pairs((0, 1), p) + (1, i)
+@_family("blk3_122i", "nilpotent 3-dimensional block: factorial formula with a free "
+         "trailing slot",
+         P, Lead("real", 3, ZERO), Trail(1, 3),
+         Choice("i", lambda k, dim, q: _without(range(dim), 2)), OMEGA)
+def _blk3_122i(act, w, p, i, eps, **_):
     closed = (-1.0) ** p * eps ** p * math.factorial(p) * w[1, i]
-    return r_power_action(prov, w, p, args), closed
+    return act(_pairs((0, 1), p) + (1, i)), closed
 
 
-# blk3_2312 ------------------------------------------------------------
-
-def _s_blk3_2312(rng, p_max):
-    p = int(rng.integers(1, min(p_max, 4) + 1))
-    blocks, dim = _real_lead(rng, 3, 0.0, _sign(rng), int(rng.integers(1, 4)))
-    return {"blocks": _encode_blocks(blocks), "p": p,
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_blk3_2312(params):
-    m, prov, w = _setup(params)
-    p = params["p"]
-    eps = params["blocks"][0][3]
-    args = _pairs((0, 1), p - 1) + (1, 2, 0, 1)
+@_family("blk3_2312", "nilpotent 3-dimensional block: (e2, e3) leading pair formula",
+         P, Lead("real", 3, ZERO), Trail(1, 3), OMEGA)
+def _blk3_2312(act, w, p, eps, **_):
     closed = (-1.0) ** (p + 1) * eps ** p * math.factorial(p - 1) * w[1, 2]
-    return r_power_action(prov, w, p, args), closed
+    return act(_pairs((0, 1), p - 1) + (1, 2, 0, 1)), closed
 
 
-# two_blk2 -------------------------------------------------------------
-
-def _s_two_blk2(rng, p_max):
-    variant = ["zero", "odd"][int(rng.integers(0, 2))]
-    alpha = _pick(rng, (0.0, _nonzero(rng)))
-    beta = _pick(rng, (0.0, _nonzero(rng)))
-    blocks = [RealBlock(2, alpha, _sign(rng)), RealBlock(2, beta, _sign(rng))]
-    blocks += _extras(rng, int(rng.integers(0, 3)) * 2)
-    dim = sum(b.dim for b in blocks)
-    i = _pick(rng, [t for t in range(dim) if t not in (1, 3)])
-    pp = int(rng.integers(0, 2))
-    p = int(rng.integers(1, min(p_max, 4) + 1))
-    return {"blocks": _encode_blocks(blocks), "variant": variant, "i": i,
-            "p": p, "pp": pp, "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_two_blk2(params):
-    m, prov, w = _setup(params)
-    i = params["i"]
-    alpha, eps = params["blocks"][0][2], params["blocks"][0][3]
-    eta = params["blocks"][1][3]
-    if params["variant"] == "zero":
-        p = params["p"]
-        args = _pairs((0, 2), p) + (i, 2)
-        return r_power_action(prov, w, p, args), 0.0
-    pp = params["pp"]
-    power = 2 * pp + 1
-    args = _pairs((0, 2), power) + (i, 3)
+@_family("two_blk2", "two 2-dimensional real blocks: vanishing and odd-power cross "
+         "formulas",
+         Choice("variant", ("zero", "odd")), Lead("real", 2, ANY, count=2),
+         Trail(0, 2, step=2), Choice("i", lambda k, dim, q: _without(range(dim), 1, 3)),
+         Choice("pp", (0, 1)), P, OMEGA,
+         power=lambda q: q["p"] if q["variant"] == "zero" else 2 * q["pp"] + 1)
+def _two_blk2(act, m, w, power, variant, i, pp, alpha, eps, **_):
+    if variant == "zero":
+        return act(_pairs((0, 2), power) + (i, 2)), 0.0
+    eta = m.blocks[1].sign
     closed = ((-1.0) ** (pp + 1) * eta ** (pp + 1) * eps ** pp
               * (alpha * w[i, 0] + w[i, 1]))
-    return r_power_action(prov, w, power, args), closed
+    return act(_pairs((0, 2), power) + (i, 3)), closed
 
 
-# rw_double ------------------------------------------------------------
-
-def _s_rw_double(rng, p_max):
-    blocks = [RealBlock(2, 0.0, _sign(rng)), RealBlock(2, 0.0, _sign(rng))]
-    blocks += _extras(rng, int(rng.integers(0, 2)) * 2)
-    dim = sum(b.dim for b in blocks)
-    return {"blocks": _encode_blocks(blocks), "pp": int(rng.integers(1, 3)),
-            "variant": ["e2", "e4"][int(rng.integers(0, 2))],
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_rw_double(params):
-    m, prov, w = _setup(params)
-    pp = params["pp"]
-    eps, eta = params["blocks"][0][3], params["blocks"][1][3]
-    power = 2 * pp
-    if params["variant"] == "e2":
-        args = _pairs((0, 2), 2 * pp - 1) + (0, 1, 0, 1)
+@_family("rw_double", "two nilpotent 2-dimensional blocks: powers-of-two even formulas",
+         Lead("real", 2, ZERO, count=2), Trail(0, 1, step=2), Choice("pp", (1, 2)),
+         Choice("variant", ("e2", "e4")), OMEGA, power=lambda q: 2 * q["pp"])
+def _rw_double(act, m, w, pp, variant, eps, **_):
+    eta = m.blocks[1].sign
+    lead = _pairs((0, 2), 2 * pp - 1)
+    if variant == "e2":
         closed = (-1.0) ** pp * (eps * eta) ** (pp - 1) * 2.0 ** (2 * pp - 2) * w[1, 3]
-    else:
-        args = _pairs((0, 2), 2 * pp - 1) + (0, 3, 0, 3)
-        closed = (-1.0) ** (pp + 1) * (eps * eta) ** pp * 2.0 ** (2 * pp - 2) * w[1, 3]
-    return r_power_action(prov, w, power, args), closed
+        return act(lead + (0, 1, 0, 1)), closed
+    closed = (-1.0) ** (pp + 1) * (eps * eta) ** pp * 2.0 ** (2 * pp - 2) * w[1, 3]
+    return act(lead + (0, 3, 0, 3)), closed
 
 
-# cx_basic -------------------------------------------------------------
-
-def _s_cx_basic(rng, p_max):
-    blocks = [ComplexBlock(1, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(1, 3)))
-    dim = sum(b.dim for b in blocks)
-    return {"blocks": _encode_blocks(blocks), "formula": int(rng.integers(1, 4)),
-            "i": int(rng.integers(2, dim)), "component": int(rng.integers(0, dim)),
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_cx_basic(params):
-    from .model import model_curvature
-    m, _, _ = _setup(params)
-    alpha, beta = params["blocks"][0][2], params["blocks"][0][3]
+@_family("cx_basic", "2-dimensional complex block: basic curvature images",
+         Lead("complex", 1), Trail(1, 2, step=2), Choice("formula", (1, 2, 3)),
+         Choice("i", lambda k, dim, q: range(2, dim)),
+         Choice("component", lambda k, dim, q: range(dim)), OMEGA, power=lambda q: 1)
+def _cx_basic(m, formula, i, component, alpha, beta, **_):
     e = m.basis
-    f = params["formula"]
-    if f == 1:
+    if formula == 1:
         x, expected = e(0), alpha * e(0) - beta * e(1)
-    elif f == 2:
+    elif formula == 2:
         x, expected = e(1), -beta * e(0) - alpha * e(1)
     else:
-        x, expected = e(params["i"]), np.zeros(m.dim)
-    c = params["component"]
-    return float(model_curvature(m, e(0), e(1), x)[c]), float(expected[c])
+        x, expected = e(i), np.zeros(m.dim)
+    return float(model_curvature(m, e(0), e(1), x)[component]), float(expected[component])
 
 
-# cx_detpow ------------------------------------------------------------
-
-def _s_cx_detpow(rng, p_max):
-    blocks = [ComplexBlock(1, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(1, 3)))
-    dim = sum(b.dim for b in blocks)
-    return {"blocks": _encode_blocks(blocks), "pp": int(rng.integers(1, max(2, (p_max // 2)) + 1)),
-            "i": int(rng.integers(2, dim)), "variant": ["e1", "e2"][int(rng.integers(0, 2))],
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_cx_detpow(params):
-    m, prov, w = _setup(params)
-    pp, i = params["pp"], params["i"]
-    alpha, beta = params["blocks"][0][2], params["blocks"][0][3]
+@_family("cx_detpow", "2-dimensional complex block: determinant power formula",
+         Lead("complex", 1), Trail(1, 2, step=2), Choice("pp", (1, 2, 3, 4)),
+         Choice("i", lambda k, dim, q: range(2, dim)), Choice("variant", ("e1", "e2")),
+         OMEGA, power=lambda q: 2 * q["pp"])
+def _cx_detpow(act, w, pp, i, variant, alpha, beta, **_):
     det = alpha * alpha + beta * beta
-    first = 0 if params["variant"] == "e1" else 1
-    args = _pairs((0, 1), 2 * pp) + (first, i)
-    return r_power_action(prov, w, 2 * pp, args), det ** pp * w[first, i]
+    first = 0 if variant == "e1" else 1
+    return act(_pairs((0, 1), 2 * pp) + (first, i)), det ** pp * w[first, i]
 
 
-# cx_other -------------------------------------------------------------
-
-def _s_cx_other(rng, p_max):
-    blocks = [ComplexBlock(1, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(1, 3)))
-    dim = sum(b.dim for b in blocks)
-    return {"blocks": _encode_blocks(blocks), "pp": int(rng.integers(1, 3)),
-            "i": int(rng.integers(2, dim)), "j": int(rng.integers(2, dim)),
-            "variant": int(rng.integers(1, 4)),
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_cx_other(params):
-    m, prov, w = _setup(params)
-    pp, i, j = params["pp"], params["i"], params["j"]
-    alpha, beta = params["blocks"][0][2], params["blocks"][0][3]
+@_family("cx_other", "2-dimensional complex block against outside directions",
+         Lead("complex", 1), Trail(1, 2, step=2), Choice("pp", (1, 2)),
+         Choice("i", lambda k, dim, q: range(2, dim)),
+         Choice("j", lambda k, dim, q: range(2, dim)), Choice("variant", (1, 2, 3)),
+         OMEGA, power=lambda q: 2 * q["pp"])
+def _cx_other(act, m, w, pp, i, j, variant, alpha, beta, **_):
     det = alpha * alpha + beta * beta
-    power = 2 * pp
     lead = _pairs((0, 1), 2 * pp - 1)
     hij = m.H[i, j]
-    if params["variant"] == 1:
-        brute = r_power_action(prov, w, power, lead + (0, i, 1, j))
-        closed = 2.0 ** (2 * pp - 1) * beta ** 2 * det ** (pp - 1) * hij * w[0, 1]
-    elif params["variant"] == 2:
-        brute = r_power_action(prov, w, power, lead + (1, i, 0, j))
-        closed = 2.0 ** (2 * pp - 1) * beta ** 2 * det ** (pp - 1) * hij * w[0, 1]
-    else:
-        brute = (r_power_action(prov, w, power, lead + (0, i, 0, j))
-                 - r_power_action(prov, w, power, lead + (1, i, 1, j)))
-        closed = -(2.0 ** (2 * pp)) * alpha * beta * det ** (pp - 1) * hij * w[0, 1]
-    return brute, closed
+    if variant == 3:
+        brute = act(lead + (0, i, 0, j)) - act(lead + (1, i, 1, j))
+        return brute, -(2.0 ** (2 * pp)) * alpha * beta * det ** (pp - 1) * hij * w[0, 1]
+    brute = act(lead + ((0, i, 1, j) if variant == 1 else (1, i, 0, j)))
+    return brute, 2.0 ** (2 * pp - 1) * beta ** 2 * det ** (pp - 1) * hij * w[0, 1]
 
 
-# cx_c1 ----------------------------------------------------------------
-
-def _s_cx_c1(rng, p_max):
-    k = int(rng.integers(2, 4))
-    blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2)
-    dim = sum(b.dim for b in blocks)
-    i = _pick(rng, [t for t in range(2 * k - 1) if t != 2])
-    return {"blocks": _encode_blocks(blocks), "k": k,
-            "p": int(rng.integers(1, min(p_max, 4) + 1)),
-            "i": i, "s": int(rng.integers(0, 2 * k)),
-            "j": int(rng.integers(2 * k, dim)),
-            "omega": _omega_for(rng, dim).tolist()}
+@_family("cx_c1", "large complex block with an outside slot: shear pair "
+         "vanishing/transfer",
+         Lead("complex", (2, 3)), Trail(2, 2),
+         Choice("i", lambda k, dim, q: _without(range(2 * k - 1), 2)), P,
+         Choice("s", lambda k, dim, q: range(2 * k)),
+         Choice("j", lambda k, dim, q: range(2 * k, dim)), OMEGA)
+def _cx_c1(act, m, w, k, p, i, s, j, **_):
+    closed = 0.0 if s < 2 * k - 1 else -float(m.S[:, i] @ w[:, j])
+    return act(_pairs((0, 2 * k - 3), p - 1) + (i, s, 0, j)), closed
 
 
-def _r_cx_c1(params):
-    m, prov, w = _setup(params)
-    k, p, i, s, j = params["k"], params["p"], params["i"], params["s"], params["j"]
-    args = _pairs((0, 2 * k - 3), p - 1) + (i, s, 0, j)
-    brute = r_power_action(prov, w, p, args)
-    if s < 2 * k - 1:
-        closed = 0.0
-    else:
-        closed = -float(m.S[:, i] @ w[:, j])
-    return brute, closed
-
-
-# cx_c2 ----------------------------------------------------------------
-
-def _s_cx_c2(rng, p_max):
-    k = int(rng.integers(2, 4))
-    blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2)
-    dim = sum(b.dim for b in blocks)
-    return {"blocks": _encode_blocks(blocks), "k": k,
-            "p": int(rng.integers(1, min(p_max, 4) + 1)),
-            "j": int(rng.integers(2 * k, dim)),
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_cx_c2(params):
-    m, prov, w = _setup(params)
-    k, p, j = params["k"], params["p"], params["j"]
-    beta = params["blocks"][0][3]
-    args = _pairs((0, 2 * k - 2), p - 1) + (2, 2 * k - 1, 0, j)
+@_family("cx_c2", "large complex block: (e3, e_2k) pair against an outside slot",
+         Lead("complex", (2, 3)), Trail(2, 2), P,
+         Choice("j", lambda k, dim, q: range(2 * k, dim)), OMEGA)
+def _cx_c2(act, m, w, k, p, j, beta, **_):
     closed = -((-beta) ** (p - 1)) * float(m.S[:, 2] @ w[:, j])
-    return r_power_action(prov, w, p, args), closed
+    return act(_pairs((0, 2 * k - 2), p - 1) + (2, 2 * k - 1, 0, j)), closed
 
 
-# cx_c3 ----------------------------------------------------------------
-
-def _s_cx_c3(rng, p_max):
-    k = int(rng.integers(2, 4))
-    blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2)
-    dim = sum(b.dim for b in blocks)
-    return {"blocks": _encode_blocks(blocks), "k": k,
-            "p": int(rng.integers(1, min(p_max, 4) + 1)),
-            "i": int(rng.integers(0, 2 * k)),
-            "j": int(rng.integers(2 * k, dim)),
-            "omega": _omega_for(rng, dim).tolist()}
+@_family("cx_c3", "large complex block: (e2, e_2k) pair against an outside slot",
+         Lead("complex", (2, 3)), Trail(2, 2), P,
+         Choice("i", lambda k, dim, q: range(2 * k)),
+         Choice("j", lambda k, dim, q: range(2 * k, dim)), OMEGA)
+def _cx_c3(act, m, w, k, p, i, j, beta, **_):
+    closed = (-beta) ** (p - 1) * float(m.S[:, 2 * k - 1] @ w[:, j]) if i == 0 else 0.0
+    return act(_pairs((1, 2 * k - 1), p - 1) + (i, 2 * k - 1, 2 * k - 1, j)), closed
 
 
-def _r_cx_c3(params):
-    m, prov, w = _setup(params)
-    k, p, i, j = params["k"], params["p"], params["i"], params["j"]
-    beta = params["blocks"][0][3]
-    args = _pairs((1, 2 * k - 1), p - 1) + (i, 2 * k - 1, 2 * k - 1, j)
-    if i == 0:
-        closed = (-beta) ** (p - 1) * float(m.S[:, 2 * k - 1] @ w[:, j])
-    else:
-        closed = 0.0
-    return r_power_action(prov, w, p, args), closed
-
-
-# cx_b2 ----------------------------------------------------------------
-
-def _s_cx_b2(rng, p_max):
-    k = int(rng.integers(2, 4))
-    blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(0, 2)))
-    dim = sum(b.dim for b in blocks)
-    i = _pick(rng, [t for t in range(2 * k - 1) if t != 1])
-    return {"blocks": _encode_blocks(blocks), "k": k,
-            "p": int(rng.integers(1, min(p_max, 4) + 1)), "i": i,
-            "variant": ["q1", "q2"][int(rng.integers(0, 2))],
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_cx_b2(params):
-    m, prov, w = _setup(params)
-    k, p, i = params["k"], params["p"], params["i"]
-    beta = params["blocks"][0][3]
+@_family("cx_b2", "large complex block: trailing-pair formulas on (e1, e_{2k-1})",
+         Lead("complex", (2, 3)), Trail(0, 1, step=2),
+         Choice("i", lambda k, dim, q: _without(range(2 * k - 1), 1)), P,
+         Choice("variant", ("q1", "q2")), OMEGA)
+def _cx_b2(act, m, w, k, p, i, variant, beta, **_):
     lead = _pairs((0, 2 * k - 2), p)
-    if params["variant"] == "q1":
-        return r_power_action(prov, w, p, lead + (i, 2 * k - 2)), 0.0
+    if variant == "q1":
+        return act(lead + (i, 2 * k - 2)), 0.0
     closed = (-beta) ** (p - 1) * float(w[i, :] @ m.S[:, 2 * k - 2])
-    return r_power_action(prov, w, p, lead + (i, 2 * k - 1)), closed
+    return act(lead + (i, 2 * k - 1)), closed
 
 
-# cx_b3 ----------------------------------------------------------------
-
-def _s_cx_b3(rng, p_max):
-    k = int(rng.integers(2, 4))
-    blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(0, 2)))
-    dim = sum(b.dim for b in blocks)
-    i = _pick(rng, [t for t in range(1, 2 * k) if t != 2 * k - 2])
-    return {"blocks": _encode_blocks(blocks), "k": k,
-            "p": int(rng.integers(1, min(p_max, 4) + 1)), "i": i,
-            "variant": ["t1", "t2"][int(rng.integers(0, 2))],
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_cx_b3(params):
-    m, prov, w = _setup(params)
-    k, p, i = params["k"], params["p"], params["i"]
-    beta = params["blocks"][0][3]
+@_family("cx_b3", "large complex block: trailing-pair formulas on (e2, e_2k)",
+         Lead("complex", (2, 3)), Trail(0, 1, step=2),
+         Choice("i", lambda k, dim, q: _without(range(1, 2 * k), 2 * k - 2)), P,
+         Choice("variant", ("t1", "t2")), OMEGA)
+def _cx_b3(act, m, w, k, p, i, variant, beta, **_):
     lead = _pairs((1, 2 * k - 1), p)
-    if params["variant"] == "t1":
-        return r_power_action(prov, w, p, lead + (i, 2 * k - 1)), 0.0
+    if variant == "t1":
+        return act(lead + (i, 2 * k - 1)), 0.0
     closed = beta ** (p - 1) * float(w[i, :] @ m.S[:, 2 * k - 1])
-    return r_power_action(prov, w, p, lead + (i, 2 * k - 2)), closed
+    return act(lead + (i, 2 * k - 2)), closed
 
 
-# cx_b4 ----------------------------------------------------------------
-
-def _cx_hyp_pairs(k, full):
-    """omega zero-pairs for the strong side condition on a 2k-block."""
-    js = range(2, 2 * k) if full else (2,)
-    out = []
-    for j in js:
-        out.append((j, 2 * k - 2))
-        out.append((j, 2 * k - 1))
-    return out
+@_family("cx_b4", "large complex block under form side conditions: displaced-pair "
+         "vanishing",
+         Lead("complex", (2, 3)), Trail(0, 1, step=2), P,
+         Choice("pos", lambda k, dim, q: range(1, q["p"] + 1)),
+         Omega(lambda k, q: _cx_hyp_pairs(k, True)))
+def _cx_b4(act, k, p, pos, **_):
+    s = (0, 2 * k - 2)
+    return act(_pairs(s, pos - 1) + (2 * k - 2, 2 * k - 1) + _pairs(s, p - pos) + (0, 2)), 0.0
 
 
-def _s_cx_b4(rng, p_max):
-    k = int(rng.integers(2, 4))
-    blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(0, 2)))
-    dim = sum(b.dim for b in blocks)
-    p = int(rng.integers(1, min(p_max, 4) + 1))
-    return {"blocks": _encode_blocks(blocks), "k": k, "p": p,
-            "pos": int(rng.integers(1, p + 1)),
-            "omega": _omega_for(rng, dim, _cx_hyp_pairs(k, True)).tolist()}
+@_family("cx_b45", "large complex block under form side conditions: beta-power "
+         "closed forms",
+         Lead("complex", (2, 3)), Trail(0, 1, step=2), P,
+         Choice("variant", ("a", "b", "cor")),
+         Omega(lambda k, q: _cx_hyp_pairs(k, False)))
+def _cx_b45(act, m, w, k, p, variant, alpha, beta, **_):
+    s, ss = 2 * k - 2, 2 * k - 1  # 0-based penultimate/last block vectors
+    lead = _pairs((0, s), p)
+    if variant == "a":
+        closed = beta ** (p - 1) * (-alpha * w[0, s] + beta * w[1, s])
+        return act(lead + (1, s)), closed
+    if variant == "b":
+        closed = (alpha * beta ** (p - 2) * (-alpha * w[0, s] + beta * w[1, s])
+                  - alpha ** 2 * (-beta) ** (p - 2) * w[0, s]
+                  - alpha * (-beta) ** (p - 1) * w[0, ss])
+        return act(lead + (1, ss)), closed
+    closed = (-1.0) ** p * beta ** (p - 1) * alpha * (alpha * w[0, s] - beta * w[0, ss])
+    return act(lead + (1, np.asarray(m.S[:, s]))), closed
 
 
-def _r_cx_b4(params):
-    m, prov, w = _setup(params)
-    k, p, pos = params["k"], params["p"], params["pos"]
-    pairs = [(0, 2 * k - 2)] * p
-    pairs[pos - 1] = (2 * k - 2, 2 * k - 1)
-    args = tuple(t for pair in pairs for t in pair) + (0, 2)
-    return r_power_action(prov, w, p, args), 0.0
-
-
-# cx_b45 ---------------------------------------------------------------
-
-def _s_cx_b45(rng, p_max):
-    k = int(rng.integers(2, 4))
-    blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(0, 2)))
-    dim = sum(b.dim for b in blocks)
-    return {"blocks": _encode_blocks(blocks), "k": k,
-            "p": int(rng.integers(1, min(p_max, 4) + 1)),
-            "variant": ["a", "b", "cor"][int(rng.integers(0, 3))],
-            "omega": _omega_for(rng, dim, _cx_hyp_pairs(k, False)).tolist()}
-
-
-def _r_cx_b45(params):
-    m, prov, w = _setup(params)
-    k, p = params["k"], params["p"]
-    alpha, beta = params["blocks"][0][2], params["blocks"][0][3]
-    q, qq = 2 * k - 2, 2 * k - 1  # 0-based penultimate/last block vectors
-    lead = _pairs((0, q), p)
-    if params["variant"] == "a":
-        closed = beta ** (p - 1) * (-alpha * w[0, q] + beta * w[1, q])
-        return r_power_action(prov, w, p, lead + (1, q)), closed
-    if params["variant"] == "b":
-        closed = (alpha * beta ** (p - 2) * (-alpha * w[0, q] + beta * w[1, q])
-                  - alpha ** 2 * (-beta) ** (p - 2) * w[0, q]
-                  - alpha * (-beta) ** (p - 1) * w[0, qq])
-        return r_power_action(prov, w, p, lead + (1, qq)), closed
-    closed = (-1.0) ** p * beta ** (p - 1) * alpha * (alpha * w[0, q] - beta * w[0, qq])
-    return r_power_action(prov, w, p, lead + (1, np.asarray(m.S[:, q]))), closed
-
-
-# cx_b5 ----------------------------------------------------------------
-
-def _s_cx_b5(rng, p_max):
-    k = int(rng.integers(2, 4))
-    blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(0, 2)))
-    dim = sum(b.dim for b in blocks)
-    p = int(rng.integers(1, min(p_max, 4) + 1))
-    return {"blocks": _encode_blocks(blocks), "k": k, "p": p,
-            "pos": int(rng.integers(1, p + 1)),
-            "omega": _omega_for(rng, dim, _cx_hyp_pairs(k, False)).tolist()}
-
-
-def _r_cx_b5(params):
-    m, prov, w = _setup(params)
-    k, p, pos = params["k"], params["p"], params["pos"]
-    beta = params["blocks"][0][3]
-    q, qq = 2 * k - 2, 2 * k - 1
-    pairs = [(0, q)] * p
-    pairs[pos - 1] = (q, qq)
-    args = tuple(t for pair in pairs for t in pair) + (0, 1)
+@_family("cx_b5", "large complex block under form side conditions: first-position "
+         "displaced pair",
+         Lead("complex", (2, 3)), Trail(0, 1, step=2), P,
+         Choice("pos", lambda k, dim, q: range(1, q["p"] + 1)),
+         Omega(lambda k, q: _cx_hyp_pairs(k, False)))
+def _cx_b5(act, m, w, k, p, pos, beta, **_):
+    s, ss = 2 * k - 2, 2 * k - 1
+    closed = 0.0
     if pos == 1:
-        closed = (-beta) ** (p - 1) * (-float(m.S[:, q] @ w[:, 1])
-                                       + float(w[0, :] @ m.S[:, qq]))
-    else:
-        closed = 0.0
-    return r_power_action(prov, w, p, args), closed
+        closed = (-beta) ** (p - 1) * (-float(m.S[:, s] @ w[:, 1]) + float(w[0, :] @ m.S[:, ss]))
+    return act(_pairs((0, s), pos - 1) + (s, ss) + _pairs((0, s), p - pos) + (0, 1)), closed
 
 
-# cx_aij ---------------------------------------------------------------
-
-def _s_cx_aij(rng, p_max):
-    k = int(rng.integers(2, 4))
-    blocks = [ComplexBlock(k, _nonzero(rng), _nonzero(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(0, 2)))
-    dim = sum(b.dim for b in blocks)
-    variant = ["zero", "rec12", "rec21", "rec23", "rec32", "rec22",
-               "cor12", "cor21", "cor22"][int(rng.integers(0, 9))]
-    zero_ij = [(0, 0), (0, 2), (2, 0), (2, 2)][int(rng.integers(0, 4))]
-    needs_hyp = variant.startswith("cor")
-    omega = _omega_for(rng, dim, _cx_hyp_pairs(k, True) if needs_hyp else ())
-    return {"blocks": _encode_blocks(blocks), "k": k,
-            "p": int(rng.integers(1, min(p_max, 3) + 1)),
-            "variant": variant, "zero_ij": list(zero_ij),
-            "omega": omega.tolist()}
-
-
-def _r_cx_aij(params):
-    m, prov, w = _setup(params)
-    k, p = params["k"], params["p"]
-    alpha, beta = params["blocks"][0][2], params["blocks"][0][3]
-    q, qq = 2 * k - 2, 2 * k - 1
+@_family("cx_aij", "large complex block: a_ij component recurrences and corollary forms",
+         Lead("complex", (2, 3)), Trail(0, 1, step=2),
+         Choice("variant", ("zero", "rec12", "rec21", "rec23", "rec32", "rec22",
+                            "cor12", "cor21", "cor22")),
+         Choice("zero_ij", lambda k, dim, q: [[0, 0], [0, 2], [2, 0], [2, 2]]),
+         Omega(lambda k, q: _cx_hyp_pairs(k, True) if q["variant"].startswith("cor")
+               else ()),
+         Choice("p", range(1, 4)),
+         power=lambda q: q["p"] + (q["variant"] not in ("zero", "cor12", "cor21")))
+def _cx_aij(act, w, k, p, variant, zero_ij, alpha, beta, **_):
+    s, ss = 2 * k - 2, 2 * k - 1
 
     def a_val(pw, i, j):
-        args = _pairs((0, q), pw - 1) + (i, q, j, q)
-        return r_power_action(prov, w, pw, args)
+        return act(_pairs((0, s), pw - 1) + (i, s, j, s), pw)
 
-    variant = params["variant"]
     if variant == "zero":
-        i, j = params["zero_ij"]
-        return a_val(p, i, j), 0.0
+        return a_val(p, *zero_ij), 0.0
     if variant.startswith("rec"):
         i, j = int(variant[3]) - 1, int(variant[4]) - 1
         brute = a_val(p + 1, i, j)
@@ -800,171 +664,70 @@ def _r_cx_aij(params):
             closed = beta * a_val(p, i, j)
         return brute, closed
     if variant == "cor12":
-        return a_val(p, 0, 1), beta ** (p - 1) * (-alpha * w[0, q] + beta * w[1, q])
+        return a_val(p, 0, 1), beta ** (p - 1) * (-alpha * w[0, s] + beta * w[1, s])
     if variant == "cor21":
-        return a_val(p, 1, 0), beta ** (p - 1) * (alpha * w[0, q] - beta * w[0, qq])
-    closed = (-alpha * beta ** p * (w[1, q] - w[0, qq]) + 2 * beta * a_val(p, 1, 1))
+        return a_val(p, 1, 0), beta ** (p - 1) * (alpha * w[0, s] - beta * w[0, ss])
+    closed = (-alpha * beta ** p * (w[1, s] - w[0, ss]) + 2 * beta * a_val(p, 1, 1))
     return a_val(p + 1, 1, 1), closed
 
 
-# diag_pair ------------------------------------------------------------
-
-def _s_diag_pair(rng, p_max):
-    dim = 2 * int(rng.integers(2, 5))
-    blocks = [RealBlock(1, float(rng.uniform(-2, 2)), _sign(rng)) for _ in range(dim)]
-    kk = int(rng.integers(0, dim))
-    jj = _pick(rng, [t for t in range(dim) if t != kk])
-    i = _pick(rng, [t for t in range(dim) if t not in (kk, jj)])
-    return {"blocks": _encode_blocks(blocks), "l": int(rng.integers(1, 3)),
-            "kk": kk, "jj": jj, "i": i,
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_diag_pair(params):
-    m, prov, w = _setup(params)
-    l, kk, jj, i = params["l"], params["kk"], params["jj"], params["i"]
-    lam_k, eps_k = params["blocks"][kk][2], params["blocks"][kk][3]
-    lam_j, eps_j = params["blocks"][jj][2], params["blocks"][jj][3]
-    args = _pairs((kk, jj), 2 * l) + (kk, i)
+@_family("diag_pair", "diagonalizable pair of eigendirections: even-power eigenvalue "
+         "formula",
+         Trail(2, 4, step=2), Choice("kk", lambda k, dim, q: range(dim)),
+         Choice("jj", lambda k, dim, q: _without(range(dim), q["kk"]), "distinct from kk"),
+         Choice("i", lambda k, dim, q: _without(range(dim), q["kk"], q["jj"]),
+                "distinct from kk and jj"),
+         Choice("l", (1, 2)), OMEGA, power=lambda q: 2 * q["l"])
+def _diag_pair(act, m, w, l, kk, jj, i, **_):
+    lam_k, eps_k = m.blocks[kk].eigenvalue, m.blocks[kk].sign
+    lam_j, eps_j = m.blocks[jj].eigenvalue, m.blocks[jj].sign
     closed = ((-1.0) ** l * eps_k ** l * eps_j ** l
               * lam_k ** l * lam_j ** l * w[kk, i])
-    return r_power_action(prov, w, 2 * l, args), closed
+    return act(_pairs((kk, jj), 2 * l) + (kk, i)), closed
 
 
-# x_z1z2_y -------------------------------------------------------------
-
-def _s_x_z1z2_y(rng, p_max):
-    dim = 2 * int(rng.integers(2, 5))
-    lams = [float(rng.uniform(-2, 2)) for _ in range(dim)]
-    x = int(rng.integers(0, dim))
-    rest = [t for t in range(dim) if t != x]
-    z1, z2 = rng.choice(rest, size=2, replace=False)
-    lams[int(z1)] = 0.0
-    lams[int(z2)] = 0.0
-    y = _pick(rng, [t for t in range(dim) if t != int(z2)])
-    blocks = [RealBlock(1, lams[t], _sign(rng)) for t in range(dim)]
-    return {"blocks": _encode_blocks(blocks), "l": int(rng.integers(1, 3)),
-            "x": x, "z1": int(z1), "z2": int(z2), "y": y,
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_x_z1z2_y(params):
-    m, prov, w = _setup(params)
-    l, x, z1, z2, y = (params[t] for t in ("l", "x", "z1", "z2", "y"))
-    lam = params["blocks"][x][2]
-    h1 = params["blocks"][z1][3]
-    h2 = params["blocks"][z2][3]
-    args = (x,) + _pairs((z1, z2), 2 * l) + (y,)
+@_family("x_z1z2_y", "eigendirection against two null directions: even-power formula",
+         Trail(2, 4, step=2, split=True), Choice("x", lambda k, dim, q: range(dim)),
+         Nulls(("z1", "z2"), lambda k, dim, q: _without(range(dim), q["x"])),
+         Choice("y", lambda k, dim, q: _without(range(dim), q["z2"]),
+                "h-orthogonal to the second null direction z2"),
+         Signs(), Choice("l", (1, 2)), OMEGA, power=lambda q: 2 * q["l"])
+def _x_z1z2_y(act, m, w, l, x, z1, z2, y, **_):
+    lam, h1, h2 = m.blocks[x].eigenvalue, m.blocks[z1].sign, m.blocks[z2].sign
     closed = (-1.0) ** l * lam ** (2 * l) * h1 ** l * h2 ** l * w[x, y]
-    return r_power_action(prov, w, 2 * l, args), closed
+    return act((x,) + _pairs((z1, z2), 2 * l) + (y,)), closed
 
 
-# blk2_1x1 -------------------------------------------------------------
-
-def _s_blk2_1x1(rng, p_max):
-    eta = _sign(rng)
-    blocks = [RealBlock(2, _nonzero(rng), eta),
-              RealBlock(1, float(rng.uniform(-2, 2)), _sign(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(1, 3)) - 1)
-    dim = sum(b.dim for b in blocks)
-    return {"blocks": _encode_blocks(blocks),
-            "p": int(rng.integers(1, min(p_max, 4) + 1)),
-            "omega": _omega_for(rng, dim).tolist()}
+@_family("blk2_1x1", "2-dimensional block plus eigendirection: (2 eta alpha)^(p-1) "
+         "formula",
+         Lead("real", 2, sign_first=True), Trail(1, 2, step=2, pre=1), P, OMEGA)
+def _blk2_1x1(act, m, w, p, **_):
+    alpha, eta = m.blocks[0].eigenvalue, m.blocks[0].sign
+    closed = (-1.0) ** p * (2 * eta * alpha) ** (p - 1) * m.blocks[1].sign * w[0, 1]
+    return act(_pairs((0, 1), p - 1) + (0, 2, 0, 2)), closed
 
 
-def _r_blk2_1x1(params):
-    m, prov, w = _setup(params)
-    p = params["p"]
-    alpha, eta = params["blocks"][0][2], params["blocks"][0][3]
-    eps = params["blocks"][1][3]
-    args = _pairs((0, 1), p - 1) + (0, 2, 0, 2)
-    closed = (-1.0) ** p * (2 * eta * alpha) ** (p - 1) * eps * w[0, 1]
-    return r_power_action(prov, w, p, args), closed
+@_family("blk2_a0", "nilpotent 2-dimensional block plus eigendirections: eigenvalue "
+         "power formula",
+         Lead("real", 2, ZERO), Trail(1, 2, step=2), P,
+         Choice("i", lambda k, dim, q: range(2, dim)), OMEGA)
+def _blk2_a0(act, m, w, p, i, **_):
+    closed = -(m.blocks[0].sign ** p) * m.blocks[1].eigenvalue ** p * w[i, 2]
+    return act((2, 0) + _pairs((0, 1), p - 1) + (i, 1)), closed
 
 
-# blk2_a0 --------------------------------------------------------------
-
-def _s_blk2_a0(rng, p_max):
-    blocks = [RealBlock(2, 0.0, _sign(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(1, 3)))
-    dim = sum(b.dim for b in blocks)
-    return {"blocks": _encode_blocks(blocks),
-            "p": int(rng.integers(1, min(p_max, 4) + 1)),
-            "i": int(rng.integers(2, dim)),
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_blk2_a0(params):
-    m, prov, w = _setup(params)
-    p, i = params["p"], params["i"]
-    eta = params["blocks"][0][3]
-    lam1 = params["blocks"][1][2]
-    args = (2, 0) + _pairs((0, 1), p - 1) + (i, 1)
-    closed = -(eta ** p) * lam1 ** p * w[i, 2]
-    return r_power_action(prov, w, p, args), closed
-
-
-# blk2_a0n -------------------------------------------------------------
-
-def _s_blk2_a0n(rng, p_max):
-    blocks = [RealBlock(2, 0.0, _sign(rng))]
-    blocks += _extras(rng, 2 * int(rng.integers(1, 3)))
-    dim = sum(b.dim for b in blocks)
-    return {"blocks": _encode_blocks(blocks),
-            "p": int(rng.integers(1, min(p_max, 4) + 1)),
-            "variant": ["a", "b"][int(rng.integers(0, 2))],
-            "omega": _omega_for(rng, dim).tolist()}
-
-
-def _r_blk2_a0n(params):
-    m, prov, w = _setup(params)
-    p = params["p"]
-    eta = params["blocks"][0][3]
-    lam1 = params["blocks"][1][2]
-    if params["variant"] == "a":
-        args = (2, 1) + _pairs((0, 1), p)
+@_family("blk2_a0n", "nilpotent 2-dimensional block plus eigendirections: "
+         "parity-split formulas",
+         Lead("real", 2, ZERO), Trail(1, 2, step=2), P, Choice("variant", ("a", "b")),
+         OMEGA)
+def _blk2_a0n(act, m, w, p, variant, **_):
+    eta, lam1 = m.blocks[0].sign, m.blocks[1].eigenvalue
+    if variant == "a":
         closed = (-1.0) ** p * eta ** p * lam1 ** p * w[2, 1]
-    else:
-        args = (2, 0) + _pairs((0, 1), p)
-        closed = (-(eta ** p) * lam1 ** p * w[0, 2]
-                  + 0.5 * ((-1.0) ** p + 1.0) * eta ** p * lam1 ** (p - 1) * w[1, 2])
-    return r_power_action(prov, w, p, args), closed
-
-
-CATALOG = {
-    f.id: f for f in (
-        OracleFamily("with_pi_x", "single real block: projection-weighted power formula against the block end vector", _s_with_pi_x, _r_with_pi_x),
-        OracleFamily("rp_ei_ek", "single real block: (eps*alpha)^p scaling of omega against the block end vector", _s_rp_ei_ek, _r_rp_ei_ek),
-        OracleFamily("kgt3_basics", "real block of size > 3: the six basic curvature images", _s_kgt3_basics, _r_kgt3_basics),
-        OracleFamily("lemma34", "real block of size > 3: repeated-pair vanishing and first-order closed forms", _s_lemma34, _r_lemma34),
-        OracleFamily("even_odd", "real block of size > 3: odd/even power closed forms on the (e1, e_{k-1}) pair", _s_even_odd, _r_even_odd),
-        OracleFamily("lemma36", "real block of size > 3: closed form with the top pair leading", _s_lemma36, _r_lemma36),
-        OracleFamily("lematD", "real block of size > 3: vanishing against (e1, e3)", _s_lematd, _r_lematd),
-        OracleFamily("blk3_12", "3-dimensional real block: factorial power formula on (e1, e2)", _s_blk3_12, _r_blk3_12),
-        OracleFamily("blk3_12ij", "3-dimensional real block paired against outside directions", _s_blk3_12ij, _r_blk3_12ij),
-        OracleFamily("blk3_122i", "nilpotent 3-dimensional block: factorial formula with a free trailing slot", _s_blk3_122i, _r_blk3_122i),
-        OracleFamily("blk3_2312", "nilpotent 3-dimensional block: (e2, e3) leading pair formula", _s_blk3_2312, _r_blk3_2312),
-        OracleFamily("two_blk2", "two 2-dimensional real blocks: vanishing and odd-power cross formulas", _s_two_blk2, _r_two_blk2),
-        OracleFamily("rw_double", "two nilpotent 2-dimensional blocks: powers-of-two even formulas", _s_rw_double, _r_rw_double),
-        OracleFamily("cx_basic", "2-dimensional complex block: basic curvature images", _s_cx_basic, _r_cx_basic),
-        OracleFamily("cx_detpow", "2-dimensional complex block: determinant power formula", _s_cx_detpow, _r_cx_detpow),
-        OracleFamily("cx_other", "2-dimensional complex block against outside directions", _s_cx_other, _r_cx_other),
-        OracleFamily("cx_c1", "large complex block with an outside slot: shear pair vanishing/transfer", _s_cx_c1, _r_cx_c1),
-        OracleFamily("cx_c2", "large complex block: (e3, e_2k) pair against an outside slot", _s_cx_c2, _r_cx_c2),
-        OracleFamily("cx_c3", "large complex block: (e2, e_2k) pair against an outside slot", _s_cx_c3, _r_cx_c3),
-        OracleFamily("cx_b2", "large complex block: trailing-pair formulas on (e1, e_{2k-1})", _s_cx_b2, _r_cx_b2),
-        OracleFamily("cx_b3", "large complex block: trailing-pair formulas on (e2, e_2k)", _s_cx_b3, _r_cx_b3),
-        OracleFamily("cx_b4", "large complex block under form side conditions: displaced-pair vanishing", _s_cx_b4, _r_cx_b4),
-        OracleFamily("cx_b45", "large complex block under form side conditions: beta-power closed forms", _s_cx_b45, _r_cx_b45),
-        OracleFamily("cx_b5", "large complex block under form side conditions: first-position displaced pair", _s_cx_b5, _r_cx_b5),
-        OracleFamily("cx_aij", "large complex block: a_ij component recurrences and corollary forms", _s_cx_aij, _r_cx_aij),
-        OracleFamily("diag_pair", "diagonalizable pair of eigendirections: even-power eigenvalue formula", _s_diag_pair, _r_diag_pair),
-        OracleFamily("x_z1z2_y", "eigendirection against two null directions: even-power formula", _s_x_z1z2_y, _r_x_z1z2_y),
-        OracleFamily("blk2_1x1", "2-dimensional block plus eigendirection: (2 eta alpha)^(p-1) formula", _s_blk2_1x1, _r_blk2_1x1),
-        OracleFamily("blk2_a0", "nilpotent 2-dimensional block plus eigendirections: eigenvalue power formula", _s_blk2_a0, _r_blk2_a0),
-        OracleFamily("blk2_a0n", "nilpotent 2-dimensional block plus eigendirections: parity-split formulas", _s_blk2_a0n, _r_blk2_a0n),
-    )
-}
+        return act((2, 1) + _pairs((0, 1), p)), closed
+    closed = (-(eta ** p) * lam1 ** p * w[0, 2]
+              + 0.5 * ((-1.0) ** p + 1.0) * eta ** p * lam1 ** (p - 1) * w[1, 2])
+    return act((2, 0) + _pairs((0, 1), p)), closed
 
 
 def list_oracles():
@@ -972,139 +735,56 @@ def list_oracles():
     return [(f.id, f.description) for f in CATALOG.values()]
 
 
-def power_of(oracle_id: str, params: dict) -> int:
-    """Operator power R^p exercised by a sampled draw (1 for plain R checks)."""
-    if oracle_id in ("kgt3_basics", "cx_basic"):
-        return 1
-    if oracle_id == "even_odd":
-        return 2 * params["pp"] + (1 if params["parity"] == "odd" else 2)
-    if oracle_id == "two_blk2":
-        return params["p"] if params["variant"] == "zero" else 2 * params["pp"] + 1
-    if oracle_id in ("rw_double", "cx_detpow", "cx_other"):
-        return 2 * params["pp"]
-    if oracle_id in ("diag_pair", "x_z1z2_y"):
-        return 2 * params["l"]
-    if oracle_id == "cx_aij" and (params["variant"].startswith("rec")
-                                  or params["variant"] == "cor22"):
-        return params["p"] + 1
-    return params["p"]
-
-
-def sample_spec(oracle_id: str, rng, p_max: int = 4) -> OracleSpec:
+def _family_of(oracle_id):
     fam = CATALOG.get(oracle_id)
     if fam is None:
         raise OracleError(f"unknown oracle id '{oracle_id}'")
-    return OracleSpec(oracle_id, fam.sample(rng, p_max), fam.description)
+    return fam
 
 
-def _require(cond, hypothesis):
-    if not cond:
-        raise OracleError(f"hypothesis violated: {hypothesis}")
+def power_of(oracle_id: str, params: dict) -> int:
+    """Operator power R^p exercised by a sampled draw (1 for plain R checks)."""
+    return _family_of(oracle_id).power(params)
 
 
-def _validate_params(oracle_id, params):
-    """Reject parameter sets outside the identity's hypothesis region."""
-    blocks = _blocks_from_params(params)
-    lead = blocks[0]
-    dim = sum(b.dim for b in blocks)
-    w = np.asarray(params["omega"], dtype=float)
-    _require(w.shape == (dim, dim) and np.max(np.abs(w + w.T)) < 1e-12,
-             "omega must be antisymmetric of the model dimension")
-    p_like = params.get("p", params.get("pp", params.get("l", 1)))
-    _require(p_like >= 0, "power parameter must be nonnegative")
-
-    if oracle_id in ("with_pi_x", "rp_ei_ek"):
-        _require(isinstance(lead, RealBlock) and lead.size >= 2,
-                 "lead block must be real of size >= 2")
-        _require(1 <= params["i"] < dim, "slot index must avoid the first basis vector")
-    elif oracle_id in ("kgt3_basics", "lemma34", "even_odd", "lemma36", "lematD"):
-        _require(isinstance(lead, RealBlock) and lead.size > 3,
-                 "lead block must be real of size > 3")
-        if oracle_id == "lemma34" and params.get("formula") == "eik":
-            _require(params["i"] not in (1, lead.size - 1),
-                     "slot index must avoid the second and end vectors")
-    elif oracle_id.startswith("blk3"):
-        _require(isinstance(lead, RealBlock) and lead.size == 3,
-                 "lead block must be real of size 3")
-        if oracle_id == "blk3_12ij":
-            _require(params["p"] >= 2, "power must be >= 2")
-            _require(params["i"] >= 3 and params["j"] >= 3,
-                     "slots must lie outside the lead block")
-        if oracle_id in ("blk3_122i", "blk3_2312"):
-            _require(lead.eigenvalue == 0.0, "lead block must be nilpotent")
-        if oracle_id == "blk3_122i":
-            _require(params["i"] != 2, "slot index must avoid the third basis vector")
-    elif oracle_id in ("two_blk2", "rw_double"):
-        _require(isinstance(lead, RealBlock) and lead.size == 2
-                 and isinstance(blocks[1], RealBlock) and blocks[1].size == 2,
-                 "first two blocks must be real of size 2")
-        if oracle_id == "rw_double":
-            _require(lead.eigenvalue == 0.0 and blocks[1].eigenvalue == 0.0,
-                     "both 2-blocks must be nilpotent")
-        elif params["variant"] == "zero":
-            _require(params["i"] not in (1, 3),
-                     "slot index must avoid the second and fourth basis vectors")
-    elif oracle_id in ("cx_basic", "cx_detpow", "cx_other"):
-        _require(isinstance(lead, ComplexBlock) and lead.half_size == 1,
-                 "lead block must be complex of dimension 2")
-        _require(dim > 2, "model needs directions outside the lead block")
-    elif oracle_id.startswith("cx_"):
-        _require(isinstance(lead, ComplexBlock) and lead.half_size >= 2,
-                 "lead block must be complex of dimension >= 4")
-        k = lead.half_size
-        if oracle_id in ("cx_c1", "cx_c2", "cx_c3"):
-            _require(dim > 2 * k, "model needs a direction outside the lead block")
-            _require(2 * k <= params["j"] < dim, "outside slot out of range")
-        if oracle_id == "cx_c1":
-            _require(params["i"] != 2 and 0 <= params["i"] < 2 * k - 1,
-                     "slot index outside the allowed block range")
-        if oracle_id == "cx_b2":
-            _require(params["i"] != 1 and 0 <= params["i"] < 2 * k - 1,
-                     "slot index outside the allowed block range")
-        if oracle_id == "cx_b3":
-            _require(params["i"] not in (0, 2 * k - 2) and params["i"] < 2 * k,
-                     "slot index outside the allowed block range")
-        if oracle_id in ("cx_b4", "cx_b5"):
-            _require(1 <= params["pos"] <= params["p"],
-                     "displaced pair position out of range")
-        if oracle_id == "cx_b4":
-            for j in range(2, 2 * k):
-                _require(w[j, 2 * k - 2] == 0.0 and w[j, 2 * k - 1] == 0.0,
-                         "omega must vanish on the block tail pairings")
-        if oracle_id in ("cx_b45", "cx_b5") or (
-                oracle_id == "cx_aij" and params["variant"].startswith("cor")):
-            _require(w[2, 2 * k - 2] == 0.0 and w[2, 2 * k - 1] == 0.0,
-                     "omega must vanish on the (e3, tail) pairings")
-    elif oracle_id == "diag_pair":
-        _require(all(isinstance(b, RealBlock) and b.size == 1 for b in blocks),
-                 "model must be diagonal")
-        _require(len({params["kk"], params["jj"], params["i"]}) == 3,
-                 "the three slots must be distinct")
-    elif oracle_id == "x_z1z2_y":
-        _require(all(isinstance(b, RealBlock) and b.size == 1 for b in blocks),
-                 "model must be diagonal")
-        _require(blocks[params["z1"]].eigenvalue == 0.0
-                 and blocks[params["z2"]].eigenvalue == 0.0,
-                 "both the null directions must have eigenvalue 0")
-        _require(params["y"] != params["z2"],
-                 "final slot must be h-orthogonal to the second null direction")
-    elif oracle_id in ("blk2_1x1", "blk2_a0", "blk2_a0n"):
-        _require(isinstance(lead, RealBlock) and lead.size == 2,
-                 "lead block must be real of size 2")
-        _require(all(isinstance(b, RealBlock) and b.size == 1 for b in blocks[1:]),
-                 "trailing blocks must be one-dimensional")
-        if oracle_id != "blk2_1x1":
-            _require(lead.eigenvalue == 0.0, "lead block must be nilpotent")
-        if oracle_id == "blk2_a0":
-            _require(2 <= params["i"] < dim, "slot must lie outside the lead block")
+def sample_spec(oracle_id: str, rng, p_max: int = 4) -> OracleSpec:
+    """Draw a family's fields in declaration order, every exercised power
+    <= p_max; OracleError if the family's least power is above p_max."""
+    fam = _family_of(oracle_id)
+    if fam.least > p_max:
+        raise OracleError(f"{oracle_id} needs p_max >= {fam.least}, got {p_max}")
+    d = _Draw(fam, {}, [], fam.lead.size if fam.lead else 1, rng=rng, p_max=p_max)
+    if isinstance(d.k, tuple):
+        d.k = d.q["k"] = _pick(rng, range(d.k[0], d.k[1] + 1))
+    for f in fam.fields:
+        f.draw(d)
+    d.q["blocks"] = [["real", b.size, b.eigenvalue, b.sign] if isinstance(b, RealBlock)
+                     else ["complex", b.half_size, b.alpha, b.beta] for b in d.blocks]
+    return OracleSpec(oracle_id, d.q, fam.description)
 
 
 def run_oracle(spec: OracleSpec) -> OracleResult:
-    fam = CATALOG.get(spec.id)
-    if fam is None:
-        raise OracleError(f"unknown oracle id '{spec.id}'")
-    _validate_params(spec.id, spec.params)
-    brute, closed = fam.run(spec.params)
+    """Check the params against every declared hypothesis, on a model
+    decoded and assembled once, then compare the brute and closed values."""
+    fam = _family_of(spec.id)
+    q = spec.params
+    try:
+        m = assemble([_decode(entry) for entry in q["blocks"]])
+        _require(all(isinstance(key, str) for key in q), "params keys must be strings")
+        d = _Draw(fam, q, m.blocks, _size(m.blocks[0]), m.dim,
+                  w=np.asarray(q["omega"], dtype=float))
+        for f in fam.fields:
+            f.check(d)
+        power = fam.power(q)
+    except OracleError:
+        raise
+    except (KeyError, TypeError, ValueError) as err:
+        raise OracleError(f"malformed params: {err!r}") from None
+    lead, w, prov = m.blocks[0], d.w, AlgebraicCurvature(m)
+    symbols = ({"alpha": lead.alpha, "beta": lead.beta} if isinstance(lead, ComplexBlock)
+               else {"alpha": lead.eigenvalue, "eps": lead.sign})
+    brute, closed = fam.closed(**{**q, **symbols, "m": m, "w": w, "power": power,
+                                  "act": lambda args, k=power: r_power_action(prov, w, k, args)})
     return OracleResult(spec.id, float(brute), float(closed),
                         abs(float(brute) - float(closed)), spec.params)
 
@@ -1112,7 +792,7 @@ def run_oracle(spec: OracleSpec) -> OracleResult:
 def run_family(oracle_id: str, draws: int, seed: int = 0, p_max: int = 4):
     """Seeded independent draws of one family."""
     out = []
-    index = list(CATALOG).index(oracle_id)
+    index = list(CATALOG).index(_family_of(oracle_id).id)
     for d in range(draws):
         rng = np.random.default_rng((seed, index, d))
         out.append(run_oracle(sample_spec(oracle_id, rng, p_max)))

@@ -65,15 +65,30 @@ def test_oracles_filter_and_exit(tmp_path, capsys):
     assert "matches no oracle" in capsys.readouterr().err
 
 
+def _powers(report):
+    return [int(r["name"].split("[p=")[1].rstrip("]")) for r in report["checks"]]
+
+
 def test_oracles_per_power_records(tmp_path):
+    # cx_detpow exercises the even powers 2 pp, so p_max 4 gives two groups
     out = tmp_path / "rep.json"
     assert main(["oracles", "--filter", "cx_detpow", "--trials", "30",
-                 "--p-max", "3", "--output", str(out)]) == 0
+                 "--p-max", "4", "--output", str(out)]) == 0
     rep = _load(out)
     names = [r["name"] for r in rep["checks"]]
     assert all(n.startswith("cx_detpow[p=") for n in names)
     assert len(names) >= 2          # several powers exercised
+    assert max(_powers(rep)) <= 4
     assert all(r["status"] == "PASS" for r in rep["checks"])
+
+
+def test_oracles_readme_example_honours_p_max(tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["oracles", "--filter", "cx_*", "--trials", "50", "--p-max", "3",
+                 "--output", str(out)]) == 0
+    rep = _load(out)
+    assert rep["summary"]["fail"] == 0
+    assert max(_powers(rep)) == 3
 
 
 def test_list_oracles(capsys):
@@ -237,6 +252,10 @@ def test_oracles_zero_p_max_is_usage_error(capsys):
     for p_max, needle in (("0", "--p-max"), ("10", "--p-max"), ("1", "blk3_12ij")):
         rc, err = _usage_error(["oracles", "--p-max", p_max], capsys)
         assert rc == 2 and len(err) == 1 and needle in err[0], p_max
+    # every family whose least power is 2 names the p_max it needs
+    for oid in ("blk3_12ij", "rw_double", "cx_detpow", "cx_other", "diag_pair", "x_z1z2_y"):
+        rc, err = _usage_error(["oracles", "--filter", oid, "--p-max", "1"], capsys)
+        assert rc == 2 and err == [f"error: {oid} needs p_max >= 2, got 1"], oid
 
 
 def test_decompose_applies_tol(tmp_path, capsys):

@@ -3,15 +3,22 @@
 Timing fields (``wall_ms``, ``generated_unix``) are dropped.  Record
 names, statuses and every non-float field must be identical; a float may
 differ from its golden value by at most 1e-12 * max(1, |golden|).
+
+``oracle_draws.json`` pins every draw, not only the worst one per power
+group that a report shows: the sha256 of ``json.dumps(params,
+sort_keys=True)`` for each family's draws at the seeds ``oracles`` uses.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from affsym.cli import main
+from affsym.verify import list_oracles, sample_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
@@ -73,3 +80,15 @@ def test_golden_rule_flags_drift():
     assert _mismatches({"a": 1.0 + 5e-12, "b": [2.0, "x"], "c": 3}, want)
     assert _mismatches({"a": 1.0, "b": [2.0, "y"], "c": 3}, want)
     assert _mismatches({"a": 1.0, "b": [2.0, "x"], "c": 4}, want)
+
+
+def test_draws_match_golden_digests():
+    want = json.loads((GOLDEN / "oracle_draws.json").read_text())
+    got = {}
+    for index, (oid, _) in enumerate(list_oracles()):
+        got[oid] = [hashlib.sha256(json.dumps(
+            sample_spec(oid, np.random.default_rng((want["seed"], index, d)),
+                        want["p_max"]).params, sort_keys=True).encode()).hexdigest()
+            for d in range(want["draws"])]
+    assert list(got) == list(want["sha256"])
+    assert [oid for oid in got if got[oid] != want["sha256"][oid]] == []

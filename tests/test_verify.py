@@ -29,6 +29,10 @@ def test_unknown_oracle_id():
         run_oracle(OracleSpec("nope", {}))
     with pytest.raises(OracleError):
         sample_spec("nope", np.random.default_rng(0))
+    with pytest.raises(OracleError):
+        verify.power_of("nope", {})
+    with pytest.raises(OracleError):
+        run_family("nope", 1)
 
 
 def test_hypothesis_violations_are_named():
@@ -43,10 +47,70 @@ def test_hypothesis_violations_are_named():
         ("diag_pair", {"blocks": [["real", 1, 1.0, 1]] * 4, "l": 1,
                        "kk": 0, "jj": 0, "i": 2, "omega": w4}, "distinct"),
     ]
+    # one valid draw per family, with one slot or power moved out of range
+    assert sorted({oid for oid, _, _ in MUTATIONS}) == sorted(EXPECTED_IDS)
+    for oid, change, name in MUTATIONS:
+        spec = sample_spec(oid, np.random.default_rng((0, EXPECTED_IDS.index(oid), 0)))
+        run_oracle(spec)
+        params = dict(spec.params)
+        params.update(change(params) if callable(change) else change)
+        cases.append((oid, params, f"{name} must be"))
+    lematd = sample_spec("lematD", np.random.default_rng(0)).params
+    cases.append(("lematD", {**lematd, 1: 0}, "keys must be strings"))
     for oid, params, fragment in cases:
         with pytest.raises(OracleError) as err:
             run_oracle(OracleSpec(oid, params))
-        assert fragment in str(err.value)
+        assert fragment in str(err.value), (oid, str(err.value))
+
+
+#: (id, params change, parameter named in the error) outside the family's
+#: hypotheses; the first five gave a FAIL or a stray exception before the
+#: hypotheses were declared
+MUTATIONS = [
+    ("cx_detpow", {"i": 1}, "i"),
+    ("cx_basic", {"formula": 3, "i": 0}, "i"),
+    ("two_blk2", {"variant": "odd", "i": 1}, "i"),
+    ("cx_c3", {"i": 99}, "i"),
+    ("lemma36", {"p": 0}, "p"),
+    ("with_pi_x", {"i": 0}, "i"),
+    ("rp_ei_ek", {"i": 0}, "i"),
+    ("kgt3_basics", {"component": 99}, "component"),
+    ("lemma34", {"i": 1}, "i"),
+    ("even_odd", {"pp": -1}, "pp"),
+    ("lematD", {"p": 5}, "p"),
+    ("blk3_12", {"p": 0}, "p"),
+    ("blk3_12ij", {"p": 1}, "p"),
+    ("blk3_122i", {"i": 2}, "i"),
+    ("blk3_2312", {"p": 0}, "p"),
+    ("rw_double", {"pp": 0}, "pp"),
+    ("cx_other", {"j": 1}, "j"),
+    ("cx_c1", {"i": 2}, "i"),
+    ("cx_c2", {"j": 0}, "j"),
+    ("cx_b2", {"i": 1}, "i"),
+    ("cx_b3", {"i": 0}, "i"),
+    ("cx_b4", {"pos": 5}, "pos"),
+    ("cx_b45", {"p": 0}, "p"),
+    ("cx_b5", {"pos": 0}, "pos"),
+    ("cx_aij", {"zero_ij": [1, 1]}, "zero_ij"),
+    ("diag_pair", lambda q: {"i": q["kk"]}, "i"),
+    ("x_z1z2_y", lambda q: {"y": q["z2"]}, "y"),
+    ("blk2_1x1", {"p": 0}, "p"),
+    ("blk2_a0", {"i": 1}, "i"),
+    ("blk2_a0n", {"variant": "c"}, "variant"),
+]
+
+
+@pytest.mark.parametrize("p_max", [1, 2, 3, 4])
+def test_draws_honour_p_max(p_max):
+    for index, oid in enumerate(EXPECTED_IDS):
+        try:
+            specs = [sample_spec(oid, np.random.default_rng((0, index, d)), p_max)
+                     for d in range(25)]
+        except OracleError as err:
+            # only a family whose least power is 2 is refused, at p_max 1
+            assert p_max == 1 and f"{oid} needs p_max >= 2" in str(err)
+            continue
+        assert max(verify.power_of(oid, s.params) for s in specs) <= p_max, oid
 
 
 def _omega_list(dim):
