@@ -16,14 +16,20 @@ surfaced as warnings rather than silently resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import BlockSpec, ComplexBlock, RealBlock, build_block
+from .model import BlockSpec, ComplexBlock, RealBlock, direct_sum
 
 #: an H whose reciprocal condition number is at or below this is singular
 H_RCOND_MIN = 1e-10
+
+#: ``classify`` takes |eigenvalue| <= ZERO_TOL * max(1, max |eigenvalue|) as 0
+ZERO_TOL = 1e-8
+
+#: ``rank`` counts the singular values above this times the largest
+RANK_TOL = 1e-9
 
 
 class CanonicalError(ValueError):
@@ -54,20 +60,6 @@ class CanonicalPair:
     @property
     def dim(self):
         return self.transform.shape[0]
-
-
-def canonical_matrices(blocks):
-    """Direct sums (J, P) for an ordered block list."""
-    dim = sum(b.dim for b in blocks)
-    j = np.zeros((dim, dim))
-    p = np.zeros((dim, dim))
-    at = 0
-    for b in blocks:
-        sb, hb = build_block(b)
-        j[at: at + b.dim, at: at + b.dim] = sb
-        p[at: at + b.dim, at: at + b.dim] = hb
-        at += b.dim
-    return j, p
 
 
 def _cluster_1d(values, delta):
@@ -267,7 +259,7 @@ def _attempt(a, h, eigvals, delta):
     blocks = tuple(e[0] for e in entries)
     cols = [c for e in entries for c in e[1]]
     t = np.column_stack(cols)
-    j_mat, p_mat = canonical_matrices(blocks)
+    j_mat, p_mat = direct_sum(blocks)
     res_j = float(np.max(np.abs(np.linalg.solve(t, a @ t) - j_mat)))
     res_h = float(np.max(np.abs(t.T @ h @ t - p_mat)))
     return CanonicalPair(blocks, t, res_j, res_h, tuple(warnings))
@@ -279,12 +271,12 @@ def _attempt(a, h, eigvals, delta):
 _DELTA_LADDER = (1.0, 10.0, 100.0, 400.0)
 
 
-def decompose(a, h, tol: float = 1e-8, cluster_tol: float | None = None) -> CanonicalPair:
+def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
     """Decompose an H-selfadjoint matrix into its Jordan/sip canonical pair.
 
-    ``tol`` gates the selfadjointness precondition; ``cluster_tol``
-    overrides the eigenvalue clustering threshold (default 1e-6 * ||A||,
-    escalated internally when the canonical residuals come out poor).
+    ``tol`` gates the selfadjointness precondition; eigenvalues are
+    clustered at 1e-6 * ||A||, escalated along ``_DELTA_LADDER`` when the
+    canonical residuals come out poor.
     """
     a = np.asarray(a, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -303,20 +295,16 @@ def decompose(a, h, tol: float = 1e-8, cluster_tol: float | None = None) -> Cano
             f"A is not H-selfadjoint: ||A^T H - H A|| = {err:.3e}")
 
     eigvals = np.linalg.eigvals(a)
-    base = (cluster_tol if cluster_tol is not None
-            else 1e-6 * max(1.0, norm_a))
-    ladder = (1.0,) if cluster_tol is not None else _DELTA_LADDER
+    base = 1e-6 * max(1.0, norm_a)
     best = None
-    for step, factor in enumerate(ladder):
+    for step, factor in enumerate(_DELTA_LADDER):
         try:
             cand = _attempt(a, h, eigvals, base * factor)
         except CanonicalError:
             continue
         if step > 0:
-            cand = CanonicalPair(
-                cand.blocks, cand.transform, cand.residual_jordan, cand.residual_h,
-                cand.warnings + (
-                    f"clustering threshold escalated to {base * factor:.3e}",))
+            cand = replace(cand, warnings=cand.warnings + (
+                f"clustering threshold escalated to {base * factor:.3e}",))
         if max(cand.residual_jordan, cand.residual_h) < 1e-6:
             return cand
         if best is None or max(cand.residual_jordan, cand.residual_h) < \
@@ -324,9 +312,8 @@ def decompose(a, h, tol: float = 1e-8, cluster_tol: float | None = None) -> Cano
             best = cand
     if best is None:
         raise CanonicalError("no clustering attempt produced a decomposition")
-    return CanonicalPair(
-        best.blocks, best.transform, best.residual_jordan, best.residual_h,
-        best.warnings + ("canonical residuals above 1e-6; result is best effort",))
+    return replace(best, warnings=best.warnings + (
+        "canonical residuals above 1e-6; result is best effort",))
 
 
 @dataclass(frozen=True)
@@ -339,7 +326,7 @@ class ShapeSummary:
     sign_classes: tuple         # ((eigenvalue, size, sorted signs), ...)
 
 
-def classify(cp: CanonicalPair, zero_tol: float = 1e-8) -> ShapeSummary:
+def classify(cp: CanonicalPair) -> ShapeSummary:
     """Shape summary of a canonical pair against the rank-one target form."""
     counts = {}
     for b in cp.blocks:
@@ -352,7 +339,7 @@ def classify(cp: CanonicalPair, zero_tol: float = 1e-8) -> ShapeSummary:
     admissible = (not has_complex) and max_real <= 2 and len(two_blocks) <= 1
 
     scale = max(1.0, max((abs(b.eigenvalue) for b in real_blocks), default=0.0))
-    zeros = [abs(b.eigenvalue) <= zero_tol * scale for b in real_blocks]
+    zeros = [abs(b.eigenvalue) <= ZERO_TOL * scale for b in real_blocks]
     final = None
     if admissible and all(zeros):
         if max_real <= 1:
@@ -375,15 +362,9 @@ def classify(cp: CanonicalPair, zero_tol: float = 1e-8) -> ShapeSummary:
     )
 
 
-def rank(s, tol: float = 1e-9) -> int:
-    """Numerical rank: singular values above tol * sigma_max."""
+def rank(s) -> int:
+    """Numerical rank: singular values above RANK_TOL * sigma_max."""
     sv = np.linalg.svd(np.asarray(s, dtype=float), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tol * sv[0]))
-
-
-def signature(h, tol: float = 1e-10) -> tuple:
-    """(positive, negative) inertia of a symmetric matrix."""
-    w = np.linalg.eigvalsh(np.asarray(h, dtype=float))
-    return (int(np.sum(w > tol)), int(np.sum(w < -tol)))
+    return int(np.sum(sv > RANK_TOL * sv[0]))

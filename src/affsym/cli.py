@@ -322,7 +322,6 @@ def cmd_decompose(args):
         "version": __version__,
         "command": "decompose",
         "matrix_file": args.matrix_file,
-        "master_seed": args.seed,
         "parameters": {"tol": args.tol},
     }
     t0 = time.perf_counter()
@@ -374,12 +373,16 @@ def cmd_list_oracles(args):
     return 0
 
 
-def _add_common(p):
+def _add_seed(p):
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="default residual tolerance (default 1e-8)")
-    p.add_argument("--p-max", dest="p_max", type=int, default=3,
-                   help="maximum operator power (default 3)")
+
+
+def _add_p_max(p, default):
+    p.add_argument("--p-max", dest="p_max", type=int, default=default,
+                   help=f"maximum operator power (default {default})")
+
+
+def _add_report(p):
     p.add_argument("--output", default=None,
                    help="report path (default stdout)")
     p.add_argument("--strict", action="store_true",
@@ -396,19 +399,27 @@ def main(argv=None):
     p = sub.add_parser("check-geometry", help="run all checks on a scenario")
     p.add_argument("--scenario", required=True,
                    help="scenario file path or builtin name")
-    _add_common(p)
+    _add_seed(p)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="default residual tolerance (default 1e-8)")
+    _add_p_max(p, 3)
+    _add_report(p)
     p.set_defaults(func=cmd_check_geometry)
 
     p = sub.add_parser("oracles", help="run the closed-form oracle catalog")
     p.add_argument("--filter", default=None, help="glob over oracle ids")
     p.add_argument("--trials", type=int, default=100,
                    help="seeded draws per family (default 100)")
-    _add_common(p)
-    p.set_defaults(func=cmd_oracles, p_max=4)
+    _add_seed(p)
+    _add_p_max(p, 4)
+    _add_report(p)
+    p.set_defaults(func=cmd_oracles)
 
     p = sub.add_parser("decompose", help="canonical pair of an (A, H) file")
     p.add_argument("matrix_file", help="JSON file with dim, A, H (row-major)")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="H-selfadjointness tolerance (default 1e-8)")
+    _add_report(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("list-oracles", help="print the oracle registry")

@@ -305,7 +305,3 @@ def frame_residual(sj: StructureJets) -> float:
         np.vstack([-sj.S[0], sj.tau[0]])], axis=1)
     err = np.max(np.abs(rhs - frame @ coeffs), axis=0)
     return float(np.max(err / np.maximum(1.0, np.max(np.abs(rhs), axis=0))))
-
-
-def is_locally_equiaffine(st: InducedStructure, tol: float = 1e-10) -> bool:
-    return bool(np.max(np.abs(st.dtau)) < tol)

@@ -267,7 +267,7 @@ def _eval(e, env, space):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_jet(e, point, order: int, coords, max_order: int = MAX_JET_ORDER) -> np.ndarray:
+def eval_jet(e, point, order: int, coords) -> np.ndarray:
     """Coefficient array of expression ``e`` at ``point`` to the given order.
 
     ``coords`` names the coordinates in the order matching ``point``; the
@@ -278,8 +278,8 @@ def eval_jet(e, point, order: int, coords, max_order: int = MAX_JET_ORDER) -> np
     """
     if order < 0:
         raise JetOrderError("order must be >= 0")
-    if order > max_order:
-        raise JetOrderError(f"order {order} exceeds the configured maximum {max_order}")
+    if order > MAX_JET_ORDER:
+        raise JetOrderError(f"order {order} exceeds the maximum {MAX_JET_ORDER}")
     point = tuple(float(v) for v in point)
     if len(point) != len(coords):
         raise JetError("point dimension does not match coordinate count")

@@ -20,6 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: random_omega redraws until |det| > OMEGA_MIN_DET, OMEGA_MAX_TRIES times at most
+OMEGA_MIN_DET = 1e-6
+OMEGA_MAX_TRIES = 200
+
 
 class ModelError(ValueError):
     pass
@@ -103,27 +107,33 @@ class GaussModel:
         return e
 
 
-def assemble(blocks, validate: bool = True) -> GaussModel:
-    """Direct-sum the given blocks, in order, into a GaussModel."""
-    blocks = tuple(blocks)
+def direct_sum(blocks):
+    """The block-diagonal (S, H) of the given blocks, in order."""
     dim = sum(b.dim for b in blocks)
-    if dim % 2 != 0:
-        raise ModelError(f"total dimension {dim} is odd")
-    if dim < 4:
-        raise ModelError(f"total dimension {dim} is below 4")
     s = np.zeros((dim, dim))
     h = np.zeros((dim, dim))
     at = 0
     for b in blocks:
-        sb, hb = build_block(b)
-        d = b.dim
-        s[at: at + d, at: at + d] = sb
-        h[at: at + d, at: at + d] = hb
-        at += d
-    if validate:
-        err = np.max(np.abs(s.T @ h - h @ s))
-        assert err < 1e-12, f"assembled pair not h-selfadjoint (residual {err})"
-        assert abs(np.linalg.det(h)) > 1e-12, "assembled h degenerate"
+        cell = slice(at, at + b.dim)
+        s[cell, cell], h[cell, cell] = build_block(b)
+        at += b.dim
+    return s, h
+
+
+def assemble(blocks) -> GaussModel:
+    """Direct-sum the given blocks, in order, into a GaussModel."""
+    blocks = tuple(blocks)
+    s, h = direct_sum(blocks)
+    dim = len(s)
+    if dim % 2 != 0:
+        raise ModelError(f"total dimension {dim} is odd")
+    if dim < 4:
+        raise ModelError(f"total dimension {dim} is below 4")
+    err = np.max(np.abs(s.T @ h - h @ s))
+    if not err < 1e-12:
+        raise ModelError(f"assembled pair not h-selfadjoint (residual {err})")
+    if not abs(np.linalg.det(h)) > 1e-12:
+        raise ModelError("assembled h degenerate")
     return GaussModel(dim, s, h, blocks)
 
 
@@ -144,20 +154,19 @@ def tridiagonal_omega(dim: int) -> np.ndarray:
     return w
 
 
-def random_omega(dim, rng, zero_pairs=(), min_det: float = 1e-6,
-                 max_tries: int = 200) -> np.ndarray:
+def random_omega(dim, rng, zero_pairs=()) -> np.ndarray:
     """Random antisymmetric nondegenerate form with entries in [-1, 1].
 
     ``zero_pairs`` lists (i, j) index pairs forced to zero (hypothesis side
-    conditions); retries until |det| exceeds ``min_det``.
+    conditions).
     """
     forbidden = {(min(i, j), max(i, j)) for i, j in zero_pairs}
-    for _ in range(max_tries):
+    for _ in range(OMEGA_MAX_TRIES):
         a = rng.uniform(-1.0, 1.0, size=(dim, dim))
         w = np.triu(a, 1)
         for i, j in forbidden:
             w[i, j] = 0.0
         w = w - w.T
-        if abs(np.linalg.det(w)) > min_det:
+        if abs(np.linalg.det(w)) > OMEGA_MIN_DET:
             return w
     raise ModelError("could not draw a nondegenerate form under the given constraints")

@@ -16,9 +16,9 @@ level on basis-index tuples); values at vector arguments run the recursion on th
 vectors themselves.  The whole of R^k.omega for a 2-form omega is held
 packed: it is antisymmetric in every slot pair (X_i, Y_i) and in its last
 two slots, so it has one axis over Lambda^2 per pair slot (pairs a < b in
-``np.triu_indices`` order) and N2^(k+1) entries, N2 = n(n-1)/2, instead of
-n^(2k+2).  Each level applies R(e_x, e_y), x < y, to every pair axis as
-one N2 x N2 matrix, the curvature operator on 2-forms.
+``np.triu_indices`` order) and N2^(k+1) entries, N2 = n(n-1)/2.  Each
+level applies R(e_x, e_y), x < y, to every pair axis as one N2 x N2
+matrix, the curvature operator on 2-forms.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .model import GaussModel
 K_CAP_ALGEBRAIC = 8
 K_CAP_GEOMETRIC = 3
 
-#: entry cap for materializing R^k.omega, packed or dense
+#: entry cap for packed R^k.omega and for the arrays of a vector probe
 TENSOR_ENTRY_CAP = 40_000_000
 
 
@@ -287,34 +287,6 @@ def r_power_levels(provider, packed, k: int):
         yield t
 
 
-def r_power_packed(provider, packed, k: int) -> np.ndarray:
-    """R^k.T of a tensor with one Lambda^2 axis per pair slot: the last
-    level of ``r_power_levels`` (T itself for k = 0)."""
-    t = np.asarray(packed, dtype=float)
-    for t in r_power_levels(provider, t, k):
-        pass
-    return t
-
-
-def r_power_tensor(provider, tensor, k: int,
-                   entry_cap: int = TENSOR_ENTRY_CAP) -> np.ndarray:
-    """R^k . omega of a 2-form as a dense array of arity 2k+2: the packed
-    form of ``r_power_packed`` with each pair axis unpacked to n x n."""
-    n = provider.dim
-    packed = pack_two_form(tensor, n)
-    if n ** (2 * k + 2) > entry_cap:
-        raise RecursionCapError(f"R^{k} tensor would hold {n ** (2 * k + 2)} entries")
-    t = r_power_packed(provider, packed, k)
-    a, b = np.triu_indices(n, 1)
-    unpack = np.zeros((len(a), n, n))
-    unpack[np.arange(len(a)), a, b] = 1.0
-    unpack[np.arange(len(a)), b, a] = -1.0
-    for _ in range(t.ndim):
-        # consume the leading pair axis, append its (n, n) slots at the end
-        t = np.tensordot(t, unpack, axes=([0], [0]))
-    return t
-
-
 # -- covariant derivatives ---------------------------------------------
 
 
@@ -322,17 +294,11 @@ class CovariantField:
     """A (0,p) tensor field given by expressions or constant components."""
 
     def __init__(self, arity, components, coords=None):
-        self.arity = arity
         self.coords = coords
         comps = np.asarray(components, dtype=object)
         if comps.ndim != arity:
             raise ArityError(f"component array has {comps.ndim} axes, expected {arity}")
         self.components = comps
-
-    @staticmethod
-    def constant(array):
-        arr = np.asarray(array, dtype=float)
-        return CovariantField(arr.ndim, arr.astype(object))
 
     def jets(self, point, order):
         """Component jets at ``point`` as one coefficient array
@@ -375,12 +341,6 @@ def nabla_powers(field: CovariantField, structure, k: int) -> list:
         t = out
         powers.append(t[0])
     return powers
-
-
-def nabla_tensor(field: CovariantField, structure, k: int) -> np.ndarray:
-    """Dense nabla^k T at the structure's base point (arity k + p): the
-    last of ``nabla_powers``."""
-    return nabla_powers(field, structure, k)[-1]
 
 
 def alternating_sum_identity(omega, nabla, provider, k: int, x_pairs, y_idxs):

@@ -6,10 +6,12 @@ the defining recursion (tensor_ops.r_power_action), the closed value from
 the formula, and the absolute error is the reported quantity.
 
 A family is declared once, beside its closed form: its fields, in draw
-order, state the lead block(s) (``Lead``), the trailing blocks (``Trail``),
-each parameter with its allowed values (``Choice``: the power parameter,
-the variants, and each slot as a set in terms of (k, dim)) and the 2-form
-with its zero pairs (``Omega``); its ``power`` is the R^p a draw exercises.
+order, state the lead block(s) (``Lead``), the trailing 1x1 blocks
+(``Trail``), each parameter with its allowed values (``Choice``: the power
+parameter, the variants, and each slot as a set in terms of (k, dim)),
+the slots whose blocks are null directions (``Nulls``), the coefficient
+vectors of the power steps (``Vectors``) and the 2-form with its zero
+pairs (``Omega``); its ``power`` is the R^p a draw exercises.
 sample_spec draws the fields in order, run_oracle checks each of them,
 and power_of reads the power.
 
@@ -34,9 +36,8 @@ import numpy as np
 from . import canonical, geometry
 from .model import (ComplexBlock, GaussModel, ModelError, RealBlock, assemble,
                     model_curvature, random_omega, tridiagonal_omega)
-from .tensor_ops import (AlgebraicCurvature, CovariantField, GeometricCurvature,
-                         nabla_powers, pack_two_form, r_power_action,
-                         r_power_levels, r_power_probe)
+from .tensor_ops import (AlgebraicCurvature, GeometricCurvature, pack_two_form,
+                         r_power_action, r_power_levels, r_power_probe)
 
 #: per-draw tolerance: abs_err <= ORACLE_RTOL * max(1, |closed|)
 ORACLE_RTOL = 1e-9
@@ -146,7 +147,7 @@ class _Draw:
 
     def __init__(self, fam, q, blocks, k, dim=0, rng=None, p_max=None, w=None):
         self.fam, self.q, self.blocks, self.k, self.dim = fam, q, blocks, k, dim
-        self.rng, self.p_max, self.w, self.eigs = rng, p_max, w, []
+        self.rng, self.p_max, self.w = rng, p_max, w
 
     def add(self, blocks):
         self.blocks += blocks
@@ -158,22 +159,18 @@ class Lead:
     """``count`` real lead blocks of ``size``, or one complex block of
     half-size ``size``; a (lo, hi) size is drawn first of all, as params
     ``k``, and the identity holds for every size >= lo.  The real
-    eigenvalues are drawn ``eig`` (ZERO: nilpotent), then the signs, the
-    first sign before them with ``sign_first``."""
+    eigenvalues are drawn ``eig`` (ZERO: nilpotent), then the signs."""
     kind: str
     size: int | tuple
     eig: str = NONZERO
     count: int = 1
-    sign_first: bool = False
 
     def draw(self, d):
         if self.kind == "complex":
             d.add([ComplexBlock(d.k, _nonzero(d.rng), _nonzero(d.rng))])
             return
-        signs = [_sign(d.rng)] if self.sign_first else []
         eigs = [_EIG[self.eig](d.rng) for _ in range(self.count)]
-        signs += [_sign(d.rng) for _ in range(self.count - len(signs))]
-        d.add([RealBlock(d.k, a, s) for a, s in zip(eigs, signs)])
+        d.add([RealBlock(d.k, a, _sign(d.rng)) for a in eigs])
 
     def check(self, d):
         ranged = isinstance(self.size, tuple)
@@ -192,41 +189,20 @@ class Lead:
 @dataclass(frozen=True)
 class Trail:
     """Trailing 1x1 real blocks: step * n of them for n drawn from lo..hi,
-    the first ``pre`` drawn before n, and one more if the dimension would
-    be odd.  ``split`` draws their eigenvalues here, counted in the
-    dimension at once, and their signs at the Signs field."""
+    and one more if the dimension would be odd."""
     lo: int
     hi: int
     step: int = 1
-    pre: int = 0
-    split: bool = False
 
     def draw(self, d):
-        d.add([_extra(d.rng) for _ in range(self.pre)])
-        count = self.step * _pick(d.rng, range(self.lo, self.hi + 1)) - self.pre
+        count = self.step * _pick(d.rng, range(self.lo, self.hi + 1))
         count += (d.dim + count) % 2
-        if self.split:
-            d.eigs = [float(d.rng.uniform(-2.0, 2.0)) for _ in range(count)]
-            d.dim += count
-        else:
-            d.add([_extra(d.rng) for _ in range(count)])
+        d.add([_extra(d.rng) for _ in range(count)])
 
     def check(self, d):
         tail = d.blocks[d.fam.lead.count if d.fam.lead else 0:]
         _require(all(isinstance(b, RealBlock) and b.size == 1 for b in tail),
                  "trailing blocks must be real of size 1")
-
-
-@dataclass(frozen=True)
-class Signs:
-    """The signs of a split Trail's blocks."""
-
-    def draw(self, d):
-        d.blocks += [RealBlock(1, lam, _sign(d.rng)) for lam in d.eigs]
-        d.eigs = []
-
-    def check(self, d):
-        pass
 
 
 @dataclass(frozen=True)
@@ -257,24 +233,18 @@ class Choice:
 
 @dataclass(frozen=True)
 class Nulls:
-    """Two distinct slots of a split Trail with no lead, drawn at once
-    from ``values(k, dim, params so far)``; their blocks have eigenvalue 0."""
+    """The 1x1 blocks at the named slots, drawn before it, are null
+    directions: drawn with eigenvalue 0, checked to have it."""
     names: tuple
-    values: object
 
     def draw(self, d):
-        pair = d.rng.choice(self.values(d.k, d.dim, d.q), size=2, replace=False)
-        for name, t in zip(self.names, pair):
-            d.q[name] = int(t)
-            d.eigs[int(t)] = 0.0
+        for name in self.names:
+            d.blocks[d.q[name]] = RealBlock(1, 0.0, d.blocks[d.q[name]].sign)
 
     def check(self, d):
-        values = self.values(d.k, d.dim, d.q)
-        z = [d.q[name] for name in self.names]
-        _require(all(_plain(t) and t in values for t in z) and z[0] != z[1]
-                 and all(d.blocks[t].eigenvalue == 0.0 for t in z),
-                 lambda: f"{' and '.join(self.names)} must be distinct null directions "
-                         f"in {values}")
+        for name in self.names:
+            _require(d.blocks[d.q[name]].eigenvalue == 0.0,
+                     lambda: f"{name} must be a null direction (eigenvalue 0)")
 
 
 @dataclass(frozen=True)
@@ -687,11 +657,14 @@ def _diag_pair(act, m, w, l, kk, jj, i, **_):
 
 
 @_family("x_z1z2_y", "eigendirection against two null directions: even-power formula",
-         Trail(2, 4, step=2, split=True), Choice("x", lambda k, dim, q: range(dim)),
-         Nulls(("z1", "z2"), lambda k, dim, q: _without(range(dim), q["x"])),
+         Trail(2, 4, step=2), Choice("x", lambda k, dim, q: range(dim)),
+         Choice("z1", lambda k, dim, q: _without(range(dim), q["x"]), "distinct from x"),
+         Choice("z2", lambda k, dim, q: _without(range(dim), q["x"], q["z1"]),
+                "distinct from x and z1"),
+         Nulls(("z1", "z2")),
          Choice("y", lambda k, dim, q: _without(range(dim), q["z2"]),
                 "h-orthogonal to the second null direction z2"),
-         Signs(), Choice("l", (1, 2)), OMEGA, power=lambda q: 2 * q["l"])
+         Choice("l", (1, 2)), OMEGA, power=lambda q: 2 * q["l"])
 def _x_z1z2_y(act, m, w, l, x, z1, z2, y, **_):
     lam, h1, h2 = m.blocks[x].eigenvalue, m.blocks[z1].sign, m.blocks[z2].sign
     closed = (-1.0) ** l * lam ** (2 * l) * h1 ** l * h2 ** l * w[x, y]
@@ -700,7 +673,7 @@ def _x_z1z2_y(act, m, w, l, x, z1, z2, y, **_):
 
 @_family("blk2_1x1", "2-dimensional block plus eigendirection: (2 eta alpha)^(p-1) "
          "formula",
-         Lead("real", 2, sign_first=True), Trail(1, 2, step=2, pre=1), P, OMEGA)
+         Lead("real", 2), Trail(1, 2, step=2), P, OMEGA)
 def _blk2_1x1(act, m, w, p, **_):
     alpha, eta = m.blocks[0].eigenvalue, m.blocks[0].sign
     closed = (-1.0) ** p * (2 * eta * alpha) ** (p - 1) * m.blocks[1].sign * w[0, 1]
@@ -910,15 +883,11 @@ def check_rank_theorem(target, p: int, tol: float = 1e-8, omega=None,
                        curv=None, nablas=None) -> RankVerdict:
     """Tie the first vanishing operator power q <= p to the rank-one conclusion.
 
-    ``target`` is one of:
-
-    * a GaussModel, with ``omega`` (default the tridiagonal form);
-    * a geometry.StructureJets solved at one sample point (to order p - 1
-      or more when p <= NABLA_RANK_CAP); nabla^q is taken of the
-      scenario's omega field, or of ``omega`` held constant;
-    * the InducedStructure of a point, passed with its ``curv`` and its
-      nabla chain ``nablas`` = [omega, nabla omega, ...] (``nabla_powers``
-      to min(p, NABLA_RANK_CAP) or beyond), as check-geometry holds them.
+    ``target`` is either a GaussModel, with ``omega`` (default the
+    tridiagonal form), or the InducedStructure of a point, with its
+    ``curv`` and its nabla chain ``nablas`` = [omega, nabla omega, ...]
+    (``nabla_powers`` to min(p, NABLA_RANK_CAP) or beyond), as
+    check-geometry holds them.
 
     R^q omega is stepped one packed level at a time for q = 1..p and the
     scan stops at the first q at which R^q omega or nabla^q omega
@@ -935,13 +904,6 @@ def check_rank_theorem(target, p: int, tol: float = 1e-8, omega=None,
         prov = AlgebraicCurvature(target)
         s_op, h = target.S, target.H
     else:
-        if isinstance(target, geometry.StructureJets):
-            sc = target.scenario
-            field = CovariantField(2, sc.omega, sc.coords) if omega is None \
-                else CovariantField.constant(omega)
-            nablas = nabla_powers(field, target, min(max(p, 0), NABLA_RANK_CAP))
-            target = geometry.induced_structure(target)
-            curv = geometry.curvature(target)
         w = nablas[0]
         prov = GeometricCurvature(curv.R)
         s_op, h, point = target.S, target.h, target.point

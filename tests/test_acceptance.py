@@ -16,8 +16,8 @@ from affsym.cli import main as cli_main
 from affsym.model import ComplexBlock, RealBlock, assemble
 from affsym.scenarios import load_scenario
 from affsym.tensor_ops import (CovariantField, GeometricCurvature,
-                               alternating_sum_identity, nabla_tensor,
-                               r_power_action, r_power_tensor)
+                               alternating_sum_identity, nabla_powers,
+                               pack_two_form, r_power_action, r_power_levels)
 
 SHIPPED = ("paper_example_n2", "paper_example_n3", "paraboloid",
            "centroaffine_sphere")
@@ -58,8 +58,8 @@ def test_criterion_1_worked_example_reproduction():
         worst["r1"] = max(worst["r1"], abs(r1 - (-x * y * w[0, 1])))
         r2 = r_power_action(prov, w, 2, (0, 2, 0, 2, 0, 2))
         worst["r2"] = max(worst["r2"], abs(r2 - x * y * w[1, 2]))
-        worst["r3"] = max(worst["r3"],
-                          float(np.max(np.abs(r_power_tensor(prov, w, 3)))))
+        *_, r3 = r_power_levels(prov, pack_two_form(w, 4), 3)
+        worst["r3"] = max(worst["r3"], float(np.max(np.abs(r3))))
     elapsed = time.perf_counter() - t0
     ok = (worst["s_off"] < 1e-10 and worst["tau"] < 1e-10 and worst["h"] < 1e-9
           and worst["r1"] < 1e-8 and worst["r2"] < 1e-8 and worst["r3"] < 1e-8
@@ -176,7 +176,11 @@ def test_criterion_5_theorem_witnesses_and_rank_verdicts():
         outcome = []
         for point in sc.sample_points:
             sj = geo.structure_jets(sc, point, 2)
-            per_power = [verify.check_rank_theorem(sj, p, 1e-8) for p in range(1, 4)]
+            st = geo.induced_structure(sj)
+            curv = geo.curvature(st)
+            nablas = nabla_powers(CovariantField(2, sc.omega, sc.coords), sj, 3)
+            per_power = [verify.check_rank_theorem(st, p, 1e-8, curv=curv, nablas=nablas)
+                         for p in range(1, 4)]
             assert all(v.verdict != "FAIL" for v in per_power), (scenario_name, point)
             triggered = [v.verdict for v in per_power if v.verdict != "VACUOUS"]
             outcome.append(triggered[0] if triggered else "VACUOUS")
@@ -197,7 +201,7 @@ def test_criterion_6_alternating_identity():
             prov = GeometricCurvature(geo.curvature(st).R)
             sj = geo.structure_jets(sc, point, 1)
             w = sc.omega_at(point)
-            nabla = nabla_tensor(CovariantField.constant(w), sj, 2)
+            nabla = nabla_powers(CovariantField(2, w), sj, 2)[2]
             for _ in range(50):
                 pair = (int(rng.integers(0, sc.dim)), int(rng.integers(0, sc.dim)))
                 ys = tuple(int(v) for v in rng.integers(0, sc.dim, size=2))

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from affsym import geometry as geo
 from affsym.canonical import (CanonicalError, NotSelfadjointError, classify,
-                              decompose, rank, signature, sip_signature)
+                              decompose, rank, sip_signature)
 from affsym.model import ComplexBlock, RealBlock, assemble, sip_matrix
 from affsym.scenarios import load_scenario
+
+
+def _inertia(h):
+    """(positive, negative) eigenvalue counts of a symmetric matrix."""
+    w = np.linalg.eigvalsh(h)
+    return int(np.sum(w > 1e-10)), int(np.sum(w < -1e-10))
 
 
 def test_sip_matrix_and_signature():
@@ -18,7 +26,7 @@ def test_sip_matrix_and_signature():
         s = sip_matrix(n)
         assert np.array_equal(s @ s, np.eye(n))
         assert np.array_equal(s, s.T)
-        assert sip_signature(n) == signature(s)
+        assert sip_signature(n) == _inertia(s)
 
 
 def test_zero_matrix_splits_into_sign_blocks():
@@ -141,7 +149,7 @@ def test_sylvester_sign_total():
             else:
                 p, n = sip_signature(2 * b.half_size)
                 pos, neg = pos + p, neg + n
-        assert (pos, neg) == signature(h)
+        assert (pos, neg) == _inertia(h)
 
 
 def test_block_multiset_invariant_under_conjugation():
@@ -206,3 +214,52 @@ def test_repeated_eigenvalue_blocks():
     assert sorted(map(_block_key, pair.blocks)) == sorted(map(_block_key, blocks))
     summary = classify(pair)
     assert summary.sign_classes  # reported per (eigenvalue, size) class
+
+
+_COMPLEX_GRID = [(a, b) for a in (-1.0, 0.0, 0.9) for b in (0.7, 1.6)]
+
+
+@hst.composite
+def canonical_shapes(draw):
+    """A Jordan/sip block list over the shapes ``_random_blocks`` and the
+    decompose benchmark draw: dim 4 to 10, real blocks of size <= 4 with
+    distinct grid eigenvalues or 0, complex blocks of half-size <= 3 with
+    distinct grid eigenvalues, both signs."""
+    left = draw(hst.sampled_from((4, 6, 8, 10)))
+    lams = draw(hst.permutations(_EIG_GRID))
+    cplx = draw(hst.permutations(_COMPLEX_GRID))
+    blocks = []
+    while left > 0:
+        if left >= 4 and cplx and draw(hst.booleans()):
+            half = draw(hst.integers(1, min(3, left // 2)))
+            blocks.append(ComplexBlock(half, *cplx.pop()))
+            left -= 2 * half
+            continue
+        size = draw(hst.integers(1, min(4, left)))
+        lam = lams.pop() if lams and draw(hst.booleans()) else 0.0
+        blocks.append(RealBlock(size, lam, draw(hst.sampled_from((1, -1)))))
+        left -= size
+    return blocks
+
+
+def _sign_characteristic(classes):
+    """(eigenvalue to 5 places, size, signs) per real block class."""
+    return sorted((round(lam, 5) + 0.0, size, tuple(sorted(signs)))
+                  for lam, size, signs in classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_shapes(), hst.integers(0, 2 ** 32 - 1))
+def test_canonical_form_is_recovered_under_congruence(blocks, seed):
+    m = assemble(blocks)
+    a, h, _ = _conjugate(np.random.default_rng(seed), m, spread=2.5)
+    pair = decompose(a, h)
+    assert max(pair.residual_jordan, pair.residual_h) < 1e-6
+    assert sorted(map(_block_key, pair.blocks)) == sorted(map(_block_key, blocks))
+    drawn = {}
+    for b in blocks:
+        if isinstance(b, RealBlock):
+            drawn.setdefault((b.eigenvalue, b.size), []).append(b.sign)
+    want = _sign_characteristic((lam, size, signs) for (lam, size), signs in drawn.items())
+    assert _sign_characteristic(classify(decompose(m.S, m.H)).sign_classes) == want
+    assert _sign_characteristic(classify(pair).sign_classes) == want

@@ -112,6 +112,7 @@ def test_decompose_command(tmp_path):
     assert sorted(b["sign"] for b in blocks) == [-1, -1, 1, 1]
     assert rec["rank"]["value"] == 0
     assert rec["classify"]["params"]["final_form"] == "zero"
+    assert "master_seed" not in rep   # decompose draws nothing
 
 
 def test_decompose_roundtrip_file(tmp_path):
@@ -268,6 +269,24 @@ def test_decompose_applies_tol(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["decompose", str(mat), "--tol", "1e-4", "--output", str(out)]) == 0
     assert _load(out)["parameters"]["tol"] == 1e-4
+
+
+def test_each_subcommand_takes_only_its_flags(tmp_path, capsys):
+    for command, default in (("check-geometry", 3), ("oracles", 4)):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"maximum operator power (default {default})" in text, command
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"dim": 2, "A": [0.0] * 4, "H": [1.0, 0.0, 0.0, 1.0]}))
+    for argv in (["decompose", str(mat), "--p-max", "3"],
+                 ["decompose", str(mat), "--seed", "1"],
+                 ["oracles", "--tol", "1e-3"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_degenerate_omega_is_usage_error(tmp_path, capsys):

@@ -14,8 +14,8 @@ from affsym.expr import parse_expr
 from affsym.tensor_ops import (AlgebraicCurvature, ArityError, CovariantField,
                                GeometricCurvature, RecursionCapError,
                                alternating_sum_identity, nabla_powers,
-                               nabla_tensor, pack_two_form, r_power_action, r_power_packed,
-                               r_power_probe, r_power_tensor)
+                               pack_two_form, r_power_action, r_power_levels,
+                               r_power_probe)
 
 
 def _model():
@@ -105,7 +105,7 @@ def test_tensor_mode_matches_recursion():
     w = rng.uniform(-1, 1, (4, 4))
     w = w - w.T
     for k in (1, 2, 3):
-        tensor = r_power_tensor(prov, w, k)
+        tensor = _unpacked_r_power(prov, w, k)
         for _ in range(25):
             args = tuple(int(v) for v in rng.integers(0, 4, size=2 * k + 2))
             assert abs(tensor[args] - r_power_action(prov, w, k, args)) < 1e-12
@@ -120,7 +120,7 @@ def test_geometric_example_values():
     x, y = point[0], point[1]
     assert abs(r_power_action(prov, w, 1, (0, 2, 0, 2)) - (-x * y * w[0, 1])) < 1e-12
     assert abs(r_power_action(prov, w, 2, (0, 2, 0, 2, 0, 2)) - x * y * w[1, 2]) < 1e-12
-    assert np.max(np.abs(r_power_tensor(prov, w, 3))) < 1e-8
+    assert np.max(np.abs(_unpacked_r_power(prov, w, 3))) < 1e-8
 
 
 # -- covariant derivatives ----------------------------------------------
@@ -150,23 +150,22 @@ def test_nabla_zero_is_component():
     sc = load_scenario("paper_example_n2")
     sj = geo.structure_jets(sc, sc.sample_points[0], 0)
     w = sc.omega_at(sc.sample_points[0])
-    field = CovariantField.constant(w)
-    assert nabla_tensor(field, sj, 0)[1, 2] == w[1, 2]
+    assert nabla_powers(CovariantField(2, w), sj, 0)[0][1, 2] == w[1, 2]
 
 
 def test_flat_connection_constant_form():
     sc = load_scenario("paraboloid")
     sj = geo.structure_jets(sc, sc.sample_points[0], 1)
-    field = CovariantField.constant(sc.omega_at(sc.sample_points[0]))
-    assert np.max(np.abs(nabla_tensor(field, sj, 1))) == 0.0
+    field = CovariantField(2, sc.omega_at(sc.sample_points[0]))
+    assert np.max(np.abs(nabla_powers(field, sj, 1)[1])) == 0.0
 
 
 def test_nabla_matches_finite_differences_on_sphere():
     sc = load_scenario("centroaffine_sphere")
     point = sc.sample_points[0]
-    field = CovariantField.constant(sc.omega_at(point))
+    field = CovariantField(2, sc.omega_at(point))
     sj = geo.structure_jets(sc, point, 1)
-    nabla = nabla_tensor(field, sj, 1)
+    nabla = nabla_powers(field, sj, 1)[1]
     for i in range(4):
         for j in range(4):
             for k in range(4):
@@ -178,9 +177,9 @@ def test_nabla_matches_finite_differences_on_sphere():
 def test_nabla_two_matches_finite_differences():
     sc = load_scenario("centroaffine_sphere")
     point = sc.sample_points[2]
-    field = CovariantField.constant(sc.omega_at(point))
+    field = CovariantField(2, sc.omega_at(point))
     sj = geo.structure_jets(sc, point, 1)
-    nabla = nabla_tensor(field, sj, 2)
+    nabla = nabla_powers(field, sj, 2)[2]
     rng = np.random.default_rng(6)
     for _ in range(8):
         idxs = tuple(int(v) for v in rng.integers(0, 4, size=4))
@@ -192,9 +191,9 @@ def test_nabla_two_matches_finite_differences():
 def test_nabla_order_cap():
     sc = load_scenario("paraboloid")
     sj = geo.structure_jets(sc, sc.sample_points[0], 1)
-    field = CovariantField.constant(tridiagonal_omega(4))
+    field = CovariantField(2, tridiagonal_omega(4))
     with pytest.raises(RecursionCapError):
-        nabla_tensor(field, sj, 3)
+        nabla_powers(field, sj, 3)
 
 
 def test_nabla_of_expression_field_matches_finite_differences():
@@ -208,10 +207,10 @@ def test_nabla_of_expression_field_matches_finite_differences():
     comps = [[parse_expr(c, sc.coords) for c in row] for row in src]
     field = CovariantField(2, comps, sc.coords)
     sj = geo.structure_jets(sc, point, 1)
-    nabla = nabla_tensor(field, sj, 1)
+    nabla = nabla_powers(field, sj, 1)[1]
     for idxs in np.ndindex(4, 4, 4):
         assert abs(nabla[idxs] - _fd_nabla(field, sc, 1, point, idxs)) < 1e-7
-    nabla = nabla_tensor(field, sj, 2)
+    nabla = nabla_powers(field, sj, 2)[2]
     rng = np.random.default_rng(16)
     for _ in range(8):
         idxs = tuple(int(v) for v in rng.integers(0, 4, size=4))
@@ -245,7 +244,7 @@ def test_sphere_codazzi_sides_vanish():
     assert np.max(np.abs(side[2, :, 0])) < 1e-12
 
 
-def test_nabla_powers_match_nabla_tensor():
+def test_nabla_powers_chain_matches_single_passes():
     # one chain to nabla^3 gives every power bit for bit as a pass of its own
     cases = []
     for name in BUILTIN_NAMES:
@@ -265,7 +264,7 @@ def test_nabla_powers_match_nabla_tensor():
         chain = nabla_powers(field, sj, 3)
         assert len(chain) == 4
         for q, nabla in enumerate(chain):
-            assert np.array_equal(nabla, nabla_tensor(field, sj, q))
+            assert np.array_equal(nabla, nabla_powers(field, sj, q)[q])
 
 
 def test_alternating_identity_on_scenarios():
@@ -277,7 +276,7 @@ def test_alternating_identity_on_scenarios():
         prov = GeometricCurvature(geo.curvature(st).R)
         sj = geo.structure_jets(sc, point, 1)
         w = sc.omega_at(point)
-        nabla = nabla_tensor(CovariantField.constant(w), sj, 2)
+        nabla = nabla_powers(CovariantField(2, w), sj, 2)[2]
         rng = np.random.default_rng(8)
         for _ in range(20):
             pair = (int(rng.integers(0, sc.dim)), int(rng.integers(0, sc.dim)))
@@ -293,7 +292,7 @@ def test_alternating_identity_example_value():
     prov = GeometricCurvature(geo.curvature(st).R)
     sj = geo.structure_jets(sc, point, 1)
     w = sc.omega_at(point)
-    nabla = nabla_tensor(CovariantField.constant(w), sj, 2)
+    nabla = nabla_powers(CovariantField(2, w), sj, 2)[2]
     lhs, rhs = alternating_sum_identity(w, nabla, prov, 1, [(0, 2)], (0, 2))
     assert abs(lhs - (-2.0)) < 1e-12
     assert abs(lhs - rhs) < 1e-7
@@ -309,7 +308,7 @@ def test_alternating_identity_depth_two():
     prov = GeometricCurvature(geo.curvature(st).R)
     sj = geo.structure_jets(sc, point, 3)
     w = sc.omega_at(point)
-    nabla = nabla_tensor(CovariantField.constant(w), sj, 4)
+    nabla = nabla_powers(CovariantField(2, w), sj, 4)[4]
     rng = np.random.default_rng(14)
     for _ in range(6):
         pairs = [(int(a), int(b)) for a, b in rng.integers(0, 4, size=(2, 2))]
@@ -333,7 +332,7 @@ def _assert_probe_matches_dense(prov, w, k, seed):
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((2 * k + 2, prov.dim))
     got = float(r_power_probe(prov, w, k, vectors))
-    ref = _contract(r_power_tensor(prov, w, k), vectors)
+    ref = _contract(_unpacked_r_power(prov, w, k), vectors)
     assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (got, ref)
 
 
@@ -436,6 +435,24 @@ def test_probe_arity_and_cap_checks():
 # -- R^k.omega packed on Lambda^2 ------------------------------------------
 
 
+def _unpacked_r_power(provider, omega, k):
+    """R^k.omega as a dense array of arity 2k+2: the last packed level of
+    ``r_power_levels`` (omega itself for k = 0), each pair axis unpacked
+    to its antisymmetric n x n slots."""
+    n = provider.dim
+    t = pack_two_form(omega, n)
+    for t in r_power_levels(provider, t, k):
+        pass
+    a, b = np.triu_indices(n, 1)
+    unpack = np.zeros((len(a), n, n))
+    unpack[np.arange(len(a)), a, b] = 1.0
+    unpack[np.arange(len(a)), b, a] = -1.0
+    for _ in range(t.ndim):
+        # consume the leading pair axis, append its (n, n) slots at the end
+        t = np.tensordot(t, unpack, axes=([0], [0]))
+    return t
+
+
 def _dense_r_power(provider, tensor, k):
     """Reference: R^k.T as a dense array, one contraction per slot."""
     t = np.asarray(tensor, dtype=float)
@@ -536,11 +553,12 @@ def _random_two_form(dim, seed):
 def test_packed_power_matches_dense_reference(model, k, seed):
     prov = AlgebraicCurvature(model)
     w = _random_two_form(model.dim, seed)
-    got, ref = r_power_tensor(prov, w, k), _dense_r_power(prov, w, k)
+    got, ref = _unpacked_r_power(prov, w, k), _dense_r_power(prov, w, k)
     assert got.shape == ref.shape == (model.dim,) * (2 * k + 2)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
     n2 = model.dim * (model.dim - 1) // 2
-    assert r_power_packed(prov, pack_two_form(w, model.dim), k).shape == (n2,) * (k + 1)
+    levels = r_power_levels(prov, pack_two_form(w, model.dim), k)
+    assert [t.shape for t in levels] == [(n2,) * (q + 2) for q in range(k)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -549,7 +567,7 @@ def test_packed_power_matches_dense_reference(model, k, seed):
 def test_packed_power_matches_recursion(model, k, seed):
     prov = AlgebraicCurvature(model)
     w = _random_two_form(model.dim, seed)
-    tensor = r_power_tensor(prov, w, k)
+    tensor = _unpacked_r_power(prov, w, k)
     rng = np.random.default_rng(seed)
     for _ in range(10):
         args = tuple(int(v) for v in rng.integers(0, model.dim, size=2 * k + 2))
@@ -566,23 +584,23 @@ def test_packed_power_rejects_non_two_forms(model, k, seed):
     w = _random_two_form(n, seed)
     w[0, n - 1] += 1e-6   # antisymmetric only to 1e-6
     with pytest.raises(ArityError):
-        r_power_tensor(prov, w, k)
+        _unpacked_r_power(prov, w, k)
     with pytest.raises(ArityError):
-        r_power_tensor(prov, np.zeros((n, n, n)), k)
+        _unpacked_r_power(prov, np.zeros((n, n, n)), k)
 
 
 def test_packed_power_checks():
     prov = AlgebraicCurvature(_model())
     packed = pack_two_form(tridiagonal_omega(4), 4)
-    assert np.array_equal(r_power_packed(prov, packed, 0), packed)
+    assert list(r_power_levels(prov, packed, 0)) == []
     with pytest.raises(ArityError):
-        r_power_packed(prov, packed, -1)
+        list(r_power_levels(prov, packed, -1))
     with pytest.raises(ArityError):   # a pair axis of the wrong length
-        r_power_packed(prov, np.zeros(5), 1)
+        list(r_power_levels(prov, np.zeros(5), 1))
     with pytest.raises(RecursionCapError):
-        r_power_packed(prov, packed, 9)
+        list(r_power_levels(prov, packed, 9))
     with pytest.raises(RecursionCapError, match="entries"):
-        r_power_packed(prov, np.broadcast_to(0.0, (6,) * 10), 1)
+        list(r_power_levels(prov, np.broadcast_to(0.0, (6,) * 10), 1))
     sc_prov, sc_w = _scenario_curvature("paraboloid")
     with pytest.raises(RecursionCapError):
-        r_power_tensor(sc_prov, sc_w, 4)
+        list(r_power_levels(sc_prov, pack_two_form(sc_w, 4), 4))

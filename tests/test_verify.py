@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from affsym import verify
-from affsym.geometry import structure_jets
+from affsym import geometry as geo
 from affsym.model import ComplexBlock, RealBlock, assemble, tridiagonal_omega
 from affsym.scenarios import load_scenario
+from affsym.tensor_ops import CovariantField, nabla_powers
 from affsym.verify import (OracleError, OracleSpec, check_rank_theorem,
                            list_oracles, run_family, run_oracle, sample_spec,
                            theorem_witness)
@@ -94,6 +95,9 @@ MUTATIONS = [
     ("cx_aij", {"zero_ij": [1, 1]}, "zero_ij"),
     ("diag_pair", lambda q: {"i": q["kk"]}, "i"),
     ("x_z1z2_y", lambda q: {"y": q["z2"]}, "y"),
+    ("x_z1z2_y", lambda q: {"z1": q["x"]}, "z1"),
+    ("x_z1z2_y", lambda q: {"z2": next(t for t, b in enumerate(q["blocks"])
+                                       if b[2] != 0.0 and t != q["x"])}, "z2"),
     ("blk2_1x1", {"p": 0}, "p"),
     ("blk2_a0", {"i": 1}, "i"),
     ("blk2_a0n", {"variant": "c"}, "variant"),
@@ -264,17 +268,23 @@ def test_check_rank_theorem_at_dimension_ten():
     assert verdict.verdict == "VACUOUS" and verdict.power == 3
 
 
+def _rank_at_first_point(name, p):
+    """check_rank_theorem at a scenario's first sample point, handed the
+    curvature and nabla chain as check-geometry solves them."""
+    sc = load_scenario(name)
+    sj = geo.structure_jets(sc, sc.sample_points[0], 2)
+    st = geo.induced_structure(sj)
+    nablas = nabla_powers(CovariantField(2, sc.omega, sc.coords), sj, 3)
+    return check_rank_theorem(st, p, curv=geo.curvature(st), nablas=nablas)
+
+
 def test_check_rank_theorem_on_scenarios():
-    sc = load_scenario("paper_example_n2")
-    v = check_rank_theorem(structure_jets(sc, sc.sample_points[0], 2), 3)
+    v = _rank_at_first_point("paper_example_n2", 3)
     assert v.verdict == "PASS" and v.rank_s == 1
     assert v.max_nabla is not None
 
-    sc = load_scenario("paraboloid")
-    v = check_rank_theorem(structure_jets(sc, sc.sample_points[0], 1), 1)
+    v = _rank_at_first_point("paraboloid", 1)
     assert v.verdict == "PASS" and v.rank_s == 0
 
-    sc = load_scenario("centroaffine_sphere")
-    sj = structure_jets(sc, sc.sample_points[0], 2)
     for p in (1, 2, 3):
-        assert check_rank_theorem(sj, p).verdict == "VACUOUS"
+        assert _rank_at_first_point("centroaffine_sphere", p).verdict == "VACUOUS"
