@@ -31,6 +31,11 @@ ZERO_TOL = 1e-8
 #: ``rank`` counts the singular values above this times the largest
 RANK_TOL = 1e-9
 
+#: ``decompose`` rejects an A or H entry beyond this in magnitude: it
+#: multiplies A - lambda I by itself and by H, and a product of two larger
+#: entries leaves double precision
+ENTRY_MAX = 1e150
+
 
 class CanonicalError(ValueError):
     pass
@@ -276,19 +281,26 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
 
     ``tol`` gates the selfadjointness precondition; eigenvalues are
     clustered at 1e-6 * ||A||, escalated along ``_DELTA_LADDER`` when the
-    canonical residuals come out poor.
+    canonical residuals come out poor.  An entry beyond ``ENTRY_MAX``, or a
+    product that still overflows, raises CanonicalError; the overflow is
+    caught where it happens, because LAPACK's SVD need not return on the
+    NaN it would lead to.
     """
     a = np.asarray(a, dtype=float)
     h = np.asarray(h, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or h.shape != (n, n):
         raise CanonicalError("A and H must be square and of equal size")
-    if np.max(np.abs(h - h.T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
+    norm_a = float(np.max(np.abs(a)))
+    norm_h = float(np.max(np.abs(h)))
+    if not max(norm_a, norm_h) <= ENTRY_MAX:
+        raise CanonicalError(
+            f"A and H entries must be at most {ENTRY_MAX:g} in magnitude, "
+            f"got {max(norm_a, norm_h):.3e}")
+    if np.max(np.abs(h - h.T)) > 1e-10 * max(1.0, norm_h):
         raise CanonicalError("H is not symmetric")
     if 1.0 / np.linalg.cond(h) <= H_RCOND_MIN:
         raise CanonicalError("H is numerically singular")
-    norm_a = float(np.max(np.abs(a)))
-    norm_h = float(np.max(np.abs(h)))
     err = float(np.max(np.abs(a.T @ h - h @ a)))
     if err > tol * max(norm_h * norm_a, norm_h, 1e-300):
         raise NotSelfadjointError(
@@ -299,7 +311,11 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
     best = None
     for step, factor in enumerate(_DELTA_LADDER):
         try:
-            cand = _attempt(a, h, eigvals, base * factor)
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                cand = _attempt(a, h, eigvals, base * factor)
+        except (FloatingPointError, OverflowError) as exc:
+            raise CanonicalError(
+                f"decomposition leaves the double-precision range ({exc})") from exc
         except CanonicalError:
             continue
         if step > 0:

@@ -310,11 +310,14 @@ def cmd_decompose(args):
         with open(args.matrix_file) as fh:
             data = json.load(fh)
         dim = json_dim(data)
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         a = np.asarray(data["A"], dtype=float).reshape(dim, dim)
         h = np.asarray(data["H"], dtype=float).reshape(dim, dim)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(h))):
             raise ValueError("A and H must have finite entries")
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, KeyError, ValueError, OverflowError,
+            json.JSONDecodeError) as err:
         print(f"error: cannot read matrix file: {err}", file=sys.stderr)
         return 2
     base = {

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 from .canonical import H_RCOND_MIN
 from .jets import eval_jet, jet_space
@@ -157,6 +156,32 @@ class StructureJets:
         self.tau = sol[:, n, npairs:]
 
 
+def _lu_factor(a):
+    """Partial-pivoting LU of a square matrix, packed as LAPACK's getrf
+    packs it: U on and above the diagonal, the unit-lower L below it, and
+    ``piv[i]`` the row swapped with row i at step i.
+
+    Each multiplier is a quotient by the pivot, rounded once, not a
+    product with its reciprocal.  Plain lists: at frame sizes a numpy row
+    update costs more in calls than in arithmetic.
+    """
+    lu = np.asarray(a, dtype=float).tolist()
+    n = len(lu)
+    piv = []
+    for i in range(n):
+        p = max(range(i, n), key=lambda r: abs(lu[r][i]))
+        if lu[p][i] == 0.0:
+            raise SingularFrameError(f"frame has a zero pivot in column {i}")
+        piv.append(p)
+        lu[i], lu[p] = lu[p], lu[i]
+        top = lu[i]
+        for row in lu[i + 1:]:
+            m = row[i] = row[i] / top[i]
+            for j in range(i + 1, n):
+                row[j] -= m * top[j]
+    return np.array(lu), piv
+
+
 def _graded_solve(space, frame, rhs):
     """Solve frame @ sol = rhs for jet coefficient arrays, degree by degree.
 
@@ -164,7 +189,7 @@ def _graded_solve(space, frame, rhs):
     factored once; the coefficients of each degree subtract the jet product
     of the frame's higher terms with the lower-degree solution found so far.
     """
-    lu, piv = lu_factor(frame[0])
+    lu, piv = _lu_factor(frame[0])
     higher = frame.copy()
     higher[0] = 0.0
     sol = np.zeros_like(rhs)

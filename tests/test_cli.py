@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import affsym
 from affsym import geometry
 from affsym.cli import _structure_order, main
 from affsym.model import RealBlock, assemble
@@ -450,3 +455,82 @@ def test_rank_theorem_cap_counts_packed_entries(tmp_path, capsys):
     sc.write_text(json.dumps(_paraboloid(10, 4)))
     rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
     assert rc == 2 and len(err) == 1 and "184528125 entries" in err[0]
+
+
+@pytest.mark.parametrize("dim", [0, -2])
+def test_decompose_dim_must_be_positive(dim, tmp_path, capsys):
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"dim": dim, "A": [], "H": []}))
+    rc, err = _usage_error(["decompose", str(mat)], capsys)
+    assert rc == 2 and err == [f"error: cannot read matrix file: dim must be >= 1, got {dim}"]
+
+
+def test_decompose_huge_integer_entry_is_usage_error(tmp_path, capsys):
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"dim": 1, "A": [10 ** 400], "H": [1]}))
+    rc, err = _usage_error(["decompose", str(mat)], capsys)
+    assert rc == 2 and len(err) == 1 and "too large" in err[0]
+
+
+def _affsym_python(code, *args, timeout=60):
+    """Run ``code`` in a fresh interpreter that imports this affsym; a hang
+    fails after ``timeout`` s."""
+    src = str(Path(affsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=timeout)
+
+
+_RUN_CLI = "import sys; from affsym.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _overflowing_power_pair():
+    """A nilpotent 3-block with entries 1e110 and its sip matrix, rotated by
+    an orthogonal Q: within ENTRY_MAX, but the cube of A overflows."""
+    a = np.zeros((3, 3))
+    a[1, 0] = a[2, 1] = 1e110
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+    return q.T @ a @ q, q.T @ np.fliplr(np.eye(3)) @ q
+
+
+@pytest.mark.parametrize("case", ["jordan_1e160", "diag_1e308", "diag_1e200",
+                                  "power_overflow"])
+def test_decompose_large_entries_exit_two(case, tmp_path):
+    if case == "power_overflow":
+        a, h = _overflowing_power_pair()
+        a, h = a.ravel().tolist(), h.ravel().tolist()
+        words = "double-precision range"
+    else:
+        words = "at most 1e+150 in magnitude"
+        a, h = {
+            "jordan_1e160": ([1e160, 0, 0, 0, 1, 1e160, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+                             [0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]),
+            "diag_1e308": ([1e308, 0, 0, 1e308], [1, 0, 0, 1]),
+            "diag_1e200": ([1e200, 0, 0, -1e200], [1, 0, 0, 1]),
+        }[case]
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"dim": int(len(a) ** 0.5), "A": a, "H": h}))
+    run = _affsym_python(_RUN_CLI, "decompose", str(mat))
+    # one line: a RuntimeWarning would add two more
+    err = run.stderr.strip().splitlines()
+    assert run.returncode == 2 and len(err) == 1 and words in err[0], run.stderr
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    run = _affsym_python(
+        "import sys, affsym, affsym.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run.returncode == 0 and run.stdout == "[]\n", run.stderr
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"dim": 4, "A": [0.0] * 16,
+                               "H": np.eye(4).ravel().tolist()}))
+    # a None entry makes every import of scipy raise ImportError
+    blocked = "import sys; sys.modules['scipy'] = None; " + _RUN_CLI
+    for argv in (["list-oracles"],
+                 ["oracles", "--filter", "cx_*", "--trials", "5"],
+                 ["check-geometry", "--scenario", "paper_example_n3"],
+                 ["decompose", str(mat)]):
+        run = _affsym_python(blocked, *argv, "--output", str(tmp_path / "rep.json"))
+        assert run.returncode == 0, (argv, run.stderr)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from affsym import geometry as geo
+from affsym.jets import jet_space
 from affsym.scenarios import load_scenario, scenario_from_dict
 
 
@@ -198,3 +201,79 @@ def test_structure_solve_at_dimension_twelve():
     st = geo.induced_structure(sc, sc.sample_points[0])
     assert np.array_equal(st.h, 2.0 * np.eye(dim))
     assert geo.fundamental_residuals(st, geo.curvature(st)).max() < 1e-12
+
+
+def _random_matrix(n, seed, kind, scale):
+    """An n x n matrix: Gaussian, small integers (ties between pivot
+    candidates), or Gaussian with about half its entries zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "integers":
+        a = rng.integers(-3, 4, size=(n, n)).astype(float)
+    else:
+        a = rng.normal(size=(n, n))
+        if kind == "sparse":
+            a[rng.random((n, n)) < 0.5] = 0.0
+    return np.ldexp(a, scale)
+
+
+def _unpack(lu, piv):
+    """L, U and the row order of P A from the packed factors."""
+    n = len(lu)
+    order = np.arange(n)
+    for i, p in enumerate(piv):
+        order[[i, p]] = order[[p, i]]
+    return np.tril(lu, -1) + np.eye(n), np.triu(lu), order
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(2, 15), hst.integers(0, 2 ** 32 - 1),
+       hst.sampled_from(("normal", "integers", "sparse")), hst.integers(-30, 30))
+def test_lu_factor_is_partial_pivoting(n, seed, kind, scale):
+    a = _random_matrix(n, seed, kind, scale)
+    assume(np.linalg.cond(a) <= geo.FRAME_COND_LIMIT)
+    lu, piv = geo._lu_factor(a)
+    low, up, order = _unpack(lu, piv)
+    size = np.max(np.abs(a))
+    assert np.all(np.abs(np.tril(lu, -1)) <= 1.0)
+    # at step i the pivot is the largest entry of column i of what is left
+    # of P A after steps 0..i-1, recomputed here from the factors
+    pa = a[order]
+    for i in range(n):
+        assert i <= piv[i] < n
+        left = pa[i:, i] - low[i:, :i] @ up[:i, i]
+        assert abs(up[i, i]) >= np.max(np.abs(left)) - 1e-13 * size
+    assert np.max(np.abs(pa - low @ up)) <= 1e-13 * size
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.integers(1, 3), hst.integers(0, 2), hst.integers(2, 8),
+       hst.integers(1, 4), hst.integers(0, 2 ** 32 - 1))
+def test_graded_solve_matches_dense_solve(dim, order, n, k, seed):
+    space = jet_space(dim, order)
+    rng = np.random.default_rng(seed)
+    # a well-conditioned constant term whose rows need pivoting
+    frame = rng.normal(size=(space.size, n, n))
+    frame[0] = (np.diag(rng.uniform(2.0, 4.0, n))
+                + 0.3 * frame[0])[rng.permutation(n)]
+    rhs = rng.normal(size=(space.size, n, k))
+    sol = geo._graded_solve(space, frame, rhs)
+    # the graded system as one dense linear map, column by column
+    dense = np.empty((space.size * n, space.size * n))
+    for col in range(space.size * n):
+        unit = np.zeros((space.size * n, 1))
+        unit[col] = 1.0
+        dense[:, col] = space.einsum(
+            "rs,sk->rk", frame, unit.reshape(space.size, n, 1)).ravel()
+    ref = np.linalg.solve(dense, rhs.reshape(space.size * n, k))
+    ref = ref.reshape(space.size, n, k)
+    for c in range(space.size):
+        assert np.max(np.abs(sol[c] - ref[c])) <= \
+            1e-12 * max(1.0, np.max(np.abs(ref[c])))
+
+
+def test_lu_factor_names_the_zero_pivot():
+    a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(geo.SingularFrameError, match="zero pivot in column 1"):
+        geo._lu_factor(a)
+    with pytest.raises(geo.SingularFrameError, match="zero pivot in column 0"):
+        geo._lu_factor(np.zeros((3, 3)))

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy.linalg import block_diag
 
 from affsym import geometry as geo
 from affsym.model import (ComplexBlock, GaussModel, RealBlock, assemble,
-                          build_block, random_omega, tridiagonal_omega)
+                          direct_sum, random_omega, tridiagonal_omega)
 from affsym.scenarios import BUILTIN_NAMES, load_scenario
 from affsym.expr import parse_expr
 from affsym.tensor_ops import (AlgebraicCurvature, ArityError, CovariantField,
@@ -354,7 +353,7 @@ def block_models(draw, dims=(2, 4, 6)):
             blocks.append(RealBlock(size, draw(VALUES), draw(hst.sampled_from((1, -1)))))
             left -= size
     # assemble() starts at dim 4, so direct-sum the block pairs here
-    s_op, h = (block_diag(*mats) for mats in zip(*map(build_block, blocks)))
+    s_op, h = direct_sum(blocks)
     return GaussModel(len(s_op), s_op, h, tuple(blocks))
 
 
