@@ -11,7 +11,7 @@ from .jets import eval_jet
 from .model import (BlockSpec, ComplexBlock, GaussModel, RealBlock, assemble,
                     build_block, model_curvature, sip_matrix, tridiagonal_omega)
 from .scenarios import load_scenario, scenario_from_dict
-from .tensor_ops import (AlgebraicCurvature, CovariantField, GeometricCurvature,
+from .tensor_ops import (AlgebraicCurvature, GeometricCurvature,
                          alternating_sum_identity, nabla_powers, r_power_action)
 from .verify import (OracleResult, OracleSpec, check_rank_theorem, list_oracles,
                      run_oracle, sample_spec, theorem_witness)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
-import math
 import sys
 import time
 
@@ -33,18 +32,20 @@ from .model import RealBlock
 from .scenarios import (ScenarioFormatError, json_dim, load_scenario,
                         scenario_digest)
 from .tensor_ops import (K_CAP_ALGEBRAIC, K_CAP_GEOMETRIC, TENSOR_ENTRY_CAP,
-                         CovariantField, GeometricCurvature,
-                         alternating_sum_identity, nabla_powers)
+                         GeometricCurvature, alternating_sum_identity,
+                         nabla_powers)
 
-_DEFAULT_CHECKS = (
-    {"name": "frame", "tol": 1e-9},
-    {"name": "fundamental", "tol": 1e-8},
-    {"name": "gauss_model", "tol": 1e-8},
-    {"name": "equiaffine", "tol": 1e-9},
-    {"name": "codazzi_shape", "tol": 1e-8},
-    {"name": "rank_theorem", "p_max": 3, "tol": 1e-8},
-    {"name": "alternating_identity", "p_max": 1, "tol": 1e-7, "trials": 50},
-)
+#: the checks of check-geometry in run order, each with the values that the
+#: fields a scenario check omits take; a scenario without checks runs them all
+CHECKS = {
+    "frame": {"tol": 1e-9},
+    "fundamental": {"tol": 1e-8},
+    "gauss_model": {"tol": 1e-8},
+    "equiaffine": {"tol": 1e-9},
+    "codazzi_shape": {"tol": 1e-8},
+    "rank_theorem": {"p_max": 3, "tol": 1e-8},
+    "alternating_identity": {"p_max": 1, "tol": 1e-7, "trials": 50},
+}
 
 
 def _to_jsonable(value):
@@ -97,9 +98,9 @@ def _finish(records, base, output, strict):
 
 def _check_field(name, key, value):
     """Raise unless a check's ``p_max`` or ``trials`` is a JSON integer
-    >= 1, or its ``tol`` a finite JSON number > 0."""
+    >= 1, or its ``tol`` a JSON number > 0 within the double range."""
     if key == "tol":
-        ok = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+        ok = isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
         want = "a finite number > 0"
     else:
         ok = isinstance(value, int) and value >= 1
@@ -108,75 +109,75 @@ def _check_field(name, key, value):
         raise ScenarioFormatError(f"check '{name}': {key} must be {want}, got {value!r}")
 
 
-def _structure_order(sc, p_max_cli):
-    """Structure jet order that every check of ``sc`` fits in.
+def _resolve_checks(sc):
+    """The checks of ``sc``, each with the ``CHECKS`` values of the fields
+    it omits, and the structure jet order that all of them fit in.
 
     Each sample point is solved once at this order.  A check field of the
-    wrong type, or a check whose power lies beyond the jet order cap, the
-    packed-tensor entry cap or the geometric curvature power cap, or that
-    would run on nothing, is rejected here as a scenario error.
+    wrong type, or a check whose power lies beyond the geometric curvature
+    power cap, the packed-tensor entry cap or the jet order cap, is
+    rejected here as a scenario error.
     """
-    order = 1
-    for check in sc.checks or _DEFAULT_CHECKS:
+    checks, order = [], 1
+    for check in sc.checks or [{"name": name} for name in CHECKS]:
         name = check["name"]
         for key in ("p_max", "trials", "tol"):
             if key in check:
                 _check_field(name, key, check[key])
-        if name not in ("rank_theorem", "alternating_identity"):
-            continue
-        p_max = check.get("p_max", p_max_cli)
-        if p_max < 1:
-            raise ScenarioFormatError(f"check '{name}': p_max must be >= 1, got {p_max}")
+        check = {**CHECKS.get(name, {}), **check}
+        if "tol" in check:
+            check["tol"] = float(check["tol"])
+        checks.append(check)
+        p_max = check.get("p_max")
         if name == "rank_theorem":
-            need = min(p_max, verify.NABLA_RANK_CAP) - 1
+            # the power cap first: N2 ** (p_max + 1) of a huge p_max never ends
+            if p_max > K_CAP_GEOMETRIC:
+                raise ScenarioFormatError(
+                    f"check 'rank_theorem': p_max {p_max} is beyond the "
+                    f"curvature power cap {K_CAP_GEOMETRIC}")
             entries = (sc.dim * (sc.dim - 1) // 2) ** (p_max + 1)
             if entries > TENSOR_ENTRY_CAP:
                 raise ScenarioFormatError(
                     f"check 'rank_theorem': p_max {p_max} needs packed R^{p_max} "
                     f"omega with {entries} entries at dim {sc.dim}, beyond the "
                     f"cap {TENSOR_ENTRY_CAP}")
-            if p_max > K_CAP_GEOMETRIC:
-                raise ScenarioFormatError(
-                    f"check 'rank_theorem': p_max {p_max} is beyond the "
-                    f"curvature power cap {K_CAP_GEOMETRIC}")
-        else:
+            need = min(p_max, verify.NABLA_RANK_CAP) - 1
+        elif name == "alternating_identity":
             need = 2 * p_max - 1
+        else:
+            continue
         if need + 2 > MAX_JET_ORDER:
             raise ScenarioFormatError(
                 f"check '{name}': p_max {p_max} needs structure jets of order "
                 f"{need}, beyond the cap {MAX_JET_ORDER - 2}")
         order = max(order, need)
-    return order
+    return checks, order
 
 
-def _omega_chains(sc, structures):
+def _omega_chains(sc, checks, structures):
     """Per sample point, omega and its nabla powers to the deepest one the
     point's solve carries, or None if no check reads them.
 
     This evaluates omega's jets, so an entry whose derivatives are not
     finite at a sample point raises JetDomainError here, at load.
     """
-    checks = sc.checks if sc.checks else _DEFAULT_CHECKS
     if not any(c["name"] in ("rank_theorem", "alternating_identity") for c in checks):
         return [None] * len(structures)
-    omega = CovariantField(2, sc.omega, sc.coords)
-    return [nabla_powers(omega, sj, sj.order + 1) for sj in structures]
+    return [nabla_powers(sc.omega, sj, sj.order + 1) for sj in structures]
 
 
-def _geometry_records(sc, structures, chains, seed, tol_cli, p_max_cli):
-    """Records of every check at every sample point, from the point's one
-    structure solve in ``structures`` (``Scenario.validate``) and its
-    omega chain in ``chains`` (``_omega_chains``)."""
-    checks = sc.checks if sc.checks else _DEFAULT_CHECKS
+def _geometry_records(sc, checks, structures, chains, seed):
+    """Records of every resolved check (``_resolve_checks``) at every
+    sample point, from the point's one structure solve in ``structures``
+    (``Scenario.validate``) and its omega chain in ``chains``
+    (``_omega_chains``)."""
     records = []
     for pi, (point, sj, nablas) in enumerate(zip(sc.sample_points, structures, chains)):
         st = geometry.induced_structure(sj)
         curv = geometry.curvature(st)
         res = geometry.fundamental_residuals(st, curv)
         for check in checks:
-            name = check["name"]
-            tol = float(check.get("tol", tol_cli))
-            p_max = check.get("p_max", p_max_cli)
+            name, tol, p_max = check["name"], check.get("tol"), check.get("p_max")
             label = f"{name}@point{pi}"
             t0 = time.perf_counter()
             if name in ("frame", "gauss_model", "codazzi_shape"):
@@ -213,7 +214,7 @@ def _geometry_records(sc, structures, chains, seed, tol_cli, p_max_cli):
                      "max_nabla": v.max_nabla, "final_form": v.final_form},
                     (time.perf_counter() - t0) * 1e3))
             elif name == "alternating_identity":
-                trials = check.get("trials", 50)
+                trials = check["trials"]
                 rng = np.random.default_rng((seed, 17, pi))
                 prov = GeometricCurvature(curv.R)
                 worst = 0.0
@@ -238,10 +239,10 @@ def _geometry_records(sc, structures, chains, seed, tol_cli, p_max_cli):
 
 def cmd_check_geometry(args):
     try:
-        sc = load_scenario(args.scenario, validate=False)
-        order = _structure_order(sc, args.p_max)
+        sc = load_scenario(args.scenario)
+        checks, order = _resolve_checks(sc)
         structures = sc.validate(order)
-        chains = _omega_chains(sc, structures)
+        chains = _omega_chains(sc, checks, structures)
     except (ScenarioFormatError, geometry.GeometryError, JetError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -252,10 +253,8 @@ def cmd_check_geometry(args):
         "scenario": sc.name,
         "scenario_digest": scenario_digest(args.scenario),
         "master_seed": args.seed,
-        "parameters": {"tol": args.tol, "p_max": args.p_max},
     }
-    records = _geometry_records(sc, structures, chains, args.seed, args.tol,
-                                args.p_max)
+    records = _geometry_records(sc, checks, structures, chains, args.seed)
     return _finish(records, base, args.output, args.strict)
 
 
@@ -380,11 +379,6 @@ def _add_seed(p):
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
 
-def _add_p_max(p, default):
-    p.add_argument("--p-max", dest="p_max", type=int, default=default,
-                   help=f"maximum operator power (default {default})")
-
-
 def _add_report(p):
     p.add_argument("--output", default=None,
                    help="report path (default stdout)")
@@ -403,9 +397,6 @@ def main(argv=None):
     p.add_argument("--scenario", required=True,
                    help="scenario file path or builtin name")
     _add_seed(p)
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="default residual tolerance (default 1e-8)")
-    _add_p_max(p, 3)
     _add_report(p)
     p.set_defaults(func=cmd_check_geometry)
 
@@ -414,7 +405,8 @@ def main(argv=None):
     p.add_argument("--trials", type=int, default=100,
                    help="seeded draws per family (default 100)")
     _add_seed(p)
-    _add_p_max(p, 4)
+    p.add_argument("--p-max", dest="p_max", type=int, default=4,
+                   help="maximum operator power (default 4)")
     _add_report(p)
     p.set_defaults(func=cmd_oracles)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import H_RCOND_MIN
-from .jets import eval_jet, jet_space
+from .jets import component_jets, eval_jet, jet_space
 
 #: frames with condition number beyond this are rejected
 FRAME_COND_LIMIT = 1e12
@@ -62,19 +62,12 @@ class Scenario:
     constraints: tuple = field(default=())   # (name, expression) pairs, require > 0
     checks: tuple = field(default=())
 
-    def omega_at(self, point):
-        out = np.zeros((self.dim, self.dim))
-        for (i, j), c in np.ndenumerate(self.omega):
-            out[i, j] = float(c) if isinstance(c, (int, float)) \
-                else eval_jet(c, point, 0, self.coords)[0]
-        return out
-
     def check_constraints(self, point):
         for name, e in self.constraints:
             if eval_jet(e, point, 0, self.coords)[0] <= 0.0:
                 raise ConstraintError(name, point)
 
-    def validate(self, order: int = 0, tol: float = OMEGA_ANTISYM_TOL) -> tuple:
+    def validate(self, order: int) -> tuple:
         """Reject bad sample points up front: constraints, frame,
         degenerate h, antisymmetry, degenerate omega.
 
@@ -93,8 +86,8 @@ class Scenario:
                 raise GeometryError(
                     f"h degenerate at sample point {tuple(pt)}: "
                     f"1/cond at or below {H_RCOND_MIN:g}")
-            w = self.omega_at(pt)
-            if np.max(np.abs(w + w.T)) > tol:
+            w = component_jets(self.omega, pt, 0, self.coords)[0]
+            if np.max(np.abs(w + w.T)) > OMEGA_ANTISYM_TOL:
                 raise GeometryError(
                     f"omega not antisymmetric at sample point {tuple(pt)}")
             if not abs(np.linalg.det(w)) >= OMEGA_DET_MIN:

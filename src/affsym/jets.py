@@ -295,3 +295,17 @@ def eval_jet(e, point, order: int, coords) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise JetDomainError(f"'{ex.to_source(e)}' is not finite at {point}")
     return out
+
+
+def component_jets(components, point, order: int, coords) -> np.ndarray:
+    """Jets at ``point`` of an array whose entries are numbers or
+    expressions, as one coefficient array ``(ncoeff,) + shape``: a number
+    stays a constant, an expression goes through ``eval_jet``."""
+    components = np.asarray(components, dtype=object)
+    out = np.zeros((jet_space(len(point), order).size,) + components.shape)
+    for idx, c in np.ndenumerate(components):
+        if isinstance(c, (int, float)):
+            out[(0,) + idx] = c
+        else:
+            out[(slice(None),) + idx] = eval_jet(c, point, order, coords)
+    return out

@@ -1,6 +1,7 @@
 """Scenario files: JSON schema, loading, and the shipped gallery.
 
-Schema (all keys required except constraints/checks)::
+Schema (all keys required except constraints/checks; every check field
+but ``name`` is optional)::
 
     {
       "name": str,
@@ -11,15 +12,18 @@ Schema (all keys required except constraints/checks)::
       "omega": [[num-or-expr, ...], ...],    # dim x dim, antisymmetric
       "sample_points": [[num, ...], ...],
       "constraints": [{"name": str, "expr": expr}, ...],   # require expr > 0
-      "checks": [{"name": str, "p_max": int, "tol": num}, ...]
+      "checks": [{"name": str, "p_max": int, "tol": num, "trials": int}, ...]
     }
 
 Expressions use the calculus grammar over the declared coordinates.
+Loading only parses: ``Scenario.validate`` checks the sample points.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from importlib import resources
 
 import numpy as np
@@ -62,6 +66,15 @@ def _json_list(data, key, default=None) -> list:
     return value
 
 
+def _to_float(value, where) -> float:
+    """A JSON number as a float; an integer beyond the double range is a
+    format error, not an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioFormatError(f"{where} is too large for a double") from None
+
+
 def _sample_points(raw) -> tuple:
     """Sample points as float tuples; every coordinate must be a JSON number."""
     if not isinstance(raw, list) or not all(isinstance(p, list) for p in raw):
@@ -71,10 +84,11 @@ def _sample_points(raw) -> tuple:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ScenarioFormatError(
                     f"sample point {p} has a non-numeric coordinate {v!r}")
-    return tuple(tuple(float(v) for v in p) for p in raw)
+    return tuple(tuple(_to_float(v, f"a coordinate of sample point {i}") for v in p)
+                 for i, p in enumerate(raw))
 
 
-def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
+def scenario_from_dict(data: dict) -> Scenario:
     try:
         dim = json_dim(data)
         name = str(data["name"])
@@ -117,7 +131,8 @@ def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
             if isinstance(v, bool):
                 raise ScenarioFormatError(
                     f"omega[{i}][{j}] must be a number or an expression, got {v!r}")
-            omega[i, j] = float(v) if isinstance(v, (int, float)) \
+            omega[i, j] = _to_float(v, f"omega[{i}][{j}]") \
+                if isinstance(v, (int, float)) \
                 else _parse_field(v, coords, f"omega[{i}][{j}]")
     for c in constraint_src:
         if not isinstance(c, dict) or not {"name", "expr"} <= c.keys():
@@ -126,45 +141,37 @@ def scenario_from_dict(data: dict, validate: bool = True) -> Scenario:
         (str(c["name"]), _parse_field(c["expr"], coords, f"constraint '{c['name']}'"))
         for c in constraint_src)
     for c in check_src:
-        if not isinstance(c, dict) or "name" not in c:
-            raise ScenarioFormatError(f"check {c!r} needs a key 'name'")
+        if not isinstance(c, dict) or not isinstance(c.get("name"), str):
+            raise ScenarioFormatError(
+                f"check {c!r} needs a key 'name' with a string value")
     checks = tuple(dict(c) for c in check_src)
 
-    sc = Scenario(name, dim, coords, immersion, transversal, omega,
-                  points, constraints, checks)
-    if validate:
-        sc.validate()
-    return sc
+    return Scenario(name, dim, coords, immersion, transversal, omega,
+                    points, constraints, checks)
 
 
-def load_scenario(path_or_name: str, validate: bool = True) -> Scenario:
-    """Load a scenario from a file path or by shipped-gallery name."""
-    import os
+def _scenario_bytes(path_or_name: str) -> bytes:
+    """The bytes of a scenario file, given by path or by shipped-gallery name."""
     if os.path.exists(path_or_name):
         with open(path_or_name, "rb") as fh:
-            raw = fh.read()
-    elif path_or_name in BUILTIN_NAMES:
-        raw = resources.files("affsym").joinpath(
+            return fh.read()
+    if path_or_name in BUILTIN_NAMES:
+        return resources.files("affsym").joinpath(
             "data", f"{path_or_name}.json").read_bytes()
-    else:
-        raise ScenarioFormatError(
-            f"no such scenario file or builtin name: {path_or_name!r} "
-            f"(builtins: {', '.join(BUILTIN_NAMES)})")
+    raise ScenarioFormatError(
+        f"no such scenario file or builtin name: {path_or_name!r} "
+        f"(builtins: {', '.join(BUILTIN_NAMES)})")
+
+
+def load_scenario(path_or_name: str) -> Scenario:
+    """Parse a scenario from a file path or by shipped-gallery name."""
     try:
-        data = json.loads(raw)
+        data = json.loads(_scenario_bytes(path_or_name))
     except json.JSONDecodeError as err:
         raise ScenarioFormatError(
             f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from err
-    return scenario_from_dict(data, validate=validate)
+    return scenario_from_dict(data)
 
 
 def scenario_digest(path_or_name: str) -> str:
-    import hashlib
-    import os
-    if os.path.exists(path_or_name):
-        with open(path_or_name, "rb") as fh:
-            raw = fh.read()
-    else:
-        raw = resources.files("affsym").joinpath(
-            "data", f"{path_or_name}.json").read_bytes()
-    return hashlib.sha256(raw).hexdigest()
+    return hashlib.sha256(_scenario_bytes(path_or_name)).hexdigest()

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .geometry import OMEGA_ANTISYM_TOL, gauss_curvature_tensor
-from .jets import eval_jet, jet_space
+from .jets import component_jets, jet_space
 from .model import GaussModel
 
 #: recursion caps; all catalog oracles need small powers only
@@ -290,32 +290,11 @@ def r_power_levels(provider, packed, k: int):
 # -- covariant derivatives ---------------------------------------------
 
 
-class CovariantField:
-    """A (0,p) tensor field given by expressions or constant components."""
-
-    def __init__(self, arity, components, coords=None):
-        self.coords = coords
-        comps = np.asarray(components, dtype=object)
-        if comps.ndim != arity:
-            raise ArityError(f"component array has {comps.ndim} axes, expected {arity}")
-        self.components = comps
-
-    def jets(self, point, order):
-        """Component jets at ``point`` as one coefficient array
-        (ncoeff, n, ..., n); constant components stay constants."""
-        space = jet_space(len(point), order)
-        out = np.zeros((space.size,) + self.components.shape)
-        for idx in np.ndindex(*self.components.shape):
-            c = self.components[idx]
-            if isinstance(c, (int, float)):
-                out[(0,) + idx] = c
-            else:
-                out[(slice(None),) + idx] = eval_jet(c, point, order, self.coords)
-        return out
-
-
-def nabla_powers(field: CovariantField, structure, k: int) -> list:
+def nabla_powers(components, structure, k: int) -> list:
     """Dense [nabla^0 T, ..., nabla^k T] at the structure's base point.
+
+    ``components`` is the (0,p) field T as an n x ... x n array of numbers
+    and expressions over the coordinates of the structure's scenario.
 
     One pass of k steps on whole coefficient arrays:
     (nabla T)_{i r_1..r_a} = d_i T_{r_1..r_a} - sum_s Gamma^m_{i r_s} T_{r_1..m..r_a},
@@ -329,7 +308,8 @@ def nabla_powers(field: CovariantField, structure, k: int) -> list:
         raise RecursionCapError(
             f"nabla^{k} needs structure jets of order {k - 1}, have {structure.order}")
     n = structure.dim
-    t = field.jets(structure.point, k)
+    t = component_jets(components, structure.point, k,
+                       structure.scenario.coords)
     powers = [t[0]]
     for q in range(k - 1, -1, -1):
         space = jet_space(n, q)

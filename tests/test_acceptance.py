@@ -13,11 +13,12 @@ from affsym import geometry as geo
 from affsym import verify
 from affsym.canonical import decompose, sip_signature
 from affsym.cli import main as cli_main
+from affsym.jets import component_jets
 from affsym.model import ComplexBlock, RealBlock, assemble
 from affsym.scenarios import load_scenario
-from affsym.tensor_ops import (CovariantField, GeometricCurvature,
-                               alternating_sum_identity, nabla_powers,
-                               pack_two_form, r_power_action, r_power_levels)
+from affsym.tensor_ops import (GeometricCurvature, alternating_sum_identity,
+                               nabla_powers, pack_two_form, r_power_action,
+                               r_power_levels)
 
 SHIPPED = ("paper_example_n2", "paper_example_n3", "paraboloid",
            "centroaffine_sphere")
@@ -52,7 +53,7 @@ def test_criterion_1_worked_example_reproduction():
         rel = np.max(np.abs(st.h - h_expected) / np.maximum(1.0, np.abs(h_expected)))
         worst["h"] = max(worst["h"], float(rel))
 
-        w = sc.omega_at(point)
+        w = component_jets(sc.omega, point, 0, sc.coords)[0]
         prov = GeometricCurvature(geo.curvature(st).R)
         r1 = r_power_action(prov, w, 1, (0, 2, 0, 2))
         worst["r1"] = max(worst["r1"], abs(r1 - (-x * y * w[0, 1])))
@@ -178,7 +179,7 @@ def test_criterion_5_theorem_witnesses_and_rank_verdicts():
             sj = geo.structure_jets(sc, point, 2)
             st = geo.induced_structure(sj)
             curv = geo.curvature(st)
-            nablas = nabla_powers(CovariantField(2, sc.omega, sc.coords), sj, 3)
+            nablas = nabla_powers(sc.omega, sj, 3)
             per_power = [verify.check_rank_theorem(st, p, 1e-8, curv=curv, nablas=nablas)
                          for p in range(1, 4)]
             assert all(v.verdict != "FAIL" for v in per_power), (scenario_name, point)
@@ -200,8 +201,8 @@ def test_criterion_6_alternating_identity():
             st = geo.induced_structure(sc, point)
             prov = GeometricCurvature(geo.curvature(st).R)
             sj = geo.structure_jets(sc, point, 1)
-            w = sc.omega_at(point)
-            nabla = nabla_powers(CovariantField(2, w), sj, 2)[2]
+            w = component_jets(sc.omega, point, 0, sc.coords)[0]
+            nabla = nabla_powers(w, sj, 2)[2]
             for _ in range(50):
                 pair = (int(rng.integers(0, sc.dim)), int(rng.integers(0, sc.dim)))
                 ys = tuple(int(v) for v in rng.integers(0, sc.dim, size=2))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import affsym
 from affsym import geometry
-from affsym.cli import _structure_order, main
+from affsym.cli import _resolve_checks, main
 from affsym.model import RealBlock, assemble
 from affsym.scenarios import scenario_from_dict
 
@@ -277,17 +277,19 @@ def test_decompose_applies_tol(tmp_path, capsys):
 
 
 def test_each_subcommand_takes_only_its_flags(tmp_path, capsys):
-    for command, default in (("check-geometry", 3), ("oracles", 4)):
-        with pytest.raises(SystemExit) as stop:
-            main([command, "--help"])
-        assert stop.value.code == 0
-        text = " ".join(capsys.readouterr().out.split())
-        assert f"maximum operator power (default {default})" in text, command
+    with pytest.raises(SystemExit) as stop:
+        main(["oracles", "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "maximum operator power (default 4)" in text
     mat = tmp_path / "mat.json"
     mat.write_text(json.dumps({"dim": 2, "A": [0.0] * 4, "H": [1.0, 0.0, 0.0, 1.0]}))
+    # check-geometry takes each check's power and tolerance from the scenario
     for argv in (["decompose", str(mat), "--p-max", "3"],
                  ["decompose", str(mat), "--seed", "1"],
-                 ["oracles", "--tol", "1e-3"]):
+                 ["oracles", "--tol", "1e-3"],
+                 ["check-geometry", "--scenario", "paraboloid", "--p-max", "3"],
+                 ["check-geometry", "--scenario", "paraboloid", "--tol", "1e-8"]):
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == 2, argv
@@ -415,6 +417,12 @@ def test_degenerate_second_fundamental_form_is_usage_error(tmp_path, capsys):
     ({"checks": [{"name": "frame", "tol": "tiny"}]}, "'frame': tol"),
     ({"checks": [{"name": "frame", "tol": 0}]}, "'frame': tol"),
     ({"checks": [{"name": "frame", "tol": float("nan")}]}, "'frame': tol"),
+    ({"checks": [{"name": "frame", "tol": 10 ** 400}]}, "'frame': tol"),
+    ({"omega": [[0, 10 ** 400, 0, 0], [-10 ** 400, 0, 1, 0], [0, -1, 0, 1],
+                [0, 0, -1, 0]]}, "omega[0][1] is too large for a double"),
+    ({"sample_points": [[10 ** 400, 0.0, 0.0, 0.0]]},
+     "a coordinate of sample point 0 is too large for a double"),
+    ({"checks": [{"name": ["frame"]}]}, "needs a key 'name'"),
     ({"coords": 5}, "coords must be a JSON list"),
     ({"immersion": "u1"}, "immersion must be a JSON list"),
     ({"transversal": "1"}, "transversal must be a JSON list"),
@@ -425,6 +433,7 @@ def test_degenerate_second_fundamental_form_is_usage_error(tmp_path, capsys):
 ], ids=["null_coordinate", "string_coordinate", "nameless_constraint",
         "scalar_omega_row", "string_check", "string_p_max", "float_p_max",
         "bool_p_max", "string_trials", "string_tol", "zero_tol", "nan_tol",
+        "huge_tol", "huge_omega_entry", "huge_coordinate", "list_check_name",
         "scalar_coords", "string_immersion", "string_transversal",
         "scalar_constraints", "scalar_checks", "bool_omega_entry"])
 def test_malformed_scenario_field_is_usage_error(changes, words, tmp_path, capsys):
@@ -449,12 +458,63 @@ def _paraboloid(dim, p_max):
 
 def test_rank_theorem_cap_counts_packed_entries(tmp_path, capsys):
     # dim 10: packed R^3 omega holds 45^4 = 4.1M entries (dense 10^8)
-    assert _structure_order(scenario_from_dict(_paraboloid(10, 3)), 3) == 2
-    # ... and R^4 omega 45^5 = 184.5M, beyond the cap
+    assert _resolve_checks(scenario_from_dict(_paraboloid(10, 3)))[1] == 2
+    # ... and at dim 14 91^4 = 68.6M, beyond the cap; a power beyond the
+    # curvature power cap 3 is refused before its entries are counted
     sc = tmp_path / "sc.json"
-    sc.write_text(json.dumps(_paraboloid(10, 4)))
+    sc.write_text(json.dumps(_paraboloid(14, 3)))
     rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
-    assert rc == 2 and len(err) == 1 and "184528125 entries" in err[0]
+    assert rc == 2 and len(err) == 1 and "68574961 entries" in err[0]
+
+
+def test_huge_p_max_exits_two(tmp_path):
+    # N2 ** (p_max + 1) for this p_max would not finish
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped(
+        "paraboloid", checks=[{"name": "rank_theorem", "p_max": 10 ** 400}])))
+    run = _affsym_python(_RUN_CLI, "check-geometry", "--scenario", str(sc))
+    err = run.stderr.strip().splitlines()
+    assert run.returncode == 2 and len(err) == 1 and "power cap 3" in err[0], run.stderr
+
+
+def _check_records(data, tmp_path):
+    """The check records of ``check-geometry --seed 0`` on ``data``,
+    timing aside."""
+    sc, out = tmp_path / "sc.json", tmp_path / "rep.json"
+    sc.write_text(json.dumps(data))
+    assert main(["check-geometry", "--scenario", str(sc), "--output", str(out)]) == 0
+    return _strip_timing(_load(out))["checks"]
+
+
+@pytest.mark.parametrize("name, tol, params", [
+    ("alternating_identity", 1e-7, {"k": 1, "trials": 50}),
+    ("rank_theorem", 1e-8, {"power": 3}),
+    ("frame", 1e-9, {}),
+], ids=["alternating_identity", "rank_theorem", "frame"])
+def test_bare_check_takes_its_defaults(name, tol, params, tmp_path):
+    # R^3 omega is the first power that vanishes on paper_example_n2, so
+    # power 3 shows p_max 3; the shipped file sets every field
+    bare = _check_records(_shipped("paper_example_n2", checks=[{"name": name}]),
+                          tmp_path)
+    shipped = [r for r in _check_records(_shipped("paper_example_n2"), tmp_path)
+               if r["name"].startswith(f"{name}@")]
+    assert bare == shipped and len(bare) == 3
+    for r in bare:
+        assert r["tol"] == tol and params.items() <= r["params"].items(), r
+
+
+def test_scenario_without_checks_runs_the_table(tmp_path):
+    data = _shipped("paraboloid")
+    del data["checks"]
+    assert _check_records(data, tmp_path) == \
+        _check_records(_shipped("paraboloid"), tmp_path)
+
+
+def test_unknown_check_keeps_its_own_tol(tmp_path):
+    records = _check_records(_shipped("paraboloid", checks=[
+        {"name": "no_such_check"}, {"name": "other_check", "tol": 0.5}]), tmp_path)
+    assert {(r["name"].split("@")[0], r["status"], r["tol"]) for r in records} == \
+        {("no_such_check", "WARN", None), ("other_check", "WARN", 0.5)}
 
 
 @pytest.mark.parametrize("dim", [0, -2])

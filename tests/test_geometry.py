@@ -119,7 +119,7 @@ def test_singular_frame_rejected():
         "sample_points": [[0.0, 0.0, 0.0, 0.0]],
     }
     with pytest.raises(geo.SingularFrameError):
-        scenario_from_dict(data)
+        scenario_from_dict(data).validate(0)
 
 
 def test_jet_domain_error_propagates():
@@ -132,7 +132,7 @@ def test_jet_domain_error_propagates():
     }
     from affsym.jets import JetDomainError
     with pytest.raises(JetDomainError):
-        scenario_from_dict(data)
+        scenario_from_dict(data).validate(0)
 
 
 def test_structure_jets_carry_gamma_partials():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affsym.geometry import ConstraintError, GeometryError
+from affsym.jets import component_jets
 from affsym.scenarios import (BUILTIN_NAMES, ScenarioFormatError, load_scenario,
                               scenario_from_dict)
 
@@ -11,10 +12,11 @@ from affsym.scenarios import (BUILTIN_NAMES, ScenarioFormatError, load_scenario,
 def test_builtins_load_and_validate():
     for name in BUILTIN_NAMES:
         sc = load_scenario(name)
+        sc.validate(0)
         assert sc.name == name
         assert sc.dim in (4, 6)
         assert len(sc.sample_points) >= 3
-        w = sc.omega_at(sc.sample_points[0])
+        w = component_jets(sc.omega, sc.sample_points[0], 0, sc.coords)[0]
         assert np.max(np.abs(w + w.T)) == 0.0
 
 
@@ -61,7 +63,7 @@ def test_constraint_rejection_names_the_constraint():
     data = _minimal(constraints=[{"name": "a_positive", "expr": "a"}],
                     sample_points=[[-1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(ConstraintError) as err:
-        scenario_from_dict(data)
+        scenario_from_dict(data).validate(0)
     assert err.value.name == "a_positive"
     assert err.value.point == (-1.0, 0.0, 0.0, 0.0)
 
@@ -70,7 +72,7 @@ def test_non_antisymmetric_omega_rejected():
     data = _minimal(omega=[[0, 1, 0, 0], [1, 0, 1, 0], [0, -1, 0, 1],
                            [0, 0, -1, 0]])
     with pytest.raises(GeometryError):
-        scenario_from_dict(data)
+        scenario_from_dict(data).validate(0)
 
 
 def test_file_roundtrip(tmp_path):
@@ -89,5 +91,5 @@ def test_expression_valued_omega():
     data = _minimal(omega=[[0, "a^2 + 1", 0, 0], ["-a^2 - 1", 0, 1, 0],
                            [0, -1, 0, 1], [0, 0, -1, 0]])
     sc = scenario_from_dict(data)
-    w = sc.omega_at((0.5, 0, 0, 0))
+    w = component_jets(sc.omega, (0.5, 0, 0, 0), 0, sc.coords)[0]
     assert w[0, 1] == 1.25 and w[1, 0] == -1.25

@@ -10,11 +10,16 @@ from affsym.model import (ComplexBlock, GaussModel, RealBlock, assemble,
                           direct_sum, random_omega, tridiagonal_omega)
 from affsym.scenarios import BUILTIN_NAMES, load_scenario
 from affsym.expr import parse_expr
-from affsym.tensor_ops import (AlgebraicCurvature, ArityError, CovariantField,
+from affsym.jets import component_jets
+from affsym.tensor_ops import (AlgebraicCurvature, ArityError,
                                GeometricCurvature, RecursionCapError,
                                alternating_sum_identity, nabla_powers,
                                pack_two_form, r_power_action, r_power_levels,
                                r_power_probe)
+
+
+def _omega_at(sc, point):
+    return component_jets(sc.omega, point, 0, sc.coords)[0]
 
 
 def _model():
@@ -115,7 +120,7 @@ def test_geometric_example_values():
     point = sc.sample_points[0]
     st = geo.induced_structure(sc, point)
     prov = GeometricCurvature(geo.curvature(st).R)
-    w = sc.omega_at(point)
+    w = _omega_at(sc, point)
     x, y = point[0], point[1]
     assert abs(r_power_action(prov, w, 1, (0, 2, 0, 2)) - (-x * y * w[0, 1])) < 1e-12
     assert abs(r_power_action(prov, w, 2, (0, 2, 0, 2, 0, 2)) - x * y * w[1, 2]) < 1e-12
@@ -128,7 +133,7 @@ def test_geometric_example_values():
 def _fd_nabla(field, scenario, k, point, idxs, h=1e-5):
     """Index-formula oracle with central-difference coordinate derivatives."""
     if k == 0:
-        return field.jets(point, 0)[0][tuple(idxs)]
+        return component_jets(field, point, 0, scenario.coords)[0][tuple(idxs)]
     i0, rest = idxs[0], tuple(idxs[1:])
     up = list(point)
     dn = list(point)
@@ -148,21 +153,21 @@ def _fd_nabla(field, scenario, k, point, idxs, h=1e-5):
 def test_nabla_zero_is_component():
     sc = load_scenario("paper_example_n2")
     sj = geo.structure_jets(sc, sc.sample_points[0], 0)
-    w = sc.omega_at(sc.sample_points[0])
-    assert nabla_powers(CovariantField(2, w), sj, 0)[0][1, 2] == w[1, 2]
+    w = _omega_at(sc, sc.sample_points[0])
+    assert nabla_powers(w, sj, 0)[0][1, 2] == w[1, 2]
 
 
 def test_flat_connection_constant_form():
     sc = load_scenario("paraboloid")
     sj = geo.structure_jets(sc, sc.sample_points[0], 1)
-    field = CovariantField(2, sc.omega_at(sc.sample_points[0]))
+    field = _omega_at(sc, sc.sample_points[0])
     assert np.max(np.abs(nabla_powers(field, sj, 1)[1])) == 0.0
 
 
 def test_nabla_matches_finite_differences_on_sphere():
     sc = load_scenario("centroaffine_sphere")
     point = sc.sample_points[0]
-    field = CovariantField(2, sc.omega_at(point))
+    field = _omega_at(sc, point)
     sj = geo.structure_jets(sc, point, 1)
     nabla = nabla_powers(field, sj, 1)[1]
     for i in range(4):
@@ -176,7 +181,7 @@ def test_nabla_matches_finite_differences_on_sphere():
 def test_nabla_two_matches_finite_differences():
     sc = load_scenario("centroaffine_sphere")
     point = sc.sample_points[2]
-    field = CovariantField(2, sc.omega_at(point))
+    field = _omega_at(sc, point)
     sj = geo.structure_jets(sc, point, 1)
     nabla = nabla_powers(field, sj, 2)[2]
     rng = np.random.default_rng(6)
@@ -190,7 +195,7 @@ def test_nabla_two_matches_finite_differences():
 def test_nabla_order_cap():
     sc = load_scenario("paraboloid")
     sj = geo.structure_jets(sc, sc.sample_points[0], 1)
-    field = CovariantField(2, tridiagonal_omega(4))
+    field = tridiagonal_omega(4)
     with pytest.raises(RecursionCapError):
         nabla_powers(field, sj, 3)
 
@@ -203,8 +208,7 @@ def test_nabla_of_expression_field_matches_finite_differences():
            ["-(1 + t1*t2)", "0", "exp(t1)", "0"],
            ["0", "-exp(t1)", "0", "t2^2"],
            ["-sin(t3)", "0", "-t2^2", "0"]]
-    comps = [[parse_expr(c, sc.coords) for c in row] for row in src]
-    field = CovariantField(2, comps, sc.coords)
+    field = [[parse_expr(c, sc.coords) for c in row] for row in src]
     sj = geo.structure_jets(sc, point, 1)
     nabla = nabla_powers(field, sj, 1)[1]
     for idxs in np.ndindex(4, 4, 4):
@@ -248,15 +252,13 @@ def test_nabla_powers_chain_matches_single_passes():
     cases = []
     for name in BUILTIN_NAMES:
         sc = load_scenario(name)
-        field = CovariantField(2, sc.omega, sc.coords)
-        cases += [(sc, field, point) for point in sc.sample_points]
+        cases += [(sc, sc.omega, point) for point in sc.sample_points]
     sc = load_scenario("paraboloid")
     src = [["0", "1 + u1*u1*sin(u2)", "0", "0"],
            ["-(1 + u1*u1*sin(u2))", "0", "0", "0"],
            ["0", "0", "0", "exp(u3)*(1 + u4*u4)"],
            ["0", "0", "-(exp(u3)*(1 + u4*u4))", "0"]]
-    field = CovariantField(2, [[parse_expr(c, sc.coords) for c in row]
-                               for row in src], sc.coords)
+    field = [[parse_expr(c, sc.coords) for c in row] for row in src]
     cases += [(sc, field, point) for point in sc.sample_points]
     for sc, field, point in cases:
         sj = geo.structure_jets(sc, point, 2)
@@ -274,8 +276,8 @@ def test_alternating_identity_on_scenarios():
         st = geo.induced_structure(sc, point)
         prov = GeometricCurvature(geo.curvature(st).R)
         sj = geo.structure_jets(sc, point, 1)
-        w = sc.omega_at(point)
-        nabla = nabla_powers(CovariantField(2, w), sj, 2)[2]
+        w = _omega_at(sc, point)
+        nabla = nabla_powers(w, sj, 2)[2]
         rng = np.random.default_rng(8)
         for _ in range(20):
             pair = (int(rng.integers(0, sc.dim)), int(rng.integers(0, sc.dim)))
@@ -290,8 +292,8 @@ def test_alternating_identity_example_value():
     st = geo.induced_structure(sc, point)
     prov = GeometricCurvature(geo.curvature(st).R)
     sj = geo.structure_jets(sc, point, 1)
-    w = sc.omega_at(point)
-    nabla = nabla_powers(CovariantField(2, w), sj, 2)[2]
+    w = _omega_at(sc, point)
+    nabla = nabla_powers(w, sj, 2)[2]
     lhs, rhs = alternating_sum_identity(w, nabla, prov, 1, [(0, 2)], (0, 2))
     assert abs(lhs - (-2.0)) < 1e-12
     assert abs(lhs - rhs) < 1e-7
@@ -306,8 +308,8 @@ def test_alternating_identity_depth_two():
     st = geo.induced_structure(sc, point)
     prov = GeometricCurvature(geo.curvature(st).R)
     sj = geo.structure_jets(sc, point, 3)
-    w = sc.omega_at(point)
-    nabla = nabla_powers(CovariantField(2, w), sj, 4)[4]
+    w = _omega_at(sc, point)
+    nabla = nabla_powers(w, sj, 4)[4]
     rng = np.random.default_rng(14)
     for _ in range(6):
         pairs = [(int(a), int(b)) for a, b in rng.integers(0, 4, size=(2, 2))]
@@ -370,7 +372,7 @@ def _scenario_curvature(name):
     sc = load_scenario(name)
     point = sc.sample_points[0]
     structure = geo.induced_structure(sc, point)
-    return GeometricCurvature(geo.curvature(structure).R), sc.omega_at(point)
+    return GeometricCurvature(geo.curvature(structure).R), _omega_at(sc, point)
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,7 +5,7 @@ from affsym import verify
 from affsym import geometry as geo
 from affsym.model import ComplexBlock, RealBlock, assemble, tridiagonal_omega
 from affsym.scenarios import load_scenario
-from affsym.tensor_ops import CovariantField, nabla_powers
+from affsym.tensor_ops import nabla_powers
 from affsym.verify import (OracleError, OracleSpec, check_rank_theorem,
                            list_oracles, run_family, run_oracle, sample_spec,
                            theorem_witness)
@@ -274,7 +274,7 @@ def _rank_at_first_point(name, p):
     sc = load_scenario(name)
     sj = geo.structure_jets(sc, sc.sample_points[0], 2)
     st = geo.induced_structure(sj)
-    nablas = nabla_powers(CovariantField(2, sc.omega, sc.coords), sj, 3)
+    nablas = nabla_powers(sc.omega, sj, 3)
     return check_rank_theorem(st, p, curv=geo.curvature(st), nablas=nablas)
 
 
