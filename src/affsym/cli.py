@@ -47,6 +47,9 @@ CHECKS = {
     "alternating_identity": {"p_max": 1, "tol": 1e-7, "trials": 50},
 }
 
+#: most alternating_identity trials a check may ask for, 200 times the default
+TRIALS_CAP = 10_000
+
 
 def _to_jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
@@ -116,7 +119,8 @@ def _resolve_checks(sc):
     Each sample point is solved once at this order.  A check field of the
     wrong type, or a check whose power lies beyond the geometric curvature
     power cap, the packed-tensor entry cap or the jet order cap, is
-    rejected here as a scenario error.
+    rejected here as a scenario error, and so are alternating_identity
+    trials beyond TRIALS_CAP.
     """
     checks, order = [], 1
     for check in sc.checks or [{"name": name} for name in CHECKS]:
@@ -143,6 +147,10 @@ def _resolve_checks(sc):
                     f"cap {TENSOR_ENTRY_CAP}")
             need = min(p_max, verify.NABLA_RANK_CAP) - 1
         elif name == "alternating_identity":
+            if check["trials"] > TRIALS_CAP:
+                raise ScenarioFormatError(
+                    f"check 'alternating_identity': trials {check['trials']} is "
+                    f"beyond the cap {TRIALS_CAP}")
             need = 2 * p_max - 1
         else:
             continue

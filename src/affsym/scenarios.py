@@ -170,6 +170,10 @@ def load_scenario(path_or_name: str) -> Scenario:
     except json.JSONDecodeError as err:
         raise ScenarioFormatError(
             f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from err
+    except ValueError as err:
+        # an integer literal beyond the interpreter's digit limit, or bytes
+        # that are not UTF-8
+        raise ScenarioFormatError(f"unreadable JSON: {err}") from err
     return scenario_from_dict(data)
 
 

@@ -12,12 +12,14 @@ geometric induced structure):
   needed.
 
 Single components of R^k.T use the recursion verbatim (memoized per
-level on basis-index tuples); values at vector arguments run the recursion on the
-vectors themselves.  The whole of R^k.omega for a 2-form omega is held
-packed: it is antisymmetric in every slot pair (X_i, Y_i) and in its last
-two slots, so it has one axis over Lambda^2 per pair slot (pairs a < b in
-``np.triu_indices`` order) and N2^(k+1) entries, N2 = n(n-1)/2.  Each
-level applies R(e_x, e_y), x < y, to every pair axis as one N2 x N2
+level on basis-index tuples).  For a 2-form omega, R^k.omega is
+antisymmetric in every slot pair (X_i, Y_i) and in its last two slots, so
+the two other forms of it work on Lambda^2.  Its values at vector arguments
+(``r_power_probe``) carry each slot pair as its 2-vector X^Y, an
+antisymmetric n x n matrix, so a probe ends in k! branches.  The whole of
+R^k.omega is held packed, with one axis over Lambda^2 per pair slot (pairs
+a < b in ``np.triu_indices`` order) and N2^(k+1) entries, N2 = n(n-1)/2;
+each level applies R(e_x, e_y), x < y, to every pair axis as one N2 x N2
 matrix, the curvature operator on 2-forms.
 """
 
@@ -180,66 +182,88 @@ def r_power_action(provider, tensor, k: int, args, memo: bool = True) -> float:
     return eval_args(0, ())
 
 
-def r_power_probe(provider, tensor, k: int, vectors) -> np.ndarray:
-    """Evaluate (R^k . T) at vector arguments by the recursion on vectors.
+def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
+    """Evaluate (R^k . omega)(X_1, Y_1, ..., X_k, Y_k, U, V) for a 2-form
+    omega at vector arguments.
 
-    ``vectors`` has shape (..., 2k+p, n) and the result has shape (...).
-    Each level forms R(X, Y) for every branch at once (one n^2 x n^2 GEMM
-    against the provider's full tensor), then branches once per remaining
-    slot Z, which becomes -R(X, Y)Z.  The leaves contract the last p
-    vectors with T and the branch axis is summed.
+    ``vectors`` has shape (..., 2k+2, n) and the result has shape (...).
+    R^k.omega is antisymmetric in every slot pair, so each pair is carried
+    as its 2-vector, X^Y = XY^T - YX^T up to a factor (see ``_pair_probe``):
+    a probe ends in k! branches, not (2k)!!.  Raises ArityError unless
+    omega is an n x n 2-form antisymmetric within the tolerance scenarios
+    are validated with, and RecursionCapError if a level would hold more
+    than TENSOR_ENTRY_CAP entries.
     """
-    t = np.asarray(tensor, dtype=float)
     v = np.asarray(vectors, dtype=float)
-    p, n = t.ndim, provider.dim
+    n = provider.dim
     if k < 0:
         raise ArityError("k must be >= 0")
     if k > provider.cap:
         raise RecursionCapError(f"power {k} exceeds cap {provider.cap} for this provider")
-    if v.shape[-2:] != (2 * k + p, n):
-        raise ArityError(f"expected vectors of shape (..., {2 * k + p}, {n}), "
+    w = _two_form(omega, n)
+    if v.shape[-2:] != (2 * k + 2, n):
+        raise ArityError(f"expected vectors of shape (..., {2 * k + 2}, {n}), "
                          f"got {v.shape}")
     batch = v.shape[:-2]
-    size, branches, entries = math.prod(batch), 1, 0
-    for q in range(2 * k + p - 2, p - 1, -2):
-        # a level holds X (x) Y products and the q-fold new branches
-        entries = max(entries, size * branches * max(n * n, q * q * n))
+    size = math.prod(batch)
+    # a level with q pairs after its first holds q branches of q pairs
+    # for each branch that enters it
+    entries, branches = size * (k + 1) * n * n, size
+    for q in range(k, 0, -1):
+        entries = max(entries, branches * q * q * n * n)
         branches *= q
-    # the leaf contraction holds one n^(p-1) partial per branch
-    entries = max(entries, size * branches * n ** max(p - 1, 0))
     if entries > TENSOR_ENTRY_CAP:
         raise RecursionCapError(f"R^{k} probe would hold {entries} entries")
+    return _pair_probe(provider, w, v.reshape(size, 2 * k + 2, n)).reshape(batch)
+
+
+def _pair_probe(provider, omega, vectors) -> np.ndarray:
+    """The kernel of ``r_power_probe``, without its checks: vectors of
+    shape (b, 2k+2, n) give the b values.
+
+    Each pair (X, Y) becomes the antisymmetric matrix Z = 1/2 X^Y, so that
+    R(X, Y) = R(Z), the provider's full tensor being antisymmetric in its
+    last two slots.  A level forms A = R(Z_1) for every branch at once (one
+    n^2 x n^2 GEMM), then branches once per remaining pair Z, which becomes
+    -(AZ + ZA^T) = (AZ)^T - AZ: the derivation R(X_1, Y_1) applied to both
+    of its slots.  A leaf is omega(U, V) = <omega, Z>.
+    """
+    b, m, n = vectors.shape
     r2 = provider.full_tensor().reshape(n * n, n * n)
-    v = v.reshape(size, 2 * k + p, n)
-    for _ in range(k):
-        b, q = v.shape[0], v.shape[1] - 2
-        xy = (v[:, 0, :, None] * v[:, 1, None, :]).reshape(b, n * n)
-        r_xy = (xy @ r2.T).reshape(b, n, n)
-        rest = v[:, 2:]
+    xy = vectors[:, 0::2, :, None] * vectors[:, 1::2, None, :]
+    pairs = 0.5 * (xy - xy.swapaxes(-1, -2))
+    for q in range(m // 2 - 1, 0, -1):
+        a = (pairs[:, 0].reshape(b, n * n) @ r2.T).reshape(b, 1, n, n)
+        rest = pairs[:, 1:]
+        az = a @ rest
         out = np.repeat(rest[:, None], q, axis=1)
         diag = np.arange(q)
-        out[:, diag, diag] = -(rest @ r_xy.transpose(0, 2, 1))
-        v = out.reshape(b * q, q, n)
-    leaves = np.broadcast_to(t.reshape(1, -1), (len(v), t.size))
-    for s in range(p):
-        leaves = np.einsum("bi,bij->bj", v[:, s],
-                           leaves.reshape(len(v), n, n ** (p - s - 1)))
-    return leaves.reshape(batch + (branches,)).sum(axis=-1)
+        out[:, diag, diag] = az.swapaxes(-1, -2) - az
+        b *= q
+        pairs = out.reshape(b, q, n, n)
+    leaves = pairs.reshape(b, n * n) @ omega.reshape(n * n)
+    return leaves.reshape(len(vectors), -1).sum(axis=-1)
 
 
-def pack_two_form(omega, n: int) -> np.ndarray:
-    """The coefficients omega[a, b], a < b, of a 2-form on R^n.
-
-    Raises ArityError unless omega is an antisymmetric n x n array (within
-    the tolerance scenarios are validated with): the packed form reads only
-    the upper triangle.
-    """
+def _two_form(omega, n: int) -> np.ndarray:
+    """omega as a float array; raises ArityError unless it is an
+    antisymmetric n x n array, within the tolerance scenarios are validated
+    with."""
     w = np.asarray(omega, dtype=float)
     if w.shape != (n, n):
         raise ArityError(f"expected a 2-form of shape ({n}, {n}), got {w.shape}")
     if not np.max(np.abs(w + w.T)) <= OMEGA_ANTISYM_TOL:
         raise ArityError("tensor is not an antisymmetric 2-form")
-    return w[np.triu_indices(n, 1)]
+    return w
+
+
+def pack_two_form(omega, n: int) -> np.ndarray:
+    """The coefficients omega[a, b], a < b, of a 2-form on R^n.
+
+    Raises ArityError unless omega is an antisymmetric n x n array (see
+    ``_two_form``): the packed form reads only the upper triangle.
+    """
+    return _two_form(omega, n)[np.triu_indices(n, 1)]
 
 
 def _pair_operator(provider) -> np.ndarray:

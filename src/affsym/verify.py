@@ -36,8 +36,9 @@ import numpy as np
 from . import canonical, geometry
 from .model import (ComplexBlock, GaussModel, ModelError, RealBlock, assemble,
                     model_curvature, random_omega, tridiagonal_omega)
-from .tensor_ops import (AlgebraicCurvature, GeometricCurvature, pack_two_form,
-                         r_power_action, r_power_levels, r_power_probe)
+from .tensor_ops import (AlgebraicCurvature, GeometricCurvature, _pair_probe,
+                         pack_two_form, r_power_action, r_power_levels,
+                         r_power_probe)
 
 #: per-draw tolerance: abs_err <= ORACLE_RTOL * max(1, |closed|)
 ORACLE_RTOL = 1e-9
@@ -799,13 +800,16 @@ class WitnessReport:
         return all(e.found for e in self.entries)
 
 
-def _reduce_to_basis(prov, w, power, vectors, current):
+def _reduce_to_basis(prov, w, vectors, current):
     """Replace each probe vector by a basis vector that keeps the value
     nonzero; returns the basis-index tuple.
 
     Multilinearity gives current = sum_m g[m] f(e_m) for slot vector g, so
     some e_m reaches |current| / ||g||_1; candidates are tried in decreasing
     |g[m]|, and if rounding defeats all of them the best one tried is kept.
+    ``r_power_probe`` has checked w, the power and the entry cap on the
+    probe at ``vectors``, so every candidate, of the same shape, goes
+    straight to its pair kernel.
     """
     probe = vectors.copy()
     eye = np.eye(vectors.shape[1])
@@ -815,7 +819,7 @@ def _reduce_to_basis(prov, w, power, vectors, current):
         best_m, best = None, None
         for m in np.argsort(-np.abs(g), kind="stable"):
             probe[slot] = eye[m]
-            got = float(r_power_probe(prov, w, power, probe))
+            got = float(_pair_probe(prov, w, probe[None])[0])
             if best is None or abs(got) > abs(best):
                 best_m, best = int(m), got
             if abs(got) >= target:
@@ -855,7 +859,7 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
             value = float(r_power_probe(prov, w, power, vectors))
             found = None
             if abs(value) > WITNESS_THRESHOLD:
-                args = _reduce_to_basis(prov, w, power, vectors, value)
+                args = _reduce_to_basis(prov, w, vectors, value)
                 value = r_power_action(prov, w, power, args)
                 if abs(value) > WITNESS_THRESHOLD:
                     found = WitnessEntry(power, trial, True, args, value, "probe")

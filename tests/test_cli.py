@@ -477,6 +477,28 @@ def test_huge_p_max_exits_two(tmp_path):
     assert run.returncode == 2 and len(err) == 1 and "power cap 3" in err[0], run.stderr
 
 
+def _long_literal_scenario():
+    """The shipped paraboloid with a 5000-digit first sample coordinate:
+    json.loads refuses an integer literal beyond 4300 digits."""
+    data = _shipped("paraboloid")
+    data["sample_points"][0][0] = "LONG"
+    return json.dumps(data).replace('"LONG"', "1" * 5000)
+
+
+@pytest.mark.parametrize("text, words", [
+    # without the cap this alternating_identity check would not finish
+    (json.dumps(_shipped("paraboloid", checks=[
+        {"name": "alternating_identity", "trials": 10 ** 12}])), "cap 10000"),
+    (_long_literal_scenario(), "4300 digits"),
+], ids=["huge_trials", "long_integer_literal"])
+def test_oversized_input_exits_two(text, words, tmp_path):
+    sc = tmp_path / "sc.json"
+    sc.write_text(text)
+    run = _affsym_python(_RUN_CLI, "check-geometry", "--scenario", str(sc))
+    err = run.stderr.strip().splitlines()
+    assert run.returncode == 2 and len(err) == 1 and words in err[0], run.stderr
+
+
 def _check_records(data, tmp_path):
     """The check records of ``check-geometry --seed 0`` on ``data``,
     timing aside."""

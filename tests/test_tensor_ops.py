@@ -11,7 +11,7 @@ from affsym.model import (ComplexBlock, GaussModel, RealBlock, assemble,
 from affsym.scenarios import BUILTIN_NAMES, load_scenario
 from affsym.expr import parse_expr
 from affsym.jets import component_jets
-from affsym.tensor_ops import (AlgebraicCurvature, ArityError,
+from affsym.tensor_ops import (K_CAP_GEOMETRIC, AlgebraicCurvature, ArityError,
                                GeometricCurvature, RecursionCapError,
                                alternating_sum_identity, nabla_powers,
                                pack_two_form, r_power_action, r_power_levels,
@@ -382,6 +382,62 @@ def test_probe_matches_dense_contraction_on_scenarios(name, k, seed):
     _assert_probe_matches_dense(prov, w, k, seed)
 
 
+def _reference_r_power_probe(provider, tensor, k, vectors):
+    """Reference: (R^k . T) at vector arguments by the recursion on the
+    vectors, for a (0,p) tensor of any order.  Each level forms R(X, Y) for
+    every branch at once, then branches once per remaining slot Z, which
+    becomes -R(X, Y)Z: (2k+p-2)(2k+p-4)...p branches.  The leaves contract
+    the last p vectors with T."""
+    t = np.asarray(tensor, dtype=float)
+    v = np.asarray(vectors, dtype=float)
+    p, n = t.ndim, provider.dim
+    batch = v.shape[:-2]
+    r2 = provider.full_tensor().reshape(n * n, n * n)
+    v = v.reshape(-1, 2 * k + p, n)
+    for _ in range(k):
+        b, q = v.shape[0], v.shape[1] - 2
+        xy = (v[:, 0, :, None] * v[:, 1, None, :]).reshape(b, n * n)
+        r_xy = (xy @ r2.T).reshape(b, n, n)
+        rest = v[:, 2:]
+        out = np.repeat(rest[:, None], q, axis=1)
+        diag = np.arange(q)
+        out[:, diag, diag] = -(rest @ r_xy.transpose(0, 2, 1))
+        v = out.reshape(b * q, q, n)
+    leaves = np.broadcast_to(t.reshape(1, -1), (len(v), t.size))
+    for s in range(p):
+        leaves = np.einsum("bi,bij->bj", v[:, s],
+                           leaves.reshape(len(v), n, n ** (p - s - 1)))
+    return leaves.reshape(batch + (-1,)).sum(axis=-1)
+
+
+def _assert_probe_matches_reference(prov, w, k, batch, seed):
+    vectors = np.random.default_rng(seed).standard_normal(batch + (2 * k + 2, prov.dim))
+    got = r_power_probe(prov, w, k, vectors)
+    ref = _reference_r_power_probe(prov, w, k, vectors)
+    assert got.shape == ref.shape == batch
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (got, ref)
+
+
+BATCHES = hst.sampled_from(((), (2, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_models(dims=(4, 5, 6, 7, 8)), hst.integers(0, 4), BATCHES,
+       hst.integers(0, 2 ** 32 - 1))
+def test_probe_matches_vector_reference_on_models(model, k, batch, seed):
+    prov = AlgebraicCurvature(model)
+    _assert_probe_matches_reference(prov, _random_two_form(model.dim, seed), k,
+                                    batch, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(0, K_CAP_GEOMETRIC), BATCHES,
+       hst.integers(0, 2 ** 32 - 1))
+def test_probe_matches_vector_reference_on_scenarios(name, k, batch, seed):
+    prov, w = _scenario_curvature(name)
+    _assert_probe_matches_reference(prov, w, k, batch, seed)
+
+
 def test_probe_batch_matches_single_calls():
     prov = AlgebraicCurvature(_model())
     rng = np.random.default_rng(5)
@@ -400,14 +456,16 @@ def test_probe_of_basis_vectors_is_the_component():
     prov = AlgebraicCurvature(_model())
     e = np.eye(4)
     rng = np.random.default_rng(6)
-    # (0,p) tensors of every arity the recursion accepts, p = 0 included
-    for t in (np.array(1.5), rng.standard_normal(4), tridiagonal_omega(4),
-              rng.standard_normal((4, 4, 4))):
-        for k in range(3):
-            args = tuple(int(v) for v in rng.integers(0, 4, size=2 * k + t.ndim))
-            ref = r_power_action(prov, t, k, args)
-            got = r_power_probe(prov, t, k, e[list(args)].reshape(len(args), 4))
-            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+    w = tridiagonal_omega(4)
+    for k in range(5):
+        args = tuple(int(v) for v in rng.integers(0, 4, size=2 * k + 2))
+        ref = r_power_action(prov, w, k, args)
+        got = r_power_probe(prov, w, k, e[list(args)])
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+    # the recursion takes (0,p) tensors of any order, the probe 2-forms only
+    for t in (np.array(1.5), rng.standard_normal(4), rng.standard_normal((4, 4, 4))):
+        with pytest.raises(ArityError):
+            r_power_probe(prov, t, 1, np.ones((2 + t.ndim, 4)))
 
 
 def test_probe_arity_and_cap_checks():
@@ -424,13 +482,16 @@ def test_probe_arity_and_cap_checks():
     sc_prov, sc_w = _scenario_curvature("paraboloid")
     with pytest.raises(RecursionCapError):
         r_power_probe(sc_prov, sc_w, 4, np.ones((10, 4)))
-    # (2k)!! branches: at k = 8 and dim 8 a level would exceed the entry cap
+    # k! branches: at k = 8 and dim 8 one probe peaks at 8!/2 branches of
+    # two 8 x 8 pairs (5160960 entries), so ten of them exceed the entry cap
     big = AlgebraicCurvature(assemble([RealBlock(4, 0.7, 1)] + [RealBlock(1, 0.0, 1)] * 4))
-    with pytest.raises(RecursionCapError, match="entries"):
-        r_power_probe(big, tridiagonal_omega(8), 8, np.ones((18, 8)))
-    # the leaves alone: k = 0 on a (0,9) tensor holds 4^8 partials per row
-    with pytest.raises(RecursionCapError, match="entries"):
-        r_power_probe(prov, np.zeros((4,) * 9), 0, np.ones((700, 9, 4)))
+    with pytest.raises(RecursionCapError, match="51609600 entries"):
+        r_power_probe(big, tridiagonal_omega(8), 8, np.ones((10, 18, 8)))
+    # a form antisymmetric only to 1e-6 is no 2-form
+    bent = w.copy()
+    bent[0, 3] += 1e-6
+    with pytest.raises(ArityError, match="antisymmetric"):
+        r_power_probe(prov, bent, 1, np.ones((4, 4)))
 
 
 # -- R^k.omega packed on Lambda^2 ------------------------------------------
