@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .canonical import CanonicalPair, classify, decompose, rank, sip_signature
 from .expr import parse_expr, to_source
-from .geometry import (CurvatureTensor, InducedStructure, Scenario, curvature,
-                       fundamental_residuals, induced_structure, structure_jets)
+from .geometry import (InducedStructure, Scenario, curvature, fundamental_residuals,
+                       induced_structure, structure_jets)
 from .jets import eval_jet
 from .model import (BlockSpec, ComplexBlock, GaussModel, RealBlock, assemble,
                     build_block, model_curvature, sip_matrix, tridiagonal_omega)

@@ -31,8 +31,8 @@ from .jets import MAX_JET_ORDER, JetError
 from .model import RealBlock
 from .scenarios import (ScenarioFormatError, json_dim, load_scenario,
                         scenario_digest)
-from .tensor_ops import (K_CAP_ALGEBRAIC, K_CAP_GEOMETRIC, TENSOR_ENTRY_CAP,
-                         GeometricCurvature, alternating_sum_identity,
+from .tensor_ops import (K_CAP_ALGEBRAIC, GeometricCurvature, RecursionCapError,
+                         alternating_sum_identity, check_packed_power,
                          nabla_powers)
 
 #: the checks of check-geometry in run order, each with the values that the
@@ -117,10 +117,10 @@ def _resolve_checks(sc):
     it omits, and the structure jet order that all of them fit in.
 
     Each sample point is solved once at this order.  A check field of the
-    wrong type, or a check whose power lies beyond the geometric curvature
-    power cap, the packed-tensor entry cap or the jet order cap, is
-    rejected here as a scenario error, and so are alternating_identity
-    trials beyond TRIALS_CAP.
+    wrong type, a rank_theorem power that ``check_packed_power`` refuses
+    for the geometric curvature, a power beyond the jet order cap and
+    alternating_identity trials beyond TRIALS_CAP are rejected here as
+    scenario errors.
     """
     checks, order = [], 1
     for check in sc.checks or [{"name": name} for name in CHECKS]:
@@ -134,18 +134,12 @@ def _resolve_checks(sc):
         checks.append(check)
         p_max = check.get("p_max")
         if name == "rank_theorem":
-            # the power cap first: N2 ** (p_max + 1) of a huge p_max never ends
-            if p_max > K_CAP_GEOMETRIC:
+            try:
+                check_packed_power(GeometricCurvature, sc.dim, 1, p_max)
+            except RecursionCapError as err:
                 raise ScenarioFormatError(
-                    f"check 'rank_theorem': p_max {p_max} is beyond the "
-                    f"curvature power cap {K_CAP_GEOMETRIC}")
-            entries = (sc.dim * (sc.dim - 1) // 2) ** (p_max + 1)
-            if entries > TENSOR_ENTRY_CAP:
-                raise ScenarioFormatError(
-                    f"check 'rank_theorem': p_max {p_max} needs packed R^{p_max} "
-                    f"omega with {entries} entries at dim {sc.dim}, beyond the "
-                    f"cap {TENSOR_ENTRY_CAP}")
-            need = min(p_max, verify.NABLA_RANK_CAP) - 1
+                    f"check 'rank_theorem', p_max at dim {sc.dim}: {err}") from None
+            need = p_max - 1
         elif name == "alternating_identity":
             if check["trials"] > TRIALS_CAP:
                 raise ScenarioFormatError(
@@ -182,8 +176,8 @@ def _geometry_records(sc, checks, structures, chains, seed):
     records = []
     for pi, (point, sj, nablas) in enumerate(zip(sc.sample_points, structures, chains)):
         st = geometry.induced_structure(sj)
-        curv = geometry.curvature(st)
-        res = geometry.fundamental_residuals(st, curv)
+        prov = GeometricCurvature(geometry.curvature(st))
+        res = geometry.fundamental_residuals(st, prov.R)
         for check in checks:
             name, tol, p_max = check["name"], check.get("tol"), check.get("p_max")
             label = f"{name}@point{pi}"
@@ -214,8 +208,7 @@ def _geometry_records(sc, checks, structures, chains, seed):
                                         "h_selfadjoint": selfadj},
                                        (time.perf_counter() - t0) * 1e3))
             elif name == "rank_theorem":
-                v = verify.check_rank_theorem(st, p_max, tol, curv=curv,
-                                              nablas=nablas)
+                v = verify.check_rank_theorem(prov, st.S, st.h, nablas, p_max, tol)
                 records.append(_record(
                     label, v.verdict, v.max_r_power, tol,
                     {"point": point, "power": v.power, "rank_S": v.rank_s,
@@ -224,7 +217,6 @@ def _geometry_records(sc, checks, structures, chains, seed):
             elif name == "alternating_identity":
                 trials = check["trials"]
                 rng = np.random.default_rng((seed, 17, pi))
-                prov = GeometricCurvature(curv.R)
                 worst = 0.0
                 for _ in range(trials):
                     pairs = [(int(a), int(b)) for a, b in
@@ -313,6 +305,9 @@ def cmd_oracles(args):
 
 
 def cmd_decompose(args):
+    if not 0 < args.tol <= sys.float_info.max:
+        print(f"error: --tol must be a finite number > 0, got {args.tol}", file=sys.stderr)
+        return 2
     try:
         with open(args.matrix_file) as fh:
             data = json.load(fh)
@@ -430,6 +425,10 @@ def main(argv=None):
     p.set_defaults(func=cmd_list_oracles)
 
     args = parser.parse_args(argv)
+    # numpy's seeded generators take only seeds >= 0
+    if getattr(args, "seed", 0) < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

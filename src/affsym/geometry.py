@@ -254,21 +254,14 @@ def induced_structure(source, point=None) -> InducedStructure:
     )
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
-    """R[l, t, i, j] is the d_l component of R(d_i, d_j) d_t."""
-
-    point: tuple
-    R: np.ndarray
-
-
-def curvature(st: InducedStructure) -> CurvatureTensor:
+def curvature(st: InducedStructure) -> np.ndarray:
+    """R[l, t, i, j], the d_l component of R(d_i, d_j) d_t."""
     g, dg = st.gamma, st.dgamma
     term1 = np.transpose(dg, (1, 3, 0, 2))   # d_i Gamma^l_{jt}
     term2 = np.transpose(dg, (1, 3, 2, 0))   # d_j Gamma^l_{it}
     term3 = np.einsum("lim,mjt->ltij", g, g)
     term4 = np.einsum("ljm,mit->ltij", g, g)
-    return CurvatureTensor(st.point, term1 - term2 + term3 - term4)
+    return term1 - term2 + term3 - term4
 
 
 def gauss_curvature_tensor(s_op, h) -> np.ndarray:
@@ -287,15 +280,16 @@ class FundamentalResiduals:
         return max(self.gauss, self.codazzi_h, self.codazzi_s, self.ricci)
 
 
-def fundamental_residuals(st: InducedStructure, curv: CurvatureTensor) -> FundamentalResiduals:
-    """Max-abs residuals of the four structural identities.
+def fundamental_residuals(st: InducedStructure, r: np.ndarray) -> FundamentalResiduals:
+    """Max-abs residuals of the four structural identities, given the
+    structure's ``curvature`` ``r``.
 
     These hold exactly for any induced structure, so the residuals measure
     only numerical error of the frame solve and differentiation.
     """
     g, h, s_op, tau = st.gamma, st.h, st.S, st.tau
 
-    gauss = float(np.max(np.abs(curv.R - gauss_curvature_tensor(s_op, h))))
+    gauss = float(np.max(np.abs(r - gauss_curvature_tensor(s_op, h))))
 
     nabla_h = st.dh - np.einsum("mij,mk->ijk", g, h) - np.einsum("mik,jm->ijk", g, h)
     cod_h = nabla_h + np.einsum("i,jk->ijk", tau, h)

@@ -125,36 +125,53 @@ def _expand_arg(arg, dim):
     return tuple((int(m), float(vec[m])) for m in np.nonzero(vec)[0])
 
 
-def r_power_action(provider, tensor, k: int, args, memo: bool = True) -> float:
+def _check_power(provider, k: int):
+    """The one R^k power gate: ArityError unless k >= 0, RecursionCapError
+    if k is beyond ``provider.cap`` (a provider or its class)."""
+    if k < 0:
+        raise ArityError("k must be >= 0")
+    if k > provider.cap:
+        raise RecursionCapError(f"power {k} is beyond the curvature power cap {provider.cap}")
+
+
+def check_packed_power(provider, n: int, axes: int, k: int) -> int:
+    """Gate R^k of a tensor with ``axes`` packed Lambda^2 axes on R^n: the
+    power against ``provider.cap`` first, so a huge k is never
+    exponentiated, then the N2^(axes+k) entries against TENSOR_ENTRY_CAP.
+    Returns N2 = n(n-1)/2."""
+    _check_power(provider, k)
+    n2 = n * (n - 1) // 2
+    entries = n2 ** (axes + k)
+    if entries > TENSOR_ENTRY_CAP:
+        raise RecursionCapError(f"packed R^{k} tensor would hold {entries} entries, "
+                                f"beyond the cap {TENSOR_ENTRY_CAP}")
+    return n2
+
+
+def r_power_action(provider, tensor, k: int, args) -> float:
     """Evaluate (R^k . T)(args) by the defining recursion.
 
     ``tensor`` is a dense (0,p) component array; ``args`` are 2k+p basis
     indices or vectors (vectors expand multilinearly).  Each node takes
     the provider's basis images R(e_x, e_y) e_z of its slots and skips a
     slot whose image is empty (subtracting its 0.0 term is a no-op).  Values are
-    memoized in one dict per level, keyed by the basis-index tuple;
-    ``memo=False`` runs the identical recursion without caching (for
-    cross-checks).
+    memoized in one dict per level, keyed by the basis-index tuple.
     """
     t = np.asarray(tensor, dtype=float)
     p = t.ndim
-    if k < 0:
-        raise ArityError("k must be >= 0")
-    if k > provider.cap:
-        raise RecursionCapError(f"power {k} exceeds cap {provider.cap} for this provider")
+    _check_power(provider, k)
     if len(args) != 2 * k + p:
         raise ArityError(f"expected {2 * k + p} arguments, got {len(args)}")
     dim = provider.dim
     image_of = provider.basis_image
-    memos = [{} for _ in range(k + 1)] if memo else None
+    memos = [{} for _ in range(k + 1)]
 
     def eval_idx(k, idxs):
         if k == 0:
             return float(t[idxs])
-        if memos is not None:
-            got = memos[k].get(idxs)
-            if got is not None:
-                return got
+        got = memos[k].get(idxs)
+        if got is not None:
+            return got
         x, y = idxs[0], idxs[1]
         rest = idxs[2:]
         total = 0.0
@@ -165,8 +182,7 @@ def r_power_action(provider, tensor, k: int, args, memo: bool = True) -> float:
                 for m, coeff in image:
                     acc += coeff * eval_idx(k - 1, rest[:slot] + (m,) + rest[slot + 1:])
                 total -= acc
-        if memos is not None:
-            memos[k][idxs] = total
+        memos[k][idxs] = total
         return total
 
     expansions = [_expand_arg(a, dim) for a in args]
@@ -196,10 +212,7 @@ def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
     """
     v = np.asarray(vectors, dtype=float)
     n = provider.dim
-    if k < 0:
-        raise ArityError("k must be >= 0")
-    if k > provider.cap:
-        raise RecursionCapError(f"power {k} exceeds cap {provider.cap} for this provider")
+    _check_power(provider, k)
     w = _two_form(omega, n)
     if v.shape[-2:] != (2 * k + 2, n):
         raise ArityError(f"expected vectors of shape (..., {2 * k + 2}, {n}), "
@@ -288,20 +301,12 @@ def r_power_levels(provider, packed, k: int):
     A level maps T to -sum over pair axes s of rho(R(e_x, e_y)) applied on
     axis s, with the new pair (x, y) as the leading axis: one tensordot per
     existing axis.  ``pack_two_form(omega, n)`` gives R^0.omega.  The
-    checks, the entry cap on R^k.T among them, run at the first ``next``.
+    checks, ``check_packed_power`` among them, run at the first ``next``.
     """
     t = np.asarray(packed, dtype=float)
-    n = provider.dim
-    n2 = n * (n - 1) // 2
-    if k < 0:
-        raise ArityError("k must be >= 0")
-    if k > provider.cap:
-        raise RecursionCapError(f"power {k} exceeds cap {provider.cap} for this provider")
+    n2 = check_packed_power(provider, provider.dim, t.ndim, k)
     if any(size != n2 for size in t.shape):
         raise ArityError(f"packed axes must have length {n2}, got shape {t.shape}")
-    if n2 ** (t.ndim + k) > TENSOR_ENTRY_CAP:
-        raise RecursionCapError(
-            f"packed R^{k} tensor would hold {n2 ** (t.ndim + k)} entries")
     rho = _pair_operator(provider)
     for _ in range(k):
         out = np.zeros((n2,) + t.shape)

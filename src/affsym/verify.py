@@ -34,17 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import canonical, geometry
-from .model import (ComplexBlock, GaussModel, ModelError, RealBlock, assemble,
-                    model_curvature, random_omega, tridiagonal_omega)
-from .tensor_ops import (AlgebraicCurvature, GeometricCurvature, _pair_probe,
-                         pack_two_form, r_power_action, r_power_levels,
-                         r_power_probe)
+from .model import (ComplexBlock, ModelError, RealBlock, assemble,
+                    model_curvature, random_omega)
+from .tensor_ops import (AlgebraicCurvature, _pair_probe, pack_two_form,
+                         r_power_action, r_power_levels, r_power_probe)
 
 #: per-draw tolerance: abs_err <= ORACLE_RTOL * max(1, |closed|)
 ORACLE_RTOL = 1e-9
-
-#: highest covariant-derivative power evaluated alongside the rank check
-NABLA_RANK_CAP = 3
 
 WITNESS_THRESHOLD = 1e-9
 
@@ -57,7 +53,6 @@ class OracleError(ValueError):
 class OracleSpec:
     id: str
     params: dict
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -734,7 +729,7 @@ def sample_spec(oracle_id: str, rng, p_max: int = 4) -> OracleSpec:
         f.draw(d)
     d.q["blocks"] = [["real", b.size, b.eigenvalue, b.sign] if isinstance(b, RealBlock)
                      else ["complex", b.half_size, b.alpha, b.beta] for b in d.blocks]
-    return OracleSpec(oracle_id, d.q, fam.description)
+    return OracleSpec(oracle_id, d.q)
 
 
 def run_oracle(spec: OracleSpec) -> OracleResult:
@@ -878,57 +873,42 @@ class RankVerdict:
     max_r_power: float
     max_nabla: float | None
     rank_s: int
-    admissible: bool | None
     final_form: str | None
-    point: tuple | None = None
 
 
-def check_rank_theorem(target, p: int, tol: float = 1e-8, omega=None,
-                       curv=None, nablas=None) -> RankVerdict:
+def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> RankVerdict:
     """Tie the first vanishing operator power q <= p to the rank-one conclusion.
 
-    ``target`` is either a GaussModel, with ``omega`` (default the
-    tridiagonal form), or the InducedStructure of a point, with its
-    ``curv`` and its nabla chain ``nablas`` = [omega, nabla omega, ...]
-    (``nabla_powers`` to min(p, NABLA_RANK_CAP) or beyond), as
-    check-geometry holds them.
+    ``prov`` is the curvature provider of a point (or of a Gauss model),
+    ``s_op`` and ``h`` its shape operator and second fundamental form, and
+    ``nablas`` = [omega, nabla omega, ...] its omega chain, as far as it is
+    known: check-geometry hands over ``nabla_powers`` of the point, a Gauss
+    model [omega] alone.
 
     R^q omega is stepped one packed level at a time for q = 1..p and the
-    scan stops at the first q at which R^q omega or nabla^q omega
-    vanishes: R^{q+1} omega = R.(R^q omega) vanishes with R^q omega, and
-    nabla^{q+1} omega with nabla^q omega where that vanishes identically,
-    so no power beyond q is needed.  Verdict PASS means the operator
-    vanished at q and the shape conclusions hold, FAIL that they do not,
-    VACUOUS (reported at p) that neither operator vanished up to p.
+    scan stops at the first q at which R^q omega or nabla^q omega (for
+    q < len(nablas)) vanishes: R^{q+1} omega = R.(R^q omega) vanishes with
+    R^q omega, and nabla^{q+1} omega with nabla^q omega where that vanishes
+    identically, so no power beyond q is needed.  Verdict PASS means the
+    operator vanished at q and the shape conclusions hold, FAIL that they
+    do not, VACUOUS (reported at p) that neither operator vanished up to p.
     """
-    point = None
-    if isinstance(target, GaussModel):
-        w = np.asarray(omega, dtype=float) if omega is not None \
-            else tridiagonal_omega(target.dim)
-        prov = AlgebraicCurvature(target)
-        s_op, h = target.S, target.H
-    else:
-        w = nablas[0]
-        prov = GeometricCurvature(curv.R)
-        s_op, h, point = target.S, target.h, target.point
+    w = nablas[0]
     if abs(np.linalg.det(w)) < geometry.OMEGA_DET_MIN:
         raise OracleError("degenerate 2-form in rank check")
-    if not 1 <= p <= prov.cap:
-        raise OracleError(f"rank check power {p} outside 1..{prov.cap}")
+    if p < 1:
+        raise OracleError(f"rank check power {p} is below 1")
 
     levels = r_power_levels(prov, pack_two_form(w, prov.dim), p)
+    rank_s = canonical.rank(s_op)
     for q, packed in enumerate(levels, start=1):
         max_r = float(np.max(np.abs(packed)))
-        max_nabla = None
-        if nablas is not None and q <= NABLA_RANK_CAP:
-            max_nabla = float(np.max(np.abs(nablas[q])))
+        max_nabla = float(np.max(np.abs(nablas[q]))) if q < len(nablas) else None
         if max_r < tol or (max_nabla is not None and max_nabla < tol):
             break
     else:
-        return RankVerdict("VACUOUS", p, max_r, max_nabla, canonical.rank(s_op),
-                           None, None, point)
-    rank_s = canonical.rank(s_op)
+        return RankVerdict("VACUOUS", p, max_r, max_nabla, rank_s, None)
     summary = canonical.classify(canonical.decompose(s_op, h))
     ok = rank_s <= 1 and summary.admissible_shape
     return RankVerdict("PASS" if ok else "FAIL", q, max_r, max_nabla, rank_s,
-                       summary.admissible_shape, summary.final_form, point)
+                       summary.final_form)

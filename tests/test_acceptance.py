@@ -54,7 +54,7 @@ def test_criterion_1_worked_example_reproduction():
         worst["h"] = max(worst["h"], float(rel))
 
         w = component_jets(sc.omega, point, 0, sc.coords)[0]
-        prov = GeometricCurvature(geo.curvature(st).R)
+        prov = GeometricCurvature(geo.curvature(st))
         r1 = r_power_action(prov, w, 1, (0, 2, 0, 2))
         worst["r1"] = max(worst["r1"], abs(r1 - (-x * y * w[0, 1])))
         r2 = r_power_action(prov, w, 2, (0, 2, 0, 2, 0, 2))
@@ -178,9 +178,9 @@ def test_criterion_5_theorem_witnesses_and_rank_verdicts():
         for point in sc.sample_points:
             sj = geo.structure_jets(sc, point, 2)
             st = geo.induced_structure(sj)
-            curv = geo.curvature(st)
+            prov = GeometricCurvature(geo.curvature(st))
             nablas = nabla_powers(sc.omega, sj, 3)
-            per_power = [verify.check_rank_theorem(st, p, 1e-8, curv=curv, nablas=nablas)
+            per_power = [verify.check_rank_theorem(prov, st.S, st.h, nablas, p, 1e-8)
                          for p in range(1, 4)]
             assert all(v.verdict != "FAIL" for v in per_power), (scenario_name, point)
             triggered = [v.verdict for v in per_power if v.verdict != "VACUOUS"]
@@ -199,7 +199,7 @@ def test_criterion_6_alternating_identity():
         rng = np.random.default_rng(99)
         for point in sc.sample_points[:1]:
             st = geo.induced_structure(sc, point)
-            prov = GeometricCurvature(geo.curvature(st).R)
+            prov = GeometricCurvature(geo.curvature(st))
             sj = geo.structure_jets(sc, point, 1)
             w = component_jets(sc.omega, point, 0, sc.coords)[0]
             nabla = nabla_powers(w, sj, 2)[2]

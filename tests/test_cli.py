@@ -276,6 +276,24 @@ def test_decompose_applies_tol(tmp_path, capsys):
     assert _load(out)["parameters"]["tol"] == 1e-4
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_decompose_tol_must_be_finite_and_positive(tol, tmp_path, capsys):
+    # not H-selfadjoint: ||A^T H - H A|| = 0.5, which nan and inf used to skip
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"dim": 2, "A": [1, 0.5, 0, 2], "H": [1, 0, 0, 1]}))
+    rc, err = _usage_error(["decompose", str(mat), "--tol", tol], capsys)
+    assert rc == 2 and len(err) == 1 and "--tol" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-geometry", "--scenario", "paraboloid"],
+    ["oracles", "--filter", "rp_ei_ek", "--trials", "1"],
+], ids=["check-geometry", "oracles"])
+def test_negative_seed_is_usage_error(argv, capsys):
+    rc, err = _usage_error(argv + ["--seed", "-1"], capsys)
+    assert rc == 2 and len(err) == 1 and "--seed" in err[0]
+
+
 def test_each_subcommand_takes_only_its_flags(tmp_path, capsys):
     with pytest.raises(SystemExit) as stop:
         main(["oracles", "--help"])

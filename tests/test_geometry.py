@@ -18,7 +18,7 @@ def test_paraboloid_structure():
         assert np.array_equal(st.h, 2.0 * np.eye(4))
         assert np.max(np.abs(st.S)) == 0.0
         assert np.max(np.abs(st.tau)) == 0.0
-        assert np.max(np.abs(geo.curvature(st).R)) == 0.0
+        assert np.max(np.abs(geo.curvature(st))) == 0.0
 
 
 def test_worked_example_structure():
@@ -49,7 +49,7 @@ def test_centroaffine_sphere_structure():
             (math.sin(t1) * math.sin(t2) * math.sin(t3)) ** 2])
         assert np.max(np.abs(st.h - round_metric)) < 1e-10
         # constant-curvature form of the Gauss rule with S = identity
-        r = geo.curvature(st).R
+        r = geo.curvature(st)
         expected = (np.einsum("jt,li->ltij", st.h, np.eye(4))
                     - np.einsum("it,lj->ltij", st.h, np.eye(4)))
         assert np.max(np.abs(r - expected)) < 1e-8
@@ -71,7 +71,7 @@ def test_gauss_model_equivalence():
         sc = load_scenario(name)
         for point in sc.sample_points:
             st = geo.induced_structure(sc, point)
-            r = geo.curvature(st).R
+            r = geo.curvature(st)
             assert np.max(np.abs(r - geo.gauss_curvature_tensor(st.S, st.h))) < 1e-8
 
 
@@ -80,7 +80,7 @@ def test_curvature_antisymmetry_and_gamma_symmetry():
     st = geo.induced_structure(sc, sc.sample_points[0])
     assert np.max(np.abs(st.gamma - np.transpose(st.gamma, (0, 2, 1)))) == 0.0
     assert np.max(np.abs(st.h - st.h.T)) == 0.0
-    r = geo.curvature(st).R
+    r = geo.curvature(st)
     assert np.max(np.abs(r + np.transpose(r, (0, 1, 3, 2)))) < 1e-10
 
 

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from affsym import verify
 from affsym import geometry as geo
-from affsym.model import ComplexBlock, RealBlock, assemble, tridiagonal_omega
+from affsym.model import (ComplexBlock, RealBlock, assemble, random_omega,
+                          tridiagonal_omega)
 from affsym.scenarios import load_scenario
-from affsym.tensor_ops import nabla_powers
+from affsym.tensor_ops import AlgebraicCurvature, GeometricCurvature, nabla_powers
 from affsym.verify import (OracleError, OracleSpec, check_rank_theorem,
                            list_oracles, run_family, run_oracle, sample_spec,
                            theorem_witness)
+from test_tensor_ops import block_models
 
 EXPECTED_IDS = [
     "with_pi_x", "rp_ei_ek", "kgt3_basics", "lemma34", "even_odd", "lemma36",
@@ -237,35 +241,64 @@ def test_witness_is_deterministic_and_found_by_probe():
     assert {e.source for e in first.entries} == {"probe"}
 
 
+def _rank_on_model(m, p, nablas=None):
+    """check_rank_theorem on a Gauss model, by default with the tridiagonal
+    form."""
+    nablas = [tridiagonal_omega(m.dim)] if nablas is None else nablas
+    return check_rank_theorem(AlgebraicCurvature(m), m.S, m.H, nablas, p)
+
+
 def test_check_rank_theorem_on_models():
     final = assemble([RealBlock(2, 0.0, 1), RealBlock(1, 0.0, 1),
                       RealBlock(1, 0.0, -1)])
-    verdict = check_rank_theorem(final, 3)
+    verdict = _rank_on_model(final, 3)
     assert verdict.verdict == "PASS"
     assert verdict.rank_s == 1 and verdict.final_form == "rank_one_nilpotent"
 
     identity = assemble([RealBlock(1, 1.0, 1)] * 4)
-    assert check_rank_theorem(identity, 3).verdict == "VACUOUS"
+    assert _rank_on_model(identity, 3).verdict == "VACUOUS"
 
     zero = assemble([RealBlock(1, 0.0, 1)] * 4)
-    verdict = check_rank_theorem(zero, 1)
+    verdict = _rank_on_model(zero, 1)
     assert verdict.verdict == "PASS" and verdict.rank_s == 0
 
     with pytest.raises(OracleError):
-        check_rank_theorem(zero, 1, omega=np.zeros((4, 4)))
+        _rank_on_model(zero, 1, [np.zeros((4, 4))])
 
 
 def test_check_rank_theorem_at_dimension_ten():
     # packed R^3 omega holds 45^4 entries, the dense form 10^8
     nilpotent = assemble([RealBlock(2, 0.0, 1)]
                          + [RealBlock(1, 0.0, (-1) ** i) for i in range(8)])
-    verdict = check_rank_theorem(nilpotent, 3)
+    verdict = _rank_on_model(nilpotent, 3)
     assert verdict.verdict == "PASS" and verdict.rank_s == 1
     assert verdict.final_form == "rank_one_nilpotent"
 
     identity = assemble([RealBlock(1, 1.0, 1)] * 10)
-    verdict = check_rank_theorem(identity, 3)
+    verdict = _rank_on_model(identity, 3)
     assert verdict.verdict == "VACUOUS" and verdict.power == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_models(dims=(4, 6, 8)), hst.integers(1, 3), hst.integers(0, 2 ** 32 - 1))
+def test_rank_check_never_fails_on_block_models(model, p, seed):
+    # the paper's theorem: R^q omega = 0 for a nondegenerate omega forces
+    # rank S <= 1 with an admissible canonical shape
+    w = random_omega(model.dim, np.random.default_rng(seed))
+    assert _rank_on_model(model, p, [w]).verdict != "FAIL"
+
+
+@settings(max_examples=20, deadline=None)
+@given(hst.sampled_from((4, 6, 8)), hst.data())
+def test_rank_check_passes_on_nilpotent_two_block(dim, data):
+    # R^3 omega vanishes for every omega here, so the scan stops by p = 3
+    signs = data.draw(hst.lists(hst.sampled_from((1, -1)), min_size=dim - 1,
+                                max_size=dim - 1))
+    m = assemble([RealBlock(2, 0.0, signs[0])]
+                 + [RealBlock(1, 0.0, s) for s in signs[1:]])
+    w = random_omega(dim, np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1))))
+    verdict = _rank_on_model(m, 3, [w])
+    assert verdict.verdict == "PASS" and verdict.final_form == "rank_one_nilpotent"
 
 
 def _rank_at_first_point(name, p):
@@ -275,7 +308,8 @@ def _rank_at_first_point(name, p):
     sj = geo.structure_jets(sc, sc.sample_points[0], 2)
     st = geo.induced_structure(sj)
     nablas = nabla_powers(sc.omega, sj, 3)
-    return check_rank_theorem(st, p, curv=geo.curvature(st), nablas=nablas)
+    return check_rank_theorem(GeometricCurvature(geo.curvature(st)), st.S, st.h,
+                              nablas, p)
 
 
 def test_check_rank_theorem_on_scenarios():
