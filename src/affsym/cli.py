@@ -47,7 +47,8 @@ CHECKS = {
     "alternating_identity": {"p_max": 1, "tol": 1e-7, "trials": 50},
 }
 
-#: most alternating_identity trials a check may ask for, 200 times the default
+#: most trials an alternating_identity check (200 times its default) or
+#: ``oracles --trials`` (100 times its default) may ask for
 TRIALS_CAP = 10_000
 
 
@@ -262,6 +263,10 @@ def cmd_oracles(args):
     if args.trials < 1 or args.p_max < 1:
         print("error: --trials and --p-max must be >= 1", file=sys.stderr)
         return 2
+    if args.trials > TRIALS_CAP:
+        print(f"error: --trials {args.trials} is beyond the cap {TRIALS_CAP}",
+              file=sys.stderr)
+        return 2
     if args.p_max > K_CAP_ALGEBRAIC:
         print(f"error: --p-max {args.p_max} is beyond the curvature power cap "
               f"{K_CAP_ALGEBRAIC}", file=sys.stderr)
@@ -406,7 +411,7 @@ def main(argv=None):
     p = sub.add_parser("oracles", help="run the closed-form oracle catalog")
     p.add_argument("--filter", default=None, help="glob over oracle ids")
     p.add_argument("--trials", type=int, default=100,
-                   help="seeded draws per family (default 100)")
+                   help=f"seeded draws per family (default 100, at most {TRIALS_CAP})")
     _add_seed(p)
     p.add_argument("--p-max", dest="p_max", type=int, default=4,
                    help="maximum operator power (default 4)")

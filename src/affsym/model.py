@@ -16,6 +16,8 @@ Block conventions (matching the canonical-pair normal form):
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,23 +74,8 @@ def sip_matrix(n: int) -> np.ndarray:
 
 
 def build_block(spec: BlockSpec):
-    """Return the (S_i, H_i) matrix pair for one block."""
-    if isinstance(spec, RealBlock):
-        k = spec.size
-        s = spec.eigenvalue * np.eye(k)
-        for j in range(k - 1):
-            s[j + 1, j] = 1.0
-        return s, spec.sign * sip_matrix(k)
-    if isinstance(spec, ComplexBlock):
-        k = spec.half_size
-        cell = np.array([[spec.alpha, spec.beta], [-spec.beta, spec.alpha]])
-        s = np.zeros((2 * k, 2 * k))
-        for j in range(k):
-            s[2 * j: 2 * j + 2, 2 * j: 2 * j + 2] = cell
-            if j + 1 < k:
-                s[2 * j + 2: 2 * j + 4, 2 * j: 2 * j + 2] = np.eye(2)
-        return s, sip_matrix(2 * k)
-    raise ModelError(f"not a block spec: {spec!r}")
+    """Return the (S_i, H_i) matrix pair for one block: ``direct_sum([spec])``."""
+    return direct_sum([spec])
 
 
 @dataclass(frozen=True)
@@ -108,15 +95,44 @@ class GaussModel:
 
 
 def direct_sum(blocks):
-    """The block-diagonal (S, H) of the given blocks, in order."""
+    """The block-diagonal (S, H) of the given blocks, in order.
+
+    Each block's entries are written straight into the two arrays.  The
+    zeros inside a real block carry the signs that eigenvalue * I and
+    sign * sip(k) give them: -0.0 for a negative eigenvalue or sign.
+    """
+    for b in blocks:
+        if not isinstance(b, (RealBlock, ComplexBlock)):
+            raise ModelError(f"not a block spec: {b!r}")
     dim = sum(b.dim for b in blocks)
     s = np.zeros((dim, dim))
     h = np.zeros((dim, dim))
     at = 0
     for b in blocks:
-        cell = slice(at, at + b.dim)
-        s[cell, cell], h[cell, cell] = build_block(b)
-        at += b.dim
+        end = at + b.dim
+        if isinstance(b, RealBlock):
+            lam, sign = b.eigenvalue, b.sign
+            if b.size > 1:
+                zero = lam * 0.0
+                if zero != 0.0 or math.copysign(1.0, zero) < 0.0:
+                    s[at:end, at:end] = zero
+                if sign < 0:
+                    h[at:end, at:end] = -0.0
+            for j in range(at, end):
+                s[j, j] = lam
+                h[j, at + end - 1 - j] = sign
+                if j + 1 < end:
+                    s[j + 1, j] = 1.0
+        else:
+            alpha, beta = b.alpha, b.beta
+            for j in range(at, end, 2):
+                s[j, j] = s[j + 1, j + 1] = alpha
+                s[j, j + 1], s[j + 1, j] = beta, -beta
+                if j + 2 < end:
+                    s[j + 2, j] = s[j + 3, j + 1] = 1.0
+            for j in range(at, end):
+                h[j, at + end - 1 - j] = 1.0
+        at = end
     return s, h
 
 
@@ -154,6 +170,12 @@ def tridiagonal_omega(dim: int) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=None)
+def _lower_indices(dim):
+    """The indices i >= j of a dim x dim array: what np.triu(a, 1) zeroes."""
+    return np.tril_indices(dim)
+
+
 def random_omega(dim, rng, zero_pairs=()) -> np.ndarray:
     """Random antisymmetric nondegenerate form with entries in [-1, 1].
 
@@ -161,9 +183,10 @@ def random_omega(dim, rng, zero_pairs=()) -> np.ndarray:
     conditions).
     """
     forbidden = {(min(i, j), max(i, j)) for i, j in zero_pairs}
+    lower = _lower_indices(dim)
     for _ in range(OMEGA_MAX_TRIES):
-        a = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        w = np.triu(a, 1)
+        w = rng.uniform(-1.0, 1.0, size=(dim, dim))
+        w[lower] = 0.0
         for i, j in forbidden:
             w[i, j] = 0.0
         w = w - w.T

@@ -86,8 +86,16 @@ def _plain(v):
 
 def _pick(rng, seq):
     """One uniform pick from ``seq``: the draw ``rng.choice(seq)`` makes,
-    without its array conversion, so the generator stream is unchanged."""
-    return seq[int(rng.integers(0, len(seq)))]
+    without its array conversion, so the generator stream is unchanged.
+    ``rng.integers(n)`` draws as ``rng.integers(0, n)`` does, at less cost."""
+    return seq[int(rng.integers(len(seq)))]
+
+
+def _uniform(rng, lo, hi):
+    """The draw ``rng.uniform(lo, hi)`` makes, bit for bit: numpy computes
+    a scalar uniform as lo + (hi - lo) * next_double, and ``rng.random()``
+    is that next_double, so the value and the stream position match."""
+    return lo + (hi - lo) * rng.random()
 
 
 def _sign(rng):
@@ -95,12 +103,12 @@ def _sign(rng):
 
 
 def _nonzero(rng):
-    return rng.uniform(0.3, 2.0) * _pick(rng, (-1, 1))
+    return _uniform(rng, 0.3, 2.0) * _pick(rng, (-1, 1))
 
 
 def _extra(rng):
     """One trailing 1x1 real block."""
-    return RealBlock(1, float(rng.uniform(-2.0, 2.0)), _sign(rng))
+    return RealBlock(1, _uniform(rng, -2.0, 2.0), _sign(rng))
 
 
 def _pairs(pair, count):
@@ -249,7 +257,7 @@ class Vectors:
     name: str
 
     def draw(self, d):
-        d.q[self.name] = [[float(v) for v in d.rng.uniform(-1, 1, size=d.k)]
+        d.q[self.name] = [d.rng.uniform(-1, 1, size=d.k).tolist()
                           for _ in range(d.fam.power(d.q))]
 
     def check(self, d):

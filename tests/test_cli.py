@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import affsym
 from affsym import geometry
-from affsym.cli import _resolve_checks, main
+from affsym.cli import TRIALS_CAP, _resolve_checks, main
 from affsym.model import RealBlock, assemble
 from affsym.scenarios import scenario_from_dict
 
@@ -515,6 +515,16 @@ def test_oversized_input_exits_two(text, words, tmp_path):
     run = _affsym_python(_RUN_CLI, "check-geometry", "--scenario", str(sc))
     err = run.stderr.strip().splitlines()
     assert run.returncode == 2 and len(err) == 1 and words in err[0], run.stderr
+
+
+@pytest.mark.parametrize("trials", [TRIALS_CAP + 1, 10 ** 12])
+def test_oracles_trials_beyond_cap_exits_two(trials):
+    # without the cap run_family would keep 10**12 results and not finish
+    run = _affsym_python(_RUN_CLI, "oracles", "--filter", "rp_ei_ek",
+                         "--trials", str(trials), timeout=30)
+    err = run.stderr.strip().splitlines()
+    assert run.returncode == 2 and err == [
+        f"error: --trials {trials} is beyond the cap {TRIALS_CAP}"], run.stderr
 
 
 def _check_records(data, tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from affsym.canonical import classify, decompose
-from affsym.model import (ComplexBlock, ModelError, RealBlock, assemble,
-                          build_block, model_curvature, random_omega,
-                          sip_matrix, tridiagonal_omega)
+from affsym.model import (OMEGA_MAX_TRIES, OMEGA_MIN_DET, ComplexBlock, ModelError,
+                          RealBlock, assemble, build_block, direct_sum,
+                          model_curvature, random_omega, sip_matrix,
+                          tridiagonal_omega)
 
 
 def test_real_block_forms():
@@ -152,3 +155,88 @@ def test_random_omega_respects_zero_pairs():
     assert w[2, 5] == 0.0 and w[5, 2] == 0.0
     assert np.max(np.abs(w + w.T)) == 0.0
     assert abs(np.linalg.det(w)) > 1e-6
+
+
+def _product_block(spec):
+    """Reference: one block as the products eigenvalue * I and sign * sip(k)
+    (real) or cells written into zeros (complex)."""
+    if isinstance(spec, RealBlock):
+        k = spec.size
+        s = spec.eigenvalue * np.eye(k)
+        for j in range(k - 1):
+            s[j + 1, j] = 1.0
+        return s, spec.sign * np.fliplr(np.eye(k))
+    k = spec.half_size
+    cell = np.array([[spec.alpha, spec.beta], [-spec.beta, spec.alpha]])
+    s = np.zeros((2 * k, 2 * k))
+    for j in range(k):
+        s[2 * j: 2 * j + 2, 2 * j: 2 * j + 2] = cell
+        if j + 1 < k:
+            s[2 * j + 2: 2 * j + 4, 2 * j: 2 * j + 2] = np.eye(2)
+    return s, np.fliplr(np.eye(2 * k))
+
+
+def _product_direct_sum(blocks):
+    dim = sum(b.dim for b in blocks)
+    s, h = np.zeros((dim, dim)), np.zeros((dim, dim))
+    at = 0
+    for b in blocks:
+        cell = slice(at, at + b.dim)
+        s[cell, cell], h[cell, cell] = _product_block(b)
+        at += b.dim
+    return s, h
+
+
+# signed zeros among the values: -0.0 * I has -0.0 off its diagonal
+BLOCK_VALUES = hst.one_of(hst.sampled_from((0.0, -0.0, 1.0, -1.0)),
+                          hst.floats(-3.0, 3.0, allow_nan=False))
+BLOCKS = hst.lists(hst.one_of(
+    hst.builds(RealBlock, hst.integers(1, 5), BLOCK_VALUES, hst.sampled_from((1, -1))),
+    hst.builds(ComplexBlock, hst.integers(1, 3), BLOCK_VALUES,
+               BLOCK_VALUES.filter(lambda v: v != 0.0))), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(BLOCKS)
+def test_direct_sum_matches_block_products_with_signed_zeros(blocks):
+    got, want = direct_sum(blocks), _product_direct_sum(blocks)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    if len(blocks) == 1:
+        for a, b in zip(build_block(blocks[0]), want):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_negative_blocks_keep_negative_zeros():
+    s, h = build_block(RealBlock(3, -0.5, -1))
+    assert np.signbit(s[0, 1]) and np.signbit(s[0, 2]) and np.signbit(h[0, 0])
+    s, h = build_block(RealBlock(3, 0.5, 1))
+    assert not np.signbit(s).any() and not np.signbit(h).any()
+    with pytest.raises(ModelError, match="not a block spec"):
+        build_block(("real", 2, 0.5, 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(hst.integers(2, 10), hst.integers(0, 2 ** 32 - 1), hst.data())
+def test_random_omega_matches_triu_draw(dim, seed, data):
+    pairs = data.draw(hst.lists(hst.tuples(hst.integers(0, dim - 1),
+                                           hst.integers(0, dim - 1)), max_size=3))
+    forbidden = {(min(i, j), max(i, j)) for i, j in pairs}
+    rng = np.random.default_rng(seed)
+    for _ in range(OMEGA_MAX_TRIES):
+        want = np.triu(rng.uniform(-1.0, 1.0, size=(dim, dim)), 1)
+        for i, j in forbidden:
+            want[i, j] = 0.0
+        want = want - want.T
+        if abs(np.linalg.det(want)) > OMEGA_MIN_DET:
+            break
+    else:
+        want = None
+    rng = np.random.default_rng(seed)
+    if want is None:
+        with pytest.raises(ModelError):
+            random_omega(dim, rng, pairs)
+        return
+    got = random_omega(dim, rng, pairs)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

@@ -579,7 +579,7 @@ def _reference_r_power_action(provider, tensor, k, args, memo=True):
 
 def _assert_recursion_matches_reference(prov, w, k, vectors, seed):
     rng = np.random.default_rng(seed)
-    args = [int(v) for v in rng.integers(0, prov.dim, size=2 * k + 2)]
+    args = [int(v) for v in rng.integers(0, prov.dim, size=2 * k + np.ndim(w))]
     for slot in rng.choice(len(args), size=vectors, replace=False):
         args[slot] = rng.standard_normal(prov.dim)
     got = r_power_action(prov, w, k, args)
@@ -602,6 +602,30 @@ def test_recursion_matches_numpy_reference_bit_for_bit(model, k, vectors, seed):
 def test_geometric_recursion_matches_numpy_reference_bit_for_bit(name, k, vectors, seed):
     prov, w = _scenario_curvature(name)
     _assert_recursion_matches_reference(prov, w, k, vectors, seed)
+
+
+def _random_three_tensor(dim, seed):
+    return np.random.default_rng(seed).uniform(-1, 1, (dim, dim, dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_models(dims=(4, 6)), hst.integers(0, 3), hst.integers(0, 2),
+       hst.integers(0, 2 ** 32 - 1))
+def test_recursion_on_three_tensors_matches_plain_recursion(model, k, vectors, seed):
+    # a (0,3) tensor takes the generic leaf, not the 2-form's nested lists
+    prov = AlgebraicCurvature(model)
+    _assert_recursion_matches_reference(prov, _random_three_tensor(model.dim, seed), k,
+                                        vectors, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(0, 3), hst.integers(0, 2),
+       hst.integers(0, 2 ** 32 - 1))
+def test_geometric_recursion_on_three_tensors_matches_plain_recursion(name, k, vectors,
+                                                                      seed):
+    prov, _ = _scenario_curvature(name)
+    _assert_recursion_matches_reference(prov, _random_three_tensor(prov.dim, seed), k,
+                                        vectors, seed)
 
 
 def _random_two_form(dim, seed):

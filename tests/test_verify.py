@@ -108,6 +108,19 @@ MUTATIONS = [
 ]
 
 
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(0, 2 ** 64 - 1), hst.floats(-1e6, 1e6), hst.floats(0.0, 1e6),
+       hst.integers(1, 2 ** 40))
+def test_sampler_draws_match_numpy_bit_for_bit(seed, lo, width, n):
+    hi = lo + width
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    a, b = verify._uniform(got, lo, hi), want.uniform(lo, hi)
+    assert type(a) is type(b) and a == b and np.signbit(a) == np.signbit(b)
+    assert got.random() == want.random()
+    assert got.integers(n) == want.integers(0, n)
+    assert got.random() == want.random()
+
+
 @pytest.mark.parametrize("p_max", [1, 2, 3, 4])
 def test_draws_honour_p_max(p_max):
     for index, oid in enumerate(EXPECTED_IDS):
