@@ -17,7 +17,6 @@ Block conventions (matching the canonical-pair normal form):
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,12 +111,8 @@ def direct_sum(blocks):
         end = at + b.dim
         if isinstance(b, RealBlock):
             lam, sign = b.eigenvalue, b.sign
-            if b.size > 1:
-                zero = lam * 0.0
-                if zero != 0.0 or math.copysign(1.0, zero) < 0.0:
-                    s[at:end, at:end] = zero
-                if sign < 0:
-                    h[at:end, at:end] = -0.0
+            s[at:end, at:end] = lam * 0.0
+            h[at:end, at:end] = sign * 0.0
             for j in range(at, end):
                 s[j, j] = lam
                 h[j, at + end - 1 - j] = sign

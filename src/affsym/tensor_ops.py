@@ -153,15 +153,9 @@ def r_power_action(provider, tensor, k: int, args) -> float:
 
     ``tensor`` is a dense (0,p) component array; ``args`` are 2k+p basis
     indices or vectors (vectors expand multilinearly).  Each node takes
-    the provider's basis images R(e_x, e_y) e_z of its slots, looked up in
-    the provider's memo before ``basis_image`` is called, and skips a slot
-    whose image is empty (subtracting its 0.0 term is a no-op).  Values are
+    the provider's basis images R(e_x, e_y) e_z of its slots and skips a
+    slot whose image is empty (subtracting its 0.0 term is a no-op).  Values are
     memoized in one dict per level, keyed by the basis-index tuple.
-
-    Level 1 reads its leaves straight from T (from nested lists for a
-    2-form) and the last argument position calls the level-k node straight
-    away: the same products and sums, in the same order, as the plain
-    recursion, so the value is the same to the bit.
     """
     t = np.asarray(tensor, dtype=float)
     p = t.ndim
@@ -170,57 +164,35 @@ def r_power_action(provider, tensor, k: int, args) -> float:
         raise ArityError(f"expected {2 * k + p} arguments, got {len(args)}")
     dim = provider.dim
     image_of = provider.basis_image
-    images = provider._images
     memos = [{} for _ in range(k + 1)]
-    if p == 2:
-        rows = t.tolist()
-
-        def leaf(idxs):
-            return rows[idxs[0]][idxs[1]]
-    else:
-        def leaf(idxs):
-            return float(t[idxs])
 
     def eval_idx(k, idxs):
         if k == 0:
-            return leaf(idxs)
-        memo = memos[k]
-        got = memo.get(idxs)
+            return float(t[idxs])
+        got = memos[k].get(idxs)
         if got is not None:
             return got
         x, y = idxs[0], idxs[1]
         rest = idxs[2:]
         total = 0.0
         for slot, z in enumerate(rest):
-            image = images.get((x, y, z))
-            if image is None:
-                image = image_of(x, y, z)
+            image = image_of(x, y, z)
             if image:
                 acc = 0.0
-                head, tail = rest[:slot], rest[slot + 1:]
-                if k == 1:
-                    for m, coeff in image:
-                        acc += coeff * leaf(head + (m,) + tail)
-                else:
-                    for m, coeff in image:
-                        acc += coeff * eval_idx(k - 1, head + (m,) + tail)
+                for m, coeff in image:
+                    acc += coeff * eval_idx(k - 1, rest[:slot] + (m,) + rest[slot + 1:])
                 total -= acc
-        memo[idxs] = total
+        memos[k][idxs] = total
         return total
 
     expansions = [_expand_arg(a, dim) for a in args]
-    if not expansions:
-        return eval_idx(k, ())
-    last = len(expansions) - 1
 
     def eval_args(pos, idxs):
+        if pos == len(expansions):
+            return eval_idx(k, idxs)
         out = 0.0
-        if pos == last:
-            for m, coeff in expansions[pos]:
-                out += coeff * eval_idx(k, idxs + (m,))
-        else:
-            for m, coeff in expansions[pos]:
-                out += coeff * eval_args(pos + 1, idxs + (m,))
+        for m, coeff in expansions[pos]:
+            out += coeff * eval_args(pos + 1, idxs + (m,))
         return out
 
     return eval_args(0, ())

@@ -612,7 +612,7 @@ def _random_three_tensor(dim, seed):
 @given(block_models(dims=(4, 6)), hst.integers(0, 3), hst.integers(0, 2),
        hst.integers(0, 2 ** 32 - 1))
 def test_recursion_on_three_tensors_matches_plain_recursion(model, k, vectors, seed):
-    # a (0,3) tensor takes the generic leaf, not the 2-form's nested lists
+    # (0,3) tensors: the tests above draw only 2-forms
     prov = AlgebraicCurvature(model)
     _assert_recursion_matches_reference(prov, _random_three_tensor(model.dim, seed), k,
                                         vectors, seed)
