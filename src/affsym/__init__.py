@@ -3,13 +3,12 @@ action on almost symplectic forms, and H-selfadjoint canonical pairs."""
 
 __version__ = "0.1.0"
 
-from .canonical import CanonicalPair, classify, decompose, rank, sip_signature
+from .canonical import CanonicalPair, classify, decompose, rank
 from .expr import parse_expr, to_source
 from .geometry import (InducedStructure, Scenario, curvature, fundamental_residuals,
                        induced_structure, structure_jets)
 from .jets import eval_jet
-from .model import (BlockSpec, ComplexBlock, GaussModel, RealBlock, assemble,
-                    build_block, model_curvature, sip_matrix, tridiagonal_omega)
+from .model import BlockSpec, ComplexBlock, GaussModel, RealBlock, assemble
 from .scenarios import load_scenario, scenario_from_dict
 from .tensor_ops import (AlgebraicCurvature, GeometricCurvature,
                          alternating_sum_identity, nabla_powers, r_power_action)

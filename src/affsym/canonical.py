@@ -45,15 +45,6 @@ class NotSelfadjointError(CanonicalError):
     pass
 
 
-def sip_signature(n: int):
-    """Signature (positive, negative) of sip_matrix(n)."""
-    if n < 1:
-        raise CanonicalError("sip size must be >= 1")
-    if n % 2 == 0:
-        return (n // 2, n // 2)
-    return ((n + 1) // 2, (n - 1) // 2)
-
-
 @dataclass(frozen=True)
 class CanonicalPair:
     blocks: tuple           # BlockSpec, in canonical order
@@ -62,57 +53,46 @@ class CanonicalPair:
     residual_h: float       # || T^T H T - P ||_max
     warnings: tuple = ()
 
-    @property
-    def dim(self):
-        return self.transform.shape[0]
 
+def _cluster(values, delta):
+    """Greedy clustering of real or complex scalars; returns lists of indices.
 
-def _cluster_1d(values, delta):
-    """Greedy gap clustering of sorted scalars; returns lists of indices."""
-    order = np.argsort(values)
+    Values are taken in (real, imag) order, each joining the first group
+    whose last member is within ``delta``.  On sorted reals only the last
+    group can be that close, so real values are split at gaps > delta.
+    """
+    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
     groups = []
     for idx in order:
-        if groups and abs(values[idx] - values[groups[-1][-1]]) <= delta:
-            groups[-1].append(idx)
+        for g in groups:
+            if abs(values[idx] - values[g[-1]]) <= delta:
+                g.append(idx)
+                break
         else:
             groups.append([idx])
     return groups
 
 
-def _cluster_complex(values, delta):
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
-    groups = []
-    for idx in order:
-        placed = False
-        for g in groups:
-            if abs(values[idx] - values[g[-1]]) <= delta:
-                g.append(idx)
-                placed = True
-                break
-        if not placed:
-            groups.append([idx])
-    return groups
-
-
 def _pick_isotropy_vector(f, complex_field):
-    """Vector x with |x^T F x| as large as practical; F symmetric, nonzero."""
+    """Vector x with |x^T F x| as large as practical; F symmetric, nonzero.
+
+    Over the reals the candidates are the eigenvectors of F: for a unit x,
+    |x^T F x| <= max |lambda| (Rayleigh), with equality at the eigenvector
+    of the largest |lambda|.  Over the complex field x^T F x is no Hermitian
+    form; the top singular vectors can miss the Takagi maximum when sigma_1
+    repeats, so unit vectors and the pairs e_i + e_j, e_i - e_j and
+    e_i + i e_j are tried as well.
+    """
     d = f.shape[0]
-    candidates = []
-    if complex_field:
-        u, _, vh = np.linalg.svd(f)
-        candidates.append(np.conj(vh[0]))
-        candidates.append(u[:, 0])
+    if not complex_field:
+        candidates = list(np.linalg.eigh(f)[1].T)
     else:
-        w, v = np.linalg.eigh((f + f.T) / 2.0)
-        candidates.extend(v[:, i] for i in range(d))
-    eye = np.eye(d, dtype=complex if complex_field else float)
-    candidates.extend(eye[:, i] for i in range(d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            candidates.append(eye[:, i] + eye[:, j])
-            candidates.append(eye[:, i] - eye[:, j])
-            if complex_field:
-                candidates.append(eye[:, i] + 1j * eye[:, j])
+        u, _, vh = np.linalg.svd(f)
+        eye = np.eye(d, dtype=complex)
+        candidates = [np.conj(vh[0]), u[:, 0], *eye]
+        for i in range(d):
+            for j in range(i + 1, d):
+                candidates += [eye[i] + eye[j], eye[i] - eye[j], eye[i] + 1j * eye[j]]
     best, best_score = None, -1.0
     for x in candidates:
         nrm = np.linalg.norm(x)
@@ -195,20 +175,27 @@ def _extract_chains(a, h, basis, lam, complex_field, warnings):
     return chains
 
 
+def _root_space(a, lam, mult, warnings):
+    """Orthonormal columns spanning ker (A - lam I)^mult, from the SVD."""
+    n = a.shape[0]
+    _, s, vh = np.linalg.svd(np.linalg.matrix_power(a - lam * np.eye(n), mult))
+    if mult < n and s[n - mult - 1] < 1e3 * max(s[n - mult], 1e-300):
+        warnings.append(f"weak root-space separation at eigenvalue {lam:.6g}")
+    return np.conj(vh[n - mult:]).T
+
+
 def _attempt(a, h, eigvals, delta):
     n = a.shape[0]
     warnings = []
     real_idx = [i for i in range(n) if abs(eigvals[i].imag) <= delta]
     pos_idx = [i for i in range(n) if eigvals[i].imag > delta]
 
-    real_groups = _cluster_1d(np.array([eigvals[i].real for i in real_idx]), delta) \
-        if real_idx else []
-    real_clusters = [(float(np.mean([eigvals[real_idx[i]].real for i in g])), len(g))
-                     for g in real_groups]
-    cplx_groups = _cluster_complex([eigvals[i] for i in pos_idx], delta) \
-        if pos_idx else []
-    cplx_clusters = [(complex(np.mean([eigvals[pos_idx[i]] for i in g])), len(g))
-                     for g in cplx_groups]
+    reals = [eigvals[i].real for i in real_idx]
+    real_clusters = [(float(np.mean([reals[i] for i in g])), len(g))
+                     for g in _cluster(reals, delta)]
+    uppers = [eigvals[i] for i in pos_idx]
+    cplx_clusters = [(complex(np.mean([uppers[i] for i in g])), len(g))
+                     for g in _cluster(uppers, delta)]
 
     if sum(m for _, m in real_clusters) + 2 * sum(m for _, m in cplx_clusters) != n:
         raise CanonicalError("eigenvalue clustering lost conjugate symmetry")
@@ -226,31 +213,15 @@ def _attempt(a, h, eigvals, delta):
 
     entries = []  # (block, [real column vectors])
     for lam, mult in real_clusters:
-        m = np.linalg.matrix_power(a - lam * np.eye(n), mult)
-        _, s, vh = np.linalg.svd(m)
-        if mult < n and s[n - mult - 1] < 1e3 * max(s[n - mult], 1e-300):
-            warnings.append(
-                f"weak root-space separation at eigenvalue {lam:.6g}")
-        basis = vh[n - mult:].T
+        basis = _root_space(a, lam, mult, warnings)
         for length, sign, cols in _extract_chains(a, h, basis, lam, False, warnings):
-            entries.append((RealBlock(length, lam, sign),
-                            [np.real(c) for c in cols]))
+            entries.append((RealBlock(length, lam, sign), cols))
     for lam, mult in cplx_clusters:
-        if lam.imag < 0:
-            lam = lam.conjugate()
-        m = np.linalg.matrix_power(a.astype(complex) - lam * np.eye(n), mult)
-        _, s, vh = np.linalg.svd(m)
-        if mult < n and s[n - mult - 1] < 1e3 * max(s[n - mult], 1e-300):
-            warnings.append(
-                f"weak root-space separation at eigenvalue {lam:.6g}")
-        basis = np.conj(vh[n - mult:]).T
+        basis = _root_space(a, lam, mult, warnings)
         for length, _sign, cols in _extract_chains(
                 a.astype(complex), h.astype(complex), basis, lam, True, warnings):
-            real_cols = []
-            for c in cols:
-                real_cols.append(np.real(c))
-                real_cols.append(np.imag(c))
-            entries.append((ComplexBlock(length, lam.real, lam.imag), real_cols))
+            entries.append((ComplexBlock(length, lam.real, lam.imag),
+                            [part for c in cols for part in (c.real, c.imag)]))
 
     # canonical output order: real first (size desc, eigenvalue asc, sign desc),
     # then complex (size desc, then (alpha, beta) ascending)

@@ -117,8 +117,9 @@ def _resolve_checks(sc):
     """The checks of ``sc``, each with the ``CHECKS`` values of the fields
     it omits, and the structure jet order that all of them fit in.
 
-    Each sample point is solved once at this order.  A check field of the
-    wrong type, a rank_theorem power that ``check_packed_power`` refuses
+    Each sample point is solved once at this order.  A field that a known
+    check does not take (one outside its ``CHECKS`` entry), a check field
+    of the wrong type, a rank_theorem power that ``check_packed_power`` refuses
     for the geometric curvature, a power beyond the jet order cap and
     alternating_identity trials beyond TRIALS_CAP are rejected here as
     scenario errors.
@@ -126,6 +127,9 @@ def _resolve_checks(sc):
     checks, order = [], 1
     for check in sc.checks or [{"name": name} for name in CHECKS]:
         name = check["name"]
+        unread = sorted(set(check) - {"name", *CHECKS[name]}) if name in CHECKS else []
+        if unread:
+            raise ScenarioFormatError(f"check '{name}' takes no field '{unread[0]}'")
         for key in ("p_max", "trials", "tol"):
             if key in check:
                 _check_field(name, key, check[key])

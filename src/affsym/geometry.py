@@ -276,9 +276,6 @@ class FundamentalResiduals:
     codazzi_s: float
     ricci: float
 
-    def max(self):
-        return max(self.gauss, self.codazzi_h, self.codazzi_s, self.ricci)
-
 
 def fundamental_residuals(st: InducedStructure, r: np.ndarray) -> FundamentalResiduals:
     """Max-abs residuals of the four structural identities, given the

@@ -2,10 +2,12 @@
 
 A Gauss model is a pair of a shape-operator matrix S and a nondegenerate
 symmetric form h on R^(2n) whose curvature is *defined* by
-R(X,Y)Z = h(Y,Z) SX - h(X,Z) SY.  It carries no immersion; it exists so
-that block-level identities can be tested with no geometry at all.
+R(X,Y)Z = h(Y,Z) SX - h(X,Z) SY (``tensor_ops.AlgebraicCurvature``).  It
+carries no immersion; it exists so that block-level identities can be
+tested with no geometry at all.
 
-Block conventions (matching the canonical-pair normal form):
+Block conventions (matching the canonical-pair normal form; sip(k) is the
+k x k matrix of anti-diagonal ones):
 
 * a real block of size k with eigenvalue lam is lower-bidiagonal,
   S e_j = lam e_j + e_{j+1}, paired with eps * sip(k);
@@ -67,30 +69,12 @@ class ComplexBlock:
 BlockSpec = RealBlock | ComplexBlock
 
 
-def sip_matrix(n: int) -> np.ndarray:
-    """Anti-diagonal ones (the standard involutory permutation)."""
-    return np.fliplr(np.eye(n))
-
-
-def build_block(spec: BlockSpec):
-    """Return the (S_i, H_i) matrix pair for one block: ``direct_sum([spec])``."""
-    return direct_sum([spec])
-
-
 @dataclass(frozen=True)
 class GaussModel:
     dim: int
     S: np.ndarray
     H: np.ndarray
     blocks: tuple = field(default=())
-
-    def h(self, x, y):
-        return float(np.asarray(x) @ self.H @ np.asarray(y))
-
-    def basis(self, i):
-        e = np.zeros(self.dim)
-        e[i] = 1.0
-        return e
 
 
 def direct_sum(blocks):
@@ -146,23 +130,6 @@ def assemble(blocks) -> GaussModel:
     if not abs(np.linalg.det(h)) > 1e-12:
         raise ModelError("assembled h degenerate")
     return GaussModel(dim, s, h, blocks)
-
-
-def model_curvature(m: GaussModel, x, y, z) -> np.ndarray:
-    """Curvature by the Gauss rule: h(Y,Z) SX - h(X,Z) SY."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return m.h(y, z) * (m.S @ x) - m.h(x, z) * (m.S @ y)
-
-
-def tridiagonal_omega(dim: int) -> np.ndarray:
-    """Default test form: antisymmetric, superdiagonal ones, Pfaffian 1."""
-    w = np.zeros((dim, dim))
-    for i in range(dim - 1):
-        w[i, i + 1] = 1.0
-        w[i + 1, i] = -1.0
-    return w
 
 
 @functools.lru_cache(maxsize=None)

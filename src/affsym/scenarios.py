@@ -1,7 +1,8 @@
 """Scenario files: JSON schema, loading, and the shipped gallery.
 
 Schema (all keys required except constraints/checks; every check field
-but ``name`` is optional)::
+but ``name`` is optional, and a known check given a field it does not
+take, one outside its entry in ``cli.CHECKS``, exits 2)::
 
     {
       "name": str,

@@ -2,8 +2,9 @@
 
 Each catalog family pins one closed-form identity for the iterated
 curvature action on a block-built Gauss model: the brute value comes from
-the defining recursion (tensor_ops.r_power_action), the closed value from
-the formula, and the absolute error is the reported quantity.
+the defining recursion (tensor_ops.r_power_action) or, at power 1, from one
+basis image of the model's AlgebraicCurvature, the closed value from the
+formula, and the absolute error is the reported quantity.
 
 A family is declared once, beside its closed form: its fields, in draw
 order, state the lead block(s) (``Lead``), the trailing 1x1 blocks
@@ -34,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import canonical, geometry
-from .model import (ComplexBlock, ModelError, RealBlock, assemble,
-                    model_curvature, random_omega)
+from .model import ComplexBlock, ModelError, RealBlock, assemble, random_omega
 from .tensor_ops import (AlgebraicCurvature, _pair_probe, pack_two_form,
                          r_power_action, r_power_levels, r_power_probe)
 
@@ -358,19 +358,19 @@ def _rp_ei_ek(act, w, k, p, i, alpha, eps, **_):
          Lead("real", (4, 6)), Trail(1, 2), Choice("formula", (1, 2, 3, 4, 5, 6)),
          Choice("variant", (0, 1)), Choice("component", lambda k, dim, q: range(dim)),
          OMEGA, power=lambda q: 1)
-def _kgt3_basics(m, k, formula, variant, component, alpha, eps, **_):
-    e = m.basis
+def _kgt3_basics(m, prov, k, formula, variant, component, alpha, eps, **_):
+    e = np.eye(m.dim)
     zero = np.zeros(m.dim)
     table = {
-        1: ((e(0), e(k - 2), e(0) if variant == 0 else e(k - 2)), zero),
-        2: ((e(0), e(k - 2), e(1)), eps * alpha * e(0) + eps * e(1)),
-        3: ((e(0), e(k - 2), e(k - 1)), -eps * alpha * e(k - 2) - eps * e(k - 1)),
-        4: ((e(k - 2), e(k - 1), e(0)), eps * alpha * e(k - 2) + eps * e(k - 1)),
-        5: ((e(k - 2), e(k - 1), e(1)), -eps * alpha * e(k - 1)),
-        6: ((e(k - 2), e(k - 1), e(k - 2) if variant == 0 else e(k - 1)), zero),
+        1: ((0, k - 2, 0 if variant == 0 else k - 2), zero),
+        2: ((0, k - 2, 1), eps * alpha * e[0] + eps * e[1]),
+        3: ((0, k - 2, k - 1), -eps * alpha * e[k - 2] - eps * e[k - 1]),
+        4: ((k - 2, k - 1, 0), eps * alpha * e[k - 2] + eps * e[k - 1]),
+        5: ((k - 2, k - 1, 1), -eps * alpha * e[k - 1]),
+        6: ((k - 2, k - 1, k - 2 if variant == 0 else k - 1), zero),
     }
-    (x, y, z), expected = table[formula]
-    return float(model_curvature(m, x, y, z)[component]), float(expected[component])
+    args, expected = table[formula]
+    return dict(prov.basis_image(*args)).get(component, 0.0), float(expected[component])
 
 
 @_family("lemma34", "real block of size > 3: repeated-pair vanishing and "
@@ -478,15 +478,15 @@ def _rw_double(act, m, w, pp, variant, eps, **_):
          Lead("complex", 1), Trail(1, 2, step=2), Choice("formula", (1, 2, 3)),
          Choice("i", lambda k, dim, q: range(2, dim)),
          Choice("component", lambda k, dim, q: range(dim)), OMEGA, power=lambda q: 1)
-def _cx_basic(m, formula, i, component, alpha, beta, **_):
-    e = m.basis
+def _cx_basic(m, prov, formula, i, component, alpha, beta, **_):
+    e = np.eye(m.dim)
     if formula == 1:
-        x, expected = e(0), alpha * e(0) - beta * e(1)
+        t, expected = 0, alpha * e[0] - beta * e[1]
     elif formula == 2:
-        x, expected = e(1), -beta * e(0) - alpha * e(1)
+        t, expected = 1, -beta * e[0] - alpha * e[1]
     else:
-        x, expected = e(i), np.zeros(m.dim)
-    return float(model_curvature(m, e(0), e(1), x)[component]), float(expected[component])
+        t, expected = i, np.zeros(m.dim)
+    return dict(prov.basis_image(0, 1, t)).get(component, 0.0), float(expected[component])
 
 
 @_family("cx_detpow", "2-dimensional complex block: determinant power formula",
@@ -760,7 +760,7 @@ def run_oracle(spec: OracleSpec) -> OracleResult:
     lead, w, prov = m.blocks[0], d.w, AlgebraicCurvature(m)
     symbols = ({"alpha": lead.alpha, "beta": lead.beta} if isinstance(lead, ComplexBlock)
                else {"alpha": lead.eigenvalue, "eps": lead.sign})
-    brute, closed = fam.closed(**{**q, **symbols, "m": m, "w": w, "power": power,
+    brute, closed = fam.closed(**{**q, **symbols, "m": m, "prov": prov, "w": w, "power": power,
                                   "act": lambda args, k=power: r_power_action(prov, w, k, args)})
     return OracleResult(spec.id, float(brute), float(closed),
                         abs(float(brute) - float(closed)), spec.params)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from affsym import geometry as geo
-from affsym.canonical import (CanonicalError, NotSelfadjointError, classify,
-                              decompose, rank, sip_signature)
-from affsym.model import ComplexBlock, RealBlock, assemble, sip_matrix
+from affsym.canonical import (CanonicalError, NotSelfadjointError, _cluster,
+                              _pick_isotropy_vector, classify, decompose, rank)
+from affsym.model import ComplexBlock, RealBlock, assemble, direct_sum
 from affsym.scenarios import load_scenario
 
 
@@ -16,17 +16,26 @@ def _inertia(h):
     return int(np.sum(w > 1e-10)), int(np.sum(w < -1e-10))
 
 
+def _sip_signature(n):
+    """Signature (positive, negative) of the n x n sip matrix."""
+    return (n + 1) // 2, n // 2
+
+
 def test_sip_matrix_and_signature():
-    assert np.array_equal(sip_matrix(1), [[1.0]])
-    assert np.array_equal(sip_matrix(3), [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    assert sip_signature(4) == (2, 2)
-    assert sip_signature(5) == (3, 2)
-    assert sip_signature(1) == (1, 0)
+    # the H of a real block of sign +1 is the sip matrix
+    def sip(n):
+        return direct_sum([RealBlock(n, 0.0, 1)])[1]
+
+    assert np.array_equal(sip(1), [[1.0]])
+    assert np.array_equal(sip(3), [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    assert _sip_signature(4) == (2, 2)
+    assert _sip_signature(5) == (3, 2)
+    assert _sip_signature(1) == (1, 0)
     for n in range(1, 13):
-        s = sip_matrix(n)
+        s = sip(n)
         assert np.array_equal(s @ s, np.eye(n))
         assert np.array_equal(s, s.T)
-        assert sip_signature(n) == _inertia(s)
+        assert _sip_signature(n) == _inertia(s)
 
 
 def test_zero_matrix_splits_into_sign_blocks():
@@ -141,13 +150,13 @@ def test_sylvester_sign_total():
         pos = neg = 0
         for b in pair.blocks:
             if isinstance(b, RealBlock):
-                p, n = sip_signature(b.size)
+                p, n = _sip_signature(b.size)
                 if b.sign > 0:
                     pos, neg = pos + p, neg + n
                 else:
                     pos, neg = pos + n, neg + p
             else:
-                p, n = sip_signature(2 * b.half_size)
+                p, n = _sip_signature(2 * b.half_size)
                 pos, neg = pos + p, neg + n
         assert (pos, neg) == _inertia(h)
 
@@ -263,3 +272,77 @@ def test_canonical_form_is_recovered_under_congruence(blocks, seed):
     want = _sign_characteristic((lam, size, signs) for (lam, size), signs in drawn.items())
     assert _sign_characteristic(classify(decompose(m.S, m.H)).sign_classes) == want
     assert _sign_characteristic(classify(pair).sign_classes) == want
+
+
+def _cluster_sorted_gaps(values, delta):
+    """Reference: the earlier real-only clustering, greedy gaps along the
+    sorted values."""
+    order = np.argsort(values)
+    groups = []
+    for idx in order:
+        if groups and abs(values[idx] - values[groups[-1][-1]]) <= delta:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    return groups
+
+
+# ties, gaps of exactly delta = 1 and gaps one ulp either side of it
+NEAR_TIES = hst.sampled_from((0.0, 0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+                              2.0, 2.0 + 1e-12, -1.0, -1.0 - 2.0 ** -40, 3.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.lists(hst.one_of(NEAR_TIES, hst.floats(-4.0, 4.0)), max_size=12),
+       hst.sampled_from((1.0, 1e-12, 0.5)))
+def test_cluster_on_reals_matches_sorted_gaps(values, delta):
+    # the index order may differ among equal values only, so each group
+    # holds the same value sequence and has the same mean
+    values = list(np.array(values, dtype=float))
+    got = [[values[i] for i in g] for g in _cluster(values, delta)]
+    want = [[values[i] for i in g] for g in _cluster_sorted_gaps(np.array(values), delta)]
+    assert got == want
+
+
+def _full_candidate_score(f):
+    """Reference: the best |x^T F x| over the eigenvectors of F, the unit
+    vectors and the pairs e_i +- e_j, each scaled to unit length."""
+    d = f.shape[0]
+    _, v = np.linalg.eigh((f + f.T) / 2.0)
+    eye = np.eye(d)
+    candidates = [v[:, i] for i in range(d)] + [eye[:, i] for i in range(d)]
+    candidates += [eye[:, i] + sign * eye[:, j]
+                   for i in range(d) for j in range(i + 1, d) for sign in (1, -1)]
+    return max(abs(x / np.linalg.norm(x) @ f @ (x / np.linalg.norm(x))) for x in candidates)
+
+
+@hst.composite
+def pairing_forms(draw):
+    """A symmetric F as _extract_chains forms it: Gaussian, diagonal,
+    small-integer, Q diag(+-1) Q^T or rank one."""
+    d = draw(hst.integers(1, 6))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    kind = draw(hst.sampled_from(("gauss", "diag", "int", "signs", "rank1")))
+    if kind == "gauss":
+        g = rng.standard_normal((d, d))
+    elif kind == "diag":
+        g = np.diag(rng.standard_normal(d))
+    elif kind == "int":
+        g = rng.integers(-3, 4, size=(d, d)).astype(float)
+    elif kind == "signs":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        g = q @ np.diag(rng.choice((-1.0, 1.0), size=d)) @ q.T
+    else:
+        u = rng.standard_normal(d)
+        g = np.outer(u, u)
+    return (g + g.T) / 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairing_forms())
+def test_real_isotropy_pick_is_the_eigenvector_maximum(f):
+    # Rayleigh: no unit or pair vector beats the top eigenvector by more
+    # than roundoff
+    x, score = _pick_isotropy_vector(f, complex_field=False)
+    assert score >= (1 - 8 * np.finfo(float).eps) * _full_candidate_score(f)
+    assert abs(np.linalg.norm(x) - 1.0) < 1e-12 and score == abs(x @ f @ x)

@@ -448,12 +448,19 @@ def test_degenerate_second_fundamental_form_is_usage_error(tmp_path, capsys):
     ({"checks": 5}, "checks must be a JSON list"),
     ({"omega": [[0, True, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]},
      "omega[0][1] must be a number or an expression, got True"),
+    # a field the check does not read would leave its default in force
+    ({"checks": [{"name": "frame", "tolerance": 1e-30}]},
+     "check 'frame' takes no field 'tolerance'"),
+    ({"checks": [{"name": "frame", "p_max": 2}]}, "check 'frame' takes no field 'p_max'"),
+    ({"checks": [{"name": "rank_theorem", "trials": 5}]},
+     "check 'rank_theorem' takes no field 'trials'"),
 ], ids=["null_coordinate", "string_coordinate", "nameless_constraint",
         "scalar_omega_row", "string_check", "string_p_max", "float_p_max",
         "bool_p_max", "string_trials", "string_tol", "zero_tol", "nan_tol",
         "huge_tol", "huge_omega_entry", "huge_coordinate", "list_check_name",
         "scalar_coords", "string_immersion", "string_transversal",
-        "scalar_constraints", "scalar_checks", "bool_omega_entry"])
+        "scalar_constraints", "scalar_checks", "bool_omega_entry", "frame_tolerance",
+        "frame_p_max", "rank_theorem_trials"])
 def test_malformed_scenario_field_is_usage_error(changes, words, tmp_path, capsys):
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps(_shipped("paraboloid", **changes)))

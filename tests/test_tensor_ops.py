@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from affsym import geometry as geo
 from affsym.model import (ComplexBlock, GaussModel, RealBlock, assemble,
-                          direct_sum, random_omega, tridiagonal_omega)
+                          direct_sum, random_omega)
 from affsym.scenarios import BUILTIN_NAMES, load_scenario
 from affsym.expr import parse_expr
 from affsym.jets import component_jets
@@ -16,6 +16,11 @@ from affsym.tensor_ops import (K_CAP_GEOMETRIC, AlgebraicCurvature, ArityError,
                                alternating_sum_identity, nabla_powers,
                                pack_two_form, r_power_action, r_power_levels,
                                r_power_probe)
+
+
+def tridiagonal_omega(dim):
+    """Test form: antisymmetric, superdiagonal ones, Pfaffian 1."""
+    return np.eye(dim, k=1) - np.eye(dim, k=-1)
 
 
 def _omega_at(sc, point):
@@ -357,6 +362,19 @@ def block_models(draw, dims=(2, 4, 6)):
     # assemble() starts at dim 4, so direct-sum the block pairs here
     s_op, h = direct_sum(blocks)
     return GaussModel(len(s_op), s_op, h, tuple(blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_models())
+def test_basis_image_is_the_full_tensor_column(model):
+    # the Gauss rule's two forms, lazy per image and whole tensor, agree
+    # bit for bit: the same products h[j, t] * S[l, i] and h[i, t] * S[l, j]
+    prov = AlgebraicCurvature(model)
+    full = prov.full_tensor()
+    for i, j, t in np.ndindex(full.shape[1:]):
+        col = full[:, t, i, j]
+        assert prov.basis_image(i, j, t) == \
+            tuple((int(l), float(col[l])) for l in np.nonzero(col)[0]), (i, j, t)
 
 
 @settings(max_examples=40, deadline=None)

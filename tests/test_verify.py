@@ -5,14 +5,13 @@ from hypothesis import strategies as hst
 
 from affsym import verify
 from affsym import geometry as geo
-from affsym.model import (ComplexBlock, RealBlock, assemble, random_omega,
-                          tridiagonal_omega)
+from affsym.model import ComplexBlock, RealBlock, assemble, random_omega
 from affsym.scenarios import load_scenario
 from affsym.tensor_ops import AlgebraicCurvature, GeometricCurvature, nabla_powers
 from affsym.verify import (OracleError, OracleSpec, check_rank_theorem,
                            list_oracles, run_family, run_oracle, sample_spec,
                            theorem_witness)
-from test_tensor_ops import block_models
+from test_tensor_ops import block_models, tridiagonal_omega
 
 EXPECTED_IDS = [
     "with_pi_x", "rp_ei_ek", "kgt3_basics", "lemma34", "even_odd", "lemma36",
