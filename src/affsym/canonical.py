@@ -121,12 +121,13 @@ def _extract_chains(a, h, basis, lam, complex_field, warnings):
         n_cur = a_cur - lam * np.eye(cur.shape[1], dtype=a_cur.dtype)
 
         # nilpotency index at this stage
-        scale = max(1.0, float(np.linalg.norm(n_cur, 2)))
+        # svd(x)[0] is the float np.linalg.norm(x, 2) returns, at less cost
+        scale = max(1.0, float(np.linalg.svd(n_cur, compute_uv=False)[0]))
         length = cur.shape[1]
         power = np.eye(cur.shape[1], dtype=n_cur.dtype)
         for j in range(1, cur.shape[1] + 1):
             power = power @ n_cur
-            nrm = float(np.linalg.norm(power, 2))
+            nrm = float(np.linalg.svd(power, compute_uv=False)[0])
             if nrm <= 1e-7 * scale ** j:
                 length = j
                 break
@@ -184,19 +185,24 @@ def _root_space(a, lam, mult, warnings):
     return np.conj(vh[n - mult:]).T
 
 
-def _attempt(a, h, eigvals, delta):
+def _clusters(eigvals, delta):
+    """(mean, multiplicity) of the real clusters and of the upper-half-plane
+    complex clusters of ``eigvals`` at threshold ``delta``."""
+    n = len(eigvals)
+    reals = [eigvals[i].real for i in range(n) if abs(eigvals[i].imag) <= delta]
+    uppers = [eigvals[i] for i in range(n) if eigvals[i].imag > delta]
+    real_clusters = tuple((float(np.mean([reals[i] for i in g])), len(g))
+                          for g in _cluster(reals, delta))
+    cplx_clusters = tuple((complex(np.mean([uppers[i] for i in g])), len(g))
+                          for g in _cluster(uppers, delta))
+    return real_clusters, cplx_clusters
+
+
+def _attempt(a, h, real_clusters, cplx_clusters, delta):
+    """The canonical pair built on one clustering; ``delta`` enters only the
+    warnings about clusters closer than 10 delta."""
     n = a.shape[0]
     warnings = []
-    real_idx = [i for i in range(n) if abs(eigvals[i].imag) <= delta]
-    pos_idx = [i for i in range(n) if eigvals[i].imag > delta]
-
-    reals = [eigvals[i].real for i in real_idx]
-    real_clusters = [(float(np.mean([reals[i] for i in g])), len(g))
-                     for g in _cluster(reals, delta)]
-    uppers = [eigvals[i] for i in pos_idx]
-    cplx_clusters = [(complex(np.mean([uppers[i] for i in g])), len(g))
-                     for g in _cluster(uppers, delta)]
-
     if sum(m for _, m in real_clusters) + 2 * sum(m for _, m in cplx_clusters) != n:
         raise CanonicalError("eigenvalue clustering lost conjugate symmetry")
 
@@ -243,7 +249,10 @@ def _attempt(a, h, eigvals, delta):
 
 #: escalation ladder for the clustering threshold; double-precision
 #: eigenvalues of a size-k Jordan block scatter by ~eps^(1/k), far beyond
-#: the base threshold, so failed attempts retry with a coarser delta.
+#: the base threshold, so failed attempts retry with a coarser delta.  A
+#: step whose clusters equal an earlier step's is skipped: its attempt would
+#: give the same blocks and residuals, which neither returned nor beat the
+#: best then.
 _DELTA_LADDER = (1.0, 10.0, 100.0, 400.0)
 
 
@@ -279,11 +288,15 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
 
     eigvals = np.linalg.eigvals(a)
     base = 1e-6 * max(1.0, norm_a)
-    best = None
+    best, tried = None, set()
     for step, factor in enumerate(_DELTA_LADDER):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                cand = _attempt(a, h, eigvals, base * factor)
+                clusters = _clusters(eigvals, base * factor)
+                if clusters in tried:
+                    continue
+                tried.add(clusters)
+                cand = _attempt(a, h, *clusters, base * factor)
         except (FloatingPointError, OverflowError) as exc:
             raise CanonicalError(
                 f"decomposition leaves the double-precision range ({exc})") from exc

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import functools
 import json
 import sys
 import time
@@ -214,11 +215,12 @@ def _geometry_records(sc, checks, structures, chains, seed):
                                        (time.perf_counter() - t0) * 1e3))
             elif name == "rank_theorem":
                 v = verify.check_rank_theorem(prov, st.S, st.h, nablas, p_max, tol)
-                records.append(_record(
-                    label, v.verdict, v.max_r_power, tol,
-                    {"point": point, "power": v.power, "rank_S": v.rank_s,
-                     "max_nabla": v.max_nabla, "final_form": v.final_form},
-                    (time.perf_counter() - t0) * 1e3))
+                params = {"point": point, "power": v.power, "rank_S": v.rank_s,
+                          "max_nabla": v.max_nabla, "final_form": v.final_form}
+                if v.reason is not None:
+                    params["reason"] = v.reason
+                records.append(_record(label, v.verdict, v.max_r_power, tol, params,
+                                       (time.perf_counter() - t0) * 1e3))
             elif name == "alternating_identity":
                 trials = check["trials"]
                 rng = np.random.default_rng((seed, 17, pi))
@@ -313,6 +315,17 @@ def cmd_oracles(args):
     return _finish(records, base, args.output, args.strict)
 
 
+def _read_matrix(data, key, dim):
+    """``data[key]``, dim x dim JSON numbers (flat or in rows), as a float
+    matrix; an entry that is no JSON number (a string, a boolean, an object)
+    is a ValueError like any other misfit."""
+    entries = np.asarray(data[key], dtype=object)
+    for x in entries.flat:
+        if type(x) not in (int, float):
+            raise ValueError(f"{key} must hold JSON numbers, got {x!r}")
+    return entries.astype(float).reshape(dim, dim)
+
+
 def cmd_decompose(args):
     if not 0 < args.tol <= sys.float_info.max:
         print(f"error: --tol must be a finite number > 0, got {args.tol}", file=sys.stderr)
@@ -323,8 +336,7 @@ def cmd_decompose(args):
         dim = json_dim(data)
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        a = np.asarray(data["A"], dtype=float).reshape(dim, dim)
-        h = np.asarray(data["H"], dtype=float).reshape(dim, dim)
+        a, h = _read_matrix(data, "A", dim), _read_matrix(data, "H", dim)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(h))):
             raise ValueError("A and H must have finite entries")
     except (OSError, KeyError, ValueError, OverflowError,
@@ -398,7 +410,10 @@ def _add_report(p):
                    help="treat WARN records as failures")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command line parser, built on first use and kept for the process:
+    each parse gets a fresh namespace, so no flag value outlives its call."""
     parser = argparse.ArgumentParser(
         prog="affsym",
         description="Induced affine structure workbench: geometry checks, "
@@ -432,8 +447,11 @@ def main(argv=None):
     p = sub.add_parser("list-oracles", help="print the oracle registry")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_list_oracles)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     # numpy's seeded generators take only seeds >= 0
     if getattr(args, "seed", 0) < 0:
         print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)

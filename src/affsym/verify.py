@@ -876,12 +876,13 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
 
 @dataclass(frozen=True)
 class RankVerdict:
-    verdict: str            # PASS / FAIL / VACUOUS
+    verdict: str            # PASS / FAIL / WARN / VACUOUS
     power: int
     max_r_power: float
     max_nabla: float | None
     rank_s: int
     final_form: str | None
+    reason: str | None = None   # why a WARN is no FAIL
 
 
 def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> RankVerdict:
@@ -898,8 +899,12 @@ def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> Rank
     q < len(nablas)) vanishes: R^{q+1} omega = R.(R^q omega) vanishes with
     R^q omega, and nabla^{q+1} omega with nabla^q omega where that vanishes
     identically, so no power beyond q is needed.  Verdict PASS means the
-    operator vanished at q and the shape conclusions hold, FAIL that they
-    do not, VACUOUS (reported at p) that neither operator vanished up to p.
+    operator vanished at q and the shape conclusions hold, FAIL that R^q
+    omega vanished and they do not, VACUOUS (reported at p) that neither
+    operator vanished up to p.  WARN, with a ``reason``, is the case that
+    only nabla^q omega vanished and the shape conclusions do not hold: a
+    zero at one point does not make the field vanish identically, which is
+    what the theorem assumes.
     """
     w = nablas[0]
     if abs(np.linalg.det(w)) < geometry.OMEGA_DET_MIN:
@@ -918,5 +923,10 @@ def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> Rank
         return RankVerdict("VACUOUS", p, max_r, max_nabla, rank_s, None)
     summary = canonical.classify(canonical.decompose(s_op, h))
     ok = rank_s <= 1 and summary.admissible_shape
-    return RankVerdict("PASS" if ok else "FAIL", q, max_r, max_nabla, rank_s,
-                       summary.final_form)
+    verdict, reason = ("PASS" if ok else "FAIL"), None
+    if not ok and max_r >= tol:
+        verdict, reason = "WARN", (
+            f"pointwise zero of nabla^{q} omega: the theorem assumes "
+            f"nabla^{q} omega = 0 as a field, which one point does not show")
+    return RankVerdict(verdict, q, max_r, max_nabla, rank_s, summary.final_form,
+                       reason)

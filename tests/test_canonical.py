@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from affsym import canonical
 from affsym import geometry as geo
 from affsym.canonical import (CanonicalError, NotSelfadjointError, _cluster,
                               _pick_isotropy_vector, classify, decompose, rank)
@@ -272,6 +275,83 @@ def test_canonical_form_is_recovered_under_congruence(blocks, seed):
     want = _sign_characteristic((lam, size, signs) for (lam, size), signs in drawn.items())
     assert _sign_characteristic(classify(decompose(m.S, m.H)).sign_classes) == want
     assert _sign_characteristic(classify(pair).sign_classes) == want
+
+
+def _ladder_without_skips(a, h):
+    """Reference: decompose's threshold ladder as it was before a step that
+    repeats an earlier step's clusters was skipped; every step runs its
+    attempt (clustering and chains, as ``_attempt`` did in one piece)."""
+    eigvals = np.linalg.eigvals(a)
+    base = 1e-6 * max(1.0, float(np.max(np.abs(a))))
+    best = None
+    for step, factor in enumerate(canonical._DELTA_LADDER):
+        delta = base * factor
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                cand = canonical._attempt(a, h, *canonical._clusters(eigvals, delta),
+                                          delta)
+        except CanonicalError:
+            continue
+        if step > 0:
+            cand = replace(cand, warnings=cand.warnings + (
+                f"clustering threshold escalated to {delta:.3e}",))
+        if max(cand.residual_jordan, cand.residual_h) < 1e-6:
+            return cand
+        if best is None or max(cand.residual_jordan, cand.residual_h) < \
+                max(best.residual_jordan, best.residual_h):
+            best = cand
+    return replace(best, warnings=best.warnings + (
+        "canonical residuals above 1e-6; result is best effort",))
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_shapes(), hst.integers(0, 2 ** 32 - 1))
+def test_skipping_repeated_clusterings_changes_no_result(blocks, seed):
+    a, h, _ = _conjugate(np.random.default_rng(seed), assemble(blocks), spread=2.5)
+    pair, ref = decompose(a, h), _ladder_without_skips(a, h)
+    assert repr(pair.blocks) == repr(ref.blocks)
+    assert pair.transform.tobytes() == ref.transform.tobytes()
+    assert (pair.residual_jordan, pair.residual_h) == (ref.residual_jordan, ref.residual_h)
+    assert pair.warnings == ref.warnings
+
+
+def test_each_distinct_clustering_is_attempted_once(monkeypatch):
+    # a nilpotent 4-block scatters its eigenvalues by about eps^(1/4), so
+    # the first ladder steps see the same four singleton clusters
+    seen, attempts = [], []
+    clusters, attempt = canonical._clusters, canonical._attempt
+
+    def counted_clusters(*args):
+        seen.append(clusters(*args))
+        return seen[-1]
+
+    def counted_attempt(*args):
+        attempts.append(args[2:4])
+        return attempt(*args)
+
+    monkeypatch.setattr(canonical, "_clusters", counted_clusters)
+    monkeypatch.setattr(canonical, "_attempt", counted_attempt)
+    m = assemble([RealBlock(4, 0.0, 1)])
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    pair = decompose(q.T @ m.S @ q, q.T @ m.H @ q)
+    assert pair.blocks[0].size == 4
+    assert len(set(seen)) < len(seen)
+    assert attempts == list(dict.fromkeys(seen))
+
+
+_MATRICES = hst.tuples(hst.integers(1, 6), hst.integers(1, 6), hst.booleans(),
+                       hst.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MATRICES)
+def test_top_singular_value_is_the_two_norm(case):
+    rows, cols, complex_field, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 9)
+    if complex_field:
+        x = x + 1j * rng.normal(size=(rows, cols))
+    assert np.linalg.svd(x, compute_uv=False)[0] == np.linalg.norm(x, 2)
 
 
 def _cluster_sorted_gaps(values, delta):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import affsym
-from affsym import geometry
+from affsym import cli, geometry
 from affsym.cli import TRIALS_CAP, _resolve_checks, main
 from affsym.model import RealBlock, assemble
 from affsym.scenarios import scenario_from_dict
@@ -340,6 +340,34 @@ def test_non_finite_decompose_matrix_is_usage_error(key, tmp_path, capsys):
     assert rc == 2 and len(err) == 1 and "finite" in err[0]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("H", {"a": 1}),
+    ("A", [1, 0, 0, {"x": 1}]),
+    ("A", [1, 0, 0, "2"]),
+    ("H", [1, 0, 0, True]),
+    ("H", None),
+], ids=["H_object", "A_object_entry", "A_string_entry", "H_boolean_entry", "H_null"])
+def test_matrix_entries_must_be_numbers(key, value, tmp_path, capsys):
+    data = {"dim": 2, "A": [1.0, 0.0, 0.0, 2.0], "H": [1.0, 0.0, 0.0, 1.0], key: value}
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps(data))
+    rc, err = _usage_error(["decompose", str(mat)], capsys)
+    assert rc == 2 and len(err) == 1
+    assert err[0].startswith(f"error: cannot read matrix file: {key} must hold JSON numbers")
+
+
+def test_matrix_may_be_given_in_rows(tmp_path, capsys):
+    flat, rows = tmp_path / "flat.json", tmp_path / "rows.json"
+    flat.write_text(json.dumps({"dim": 2, "A": [1, 0, 0, 2], "H": [1, 0, 0, -1]}))
+    rows.write_text(json.dumps({"dim": 2, "A": [[1, 0], [0, 2]], "H": [[1, 0], [0, -1]]}))
+    reports = []
+    for path in (flat, rows):
+        assert main(["decompose", str(path)]) == 0
+        reports.append(_strip_timing(json.loads(capsys.readouterr().out)))
+        del reports[-1]["matrix_file"]
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command", ["check-geometry", "decompose"])
 @pytest.mark.parametrize("dim", [4.5, "4", "four", None, "array"])
 def test_dim_must_be_json_integer(command, dim, tmp_path, capsys):
@@ -651,3 +679,71 @@ def test_cli_runs_without_scipy(tmp_path):
                  ["decompose", str(mat)]):
         run = _affsym_python(blocked, *argv, "--output", str(tmp_path / "rep.json"))
         assert run.returncode == 0, (argv, run.stderr)
+
+
+def _diag_rank2_twin(point):
+    """The graph immersion (u, u^T H u / 2) with transversal (-S u, 1) for
+    S = diag(1, -0.5, 0, 0) and H = diag(1, -1, 1, 1): at u = 0 it induces
+    S and H with Gamma = 0, so a constant omega has nabla omega = 0 there
+    and nowhere near it."""
+    return {
+        "name": "diag_rank2_twin", "dim": 4, "coords": ["u0", "u1", "u2", "u3"],
+        "immersion": ["u0", "u1", "u2", "u3",
+                      "0.5*u0*u0 + -0.5*u1*u1 + 0.5*u2*u2 + 0.5*u3*u3"],
+        "transversal": ["-1.0*u0", "0.5*u1", "0", "0", "1"],
+        "omega": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
+        "sample_points": [point], "checks": [{"name": "rank_theorem"}],
+    }
+
+
+def test_pointwise_nabla_zero_is_a_warning_not_a_failure(tmp_path):
+    sc = tmp_path / "twin.json"
+    sc.write_text(json.dumps(_diag_rank2_twin([0.0, 0.0, 0.0, 0.0])))
+    out = tmp_path / "rep.json"
+    assert main(["check-geometry", "--scenario", str(sc), "--output", str(out)]) == 0
+    rec = _load(out)["checks"]
+    assert [r["status"] for r in rec] == ["WARN"]
+    params = rec[0]["params"]
+    assert params["max_nabla"] == 0.0 and params["rank_S"] == 2 and params["power"] == 1
+    assert rec[0]["value"] > rec[0]["tol"]     # R omega did not vanish
+    assert "pointwise" in params["reason"]
+    assert main(["check-geometry", "--scenario", str(sc), "--strict",
+                 "--output", str(out)]) == 1
+
+
+def test_twin_off_the_origin_stays_vacuous(tmp_path):
+    sc = tmp_path / "twin.json"
+    sc.write_text(json.dumps(_diag_rank2_twin([0.1, 0.2, -0.1, 0.3])))
+    out = tmp_path / "rep.json"
+    assert main(["check-geometry", "--scenario", str(sc), "--strict",
+                 "--output", str(out)]) == 0
+    rec = _load(out)["checks"]
+    assert [r["status"] for r in rec] == ["VACUOUS"] and "reason" not in rec[0]["params"]
+
+
+def _report_of(argv, capsys):
+    assert main(argv) == 0, argv
+    return _strip_timing(json.loads(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("first, second", [
+    (["oracles", "--trials", "3"], ["oracles"]),
+    (["check-geometry", "--scenario", "paper_example_n2", "--seed", "5"],
+     ["check-geometry", "--scenario", "paper_example_n2"]),
+    (["decompose", "MAT", "--tol", "1e-4"], ["decompose", "MAT"]),
+], ids=["oracles", "check-geometry", "decompose"])
+def test_parser_is_reused_without_leaking_flags(first, second, tmp_path, capsys):
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"dim": 2, "A": [1.0, 0.0, 0.0, 2.0],
+                               "H": [1.0, 0.0, 0.0, -1.0]}))
+    first, second = ([str(mat) if a == "MAT" else a for a in argv]
+                     for argv in (first, second))
+    cli._parser.cache_clear()
+    reused = [_report_of(argv, capsys) for argv in (first, second)]
+    assert cli._parser.cache_info().misses == 1    # one parser for both calls
+    fresh = []
+    for argv in (first, second):
+        cli._parser.cache_clear()
+        fresh.append(_report_of(argv, capsys))
+    assert reused == fresh
+    assert reused[0] != reused[1]    # the flag of the first call was applied
