@@ -15,8 +15,11 @@ Single components of R^k.T use the recursion verbatim (memoized per
 level on basis-index tuples).  For a 2-form omega, R^k.omega is
 antisymmetric in every slot pair (X_i, Y_i) and in its last two slots, so
 the two other forms of it work on Lambda^2.  Its values at vector arguments
-(``r_power_probe``) carry each slot pair as its 2-vector X^Y, an
-antisymmetric n x n matrix, so a probe ends in k! branches.  The whole of
+(``r_power_probe``) carry each slot pair as its 2-vector 1/2 X^Y, an
+antisymmetric n x n matrix (``_two_vectors``), so a probe ends in k!
+branches; the probe kernel (``_pair_probe``) takes the 2-vectors
+themselves, so a caller may also feed it the unit 2-vectors
+E_ab = 1/2 e_a^e_b, a < b, of basis components.  The whole of
 R^k.omega is held packed, with one axis over Lambda^2 per pair slot (pairs
 a < b in ``np.triu_indices`` order) and N2^(k+1) entries, N2 = n(n-1)/2;
 each level applies R(e_x, e_y), x < y, to every pair axis as one N2 x N2
@@ -204,11 +207,12 @@ def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
 
     ``vectors`` has shape (..., 2k+2, n) and the result has shape (...).
     R^k.omega is antisymmetric in every slot pair, so each pair is carried
-    as its 2-vector, X^Y = XY^T - YX^T up to a factor (see ``_pair_probe``):
-    a probe ends in k! branches, not (2k)!!.  Raises ArityError unless
-    omega is an n x n 2-form antisymmetric within the tolerance scenarios
-    are validated with, and RecursionCapError if a level would hold more
-    than TENSOR_ENTRY_CAP entries.
+    as its 2-vector Z = 1/2 (XY^T - YX^T) (``_two_vectors``) and the
+    pair kernel ``_pair_probe`` evaluates the k+1 of them: a probe ends in
+    k! branches, not (2k)!!.  Raises ArityError unless omega is an n x n
+    2-form antisymmetric within the tolerance scenarios are validated with,
+    and RecursionCapError if a level would hold more than TENSOR_ENTRY_CAP
+    entries.
     """
     v = np.asarray(vectors, dtype=float)
     n = provider.dim
@@ -227,35 +231,42 @@ def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
         branches *= q
     if entries > TENSOR_ENTRY_CAP:
         raise RecursionCapError(f"R^{k} probe would hold {entries} entries")
-    return _pair_probe(provider, w, v.reshape(size, 2 * k + 2, n)).reshape(batch)
+    pairs = _two_vectors(v.reshape(size, 2 * k + 2, n))
+    return _pair_probe(provider, w, pairs).reshape(batch)
 
 
-def _pair_probe(provider, omega, vectors) -> np.ndarray:
-    """The kernel of ``r_power_probe``, without its checks: vectors of
-    shape (b, 2k+2, n) give the b values.
+def _two_vectors(vectors) -> np.ndarray:
+    """The 2-vector Z = 1/2 (XY^T - YX^T) of each slot pair (X, Y):
+    vectors of shape (..., 2j, n) give j pairs of shape (..., j, n, n)."""
+    xy = vectors[..., 0::2, :, None] * vectors[..., 1::2, None, :]
+    return 0.5 * (xy - xy.swapaxes(-1, -2))
 
-    Each pair (X, Y) becomes the antisymmetric matrix Z = 1/2 X^Y, so that
-    R(X, Y) = R(Z), the provider's full tensor being antisymmetric in its
-    last two slots.  A level forms A = R(Z_1) for every branch at once (one
-    n^2 x n^2 GEMM), then branches once per remaining pair Z, which becomes
-    -(AZ + ZA^T) = (AZ)^T - AZ: the derivation R(X_1, Y_1) applied to both
-    of its slots.  A leaf is omega(U, V) = <omega, Z>.
+
+def _pair_probe(provider, omega, pairs) -> np.ndarray:
+    """The kernel of ``r_power_probe``, without its checks: 2-vectors of
+    shape (b, k+1, n, n) give the b values of R^k.omega, linear in each.
+
+    R(X, Y) = R(Z) for the pair's 2-vector Z, the provider's full tensor
+    being antisymmetric in its last two slots.  A level forms A = R(Z_1)
+    for every branch at once (one n^2 x n^2 GEMM), then branches once per
+    remaining pair Z, which becomes -(AZ + ZA^T) = (AZ)^T - AZ: the
+    derivation R(X_1, Y_1) applied to both of its slots.  A leaf is
+    omega(U, V) = <omega, Z>, and each value sums its k! leaves.
     """
-    b, m, n = vectors.shape
+    size, m, n, _ = pairs.shape
+    b = size
     r2 = provider.full_tensor().reshape(n * n, n * n)
-    xy = vectors[:, 0::2, :, None] * vectors[:, 1::2, None, :]
-    pairs = 0.5 * (xy - xy.swapaxes(-1, -2))
-    for q in range(m // 2 - 1, 0, -1):
+    for q in range(m - 1, 0, -1):
         a = (pairs[:, 0].reshape(b, n * n) @ r2.T).reshape(b, 1, n, n)
         rest = pairs[:, 1:]
         az = a @ rest
         out = np.repeat(rest[:, None], q, axis=1)
-        diag = np.arange(q)
-        out[:, diag, diag] = az.swapaxes(-1, -2) - az
+        # the diagonal (i, i) of the q x q branch grid, as a strided view
+        out.reshape(b, q * q, n, n)[:, ::q + 1] = az.swapaxes(-1, -2) - az
         b *= q
         pairs = out.reshape(b, q, n, n)
     leaves = pairs.reshape(b, n * n) @ omega.reshape(n * n)
-    return leaves.reshape(len(vectors), -1).sum(axis=-1)
+    return leaves.reshape(size, math.factorial(m - 1)).sum(axis=-1)
 
 
 def _two_form(omega, n: int) -> np.ndarray:

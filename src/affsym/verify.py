@@ -21,9 +21,10 @@ indices 0..k-1, so the "end vector" of the lead block is index k-1.
 
 Beyond the catalog there are two theorem-level checks: a witness search
 that exhibits nonzero R^p omega components on inadmissible block shapes
-(one Gaussian probe of the operator on vectors, reduced slot by slot to
-a basis component), and the rank check that ties a vanishing operator to
-rank(S) <= 1 with an admissible canonical shape.
+(one Gaussian probe of the operator on vectors, reduced one slot pair at
+a time to a unit 2-vector 1/2 e_a^e_b, a < b, so to a basis component),
+and the rank check that ties a vanishing operator to rank(S) <= 1 with an
+admissible canonical shape.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ import numpy as np
 
 from . import canonical, geometry
 from .model import ComplexBlock, ModelError, RealBlock, assemble, random_omega
-from .tensor_ops import (AlgebraicCurvature, _pair_probe, pack_two_form,
-                         r_power_action, r_power_levels, r_power_probe)
+from .tensor_ops import (AlgebraicCurvature, _pair_probe, _two_vectors,
+                         pack_two_form, r_power_action, r_power_levels,
+                         r_power_probe)
 
 #: per-draw tolerance: abs_err <= ORACLE_RTOL * max(1, |closed|)
 ORACLE_RTOL = 1e-9
@@ -804,31 +806,37 @@ class WitnessReport:
 
 
 def _reduce_to_basis(prov, w, vectors, current):
-    """Replace each probe vector by a basis vector that keeps the value
-    nonzero; returns the basis-index tuple.
+    """Replace each probe slot pair by a unit 2-vector that keeps the value
+    nonzero; returns the basis-index tuple, a < b within each pair.
 
-    Multilinearity gives current = sum_m g[m] f(e_m) for slot vector g, so
-    some e_m reaches |current| / ||g||_1; candidates are tried in decreasing
-    |g[m]|, and if rounding defeats all of them the best one tried is kept.
+    The probe is linear in each pair's 2-vector Z, and
+    Z = sum_{a<b} c_ab E_ab with c_ab = X_a Y_b - X_b Y_a = 2 Z_ab and
+    E_ab = 1/2 (e_a e_b^T - e_b e_a^T), so some E_ab reaches
+    |current| / ||c||_1; candidates are tried in decreasing |c_ab|, and if
+    rounding defeats all of them the best one tried is kept.
     ``r_power_probe`` has checked w, the power and the entry cap on the
     probe at ``vectors``, so every candidate, of the same shape, goes
     straight to its pair kernel.
     """
-    probe = vectors.copy()
-    eye = np.eye(vectors.shape[1])
+    n = vectors.shape[1]
+    upper = np.triu_indices(n, 1)
+    units = _two_vectors(np.eye(n)[np.stack(upper, axis=1)])[:, 0]
+    pairs = _two_vectors(vectors)
+    probe = pairs.copy()
     args = []
-    for slot, g in enumerate(vectors):
-        target = abs(current) / np.sum(np.abs(g))
-        best_m, best = None, None
-        for m in np.argsort(-np.abs(g), kind="stable"):
-            probe[slot] = eye[m]
+    for slot, z in enumerate(pairs):
+        c = 2.0 * z[upper]
+        target = abs(current) / np.sum(np.abs(c))
+        best_r, best = None, None
+        for r in np.argsort(-np.abs(c), kind="stable"):
+            probe[slot] = units[r]
             got = float(_pair_probe(prov, w, probe[None])[0])
             if best is None or abs(got) > abs(best):
-                best_m, best = int(m), got
+                best_r, best = r, got
             if abs(got) >= target:
                 break
-        probe[slot] = eye[best_m]
-        args.append(best_m)
+        probe[slot] = units[best_r]
+        args.extend((int(upper[0][best_r]), int(upper[1][best_r])))
         current = best
     return tuple(args)
 
@@ -839,11 +847,16 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
     For every power p <= p_max and every seeded nondegenerate form draw,
     evaluate R^p omega once at 2p+2 Gaussian vectors drawn from the same
     generator (Schwartz-Zippel: nonzero with probability 1 exactly when the
-    tensor is nonzero), reduce that probe one slot at a time to a basis
-    component, and take the component's value from the basis-index
-    recursion.  A missing witness is reported as a finding, never silently
-    dropped.
+    tensor is nonzero), reduce that probe one slot pair at a time to a unit
+    2-vector E_ab, a < b (``_reduce_to_basis``), and take the component's
+    value from the basis-index recursion.  A missing witness is reported as
+    a finding, never silently dropped.  Raises OracleError unless p_max and
+    trials are at least 1: a search over nothing finds nothing.
     """
+    if p_max < 1:
+        raise OracleError(f"witness power p_max {p_max} is below 1")
+    if trials < 1:
+        raise OracleError(f"witness trials {trials} is below 1")
     m = assemble(tuple(blocks))
     prov = AlgebraicCurvature(m)
     dim = m.dim

@@ -13,6 +13,7 @@ from affsym.expr import parse_expr
 from affsym.jets import component_jets
 from affsym.tensor_ops import (K_CAP_GEOMETRIC, AlgebraicCurvature, ArityError,
                                GeometricCurvature, RecursionCapError,
+                               _pair_probe, _two_vectors,
                                alternating_sum_identity, nabla_powers,
                                pack_two_form, r_power_action, r_power_levels,
                                r_power_probe)
@@ -484,6 +485,36 @@ def test_probe_of_basis_vectors_is_the_component():
     for t in (np.array(1.5), rng.standard_normal(4), rng.standard_normal((4, 4, 4))):
         with pytest.raises(ArityError):
             r_power_probe(prov, t, 1, np.ones((2 + t.ndim, 4)))
+
+
+def test_unit_two_vector_is_the_pair_of_basis_vectors():
+    # E_ab = 1/2 (e_a e_b^T - e_b e_a^T), a < b, is the 2-vector the pair
+    # helper forms from (e_a, e_b), signed zeros included, and the kernel's
+    # value on unit 2-vectors is the probe's at those basis vectors
+    prov = AlgebraicCurvature(_model())
+    w = tridiagonal_omega(4)
+    e = np.eye(4)
+    a, b = np.triu_indices(4, 1)
+    units = []
+    for x, y in zip(a, b):
+        unit = np.zeros((4, 4))
+        unit[x, y], unit[y, x] = 0.5, -0.5
+        assert unit.tobytes() == _two_vectors(e[[x, y]])[0].tobytes()
+        units.append(unit)
+    rng = np.random.default_rng(8)
+    for k in range(4):
+        picks = rng.integers(0, len(units), size=k + 1)
+        args = [int(i) for r in picks for i in (a[r], b[r])]
+        pairs = np.stack([units[r] for r in picks])[None]
+        assert _pair_probe(prov, w, pairs)[0] == r_power_probe(prov, w, k, e[args])
+
+
+def test_probe_of_an_empty_batch_is_empty():
+    prov = AlgebraicCurvature(_model())
+    w = tridiagonal_omega(4)
+    for shape, batch in (((0, 4, 4), (0,)), ((3, 0, 4, 4), (3, 0))):
+        got = r_power_probe(prov, w, 1, np.ones(shape))
+        assert got.shape == batch
 
 
 def test_probe_arity_and_cap_checks():

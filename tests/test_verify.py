@@ -253,6 +253,41 @@ def test_witness_is_deterministic_and_found_by_probe():
     assert {e.source for e in first.entries} == {"probe"}
 
 
+@pytest.mark.parametrize("p_max, trials", [(0, 1), (-1, 1), (1, 0), (1, -3)])
+def test_witness_search_over_nothing_is_an_error(p_max, trials):
+    with pytest.raises(OracleError, match="below 1"):
+        theorem_witness(INADMISSIBLE["diag_rank2"], p_max=p_max, trials=trials)
+
+
+@pytest.mark.parametrize("shape", sorted(INADMISSIBLE))
+def test_witness_reduces_to_ordered_basis_pairs(shape):
+    # each slot pair reduces to a unit 2-vector e_a^e_b, a < b, whose
+    # component the recursion reproduces above the threshold
+    from affsym.tensor_ops import r_power_action
+    prov = AlgebraicCurvature(assemble(INADMISSIBLE[shape]))
+    for seed in range(20):
+        report = theorem_witness(INADMISSIBLE[shape], p_max=4, trials=1, seed=seed)
+        assert [e.power for e in report.entries] == [1, 2, 3, 4]
+        for entry in report.entries:
+            assert entry.found and len(entry.args) == 2 * entry.power + 2
+            assert all(a < b for a, b in zip(entry.args[0::2], entry.args[1::2]))
+            rng = np.random.default_rng((seed, entry.power, entry.trial))
+            w = random_omega(prov.dim, rng)
+            assert r_power_action(prov, w, entry.power, entry.args) == entry.value
+            assert abs(entry.value) > verify.WITNESS_THRESHOLD
+
+
+def test_no_false_witness_on_admissible_rank_one_shape():
+    # nilpotent 2-block with (+1) and (-1): R^3 omega = 0, so the probe is
+    # zero and no component may be reported
+    blocks = [RealBlock(2, 0.0, 1), RealBlock(1, 0.0, 1), RealBlock(1, 0.0, -1)]
+    report = theorem_witness(blocks, p_max=4, trials=3, seed=2)
+    late = [e for e in report.entries if e.power >= 3]
+    assert len(late) == 6
+    assert all(not e.found and e.source == "exhausted" for e in late)
+    assert not report.all_found
+
+
 def _rank_on_model(m, p, nablas=None):
     """check_rank_theorem on a Gauss model, by default with the tridiagonal
     form."""
