@@ -7,7 +7,7 @@ from .canonical import CanonicalPair, classify, decompose, rank
 from .expr import parse_expr, to_source
 from .geometry import (InducedStructure, Scenario, curvature, fundamental_residuals,
                        induced_structure, structure_jets)
-from .jets import eval_jet
+from .jets import eval_jet, eval_jets
 from .model import BlockSpec, ComplexBlock, GaussModel, RealBlock, assemble
 from .scenarios import load_scenario, scenario_from_dict
 from .tensor_ops import (AlgebraicCurvature, GeometricCurvature,

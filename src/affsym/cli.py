@@ -174,6 +174,18 @@ def _omega_chains(sc, checks, structures):
     return [nabla_powers(sc.omega, sj, sj.order + 1) for sj in structures]
 
 
+def _identity_trials(rng, dim, p_max, trials):
+    """The (pairs, ys) arguments of each alternating-identity trial: p_max
+    index pairs, then two indices, all below ``dim``.  One draw of a
+    (trials, 2 p_max + 2) block gives the same integers, and leaves ``rng``
+    in the same state, as drawing the pairs and then the ys per trial:
+    numpy's bounded int64 draws take the bit generator's values one by one
+    either way."""
+    rows = rng.integers(0, dim, size=(trials, 2 * p_max + 2)).tolist()
+    return [(list(zip(r[0:2 * p_max:2], r[1:2 * p_max:2])), r[2 * p_max:])
+            for r in rows]
+
+
 def _geometry_records(sc, checks, structures, chains, seed):
     """Records of every resolved check (``_resolve_checks``) at every
     sample point, from the point's one structure solve in ``structures``
@@ -225,10 +237,7 @@ def _geometry_records(sc, checks, structures, chains, seed):
                 trials = check["trials"]
                 rng = np.random.default_rng((seed, 17, pi))
                 worst = 0.0
-                for _ in range(trials):
-                    pairs = [(int(a), int(b)) for a, b in
-                             rng.integers(0, sc.dim, size=(p_max, 2))]
-                    ys = [int(v) for v in rng.integers(0, sc.dim, size=2)]
+                for pairs, ys in _identity_trials(rng, sc.dim, p_max, trials):
                     lhs, rhs = alternating_sum_identity(
                         nablas[0], nablas[2 * p_max], prov, p_max, pairs, ys)
                     worst = max(worst, abs(lhs - rhs))

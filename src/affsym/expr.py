@@ -11,7 +11,8 @@ Identifiers are ``[A-Za-z_][A-Za-z0-9_]*``; numbers are unsigned decimals
 with optional fraction and exponent.  The exponent of ``^`` is a numeric
 literal, so ``^`` binds tighter than unary minus and chaining is impossible.
 Recognised functions: sin, cos, tan, exp, ln, sqrt.  Expressions are
-evaluated, with their derivatives, by ``jets.eval_jet``.
+evaluated, with their derivatives, by the one evaluator ``jets.eval_jets``,
+which takes each distinct subtree of a list of expressions once.
 """
 
 from __future__ import annotations

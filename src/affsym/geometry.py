@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import H_RCOND_MIN
-from .jets import component_jets, eval_jet, jet_space
+from .jets import component_jets, eval_jet, eval_jets, jet_space
 
 #: frames with condition number beyond this are rejected
 FRAME_COND_LIMIT = 1e12
@@ -116,15 +116,18 @@ class StructureJets:
         self.dim = n
         self.order = order
 
-        f_jets = [eval_jet(c, point, order + 2, coords) for c in scenario.immersion]
-        xi_jets = [eval_jet(c, point, order + 1, coords) for c in scenario.transversal]
-        if len(f_jets) != n + 1 or len(xi_jets) != n + 1:
+        # one pass over the immersion and transversal: f to order+2, xi to
+        # order+1, each shared subtree evaluated once
+        nf, nxi = len(scenario.immersion), len(scenario.transversal)
+        jets = eval_jets([*scenario.immersion, *scenario.transversal], point,
+                         order + 2, coords, keep=[order + 2] * nf + [order + 1] * nxi)
+        if nf != n + 1 or nxi != n + 1:
             raise GeometryError("immersion/transversal must have 2n+1 components")
 
         space = jet_space(n, order)
         up = jet_space(n, order + 1)
-        f = np.stack(f_jets, axis=1)
-        xi = np.stack(xi_jets, axis=1)
+        f = np.stack(jets[:nf], axis=1)
+        xi = np.stack(jets[nf:], axis=1)
         df = [jet_space(n, order + 2).partial(f, j) for j in range(n)]
         iu = np.triu_indices(n)
         self.frame = np.stack(df + [xi], axis=2)[: space.size]

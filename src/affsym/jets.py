@@ -7,11 +7,12 @@ float arrays with the coefficient axis first; ``JetSpace.einsum``
 multiplies and contracts them and ``JetSpace.partial`` differentiates
 them, whole.
 
-``eval_jet`` evaluates an expression straight into such an array: sums are
-array sums, products and quotients the jet product, and reciprocals,
-non-integer powers and the elementary functions one Horner series over
-that product (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-ch. 13).  Arithmetic is exact for polynomials up to the truncation order.
+``eval_jets`` evaluates expressions straight into such arrays, each
+distinct subtree once: sums are array sums, products and quotients the
+jet product, and reciprocals, non-integer powers and the elementary
+functions one Horner series over that product (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13).  Arithmetic is exact for
+polynomials up to the truncation order.
 """
 
 from __future__ import annotations
@@ -243,16 +244,67 @@ def _call(space, func, u):
     return _series(space, u, coeffs)
 
 
-def _eval(e, env, space):
+def _fields(e):
+    """Key fields and children of an expression node."""
+    if isinstance(e, ex.Bin):
+        return (ex.Bin, e.op), (e.lhs, e.rhs)
+    if isinstance(e, ex.Neg):
+        return (ex.Neg,), (e.operand,)
+    if isinstance(e, ex.Pow):
+        return (ex.Pow, e.exponent), (e.base,)
+    if isinstance(e, ex.Call):
+        return (ex.Call, e.func), (e.arg,)
+    if isinstance(e, ex.Num):
+        # 0.0 and -0.0 compare equal but are different constants
+        return (ex.Num, e.value, math.copysign(1.0, e.value)), ()
+    if isinstance(e, ex.Var):
+        return (ex.Var, e.name), ()
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _tape(exprs):
+    """The distinct subtrees of ``exprs`` in evaluation order.
+
+    Returns ``(tape, roots)``: ``tape[i]`` is ``(node, child ids)``, every
+    child before its parent and siblings left to right, as a recursive
+    evaluation meets them; ``roots[k]`` is the id of ``exprs[k]``.  A
+    subtree is keyed by its node's own fields and its children's integer
+    ids, so a key costs O(1), where the hash and equality of the dataclass
+    nodes walk the whole subtree.
+    """
+    ids, tape, roots = {}, [], []
+    done = {}  # id() of a node object already keyed -> its tape id
+    for root in exprs:
+        stack = [root]
+        while stack:
+            e = stack.pop()
+            if type(e) is tuple:
+                # (node, fields, children), its children keyed by now
+                e, fields, kids = e
+                kid_ids = tuple([done[id(k)] for k in kids])
+                i = ids.get(fields + kid_ids)
+                if i is None:
+                    i = ids[fields + kid_ids] = len(tape)
+                    tape.append((e, kid_ids))
+                done[id(e)] = i
+            elif id(e) not in done:
+                fields, kids = _fields(e)
+                stack.append((e, fields, kids))
+                stack.extend(kids[::-1])
+        roots.append(done[id(root)])
+    return tape, roots
+
+
+def _apply(e, args, space, env):
+    """One tape node, given the coefficient arrays of its children."""
     if isinstance(e, ex.Num):
         return _constant(space, e.value)
     if isinstance(e, ex.Var):
-        return env[e.name]
+        return env[e.name][: space.size]
     if isinstance(e, ex.Neg):
-        return -_eval(e.operand, env, space)
+        return -args[0]
     if isinstance(e, ex.Bin):
-        a = _eval(e.lhs, env, space)
-        b = _eval(e.rhs, env, space)
+        a, b = args
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -261,25 +313,35 @@ def _eval(e, env, space):
             b = _reciprocal(space, b)
         return space.einsum(_PRODUCT, a, b)
     if isinstance(e, ex.Pow):
-        return _power(space, _eval(e.base, env, space), e.exponent)
-    if isinstance(e, ex.Call):
-        return _call(space, e.func, _eval(e.arg, env, space))
-    raise TypeError(f"not an expression node: {e!r}")
+        return _power(space, args[0], e.exponent)
+    return _call(space, e.func, args[0])
 
 
-def eval_jet(e, point, order: int, coords) -> np.ndarray:
-    """Coefficient array of expression ``e`` at ``point`` to the given order.
+def eval_jets(exprs, point, order: int, coords, keep=None) -> list:
+    """Coefficient arrays of the expressions ``exprs`` at ``point``.
 
-    ``coords`` names the coordinates in the order matching ``point``; the
-    result has shape ``(jet_space(len(coords), order).size,)``, and its
-    order-0 coefficient is the value of ``e``.  Raises JetDomainError for
-    an argument outside a function's domain, and if a coefficient of the
-    result is not finite (an integer power that overflows, say).
+    ``coords`` names the coordinates in the order matching ``point``.
+    Result k holds the coefficients of ``exprs[k]`` to order ``keep[k]``
+    (default ``order``, and at most ``order``), shape
+    ``(jet_space(len(coords), keep[k]).size,)``; its order-0 coefficient
+    is the value.  Every distinct subtree is evaluated once, to the highest
+    order kept of an expression that holds it; graded order makes a lower
+    order the prefix of a higher one, which is how an expression kept to a
+    lower order reads such a subtree.
+
+    Raises JetDomainError for an argument outside a function's domain, and
+    if a kept coefficient is not finite (an integer power that overflows,
+    say), naming the first expression at fault in list order.
     """
     if order < 0:
         raise JetOrderError("order must be >= 0")
     if order > MAX_JET_ORDER:
         raise JetOrderError(f"order {order} exceeds the maximum {MAX_JET_ORDER}")
+    keep = [order] * len(exprs) if keep is None else list(keep)
+    if len(keep) != len(exprs):
+        raise JetError("need one kept order per expression")
+    if not all(0 <= q <= order for q in keep):
+        raise JetOrderError(f"kept orders must lie in 0..{order}")
     point = tuple(float(v) for v in point)
     if len(point) != len(coords):
         raise JetError("point dimension does not match coordinate count")
@@ -289,23 +351,49 @@ def eval_jet(e, point, order: int, coords) -> np.ndarray:
         env[name] = _constant(space, point[i])
         if order >= 1:
             env[name][space.index_of[tuple(int(a == i) for a in range(space.dim))]] = 1.0
+    tape, roots = _tape(exprs)
+    need = [0] * len(tape)
+    for root, q in zip(roots, keep):
+        need[root] = max(need[root], q)
+    for i in range(len(tape) - 1, -1, -1):
+        for k in tape[i][1]:
+            need[k] = max(need[k], need[i])
+    spaces = [jet_space(len(coords), q) for q in range(order + 1)]
+    values, out = [], []
     # an overflow or invalid operation is reported once, as the error below
     with np.errstate(all="ignore"):
-        out = _eval(e, env, space)
-    if not np.all(np.isfinite(out)):
-        raise JetDomainError(f"'{ex.to_source(e)}' is not finite at {point}")
+        for e, root, q in zip(exprs, roots, keep):
+            # the subtrees that this expression is the first to hold
+            for node, kids in tape[len(values): root + 1]:
+                at = spaces[need[len(values)]]
+                values.append(_apply(node, [values[k][: at.size] for k in kids],
+                                     at, env))
+            jet = values[root][: spaces[q].size].copy()
+            if not np.all(np.isfinite(jet)):
+                raise JetDomainError(f"'{ex.to_source(e)}' is not finite at {point}")
+            out.append(jet)
     return out
+
+
+def eval_jet(e, point, order: int, coords) -> np.ndarray:
+    """Coefficient array of expression ``e`` at ``point`` to the given
+    order: ``eval_jets([e], point, order, coords)[0]``."""
+    return eval_jets([e], point, order, coords)[0]
 
 
 def component_jets(components, point, order: int, coords) -> np.ndarray:
     """Jets at ``point`` of an array whose entries are numbers or
     expressions, as one coefficient array ``(ncoeff,) + shape``: a number
-    stays a constant, an expression goes through ``eval_jet``."""
+    stays a constant, the expressions go through one ``eval_jets``."""
     components = np.asarray(components, dtype=object)
     out = np.zeros((jet_space(len(point), order).size,) + components.shape)
+    exprs, where = [], []
     for idx, c in np.ndenumerate(components):
         if isinstance(c, (int, float)):
             out[(0,) + idx] = c
         else:
-            out[(slice(None),) + idx] = eval_jet(c, point, order, coords)
+            exprs.append(c)
+            where.append((slice(None),) + idx)
+    for idx, jet in zip(where, eval_jets(exprs, point, order, coords)):
+        out[idx] = jet
     return out

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -805,6 +806,17 @@ class WitnessReport:
         return all(e.found for e in self.entries)
 
 
+@lru_cache(maxsize=8)
+def _unit_two_vectors(n):
+    """``np.triu_indices(n, 1)`` and the unit 2-vectors E_ab of those pairs,
+    shape (n(n-1)/2, n, n), built once per dimension and read-only."""
+    upper = np.triu_indices(n, 1)
+    units = _two_vectors(np.eye(n)[np.stack(upper, axis=1)])[:, 0]
+    for a in (*upper, units):
+        a.flags.writeable = False
+    return upper, units
+
+
 def _reduce_to_basis(prov, w, vectors, current):
     """Replace each probe slot pair by a unit 2-vector that keeps the value
     nonzero; returns the basis-index tuple, a < b within each pair.
@@ -818,9 +830,7 @@ def _reduce_to_basis(prov, w, vectors, current):
     probe at ``vectors``, so every candidate, of the same shape, goes
     straight to its pair kernel.
     """
-    n = vectors.shape[1]
-    upper = np.triu_indices(n, 1)
-    units = _two_vectors(np.eye(n)[np.stack(upper, axis=1)])[:, 0]
+    upper, units = _unit_two_vectors(vectors.shape[1])
     pairs = _two_vectors(vectors)
     probe = pairs.copy()
     args = []
@@ -909,7 +919,11 @@ def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> Rank
 
     R^q omega is stepped one packed level at a time for q = 1..p and the
     scan stops at the first q at which R^q omega or nabla^q omega (for
-    q < len(nablas)) vanishes: R^{q+1} omega = R.(R^q omega) vanishes with
+    q < len(nablas)) vanishes.  R^q omega scales like
+    (|S| |h|)^q |omega|, so it counts as vanishing when
+    max |R^q omega| <= tol * (max |S| * max |h|)^q * max |omega| (an exact
+    zero does so at S = 0); nabla^q omega vanishes below the absolute
+    ``tol``.  R^{q+1} omega = R.(R^q omega) vanishes with
     R^q omega, and nabla^{q+1} omega with nabla^q omega where that vanishes
     identically, so no power beyond q is needed.  Verdict PASS means the
     operator vanished at q and the shape conclusions hold, FAIL that R^q
@@ -927,17 +941,20 @@ def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> Rank
 
     levels = r_power_levels(prov, pack_two_form(w, prov.dim), p)
     rank_s = canonical.rank(s_op)
+    scale = float(np.max(np.abs(s_op))) * float(np.max(np.abs(h)))
+    w_max = float(np.max(np.abs(w)))
     for q, packed in enumerate(levels, start=1):
         max_r = float(np.max(np.abs(packed)))
         max_nabla = float(np.max(np.abs(nablas[q]))) if q < len(nablas) else None
-        if max_r < tol or (max_nabla is not None and max_nabla < tol):
+        r_zero = max_r <= tol * scale ** q * w_max
+        if r_zero or (max_nabla is not None and max_nabla < tol):
             break
     else:
         return RankVerdict("VACUOUS", p, max_r, max_nabla, rank_s, None)
     summary = canonical.classify(canonical.decompose(s_op, h))
     ok = rank_s <= 1 and summary.admissible_shape
     verdict, reason = ("PASS" if ok else "FAIL"), None
-    if not ok and max_r >= tol:
+    if not ok and not r_zero:
         verdict, reason = "WARN", (
             f"pointwise zero of nabla^{q} omega: the theorem assumes "
             f"nabla^{q} omega = 0 as a field, which one point does not show")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import affsym
 from affsym import cli, geometry
-from affsym.cli import TRIALS_CAP, _resolve_checks, main
+from affsym.cli import TRIALS_CAP, _identity_trials, _resolve_checks, main
 from affsym.model import RealBlock, assemble
 from affsym.scenarios import scenario_from_dict
 
@@ -681,16 +681,16 @@ def test_cli_runs_without_scipy(tmp_path):
         assert run.returncode == 0, (argv, run.stderr)
 
 
-def _diag_rank2_twin(point):
+def _diag_rank2_twin(point, eps=1.0):
     """The graph immersion (u, u^T H u / 2) with transversal (-S u, 1) for
-    S = diag(1, -0.5, 0, 0) and H = diag(1, -1, 1, 1): at u = 0 it induces
-    S and H with Gamma = 0, so a constant omega has nabla omega = 0 there
-    and nowhere near it."""
+    S = diag(eps, -eps/2, 0, 0) and H = diag(1, -1, 1, 1): at u = 0 it
+    induces S and H with Gamma = 0, so a constant omega has nabla omega = 0
+    there and nowhere near it."""
     return {
         "name": "diag_rank2_twin", "dim": 4, "coords": ["u0", "u1", "u2", "u3"],
         "immersion": ["u0", "u1", "u2", "u3",
                       "0.5*u0*u0 + -0.5*u1*u1 + 0.5*u2*u2 + 0.5*u3*u3"],
-        "transversal": ["-1.0*u0", "0.5*u1", "0", "0", "1"],
+        "transversal": [f"-{eps!r}*u0", f"{eps / 2!r}*u1", "0", "0", "1"],
         "omega": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
         "sample_points": [point], "checks": [{"name": "rank_theorem"}],
     }
@@ -712,13 +712,18 @@ def test_pointwise_nabla_zero_is_a_warning_not_a_failure(tmp_path):
 
 
 def test_twin_off_the_origin_stays_vacuous(tmp_path):
-    sc = tmp_path / "twin.json"
-    sc.write_text(json.dumps(_diag_rank2_twin([0.1, 0.2, -0.1, 0.3])))
-    out = tmp_path / "rep.json"
-    assert main(["check-geometry", "--scenario", str(sc), "--strict",
-                 "--output", str(out)]) == 0
-    rec = _load(out)["checks"]
-    assert [r["status"] for r in rec] == ["VACUOUS"] and "reason" not in rec[0]["params"]
+    # R^3 omega is about 1.5 eps^3 here: below an absolute 1e-8 from
+    # eps = 1e-3 on, but never below the threshold scaled by (|S| |h|)^3 |omega|
+    for eps in (1.0, 1e-2, 1e-3, 1e-4):
+        sc = tmp_path / "twin.json"
+        sc.write_text(json.dumps(_diag_rank2_twin([0.1, 0.2, -0.1, 0.3], eps)))
+        out = tmp_path / "rep.json"
+        assert main(["check-geometry", "--scenario", str(sc), "--strict",
+                     "--output", str(out)]) == 0, eps
+        rec = _load(out)["checks"]
+        assert [r["status"] for r in rec] == ["VACUOUS"], eps
+        assert "reason" not in rec[0]["params"]
+        assert rec[0]["params"]["rank_S"] == 2 and rec[0]["tol"] == 1e-8
 
 
 def _report_of(argv, capsys):
@@ -747,3 +752,24 @@ def test_parser_is_reused_without_leaking_flags(first, second, tmp_path, capsys)
         fresh.append(_report_of(argv, capsys))
     assert reused == fresh
     assert reused[0] != reused[1]    # the flag of the first call was applied
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 3 * 2 ** 30 + 1],
+                         ids=["dim2", "dim4", "dim6", "rejection_heavy"])
+@pytest.mark.parametrize("p_max", [1, 2])
+def test_identity_trials_are_the_per_trial_draws(dim, p_max):
+    """One block draw gives the integers of two draws per trial, and leaves
+    the generator where they leave it; 3 * 2^30 + 1 rejects about a third
+    of the bit generator's values."""
+    for seed in range(40):
+        ref_rng = np.random.default_rng((seed, 17, 0))
+        want = []
+        for _ in range(9):
+            pairs = [(int(a), int(b)) for a, b in
+                     ref_rng.integers(0, dim, size=(p_max, 2))]
+            ys = [int(v) for v in ref_rng.integers(0, dim, size=2)]
+            want.append((pairs, ys))
+        rng = np.random.default_rng((seed, 17, 0))
+        assert _identity_trials(rng, dim, p_max, 9) == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()

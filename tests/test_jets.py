@@ -1,10 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affsym.expr import Bin, parse_expr
-from affsym.jets import (JetDomainError, JetOrderError, eval_jet, jet_space)
+from affsym.expr import FUNCTIONS, Bin, Call, Neg, Num, Pow, Var, parse_expr, to_source
+from affsym.jets import (_PRODUCT, JetDomainError, JetOrderError, _call, _constant,
+                         _power, _reciprocal, eval_jet, eval_jets, jet_space)
 
 PRODUCT = "...,...->..."
 
@@ -180,3 +184,152 @@ def test_partial_drops_one_order():
     assert dx[at[(0, 0)]] == 6.0          # 2xy at (1.5, 2)
     assert dx[at[(1, 0)]] == 4.0   # d2f/dx2 = 2y
     assert dx[at[(0, 1)]] == 3.0   # d2f/dxdy = 2x
+
+
+# -- one pass over many expressions -----------------------------------
+
+
+def _tree_jet(e, point, order, coords):
+    """Reference: one expression at a time, every subtree evaluated where
+    it occurs, by recursion (the evaluator before ``eval_jets``)."""
+    space = jet_space(len(coords), order)
+    env = {}
+    for i, name in enumerate(coords):
+        env[name] = _constant(space, float(point[i]))
+        if order >= 1:
+            env[name][space.index_of[tuple(int(a == i) for a in range(len(coords)))]] = 1.0
+
+    def walk(e):
+        if isinstance(e, Num):
+            return _constant(space, e.value)
+        if isinstance(e, Var):
+            return env[e.name]
+        if isinstance(e, Neg):
+            return -walk(e.operand)
+        if isinstance(e, Bin):
+            a, b = walk(e.lhs), walk(e.rhs)
+            if e.op in "+-":
+                return a + b if e.op == "+" else a - b
+            return space.einsum(_PRODUCT, a, _reciprocal(space, b) if e.op == "/" else b)
+        if isinstance(e, Pow):
+            return _power(space, walk(e.base), e.exponent)
+        return _call(space, e.func, walk(e.arg))
+
+    with np.errstate(all="ignore"):
+        out = walk(e)
+    if not np.all(np.isfinite(out)):
+        raise JetDomainError(f"'{to_source(e)}' is not finite at {tuple(map(float, point))}")
+    return out
+
+
+TWO = ("x", "y")
+SUBTREES = st.recursive(
+    st.one_of(st.builds(Num, st.floats(0.0, 8.0)), st.sampled_from(TWO).map(Var)),
+    lambda sub: st.one_of(
+        st.builds(Bin, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Pow, sub, st.sampled_from((0.0, 1.0, 2.0, 3.0, 0.5, 1.5))),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub)),
+    max_leaves=6)
+
+
+@st.composite
+def shared_lists(draw):
+    """Expressions over a small pool of subtrees: a pool member itself, a
+    reparsed copy of one (equal, not identical), or an operation on two."""
+    pool = draw(st.lists(SUBTREES, min_size=1, max_size=4))
+    pick = st.sampled_from(pool)
+    item = st.one_of(
+        pick,
+        pick.map(lambda e: parse_expr(to_source(e), TWO)),
+        st.builds(Bin, st.sampled_from("+-*/"), pick, pick),
+        st.builds(Call, st.sampled_from(FUNCTIONS), pick))
+    return draw(st.lists(item, min_size=1, max_size=6))
+
+
+def _same_as_reference(exprs, point, order, keep):
+    try:
+        want = [_tree_jet(e, point, q, TWO) for e, q in zip(exprs, keep)]
+    except JetDomainError as err:
+        with pytest.raises(JetDomainError) as got:
+            eval_jets(exprs, point, order, TWO, keep)
+        assert str(got.value) == str(err)
+        return
+    got = eval_jets(exprs, point, order, TWO, keep)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_lists(), st.integers(0, 3), st.data())
+def test_one_pass_equals_one_expression_at_a_time(exprs, order, data):
+    """Byte-equal to the reference at each kept order; kept orders that do
+    not rise along the list (f, then xi in the structure solve) fail with
+    the reference's first error."""
+    point = data.draw(st.tuples(*[st.sampled_from((0.0, 1.0, -0.5, 2.3, -3.1))] * 2))
+    keep = sorted(data.draw(st.lists(st.integers(0, order), min_size=len(exprs),
+                                     max_size=len(exprs))), reverse=True)
+    _same_as_reference(exprs, point, order, keep)
+    _same_as_reference(exprs, point, order, [order] * len(exprs))
+
+
+def test_first_failing_expression_names_the_error():
+    overflow, log = parse_expr("exp(x)^400", TWO), parse_expr("ln(y)", TWO)
+    fine = parse_expr("x*y", TWO)
+    with pytest.raises(JetDomainError) as err:
+        eval_jets([fine, overflow, log], (2.0, -1.0), 2, TWO)
+    assert str(err.value) == "'exp(x)^400' is not finite at (2.0, -1.0)"
+    with pytest.raises(JetDomainError) as err:
+        eval_jets([fine, log, overflow], (2.0, -1.0), 2, TWO)
+    assert str(err.value) == "ln of a non-positive value"
+    # a coefficient beyond the kept order is not checked: 1/x at 1e-60
+    # overflows only in its order-5 coefficient
+    tiny = (1e-60, 1.0)
+    recip = parse_expr("1/x", TWO)
+    with pytest.raises(JetDomainError):
+        eval_jets([recip], tiny, 5, TWO)
+    kept = eval_jets([recip, fine], tiny, 5, TWO, keep=[4, 5])[0]
+    assert kept.tobytes() == eval_jet(recip, tiny, 4, TWO).tobytes()
+
+
+def test_kept_orders_are_checked():
+    x = parse_expr("x", TWO)
+    with pytest.raises(JetOrderError):
+        eval_jets([x], (0.0, 0.0), 2, TWO, keep=[3])
+    with pytest.raises(JetOrderError):
+        eval_jets([x], (0.0, 0.0), 2, TWO, keep=[-1])
+    with pytest.raises(ValueError):
+        eval_jets([x, x], (0.0, 0.0), 2, TWO, keep=[1])
+
+
+def _balanced_sum(terms):
+    while len(terms) > 1:
+        terms = [Bin("+", a, b) for a, b in zip(terms[0::2], terms[1::2])] \
+            + terms[len(terms) - len(terms) % 2:]
+    return terms[0]
+
+
+def test_long_sum_costs_about_one_walk():
+    """Subtree keys cost O(1) per node: a 4000-term sum takes at most twice
+    the reference walk, which has no keys; keyed on the dataclass nodes
+    themselves, whose hash walks the subtree, it took over 100 times as long."""
+    x, y = Var("x"), Var("y")
+    terms = [Bin("*", Bin("*", Num(float(i)), x), Call("sin", y)) for i in range(4000)]
+    total = _balanced_sum(terms)
+    point = (0.3, 0.7)
+
+    def best(fn):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            out = fn()
+            times.append(time.perf_counter() - t0)
+        return min(times), out
+
+    t_ref, want = best(lambda: _tree_jet(total, point, 2, TWO))
+    t_new, (got,) = best(lambda: eval_jets([total], point, 2, TWO))
+    assert got.tobytes() == want.tobytes()
+    assert t_new <= 2.0 * t_ref, (t_new, t_ref)
+    # a parsed sum nests 4000 deep, beyond the interpreter's recursion limit
+    parsed = parse_expr(" + ".join(f"{i}*x*sin(y)" for i in range(4000)), TWO)
+    value = eval_jets([parsed], point, 0, TWO)[0][0]
+    assert value == pytest.approx(sum(range(4000)) * 0.3 * math.sin(0.7), rel=1e-12)
