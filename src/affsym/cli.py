@@ -18,9 +18,11 @@ Exit codes: 0 no failures, 1 at least one FAIL record (or WARN under
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fnmatch
 import functools
 import json
+import operator
 import sys
 import time
 
@@ -52,32 +54,36 @@ CHECKS = {
 #: ``oracles --trials`` (100 times its default) may ask for
 TRIALS_CAP = 10_000
 
+#: json.dumps ``default``: numpy scalars and arrays print as plain numbers and lists
+_TOLIST = operator.methodcaller("tolist")
 
-def _to_jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
-    return value
+
+class UsageError(ValueError):
+    """A flag value or an input file that a command refuses."""
+
+
+#: the errors that ``main`` reports as one ``error:`` line and exit 2
+INPUT_ERRORS = (UsageError, ScenarioFormatError, geometry.GeometryError, JetError,
+                ExprError, verify.OracleError, canonical.CanonicalError)
+
+
+def _header(command, **fields):
+    return {"tool": "affsym", "version": __version__, "command": command, **fields}
 
 
 def _record(name, status, value=None, tol=None, params=None, wall_ms=0.0):
     return {
         "name": name,
         "status": status,
-        "value": _to_jsonable(value),
+        "value": value,
         "tol": tol,
-        "params": _to_jsonable(params or {}),
+        "params": params or {},
         "wall_ms": round(wall_ms, 3),
     }
 
 
 def _emit(report, output):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=_TOLIST) + "\n"
     if output in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -86,7 +92,8 @@ def _emit(report, output):
 
 
 def _finish(records, base, output, strict):
-    records.sort(key=lambda r: (r["name"], json.dumps(r["params"], sort_keys=True)))
+    records.sort(key=lambda r: (r["name"],
+                                json.dumps(r["params"], sort_keys=True, default=_TOLIST)))
     counts = {"pass": 0, "fail": 0, "vacuous": 0, "warn": 0}
     for r in records:
         counts[r["status"].lower()] = counts.get(r["status"].lower(), 0) + 1
@@ -94,11 +101,7 @@ def _finish(records, base, output, strict):
     base["summary"] = counts
     base["generated_unix"] = round(time.time(), 3)
     _emit(base, output)
-    if counts["fail"] > 0:
-        return 1
-    if strict and counts["warn"] > 0:
-        return 1
-    return 0
+    return 1 if counts["fail"] or (strict and counts["warn"]) else 0
 
 
 def _check_field(name, key, value):
@@ -162,18 +165,6 @@ def _resolve_checks(sc):
     return checks, order
 
 
-def _omega_chains(sc, checks, structures):
-    """Per sample point, omega and its nabla powers to the deepest one the
-    point's solve carries, or None if no check reads them.
-
-    This evaluates omega's jets, so an entry whose derivatives are not
-    finite at a sample point raises JetDomainError here, at load.
-    """
-    if not any(c["name"] in ("rank_theorem", "alternating_identity") for c in checks):
-        return [None] * len(structures)
-    return [nabla_powers(sc.omega, sj, sj.order + 1) for sj in structures]
-
-
 def _identity_trials(rng, dim, p_max, trials):
     """The (pairs, ys) arguments of each alternating-identity trial: p_max
     index pairs, then two indices, all below ``dim``.  One draw of a
@@ -186,13 +177,22 @@ def _identity_trials(rng, dim, p_max, trials):
             for r in rows]
 
 
-def _geometry_records(sc, checks, structures, chains, seed):
+def _geometry_records(sc, checks, structures, seed):
     """Records of every resolved check (``_resolve_checks``) at every
     sample point, from the point's one structure solve in ``structures``
-    (``Scenario.validate``) and its omega chain in ``chains``
-    (``_omega_chains``)."""
+    (``Scenario.validate``).
+
+    Each check yields (name, value, params) rows, PASS below its ``tol`` and
+    FAIL otherwise unless the check sets its own verdict.  Where a check
+    reads omega's nabla chain, the chain is built here, once per point, so
+    an omega entry whose derivatives are not finite at a sample point
+    raises JetDomainError in this loop.
+    """
+    with_chain = any(c["name"] in ("rank_theorem", "alternating_identity")
+                     for c in checks)
     records = []
-    for pi, (point, sj, nablas) in enumerate(zip(sc.sample_points, structures, chains)):
+    for pi, (point, sj) in enumerate(zip(sc.sample_points, structures)):
+        nablas = nabla_powers(sc.omega, sj, sj.order + 1) if with_chain else None
         st = geometry.induced_structure(sj)
         prov = GeometricCurvature(geometry.curvature(st))
         res = geometry.fundamental_residuals(st, prov.R)
@@ -200,39 +200,29 @@ def _geometry_records(sc, checks, structures, chains, seed):
             name, tol, p_max = check["name"], check.get("tol"), check.get("p_max")
             label = f"{name}@point{pi}"
             t0 = time.perf_counter()
-            if name in ("frame", "gauss_model", "codazzi_shape"):
-                if name == "frame":
-                    value = geometry.frame_residual(sj)
-                else:
-                    value = res.gauss if name == "gauss_model" else res.codazzi_s
-                records.append(_record(label, "PASS" if value < tol else "FAIL",
-                                       value, tol, {"point": point},
-                                       (time.perf_counter() - t0) * 1e3))
+            status = None
+            if name == "frame":
+                rows = [(label, geometry.frame_residual(sj), {"point": point})]
+            elif name in ("gauss_model", "codazzi_shape"):
+                value = res.gauss if name == "gauss_model" else res.codazzi_s
+                rows = [(label, value, {"point": point})]
             elif name == "fundamental":
-                for part in ("gauss", "codazzi_h", "codazzi_s", "ricci"):
-                    value = getattr(res, part)
-                    records.append(_record(
-                        f"fundamental.{part}@point{pi}",
-                        "PASS" if value < tol else "FAIL", value, tol,
-                        {"point": point}, (time.perf_counter() - t0) * 1e3))
+                rows = [(f"fundamental.{part}@point{pi}", getattr(res, part),
+                         {"point": point})
+                        for part in ("gauss", "codazzi_h", "codazzi_s", "ricci")]
             elif name == "equiaffine":
                 dtau = float(np.max(np.abs(st.dtau)))
                 hs = st.h @ st.S
                 selfadj = float(np.max(np.abs(hs - hs.T)))
-                value = max(dtau, selfadj)
-                records.append(_record(label, "PASS" if value < tol else "FAIL",
-                                       value, tol,
-                                       {"point": point, "dtau": dtau,
-                                        "h_selfadjoint": selfadj},
-                                       (time.perf_counter() - t0) * 1e3))
+                rows = [(label, max(dtau, selfadj),
+                         {"point": point, "dtau": dtau, "h_selfadjoint": selfadj})]
             elif name == "rank_theorem":
                 v = verify.check_rank_theorem(prov, st.S, st.h, nablas, p_max, tol)
                 params = {"point": point, "power": v.power, "rank_S": v.rank_s,
                           "max_nabla": v.max_nabla, "final_form": v.final_form}
                 if v.reason is not None:
                     params["reason"] = v.reason
-                records.append(_record(label, v.verdict, v.max_r_power, tol, params,
-                                       (time.perf_counter() - t0) * 1e3))
+                status, rows = v.verdict, [(label, v.max_r_power, params)]
             elif name == "alternating_identity":
                 trials = check["trials"]
                 rng = np.random.default_rng((seed, 17, pi))
@@ -241,74 +231,48 @@ def _geometry_records(sc, checks, structures, chains, seed):
                     lhs, rhs = alternating_sum_identity(
                         nablas[0], nablas[2 * p_max], prov, p_max, pairs, ys)
                     worst = max(worst, abs(lhs - rhs))
-                records.append(_record(label, "PASS" if worst < tol else "FAIL",
-                                       worst, tol,
-                                       {"point": point, "k": p_max,
-                                        "trials": trials},
-                                       (time.perf_counter() - t0) * 1e3))
+                rows = [(label, worst, {"point": point, "k": p_max, "trials": trials})]
             else:
-                records.append(_record(label, "WARN", None, tol,
-                                       {"reason": f"unknown check '{name}'"},
-                                       (time.perf_counter() - t0) * 1e3))
+                status = "WARN"
+                rows = [(label, None, {"reason": f"unknown check '{name}'"})]
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            records.extend(
+                _record(row, status or ("PASS" if value < tol else "FAIL"),
+                        value, tol, params, wall_ms)
+                for row, value, params in rows)
     return records
 
 
 def cmd_check_geometry(args):
-    try:
-        sc = load_scenario(args.scenario)
-        checks, order = _resolve_checks(sc)
-        structures = sc.validate(order)
-        chains = _omega_chains(sc, checks, structures)
-    except (ScenarioFormatError, geometry.GeometryError, JetError, ExprError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    base = {
-        "tool": "affsym",
-        "version": __version__,
-        "command": "check-geometry",
-        "scenario": sc.name,
-        "scenario_digest": scenario_digest(args.scenario),
-        "master_seed": args.seed,
-    }
-    records = _geometry_records(sc, checks, structures, chains, args.seed)
+    sc = load_scenario(args.scenario)
+    checks, order = _resolve_checks(sc)
+    structures = sc.validate(order)
+    base = _header("check-geometry", scenario=sc.name,
+                   scenario_digest=scenario_digest(args.scenario),
+                   master_seed=args.seed)
+    records = _geometry_records(sc, checks, structures, args.seed)
     return _finish(records, base, args.output, args.strict)
 
 
 def cmd_oracles(args):
     if args.trials < 1 or args.p_max < 1:
-        print("error: --trials and --p-max must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("--trials and --p-max must be >= 1")
     if args.trials > TRIALS_CAP:
-        print(f"error: --trials {args.trials} is beyond the cap {TRIALS_CAP}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"--trials {args.trials} is beyond the cap {TRIALS_CAP}")
     if args.p_max > K_CAP_ALGEBRAIC:
-        print(f"error: --p-max {args.p_max} is beyond the curvature power cap "
-              f"{K_CAP_ALGEBRAIC}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--p-max {args.p_max} is beyond the curvature power cap "
+                         f"{K_CAP_ALGEBRAIC}")
     pattern = args.filter or "*"
     matched = [oid for oid, _ in verify.list_oracles()
                if fnmatch.fnmatch(oid, pattern)]
     if not matched:
-        print(f"error: filter {pattern!r} matches no oracle id", file=sys.stderr)
-        return 2
-    base = {
-        "tool": "affsym",
-        "version": __version__,
-        "command": "oracles",
-        "filter": pattern,
-        "master_seed": args.seed,
-        "parameters": {"draws": args.trials, "p_max": args.p_max},
-    }
+        raise UsageError(f"filter {pattern!r} matches no oracle id")
+    base = _header("oracles", filter=pattern, master_seed=args.seed,
+                   parameters={"draws": args.trials, "p_max": args.p_max})
     records = []
     for oid in matched:
         t0 = time.perf_counter()
-        try:
-            results = verify.run_family(oid, args.trials, seed=args.seed,
-                                        p_max=args.p_max)
-        except verify.OracleError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+        results = verify.run_family(oid, args.trials, seed=args.seed, p_max=args.p_max)
         by_power = {}
         for r in results:
             by_power.setdefault(verify.power_of(oid, r.params), []).append(r)
@@ -337,8 +301,7 @@ def _read_matrix(data, key, dim):
 
 def cmd_decompose(args):
     if not 0 < args.tol <= sys.float_info.max:
-        print(f"error: --tol must be a finite number > 0, got {args.tol}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--tol must be a finite number > 0, got {args.tol}")
     try:
         with open(args.matrix_file) as fh:
             data = json.load(fh)
@@ -348,37 +311,19 @@ def cmd_decompose(args):
         a, h = _read_matrix(data, "A", dim), _read_matrix(data, "H", dim)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(h))):
             raise ValueError("A and H must have finite entries")
-    except (OSError, KeyError, ValueError, OverflowError,
-            json.JSONDecodeError) as err:
-        print(f"error: cannot read matrix file: {err}", file=sys.stderr)
-        return 2
-    base = {
-        "tool": "affsym",
-        "version": __version__,
-        "command": "decompose",
-        "matrix_file": args.matrix_file,
-        "parameters": {"tol": args.tol},
-    }
+    except (OSError, KeyError, ValueError, OverflowError) as err:
+        raise UsageError(f"cannot read matrix file: {err}") from None
+    base = _header("decompose", matrix_file=args.matrix_file,
+                   parameters={"tol": args.tol})
     t0 = time.perf_counter()
-    try:
-        pair = canonical.decompose(a, h, tol=args.tol)
-    except canonical.CanonicalError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    pair = canonical.decompose(a, h, tol=args.tol)
     wall = (time.perf_counter() - t0) * 1e3
     summary = canonical.classify(pair)
-    blocks = []
-    for b in pair.blocks:
-        if isinstance(b, RealBlock):
-            blocks.append({"kind": "real", "size": b.size,
-                           "eigenvalue": b.eigenvalue, "sign": b.sign})
-        else:
-            blocks.append({"kind": "complex", "half_size": b.half_size,
-                           "alpha": b.alpha, "beta": b.beta})
+    blocks = [{"kind": "real" if isinstance(b, RealBlock) else "complex",
+               **dataclasses.asdict(b)} for b in pair.blocks]
+    residual = max(pair.residual_jordan, pair.residual_h)
     records = [
-        _record("decompose", "PASS" if max(pair.residual_jordan,
-                                           pair.residual_h) < 1e-6 else "WARN",
-                max(pair.residual_jordan, pair.residual_h), 1e-6,
+        _record("decompose", "PASS" if residual < 1e-6 else "WARN", residual, 1e-6,
                 {"blocks": blocks,
                  "residual_jordan": pair.residual_jordan,
                  "residual_h": pair.residual_h,
@@ -397,14 +342,9 @@ def cmd_decompose(args):
 
 
 def cmd_list_oracles(args):
-    base = {
-        "tool": "affsym",
-        "version": __version__,
-        "command": "list-oracles",
-        "oracles": [{"id": oid, "description": desc}
-                    for oid, desc in verify.list_oracles()],
-    }
-    _emit(base, args.output)
+    _emit(_header("list-oracles", oracles=[{"id": oid, "description": desc}
+                                           for oid, desc in verify.list_oracles()]),
+          args.output)
     return 0
 
 
@@ -460,12 +400,18 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one subcommand; every input it refuses (an ``INPUT_ERRORS``
+    exception from any command) ends here in one ``error:`` line on stderr
+    and exit code 2."""
     args = _parser().parse_args(argv)
-    # numpy's seeded generators take only seeds >= 0
-    if getattr(args, "seed", 0) < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+    try:
+        # numpy's seeded generators take only seeds >= 0
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        return args.func(args)
+    except INPUT_ERRORS as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
-    return args.func(args)
 
 
 if __name__ == "__main__":

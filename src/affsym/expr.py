@@ -7,6 +7,9 @@ Grammar (EBNF)::
     factor := '-' factor | base ('^' number)?
     base   := number | ident | ident '(' expr ')' | '(' expr ')'
 
+Parentheses, call arguments and unary minus signs nest at most
+``MAX_NESTING`` deep; sums and products are loops, so their length is free.
+
 Identifiers are ``[A-Za-z_][A-Za-z0-9_]*``; numbers are unsigned decimals
 with optional fraction and exponent.  The exponent of ``^`` is a numeric
 literal, so ``^`` binds tighter than unary minus and chaining is impossible.
@@ -21,6 +24,10 @@ import re
 from dataclasses import dataclass
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
+
+#: deepest nesting of parentheses, call arguments and unary signs that the
+#: parser takes, far inside Python's recursion limit
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
@@ -91,6 +98,7 @@ class _Parser:
         self.coords = set(coords)
         self.tokens = []
         self.pos = 0
+        self.depth = 0
         self._tokenize()
 
     def _tokenize(self):
@@ -125,6 +133,15 @@ class _Parser:
                              off, expected=repr(op))
         return self._advance()
 
+    def _nested(self, parse, off):
+        """``parse()`` one nesting level deeper; the level opens at ``off``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", off)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def parse(self):
         node = self.expr()
         kind, text, off = self._peek()
@@ -154,10 +171,10 @@ class _Parser:
                 return node
 
     def factor(self):
-        kind, text, _ = self._peek()
+        kind, text, off = self._peek()
         if kind == "op" and text == "-":
             self._advance()
-            return Neg(self.factor())
+            return Neg(self._nested(self.factor, off))
         node = self.base()
         kind, text, off = self._peek()
         if kind == "op" and text == "^":
@@ -179,15 +196,14 @@ class _Parser:
             if nkind == "op" and ntext == "(":
                 if text not in FUNCTIONS:
                     raise UnknownIdentifierError(text, off)
-                self._advance()
-                arg = self.expr()
+                arg = self._nested(self.expr, self._advance()[2])
                 self._expect_op(")")
                 return Call(text, arg)
             if text not in self.coords:
                 raise UnknownIdentifierError(text, off)
             return Var(text)
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self._nested(self.expr, off)
             self._expect_op(")")
             return node
         shown = text if text else "end of input"
@@ -221,36 +237,45 @@ def _prec(e):
 
 
 def _fmt_num(v):
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 
 
 def to_source(e: Expr) -> str:
-    """Render an AST back to source; parse(to_source(e)) reproduces e."""
-    if isinstance(e, Num):
-        return _fmt_num(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.func}({to_source(e.arg)})"
-    if isinstance(e, Neg):
-        inner = to_source(e.operand)
-        if _prec(e.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Pow):
-        inner = to_source(e.base)
-        # '^' cannot chain (the exponent is a literal), so a Pow base needs parens
-        if _prec(e.base) <= _PREC["pow"]:
-            inner = f"({inner})"
-        return f"{inner}^{_fmt_num(e.exponent)}"
-    if isinstance(e, Bin):
-        lhs, rhs = to_source(e.lhs), to_source(e.rhs)
-        if _prec(e.lhs) < _PREC[e.op]:
-            lhs = f"({lhs})"
-        # left-associative: parenthesise right child at equal precedence
-        if _prec(e.rhs) <= _PREC[e.op]:
-            rhs = f"({rhs})"
-        return f"{lhs}{e.op}{rhs}"
-    raise TypeError(f"not an expression node: {e!r}")
+    """Render an AST back to source; parse(to_source(e)) reproduces e.
+
+    The tree is walked on an explicit stack of nodes (each with whether it
+    needs parentheses) and pending text, so a long sum, whose tree is as
+    deep as it is long, prints without recursion.
+    """
+    out, stack = [], [(e, False)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        e, paren = item
+        if paren:
+            out.append("(")
+            stack.append(")")
+        if isinstance(e, Num):
+            out.append(_fmt_num(e.value))
+        elif isinstance(e, Var):
+            out.append(e.name)
+        elif isinstance(e, Call):
+            out.append(f"{e.func}(")
+            stack += [")", (e.arg, False)]
+        elif isinstance(e, Neg):
+            out.append("-")
+            stack.append((e.operand, _prec(e.operand) < _PREC["neg"]))
+        elif isinstance(e, Pow):
+            # '^' cannot chain (the exponent is a literal), so a Pow base needs parens
+            stack += [f"^{_fmt_num(e.exponent)}", (e.base, _prec(e.base) <= _PREC["pow"])]
+        elif isinstance(e, Bin):
+            # left-associative: parenthesise the right child at equal precedence
+            stack += [(e.rhs, _prec(e.rhs) <= _PREC[e.op]), e.op,
+                      (e.lhs, _prec(e.lhs) < _PREC[e.op])]
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+    return "".join(out)

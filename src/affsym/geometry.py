@@ -229,14 +229,9 @@ class InducedStructure:
     cond: float
 
 
-def induced_structure(source, point=None) -> InducedStructure:
-    """Pointwise values and first partials of the induced structure.
-
-    ``source`` is a solved StructureJets of order >= 1, or a Scenario whose
-    structure is then solved at ``point`` to order 1.
-    """
-    sj = source if isinstance(source, StructureJets) \
-        else structure_jets(source, point, order=1)
+def induced_structure(sj: StructureJets) -> InducedStructure:
+    """Pointwise values and first partials of the induced structure, read
+    from a solved StructureJets of order >= 1."""
     if sj.order < 1:
         raise GeometryError("the induced structure needs structure jets of order >= 1")
     index_of = jet_space(sj.dim, sj.order).index_of

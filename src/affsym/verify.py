@@ -929,9 +929,9 @@ def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> Rank
     operator vanished at q and the shape conclusions hold, FAIL that R^q
     omega vanished and they do not, VACUOUS (reported at p) that neither
     operator vanished up to p.  WARN, with a ``reason``, is the case that
-    only nabla^q omega vanished and the shape conclusions do not hold: a
-    zero at one point does not make the field vanish identically, which is
-    what the theorem assumes.
+    only nabla^q omega vanished and the shape conclusions do not hold (a
+    zero at one point does not make the field vanish identically, which the
+    theorem assumes), or that (S, h) has no canonical form to check.
     """
     w = nablas[0]
     if abs(np.linalg.det(w)) < geometry.OMEGA_DET_MIN:
@@ -951,8 +951,12 @@ def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> Rank
             break
     else:
         return RankVerdict("VACUOUS", p, max_r, max_nabla, rank_s, None)
-    summary = canonical.classify(canonical.decompose(s_op, h))
-    ok = rank_s <= 1 and summary.admissible_shape
+    try:
+        summary = canonical.classify(canonical.decompose(s_op, h))
+    except canonical.CanonicalError as err:
+        return RankVerdict("WARN", q, max_r, max_nabla, rank_s, None,
+                           f"(S, h) has no canonical form: {err}")
+    ok =rank_s <= 1 and summary.admissible_shape
     verdict, reason = ("PASS" if ok else "FAIL"), None
     if not ok and not r_zero:
         verdict, reason = "WARN", (

@@ -39,7 +39,7 @@ def test_criterion_1_worked_example_reproduction():
     worst = {"s_off": 0.0, "tau": 0.0, "h": 0.0, "r1": 0.0, "r2": 0.0, "r3": 0.0}
     for point in points:
         x, y, z0, z1 = point
-        st = geo.induced_structure(sc, point)
+        st = geo.induced_structure(geo.structure_jets(sc, point, 1))
 
         s_expected = np.zeros((4, 4))
         s_expected[1, 0] = 1.0
@@ -75,7 +75,7 @@ def test_criterion_2_fundamental_residuals():
     for name in SHIPPED:
         sc = load_scenario(name)
         for point in sc.sample_points:
-            st = geo.induced_structure(sc, point)
+            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
             res = geo.fundamental_residuals(st, geo.curvature(st))
             worst = max(worst, *astuple(res))
     elapsed = time.perf_counter() - t0
@@ -200,7 +200,7 @@ def test_criterion_6_alternating_identity():
         sc = load_scenario(name)
         rng = np.random.default_rng(99)
         for point in sc.sample_points[:1]:
-            st = geo.induced_structure(sc, point)
+            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
             prov = GeometricCurvature(geo.curvature(st))
             sj = geo.structure_jets(sc, point, 1)
             w = component_jets(sc.omega, point, 0, sc.coords)[0]

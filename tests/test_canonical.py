@@ -199,14 +199,14 @@ def test_rank():
     assert rank(np.zeros((4, 4))) == 0
     assert rank(np.eye(6)) == 6
     sc = load_scenario("paper_example_n2")
-    st = geo.induced_structure(sc, sc.sample_points[0])
+    st = geo.induced_structure(geo.structure_jets(sc, sc.sample_points[0], 1))
     assert rank(st.S) == 1
 
 
 def test_decompose_worked_example_pair():
     sc = load_scenario("paper_example_n2")
     for point in sc.sample_points:
-        st = geo.induced_structure(sc, point)
+        st = geo.induced_structure(geo.structure_jets(sc, point, 1))
         pair = decompose(st.S, st.h)
         sizes = sorted(b.size for b in pair.blocks)
         assert sizes == [1, 1, 2]

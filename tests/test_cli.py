@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as hst
+
 import affsym
 from affsym import cli, geometry
 from affsym.cli import TRIALS_CAP, _identity_trials, _resolve_checks, main
+from affsym.expr import MAX_NESTING
 from affsym.model import RealBlock, assemble
 from affsym.scenarios import scenario_from_dict
 
@@ -773,3 +780,112 @@ def test_identity_trials_are_the_per_trial_draws(dim, p_max):
         assert _identity_trials(rng, dim, p_max, 9) == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("entry, words", [
+    ("(" * 3000 + "u1" + ")" * 3000, "nesting deeper than 100"),
+    ("-" * 3000 + "u1", "nesting deeper than 100"),
+    ("sin(" * 2000 + "u1" + ")" * 2000, "nesting deeper than 100"),
+    # exp(0.3)^3000 overflows, and the error names the 3000-term sum
+    (" + ".join(["u1"] + ["exp(u1)^3000"] * 2999), "not finite"),
+], ids=["parentheses", "unary_minus", "calls", "overflowing_sum"])
+def test_deep_or_overflowing_expression_is_usage_error(entry, words, tmp_path, capsys):
+    data = _shipped("paraboloid")
+    data["immersion"][0] = entry
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(data))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and words in err[0]
+
+
+def _shear_scenario(checks):
+    """A graph immersion whose transversal (u1/2, 0, 0, 0, 1) gives, at the
+    origin, nabla omega = 0 and a rank-one S that is not h-selfadjoint."""
+    return {
+        "name": "shear", "dim": 4, "coords": ["u0", "u1", "u2", "u3"],
+        "immersion": ["u0", "u1", "u2", "u3",
+                      "0.5*u0*u0 + 0.5*u1*u1 + 0.5*u2*u2 + 0.5*u3*u3"],
+        "transversal": ["0.5*u1", "0", "0", "0", "1"],
+        "omega": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
+        "sample_points": [[0, 0, 0, 0]], "checks": checks,
+    }
+
+
+def test_rank_check_warns_on_shape_operator_without_canonical_form(tmp_path):
+    sc = tmp_path / "shear.json"
+    sc.write_text(json.dumps(_shear_scenario([{"name": "rank_theorem"}])))
+    out = tmp_path / "rep.json"
+    assert main(["check-geometry", "--scenario", str(sc), "--output", str(out)]) == 0
+    rec = _load(out)["checks"]
+    assert [r["status"] for r in rec] == ["WARN"]
+    params = rec[0]["params"]
+    assert params["final_form"] is None and params["rank_S"] == 1
+    assert params["power"] == 1 and params["max_nabla"] == 0.0
+    assert "no canonical form" in params["reason"] and "selfadjoint" in params["reason"]
+    assert main(["check-geometry", "--scenario", str(sc), "--strict",
+                 "--output", str(out)]) == 1
+    # with every check, the report is written and equiaffine fails on h S
+    sc.write_text(json.dumps(_shear_scenario([])))
+    assert main(["check-geometry", "--scenario", str(sc), "--output", str(out)]) == 1
+    status = {r["name"]: r["status"] for r in _load(out)["checks"]}
+    assert status["equiaffine@point0"] == "FAIL"
+    assert status["rank_theorem@point0"] == "WARN"
+
+
+def _nested(kind, depth):
+    return {"parens": "(" * depth + "u1" + ")" * depth,
+            "calls": "sin(" * depth + "u1" + ")" * depth,
+            "minus": "-" * depth + "u1"}[kind]
+
+
+_TERMS = hst.sampled_from(["u1", "u2*u3", "sin(u1)", "exp(u1)^3000", "u1^1e400",
+                           "1e400", "1e400*u1", "exp(exp(u4))", "ln(u2)", "w9",
+                           "sqrt(u1 - u1)", "u1/0", "tan(u4)^2"])
+_EXPRESSIONS = hst.one_of(
+    hst.builds(lambda term, n: " + ".join([term] * n), _TERMS, hst.integers(1, 3000)),
+    hst.builds(_nested, hst.sampled_from(["parens", "calls", "minus"]),
+               hst.integers(1, 2 * MAX_NESTING)),
+    hst.lists(_TERMS, min_size=1, max_size=6).map(" * ".join))
+_JUNK = hst.sampled_from([None, True, -1, 0, 2.5, "4", "x", [], {}, 10 ** 400, 1e308])
+_FIELDS = hst.one_of(
+    hst.builds(lambda i, e: ("immersion", i, e), hst.integers(0, 4), _EXPRESSIONS),
+    hst.builds(lambda e: ("omega", 0, e), _EXPRESSIONS),
+    hst.builds(lambda v: ("dim", None, v), _JUNK),
+    hst.builds(lambda key, v: ("checks", key, v),
+               hst.sampled_from(["p_max", "tol", "trials", "name"]), _JUNK),
+    hst.builds(lambda v: ("sample_points", None, v),
+               hst.one_of(_JUNK, hst.lists(_JUNK, max_size=5))))
+
+
+def _mutated_paraboloid(changes):
+    data = _shipped("paraboloid")
+    for field, key, value in changes:
+        if field == "immersion":
+            data["immersion"][key] = value
+        elif field == "omega":
+            data["omega"][0][1], data["omega"][1][0] = value, f"-({value})"
+        elif field == "checks":
+            data["checks"] = [{"name": "alternating_identity", key: value}]
+        elif field == "sample_points":
+            data["sample_points"] = value if isinstance(value, list) else [[value] * 4]
+        else:
+            data[field] = value
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.lists(_FIELDS, min_size=1, max_size=3))
+def test_any_scenario_text_exits_cleanly(changes):
+    """No scenario text ends in a traceback: main returns 0, 1 or 2, and an
+    exit 2 prints exactly one stderr line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sc = Path(tmp) / "sc.json"
+        sc.write_text(json.dumps(_mutated_paraboloid(changes)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["check-geometry", "--scenario", str(sc)])
+    event(f"exit code {rc}")
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

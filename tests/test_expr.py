@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsym.expr import (FUNCTIONS, Bin, Call, Neg, Num, ParseError, Pow,
-                         UnknownIdentifierError, Var, parse_expr, to_source)
+from affsym.expr import (FUNCTIONS, MAX_NESTING, Bin, Call, Neg, Num, ParseError,
+                         Pow, UnknownIdentifierError, Var, parse_expr, to_source)
 from affsym.jets import eval_jet
 
 COORDS = ("x", "y", "z0", "z1")
@@ -74,6 +74,11 @@ def test_print_parse_is_fixed_point():
         e = _random_expr(rng, 3)
         once = parse_expr(to_source(e), COORDS)
         assert parse_expr(to_source(once), COORDS) == once
+    # a 5000-term sum is a left-deep tree 5000 levels deep; compare the text,
+    # since dataclass equality would recurse through every level
+    src = to_source(parse_expr(" + ".join(["x*exp(y)^3", "-(y - z0)"] * 2500), COORDS))
+    assert to_source(parse_expr(src, COORDS)) == src
+    assert src.startswith("x*exp(y)^3+-(y-z0)+x*exp(y)^3") and src.count("+") == 4999
 
 
 def test_printer_respects_precedence():
@@ -99,3 +104,33 @@ EXPRS = st.recursive(
 @given(EXPRS)
 def test_parse_inverts_print(e):
     assert parse_expr(to_source(e), COORDS) == e
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("sin(", ")"), ("-", "")],
+                         ids=["parentheses", "calls", "unary_minus"])
+def test_nesting_is_capped_at_the_opening_token(opening, closing):
+    for depth in (MAX_NESTING, MAX_NESTING + 1, 3000):
+        src = opening * depth + "x" + closing * depth
+        if depth == MAX_NESTING:
+            parse_expr(src, COORDS)
+            continue
+        with pytest.raises(ParseError) as err:
+            parse_expr(src, COORDS)
+        # the token that opens level MAX_NESTING + 1
+        assert err.value.offset == len(opening) * MAX_NESTING + len(opening) - 1
+        assert f"nesting deeper than {MAX_NESTING}" in str(err.value)
+
+
+def test_nesting_counts_levels_not_tokens():
+    # 300 parenthesised groups side by side, and a 20000-term sum, nest one level
+    parse_expr(" + ".join(["(x*(y))"] * 300), COORDS)
+    assert to_source(parse_expr(" - ".join(["x"] * 20000), COORDS)).count("-") == 19999
+    # unary signs and parentheses count together
+    with pytest.raises(ParseError):
+        parse_expr("-(" * (MAX_NESTING // 2 + 1) + "x" + ")" * (MAX_NESTING // 2 + 1),
+                   COORDS)
+
+
+def test_literal_beyond_double_range_prints():
+    # 1e400 parses to inf; the printer names it instead of failing in int()
+    assert to_source(parse_expr("x^1e400 + 1e400", COORDS)) == "x^inf+inf"

@@ -14,7 +14,7 @@ from affsym.scenarios import load_scenario, scenario_from_dict
 def test_paraboloid_structure():
     sc = load_scenario("paraboloid")
     for point in sc.sample_points:
-        st = geo.induced_structure(sc, point)
+        st = geo.induced_structure(geo.structure_jets(sc, point, 1))
         assert np.max(np.abs(st.gamma)) == 0.0
         assert np.array_equal(st.h, 2.0 * np.eye(4))
         assert np.max(np.abs(st.S)) == 0.0
@@ -26,7 +26,7 @@ def test_worked_example_structure():
     sc = load_scenario("paper_example_n2")
     for point in sc.sample_points:
         x, y, z0, z1 = point
-        st = geo.induced_structure(sc, point)
+        st = geo.induced_structure(geo.structure_jets(sc, point, 1))
         expected_s = np.zeros((4, 4))
         expected_s[1, 0] = 1.0
         assert np.max(np.abs(st.S - expected_s)) < 1e-10
@@ -42,7 +42,7 @@ def test_centroaffine_sphere_structure():
     sc = load_scenario("centroaffine_sphere")
     for point in sc.sample_points:
         t1, t2, t3, _ = point
-        st = geo.induced_structure(sc, point)
+        st = geo.induced_structure(geo.structure_jets(sc, point, 1))
         assert np.max(np.abs(st.S - np.eye(4))) < 1e-10
         assert np.max(np.abs(st.tau)) < 1e-10
         round_metric = np.diag([
@@ -61,7 +61,7 @@ def test_fundamental_residuals_all_scenarios():
                  "centroaffine_sphere"):
         sc = load_scenario(name)
         for point in sc.sample_points:
-            st = geo.induced_structure(sc, point)
+            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
             res = geo.fundamental_residuals(st, geo.curvature(st))
             assert max(astuple(res)) < 1e-8, (name, point, res)
 
@@ -71,14 +71,14 @@ def test_gauss_model_equivalence():
                  "centroaffine_sphere"):
         sc = load_scenario(name)
         for point in sc.sample_points:
-            st = geo.induced_structure(sc, point)
+            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
             r = geo.curvature(st)
             assert np.max(np.abs(r - geo.gauss_curvature_tensor(st.S, st.h))) < 1e-8
 
 
 def test_curvature_antisymmetry_and_gamma_symmetry():
     sc = load_scenario("paper_example_n3")
-    st = geo.induced_structure(sc, sc.sample_points[0])
+    st = geo.induced_structure(geo.structure_jets(sc, sc.sample_points[0], 1))
     assert np.max(np.abs(st.gamma - np.transpose(st.gamma, (0, 2, 1)))) == 0.0
     assert np.max(np.abs(st.h - st.h.T)) == 0.0
     r = geo.curvature(st)
@@ -96,7 +96,7 @@ def test_locally_equiaffine_implies_h_selfadjoint():
     for name in ("paper_example_n2", "paper_example_n3", "centroaffine_sphere"):
         sc = load_scenario(name)
         for point in sc.sample_points:
-            st = geo.induced_structure(sc, point)
+            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
             assert np.max(np.abs(st.dtau)) < 1e-10   # locally equiaffine
             hs = st.h @ st.S
             assert np.max(np.abs(hs - hs.T)) < 1e-9
@@ -105,7 +105,7 @@ def test_locally_equiaffine_implies_h_selfadjoint():
 def test_constraint_violation_is_named():
     sc = load_scenario("paper_example_n2")
     with pytest.raises(geo.ConstraintError) as err:
-        geo.induced_structure(sc, (0.0, 1.0, 0.5, 0.5))
+        geo.induced_structure(geo.structure_jets(sc, (0.0, 1.0, 0.5, 0.5), 1))
     assert err.value.name == "x_nonzero"
 
 
@@ -140,15 +140,15 @@ def test_structure_jets_carry_gamma_partials():
     # dGamma from the order-1 solve matches central differences of Gamma
     sc = load_scenario("centroaffine_sphere")
     point = sc.sample_points[0]
-    st = geo.induced_structure(sc, point)
+    st = geo.induced_structure(geo.structure_jets(sc, point, 1))
     h = 1e-5
     for axis in (0, 2):
         up = list(point)
         dn = list(point)
         up[axis] += h
         dn[axis] -= h
-        fd = (geo.induced_structure(sc, up).gamma
-              - geo.induced_structure(sc, dn).gamma) / (2 * h)
+        fd = (geo.induced_structure(geo.structure_jets(sc, up, 1)).gamma
+              - geo.induced_structure(geo.structure_jets(sc, dn, 1)).gamma) / (2 * h)
         assert np.max(np.abs(st.dgamma[axis] - fd)) < 1e-7
 
 
@@ -177,7 +177,7 @@ def _general_family(n, epsilons):
 def test_family_generalizes_to_higher_dimension():
     sc = _general_family(4, (1, -1, 1, -1, 1))
     point = sc.sample_points[0]
-    st = geo.induced_structure(sc, point)
+    st = geo.induced_structure(geo.structure_jets(sc, point, 1))
     expected_s = np.zeros((8, 8))
     expected_s[1, 0] = 1.0
     assert np.max(np.abs(st.S - expected_s)) < 1e-10
@@ -199,7 +199,7 @@ def test_structure_solve_at_dimension_twelve():
         "omega": omega,
         "sample_points": [[0.05 * i for i in range(1, dim + 1)]],
     })
-    st = geo.induced_structure(sc, sc.sample_points[0])
+    st = geo.induced_structure(geo.structure_jets(sc, sc.sample_points[0], 1))
     assert np.array_equal(st.h, 2.0 * np.eye(dim))
     assert max(astuple(geo.fundamental_residuals(st, geo.curvature(st)))) < 1e-12
 

@@ -124,7 +124,7 @@ def test_tensor_mode_matches_recursion():
 def test_geometric_example_values():
     sc = load_scenario("paper_example_n2")
     point = sc.sample_points[0]
-    st = geo.induced_structure(sc, point)
+    st = geo.induced_structure(geo.structure_jets(sc, point, 1))
     prov = GeometricCurvature(geo.curvature(st))
     w = _omega_at(sc, point)
     x, y = point[0], point[1]
@@ -147,7 +147,7 @@ def _fd_nabla(field, scenario, k, point, idxs, h=1e-5):
     dn[i0] -= h
     out = (_fd_nabla(field, scenario, k - 1, tuple(up), rest, h)
            - _fd_nabla(field, scenario, k - 1, tuple(dn), rest, h)) / (2 * h)
-    gamma = geo.induced_structure(scenario, point).gamma
+    gamma = geo.induced_structure(geo.structure_jets(scenario, point, 1)).gamma
     for t, it in enumerate(rest):
         for m in range(scenario.dim):
             if gamma[m, i0, it] != 0.0:
@@ -279,7 +279,7 @@ def test_alternating_identity_on_scenarios():
                  "centroaffine_sphere"):
         sc = load_scenario(name)
         point = sc.sample_points[0]
-        st = geo.induced_structure(sc, point)
+        st = geo.induced_structure(geo.structure_jets(sc, point, 1))
         prov = GeometricCurvature(geo.curvature(st))
         sj = geo.structure_jets(sc, point, 1)
         w = _omega_at(sc, point)
@@ -295,7 +295,7 @@ def test_alternating_identity_on_scenarios():
 def test_alternating_identity_example_value():
     sc = load_scenario("paper_example_n2")
     point = sc.sample_points[0]
-    st = geo.induced_structure(sc, point)
+    st = geo.induced_structure(geo.structure_jets(sc, point, 1))
     prov = GeometricCurvature(geo.curvature(st))
     sj = geo.structure_jets(sc, point, 1)
     w = _omega_at(sc, point)
@@ -311,7 +311,7 @@ def test_alternating_identity_depth_two():
     # rhs sums four sign assignments of nabla^4, exercising order-5 jets
     sc = load_scenario("centroaffine_sphere")
     point = sc.sample_points[0]
-    st = geo.induced_structure(sc, point)
+    st = geo.induced_structure(geo.structure_jets(sc, point, 1))
     prov = GeometricCurvature(geo.curvature(st))
     sj = geo.structure_jets(sc, point, 3)
     w = _omega_at(sc, point)
@@ -390,7 +390,7 @@ def test_probe_matches_dense_contraction_on_models(model, k, seed):
 def _scenario_curvature(name):
     sc = load_scenario(name)
     point = sc.sample_points[0]
-    structure = geo.induced_structure(sc, point)
+    structure = geo.induced_structure(geo.structure_jets(sc, point, 1))
     return GeometricCurvature(geo.curvature(structure)), _omega_at(sc, point)
 
 
