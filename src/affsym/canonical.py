@@ -300,7 +300,8 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
         except (FloatingPointError, OverflowError) as exc:
             raise CanonicalError(
                 f"decomposition leaves the double-precision range ({exc})") from exc
-        except CanonicalError:
+        except (CanonicalError, np.linalg.LinAlgError):
+            # a LinAlgError is a singular basis T: this clustering failed
             continue
         if step > 0:
             cand = replace(cand, warnings=cand.warnings + (

@@ -11,7 +11,8 @@ Parentheses, call arguments and unary minus signs nest at most
 ``MAX_NESTING`` deep; sums and products are loops, so their length is free.
 
 Identifiers are ``[A-Za-z_][A-Za-z0-9_]*``; numbers are unsigned decimals
-with optional fraction and exponent.  The exponent of ``^`` is a numeric
+with optional fraction and exponent, whose value must be a finite double
+(``1e400`` is a parse error).  The exponent of ``^`` is a numeric
 literal, so ``^`` binds tighter than unary minus and chaining is impossible.
 Recognised functions: sin, cos, tan, exp, ln, sqrt.  Expressions are
 evaluated, with their derivatives, by the one evaluator ``jets.eval_jets``,
@@ -20,6 +21,7 @@ which takes each distinct subtree of a list of expressions once.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -142,6 +144,14 @@ class _Parser:
         self.depth -= 1
         return node
 
+    def _number(self, text, off):
+        """The value of the numeric literal ``text`` at ``off``, which must
+        be a finite double."""
+        value = float(text)
+        if not math.isfinite(value):
+            raise ParseError("numeric literal beyond the double range", off)
+        return value
+
     def parse(self):
         node = self.expr()
         kind, text, off = self._peek()
@@ -184,13 +194,13 @@ class _Parser:
                 raise ParseError(f"found {text!r}" if text else "unexpected end of input",
                                  off, expected="numeric exponent")
             self._advance()
-            return Pow(node, float(text))
+            return Pow(node, self._number(text, off))
         return node
 
     def base(self):
         kind, text, off = self._advance()
         if kind == "num":
-            return Num(float(text))
+            return Num(self._number(text, off))
         if kind == "ident":
             nkind, ntext, _ = self._peek()
             if nkind == "op" and ntext == "(":

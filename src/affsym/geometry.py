@@ -64,7 +64,7 @@ class Scenario:
 
     def check_constraints(self, point):
         for name, e in self.constraints:
-            if eval_jet(e, point, 0, self.coords)[0] <= 0.0:
+            if eval_jet(e, point, 0, self.coords, f"constraint '{name}'")[0] <= 0.0:
                 raise ConstraintError(name, point)
 
     def validate(self, order: int) -> tuple:
@@ -120,7 +120,9 @@ class StructureJets:
         # order+1, each shared subtree evaluated once
         nf, nxi = len(scenario.immersion), len(scenario.transversal)
         jets = eval_jets([*scenario.immersion, *scenario.transversal], point,
-                         order + 2, coords, keep=[order + 2] * nf + [order + 1] * nxi)
+                         order + 2, coords, keep=[order + 2] * nf + [order + 1] * nxi,
+                         labels=[f"immersion[{i}]" for i in range(nf)]
+                         + [f"transversal[{i}]" for i in range(nxi)])
         if nf != n + 1 or nxi != n + 1:
             raise GeometryError("immersion/transversal must have 2n+1 components")
 

@@ -317,7 +317,7 @@ def _apply(e, args, space, env):
     return _call(space, e.func, args[0])
 
 
-def eval_jets(exprs, point, order: int, coords, keep=None) -> list:
+def eval_jets(exprs, point, order: int, coords, keep=None, labels=None) -> list:
     """Coefficient arrays of the expressions ``exprs`` at ``point``.
 
     ``coords`` names the coordinates in the order matching ``point``.
@@ -331,15 +331,20 @@ def eval_jets(exprs, point, order: int, coords, keep=None) -> list:
 
     Raises JetDomainError for an argument outside a function's domain, and
     if a kept coefficient is not finite (an integer power that overflows,
-    say), naming the first expression at fault in list order.
+    say), for the first expression at fault in list order.  The message
+    names that expression's label (``labels[k]``, default ``expression k``),
+    the point and, for a coefficient that is not finite, the head of the
+    first node to fail (``_first_not_finite``), not the whole expression.
     """
     if order < 0:
         raise JetOrderError("order must be >= 0")
     if order > MAX_JET_ORDER:
         raise JetOrderError(f"order {order} exceeds the maximum {MAX_JET_ORDER}")
     keep = [order] * len(exprs) if keep is None else list(keep)
-    if len(keep) != len(exprs):
-        raise JetError("need one kept order per expression")
+    if labels is None:
+        labels = [f"expression {k}" for k in range(len(exprs))]
+    if len(keep) != len(exprs) or len(labels) != len(exprs):
+        raise JetError("need one kept order and one label per expression")
     if not all(0 <= q <= order for q in keep):
         raise JetOrderError(f"kept orders must lie in 0..{order}")
     point = tuple(float(v) for v in point)
@@ -362,38 +367,74 @@ def eval_jets(exprs, point, order: int, coords, keep=None) -> list:
     values, out = [], []
     # an overflow or invalid operation is reported once, as the error below
     with np.errstate(all="ignore"):
-        for e, root, q in zip(exprs, roots, keep):
+        for root, q, label in zip(roots, keep, labels):
             # the subtrees that this expression is the first to hold
-            for node, kids in tape[len(values): root + 1]:
-                at = spaces[need[len(values)]]
-                values.append(_apply(node, [values[k][: at.size] for k in kids],
-                                     at, env))
+            try:
+                for node, kids in tape[len(values): root + 1]:
+                    at = spaces[need[len(values)]]
+                    values.append(_apply(node, [values[k][: at.size] for k in kids],
+                                         at, env))
+            except JetDomainError as err:
+                raise JetDomainError(f"{label}: {err} at {point}") from None
             jet = values[root][: spaces[q].size].copy()
             if not np.all(np.isfinite(jet)):
-                raise JetDomainError(f"'{ex.to_source(e)}' is not finite at {point}")
+                head = _head(_first_not_finite(tape, values, root, jet.size))
+                raise JetDomainError(f"{label}: {head} is not finite at {point}")
             out.append(jet)
     return out
 
 
-def eval_jet(e, point, order: int, coords) -> np.ndarray:
+def _first_not_finite(tape, values, root, size):
+    """The first node under ``root``, children before parents and left to
+    right as a recursive evaluation meets them, whose first ``size``
+    coefficients are not all finite; ``root`` itself must be such a node."""
+    stack, seen = [(root, False)], set()
+    while stack:
+        i, done = stack.pop()
+        if done:
+            if not np.all(np.isfinite(values[i][:size])):
+                return tape[i][0]
+        elif i not in seen:
+            seen.add(i)
+            stack.append((i, True))
+            stack.extend((k, False) for k in reversed(tape[i][1]))
+
+
+def _head(e) -> str:
+    """The top of an expression node as the source writes it: ``^3000``,
+    ``exp``, an operator, a name or a number."""
+    if isinstance(e, ex.Pow):
+        return f"^{e.exponent:g}"
+    if isinstance(e, ex.Num):
+        return f"{e.value:g}"
+    if isinstance(e, ex.Neg):
+        return "-"
+    if isinstance(e, ex.Bin):
+        return e.op
+    return e.func if isinstance(e, ex.Call) else e.name
+
+
+def eval_jet(e, point, order: int, coords, label="expression 0") -> np.ndarray:
     """Coefficient array of expression ``e`` at ``point`` to the given
-    order: ``eval_jets([e], point, order, coords)[0]``."""
-    return eval_jets([e], point, order, coords)[0]
+    order: ``eval_jets([e], point, order, coords, labels=[label])[0]``."""
+    return eval_jets([e], point, order, coords, labels=[label])[0]
 
 
 def component_jets(components, point, order: int, coords) -> np.ndarray:
     """Jets at ``point`` of an array whose entries are numbers or
     expressions, as one coefficient array ``(ncoeff,) + shape``: a number
-    stays a constant, the expressions go through one ``eval_jets``."""
+    stays a constant, the expressions go through one ``eval_jets``.  Every
+    caller passes a 2-form field, so an entry's label is ``omega[i][j]``."""
     components = np.asarray(components, dtype=object)
     out = np.zeros((jet_space(len(point), order).size,) + components.shape)
-    exprs, where = [], []
+    exprs, where, labels = [], [], []
     for idx, c in np.ndenumerate(components):
         if isinstance(c, (int, float)):
             out[(0,) + idx] = c
         else:
             exprs.append(c)
             where.append((slice(None),) + idx)
-    for idx, jet in zip(where, eval_jets(exprs, point, order, coords)):
+            labels.append("omega" + "".join(f"[{i}]" for i in idx))
+    for idx, jet in zip(where, eval_jets(exprs, point, order, coords, labels=labels)):
         out[idx] = jet
     return out

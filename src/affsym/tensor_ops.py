@@ -13,22 +13,21 @@ geometric induced structure):
 
 Single components of R^k.T use the recursion verbatim (memoized per
 level on basis-index tuples).  For a 2-form omega, R^k.omega is
-antisymmetric in every slot pair (X_i, Y_i) and in its last two slots, so
-the two other forms of it work on Lambda^2.  Its values at vector arguments
-(``r_power_probe``) carry each slot pair as its 2-vector 1/2 X^Y, an
-antisymmetric n x n matrix (``_two_vectors``), so a probe ends in k!
-branches; the probe kernel (``_pair_probe``) takes the 2-vectors
-themselves, so a caller may also feed it the unit 2-vectors
-E_ab = 1/2 e_a^e_b, a < b, of basis components.  The whole of
-R^k.omega is held packed, with one axis over Lambda^2 per pair slot (pairs
-a < b in ``np.triu_indices`` order) and N2^(k+1) entries, N2 = n(n-1)/2;
-each level applies R(e_x, e_y), x < y, to every pair axis as one N2 x N2
-matrix, the curvature operator on 2-forms.
+antisymmetric in every slot pair and in its last two slots, so the two
+other forms of it work on Lambda^2, in one set of packed coordinates:
+pairs a < b in ``np.triu_indices`` order, N2 = n(n-1)/2 of them.  A slot
+pair (X, Y) is c_ab = X_a Y_b - X_b Y_a, so omega(X, Y) = <w, c> for
+w = ``pack_two_form(omega, n)``, and R(e_x, e_y) acts on Lambda^2 as the
+N2 x N2 matrix rho_P, P = (x, y) (``_pair_operator``).  R^k.omega is held
+whole, N2^(k+1) entries (``r_power_levels``), or evaluated at vectors, k!
+branches per probe (``r_power_probe``), whose kernel takes packed pairs,
+so ``reduce_to_basis`` can try the unit pairs of basis components.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,7 +61,7 @@ class AlgebraicCurvature:
         self.dim = m.dim
         self._images = {}
         self._s_cols = self._h_rows = None
-        self._full = None
+        self._rho = None
 
     def basis_image(self, i, j, t):
         """Nonzeros of R(e_i, e_j) e_t as ((index, coeff), ...).
@@ -90,9 +89,7 @@ class AlgebraicCurvature:
         return out
 
     def full_tensor(self):
-        if self._full is None:
-            self._full = gauss_curvature_tensor(self.model.S, self.model.H)
-        return self._full
+        return gauss_curvature_tensor(self.model.S, self.model.H)
 
 
 class GeometricCurvature:
@@ -104,6 +101,7 @@ class GeometricCurvature:
         self.R = np.asarray(r, dtype=float)
         self.dim = self.R.shape[0]
         self._images = {}
+        self._rho = None
 
     def basis_image(self, i, j, t):
         key = (i, j, t)
@@ -201,108 +199,149 @@ def r_power_action(provider, tensor, k: int, args) -> float:
     return eval_args(0, ())
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    """``np.triu_indices(n, 1)``, the pairs a < b that index Lambda^2 on
+    R^n, built once per dimension and read-only."""
+    a, b = np.triu_indices(n, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def pack_two_form(omega, n: int) -> np.ndarray:
+    """The coefficients omega[a, b], a < b, of a 2-form on R^n.
+
+    Raises ArityError unless omega is an antisymmetric n x n array, within
+    the tolerance scenarios are validated with: the packed form reads only
+    the upper triangle.
+    """
+    w = np.asarray(omega, dtype=float)
+    if w.shape != (n, n):
+        raise ArityError(f"expected a 2-form of shape ({n}, {n}), got {w.shape}")
+    if not np.max(np.abs(w + w.T)) <= OMEGA_ANTISYM_TOL:
+        raise ArityError("tensor is not an antisymmetric 2-form")
+    return w[_pairs(n)]
+
+
+def _pack_pairs(vectors) -> np.ndarray:
+    """The packed 2-vector c_ab = X_a Y_b - X_b Y_a, a < b, of each slot
+    pair (X, Y): vectors of shape (..., 2j, n) give j pairs (..., j, N2)."""
+    a, b = _pairs(vectors.shape[-1])
+    x, y = vectors[..., 0::2, :], vectors[..., 1::2, :]
+    return x[..., a] * y[..., b] - x[..., b] * y[..., a]
+
+
+def _pair_operator(provider) -> np.ndarray:
+    """rho[P, A, B]: the derivation R(e_x, e_y) on 2-forms, P = (x, y),
+    built once per provider and read-only.
+
+    (rho_P w)(e_a, e_b) = w(M e_a, e_b) + w(e_a, M e_b), M = R(e_x, e_y),
+    expanded over the packed coefficients w_B.  Only the nonzeros are
+    written: row A = (a, b) holds sign(m < b) M[m, a] at B = {m, b} and
+    sign(a < m) M[m, b] at B = {a, m}, the two sets meeting at B = A only.
+    """
+    if provider._rho is None:
+        n = provider.dim
+        a, b = _pairs(n)
+        pair = np.zeros((n, n), dtype=int)
+        pair[a, b] = pair[b, a] = np.arange(len(a))
+        r = provider.full_tensor()[:, :, a, b]    # r[m, t, P] = M[m, t]
+        rho = np.zeros((len(a),) * 3)
+        row, m = np.nonzero(np.arange(n) != b[:, None])
+        rho[:, row, pair[m, b[row]]] = (np.where(m < b[row], 1.0, -1.0)[:, None]
+                                        * r[m, a[row]]).T
+        row, m = np.nonzero(np.arange(n) != a[:, None])
+        rho[:, row, pair[a[row], m]] += (np.where(a[row] < m, 1.0, -1.0)[:, None]
+                                         * r[m, b[row]]).T
+        rho.flags.writeable = False
+        provider._rho = rho
+    return provider._rho
+
+
 def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
     """Evaluate (R^k . omega)(X_1, Y_1, ..., X_k, Y_k, U, V) for a 2-form
     omega at vector arguments.
 
     ``vectors`` has shape (..., 2k+2, n) and the result has shape (...).
-    R^k.omega is antisymmetric in every slot pair, so each pair is carried
-    as its 2-vector Z = 1/2 (XY^T - YX^T) (``_two_vectors``) and the
-    pair kernel ``_pair_probe`` evaluates the k+1 of them: a probe ends in
-    k! branches, not (2k)!!.  Raises ArityError unless omega is an n x n
-    2-form antisymmetric within the tolerance scenarios are validated with,
+    Each slot pair is carried as its packed 2-vector (``_pack_pairs``), so
+    the pair kernel ``_pair_probe`` ends in k! branches, not (2k)!!.
+    Raises ArityError unless omega is an n x n 2-form (``pack_two_form``),
     and RecursionCapError if a level would hold more than TENSOR_ENTRY_CAP
     entries.
     """
     v = np.asarray(vectors, dtype=float)
     n = provider.dim
     _check_power(provider, k)
-    w = _two_form(omega, n)
+    w = pack_two_form(omega, n)
     if v.shape[-2:] != (2 * k + 2, n):
         raise ArityError(f"expected vectors of shape (..., {2 * k + 2}, {n}), "
                          f"got {v.shape}")
     batch = v.shape[:-2]
     size = math.prod(batch)
-    # a level with q pairs after its first holds q branches of q pairs
-    # for each branch that enters it
-    entries, branches = size * (k + 1) * n * n, size
+    n2 = len(w)
+    # a level with q pairs after its first forms one N2 x N2 matrix and
+    # q branches of q pairs for each branch that enters it
+    entries, branches = size * (k + 1) * n2, size
     for q in range(k, 0, -1):
-        entries = max(entries, branches * q * q * n * n)
+        entries = max(entries, branches * n2 * max(n2, q * q))
         branches *= q
     if entries > TENSOR_ENTRY_CAP:
         raise RecursionCapError(f"R^{k} probe would hold {entries} entries")
-    pairs = _two_vectors(v.reshape(size, 2 * k + 2, n))
+    pairs = _pack_pairs(v.reshape(size, 2 * k + 2, n))
     return _pair_probe(provider, w, pairs).reshape(batch)
 
 
-def _two_vectors(vectors) -> np.ndarray:
-    """The 2-vector Z = 1/2 (XY^T - YX^T) of each slot pair (X, Y):
-    vectors of shape (..., 2j, n) give j pairs of shape (..., j, n, n)."""
-    xy = vectors[..., 0::2, :, None] * vectors[..., 1::2, None, :]
-    return 0.5 * (xy - xy.swapaxes(-1, -2))
-
-
-def _pair_probe(provider, omega, pairs) -> np.ndarray:
-    """The kernel of ``r_power_probe``, without its checks: 2-vectors of
-    shape (b, k+1, n, n) give the b values of R^k.omega, linear in each.
-
-    R(X, Y) = R(Z) for the pair's 2-vector Z, the provider's full tensor
-    being antisymmetric in its last two slots.  A level forms A = R(Z_1)
-    for every branch at once (one n^2 x n^2 GEMM), then branches once per
-    remaining pair Z, which becomes -(AZ + ZA^T) = (AZ)^T - AZ: the
-    derivation R(X_1, Y_1) applied to both of its slots.  A leaf is
-    omega(U, V) = <omega, Z>, and each value sums its k! leaves.
+def _pair_probe(provider, w, pairs) -> np.ndarray:
+    """The kernel of ``r_power_probe``, without its checks: packed pairs of
+    shape (b, k+1, N2) and the packed 2-form w give the b values of
+    R^k.omega.  A level forms M = sum_P c1_P rho_P for the first pair c1 of
+    every branch at once, then branches once per remaining pair c, which
+    becomes -M^T c: the derivation R(X_1, Y_1) applied to both of its
+    slots.  A leaf is omega(U, V) = <w, c>; each value sums its k! leaves.
     """
-    size, m, n, _ = pairs.shape
+    size, m, n2 = pairs.shape
     b = size
-    r2 = provider.full_tensor().reshape(n * n, n * n)
+    rho = _pair_operator(provider).reshape(n2, n2 * n2)
     for q in range(m - 1, 0, -1):
-        a = (pairs[:, 0].reshape(b, n * n) @ r2.T).reshape(b, 1, n, n)
+        mat = (pairs[:, 0] @ rho).reshape(b, n2, n2)
         rest = pairs[:, 1:]
-        az = a @ rest
         out = np.repeat(rest[:, None], q, axis=1)
         # the diagonal (i, i) of the q x q branch grid, as a strided view
-        out.reshape(b, q * q, n, n)[:, ::q + 1] = az.swapaxes(-1, -2) - az
+        out.reshape(b, q * q, n2)[:, ::q + 1] = -(rest @ mat)
         b *= q
-        pairs = out.reshape(b, q, n, n)
-    leaves = pairs.reshape(b, n * n) @ omega.reshape(n * n)
+        pairs = out.reshape(b, q, n2)
+    leaves = pairs.reshape(b, n2) @ w
     return leaves.reshape(size, math.factorial(m - 1)).sum(axis=-1)
 
 
-def _two_form(omega, n: int) -> np.ndarray:
-    """omega as a float array; raises ArityError unless it is an
-    antisymmetric n x n array, within the tolerance scenarios are validated
-    with."""
-    w = np.asarray(omega, dtype=float)
-    if w.shape != (n, n):
-        raise ArityError(f"expected a 2-form of shape ({n}, {n}), got {w.shape}")
-    if not np.max(np.abs(w + w.T)) <= OMEGA_ANTISYM_TOL:
-        raise ArityError("tensor is not an antisymmetric 2-form")
-    return w
-
-
-def pack_two_form(omega, n: int) -> np.ndarray:
-    """The coefficients omega[a, b], a < b, of a 2-form on R^n.
-
-    Raises ArityError unless omega is an antisymmetric n x n array (see
-    ``_two_form``): the packed form reads only the upper triangle.
+def reduce_to_basis(provider, omega, vectors, current) -> tuple:
+    """Replace each slot pair of a probe by a unit pair (a row of
+    ``np.eye(N2)``) that keeps the value nonzero; returns the basis-index
+    tuple, a < b within each pair.  ``current`` is the nonzero value that
+    ``r_power_probe`` returned at ``vectors`` after its checks.  The probe
+    is linear in each pair c = sum_{a<b} c_ab u_ab, so some unit pair u_ab
+    reaches |current| / ||c||_1; candidates are tried in decreasing |c_ab|,
+    and if rounding defeats all of them the best one tried is kept.
     """
-    return _two_form(omega, n)[np.triu_indices(n, 1)]
-
-
-def _pair_operator(provider) -> np.ndarray:
-    """rho[P, A, B]: the derivation R(e_x, e_y) on 2-forms, P = (x, y).
-
-    (rho_P w)(e_a, e_b) = w(R(e_x, e_y) e_a, e_b) + w(e_a, R(e_x, e_y) e_b)
-    for A = (a, b), expanded over the packed coefficients w_B, B = (c, d).
-    """
-    c, d = np.triu_indices(provider.dim, 1)
-    a, b = c[:, None], d[:, None]
-    r = provider.full_tensor()[:, :, c, d]    # r[m, t, P] = (R(e_x, e_y) e_t)^m
-    # r[c, a] etc. are indexed [A, B, P]; each delta is [A, B]
-    rho = (r[c, a] * (b == d)[..., None] - r[d, a] * (b == c)[..., None]
-           + r[d, b] * (a == c)[..., None] - r[c, b] * (a == d)[..., None])
-    return np.moveaxis(rho, 2, 0)
+    a, b = _pairs(provider.dim)
+    w = pack_two_form(omega, provider.dim)
+    units = np.eye(len(a))
+    probe = _pack_pairs(np.asarray(vectors, dtype=float))
+    args = []
+    for slot, c in enumerate(probe.copy()):
+        target = abs(current) / np.sum(np.abs(c))
+        best_r, best = None, None
+        for r in np.argsort(-np.abs(c), kind="stable"):
+            probe[slot] = units[r]
+            got = float(_pair_probe(provider, w, probe[None])[0])
+            if best is None or abs(got) > abs(best):
+                best_r, best = r, got
+            if abs(got) >= target:
+                break
+        probe[slot] = units[best_r]
+        args.extend((int(a[best_r]), int(b[best_r])))
+        current = best
+    return tuple(args)
 
 
 def r_power_levels(provider, packed, k: int):

@@ -22,7 +22,7 @@ indices 0..k-1, so the "end vector" of the lead block is index k-1.
 Beyond the catalog there are two theorem-level checks: a witness search
 that exhibits nonzero R^p omega components on inadmissible block shapes
 (one Gaussian probe of the operator on vectors, reduced one slot pair at
-a time to a unit 2-vector 1/2 e_a^e_b, a < b, so to a basis component),
+a time to a unit pair (e_a, e_b), a < b, so to a basis component),
 and the rank check that ties a vanishing operator to rank(S) <= 1 with an
 admissible canonical shape.
 """
@@ -32,15 +32,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import canonical, geometry
 from .model import ComplexBlock, ModelError, RealBlock, assemble, random_omega
-from .tensor_ops import (AlgebraicCurvature, _pair_probe, _two_vectors,
-                         pack_two_form, r_power_action, r_power_levels,
-                         r_power_probe)
+from .tensor_ops import (AlgebraicCurvature, pack_two_form, r_power_action,
+                         r_power_levels, r_power_probe, reduce_to_basis)
 
 #: per-draw tolerance: abs_err <= ORACLE_RTOL * max(1, |closed|)
 ORACLE_RTOL = 1e-9
@@ -806,51 +804,6 @@ class WitnessReport:
         return all(e.found for e in self.entries)
 
 
-@lru_cache(maxsize=8)
-def _unit_two_vectors(n):
-    """``np.triu_indices(n, 1)`` and the unit 2-vectors E_ab of those pairs,
-    shape (n(n-1)/2, n, n), built once per dimension and read-only."""
-    upper = np.triu_indices(n, 1)
-    units = _two_vectors(np.eye(n)[np.stack(upper, axis=1)])[:, 0]
-    for a in (*upper, units):
-        a.flags.writeable = False
-    return upper, units
-
-
-def _reduce_to_basis(prov, w, vectors, current):
-    """Replace each probe slot pair by a unit 2-vector that keeps the value
-    nonzero; returns the basis-index tuple, a < b within each pair.
-
-    The probe is linear in each pair's 2-vector Z, and
-    Z = sum_{a<b} c_ab E_ab with c_ab = X_a Y_b - X_b Y_a = 2 Z_ab and
-    E_ab = 1/2 (e_a e_b^T - e_b e_a^T), so some E_ab reaches
-    |current| / ||c||_1; candidates are tried in decreasing |c_ab|, and if
-    rounding defeats all of them the best one tried is kept.
-    ``r_power_probe`` has checked w, the power and the entry cap on the
-    probe at ``vectors``, so every candidate, of the same shape, goes
-    straight to its pair kernel.
-    """
-    upper, units = _unit_two_vectors(vectors.shape[1])
-    pairs = _two_vectors(vectors)
-    probe = pairs.copy()
-    args = []
-    for slot, z in enumerate(pairs):
-        c = 2.0 * z[upper]
-        target = abs(current) / np.sum(np.abs(c))
-        best_r, best = None, None
-        for r in np.argsort(-np.abs(c), kind="stable"):
-            probe[slot] = units[r]
-            got = float(_pair_probe(prov, w, probe[None])[0])
-            if best is None or abs(got) > abs(best):
-                best_r, best = r, got
-            if abs(got) >= target:
-                break
-        probe[slot] = units[best_r]
-        args.extend((int(upper[0][best_r]), int(upper[1][best_r])))
-        current = best
-    return tuple(args)
-
-
 def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessReport:
     """Exhibit nonzero R^p omega components on a block shape.
 
@@ -858,7 +811,7 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
     evaluate R^p omega once at 2p+2 Gaussian vectors drawn from the same
     generator (Schwartz-Zippel: nonzero with probability 1 exactly when the
     tensor is nonzero), reduce that probe one slot pair at a time to a unit
-    2-vector E_ab, a < b (``_reduce_to_basis``), and take the component's
+    pair (e_a, e_b), a < b (``reduce_to_basis``), and take the component's
     value from the basis-index recursion.  A missing witness is reported as
     a finding, never silently dropped.  Raises OracleError unless p_max and
     trials are at least 1: a search over nothing finds nothing.
@@ -885,7 +838,7 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
             value = float(r_power_probe(prov, w, power, vectors))
             found = None
             if abs(value) > WITNESS_THRESHOLD:
-                args = _reduce_to_basis(prov, w, vectors, value)
+                args = reduce_to_basis(prov, w, vectors, value)
                 value = r_power_action(prov, w, power, args)
                 if abs(value) > WITNESS_THRESHOLD:
                     found = WitnessEntry(power, trial, True, args, value, "probe")

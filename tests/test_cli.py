@@ -798,6 +798,57 @@ def test_deep_or_overflowing_expression_is_usage_error(entry, words, tmp_path, c
     assert rc == 2 and len(err) == 1 and words in err[0]
 
 
+@pytest.mark.parametrize("field, entry, words", [
+    ("immersion", " + ".join(["u1"] + ["exp(u1)^3000"] * 2999),
+     "immersion[0]: ^3000 is not finite at (0.3, -0.7, 1.2, 0.5)"),
+    ("transversal", "1 + exp(u1)^3000", "transversal[4]: ^3000 is not finite at"),
+    ("omega", "exp(exp(u3)*300)", "omega[0][1]: exp is not finite at"),
+    ("constraint", "ln(u1 - 10)",
+     "constraint 'y_positive': ln of a non-positive value at (0.3, -0.7, 1.2, 0.5)"),
+    ("immersion", "u1 + 1/(u2 - u2)", "immersion[0]: division by a jet with zero "
+                                      "constant term at (0.3, -0.7, 1.2, 0.5)"),
+    ("immersion", "tan(u1 - u1 + 1.5707963267948966)",
+     "immersion[0]: tan at an odd multiple of pi/2 at"),
+], ids=["sum", "transversal", "omega", "constraint", "division", "tan"])
+def test_evaluation_error_names_field_node_and_point(field, entry, words, tmp_path,
+                                                     capsys):
+    # the field and the head of the failing node, not the whole expression
+    data = _shipped("paraboloid")
+    if field == "immersion":
+        data["immersion"][0] = entry
+    elif field == "transversal":
+        data["transversal"][4] = entry
+    elif field == "omega":
+        data["omega"][0][1], data["omega"][1][0] = entry, f"-{entry}"
+    else:
+        data["constraints"] = [{"name": "y_positive", "expr": entry}]
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(data))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and len(err[0].encode()) < 200, err
+    assert err[0].startswith("error: " + words), err
+
+
+def test_literal_beyond_double_range_is_a_load_error(tmp_path, capsys):
+    data = _shipped("paraboloid")
+    data["immersion"][0] = "u1 + 1e400"
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(data))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and err == [
+        "error: in immersion[0]: at offset 5: numeric literal beyond the double range"]
+
+
+def test_singular_canonical_basis_is_usage_error(tmp_path, capsys):
+    # A[0, 1] = 2^63 keeps A H-selfadjoint within the relative tol, and
+    # every clustering gives a singular basis T (a LinAlgError traceback
+    # once, found by the matrix-file property)
+    mat = tmp_path / "pair.json"
+    mat.write_text(json.dumps(dict(_PAIR, A=[0.0, 2 ** 63] + _PAIR["A"][2:])))
+    rc, err = _usage_error(["decompose", str(mat)], capsys)
+    assert rc == 2 and err == ["error: no clustering attempt produced a decomposition"]
+
+
 def _shear_scenario(checks):
     """A graph immersion whose transversal (u1/2, 0, 0, 0, 1) gives, at the
     origin, nabla omega = 0 and a rank-one S that is not h-selfadjoint."""
@@ -847,7 +898,19 @@ _EXPRESSIONS = hst.one_of(
                hst.integers(1, 2 * MAX_NESTING)),
     hst.lists(_TERMS, min_size=1, max_size=6).map(" * ".join))
 _JUNK = hst.sampled_from([None, True, -1, 0, 2.5, "4", "x", [], {}, 10 ** 400, 1e308])
+# scenarios that stay valid: a transversal entry i (of 0..3) that depends
+# on coordinate u_j, j != i + 1, makes the shape operator S fail to be
+# h-selfadjoint, so ``equiaffine`` FAILs (exit 1); an omega entry of
+# nonzero derivative keeps every check passing on the paraboloid, where
+# S = 0.  |coefficient| <= 0.1 keeps the frame regular at the sample points.
+_SMALL = hst.sampled_from(["0.05", "0.1", "-0.1"])
+_BREAKING = hst.builds(
+    lambda i, d, c, g: ("transversal", i, f"{c}*{g}(u{(i + d) % 4 + 1})"),
+    hst.integers(0, 3), hst.integers(1, 3), _SMALL, hst.sampled_from(["", "sin"]))
+_OMEGA_FIELDS = hst.builds(lambda j, c: ("omega_field", 0, f"1 + {c}*u{j}"),
+                           hst.integers(1, 4), _SMALL)
 _FIELDS = hst.one_of(
+    _BREAKING, _OMEGA_FIELDS,
     hst.builds(lambda i, e: ("immersion", i, e), hst.integers(0, 4), _EXPRESSIONS),
     hst.builds(lambda e: ("omega", 0, e), _EXPRESSIONS),
     hst.builds(lambda v: ("dim", None, v), _JUNK),
@@ -860,9 +923,9 @@ _FIELDS = hst.one_of(
 def _mutated_paraboloid(changes):
     data = _shipped("paraboloid")
     for field, key, value in changes:
-        if field == "immersion":
-            data["immersion"][key] = value
-        elif field == "omega":
+        if field in ("immersion", "transversal"):
+            data[field][key] = value
+        elif field in ("omega", "omega_field"):
             data["omega"][0][1], data["omega"][1][0] = value, f"-({value})"
         elif field == "checks":
             data["checks"] = [{"name": "alternating_identity", key: value}]
@@ -873,19 +936,104 @@ def _mutated_paraboloid(changes):
     return data
 
 
-@settings(max_examples=60, deadline=None)
-@given(hst.lists(_FIELDS, min_size=1, max_size=3))
-def test_any_scenario_text_exits_cleanly(changes):
+def test_any_scenario_text_exits_cleanly():
     """No scenario text ends in a traceback: main returns 0, 1 or 2, and an
-    exit 2 prints exactly one stderr line."""
+    exit 2 prints exactly one stderr line.  Half the examples change only
+    valid fields: one breaking transversal entry (with or without omega
+    fields) exits 1, omega fields alone exit 0, and exit 1 comes in at
+    least a tenth of all examples (about a third in practice)."""
+    codes = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.one_of(hst.lists(hst.one_of(_BREAKING, _OMEGA_FIELDS), min_size=1,
+                                max_size=2),
+                      hst.lists(_FIELDS, min_size=1, max_size=3)))
+    def run(changes):
+        with tempfile.TemporaryDirectory() as tmp:
+            sc = Path(tmp) / "sc.json"
+            sc.write_text(json.dumps(_mutated_paraboloid(changes)))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["check-geometry", "--scenario", str(sc)])
+        event(f"exit code {rc}")
+        codes.append(rc)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        kinds = [c[0] for c in changes]
+        if set(kinds) <= {"transversal", "omega_field"}:
+            if kinds.count("transversal") == 1:
+                assert rc == 1, changes
+            elif "transversal" not in kinds:
+                assert rc == 0, changes
+
+    run()
+    assert codes.count(1) >= len(codes) / 10, codes
+
+
+# one H-selfadjoint pair, a complex pair 0.3 +- 1.2i beside (+1) and (-1),
+# and mutations of its matrix file
+_PAIR = {"dim": 4, "A": [0.3, 1.2, 0, 0, -1.2, 0.3, 0, 0, 0, 0, 0.5, 0, 0, 0, 0, -0.7],
+         "H": [0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1]}
+_ENTRIES = hst.one_of(
+    hst.sampled_from([None, True, False, "1", "NaN", [], [1.0], {}, {"x": 1},
+                      10 ** 400, -(10 ** 400), 2 ** 63, float("nan"), float("inf"),
+                      -float("inf"), 1e308, -1e308, 5e-324, 0, 1]),
+    hst.floats(allow_nan=True, allow_infinity=True))
+_MATRIX_CHANGES = hst.one_of(
+    hst.builds(lambda v: ("dim", v), hst.one_of(
+        _ENTRIES, hst.integers(-3, 6), hst.sampled_from([10 ** 400, 2 ** 40, 4.0]))),
+    hst.builds(lambda key, n: ("length", key, n), hst.sampled_from("AH"),
+               hst.integers(0, 20)),
+    hst.builds(lambda key, i, v: ("entry", key, i, v), hst.sampled_from("AH"),
+               hst.integers(0, 15), _ENTRIES),
+    hst.builds(lambda key, w: ("rows", key, w), hst.sampled_from("AH"),
+               hst.integers(1, 5)),
+    hst.builds(lambda key: ("drop", key), hst.sampled_from(["dim", "A", "H"])),
+    hst.builds(lambda v: ("top", v), hst.sampled_from([[], [1, 2], 3, "pair", None])))
+
+
+def _mutated_pair(changes):
+    data = json.loads(json.dumps(_PAIR))
+    for change in changes:
+        kind, args = change[0], change[1:]
+        if not isinstance(data, dict):
+            break
+        if kind == "dim":
+            data["dim"] = args[0]
+        elif kind == "length" and isinstance(data.get(args[0]), list):
+            entries = data[args[0]]
+            data[args[0]] = (entries * 2)[: args[1]]
+        elif kind == "entry" and isinstance(data.get(args[0]), list):
+            entries = data[args[0]]
+            if entries:
+                entries[args[1] % len(entries)] = args[2]
+        elif kind == "rows" and isinstance(data.get(args[0]), list):
+            entries, w = data[args[0]], args[1]
+            data[args[0]] = [entries[i:i + w] for i in range(0, len(entries), w)]
+        elif kind == "drop":
+            data.pop(args[0], None)
+        elif kind == "top":
+            data = args[0]
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.lists(_MATRIX_CHANGES, min_size=1, max_size=3))
+def test_any_matrix_file_exits_cleanly(changes):
+    """No matrix file ends ``decompose`` in a traceback: main returns 0, 1
+    or 2, and an exit 2 prints exactly one ``error:`` line on stderr."""
     with tempfile.TemporaryDirectory() as tmp:
-        sc = Path(tmp) / "sc.json"
-        sc.write_text(json.dumps(_mutated_paraboloid(changes)))
+        mat = Path(tmp) / "pair.json"
+        mat.write_text(json.dumps(_mutated_pair(changes)))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["check-geometry", "--scenario", str(sc)])
+            rc = main(["decompose", str(mat)])
     event(f"exit code {rc}")
     assert rc in (0, 1, 2)
+    lines = err.getvalue().splitlines()
     if rc == 2:
-        lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert lines == [] and json.loads(out.getvalue())["command"] == "decompose"

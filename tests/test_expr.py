@@ -132,5 +132,16 @@ def test_nesting_counts_levels_not_tokens():
 
 
 def test_literal_beyond_double_range_prints():
-    # 1e400 parses to inf; the printer names it instead of failing in int()
-    assert to_source(parse_expr("x^1e400 + 1e400", COORDS)) == "x^inf+inf"
+    # an inf literal, which the parser refuses, can still be built by hand;
+    # the printer names it instead of failing in int()
+    inf = float("inf")
+    assert to_source(Bin("+", Pow(Var("x"), inf), Num(inf))) == "x^inf+inf"
+
+
+@pytest.mark.parametrize("source, offset", [
+    ("x + 1e400", 4), ("x^1e400 + 1", 2), ("2*" + "9" * 400, 2)])
+def test_literal_beyond_double_range_is_a_parse_error(source, offset):
+    with pytest.raises(ParseError, match="beyond the double range") as err:
+        parse_expr(source, COORDS)
+    assert err.value.offset == offset
+    assert parse_expr("x + 1e308", COORDS) == Bin("+", Var("x"), Num(1e308))

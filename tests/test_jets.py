@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from affsym.expr import FUNCTIONS, Bin, Call, Neg, Num, Pow, Var, parse_expr, to_source
 from affsym.jets import (_PRODUCT, JetDomainError, JetOrderError, _call, _constant,
-                         _power, _reciprocal, eval_jet, eval_jets, jet_space)
+                         _head, _power, _reciprocal, eval_jet, eval_jets, jet_space)
 
 PRODUCT = "...,...->..."
 
@@ -189,13 +189,16 @@ def test_partial_drops_one_order():
 # -- one pass over many expressions -----------------------------------
 
 
-def _tree_jet(e, point, order, coords):
+def _tree_jet(e, point, order, coords, label):
     """Reference: one expression at a time, every subtree evaluated where
-    it occurs, by recursion (the evaluator before ``eval_jets``)."""
+    it occurs, by recursion (the evaluator before ``eval_jets``).  An error
+    names ``label`` and the point, and a value that is not finite the head
+    of the first node, children first, to fail."""
     space = jet_space(len(coords), order)
+    point = tuple(map(float, point))
     env = {}
     for i, name in enumerate(coords):
-        env[name] = _constant(space, float(point[i]))
+        env[name] = _constant(space, point[i])
         if order >= 1:
             env[name][space.index_of[tuple(int(a == i) for a in range(len(coords)))]] = 1.0
 
@@ -215,10 +218,23 @@ def _tree_jet(e, point, order, coords):
             return _power(space, walk(e.base), e.exponent)
         return _call(space, e.func, walk(e.arg))
 
+    def first_failing(e):
+        # children first, left to right, as walk meets them
+        for kid in (getattr(e, f) for f in ("lhs", "rhs", "operand", "base", "arg")
+                    if hasattr(e, f)):
+            found = first_failing(kid)
+            if found is not None:
+                return found
+        return None if np.all(np.isfinite(walk(e))) else e
+
     with np.errstate(all="ignore"):
-        out = walk(e)
-    if not np.all(np.isfinite(out)):
-        raise JetDomainError(f"'{to_source(e)}' is not finite at {tuple(map(float, point))}")
+        try:
+            out = walk(e)
+        except JetDomainError as err:
+            raise JetDomainError(f"{label}: {err} at {point}") from None
+        if not np.all(np.isfinite(out)):
+            raise JetDomainError(
+                f"{label}: {_head(first_failing(e))} is not finite at {point}")
     return out
 
 
@@ -249,7 +265,8 @@ def shared_lists(draw):
 
 def _same_as_reference(exprs, point, order, keep):
     try:
-        want = [_tree_jet(e, point, q, TWO) for e, q in zip(exprs, keep)]
+        want = [_tree_jet(e, point, q, TWO, f"expression {k}")
+                for k, (e, q) in enumerate(zip(exprs, keep))]
     except JetDomainError as err:
         with pytest.raises(JetDomainError) as got:
             eval_jets(exprs, point, order, TWO, keep)
@@ -277,10 +294,16 @@ def test_first_failing_expression_names_the_error():
     fine = parse_expr("x*y", TWO)
     with pytest.raises(JetDomainError) as err:
         eval_jets([fine, overflow, log], (2.0, -1.0), 2, TWO)
-    assert str(err.value) == "'exp(x)^400' is not finite at (2.0, -1.0)"
+    assert str(err.value) == "expression 1: ^400 is not finite at (2.0, -1.0)"
     with pytest.raises(JetDomainError) as err:
-        eval_jets([fine, log, overflow], (2.0, -1.0), 2, TWO)
-    assert str(err.value) == "ln of a non-positive value"
+        eval_jets([fine, log, overflow], (2.0, -1.0), 2, TWO, labels=["f", "g", "h"])
+    assert str(err.value) == "g: ln of a non-positive value at (2.0, -1.0)"
+    # the head is the first node to fail, children first: exp here, not
+    # the sum or the power above it
+    with pytest.raises(JetDomainError) as err:
+        eval_jets([parse_expr("x + exp(exp(x)*300)^2 + ln(x)", TWO)], (2.0, -1.0), 0,
+                  TWO, labels=["immersion[0]"])
+    assert str(err.value) == "immersion[0]: exp is not finite at (2.0, -1.0)"
     # a coefficient beyond the kept order is not checked: 1/x at 1e-60
     # overflows only in its order-5 coefficient
     tiny = (1e-60, 1.0)
@@ -325,7 +348,7 @@ def test_long_sum_costs_about_one_walk():
             times.append(time.perf_counter() - t0)
         return min(times), out
 
-    t_ref, want = best(lambda: _tree_jet(total, point, 2, TWO))
+    t_ref, want = best(lambda: _tree_jet(total, point, 2, TWO, "total"))
     t_new, (got,) = best(lambda: eval_jets([total], point, 2, TWO))
     assert got.tobytes() == want.tobytes()
     assert t_new <= 2.0 * t_ref, (t_new, t_ref)

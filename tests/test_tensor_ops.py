@@ -13,7 +13,7 @@ from affsym.expr import parse_expr
 from affsym.jets import component_jets
 from affsym.tensor_ops import (K_CAP_GEOMETRIC, AlgebraicCurvature, ArityError,
                                GeometricCurvature, RecursionCapError,
-                               _pair_probe, _two_vectors,
+                               _pack_pairs, _pair_operator, _pair_probe,
                                alternating_sum_identity, nabla_powers,
                                pack_two_form, r_power_action, r_power_levels,
                                r_power_probe)
@@ -488,25 +488,23 @@ def test_probe_of_basis_vectors_is_the_component():
 
 
 def test_unit_two_vector_is_the_pair_of_basis_vectors():
-    # E_ab = 1/2 (e_a e_b^T - e_b e_a^T), a < b, is the 2-vector the pair
-    # helper forms from (e_a, e_b), signed zeros included, and the kernel's
-    # value on unit 2-vectors is the probe's at those basis vectors
+    # the unit pair of (a, b), a < b, a row of np.eye(N2), is the packed
+    # 2-vector the pair helper forms from (e_a, e_b), signed zeros
+    # included, and the kernel's value on unit pairs is the probe's at
+    # those basis vectors
     prov = AlgebraicCurvature(_model())
     w = tridiagonal_omega(4)
     e = np.eye(4)
     a, b = np.triu_indices(4, 1)
-    units = []
-    for x, y in zip(a, b):
-        unit = np.zeros((4, 4))
-        unit[x, y], unit[y, x] = 0.5, -0.5
-        assert unit.tobytes() == _two_vectors(e[[x, y]])[0].tobytes()
-        units.append(unit)
+    units = np.eye(len(a))
+    for r, (x, y) in enumerate(zip(a, b)):
+        assert units[r].tobytes() == _pack_pairs(e[[x, y]])[0].tobytes()
     rng = np.random.default_rng(8)
     for k in range(4):
         picks = rng.integers(0, len(units), size=k + 1)
         args = [int(i) for r in picks for i in (a[r], b[r])]
-        pairs = np.stack([units[r] for r in picks])[None]
-        assert _pair_probe(prov, w, pairs)[0] == r_power_probe(prov, w, k, e[args])
+        got = _pair_probe(prov, pack_two_form(w, 4), units[picks][None])[0]
+        assert got == r_power_probe(prov, w, k, e[args])
 
 
 def test_probe_of_an_empty_batch_is_empty():
@@ -531,10 +529,11 @@ def test_probe_arity_and_cap_checks():
     sc_prov, sc_w = _scenario_curvature("paraboloid")
     with pytest.raises(RecursionCapError):
         r_power_probe(sc_prov, sc_w, 4, np.ones((10, 4)))
-    # k! branches: at k = 8 and dim 8 one probe peaks at 8!/2 branches of
-    # two 8 x 8 pairs (5160960 entries), so ten of them exceed the entry cap
+    # k! branches: at k = 8 and dim 8 (N2 = 28) one probe peaks at its last
+    # level, where 8! branches each form a 28 x 28 matrix (31610880
+    # entries), so ten of them exceed the entry cap
     big = AlgebraicCurvature(assemble([RealBlock(4, 0.7, 1)] + [RealBlock(1, 0.0, 1)] * 4))
-    with pytest.raises(RecursionCapError, match="51609600 entries"):
+    with pytest.raises(RecursionCapError, match="316108800 entries"):
         r_power_probe(big, tridiagonal_omega(8), 8, np.ones((10, 18, 8)))
     # a form antisymmetric only to 1e-6 is no 2-form
     bent = w.copy()
@@ -544,6 +543,37 @@ def test_probe_arity_and_cap_checks():
 
 
 # -- R^k.omega packed on Lambda^2 ------------------------------------------
+
+
+def _gather_pair_operator(provider):
+    """Reference: the pair operator rho[P, A, B] as four dense gathers over
+    [A, B, P], one per term of (rho_P w)(e_a, e_b) = w(R e_a, e_b) +
+    w(e_a, R e_b) with its Kronecker deltas."""
+    c, d = np.triu_indices(provider.dim, 1)
+    a, b = c[:, None], d[:, None]
+    r = provider.full_tensor()[:, :, c, d]
+    rho = (r[c, a] * (b == d)[..., None] - r[d, a] * (b == c)[..., None]
+           + r[d, b] * (a == c)[..., None] - r[c, b] * (a == d)[..., None])
+    return np.moveaxis(rho, 2, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_models(dims=tuple(range(2, 11))))
+def test_pair_operator_matches_gather_reference_on_models(model):
+    prov = AlgebraicCurvature(model)
+    assert np.array_equal(_pair_operator(prov), _gather_pair_operator(prov))
+
+
+def test_pair_operator_matches_gather_reference_on_sample_points():
+    # every sample point of every shipped scenario; built once per provider
+    for name in BUILTIN_NAMES:
+        sc = load_scenario(name)
+        for point in sc.sample_points:
+            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
+            prov = GeometricCurvature(geo.curvature(st))
+            rho = _pair_operator(prov)
+            assert np.array_equal(rho, _gather_pair_operator(prov)), (name, point)
+            assert _pair_operator(prov) is rho and not rho.flags.writeable
 
 
 def _unpacked_r_power(provider, omega, k):
