@@ -196,7 +196,13 @@ def r_power_action(provider, tensor, k: int, args) -> float:
             out += coeff * eval_args(pos + 1, idxs + (m,))
         return out
 
-    return eval_args(0, ())
+    try:
+        return eval_args(0, ())
+    finally:
+        # both closures call themselves through their cells; clearing the
+        # cells frees them, and the provider they hold (with its pair
+        # operator), on return instead of at a later cyclic collection
+        eval_idx = eval_args = None
 
 
 @lru_cache(maxsize=None)

@@ -139,7 +139,8 @@ def test_literal_beyond_double_range_prints():
 
 
 @pytest.mark.parametrize("source, offset", [
-    ("x + 1e400", 4), ("x^1e400 + 1", 2), ("2*" + "9" * 400, 2)])
+    ("x + 1e400", 4), ("x^1e400 + 1", 2), ("2*" + "9" * 400, 2)],
+    ids=["term", "exponent", "long_literal"])
 def test_literal_beyond_double_range_is_a_parse_error(source, offset):
     with pytest.raises(ParseError, match="beyond the double range") as err:
         parse_expr(source, COORDS)
