@@ -199,9 +199,8 @@ def r_power_action(provider, tensor, k: int, args) -> float:
     try:
         return eval_args(0, ())
     finally:
-        # both closures call themselves through their cells; clearing the
-        # cells frees them, and the provider they hold (with its pair
-        # operator), on return instead of at a later cyclic collection
+        # the closures call themselves through their cells: clearing them
+        # frees the provider they hold now, not at a later cyclic collection
         eval_idx = eval_args = None
 
 
