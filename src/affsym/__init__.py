@@ -4,10 +4,10 @@ action on almost symplectic forms, and H-selfadjoint canonical pairs."""
 __version__ = "0.1.0"
 
 from .canonical import CanonicalPair, classify, decompose, rank
-from .expr import parse_expr, to_source
+from .expr import parse_expr
 from .geometry import (InducedStructure, Scenario, curvature, fundamental_residuals,
                        induced_structure, structure_jets)
-from .jets import eval_jet, eval_jets
+from .jets import eval_jets
 from .model import BlockSpec, ComplexBlock, GaussModel, RealBlock, assemble
 from .scenarios import load_scenario, scenario_from_dict
 from .tensor_ops import (AlgebraicCurvature, GeometricCurvature,

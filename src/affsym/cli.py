@@ -32,8 +32,7 @@ from . import __version__, canonical, geometry, verify
 from .expr import ExprError
 from .jets import MAX_JET_ORDER, JetError
 from .model import RealBlock
-from .scenarios import (ScenarioFormatError, json_dim, load_scenario,
-                        scenario_digest)
+from .scenarios import ScenarioFormatError, json_dim, load_scenario
 from .tensor_ops import (K_CAP_ALGEBRAIC, GeometricCurvature, RecursionCapError,
                          alternating_sum_identity, check_packed_power,
                          nabla_powers)
@@ -248,7 +247,7 @@ def cmd_check_geometry(args):
     checks, order = _resolve_checks(sc)
     structures = sc.validate(order)
     base = _header("check-geometry", scenario=sc.name,
-                   scenario_digest=scenario_digest(args.scenario),
+                   scenario_digest=sc.digest,
                    master_seed=args.seed)
     records = _geometry_records(sc, checks, structures, args.seed)
     return _finish(records, base, args.output, args.strict)

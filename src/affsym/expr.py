@@ -1,4 +1,4 @@
-"""Closed-form coordinate expressions: AST, parser and printer.
+"""Closed-form coordinate expressions: AST and parser.
 
 Grammar (EBNF)::
 
@@ -231,61 +231,3 @@ def parse_expr(source: str, coords) -> Expr:
     if not source or not source.strip():
         raise ParseError("empty expression", 0, expected="expression")
     return _Parser(source, coords).parse()
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
-
-
-def _prec(e):
-    if isinstance(e, Bin):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    if isinstance(e, Pow):
-        return _PREC["pow"]
-    return _PREC["atom"]
-
-
-def _fmt_num(v):
-    if abs(v) < 1e16 and v == int(v):
-        return str(int(v))
-    return repr(v)
-
-
-def to_source(e: Expr) -> str:
-    """Render an AST back to source; parse(to_source(e)) reproduces e.
-
-    The tree is walked on an explicit stack of nodes (each with whether it
-    needs parentheses) and pending text, so a long sum, whose tree is as
-    deep as it is long, prints without recursion.
-    """
-    out, stack = [], [(e, False)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        e, paren = item
-        if paren:
-            out.append("(")
-            stack.append(")")
-        if isinstance(e, Num):
-            out.append(_fmt_num(e.value))
-        elif isinstance(e, Var):
-            out.append(e.name)
-        elif isinstance(e, Call):
-            out.append(f"{e.func}(")
-            stack += [")", (e.arg, False)]
-        elif isinstance(e, Neg):
-            out.append("-")
-            stack.append((e.operand, _prec(e.operand) < _PREC["neg"]))
-        elif isinstance(e, Pow):
-            # '^' cannot chain (the exponent is a literal), so a Pow base needs parens
-            stack += [f"^{_fmt_num(e.exponent)}", (e.base, _prec(e.base) <= _PREC["pow"])]
-        elif isinstance(e, Bin):
-            # left-associative: parenthesise the right child at equal precedence
-            stack += [(e.rhs, _prec(e.rhs) <= _PREC[e.op]), e.op,
-                      (e.lhs, _prec(e.lhs) < _PREC[e.op])]
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-    return "".join(out)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import H_RCOND_MIN
-from .jets import component_jets, eval_jet, eval_jets, jet_space
+from .jets import component_jets, eval_jets, jet_space
 
 #: frames with condition number beyond this are rejected
 FRAME_COND_LIMIT = 1e12
@@ -61,10 +61,12 @@ class Scenario:
     sample_points: tuple
     constraints: tuple = field(default=())   # (name, expression) pairs, require > 0
     checks: tuple = field(default=())
+    digest: str = ""        # sha256 of the bytes load_scenario parsed, if it did
 
     def check_constraints(self, point):
         for name, e in self.constraints:
-            if eval_jet(e, point, 0, self.coords, f"constraint '{name}'")[0] <= 0.0:
+            [value] = eval_jets([e], point, 0, self.coords, labels=[f"constraint '{name}'"])
+            if value[0] <= 0.0:
                 raise ConstraintError(name, point)
 
     def validate(self, order: int) -> tuple:

@@ -184,7 +184,7 @@ def _libm(fn, x):
 
 
 # Series coefficients are computed from u0 as a numpy scalar, so that an
-# overflow or underflow yields inf or NaN (reported by eval_jet's finite
+# overflow or underflow yields inf or NaN (reported by eval_jets' finite
 # check) rather than a Python arithmetic error.
 
 
@@ -412,12 +412,6 @@ def _head(e) -> str:
     if isinstance(e, ex.Bin):
         return e.op
     return e.func if isinstance(e, ex.Call) else e.name
-
-
-def eval_jet(e, point, order: int, coords, label="expression 0") -> np.ndarray:
-    """Coefficient array of expression ``e`` at ``point`` to the given
-    order: ``eval_jets([e], point, order, coords, labels=[label])[0]``."""
-    return eval_jets([e], point, order, coords, labels=[label])[0]
 
 
 def component_jets(components, point, order: int, coords) -> np.ndarray:

@@ -22,6 +22,7 @@ Loading only parses: ``Scenario.validate`` checks the sample points.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -165,9 +166,11 @@ def _scenario_bytes(path_or_name: str) -> bytes:
 
 
 def load_scenario(path_or_name: str) -> Scenario:
-    """Parse a scenario from a file path or by shipped-gallery name."""
+    """Parse a scenario from a file path or by shipped-gallery name; its
+    ``digest`` is the sha256 of the bytes parsed."""
     try:
-        data = json.loads(_scenario_bytes(path_or_name))
+        raw = _scenario_bytes(path_or_name)
+        data = json.loads(raw)
     except json.JSONDecodeError as err:
         raise ScenarioFormatError(
             f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from err
@@ -175,8 +178,5 @@ def load_scenario(path_or_name: str) -> Scenario:
         # an integer literal beyond the interpreter's digit limit, or bytes
         # that are not UTF-8
         raise ScenarioFormatError(f"unreadable JSON: {err}") from err
-    return scenario_from_dict(data)
-
-
-def scenario_digest(path_or_name: str) -> str:
-    return hashlib.sha256(_scenario_bytes(path_or_name)).hexdigest()
+    return dataclasses.replace(scenario_from_dict(data),
+                               digest=hashlib.sha256(raw).hexdigest())

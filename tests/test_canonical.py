@@ -64,6 +64,8 @@ def test_not_selfadjoint_rejected():
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2) + 0.0)
     with pytest.raises(CanonicalError):
         decompose(np.zeros((2, 2)), np.zeros((2, 2)))  # singular H
+    with pytest.raises(CanonicalError, match="A and H must be square and of equal size"):
+        decompose(np.eye(2), np.eye(3))
 
 
 def _conjugate(rng, m, spread=2.0):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,11 +14,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 import affsym
-from affsym import cli, geometry
+from affsym import cli, geometry, scenarios
 from affsym.cli import TRIALS_CAP, _identity_trials, _resolve_checks, main
 from affsym.expr import MAX_NESTING
 from affsym.model import RealBlock, assemble
 from affsym.scenarios import scenario_from_dict
+from test_geometry import graph_twin
+from test_verify import INADMISSIBLE
 
 
 def _load(path):
@@ -271,6 +274,28 @@ def test_oracles_zero_p_max_is_usage_error(capsys):
         assert rc == 2 and err == [f"error: {oid} needs p_max >= 2, got 1"], oid
 
 
+_FILTERS = hst.one_of(hst.sampled_from([oid for oid, _ in affsym.list_oracles()]),
+                     hst.sampled_from(["cx_*", "blk?_*", "*", "nothing", "cx_", "zz*"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FILTERS, hst.integers(-2, 3), hst.integers(-1, 10), hst.integers(-3, 2 ** 70))
+def test_any_oracles_flags_exit_cleanly(pattern, trials, p_max, seed):
+    """No oracles flags end in a traceback: exit 0 or 1 writes nothing to
+    stderr, exit 2 exactly one ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["oracles", "--filter", pattern, "--trials", str(trials),
+                   "--p-max", str(p_max), "--seed", str(seed)])
+    event(f"exit code {rc}")
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert lines == []
+
+
 def test_decompose_applies_tol(tmp_path, capsys):
     # ||A^T H - H A|| = 1e-6: rejected at the default 1e-8, accepted at 1e-4
     mat = tmp_path / "mat.json"
@@ -444,6 +469,22 @@ def test_check_geometry_solves_each_point_once(monkeypatch, tmp_path):
     assert main(["check-geometry", "--scenario", "paper_example_n2",
                  "--output", str(tmp_path / "rep.json")]) == 0
     assert calls == {"solve": 3, "induced": 3}
+
+
+def test_check_geometry_reads_its_scenario_once(monkeypatch, tmp_path):
+    # the digest describes the very bytes that were checked
+    calls, read = [], scenarios._scenario_bytes
+
+    def counted_read(path_or_name):
+        calls.append(path_or_name)
+        return read(path_or_name)
+
+    monkeypatch.setattr(scenarios, "_scenario_bytes", counted_read)
+    sc, out = tmp_path / "sc.json", tmp_path / "rep.json"
+    sc.write_text(json.dumps(_shipped("paraboloid")))
+    assert main(["check-geometry", "--scenario", str(sc), "--output", str(out)]) == 0
+    assert calls == [str(sc)]
+    assert _load(out)["scenario_digest"] == hashlib.sha256(sc.read_bytes()).hexdigest()
 
 
 def test_degenerate_second_fundamental_form_is_usage_error(tmp_path, capsys):
@@ -689,18 +730,12 @@ def test_cli_runs_without_scipy(tmp_path):
 
 
 def _diag_rank2_twin(point, eps=1.0):
-    """The graph immersion (u, u^T H u / 2) with transversal (-S u, 1) for
-    S = diag(eps, -eps/2, 0, 0) and H = diag(1, -1, 1, 1): at u = 0 it
-    induces S and H with Gamma = 0, so a constant omega has nabla omega = 0
-    there and nowhere near it."""
-    return {
-        "name": "diag_rank2_twin", "dim": 4, "coords": ["u0", "u1", "u2", "u3"],
-        "immersion": ["u0", "u1", "u2", "u3",
-                      "0.5*u0*u0 + -0.5*u1*u1 + 0.5*u2*u2 + 0.5*u3*u3"],
-        "transversal": [f"-{eps!r}*u0", f"{eps / 2!r}*u1", "0", "0", "1"],
-        "omega": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
-        "sample_points": [point], "checks": [{"name": "rank_theorem"}],
-    }
+    """The graph twin of S = diag(eps, -eps/2, 0, 0), H = diag(1, -1, 1, 1):
+    at u = 0 it induces S and H with Gamma = 0, so a constant omega has
+    nabla omega = 0 there and nowhere near it."""
+    blocks = [RealBlock(1, eps, 1), RealBlock(1, -eps / 2, -1),
+              RealBlock(1, 0.0, 1), RealBlock(1, 0.0, 1)]
+    return graph_twin(blocks, [point], name="diag_rank2_twin")
 
 
 def test_pointwise_nabla_zero_is_a_warning_not_a_failure(tmp_path):
@@ -731,6 +766,21 @@ def test_twin_off_the_origin_stays_vacuous(tmp_path):
         assert [r["status"] for r in rec] == ["VACUOUS"], eps
         assert "reason" not in rec[0]["params"]
         assert rec[0]["params"]["rank_S"] == 2 and rec[0]["tol"] == 1e-8
+
+
+@pytest.mark.parametrize("shape", sorted(INADMISSIBLE))
+def test_criterion_5_twins_warn_at_the_origin_only(shape, tmp_path):
+    # Gamma = 0 and a constant omega make nabla omega vanish at the origin
+    # alone: WARN at power 1 there, VACUOUS at power 3 just off it
+    blocks = INADMISSIBLE[shape]
+    dim = sum(b.dim for b in blocks)
+    off = [0.1, -0.05, 0.08, 0.02, -0.1, 0.07, -0.03, 0.06][:dim]
+    for point, status, power in (([0.0] * dim, "WARN", 1), (off, "VACUOUS", 3)):
+        sc, out = tmp_path / "twin.json", tmp_path / "rep.json"
+        sc.write_text(json.dumps(graph_twin(blocks, [point])))
+        assert main(["check-geometry", "--scenario", str(sc), "--output", str(out)]) == 0
+        [rec] = _load(out)["checks"]
+        assert (rec["status"], rec["params"]["power"]) == (status, power), point
 
 
 def _report_of(argv, capsys):

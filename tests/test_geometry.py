@@ -8,7 +8,36 @@ from hypothesis import strategies as hst
 
 from affsym import geometry as geo
 from affsym.jets import jet_space
+from affsym.model import ComplexBlock, RealBlock, assemble
 from affsym.scenarios import load_scenario, scenario_from_dict
+from affsym.tensor_ops import (AlgebraicCurvature, GeometricCurvature, pack_two_form,
+                               r_power_levels)
+from test_verify import INADMISSIBLE
+
+
+def _linear(coeffs, coords):
+    """``sum c * coord`` over the nonzero c, or "0"; repr(float(c)), since a
+    numpy scalar prints as np.float64(...), which the parser rejects."""
+    terms = [f"{float(c)!r}*{x}" for c, x in zip(coeffs, coords) if c != 0]
+    return " + ".join(terms) or "0"
+
+
+def graph_twin(blocks, points, name="twin"):
+    """The scenario dict of the graph twin of a block list: immersion
+    (u, u^T H u / 2) and transversal (-S u, 1) for the (S, H) of
+    ``assemble(blocks)``, with tridiagonal omega and a rank_theorem check.
+    At u = 0 it induces S and h = H, with Gamma = 0 and tau = 0."""
+    m = assemble(blocks)
+    coords = [f"u{i}" for i in range(m.dim)]
+    quadratic = [f"u{i}*u{j}" for i in range(m.dim) for j in range(m.dim)]
+    return {
+        "name": name, "dim": m.dim, "coords": coords,
+        "immersion": coords + [_linear((0.5 * m.H).ravel(), quadratic)],
+        "transversal": [_linear(-row, coords) for row in m.S] + ["1"],
+        "omega": (np.eye(m.dim, k=1) - np.eye(m.dim, k=-1)).astype(int).tolist(),
+        "sample_points": [list(p) for p in points],
+        "checks": [{"name": "rank_theorem"}],
+    }
 
 
 def test_paraboloid_structure():
@@ -107,6 +136,13 @@ def test_constraint_violation_is_named():
     with pytest.raises(geo.ConstraintError) as err:
         geo.induced_structure(geo.structure_jets(sc, (0.0, 1.0, 0.5, 0.5), 1))
     assert err.value.name == "x_nonzero"
+
+
+def test_induced_structure_needs_first_order_jets():
+    sc = load_scenario("paraboloid")
+    sj = geo.structure_jets(sc, sc.sample_points[0], 0)
+    with pytest.raises(geo.GeometryError, match="needs structure jets of order >= 1"):
+        geo.induced_structure(sj)
 
 
 def test_singular_frame_rejected():
@@ -278,3 +314,56 @@ def test_lu_factor_names_the_zero_pivot():
         geo._lu_factor(a)
     with pytest.raises(geo.SingularFrameError, match="zero pivot in column 0"):
         geo._lu_factor(np.zeros((3, 3)))
+
+
+# 0 twice, so that zero eigenvalues, and with them rank-deficient S, are common
+_EIGENVALUES = hst.sampled_from([-2.1, -0.8, 0.0, 0.0, 0.6, 1.3])
+
+
+@hst.composite
+def twin_blocks(draw):
+    """Block lists of even dim 4 to 8: real blocks of size 1 to 4 with grid
+    eigenvalues (0 among them) and either sip sign, complex blocks of
+    half-size 1 to 2."""
+    left, blocks = draw(hst.sampled_from((4, 6, 8))), []
+    while left:
+        if left >= 2 and draw(hst.booleans()):
+            half = draw(hst.integers(1, min(2, left // 2)))
+            blocks.append(ComplexBlock(half, draw(hst.sampled_from((-1.0, 0.0, 0.9))),
+                                       draw(hst.sampled_from((0.7, 1.6)))))
+            left -= 2 * half
+        else:
+            size = draw(hst.integers(1, min(4, left)))
+            blocks.append(RealBlock(size, draw(_EIGENVALUES),
+                                    draw(hst.sampled_from((1, -1)))))
+            left -= size
+    return blocks
+
+
+def _assert_twin_is_exact(blocks):
+    """The geometric half (jets, frame solve, Gamma/h/S/tau, R) and the
+    algebraic half (AlgebraicCurvature of the blocks) agree exactly at the
+    twin's origin, and so do the rank check's R-side maxima."""
+    m = assemble(blocks)
+    sc = scenario_from_dict(graph_twin(blocks, []))
+    sj = geo.structure_jets(sc, (0.0,) * m.dim, 2)
+    assert np.array_equal(sj.S[0], m.S) and np.array_equal(sj.h[0], m.H)
+    assert not np.any(sj.gamma[0])
+    r = geo.curvature(geo.induced_structure(sj))
+    algebraic = AlgebraicCurvature(m)
+    assert np.array_equal(r, algebraic.full_tensor())
+    w = pack_two_form(np.eye(m.dim, k=1) - np.eye(m.dim, k=-1), m.dim)
+    maxima = [[float(np.max(np.abs(t))) for t in r_power_levels(prov, w, 3)]
+              for prov in (GeometricCurvature(r), algebraic)]
+    assert maxima[0] == maxima[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(twin_blocks())
+def test_twin_induces_its_block_model_exactly(blocks):
+    _assert_twin_is_exact(blocks)
+
+
+def test_criterion_5_twins_induce_their_block_models_exactly():
+    for blocks in INADMISSIBLE.values():
+        _assert_twin_is_exact(blocks)

@@ -1,3 +1,4 @@
+import copy
 import math
 import time
 
@@ -6,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsym.expr import FUNCTIONS, Bin, Call, Neg, Num, Pow, Var, parse_expr, to_source
+from affsym.expr import FUNCTIONS, Bin, Call, Neg, Num, Pow, Var, parse_expr
 from affsym.jets import (_PRODUCT, JetDomainError, JetOrderError, _call, _constant,
-                         _head, _power, _reciprocal, eval_jet, eval_jets, jet_space)
+                         _head, _power, _reciprocal, eval_jets, jet_space)
 
 PRODUCT = "...,...->..."
 
 
 def _jet(src, coords, point, order):
-    return eval_jet(parse_expr(src, coords), point, order, coords)
+    return eval_jets([parse_expr(src, coords)], point, order, coords)[0]
 
 
 def _derivative(c, order, multi_index):
@@ -102,7 +103,7 @@ def test_polynomial_jets_match_finite_differences(order):
         src, terms = _random_poly(rng, coords, order)
         e = parse_expr(src, coords)
         point = tuple(float(v) for v in rng.uniform(-1.5, 1.5, len(coords)))
-        jet = eval_jet(e, point, order, coords)
+        [jet] = eval_jets([e], point, order, coords)
 
         def plain(pt, terms=terms):
             return sum(coeff * math.prod(x ** d for x, d in zip(pt, degs))
@@ -119,10 +120,8 @@ def test_ring_homomorphism():
         a = parse_expr(_random_poly(rng, coords, 3)[0], coords)
         b = parse_expr(_random_poly(rng, coords, 3)[0], coords)
         point = tuple(float(v) for v in rng.uniform(-1, 1, 2))
-        ja = eval_jet(a, point, 3, coords)
-        jb = eval_jet(b, point, 3, coords)
-        jsum = eval_jet(Bin("+", a, b), point, 3, coords)
-        jprod = eval_jet(Bin("*", a, b), point, 3, coords)
+        ja, jb, jsum, jprod = (eval_jets([e], point, 3, coords)[0]
+                               for e in (a, b, Bin("+", a, b), Bin("*", a, b)))
         scale = np.maximum(1.0, np.abs(jsum))
         assert np.max(np.abs((ja + jb) - jsum) / scale) < 1e-12
         scale = np.maximum(1.0, np.abs(jprod))
@@ -134,7 +133,7 @@ def test_polynomial_exactness_to_roundoff():
     # degree-3 polynomial at order 3: coefficients are exact rationals
     coords = ("x", "y")
     e = parse_expr("x^3 - 2*x*y^2 + y", coords)
-    c = eval_jet(e, (2.0, -1.0), 3, coords)
+    [c] = eval_jets([e], (2.0, -1.0), 3, coords)
     expected = {(0, 0): 3.0, (1, 0): 10.0, (0, 1): 9.0, (2, 0): 6.0,
                 (1, 1): 4.0, (0, 2): -4.0, (3, 0): 1.0, (1, 2): -2.0}
     for m, v in zip(jet_space(2, 3).multi_indices, c):
@@ -252,12 +251,12 @@ SUBTREES = st.recursive(
 @st.composite
 def shared_lists(draw):
     """Expressions over a small pool of subtrees: a pool member itself, a
-    reparsed copy of one (equal, not identical), or an operation on two."""
+    deep copy of one (equal, not identical), or an operation on two."""
     pool = draw(st.lists(SUBTREES, min_size=1, max_size=4))
     pick = st.sampled_from(pool)
     item = st.one_of(
         pick,
-        pick.map(lambda e: parse_expr(to_source(e), TWO)),
+        pick.map(copy.deepcopy),
         st.builds(Bin, st.sampled_from("+-*/"), pick, pick),
         st.builds(Call, st.sampled_from(FUNCTIONS), pick))
     return draw(st.lists(item, min_size=1, max_size=6))
@@ -311,7 +310,7 @@ def test_first_failing_expression_names_the_error():
     with pytest.raises(JetDomainError):
         eval_jets([recip], tiny, 5, TWO)
     kept = eval_jets([recip, fine], tiny, 5, TWO, keep=[4, 5])[0]
-    assert kept.tobytes() == eval_jet(recip, tiny, 4, TWO).tobytes()
+    assert kept.tobytes() == eval_jets([recip], tiny, 4, TWO)[0].tobytes()
 
 
 def test_kept_orders_are_checked():
@@ -322,6 +321,8 @@ def test_kept_orders_are_checked():
         eval_jets([x], (0.0, 0.0), 2, TWO, keep=[-1])
     with pytest.raises(ValueError):
         eval_jets([x, x], (0.0, 0.0), 2, TWO, keep=[1])
+    with pytest.raises(ValueError, match="point dimension does not match coordinate count"):
+        eval_jets([x], (0.0, 0.0, 0.0), 2, TWO)
 
 
 def _balanced_sum(terms):

@@ -37,6 +37,17 @@ def test_complex_block_form():
     assert np.array_equal(h, np.fliplr(np.eye(4)))
 
 
+@pytest.mark.parametrize("make, words", [
+    (lambda: RealBlock(0, 1.0, 1), "real block size must be >= 1"),
+    (lambda: RealBlock(1, 0.0, 2), "real block sign must be +1 or -1"),
+    (lambda: ComplexBlock(0, 0.5, 1.0), "complex block half-size must be >= 1")],
+    ids=["real_size", "real_sign", "complex_half_size"])
+def test_block_fields_are_checked(make, words):
+    with pytest.raises(ModelError) as err:
+        make()
+    assert str(err.value) == words
+
+
 def test_blocks_are_selfadjoint_pairs():
     rng = np.random.default_rng(5)
     for _ in range(50):

@@ -50,6 +50,20 @@ def test_dimension_checks():
         scenario_from_dict(_minimal(omega=[[0, 1], [-1, 0]]))
 
 
+@pytest.mark.parametrize("change, words", [
+    (lambda d: d.pop("omega"), "missing scenario key 'omega'"),
+    (lambda d: d.update(sample_points=[0.1, 0.2, 0.3, 0.4]),
+     "sample_points must be a list of coordinate lists"),
+    (lambda d: d["transversal"].pop(0), "expected 5 transversal components, got 4")],
+    ids=["no_omega", "flat_sample_points", "short_transversal"])
+def test_malformed_fields_are_named(change, words):
+    data = _minimal()
+    change(data)
+    with pytest.raises(ScenarioFormatError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == words
+
+
 def test_expression_errors_carry_context():
     with pytest.raises(ScenarioFormatError) as err:
         scenario_from_dict(_minimal(immersion=["a", "b", "c", "d", "a +"]))

@@ -47,6 +47,8 @@ def test_arity_checks():
     w = tridiagonal_omega(4)
     with pytest.raises(ArityError):
         r_power_action(prov, w, 1, (0, 1, 2))
+    with pytest.raises(ArityError, match=r"argument vector has shape \(3,\), expected \(4,\)"):
+        r_power_action(prov, w, 1, (0, 1, 2, np.ones(3)))
     with pytest.raises(RecursionCapError):
         r_power_action(prov, w, 9, tuple(0 for _ in range(20)))
 

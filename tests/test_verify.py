@@ -5,7 +5,7 @@ from hypothesis import strategies as hst
 
 from affsym import verify
 from affsym import geometry as geo
-from affsym.model import ComplexBlock, RealBlock, assemble, random_omega
+from affsym.model import ComplexBlock, ModelError, RealBlock, assemble, random_omega
 from affsym.scenarios import load_scenario
 from affsym.tensor_ops import (AlgebraicCurvature, GeometricCurvature, nabla_powers,
                                r_power_action)
@@ -38,6 +38,20 @@ def test_unknown_oracle_id():
         verify.power_of("nope", {})
     with pytest.raises(OracleError):
         run_family("nope", 1)
+
+
+@pytest.mark.parametrize("change, words", [
+    (lambda q: q["blocks"][0].__setitem__(2, float("nan")), "is not finite"),
+    (lambda q: q["blocks"][0].__setitem__(0, "triangle"), "unknown block kind 'triangle'"),
+    (lambda q: q.pop("omega"), "KeyError('omega')")],
+    ids=["nan_entry", "unknown_kind", "no_omega"])
+def test_malformed_spec_is_an_oracle_error(change, words):
+    spec = sample_spec("lemma34", np.random.default_rng(0))
+    params = {**spec.params, "blocks": [list(b) for b in spec.params["blocks"]]}
+    change(params)
+    with pytest.raises(OracleError, match="malformed params: ") as err:
+        run_oracle(OracleSpec(spec.id, params))
+    assert words in str(err.value)
 
 
 def test_hypothesis_violations_are_named():
@@ -271,6 +285,16 @@ def test_witness_search_over_nothing_is_an_error(p_max, trials):
         theorem_witness(INADMISSIBLE["diag_rank2"], p_max=p_max, trials=trials)
 
 
+def test_degenerate_form_draws_are_reported(monkeypatch):
+    def no_form(*args, **kwargs):
+        raise ModelError("could not draw a nondegenerate form")
+
+    monkeypatch.setattr(verify, "random_omega", no_form)
+    report = theorem_witness(INADMISSIBLE["diag_rank2"], p_max=2, trials=3)
+    assert [e.source for e in report.entries] == ["degenerate"] * 6
+    assert report.degenerate_omegas == 6 and not report.all_found
+
+
 def test_no_false_witness_on_admissible_rank_one_shape():
     # nilpotent 2-block with (+1) and (-1): R^3 omega = 0, so the probe is
     # zero and no component may be reported
@@ -305,6 +329,8 @@ def test_check_rank_theorem_on_models():
 
     with pytest.raises(OracleError):
         _rank_on_model(zero, 1, [np.zeros((4, 4))])
+    with pytest.raises(OracleError, match="rank check power 0 is below 1"):
+        _rank_on_model(zero, 0)
 
 
 def test_check_rank_theorem_at_dimension_ten():
