@@ -198,9 +198,36 @@ def _clusters(eigvals, delta):
     return real_clusters, cplx_clusters
 
 
-def _attempt(a, h, real_clusters, cplx_clusters, delta):
+def _peel(a, h, lam, mult, complex_field, peeled):
+    """The chains of one cluster and the warnings peeling it appended.
+
+    ``peeled`` maps (complex_field, repr(lam), mult) to what the peel gave,
+    chains and warnings or the message of the CanonicalError it raised, so
+    each cluster is peeled once per ``decompose`` call; ``repr`` tells the
+    zeros of either sign apart, which the warnings print differently.
+    """
+    key = (complex_field, repr(lam), mult)
+    if key not in peeled:
+        warnings = []
+        try:
+            basis = _root_space(a, lam, mult, warnings)
+            if complex_field:
+                a, h = a.astype(complex), h.astype(complex)
+            chains = _extract_chains(a, h, basis, lam, complex_field, warnings)
+        except CanonicalError as err:
+            peeled[key] = str(err)
+            raise
+        peeled[key] = (chains, warnings)
+    got = peeled[key]
+    if isinstance(got, str):
+        raise CanonicalError(got)
+    return got
+
+
+def _attempt(a, h, real_clusters, cplx_clusters, delta, peeled):
     """The canonical pair built on one clustering; ``delta`` enters only the
-    warnings about clusters closer than 10 delta."""
+    warnings about clusters closer than 10 delta, and ``peeled`` holds the
+    clusters already peeled in this ``decompose`` call (see ``_peel``)."""
     n = a.shape[0]
     warnings = []
     if sum(m for _, m in real_clusters) + 2 * sum(m for _, m in cplx_clusters) != n:
@@ -219,13 +246,14 @@ def _attempt(a, h, real_clusters, cplx_clusters, delta):
 
     entries = []  # (block, [real column vectors])
     for lam, mult in real_clusters:
-        basis = _root_space(a, lam, mult, warnings)
-        for length, sign, cols in _extract_chains(a, h, basis, lam, False, warnings):
+        chains, peel_warnings = _peel(a, h, lam, mult, False, peeled)
+        warnings += peel_warnings
+        for length, sign, cols in chains:
             entries.append((RealBlock(length, lam, sign), cols))
     for lam, mult in cplx_clusters:
-        basis = _root_space(a, lam, mult, warnings)
-        for length, _sign, cols in _extract_chains(
-                a.astype(complex), h.astype(complex), basis, lam, True, warnings):
+        chains, peel_warnings = _peel(a, h, lam, mult, True, peeled)
+        warnings += peel_warnings
+        for length, _sign, cols in chains:
             entries.append((ComplexBlock(length, lam.real, lam.imag),
                             [part for c in cols for part in (c.real, c.imag)]))
 
@@ -252,7 +280,8 @@ def _attempt(a, h, real_clusters, cplx_clusters, delta):
 #: the base threshold, so failed attempts retry with a coarser delta.  A
 #: step whose clusters equal an earlier step's is skipped: its attempt would
 #: give the same blocks and residuals, which neither returned nor beat the
-#: best then.
+#: best then.  A cluster a later step keeps is not peeled again: its chains
+#: and warnings, or the CanonicalError it raised, are reused.
 _DELTA_LADDER = (1.0, 10.0, 100.0, 400.0)
 
 
@@ -261,10 +290,11 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
 
     ``tol`` gates the selfadjointness precondition; eigenvalues are
     clustered at 1e-6 * ||A||, escalated along ``_DELTA_LADDER`` when the
-    canonical residuals come out poor.  An entry beyond ``ENTRY_MAX``, or a
-    product that still overflows, raises CanonicalError; the overflow is
-    caught where it happens, because LAPACK's SVD need not return on the
-    NaN it would lead to.
+    canonical residuals come out poor; each cluster is peeled once per call
+    and reused by the later steps that keep it, a failed peel included.  An
+    entry beyond ``ENTRY_MAX``, or a product that still overflows, raises
+    CanonicalError; the overflow is caught where it happens, because
+    LAPACK's SVD need not return on the NaN it would lead to.
     """
     a = np.asarray(a, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -288,7 +318,7 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
 
     eigvals = np.linalg.eigvals(a)
     base = 1e-6 * max(1.0, norm_a)
-    best, tried = None, set()
+    best, tried, peeled = None, set(), {}
     for step, factor in enumerate(_DELTA_LADDER):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -296,7 +326,7 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
                 if clusters in tried:
                     continue
                 tried.add(clusters)
-                cand = _attempt(a, h, *clusters, base * factor)
+                cand = _attempt(a, h, *clusters, base * factor, peeled)
         except (FloatingPointError, OverflowError) as exc:
             raise CanonicalError(
                 f"decomposition leaves the double-precision range ({exc})") from exc

@@ -155,8 +155,13 @@ def scenario_from_dict(data: dict) -> Scenario:
 def _scenario_bytes(path_or_name: str) -> bytes:
     """The bytes of a scenario file, given by path or by shipped-gallery name."""
     if os.path.exists(path_or_name):
-        with open(path_or_name, "rb") as fh:
-            return fh.read()
+        try:
+            with open(path_or_name, "rb") as fh:
+                return fh.read()
+        except OSError as err:
+            # a directory, or a file this process may not read
+            raise ScenarioFormatError(
+                f"cannot read scenario file {path_or_name!r}: {err.strerror or err}") from err
     if path_or_name in BUILTIN_NAMES:
         return resources.files("affsym").joinpath(
             "data", f"{path_or_name}.json").read_bytes()
@@ -168,8 +173,8 @@ def _scenario_bytes(path_or_name: str) -> bytes:
 def load_scenario(path_or_name: str) -> Scenario:
     """Parse a scenario from a file path or by shipped-gallery name; its
     ``digest`` is the sha256 of the bytes parsed."""
+    raw = _scenario_bytes(path_or_name)
     try:
-        raw = _scenario_bytes(path_or_name)
         data = json.loads(raw)
     except json.JSONDecodeError as err:
         raise ScenarioFormatError(

@@ -281,8 +281,9 @@ def test_canonical_form_is_recovered_under_congruence(blocks, seed):
 
 def _ladder_without_skips(a, h):
     """Reference: decompose's threshold ladder as it was before a step that
-    repeats an earlier step's clusters was skipped; every step runs its
-    attempt (clustering and chains, as ``_attempt`` did in one piece)."""
+    repeats an earlier step's clusters was skipped, and before a cluster
+    was peeled once per call; every step runs its attempt (clustering and
+    chains, as ``_attempt`` did in one piece) with a fresh ``peeled``."""
     eigvals = np.linalg.eigvals(a)
     base = 1e-6 * max(1.0, float(np.max(np.abs(a))))
     best = None
@@ -291,7 +292,7 @@ def _ladder_without_skips(a, h):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 cand = canonical._attempt(a, h, *canonical._clusters(eigvals, delta),
-                                          delta)
+                                          delta, {})
         except CanonicalError:
             continue
         if step > 0:
@@ -339,6 +340,69 @@ def test_each_distinct_clustering_is_attempted_once(monkeypatch):
     assert pair.blocks[0].size == 4
     assert len(set(seen)) < len(seen)
     assert attempts == list(dict.fromkeys(seen))
+
+
+def test_each_cluster_is_peeled_once_per_call(monkeypatch):
+    # the 4-block's scattered eigenvalues fail the first clustering at one
+    # of its singletons; the next step merges them and keeps the two
+    # simple eigenvalues, whose chains the first step already peeled
+    peels, attempts, failures = [], [], []
+    root_space, attempt = canonical._root_space, canonical._attempt
+
+    def counted_root_space(a, lam, mult, warnings):
+        peels.append((isinstance(lam, complex), repr(lam), mult))
+        return root_space(a, lam, mult, warnings)
+
+    def counted_attempt(*args):
+        attempts.append(args)
+        try:
+            return attempt(*args)
+        except CanonicalError as err:
+            failures.append(str(err))
+            raise
+
+    monkeypatch.setattr(canonical, "_root_space", counted_root_space)
+    monkeypatch.setattr(canonical, "_attempt", counted_attempt)
+    m = assemble([RealBlock(4, 0.0, 1), RealBlock(1, 1.3, 1), RealBlock(1, -0.8, -1)])
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(6, 6)))
+    a, h = q.T @ m.S @ q, q.T @ m.H @ q
+    pair = decompose(a, h)
+    assert [b.size for b in pair.blocks] == [4, 1, 1]
+    assert any("clustering threshold escalated" in w for w in pair.warnings)
+
+    clusters = sum(len(args[2]) + len(args[3]) for args in attempts)
+    assert len(attempts) >= 2 and len(failures) >= 1
+    assert len(set(peels)) == len(peels) < clusters
+
+    # a remembered failure is raised again, with its message, and not peeled
+    failed, done = attempts[0], len(peels)
+    with pytest.raises(CanonicalError) as err:
+        attempt(*failed)
+    assert str(err.value) == failures[0]
+    assert len(peels) == done
+
+
+def test_a_reused_cluster_replays_its_warnings(monkeypatch):
+    # the first clustering of this scattered 3-block succeeds with a weak
+    # root-space warning at one of its singletons; an attempt on the same
+    # clusters with the same peels gives the same pair, that warning
+    # included, and peels nothing
+    rng = np.random.default_rng(2755)
+    blocks = _random_blocks(rng)
+    assert blocks == [RealBlock(3, 0.0, -1), RealBlock(1, 0.0, 1), RealBlock(2, 2.0, 1)]
+    a, h, _ = _conjugate(rng, assemble(blocks), spread=2.5)
+    delta = 1e-6 * max(1.0, float(np.max(np.abs(a))))
+    clusters = canonical._clusters(np.linalg.eigvals(a), delta)
+    peeled = {}
+    first = canonical._attempt(a, h, *clusters, delta, peeled)
+    assert any(w.startswith("weak root-space separation") for w in first.warnings)
+
+    peels = []
+    monkeypatch.setattr(canonical, "_root_space", lambda *args: peels.append(args))
+    again = canonical._attempt(a, h, *clusters, delta, peeled)
+    assert not peels
+    assert again.warnings == first.warnings
+    assert again.transform.tobytes() == first.transform.tobytes()
 
 
 _MATRICES = hst.tuples(hst.integers(1, 6), hst.integers(1, 6), hst.booleans(),

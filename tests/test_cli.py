@@ -50,7 +50,38 @@ def test_check_geometry_sphere_is_vacuous_not_failing(tmp_path):
 
 def test_missing_scenario_is_usage_error(capsys):
     assert main(["check-geometry", "--scenario", "missing_thing"]) == 2
-    assert "missing_thing" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: no such scenario file or builtin name: 'missing_thing' (builtins: "
+        "paper_example_n2, paper_example_n3, paraboloid, centroaffine_sphere)\n")
+
+
+def test_directory_as_scenario_is_usage_error(tmp_path, capsys):
+    assert main(["check-geometry", "--scenario", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read scenario file {str(tmp_path)!r}: Is a directory\n")
+
+
+def test_unreadable_scenario_is_usage_error(tmp_path, capsys, monkeypatch):
+    # a root process reads a file whatever its mode, so the refusal is
+    # made by open itself
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped("paraboloid")))
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(scenarios, "open", refuse, raising=False)
+    assert main(["check-geometry", "--scenario", str(sc)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read scenario file {str(sc)!r}: Permission denied\n")
+
+
+def test_non_utf8_scenario_is_unreadable_json(tmp_path, capsys):
+    sc = tmp_path / "sc.json"
+    sc.write_bytes(b'{"name": "\xff"}')
+    assert main(["check-geometry", "--scenario", str(sc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unreadable JSON: "), err
 
 
 def test_malformed_expression_exit_code(tmp_path, capsys):
