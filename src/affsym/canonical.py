@@ -201,27 +201,21 @@ def _clusters(eigvals, delta):
 def _peel(a, h, lam, mult, complex_field, peeled):
     """The chains of one cluster and the warnings peeling it appended.
 
-    ``peeled`` maps (complex_field, repr(lam), mult) to what the peel gave,
-    chains and warnings or the message of the CanonicalError it raised, so
-    each cluster is peeled once per ``decompose`` call; ``repr`` tells the
-    zeros of either sign apart, which the warnings print differently.
+    ``peeled`` maps (complex_field, repr(lam), mult) to the chains and
+    warnings of each cluster peeled so far in this ``decompose`` call, so a
+    cluster is peeled once per call; ``repr`` tells the zeros of either
+    sign apart, which the warnings print differently.  A peel that raises
+    is not kept: a later step that keeps that cluster peels it again.
     """
     key = (complex_field, repr(lam), mult)
     if key not in peeled:
         warnings = []
-        try:
-            basis = _root_space(a, lam, mult, warnings)
-            if complex_field:
-                a, h = a.astype(complex), h.astype(complex)
-            chains = _extract_chains(a, h, basis, lam, complex_field, warnings)
-        except CanonicalError as err:
-            peeled[key] = str(err)
-            raise
-        peeled[key] = (chains, warnings)
-    got = peeled[key]
-    if isinstance(got, str):
-        raise CanonicalError(got)
-    return got
+        basis = _root_space(a, lam, mult, warnings)
+        if complex_field:
+            a, h = a.astype(complex), h.astype(complex)
+        peeled[key] = (_extract_chains(a, h, basis, lam, complex_field, warnings),
+                       warnings)
+    return peeled[key]
 
 
 def _attempt(a, h, real_clusters, cplx_clusters, delta, peeled):
@@ -281,7 +275,7 @@ def _attempt(a, h, real_clusters, cplx_clusters, delta, peeled):
 #: step whose clusters equal an earlier step's is skipped: its attempt would
 #: give the same blocks and residuals, which neither returned nor beat the
 #: best then.  A cluster a later step keeps is not peeled again: its chains
-#: and warnings, or the CanonicalError it raised, are reused.
+#: and warnings are reused (a peel that raised is redone).
 _DELTA_LADDER = (1.0, 10.0, 100.0, 400.0)
 
 
@@ -291,7 +285,7 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
     ``tol`` gates the selfadjointness precondition; eigenvalues are
     clustered at 1e-6 * ||A||, escalated along ``_DELTA_LADDER`` when the
     canonical residuals come out poor; each cluster is peeled once per call
-    and reused by the later steps that keep it, a failed peel included.  An
+    and reused by the later steps that keep it (a failed peel is redone).  An
     entry beyond ``ENTRY_MAX``, or a product that still overflows, raises
     CanonicalError; the overflow is caught where it happens, because
     LAPACK's SVD need not return on the NaN it would lead to.

@@ -374,33 +374,34 @@ def test_each_cluster_is_peeled_once_per_call(monkeypatch):
     assert len(attempts) >= 2 and len(failures) >= 1
     assert len(set(peels)) == len(peels) < clusters
 
-    # a remembered failure is raised again, with its message, and not peeled
-    failed, done = attempts[0], len(peels)
-    with pytest.raises(CanonicalError) as err:
-        attempt(*failed)
-    assert str(err.value) == failures[0]
-    assert len(peels) == done
-
 
 def test_a_reused_cluster_replays_its_warnings(monkeypatch):
-    # the first clustering of this scattered 3-block succeeds with a weak
-    # root-space warning at one of its singletons; an attempt on the same
-    # clusters with the same peels gives the same pair, that warning
-    # included, and peels nothing
-    rng = np.random.default_rng(2755)
-    blocks = _random_blocks(rng)
-    assert blocks == [RealBlock(3, 0.0, -1), RealBlock(1, 0.0, 1), RealBlock(2, 2.0, 1)]
-    a, h, _ = _conjugate(rng, assemble(blocks), spread=2.5)
+    # every peel of the first attempt appends a marker naming its cluster;
+    # a second attempt on the same clusters and the same peels peels
+    # nothing and gives the same pair, the markers in the same places
+    m = assemble([RealBlock(2, 0.6, 1), RealBlock(1, 1.3, 1), RealBlock(1, -0.8, -1)])
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    a, h = q.T @ m.S @ q, q.T @ m.H @ q
     delta = 1e-6 * max(1.0, float(np.max(np.abs(a))))
     clusters = canonical._clusters(np.linalg.eigvals(a), delta)
+    assert len(clusters[0]) == 3 and not clusters[1]
+    root_space = canonical._root_space
+
+    def marked_root_space(a, lam, mult, warnings):
+        warnings.append(f"peeled {lam!r} x{mult}")
+        return root_space(a, lam, mult, warnings)
+
+    monkeypatch.setattr(canonical, "_root_space", marked_root_space)
     peeled = {}
     first = canonical._attempt(a, h, *clusters, delta, peeled)
-    assert any(w.startswith("weak root-space separation") for w in first.warnings)
+    assert [w for w in first.warnings if w.startswith("peeled ")] == [
+        f"peeled {lam!r} x{mult}" for lam, mult in clusters[0]]
 
-    peels = []
-    monkeypatch.setattr(canonical, "_root_space", lambda *args: peels.append(args))
+    def no_peel(*args):
+        raise AssertionError(f"cluster peeled again: {args[1:3]}")
+
+    monkeypatch.setattr(canonical, "_root_space", no_peel)
     again = canonical._attempt(a, h, *clusters, delta, peeled)
-    assert not peels
     assert again.warnings == first.warnings
     assert again.transform.tobytes() == first.transform.tobytes()
 
