@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .canonical import CanonicalPair, classify, decompose, rank
 from .expr import parse_expr
-from .geometry import (InducedStructure, Scenario, curvature, fundamental_residuals,
-                       induced_structure, structure_jets)
+from .geometry import (Scenario, curvature, first_partials, fundamental_residuals,
+                       structure_jets)
 from .jets import eval_jets
 from .model import BlockSpec, ComplexBlock, GaussModel, RealBlock, assemble
 from .scenarios import load_scenario, scenario_from_dict

@@ -282,11 +282,13 @@ _DELTA_LADDER = (1.0, 10.0, 100.0, 400.0)
 def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
     """Decompose an H-selfadjoint matrix into its Jordan/sip canonical pair.
 
-    ``tol`` gates the selfadjointness precondition; eigenvalues are
-    clustered at 1e-6 * ||A||, escalated along ``_DELTA_LADDER`` when the
-    canonical residuals come out poor; each cluster is peeled once per call
-    and reused by the later steps that keep it (a failed peel is redone).  An
-    entry beyond ``ENTRY_MAX``, or a product that still overflows, raises
+    ``tol`` gates the selfadjointness precondition, normwise and entry by
+    entry (one huge entry must not widen the bound for the others; |A|
+    counts as at least 1 in both); eigenvalues are clustered at
+    1e-6 * ||A||, escalated along ``_DELTA_LADDER`` when the canonical
+    residuals come out poor; each cluster is peeled once per call and reused
+    by the later steps that keep it (a failed peel is redone).  An entry
+    beyond ``ENTRY_MAX``, or a product that still overflows, raises
     CanonicalError; the overflow is caught where it happens, because
     LAPACK's SVD need not return on the NaN it would lead to.
     """
@@ -305,10 +307,12 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
         raise CanonicalError("H is not symmetric")
     if 1.0 / np.linalg.cond(h) <= H_RCOND_MIN:
         raise CanonicalError("H is numerically singular")
-    err = float(np.max(np.abs(a.T @ h - h @ a)))
-    if err > tol * max(norm_h * norm_a, norm_h, 1e-300):
+    defect = np.abs(a.T @ h - h @ a)
+    sums = np.abs(a).T @ np.abs(h) + np.abs(h) @ np.abs(a)
+    bound = np.minimum(max(norm_h * norm_a, norm_h, 1e-300), np.maximum(sums, norm_h))
+    if np.any(defect > tol * bound):
         raise NotSelfadjointError(
-            f"A is not H-selfadjoint: ||A^T H - H A|| = {err:.3e}")
+            f"A is not H-selfadjoint: ||A^T H - H A|| = {np.max(defect):.3e}")
 
     eigvals = np.linalg.eigvals(a)
     base = 1e-6 * max(1.0, norm_a)

@@ -192,9 +192,8 @@ def _geometry_records(sc, checks, structures, seed):
     records = []
     for pi, (point, sj) in enumerate(zip(sc.sample_points, structures)):
         nablas = nabla_powers(sc.omega, sj, sj.order + 1) if with_chain else None
-        st = geometry.induced_structure(sj)
-        prov = GeometricCurvature(geometry.curvature(st))
-        res = geometry.fundamental_residuals(st, prov.R)
+        prov = GeometricCurvature(geometry.curvature(sj))
+        res = geometry.fundamental_residuals(sj, prov.R)
         for check in checks:
             name, tol, p_max = check["name"], check.get("tol"), check.get("p_max")
             label = f"{name}@point{pi}"
@@ -210,13 +209,13 @@ def _geometry_records(sc, checks, structures, seed):
                          {"point": point})
                         for part in ("gauss", "codazzi_h", "codazzi_s", "ricci")]
             elif name == "equiaffine":
-                dtau = float(np.max(np.abs(st.dtau)))
-                hs = st.h @ st.S
+                dtau = float(np.max(np.abs(geometry._dtau(sj))))
+                hs = sj.h[0] @ sj.S[0]
                 selfadj = float(np.max(np.abs(hs - hs.T)))
                 rows = [(label, max(dtau, selfadj),
                          {"point": point, "dtau": dtau, "h_selfadjoint": selfadj})]
             elif name == "rank_theorem":
-                v = verify.check_rank_theorem(prov, st.S, st.h, nablas, p_max, tol)
+                v = verify.check_rank_theorem(prov, sj.S[0], sj.h[0], nablas, p_max, tol)
                 params = {"point": point, "power": v.power, "rank_S": v.rank_s,
                           "max_nabla": v.max_nabla, "final_form": v.final_form}
                 if v.reason is not None:

@@ -112,7 +112,6 @@ class StructureJets:
 
     def __init__(self, scenario, point, order):
         n = scenario.dim
-        coords = scenario.coords
         self.scenario = scenario
         self.point = tuple(float(v) for v in point)
         self.dim = n
@@ -121,8 +120,8 @@ class StructureJets:
         # one pass over the immersion and transversal: f to order+2, xi to
         # order+1, each shared subtree evaluated once
         nf, nxi = len(scenario.immersion), len(scenario.transversal)
-        jets = eval_jets([*scenario.immersion, *scenario.transversal], point,
-                         order + 2, coords, keep=[order + 2] * nf + [order + 1] * nxi,
+        jets = eval_jets([*scenario.immersion, *scenario.transversal], point, order + 2,
+                         scenario.coords, keep=[order + 2] * nf + [order + 1] * nxi,
                          labels=[f"immersion[{i}]" for i in range(nf)]
                          + [f"transversal[{i}]" for i in range(nxi)])
         if nf != n + 1 or nxi != n + 1:
@@ -138,8 +137,7 @@ class StructureJets:
         self.rhs = np.stack([up.partial(df[i], j) for i, j in zip(*iu)]
                             + [up.partial(xi, i) for i in range(n)], axis=2)
 
-        f0 = self.frame[0]
-        self.cond = float(np.linalg.cond(f0))
+        self.cond = float(np.linalg.cond(self.frame[0]))
         if not np.isfinite(self.cond) or self.cond > FRAME_COND_LIMIT:
             raise SingularFrameError(
                 f"frame condition {self.cond:.3e} at point {self.point}")
@@ -217,48 +215,24 @@ def structure_jets(scenario, point, order: int) -> StructureJets:
     return StructureJets(scenario, point, order)
 
 
-@dataclass(frozen=True)
-class InducedStructure:
-    """Pointwise induced data; gamma[k,i,j] = Gamma^k_ij, dgamma[l,...] its d_l."""
-
-    point: tuple
-    gamma: np.ndarray
-    dgamma: np.ndarray
-    h: np.ndarray
-    S: np.ndarray
-    tau: np.ndarray
-    dtau: np.ndarray
-    dh: np.ndarray
-    dS: np.ndarray
-    cond: float
-
-
-def induced_structure(sj: StructureJets) -> InducedStructure:
-    """Pointwise values and first partials of the induced structure, read
-    from a solved StructureJets of order >= 1."""
+def first_partials(sj: StructureJets, coeffs) -> np.ndarray:
+    """First partials at the point of one of ``sj.gamma``, ``sj.h``,
+    ``sj.S``, ``sj.tau``: its degree-1 coefficients, d_l on a leading axis l."""
     if sj.order < 1:
         raise GeometryError("the induced structure needs structure jets of order >= 1")
     index_of = jet_space(sj.dim, sj.order).index_of
-    units = [index_of[tuple(int(a == l) for a in range(sj.dim))]
-             for l in range(sj.dim)]
-    dtau_src = sj.tau[units]  # dtau_src[l, i] = d_l tau_i
-    return InducedStructure(
-        point=sj.point,
-        gamma=sj.gamma[0],
-        dgamma=sj.gamma[units],
-        h=sj.h[0],
-        S=sj.S[0],
-        tau=sj.tau[0],
-        dtau=dtau_src - dtau_src.T,  # dtau[i, j] = d_i tau_j - d_j tau_i
-        dh=sj.h[units],
-        dS=sj.S[units],
-        cond=sj.cond,
-    )
+    return coeffs[[index_of[tuple(u)] for u in np.eye(sj.dim, dtype=int).tolist()]]
 
 
-def curvature(st: InducedStructure) -> np.ndarray:
+def _dtau(sj: StructureJets) -> np.ndarray:
+    """dtau[i, j] = d_i tau_j - d_j tau_i at the point."""
+    d = first_partials(sj, sj.tau)  # d[l, i] = d_l tau_i
+    return d - d.T
+
+
+def curvature(sj: StructureJets) -> np.ndarray:
     """R[l, t, i, j], the d_l component of R(d_i, d_j) d_t."""
-    g, dg = st.gamma, st.dgamma
+    g, dg = sj.gamma[0], first_partials(sj, sj.gamma)
     term1 = np.transpose(dg, (1, 3, 0, 2))   # d_i Gamma^l_{jt}
     term2 = np.transpose(dg, (1, 3, 2, 0))   # d_j Gamma^l_{it}
     term3 = np.einsum("lim,mjt->ltij", g, g)
@@ -279,38 +253,39 @@ class FundamentalResiduals:
     ricci: float
 
 
-def fundamental_residuals(st: InducedStructure, r: np.ndarray) -> FundamentalResiduals:
-    """Max-abs residuals of the four structural identities, given the
-    structure's ``curvature`` ``r``.
+def fundamental_residuals(sj: StructureJets, r: np.ndarray) -> FundamentalResiduals:
+    """Max-abs residuals of the four structural identities at the point of
+    a solved ``sj`` (order >= 1), given its ``curvature`` ``r``.
 
     These hold exactly for any induced structure, so the residuals measure
     only numerical error of the frame solve and differentiation.
     """
-    g, h, s_op, tau = st.gamma, st.h, st.S, st.tau
+    g, h, s_op, tau = sj.gamma[0], sj.h[0], sj.S[0], sj.tau[0]
+    dh, ds = first_partials(sj, sj.h), first_partials(sj, sj.S)
 
     gauss = float(np.max(np.abs(r - gauss_curvature_tensor(s_op, h))))
 
-    nabla_h = st.dh - np.einsum("mij,mk->ijk", g, h) - np.einsum("mik,jm->ijk", g, h)
+    nabla_h = dh - np.einsum("mij,mk->ijk", g, h) - np.einsum("mik,jm->ijk", g, h)
     cod_h = nabla_h + np.einsum("i,jk->ijk", tau, h)
     codazzi_h = float(np.max(np.abs(cod_h - np.transpose(cod_h, (1, 0, 2)))))
 
-    nabla_s = st.dS + np.einsum("kim,mj->ikj", g, s_op) - np.einsum("mij,km->ikj", g, s_op)
+    nabla_s = ds + np.einsum("kim,mj->ikj", g, s_op) - np.einsum("mij,km->ikj", g, s_op)
     cod_s = nabla_s - np.einsum("i,kj->ikj", tau, s_op)
     codazzi_s = float(np.max(np.abs(cod_s - np.transpose(cod_s, (2, 1, 0)))))
 
-    # h(X, SY) - h(SX, Y) = (d_i tau_j - d_j tau_i); the shipped scenarios
-    # all have tau = 0, see the ledger for the convention note.
+    # Ricci: h(X, SY) - h(SX, Y) = dtau(X, Y), with dtau(X, Y) =
+    # X tau(Y) - Y tau(X) - tau([X, Y]) (no factor 1/2), so on coordinate
+    # fields (h S - (h S)^T)_ij = d_i tau_j - d_j tau_i
     hs = h @ s_op
-    ricci = float(np.max(np.abs(hs - hs.T - st.dtau)))
+    ricci = float(np.max(np.abs(hs - hs.T - _dtau(sj))))
 
     return FundamentalResiduals(gauss, codazzi_h, codazzi_s, ricci)
 
 
 def frame_residual(sj: StructureJets) -> float:
     """Relative reconstruction error of the two splitting formulas."""
-    n = sj.dim
     frame, rhs = sj.frame[0], sj.rhs[0]
-    iu = np.triu_indices(n)
+    iu = np.triu_indices(sj.dim)
     coeffs = np.concatenate([
         np.vstack([sj.gamma[0][:, iu[0], iu[1]], sj.h[0][iu]]),
         np.vstack([-sj.S[0], sj.tau[0]])], axis=1)

@@ -909,7 +909,7 @@ def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> Rank
     except canonical.CanonicalError as err:
         return RankVerdict("WARN", q, max_r, max_nabla, rank_s, None,
                            f"(S, h) has no canonical form: {err}")
-    ok =rank_s <= 1 and summary.admissible_shape
+    ok = rank_s <= 1 and summary.admissible_shape
     verdict, reason = ("PASS" if ok else "FAIL"), None
     if not ok and not r_zero:
         verdict, reason = "WARN", (

@@ -39,23 +39,23 @@ def test_criterion_1_worked_example_reproduction():
     worst = {"s_off": 0.0, "tau": 0.0, "h": 0.0, "r1": 0.0, "r2": 0.0, "r3": 0.0}
     for point in points:
         x, y, z0, z1 = point
-        st = geo.induced_structure(geo.structure_jets(sc, point, 1))
+        sj = geo.structure_jets(sc, point, 1)
 
         s_expected = np.zeros((4, 4))
         s_expected[1, 0] = 1.0
         worst["s_off"] = max(worst["s_off"],
-                             float(np.max(np.abs(st.S - s_expected))))
-        worst["tau"] = max(worst["tau"], float(np.max(np.abs(st.tau))))
+                             float(np.max(np.abs(sj.S[0] - s_expected))))
+        worst["tau"] = max(worst["tau"], float(np.max(np.abs(sj.tau[0]))))
 
         h_expected = np.zeros((4, 4))
         h_expected[0, 1] = h_expected[1, 0] = 1.0
         h_expected[2, 2] = x * y
         h_expected[3, 3] = y * math.sin(z0) / math.cos(z1)
-        rel = np.max(np.abs(st.h - h_expected) / np.maximum(1.0, np.abs(h_expected)))
+        rel = np.max(np.abs(sj.h[0] - h_expected) / np.maximum(1.0, np.abs(h_expected)))
         worst["h"] = max(worst["h"], float(rel))
 
         w = component_jets(sc.omega, point, 0, sc.coords)[0]
-        prov = GeometricCurvature(geo.curvature(st))
+        prov = GeometricCurvature(geo.curvature(sj))
         r1 = r_power_action(prov, w, 1, (0, 2, 0, 2))
         worst["r1"] = max(worst["r1"], abs(r1 - (-x * y * w[0, 1])))
         r2 = r_power_action(prov, w, 2, (0, 2, 0, 2, 0, 2))
@@ -75,8 +75,8 @@ def test_criterion_2_fundamental_residuals():
     for name in SHIPPED:
         sc = load_scenario(name)
         for point in sc.sample_points:
-            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-            res = geo.fundamental_residuals(st, geo.curvature(st))
+            sj = geo.structure_jets(sc, point, 1)
+            res = geo.fundamental_residuals(sj, geo.curvature(sj))
             worst = max(worst, *astuple(res))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 60.0
@@ -179,10 +179,9 @@ def test_criterion_5_theorem_witnesses_and_rank_verdicts():
         outcome = []
         for point in sc.sample_points:
             sj = geo.structure_jets(sc, point, 2)
-            st = geo.induced_structure(sj)
-            prov = GeometricCurvature(geo.curvature(st))
+            prov = GeometricCurvature(geo.curvature(sj))
             nablas = nabla_powers(sc.omega, sj, 3)
-            per_power = [verify.check_rank_theorem(prov, st.S, st.h, nablas, p, 1e-8)
+            per_power = [verify.check_rank_theorem(prov, sj.S[0], sj.h[0], nablas, p, 1e-8)
                          for p in range(1, 4)]
             assert all(v.verdict != "FAIL" for v in per_power), (scenario_name, point)
             triggered = [v.verdict for v in per_power if v.verdict != "VACUOUS"]
@@ -200,9 +199,8 @@ def test_criterion_6_alternating_identity():
         sc = load_scenario(name)
         rng = np.random.default_rng(99)
         for point in sc.sample_points[:1]:
-            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-            prov = GeometricCurvature(geo.curvature(st))
             sj = geo.structure_jets(sc, point, 1)
+            prov = GeometricCurvature(geo.curvature(sj))
             w = component_jets(sc.omega, point, 0, sc.coords)[0]
             nabla = nabla_powers(w, sj, 2)[2]
             for _ in range(50):

@@ -484,22 +484,22 @@ def test_integer_power_overflow_at_sample_point_is_usage_error(field, tmp_path, 
 
 
 def test_check_geometry_solves_each_point_once(monkeypatch, tmp_path):
-    calls = {"solve": 0, "induced": 0}
-    solve, induced = geometry.StructureJets.__init__, geometry.induced_structure
+    calls = {"solve": 0, "curvature": 0}
+    solve, curvature = geometry.StructureJets.__init__, geometry.curvature
 
     def counted_solve(self, *args):
         calls["solve"] += 1
         solve(self, *args)
 
-    def counted_induced(*args):
-        calls["induced"] += 1
-        return induced(*args)
+    def counted_curvature(*args):
+        calls["curvature"] += 1
+        return curvature(*args)
 
     monkeypatch.setattr(geometry.StructureJets, "__init__", counted_solve)
-    monkeypatch.setattr(geometry, "induced_structure", counted_induced)
+    monkeypatch.setattr(geometry, "curvature", counted_curvature)
     assert main(["check-geometry", "--scenario", "paper_example_n2",
                  "--output", str(tmp_path / "rep.json")]) == 0
-    assert calls == {"solve": 3, "induced": 3}
+    assert calls == {"solve": 3, "curvature": 3}
 
 
 def test_check_geometry_reads_its_scenario_once(monkeypatch, tmp_path):
@@ -920,14 +920,27 @@ def test_literal_beyond_double_range_is_a_load_error(tmp_path, capsys):
         "error: in immersion[0]: at offset 5: numeric literal beyond the double range"]
 
 
-def test_singular_canonical_basis_is_usage_error(tmp_path, capsys):
-    # A[0, 1] = 2^63 keeps A H-selfadjoint within the relative tol, and
-    # every clustering gives a singular basis T (a LinAlgError traceback
-    # once, found by the matrix-file property)
+def test_singular_canonical_basis_is_usage_error(monkeypatch, tmp_path, capsys):
+    # a singular basis T in every clustering (a LinAlgError traceback once,
+    # found by the matrix-file property) is one error line
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    mat = tmp_path / "pair.json"
+    mat.write_text(json.dumps(_PAIR))
+    rc, err = _usage_error(["decompose", str(mat)], capsys)
+    assert rc == 2 and err == ["error: no clustering attempt produced a decomposition"]
+
+
+def test_one_huge_entry_does_not_widen_the_selfadjoint_gate(tmp_path, capsys):
+    # A[0, 1] = 2^63 leaves a 0.3 mismatch at (0, 1) and (1, 0), within the
+    # normwise bound 9.2e10 but not the entrywise one
     mat = tmp_path / "pair.json"
     mat.write_text(json.dumps(dict(_PAIR, A=[0.0, 2 ** 63] + _PAIR["A"][2:])))
     rc, err = _usage_error(["decompose", str(mat)], capsys)
-    assert rc == 2 and err == ["error: no clustering attempt produced a decomposition"]
+    assert rc == 2 and err == [
+        "error: A is not H-selfadjoint: ||A^T H - H A|| = 3.000e-01"]
 
 
 def _shear_scenario(checks):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from affsym import geometry as geo
+from affsym.expr import parse_expr
 from affsym.jets import jet_space
 from affsym.model import ComplexBlock, RealBlock, assemble
 from affsym.scenarios import load_scenario, scenario_from_dict
@@ -43,45 +44,46 @@ def graph_twin(blocks, points, name="twin"):
 def test_paraboloid_structure():
     sc = load_scenario("paraboloid")
     for point in sc.sample_points:
-        st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-        assert np.max(np.abs(st.gamma)) == 0.0
-        assert np.array_equal(st.h, 2.0 * np.eye(4))
-        assert np.max(np.abs(st.S)) == 0.0
-        assert np.max(np.abs(st.tau)) == 0.0
-        assert np.max(np.abs(geo.curvature(st))) == 0.0
+        sj = geo.structure_jets(sc, point, 1)
+        assert np.max(np.abs(sj.gamma[0])) == 0.0
+        assert np.array_equal(sj.h[0], 2.0 * np.eye(4))
+        assert np.max(np.abs(sj.S[0])) == 0.0
+        assert np.max(np.abs(sj.tau[0])) == 0.0
+        assert np.max(np.abs(geo.curvature(sj))) == 0.0
 
 
 def test_worked_example_structure():
     sc = load_scenario("paper_example_n2")
     for point in sc.sample_points:
         x, y, z0, z1 = point
-        st = geo.induced_structure(geo.structure_jets(sc, point, 1))
+        sj = geo.structure_jets(sc, point, 1)
         expected_s = np.zeros((4, 4))
         expected_s[1, 0] = 1.0
-        assert np.max(np.abs(st.S - expected_s)) < 1e-10
-        assert np.max(np.abs(st.tau)) < 1e-10
+        assert np.max(np.abs(sj.S[0] - expected_s)) < 1e-10
+        assert np.max(np.abs(sj.tau[0])) < 1e-10
         expected_h = np.zeros((4, 4))
         expected_h[0, 1] = expected_h[1, 0] = 1.0
         expected_h[2, 2] = x * y
         expected_h[3, 3] = y * math.sin(z0) / math.cos(z1)
-        assert np.max(np.abs(st.h - expected_h) / np.maximum(1.0, np.abs(expected_h))) < 1e-9
+        rel = np.abs(sj.h[0] - expected_h) / np.maximum(1.0, np.abs(expected_h))
+        assert np.max(rel) < 1e-9
 
 
 def test_centroaffine_sphere_structure():
     sc = load_scenario("centroaffine_sphere")
     for point in sc.sample_points:
         t1, t2, t3, _ = point
-        st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-        assert np.max(np.abs(st.S - np.eye(4))) < 1e-10
-        assert np.max(np.abs(st.tau)) < 1e-10
+        sj = geo.structure_jets(sc, point, 1)
+        assert np.max(np.abs(sj.S[0] - np.eye(4))) < 1e-10
+        assert np.max(np.abs(sj.tau[0])) < 1e-10
         round_metric = np.diag([
             1.0, math.sin(t1) ** 2, (math.sin(t1) * math.sin(t2)) ** 2,
             (math.sin(t1) * math.sin(t2) * math.sin(t3)) ** 2])
-        assert np.max(np.abs(st.h - round_metric)) < 1e-10
+        assert np.max(np.abs(sj.h[0] - round_metric)) < 1e-10
         # constant-curvature form of the Gauss rule with S = identity
-        r = geo.curvature(st)
-        expected = (np.einsum("jt,li->ltij", st.h, np.eye(4))
-                    - np.einsum("it,lj->ltij", st.h, np.eye(4)))
+        r = geo.curvature(sj)
+        expected = (np.einsum("jt,li->ltij", sj.h[0], np.eye(4))
+                    - np.einsum("it,lj->ltij", sj.h[0], np.eye(4)))
         assert np.max(np.abs(r - expected)) < 1e-8
 
 
@@ -90,9 +92,25 @@ def test_fundamental_residuals_all_scenarios():
                  "centroaffine_sphere"):
         sc = load_scenario(name)
         for point in sc.sample_points:
-            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-            res = geo.fundamental_residuals(st, geo.curvature(st))
+            sj = geo.structure_jets(sc, point, 1)
+            res = geo.fundamental_residuals(sj, geo.curvature(sj))
             assert max(astuple(res)) < 1e-8, (name, point, res)
+
+
+def test_ricci_and_codazzi_residuals_at_nonzero_dtau():
+    # a transversal that tilts with the point makes tau non-closed at each
+    # sample point of the paraboloid, so the Ricci identity balances
+    # h S - (h S)^T against dtau, and both Codazzi identities carry tau
+    sc = load_scenario("paraboloid")
+    sc = replace(sc, transversal=tuple(parse_expr(e, sc.coords) for e in (
+        "0.3*u2", "0", "0.2*u1*u3", "0", "1 + 0.1*u1*u2")))
+    for sj in sc.validate(1):
+        res = geo.fundamental_residuals(sj, geo.curvature(sj))
+        dtau = geo._dtau(sj)
+        assert max(astuple(res)) < 1e-12 and np.max(np.abs(dtau)) > 0.1, (res, dtau)
+        # the opposite sign of dtau leaves twice dtau
+        hs = sj.h[0] @ sj.S[0]
+        assert np.max(np.abs(hs - hs.T + dtau)) > 0.1
 
 
 def test_gauss_model_equivalence():
@@ -100,17 +118,17 @@ def test_gauss_model_equivalence():
                  "centroaffine_sphere"):
         sc = load_scenario(name)
         for point in sc.sample_points:
-            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-            r = geo.curvature(st)
-            assert np.max(np.abs(r - geo.gauss_curvature_tensor(st.S, st.h))) < 1e-8
+            sj = geo.structure_jets(sc, point, 1)
+            r = geo.curvature(sj)
+            assert np.max(np.abs(r - geo.gauss_curvature_tensor(sj.S[0], sj.h[0]))) < 1e-8
 
 
 def test_curvature_antisymmetry_and_gamma_symmetry():
     sc = load_scenario("paper_example_n3")
-    st = geo.induced_structure(geo.structure_jets(sc, sc.sample_points[0], 1))
-    assert np.max(np.abs(st.gamma - np.transpose(st.gamma, (0, 2, 1)))) == 0.0
-    assert np.max(np.abs(st.h - st.h.T)) == 0.0
-    r = geo.curvature(st)
+    sj = geo.structure_jets(sc, sc.sample_points[0], 1)
+    assert np.max(np.abs(sj.gamma[0] - np.transpose(sj.gamma[0], (0, 2, 1)))) == 0.0
+    assert np.max(np.abs(sj.h[0] - sj.h[0].T)) == 0.0
+    r = geo.curvature(sj)
     assert np.max(np.abs(r + np.transpose(r, (0, 1, 3, 2)))) < 1e-10
 
 
@@ -125,16 +143,16 @@ def test_locally_equiaffine_implies_h_selfadjoint():
     for name in ("paper_example_n2", "paper_example_n3", "centroaffine_sphere"):
         sc = load_scenario(name)
         for point in sc.sample_points:
-            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-            assert np.max(np.abs(st.dtau)) < 1e-10   # locally equiaffine
-            hs = st.h @ st.S
+            sj = geo.structure_jets(sc, point, 1)
+            assert np.max(np.abs(geo._dtau(sj))) < 1e-10   # locally equiaffine
+            hs = sj.h[0] @ sj.S[0]
             assert np.max(np.abs(hs - hs.T)) < 1e-9
 
 
 def test_constraint_violation_is_named():
     sc = load_scenario("paper_example_n2")
     with pytest.raises(geo.ConstraintError) as err:
-        geo.induced_structure(geo.structure_jets(sc, (0.0, 1.0, 0.5, 0.5), 1))
+        geo.structure_jets(sc, (0.0, 1.0, 0.5, 0.5), 1)
     assert err.value.name == "x_nonzero"
 
 
@@ -142,7 +160,7 @@ def test_induced_structure_needs_first_order_jets():
     sc = load_scenario("paraboloid")
     sj = geo.structure_jets(sc, sc.sample_points[0], 0)
     with pytest.raises(geo.GeometryError, match="needs structure jets of order >= 1"):
-        geo.induced_structure(sj)
+        geo.curvature(sj)
 
 
 def test_singular_frame_rejected():
@@ -176,16 +194,16 @@ def test_structure_jets_carry_gamma_partials():
     # dGamma from the order-1 solve matches central differences of Gamma
     sc = load_scenario("centroaffine_sphere")
     point = sc.sample_points[0]
-    st = geo.induced_structure(geo.structure_jets(sc, point, 1))
+    sj = geo.structure_jets(sc, point, 1)
     h = 1e-5
     for axis in (0, 2):
         up = list(point)
         dn = list(point)
         up[axis] += h
         dn[axis] -= h
-        fd = (geo.induced_structure(geo.structure_jets(sc, up, 1)).gamma
-              - geo.induced_structure(geo.structure_jets(sc, dn, 1)).gamma) / (2 * h)
-        assert np.max(np.abs(st.dgamma[axis] - fd)) < 1e-7
+        fd = (geo.structure_jets(sc, up, 1).gamma[0]
+              - geo.structure_jets(sc, dn, 1).gamma[0]) / (2 * h)
+        assert np.max(np.abs(geo.first_partials(sj, sj.gamma)[axis] - fd)) < 1e-7
 
 
 def _general_family(n, epsilons):
@@ -213,12 +231,12 @@ def _general_family(n, epsilons):
 def test_family_generalizes_to_higher_dimension():
     sc = _general_family(4, (1, -1, 1, -1, 1))
     point = sc.sample_points[0]
-    st = geo.induced_structure(geo.structure_jets(sc, point, 1))
+    sj = geo.structure_jets(sc, point, 1)
     expected_s = np.zeros((8, 8))
     expected_s[1, 0] = 1.0
-    assert np.max(np.abs(st.S - expected_s)) < 1e-10
-    assert np.max(np.abs(st.tau)) < 1e-10
-    res = geo.fundamental_residuals(st, geo.curvature(st))
+    assert np.max(np.abs(sj.S[0] - expected_s)) < 1e-10
+    assert np.max(np.abs(sj.tau[0])) < 1e-10
+    res = geo.fundamental_residuals(sj, geo.curvature(sj))
     assert max(astuple(res)) < 1e-8
 
 
@@ -235,9 +253,9 @@ def test_structure_solve_at_dimension_twelve():
         "omega": omega,
         "sample_points": [[0.05 * i for i in range(1, dim + 1)]],
     })
-    st = geo.induced_structure(geo.structure_jets(sc, sc.sample_points[0], 1))
-    assert np.array_equal(st.h, 2.0 * np.eye(dim))
-    assert max(astuple(geo.fundamental_residuals(st, geo.curvature(st)))) < 1e-12
+    sj = geo.structure_jets(sc, sc.sample_points[0], 1)
+    assert np.array_equal(sj.h[0], 2.0 * np.eye(dim))
+    assert max(astuple(geo.fundamental_residuals(sj, geo.curvature(sj)))) < 1e-12
 
 
 def _random_matrix(n, seed, kind, scale):
@@ -349,7 +367,7 @@ def _assert_twin_is_exact(blocks):
     sj = geo.structure_jets(sc, (0.0,) * m.dim, 2)
     assert np.array_equal(sj.S[0], m.S) and np.array_equal(sj.h[0], m.H)
     assert not np.any(sj.gamma[0])
-    r = geo.curvature(geo.induced_structure(sj))
+    r = geo.curvature(sj)
     algebraic = AlgebraicCurvature(m)
     assert np.array_equal(r, algebraic.full_tensor())
     w = pack_two_form(np.eye(m.dim, k=1) - np.eye(m.dim, k=-1), m.dim)

@@ -126,8 +126,8 @@ def test_tensor_mode_matches_recursion():
 def test_geometric_example_values():
     sc = load_scenario("paper_example_n2")
     point = sc.sample_points[0]
-    st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-    prov = GeometricCurvature(geo.curvature(st))
+    sj = geo.structure_jets(sc, point, 1)
+    prov = GeometricCurvature(geo.curvature(sj))
     w = _omega_at(sc, point)
     x, y = point[0], point[1]
     assert abs(r_power_action(prov, w, 1, (0, 2, 0, 2)) - (-x * y * w[0, 1])) < 1e-12
@@ -149,7 +149,7 @@ def _fd_nabla(field, scenario, k, point, idxs, h=1e-5):
     dn[i0] -= h
     out = (_fd_nabla(field, scenario, k - 1, tuple(up), rest, h)
            - _fd_nabla(field, scenario, k - 1, tuple(dn), rest, h)) / (2 * h)
-    gamma = geo.induced_structure(geo.structure_jets(scenario, point, 1)).gamma
+    gamma = geo.structure_jets(scenario, point, 1).gamma[0]
     for t, it in enumerate(rest):
         for m in range(scenario.dim):
             if gamma[m, i0, it] != 0.0:
@@ -229,28 +229,29 @@ def test_nabla_of_expression_field_matches_finite_differences():
         assert abs(nabla[idxs] - ref) < 1e-5 * max(1.0, abs(ref))
 
 
-def _codazzi_sides(st):
+def _codazzi_sides(sj):
     """side[i, k, j] = ((nabla_i S) e_j - tau_i S e_j)^k from pointwise data."""
-    return (st.dS + np.einsum("kim,mj->ikj", st.gamma, st.S)
-            - np.einsum("mij,km->ikj", st.gamma, st.S)
-            - np.einsum("i,kj->ikj", st.tau, st.S))
+    g, s_op = sj.gamma[0], sj.S[0]
+    return (geo.first_partials(sj, sj.S) + np.einsum("kim,mj->ikj", g, s_op)
+            - np.einsum("mij,km->ikj", g, s_op)
+            - np.einsum("i,kj->ikj", sj.tau[0], s_op))
 
 
 def test_codazzi_shape_sides():
     for name, tol in (("paraboloid", 1e-14), ("paper_example_n2", 1e-8),
                       ("centroaffine_sphere", 1e-12)):
         sc = load_scenario(name)
-        st = geo.induced_structure(geo.structure_jets(sc, sc.sample_points[0], 1))
-        assert geo.fundamental_residuals(st, geo.curvature(st)).codazzi_s < tol
-        side = _codazzi_sides(st)
+        sj = geo.structure_jets(sc, sc.sample_points[0], 1)
+        assert geo.fundamental_residuals(sj, geo.curvature(sj)).codazzi_s < tol
+        side = _codazzi_sides(sj)
         assert np.max(np.abs(side - np.transpose(side, (2, 1, 0)))) < tol
 
 
 def test_sphere_codazzi_sides_vanish():
     # S = identity is parallel and tau = 0, so both sides are zero
     sc = load_scenario("centroaffine_sphere")
-    st = geo.induced_structure(geo.structure_jets(sc, sc.sample_points[1], 1))
-    side = _codazzi_sides(st)
+    sj = geo.structure_jets(sc, sc.sample_points[1], 1)
+    side = _codazzi_sides(sj)
     assert np.max(np.abs(side[0, :, 2])) < 1e-12
     assert np.max(np.abs(side[2, :, 0])) < 1e-12
 
@@ -281,9 +282,8 @@ def test_alternating_identity_on_scenarios():
                  "centroaffine_sphere"):
         sc = load_scenario(name)
         point = sc.sample_points[0]
-        st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-        prov = GeometricCurvature(geo.curvature(st))
         sj = geo.structure_jets(sc, point, 1)
+        prov = GeometricCurvature(geo.curvature(sj))
         w = _omega_at(sc, point)
         nabla = nabla_powers(w, sj, 2)[2]
         rng = np.random.default_rng(8)
@@ -297,9 +297,8 @@ def test_alternating_identity_on_scenarios():
 def test_alternating_identity_example_value():
     sc = load_scenario("paper_example_n2")
     point = sc.sample_points[0]
-    st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-    prov = GeometricCurvature(geo.curvature(st))
     sj = geo.structure_jets(sc, point, 1)
+    prov = GeometricCurvature(geo.curvature(sj))
     w = _omega_at(sc, point)
     nabla = nabla_powers(w, sj, 2)[2]
     lhs, rhs = alternating_sum_identity(w, nabla, prov, 1, [(0, 2)], (0, 2))
@@ -313,8 +312,7 @@ def test_alternating_identity_depth_two():
     # rhs sums four sign assignments of nabla^4, exercising order-5 jets
     sc = load_scenario("centroaffine_sphere")
     point = sc.sample_points[0]
-    st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-    prov = GeometricCurvature(geo.curvature(st))
+    prov = GeometricCurvature(geo.curvature(geo.structure_jets(sc, point, 1)))
     sj = geo.structure_jets(sc, point, 3)
     w = _omega_at(sc, point)
     nabla = nabla_powers(w, sj, 4)[4]
@@ -392,8 +390,8 @@ def test_probe_matches_dense_contraction_on_models(model, k, seed):
 def _scenario_curvature(name):
     sc = load_scenario(name)
     point = sc.sample_points[0]
-    structure = geo.induced_structure(geo.structure_jets(sc, point, 1))
-    return GeometricCurvature(geo.curvature(structure)), _omega_at(sc, point)
+    sj = geo.structure_jets(sc, point, 1)
+    return GeometricCurvature(geo.curvature(sj)), _omega_at(sc, point)
 
 
 @settings(max_examples=25, deadline=None)
@@ -571,8 +569,8 @@ def test_pair_operator_matches_gather_reference_on_sample_points():
     for name in BUILTIN_NAMES:
         sc = load_scenario(name)
         for point in sc.sample_points:
-            st = geo.induced_structure(geo.structure_jets(sc, point, 1))
-            prov = GeometricCurvature(geo.curvature(st))
+            sj = geo.structure_jets(sc, point, 1)
+            prov = GeometricCurvature(geo.curvature(sj))
             rho = _pair_operator(prov)
             assert np.array_equal(rho, _gather_pair_operator(prov)), (name, point)
             assert _pair_operator(prov) is rho and not rho.flags.writeable

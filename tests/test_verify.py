@@ -373,9 +373,8 @@ def _rank_at_first_point(name, p):
     curvature and nabla chain as check-geometry solves them."""
     sc = load_scenario(name)
     sj = geo.structure_jets(sc, sc.sample_points[0], 2)
-    st = geo.induced_structure(sj)
     nablas = nabla_powers(sc.omega, sj, 3)
-    return check_rank_theorem(GeometricCurvature(geo.curvature(st)), st.S, st.h,
+    return check_rank_theorem(GeometricCurvature(geo.curvature(sj)), sj.S[0], sj.h[0],
                               nablas, p)
 
 
