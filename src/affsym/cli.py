@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, canonical, geometry, verify
 from .expr import ExprError
-from .jets import MAX_JET_ORDER, JetError
+from .jets import MAX_JET_ORDER, JetError, component_jets
 from .model import RealBlock
 from .scenarios import ScenarioFormatError, json_dim, load_scenario
 from .tensor_ops import (K_CAP_ALGEBRAIC, GeometricCurvature, RecursionCapError,
@@ -183,15 +183,17 @@ def _geometry_records(sc, checks, structures, seed):
 
     Each check yields (name, value, params) rows, PASS below its ``tol`` and
     FAIL otherwise unless the check sets its own verdict.  Where a check
-    reads omega's nabla chain, the chain is built here, once per point, so
-    an omega entry whose derivatives are not finite at a sample point
-    raises JetDomainError in this loop.
+    reads omega's nabla chain, omega's jets and the chain are built here,
+    once per point, so an omega entry whose derivatives are not finite at
+    a sample point raises JetDomainError in this loop.
     """
     with_chain = any(c["name"] in ("rank_theorem", "alternating_identity")
                      for c in checks)
     records = []
     for pi, (point, sj) in enumerate(zip(sc.sample_points, structures)):
-        nablas = nabla_powers(sc.omega, sj, sj.order + 1) if with_chain else None
+        k = sj.order + 1
+        nablas = (nabla_powers(component_jets(sc.omega, point, k, sc.coords), sj, k)
+                  if with_chain else None)
         prov = GeometricCurvature(geometry.curvature(sj))
         res = geometry.fundamental_residuals(sj, prov.R)
         for check in checks:
@@ -209,11 +211,9 @@ def _geometry_records(sc, checks, structures, seed):
                          {"point": point})
                         for part in ("gauss", "codazzi_h", "codazzi_s", "ricci")]
             elif name == "equiaffine":
-                dtau = float(np.max(np.abs(geometry._dtau(sj))))
-                hs = sj.h[0] @ sj.S[0]
-                selfadj = float(np.max(np.abs(hs - hs.T)))
-                rows = [(label, max(dtau, selfadj),
-                         {"point": point, "dtau": dtau, "h_selfadjoint": selfadj})]
+                rows = [(label, max(res.dtau, res.h_selfadjoint),
+                         {"point": point, "dtau": res.dtau,
+                          "h_selfadjoint": res.h_selfadjoint})]
             elif name == "rank_theorem":
                 v = verify.check_rank_theorem(prov, sj.S[0], sj.h[0], nablas, p_max, tol)
                 params = {"point": point, "power": v.power, "rank_S": v.rank_s,
@@ -243,6 +243,8 @@ def _geometry_records(sc, checks, structures, seed):
 
 def cmd_check_geometry(args):
     sc = load_scenario(args.scenario)
+    if not sc.sample_points:
+        raise UsageError(f"scenario {sc.name!r} has no sample points to check")
     checks, order = _resolve_checks(sc)
     structures = sc.validate(order)
     base = _header("check-geometry", scenario=sc.name,

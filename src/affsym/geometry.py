@@ -92,11 +92,18 @@ class Scenario:
             if np.max(np.abs(w + w.T)) > OMEGA_ANTISYM_TOL:
                 raise GeometryError(
                     f"omega not antisymmetric at sample point {tuple(pt)}")
-            if not abs(np.linalg.det(w)) >= OMEGA_DET_MIN:
+            if not omega_nondegenerate(w):
                 raise GeometryError(
                     f"omega degenerate at sample point {tuple(pt)}: "
                     f"|det| below {OMEGA_DET_MIN:g}")
         return tuple(solved)
+
+
+def omega_nondegenerate(w) -> bool:
+    """|det w| >= OMEGA_DET_MIN, read from ``np.linalg.slogdet`` so that no
+    entry size overflows the determinant; a NaN entry fails it."""
+    sign, logdet = np.linalg.slogdet(w)
+    return sign != 0 and logdet >= np.log(OMEGA_DET_MIN)
 
 
 class StructureJets:
@@ -107,12 +114,11 @@ class StructureJets:
     ``S[c, k, i]`` of S^k_i, and ``h[c, i, j]``, ``tau[c, i]`` likewise.
     ``frame`` holds the frame matrix {d_1 f, ..., d_n f, xi} and ``rhs`` the
     stacked right-hand sides (d_i d_j f for i <= j, then d_i xi), both as
-    coefficient arrays.
+    coefficient arrays.  The scenario is read while solving, not kept.
     """
 
     def __init__(self, scenario, point, order):
         n = scenario.dim
-        self.scenario = scenario
         self.point = tuple(float(v) for v in point)
         self.dim = n
         self.order = order
@@ -224,12 +230,6 @@ def first_partials(sj: StructureJets, coeffs) -> np.ndarray:
     return coeffs[[index_of[tuple(u)] for u in np.eye(sj.dim, dtype=int).tolist()]]
 
 
-def _dtau(sj: StructureJets) -> np.ndarray:
-    """dtau[i, j] = d_i tau_j - d_j tau_i at the point."""
-    d = first_partials(sj, sj.tau)  # d[l, i] = d_l tau_i
-    return d - d.T
-
-
 def curvature(sj: StructureJets) -> np.ndarray:
     """R[l, t, i, j], the d_l component of R(d_i, d_j) d_t."""
     g, dg = sj.gamma[0], first_partials(sj, sj.gamma)
@@ -251,14 +251,17 @@ class FundamentalResiduals:
     codazzi_h: float
     codazzi_s: float
     ricci: float
+    dtau: float             # max |d_i tau_j - d_j tau_i|
+    h_selfadjoint: float    # max |h S - (h S)^T|
 
 
 def fundamental_residuals(sj: StructureJets, r: np.ndarray) -> FundamentalResiduals:
     """Max-abs residuals of the four structural identities at the point of
-    a solved ``sj`` (order >= 1), given its ``curvature`` ``r``.
+    a solved ``sj`` (order >= 1), given its ``curvature`` ``r``, beside the
+    max-abs of both sides of the Ricci identity (``dtau``, ``h_selfadjoint``).
 
-    These hold exactly for any induced structure, so the residuals measure
-    only numerical error of the frame solve and differentiation.
+    The identities hold exactly for any induced structure, so the residuals
+    measure only numerical error of the frame solve and differentiation.
     """
     g, h, s_op, tau = sj.gamma[0], sj.h[0], sj.S[0], sj.tau[0]
     dh, ds = first_partials(sj, sj.h), first_partials(sj, sj.S)
@@ -276,10 +279,12 @@ def fundamental_residuals(sj: StructureJets, r: np.ndarray) -> FundamentalResidu
     # Ricci: h(X, SY) - h(SX, Y) = dtau(X, Y), with dtau(X, Y) =
     # X tau(Y) - Y tau(X) - tau([X, Y]) (no factor 1/2), so on coordinate
     # fields (h S - (h S)^T)_ij = d_i tau_j - d_j tau_i
-    hs = h @ s_op
-    ricci = float(np.max(np.abs(hs - hs.T - _dtau(sj))))
+    hs, d = h @ s_op, first_partials(sj, sj.tau)   # d[l, i] = d_l tau_i
+    selfadj, dtau = hs - hs.T, d - d.T
+    ricci = float(np.max(np.abs(selfadj - dtau)))
 
-    return FundamentalResiduals(gauss, codazzi_h, codazzi_s, ricci)
+    return FundamentalResiduals(gauss, codazzi_h, codazzi_s, ricci,
+                                float(np.max(np.abs(dtau))), float(np.max(np.abs(selfadj))))
 
 
 def frame_residual(sj: StructureJets) -> float:

@@ -18,7 +18,7 @@ polynomials up to the truncation order.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,32 +75,32 @@ class JetSpace:
         self.degrees = np.array([sum(m) for m in indices])
         # prefix length of the coefficient table for each truncation order
         self.prefix = [int(np.sum(self.degrees <= q)) for q in range(order + 1)]
-        self._mul_table = None
-        self._product_plan = None
-        self._partial_maps = None
 
-    @property
+    @cached_property
     def mul_table(self):
-        if self._mul_table is None:
-            # multi-index sums have component sums <= order, so encoding in
-            # base order+1 makes index keys additive with no carries
-            m = np.array(self.multi_indices, dtype=np.int64)
-            powers = (self.order + 1) ** np.arange(self.dim, dtype=np.int64)
-            keys = m @ powers
-            by_key = np.argsort(keys, kind="stable")
-            sorted_keys = keys[by_key]
-            ii, jj, tt = [], [], []
-            for i in range(self.size):
-                nj = self.prefix[self.order - int(self.degrees[i])]
-                if nj == 0:
-                    continue
-                sums = keys[i] + keys[:nj]
-                ii.append(np.full(nj, i, dtype=np.int64))
-                jj.append(np.arange(nj, dtype=np.int64))
-                tt.append(by_key[np.searchsorted(sorted_keys, sums)])
-            self._mul_table = (np.concatenate(ii), np.concatenate(jj),
-                               np.concatenate(tt))
-        return self._mul_table
+        # multi-index sums have component sums <= order, so encoding in
+        # base order+1 makes index keys additive with no carries
+        m = np.array(self.multi_indices, dtype=np.int64)
+        powers = (self.order + 1) ** np.arange(self.dim, dtype=np.int64)
+        keys = m @ powers
+        by_key = np.argsort(keys, kind="stable")
+        sorted_keys = keys[by_key]
+        ii, jj, tt = [], [], []
+        for i in range(self.size):
+            nj = self.prefix[self.order - int(self.degrees[i])]
+            sums = keys[i] + keys[:nj]
+            ii.append(np.full(nj, i, dtype=np.int64))
+            jj.append(np.arange(nj, dtype=np.int64))
+            tt.append(by_key[np.searchsorted(sorted_keys, sums)])
+        return np.concatenate(ii), np.concatenate(jj), np.concatenate(tt)
+
+    @cached_property
+    def _product_plan(self):
+        # every target t receives the pair (t, 0), so no segment is empty
+        ii, jj, tt = self.mul_table
+        by_target = np.argsort(tt, kind="stable")
+        starts = np.searchsorted(tt[by_target], np.arange(self.size))
+        return ii[by_target], jj[by_target], starts
 
     def einsum(self, subscripts, a, b):
         """Jet product of two coefficient arrays, contracted like ``np.einsum``.
@@ -110,12 +110,6 @@ class JetSpace:
         a prefix).  ``subscripts`` names the other axes and must not use
         ``z``; the result carries this space's coefficient axis first.
         """
-        if self._product_plan is None:
-            # every target t receives the pair (t, 0), so no segment is empty
-            ii, jj, tt = self.mul_table
-            by_target = np.argsort(tt, kind="stable")
-            starts = np.searchsorted(tt[by_target], np.arange(self.size))
-            self._product_plan = (ii[by_target], jj[by_target], starts)
         ii, jj, starts = self._product_plan
         operands, out = subscripts.split("->")
         left, right = operands.split(",")
@@ -127,29 +121,21 @@ class JetSpace:
         axis first, this order or higher); the result is one order lower."""
         if self.order == 0:
             raise JetOrderError("cannot differentiate an order-0 jet")
-        src, dst, scale = self.partial_maps[axis]
-        out = np.zeros((jet_space(self.dim, self.order - 1).size,) + c.shape[1:])
-        out[dst] = scale.reshape((-1,) + (1,) * (c.ndim - 1)) * c[src]
-        return out
+        src, scale = self.partial_maps[axis]
+        return scale.reshape((-1,) + (1,) * (c.ndim - 1)) * c[src]
 
-    @property
+    @cached_property
     def partial_maps(self):
-        if self._partial_maps is None:
-            maps = []
-            lower = jet_space(self.dim, self.order - 1) if self.order > 0 else None
-            for axis in range(self.dim):
-                src, dst, scale = [], [], []
-                if lower is not None:
-                    for t, m in enumerate(lower.multi_indices):
-                        up = tuple(v + (1 if a == axis else 0)
-                                   for a, v in enumerate(m))
-                        src.append(self.index_of[up])
-                        dst.append(t)
-                        scale.append(m[axis] + 1)
-                maps.append((np.array(src, dtype=int), np.array(dst, dtype=int),
-                             np.array(scale, dtype=float)))
-            self._partial_maps = maps
-        return self._partial_maps
+        """Per axis, the source coefficient and factor of each one order lower."""
+        maps = []
+        for axis in range(self.dim):
+            src, scale = [], []
+            for m in jet_space(self.dim, self.order - 1).multi_indices:
+                up = tuple(v + (1 if a == axis else 0) for a, v in enumerate(m))
+                src.append(self.index_of[up])
+                scale.append(m[axis] + 1)
+            maps.append((np.array(src, dtype=int), np.array(scale, dtype=float)))
+        return maps
 
 
 #: subscripts of the coefficient-wise jet product, for ``JetSpace.einsum``

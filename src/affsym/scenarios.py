@@ -136,6 +136,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             omega[i, j] = _to_float(v, f"omega[{i}][{j}]") \
                 if isinstance(v, (int, float)) \
                 else _parse_field(v, coords, f"omega[{i}][{j}]")
+            if isinstance(omega[i, j], float) and not np.isfinite(omega[i, j]):
+                raise ScenarioFormatError(f"omega[{i}][{j}] is not finite")
     for c in constraint_src:
         if not isinstance(c, dict) or not {"name", "expr"} <= c.keys():
             raise ScenarioFormatError(f"constraint {c!r} needs keys 'name' and 'expr'")

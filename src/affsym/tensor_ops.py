@@ -1,15 +1,15 @@
 """Iterated curvature action and covariant derivatives of (0,p) tensors.
 
-Two operator families over a curvature provider (algebraic Gauss model or
-geometric induced structure):
+Two operator families over a ``CurvatureProvider`` (algebraic Gauss
+model or geometric induced structure):
 
 * the iterated action, defined by the recursion
   (R.T)(X1,...,X_{q+2}) = -sum_{i>=3} T(X3,...,R(X1,X2)X_i,...,X_{q+2}),
   with R^k.T = R.(R^{k-1}.T) and R^0.T = T;
 * covariant derivatives, (nabla T)(X1,...) = X1(T(X2,...)) minus the
   connection contractions, iterated as nabla^{k+1} T = nabla(nabla^k T),
-  computed as whole jet coefficient arrays so no finite differencing is
-  needed.
+  computed on the field's jet coefficient array so no finite differencing
+  is needed.
 
 Single components of R^k.T use the recursion verbatim (memoized per
 level on basis-index tuples).  For a 2-form omega, R^k.omega is
@@ -18,7 +18,7 @@ other forms of it work on Lambda^2, in one set of packed coordinates:
 pairs a < b in ``np.triu_indices`` order, N2 = n(n-1)/2 of them.  A slot
 pair (X, Y) is c_ab = X_a Y_b - X_b Y_a, so omega(X, Y) = <w, c> for
 w = ``pack_two_form(omega, n)``, and R(e_x, e_y) acts on Lambda^2 as the
-N2 x N2 matrix rho_P, P = (x, y) (``_pair_operator``).  R^k.omega is held
+N2 x N2 matrix rho_P, P = (x, y) (``pair_operator``).  R^k.omega is held
 whole, N2^(k+1) entries (``r_power_levels``), or evaluated at vectors, k!
 branches per probe (``r_power_probe``), whose kernel takes packed pairs,
 so ``reduce_to_basis`` can try the unit pairs of basis components.
@@ -27,12 +27,12 @@ so ``reduce_to_basis`` can try the unit pairs of basis components.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .geometry import OMEGA_ANTISYM_TOL, gauss_curvature_tensor
-from .jets import component_jets, jet_space
+from .jets import jet_space
 from .model import GaussModel
 
 #: recursion caps; all catalog oracles need small powers only
@@ -51,66 +51,92 @@ class RecursionCapError(ValueError):
     pass
 
 
-class AlgebraicCurvature:
+class CurvatureProvider:
+    """The ``dim``, basis-image memo and pair operator of every curvature
+    provider; a subclass supplies ``_image`` and ``full_tensor``."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self._images = {}
+
+    def basis_image(self, i, j, t):
+        """Nonzeros of R(e_i, e_j) e_t as ((index, coeff), ...), memoized."""
+        key = (i, j, t)
+        out = self._images.get(key)
+        if out is None:
+            out = self._images[key] = self._image(i, j, t)
+        return out
+
+    @cached_property
+    def pair_operator(self) -> np.ndarray:
+        """rho[P, A, B]: the derivation R(e_x, e_y) on 2-forms, P = (x, y),
+        built once per provider and read-only.
+
+        (rho_P w)(e_a, e_b) = w(M e_a, e_b) + w(e_a, M e_b), M = R(e_x, e_y),
+        expanded over the packed coefficients w_B.  Only the nonzeros are
+        written: row A = (a, b) holds sign(m < b) M[m, a] at B = {m, b} and
+        sign(a < m) M[m, b] at B = {a, m}, the two sets meeting at B = A only.
+        """
+        n = self.dim
+        a, b = _pairs(n)
+        pair = np.zeros((n, n), dtype=int)
+        pair[a, b] = pair[b, a] = np.arange(len(a))
+        r = self.full_tensor()[:, :, a, b]    # r[m, t, P] = M[m, t]
+        rho = np.zeros((len(a),) * 3)
+        row, m = np.nonzero(np.arange(n) != b[:, None])
+        rho[:, row, pair[m, b[row]]] = (np.where(m < b[row], 1.0, -1.0)[:, None]
+                                        * r[m, a[row]]).T
+        row, m = np.nonzero(np.arange(n) != a[:, None])
+        rho[:, row, pair[a[row], m]] += (np.where(a[row] < m, 1.0, -1.0)[:, None]
+                                         * r[m, b[row]]).T
+        rho.flags.writeable = False
+        return rho
+
+
+class AlgebraicCurvature(CurvatureProvider):
     """Curvature of a Gauss model: R(X,Y)Z = h(Y,Z) SX - h(X,Z) SY."""
 
     cap = K_CAP_ALGEBRAIC
 
     def __init__(self, m: GaussModel):
+        super().__init__(m.dim)
         self.model = m
-        self.dim = m.dim
-        self._images = {}
-        self._s_cols = self._h_rows = None
-        self._rho = None
 
-    def basis_image(self, i, j, t):
-        """Nonzeros of R(e_i, e_j) e_t as ((index, coeff), ...).
+    @cached_property
+    def _lists(self):
+        """The columns of S and the rows of H as lists."""
+        return self.model.S.T.tolist(), self.model.H.tolist()
 
-        Computed in plain Python from the columns of S and the rows of H,
+    def _image(self, i, j, t):
+        """Computed in plain Python from the columns of S and the rows of H,
         converted to lists once per provider: the same products and
         subtraction, h[j, t] * S[:, i] - h[i, t] * S[:, j], as the numpy
         expression.  When h[j, t] and h[i, t] are both zero the image is
         () at once; a sip H has one nonzero per row, so most images are.
         """
-        key = (i, j, t)
-        out = self._images.get(key)
-        if out is None:
-            if self._h_rows is None:
-                self._s_cols = self.model.S.T.tolist()
-                self._h_rows = self.model.H.tolist()
-            hj, hi = self._h_rows[j][t], self._h_rows[i][t]
-            if hj == 0.0 and hi == 0.0:
-                out = ()
-            else:
-                vec = [hj * a - hi * b
-                       for a, b in zip(self._s_cols[i], self._s_cols[j])]
-                out = tuple((m, v) for m, v in enumerate(vec) if v != 0.0)
-            self._images[key] = out
-        return out
+        s_cols, h_rows = self._lists
+        hj, hi = h_rows[j][t], h_rows[i][t]
+        if hj == 0.0 and hi == 0.0:
+            return ()
+        vec = [hj * a - hi * b for a, b in zip(s_cols[i], s_cols[j])]
+        return tuple((m, v) for m, v in enumerate(vec) if v != 0.0)
 
     def full_tensor(self):
         return gauss_curvature_tensor(self.model.S, self.model.H)
 
 
-class GeometricCurvature:
+class GeometricCurvature(CurvatureProvider):
     """Curvature provider backed by a pointwise R^l_{tij} array."""
 
     cap = K_CAP_GEOMETRIC
 
     def __init__(self, r):
         self.R = np.asarray(r, dtype=float)
-        self.dim = self.R.shape[0]
-        self._images = {}
-        self._rho = None
+        super().__init__(self.R.shape[0])
 
-    def basis_image(self, i, j, t):
-        key = (i, j, t)
-        out = self._images.get(key)
-        if out is None:
-            vec = self.R[:, t, i, j]
-            out = tuple((int(m), float(vec[m])) for m in np.nonzero(vec)[0])
-            self._images[key] = out
-        return out
+    def _image(self, i, j, t):
+        vec = self.R[:, t, i, j]
+        return tuple((int(m), float(vec[m])) for m in np.nonzero(vec)[0])
 
     def full_tensor(self):
         return self.R
@@ -236,33 +262,6 @@ def _pack_pairs(vectors) -> np.ndarray:
     return x[..., a] * y[..., b] - x[..., b] * y[..., a]
 
 
-def _pair_operator(provider) -> np.ndarray:
-    """rho[P, A, B]: the derivation R(e_x, e_y) on 2-forms, P = (x, y),
-    built once per provider and read-only.
-
-    (rho_P w)(e_a, e_b) = w(M e_a, e_b) + w(e_a, M e_b), M = R(e_x, e_y),
-    expanded over the packed coefficients w_B.  Only the nonzeros are
-    written: row A = (a, b) holds sign(m < b) M[m, a] at B = {m, b} and
-    sign(a < m) M[m, b] at B = {a, m}, the two sets meeting at B = A only.
-    """
-    if provider._rho is None:
-        n = provider.dim
-        a, b = _pairs(n)
-        pair = np.zeros((n, n), dtype=int)
-        pair[a, b] = pair[b, a] = np.arange(len(a))
-        r = provider.full_tensor()[:, :, a, b]    # r[m, t, P] = M[m, t]
-        rho = np.zeros((len(a),) * 3)
-        row, m = np.nonzero(np.arange(n) != b[:, None])
-        rho[:, row, pair[m, b[row]]] = (np.where(m < b[row], 1.0, -1.0)[:, None]
-                                        * r[m, a[row]]).T
-        row, m = np.nonzero(np.arange(n) != a[:, None])
-        rho[:, row, pair[a[row], m]] += (np.where(a[row] < m, 1.0, -1.0)[:, None]
-                                         * r[m, b[row]]).T
-        rho.flags.writeable = False
-        provider._rho = rho
-    return provider._rho
-
-
 def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
     """Evaluate (R^k . omega)(X_1, Y_1, ..., X_k, Y_k, U, V) for a 2-form
     omega at vector arguments.
@@ -306,7 +305,7 @@ def _pair_probe(provider, w, pairs) -> np.ndarray:
     """
     size, m, n2 = pairs.shape
     b = size
-    rho = _pair_operator(provider).reshape(n2, n2 * n2)
+    rho = provider.pair_operator.reshape(n2, n2 * n2)
     for q in range(m - 1, 0, -1):
         mat = (pairs[:, 0] @ rho).reshape(b, n2, n2)
         rest = pairs[:, 1:]
@@ -362,7 +361,7 @@ def r_power_levels(provider, packed, k: int):
     n2 = check_packed_power(provider, provider.dim, t.ndim, k)
     if any(size != n2 for size in t.shape):
         raise ArityError(f"packed axes must have length {n2}, got shape {t.shape}")
-    rho = _pair_operator(provider)
+    rho = provider.pair_operator
     for _ in range(k):
         out = np.zeros((n2,) + t.shape)
         for s in range(t.ndim):
@@ -374,11 +373,12 @@ def r_power_levels(provider, packed, k: int):
 # -- covariant derivatives ---------------------------------------------
 
 
-def nabla_powers(components, structure, k: int) -> list:
+def nabla_powers(t, structure, k: int) -> list:
     """Dense [nabla^0 T, ..., nabla^k T] at the structure's base point.
 
-    ``components`` is the (0,p) field T as an n x ... x n array of numbers
-    and expressions over the coordinates of the structure's scenario.
+    ``t`` is the (0,p) field T as a jet coefficient array at that point,
+    coefficient axis first (``jets.component_jets``), of jet order k or
+    higher; a lower order raises ArityError.
 
     One pass of k steps on whole coefficient arrays:
     (nabla T)_{i r_1..r_a} = d_i T_{r_1..r_a} - sum_s Gamma^m_{i r_s} T_{r_1..m..r_a},
@@ -392,8 +392,8 @@ def nabla_powers(components, structure, k: int) -> list:
         raise RecursionCapError(
             f"nabla^{k} needs structure jets of order {k - 1}, have {structure.order}")
     n = structure.dim
-    t = component_jets(components, structure.point, k,
-                       structure.scenario.coords)
+    if len(t) < jet_space(n, k).size:
+        raise ArityError(f"nabla^{k} needs field jets of order {k}, got {len(t)} coefficients")
     powers = [t[0]]
     for q in range(k - 1, -1, -1):
         space = jet_space(n, q)

@@ -887,7 +887,7 @@ def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> Rank
     theorem assumes), or that (S, h) has no canonical form to check.
     """
     w = nablas[0]
-    if abs(np.linalg.det(w)) < geometry.OMEGA_DET_MIN:
+    if not geometry.omega_nondegenerate(w):
         raise OracleError("degenerate 2-form in rank check")
     if p < 1:
         raise OracleError(f"rank check power {p} is below 1")

@@ -180,7 +180,7 @@ def test_criterion_5_theorem_witnesses_and_rank_verdicts():
         for point in sc.sample_points:
             sj = geo.structure_jets(sc, point, 2)
             prov = GeometricCurvature(geo.curvature(sj))
-            nablas = nabla_powers(sc.omega, sj, 3)
+            nablas = nabla_powers(component_jets(sc.omega, point, 3, sc.coords), sj, 3)
             per_power = [verify.check_rank_theorem(prov, sj.S[0], sj.h[0], nablas, p, 1e-8)
                          for p in range(1, 4)]
             assert all(v.verdict != "FAIL" for v in per_power), (scenario_name, point)
@@ -202,7 +202,7 @@ def test_criterion_6_alternating_identity():
             sj = geo.structure_jets(sc, point, 1)
             prov = GeometricCurvature(geo.curvature(sj))
             w = component_jets(sc.omega, point, 0, sc.coords)[0]
-            nabla = nabla_powers(w, sj, 2)[2]
+            nabla = nabla_powers(component_jets(sc.omega, point, 2, sc.coords), sj, 2)[2]
             for _ in range(50):
                 pair = (int(rng.integers(0, sc.dim)), int(rng.integers(0, sc.dim)))
                 ys = tuple(int(v) for v in rng.integers(0, sc.dim, size=2))

@@ -393,6 +393,39 @@ def test_non_finite_sample_point_is_usage_error(value, tmp_path, capsys):
     assert rc == 2 and len(err) == 1 and "finite" in err[0]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_omega_entry_is_usage_error(value, tmp_path, capsys):
+    # json writes and reads these as the literals NaN and Infinity
+    omega = _shipped("paraboloid")["omega"]
+    omega[0][1] = value
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped("paraboloid", omega=omega)))
+    assert ("NaN" if np.isnan(value) else "Infinity") in sc.read_text()
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and err == ["error: omega[0][1] is not finite"]
+
+
+def test_scenario_without_sample_points_is_usage_error(tmp_path, capsys):
+    # the loader takes it, but check-geometry would report no checks at all
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped("paraboloid", sample_points=[])))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and err == [
+        "error: scenario 'paraboloid' has no sample points to check"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_omega_beyond_the_determinant_range_is_nondegenerate(tmp_path, capsys):
+    # det(1e200 * omega) = 1e800 overflows a double; its slogdet does not
+    omega = [[1e200 * v for v in row] for row in _shipped("paraboloid")["omega"]]
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped("paraboloid", omega=omega)))
+    out = tmp_path / "rep.json"
+    assert main(["check-geometry", "--scenario", str(sc), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _load(out)["summary"]["fail"] == 0
+
+
 @pytest.mark.parametrize("key", ["A", "H"])
 def test_non_finite_decompose_matrix_is_usage_error(key, tmp_path, capsys):
     data = {"dim": 2, "A": [1.0, 0.0, 0.0, 2.0], "H": [1.0, 0.0, 0.0, 1.0]}

@@ -97,7 +97,8 @@ def _structure(name):
 @given(st.sampled_from(["paper_example_n2", "centroaffine_sphere"]),
        st.integers(0, 3), hnp.arrays(np.float64, (4, 4), elements=ELEMENTS))
 def test_nabla_of_constant_two_form_stays_antisymmetric(name, k, raw):
-    w = raw - raw.T
-    nabla = nabla_powers(w, _structure(name), k)[k]
+    t = np.zeros((jet_space(4, k).size, 4, 4))
+    t[0] = raw - raw.T
+    nabla = nabla_powers(t, _structure(name), k)[k]
     scale = float(np.max(np.abs(nabla)))
     _close(nabla, -np.swapaxes(nabla, -1, -2), scale)

@@ -106,11 +106,14 @@ def test_ricci_and_codazzi_residuals_at_nonzero_dtau():
         "0.3*u2", "0", "0.2*u1*u3", "0", "1 + 0.1*u1*u2")))
     for sj in sc.validate(1):
         res = geo.fundamental_residuals(sj, geo.curvature(sj))
-        dtau = geo._dtau(sj)
-        assert max(astuple(res)) < 1e-12 and np.max(np.abs(dtau)) > 0.1, (res, dtau)
+        residuals = (res.gauss, res.codazzi_h, res.codazzi_s, res.ricci)
+        assert max(residuals) < 1e-12 and res.dtau > 0.1, res
+        # the Ricci identity balances them: h S - (h S)^T is as large as dtau
+        assert abs(res.h_selfadjoint - res.dtau) < 1e-12, res
         # the opposite sign of dtau leaves twice dtau
+        d = geo.first_partials(sj, sj.tau)
         hs = sj.h[0] @ sj.S[0]
-        assert np.max(np.abs(hs - hs.T + dtau)) > 0.1
+        assert np.max(np.abs(hs - hs.T + d - d.T)) > 0.1
 
 
 def test_gauss_model_equivalence():
@@ -144,9 +147,9 @@ def test_locally_equiaffine_implies_h_selfadjoint():
         sc = load_scenario(name)
         for point in sc.sample_points:
             sj = geo.structure_jets(sc, point, 1)
-            assert np.max(np.abs(geo._dtau(sj))) < 1e-10   # locally equiaffine
-            hs = sj.h[0] @ sj.S[0]
-            assert np.max(np.abs(hs - hs.T)) < 1e-9
+            res = geo.fundamental_residuals(sj, geo.curvature(sj))
+            assert res.dtau < 1e-10   # locally equiaffine
+            assert res.h_selfadjoint < 1e-9
 
 
 def test_constraint_violation_is_named():

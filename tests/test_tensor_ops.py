@@ -13,7 +13,7 @@ from affsym.expr import parse_expr
 from affsym.jets import component_jets
 from affsym.tensor_ops import (K_CAP_GEOMETRIC, AlgebraicCurvature, ArityError,
                                GeometricCurvature, RecursionCapError,
-                               _pack_pairs, _pair_operator, _pair_probe,
+                               _pack_pairs, _pair_probe,
                                alternating_sum_identity, nabla_powers,
                                pack_two_form, r_power_action, r_power_levels,
                                r_power_probe)
@@ -26,6 +26,12 @@ def tridiagonal_omega(dim):
 
 def _omega_at(sc, point):
     return component_jets(sc.omega, point, 0, sc.coords)[0]
+
+
+def _nablas(field, sc, sj, k):
+    """nabla_powers of a field of numbers and expressions over the
+    coordinates of ``sc``, from its jets at the point of ``sj``."""
+    return nabla_powers(component_jets(field, sj.point, k, sc.coords), sj, k)
 
 
 def _model():
@@ -162,14 +168,14 @@ def test_nabla_zero_is_component():
     sc = load_scenario("paper_example_n2")
     sj = geo.structure_jets(sc, sc.sample_points[0], 0)
     w = _omega_at(sc, sc.sample_points[0])
-    assert nabla_powers(w, sj, 0)[0][1, 2] == w[1, 2]
+    assert _nablas(w, sc, sj, 0)[0][1, 2] == w[1, 2]
 
 
 def test_flat_connection_constant_form():
     sc = load_scenario("paraboloid")
     sj = geo.structure_jets(sc, sc.sample_points[0], 1)
     field = _omega_at(sc, sc.sample_points[0])
-    assert np.max(np.abs(nabla_powers(field, sj, 1)[1])) == 0.0
+    assert np.max(np.abs(_nablas(field, sc, sj, 1)[1])) == 0.0
 
 
 def test_nabla_matches_finite_differences_on_sphere():
@@ -177,7 +183,7 @@ def test_nabla_matches_finite_differences_on_sphere():
     point = sc.sample_points[0]
     field = _omega_at(sc, point)
     sj = geo.structure_jets(sc, point, 1)
-    nabla = nabla_powers(field, sj, 1)[1]
+    nabla = _nablas(field, sc, sj, 1)[1]
     for i in range(4):
         for j in range(4):
             for k in range(4):
@@ -191,7 +197,7 @@ def test_nabla_two_matches_finite_differences():
     point = sc.sample_points[2]
     field = _omega_at(sc, point)
     sj = geo.structure_jets(sc, point, 1)
-    nabla = nabla_powers(field, sj, 2)[2]
+    nabla = _nablas(field, sc, sj, 2)[2]
     rng = np.random.default_rng(6)
     for _ in range(8):
         idxs = tuple(int(v) for v in rng.integers(0, 4, size=4))
@@ -205,7 +211,17 @@ def test_nabla_order_cap():
     sj = geo.structure_jets(sc, sc.sample_points[0], 1)
     field = tridiagonal_omega(4)
     with pytest.raises(RecursionCapError):
-        nabla_powers(field, sj, 3)
+        _nablas(field, sc, sj, 3)
+
+
+def test_nabla_needs_field_jets_of_order_k():
+    # an order-1 array is too short for nabla^2, by its coefficient count
+    sc = load_scenario("paraboloid")
+    sj = geo.structure_jets(sc, sc.sample_points[0], 1)
+    jets = component_jets(tridiagonal_omega(4), sj.point, 1, sc.coords)
+    assert len(nabla_powers(jets, sj, 1)) == 2
+    with pytest.raises(ArityError, match="order 2, got 5 coefficients"):
+        nabla_powers(jets, sj, 2)
 
 
 def test_nabla_of_expression_field_matches_finite_differences():
@@ -218,10 +234,10 @@ def test_nabla_of_expression_field_matches_finite_differences():
            ["-sin(t3)", "0", "-t2^2", "0"]]
     field = [[parse_expr(c, sc.coords) for c in row] for row in src]
     sj = geo.structure_jets(sc, point, 1)
-    nabla = nabla_powers(field, sj, 1)[1]
+    nabla = _nablas(field, sc, sj, 1)[1]
     for idxs in np.ndindex(4, 4, 4):
         assert abs(nabla[idxs] - _fd_nabla(field, sc, 1, point, idxs)) < 1e-7
-    nabla = nabla_powers(field, sj, 2)[2]
+    nabla = _nablas(field, sc, sj, 2)[2]
     rng = np.random.default_rng(16)
     for _ in range(8):
         idxs = tuple(int(v) for v in rng.integers(0, 4, size=4))
@@ -271,10 +287,10 @@ def test_nabla_powers_chain_matches_single_passes():
     cases += [(sc, field, point) for point in sc.sample_points]
     for sc, field, point in cases:
         sj = geo.structure_jets(sc, point, 2)
-        chain = nabla_powers(field, sj, 3)
+        chain = _nablas(field, sc, sj, 3)
         assert len(chain) == 4
         for q, nabla in enumerate(chain):
-            assert np.array_equal(nabla, nabla_powers(field, sj, q)[q])
+            assert np.array_equal(nabla, _nablas(field, sc, sj, q)[q])
 
 
 def test_alternating_identity_on_scenarios():
@@ -285,7 +301,7 @@ def test_alternating_identity_on_scenarios():
         sj = geo.structure_jets(sc, point, 1)
         prov = GeometricCurvature(geo.curvature(sj))
         w = _omega_at(sc, point)
-        nabla = nabla_powers(w, sj, 2)[2]
+        nabla = _nablas(w, sc, sj, 2)[2]
         rng = np.random.default_rng(8)
         for _ in range(20):
             pair = (int(rng.integers(0, sc.dim)), int(rng.integers(0, sc.dim)))
@@ -300,7 +316,7 @@ def test_alternating_identity_example_value():
     sj = geo.structure_jets(sc, point, 1)
     prov = GeometricCurvature(geo.curvature(sj))
     w = _omega_at(sc, point)
-    nabla = nabla_powers(w, sj, 2)[2]
+    nabla = _nablas(w, sc, sj, 2)[2]
     lhs, rhs = alternating_sum_identity(w, nabla, prov, 1, [(0, 2)], (0, 2))
     assert abs(lhs - (-2.0)) < 1e-12
     assert abs(lhs - rhs) < 1e-7
@@ -315,7 +331,7 @@ def test_alternating_identity_depth_two():
     prov = GeometricCurvature(geo.curvature(geo.structure_jets(sc, point, 1)))
     sj = geo.structure_jets(sc, point, 3)
     w = _omega_at(sc, point)
-    nabla = nabla_powers(w, sj, 4)[4]
+    nabla = _nablas(w, sc, sj, 4)[4]
     rng = np.random.default_rng(14)
     for _ in range(6):
         pairs = [(int(a), int(b)) for a, b in rng.integers(0, 4, size=(2, 2))]
@@ -561,7 +577,7 @@ def _gather_pair_operator(provider):
 @given(block_models(dims=tuple(range(2, 11))))
 def test_pair_operator_matches_gather_reference_on_models(model):
     prov = AlgebraicCurvature(model)
-    assert np.array_equal(_pair_operator(prov), _gather_pair_operator(prov))
+    assert np.array_equal(prov.pair_operator, _gather_pair_operator(prov))
 
 
 def test_pair_operator_matches_gather_reference_on_sample_points():
@@ -571,9 +587,9 @@ def test_pair_operator_matches_gather_reference_on_sample_points():
         for point in sc.sample_points:
             sj = geo.structure_jets(sc, point, 1)
             prov = GeometricCurvature(geo.curvature(sj))
-            rho = _pair_operator(prov)
+            rho = prov.pair_operator
             assert np.array_equal(rho, _gather_pair_operator(prov)), (name, point)
-            assert _pair_operator(prov) is rho and not rho.flags.writeable
+            assert prov.pair_operator is rho and not rho.flags.writeable
 
 
 def _unpacked_r_power(provider, omega, k):

@@ -5,6 +5,7 @@ from hypothesis import strategies as hst
 
 from affsym import verify
 from affsym import geometry as geo
+from affsym.jets import component_jets
 from affsym.model import ComplexBlock, ModelError, RealBlock, assemble, random_omega
 from affsym.scenarios import load_scenario
 from affsym.tensor_ops import (AlgebraicCurvature, GeometricCurvature, nabla_powers,
@@ -373,7 +374,7 @@ def _rank_at_first_point(name, p):
     curvature and nabla chain as check-geometry solves them."""
     sc = load_scenario(name)
     sj = geo.structure_jets(sc, sc.sample_points[0], 2)
-    nablas = nabla_powers(sc.omega, sj, 3)
+    nablas = nabla_powers(component_jets(sc.omega, sj.point, 3, sc.coords), sj, 3)
     return check_rank_theorem(GeometricCurvature(geo.curvature(sj)), sj.S[0], sj.h[0],
                               nablas, p)
 
