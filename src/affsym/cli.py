@@ -202,7 +202,8 @@ def _geometry_records(sc, checks, structures, seed):
             t0 = time.perf_counter()
             status = None
             if name == "frame":
-                rows = [(label, geometry.frame_residual(sj), {"point": point})]
+                rows = [(label, geometry.frame_residual(sj),
+                         {"point": point, "cond": sj.cond, "jet_order": sj.order})]
             elif name in ("gauss_model", "codazzi_shape"):
                 value = res.gauss if name == "gauss_model" else res.codazzi_s
                 rows = [(label, value, {"point": point})]

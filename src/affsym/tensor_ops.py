@@ -20,8 +20,10 @@ pair (X, Y) is c_ab = X_a Y_b - X_b Y_a, so omega(X, Y) = <w, c> for
 w = ``pack_two_form(omega, n)``, and R(e_x, e_y) acts on Lambda^2 as the
 N2 x N2 matrix rho_P, P = (x, y) (``pair_operator``).  R^k.omega is held
 whole, N2^(k+1) entries (``r_power_levels``), or evaluated at vectors, k!
-branches per probe (``r_power_probe``), whose kernel takes packed pairs,
-so ``reduce_to_basis`` can try the unit pairs of basis components.
+branches per probe (``r_power_probe``), whose last level is one bilinear
+form per probe, -<Z, K> with Z the sum of the branches' last two pairs
+c1 c2^T.  The kernel takes packed pairs, so ``reduce_to_basis`` can try
+the unit pairs of basis components, CANDIDATE_BATCH per kernel call.
 """
 
 from __future__ import annotations
@@ -74,21 +76,17 @@ class CurvatureProvider:
 
         (rho_P w)(e_a, e_b) = w(M e_a, e_b) + w(e_a, M e_b), M = R(e_x, e_y),
         expanded over the packed coefficients w_B.  Only the nonzeros are
-        written: row A = (a, b) holds sign(m < b) M[m, a] at B = {m, b} and
+        written, from the dimension's index tables (``_pair_tables``): row
+        A = (a, b) holds sign(m < b) M[m, a] at B = {m, b} and
         sign(a < m) M[m, b] at B = {a, m}, the two sets meeting at B = A only.
         """
-        n = self.dim
-        a, b = _pairs(n)
-        pair = np.zeros((n, n), dtype=int)
-        pair[a, b] = pair[b, a] = np.arange(len(a))
+        a, b = _pairs(self.dim)
         r = self.full_tensor()[:, :, a, b]    # r[m, t, P] = M[m, t]
         rho = np.zeros((len(a),) * 3)
-        row, m = np.nonzero(np.arange(n) != b[:, None])
-        rho[:, row, pair[m, b[row]]] = (np.where(m < b[row], 1.0, -1.0)[:, None]
-                                        * r[m, a[row]]).T
-        row, m = np.nonzero(np.arange(n) != a[:, None])
-        rho[:, row, pair[a[row], m]] += (np.where(a[row] < m, 1.0, -1.0)[:, None]
-                                         * r[m, b[row]]).T
+        (row, col, m, t, sign), second = _pair_tables(self.dim)
+        rho[:, row, col] = (sign * r[m, t]).T
+        row, col, m, t, sign = second
+        rho[:, row, col] += (sign * r[m, t]).T
         rho.flags.writeable = False
         return rho
 
@@ -239,6 +237,24 @@ def _pairs(n: int) -> tuple:
     return a, b
 
 
+@lru_cache(maxsize=None)
+def _pair_tables(n: int) -> tuple:
+    """The part of ``pair_operator`` that depends only on the dimension:
+    for each of its two nonzero sets, the rows A, the columns B, the entry
+    (m, t) of M that goes there and its sign, as (row, col, m, t, sign)
+    with sign a column, built once per dimension."""
+    a, b = _pairs(n)
+    pair = np.zeros((n, n), dtype=int)
+    pair[a, b] = pair[b, a] = np.arange(len(a))
+    row, m = np.nonzero(np.arange(n) != b[:, None])
+    first = (row, pair[m, b[row]], m, a[row], np.where(m < b[row], 1.0, -1.0)[:, None])
+    row, m = np.nonzero(np.arange(n) != a[:, None])
+    second = (row, pair[a[row], m], m, b[row], np.where(a[row] < m, 1.0, -1.0)[:, None])
+    for arr in (*first, *second):
+        arr.flags.writeable = False
+    return first, second
+
+
 def pack_two_form(omega, n: int) -> np.ndarray:
     """The coefficients omega[a, b], a < b, of a 2-form on R^n.
 
@@ -268,7 +284,8 @@ def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
 
     ``vectors`` has shape (..., 2k+2, n) and the result has shape (...).
     Each slot pair is carried as its packed 2-vector (``_pack_pairs``), so
-    the pair kernel ``_pair_probe`` ends in k! branches, not (2k)!!.
+    the pair kernel ``_pair_probe`` ends in k! branches, not (2k)!!, summed
+    in one bilinear last level.
     Raises ArityError unless omega is an n x n 2-form (``pack_two_form``),
     and RecursionCapError if a level would hold more than TENSOR_ENTRY_CAP
     entries.
@@ -284,7 +301,10 @@ def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
     size = math.prod(batch)
     n2 = len(w)
     # a level with q pairs after its first forms one N2 x N2 matrix and
-    # q branches of q pairs for each branch that enters it
+    # q branches of q pairs for each branch that enters it.  The last level
+    # (q = 1) forms one N2 x N2 sum per probe, not a matrix per branch, so
+    # this count over-counts it: a probe is refused exactly where a last
+    # level of one matrix per branch would be
     entries, branches = size * (k + 1) * n2, size
     for q in range(k, 0, -1):
         entries = max(entries, branches * n2 * max(n2, q * q))
@@ -298,24 +318,49 @@ def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
 def _pair_probe(provider, w, pairs) -> np.ndarray:
     """The kernel of ``r_power_probe``, without its checks: packed pairs of
     shape (b, k+1, N2) and the packed 2-form w give the b values of
-    R^k.omega.  A level forms M = sum_P c1_P rho_P for the first pair c1 of
-    every branch at once, then branches once per remaining pair c, which
-    becomes -M^T c: the derivation R(X_1, Y_1) applied to both of its
-    slots.  A leaf is omega(U, V) = <w, c>; each value sums its k! leaves.
+    R^k.omega.  A level with more than two pairs forms M = sum_P c1_P rho_P
+    for the first pair c1 of every branch at once, then branches once per
+    remaining pair c, which becomes -M^T c: the derivation R(X_1, Y_1)
+    applied to both of its slots.  The last level, pairs (c1, c2), is
+    bilinear: its leaf <w, -M^T c2> is -c1^T K c2 with
+    K[P, A] = sum_B rho[P, A, B] w_B, so each probe sums Z = c1 c2^T over
+    its k! branches and its value is -<Z, K>.  At k = 0 the value is
+    omega(U, V) = <w, c>.
     """
     size, m, n2 = pairs.shape
+    if m == 1:
+        return pairs[:, 0] @ w
+    rho = provider.pair_operator
+    flat = rho.reshape(n2, n2 * n2)
     b = size
-    rho = provider.pair_operator.reshape(n2, n2 * n2)
-    for q in range(m - 1, 0, -1):
-        mat = (pairs[:, 0] @ rho).reshape(b, n2, n2)
+    for q in range(m - 1, 1, -1):
+        mat = (pairs[:, 0] @ flat).reshape(b, n2, n2)
         rest = pairs[:, 1:]
         out = np.repeat(rest[:, None], q, axis=1)
         # the diagonal (i, i) of the q x q branch grid, as a strided view
         out.reshape(b, q * q, n2)[:, ::q + 1] = -(rest @ mat)
         b *= q
         pairs = out.reshape(b, q, n2)
-    leaves = pairs.reshape(b, n2) @ w
-    return leaves.reshape(size, math.factorial(m - 1)).sum(axis=-1)
+    last = pairs.reshape(size, math.factorial(m - 1), 2, n2)
+    z = last[:, :, 0].transpose(0, 2, 1) @ last[:, :, 1]
+    k_mat = rho.reshape(n2 * n2, n2) @ w
+    return -(z.reshape(size, n2 * n2) @ k_mat)
+
+
+#: candidates of a slot that ``reduce_to_basis`` evaluates in one kernel call
+CANDIDATE_BATCH = 3
+
+
+def _candidate_values(provider, w, probe, slot, units, order):
+    """Yield (r, value of the probe with unit pair ``units[r]`` in
+    ``slot``) for each r in ``order``, CANDIDATE_BATCH candidates per
+    ``_pair_probe`` call, so a caller that stops early evaluates at most
+    one batch beyond need."""
+    for start in range(0, len(order), CANDIDATE_BATCH):
+        rs = order[start:start + CANDIDATE_BATCH]
+        batch = np.repeat(probe[None], len(rs), axis=0)
+        batch[:, slot] = units[rs]
+        yield from zip(rs, _pair_probe(provider, w, batch).tolist())
 
 
 def reduce_to_basis(provider, omega, vectors, current) -> tuple:
@@ -324,8 +369,10 @@ def reduce_to_basis(provider, omega, vectors, current) -> tuple:
     tuple, a < b within each pair.  ``current`` is the nonzero value that
     ``r_power_probe`` returned at ``vectors`` after its checks.  The probe
     is linear in each pair c = sum_{a<b} c_ab u_ab, so some unit pair u_ab
-    reaches |current| / ||c||_1; candidates are tried in decreasing |c_ab|,
-    and if rounding defeats all of them the best one tried is kept.
+    reaches |current| / ||c||_1; candidates are tried in decreasing |c_ab|
+    (a stable order), CANDIDATE_BATCH per kernel call, and the first one
+    that reaches the target is taken.  If rounding defeats all of them the
+    first largest one is kept; values after the taken one are ignored.
     """
     a, b = _pairs(provider.dim)
     w = pack_two_form(omega, provider.dim)
@@ -335,9 +382,8 @@ def reduce_to_basis(provider, omega, vectors, current) -> tuple:
     for slot, c in enumerate(probe.copy()):
         target = abs(current) / np.sum(np.abs(c))
         best_r, best = None, None
-        for r in np.argsort(-np.abs(c), kind="stable"):
-            probe[slot] = units[r]
-            got = float(_pair_probe(provider, w, probe[None])[0])
+        order = np.argsort(-np.abs(c), kind="stable")
+        for r, got in _candidate_values(provider, w, probe, slot, units, order):
             if best is None or abs(got) > abs(best):
                 best_r, best = r, got
             if abs(got) >= target:

@@ -695,6 +695,12 @@ def test_bare_check_takes_its_defaults(name, tol, params, tmp_path):
                           tmp_path)
     shipped = [r for r in _check_records(_shipped("paper_example_n2"), tmp_path)
                if r["name"].startswith(f"{name}@")]
+    # a frame record's jet_order is its point's one structure solve, whose
+    # order the whole check list sets: 1 for frame alone, 2 for the shipped
+    # list (rank_theorem at p_max 3)
+    orders = [(b["params"].pop("jet_order", None), s["params"].pop("jet_order", None))
+              for b, s in zip(bare, shipped)]
+    assert orders == [(1, 2) if name == "frame" else (None, None)] * len(shipped)
     assert bare == shipped and len(bare) == 3
     for r in bare:
         assert r["tol"] == tol and params.items() <= r["params"].items(), r

@@ -7,6 +7,10 @@ differ from its golden value by at most 1e-12 * max(1, |golden|).
 ``oracle_draws.json`` pins every draw, not only the worst one per power
 group that a report shows: the sha256 of ``json.dumps(params,
 sort_keys=True)`` for each family's draws at the seeds ``oracles`` uses.
+
+``witness_criterion5.json`` pins every ``WitnessEntry`` of
+``theorem_witness`` on the seven inadmissible shapes of acceptance
+criterion 5, bit for bit: power, trial, found, args and ``value.hex()``.
 """
 
 import hashlib
@@ -18,7 +22,8 @@ import numpy as np
 import pytest
 
 from affsym.cli import main
-from affsym.verify import list_oracles, sample_spec
+from affsym.verify import list_oracles, sample_spec, theorem_witness
+from test_verify import INADMISSIBLE
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
@@ -92,3 +97,20 @@ def test_draws_match_golden_digests():
             for d in range(want["draws"])]
     assert list(got) == list(want["sha256"])
     assert [oid for oid in got if got[oid] != want["sha256"][oid]] == []
+
+
+def witness_entries(p_max, trials, seeds):
+    """The witness entries of each criterion-5 shape and seed, as the
+    golden fixture stores them."""
+    return {name: {str(seed): [[e.power, e.trial, e.found, list(e.args), e.value.hex()]
+                               for e in theorem_witness(INADMISSIBLE[name], p_max=p_max,
+                                                        trials=trials, seed=seed).entries]
+                   for seed in seeds}
+            for name in sorted(INADMISSIBLE)}
+
+
+def test_witness_entries_match_golden():
+    want = json.loads((GOLDEN / "witness_criterion5.json").read_text())
+    got = witness_entries(want["p_max"], want["trials"], want["seeds"])
+    assert list(got) == list(want["entries"])
+    assert {name: seeds for name, seeds in got.items() if seeds != want["entries"][name]} == {}

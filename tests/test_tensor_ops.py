@@ -11,12 +11,12 @@ from affsym.model import (ComplexBlock, GaussModel, RealBlock, assemble,
 from affsym.scenarios import BUILTIN_NAMES, load_scenario
 from affsym.expr import parse_expr
 from affsym.jets import component_jets
-from affsym.tensor_ops import (K_CAP_GEOMETRIC, AlgebraicCurvature, ArityError,
-                               GeometricCurvature, RecursionCapError,
-                               _pack_pairs, _pair_probe,
+from affsym.tensor_ops import (CANDIDATE_BATCH, K_CAP_GEOMETRIC, AlgebraicCurvature,
+                               ArityError, GeometricCurvature, RecursionCapError,
+                               _pack_pairs, _pair_probe, _pairs,
                                alternating_sum_identity, nabla_powers,
                                pack_two_form, r_power_action, r_power_levels,
-                               r_power_probe)
+                               r_power_probe, reduce_to_basis)
 
 
 def tridiagonal_omega(dim):
@@ -523,12 +523,69 @@ def test_unit_two_vector_is_the_pair_of_basis_vectors():
         assert got == r_power_probe(prov, w, k, e[args])
 
 
+def _reference_reduce_to_basis(provider, omega, vectors, current):
+    """Reference: the witness reduction one candidate per kernel call, in
+    decreasing |c_ab| (stable order), taking the first value that reaches
+    |current| / ||c||_1 and otherwise the first largest.  Returns the
+    basis-index tuple and the number of candidates tried per slot."""
+    a, b = _pairs(provider.dim)
+    w = pack_two_form(omega, provider.dim)
+    units = np.eye(len(a))
+    probe = _pack_pairs(np.asarray(vectors, dtype=float))
+    args, tries = [], []
+    for slot, c in enumerate(probe.copy()):
+        target = abs(current) / np.sum(np.abs(c))
+        best_r, best = None, None
+        for count, r in enumerate(np.argsort(-np.abs(c), kind="stable"), 1):
+            probe[slot] = units[r]
+            got = float(_pair_probe(provider, w, probe[None])[0])
+            if best is None or abs(got) > abs(best):
+                best_r, best = r, got
+            if abs(got) >= target:
+                break
+        probe[slot] = units[best_r]
+        args.extend((int(a[best_r]), int(b[best_r])))
+        tries.append(count)
+        current = best
+    return tuple(args), tries
+
+
+def _assert_reduction_matches_reference(prov, w, vectors):
+    value = float(r_power_probe(prov, w, len(vectors) // 2 - 1, vectors))
+    args, tries = _reference_reduce_to_basis(prov, w, vectors, value)
+    assert reduce_to_basis(prov, w, vectors, value) == args
+    return tries
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_models(dims=(4, 5, 6, 7, 8)), hst.integers(0, 4), hst.integers(0, 2 ** 32 - 1))
+def test_reduction_matches_one_candidate_reference_on_models(model, k, seed):
+    vectors = np.random.default_rng(seed).standard_normal((2 * k + 2, model.dim))
+    _assert_reduction_matches_reference(AlgebraicCurvature(model),
+                                        _random_two_form(model.dim, seed), vectors)
+
+
+def test_reduction_across_candidate_batches():
+    # at dim 8 the second slot of this k = 1 probe is settled by its 11th
+    # candidate, in the fourth batch, and the first slot by its 3rd, the
+    # last of the first batch
+    model = assemble([RealBlock(4, 0.7, 1)] + [RealBlock(1, 0.0, 1)] * 4)
+    rng = np.random.default_rng(1)
+    w = random_omega(8, rng)
+    vectors = rng.standard_normal((4, 8))
+    tries = _assert_reduction_matches_reference(AlgebraicCurvature(model), w, vectors)
+    assert tries == [3, 11] and max(tries) > CANDIDATE_BATCH
+
+
 def test_probe_of_an_empty_batch_is_empty():
     prov = AlgebraicCurvature(_model())
     w = tridiagonal_omega(4)
-    for shape, batch in (((0, 4, 4), (0,)), ((3, 0, 4, 4), (3, 0))):
-        got = r_power_probe(prov, w, 1, np.ones(shape))
-        assert got.shape == batch
+    # every k, k = 0 included: the last level's k! branch count does not
+    # come from the batch size
+    for k in range(4):
+        for batch in ((0,), (3, 0)):
+            got = r_power_probe(prov, w, k, np.ones(batch + (2 * k + 2, 4)))
+            assert got.shape == batch
 
 
 def test_probe_arity_and_cap_checks():
