@@ -52,6 +52,7 @@ class CanonicalPair:
     residual_jordan: float  # || T^-1 A T - J ||_max
     residual_h: float       # || T^T H T - P ||_max
     warnings: tuple = ()
+    threshold_step: int = 0  # index into _DELTA_LADDER of the clustering used
 
 
 def _cluster(values, delta):
@@ -287,7 +288,9 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
     counts as at least 1 in both); eigenvalues are clustered at
     1e-6 * ||A||, escalated along ``_DELTA_LADDER`` when the canonical
     residuals come out poor; each cluster is peeled once per call and reused
-    by the later steps that keep it (a failed peel is redone).  An entry
+    by the later steps that keep it (a failed peel is redone).  The pair
+    carries the step it was clustered at as ``threshold_step`` (0 for the
+    base threshold), on the best-effort return too.  An entry
     beyond ``ENTRY_MAX``, or a product that still overflows, raises
     CanonicalError; the overflow is caught where it happens, because
     LAPACK's SVD need not return on the NaN it would lead to.
@@ -332,7 +335,7 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
             # a LinAlgError is a singular basis T: this clustering failed
             continue
         if step > 0:
-            cand = replace(cand, warnings=cand.warnings + (
+            cand = replace(cand, threshold_step=step, warnings=cand.warnings + (
                 f"clustering threshold escalated to {base * factor:.3e}",))
         if max(cand.residual_jordan, cand.residual_h) < 1e-6:
             return cand

@@ -82,12 +82,17 @@ def _record(name, status, value=None, tol=None, params=None, wall_ms=0.0):
 
 
 def _emit(report, output):
+    """Write the report to stdout or to the ``--output`` path; a path that
+    cannot be written is a UsageError."""
     text = json.dumps(report, indent=2, sort_keys=True, default=_TOLIST) + "\n"
     if output in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
+    except OSError as err:
+        raise UsageError(f"cannot write report {output!r}: {err.strerror or err}") from None
 
 
 def _finish(records, base, output, strict):
@@ -328,6 +333,7 @@ def cmd_decompose(args):
                 {"blocks": blocks,
                  "residual_jordan": pair.residual_jordan,
                  "residual_h": pair.residual_h,
+                 "threshold_step": pair.threshold_step,
                  "warnings": list(pair.warnings)}, wall),
         _record("classify", "PASS", None, None, {
             "counts": [list(c) for c in summary.counts],

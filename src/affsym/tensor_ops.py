@@ -11,19 +11,25 @@ model or geometric induced structure):
   computed on the field's jet coefficient array so no finite differencing
   is needed.
 
-Single components of R^k.T use the recursion verbatim (memoized per
-level on basis-index tuples).  For a 2-form omega, R^k.omega is
-antisymmetric in every slot pair and in its last two slots, so the two
-other forms of it work on Lambda^2, in one set of packed coordinates:
-pairs a < b in ``np.triu_indices`` order, N2 = n(n-1)/2 of them.  A slot
-pair (X, Y) is c_ab = X_a Y_b - X_b Y_a, so omega(X, Y) = <w, c> for
-w = ``pack_two_form(omega, n)``, and R(e_x, e_y) acts on Lambda^2 as the
-N2 x N2 matrix rho_P, P = (x, y) (``pair_operator``).  R^k.omega is held
+Single components of R^k.T use the recursion verbatim
+(``r_power_action``): a node reads the basis images R(e_x, e_y) e_z of
+its slots from the provider's image row of (x, y), and its terms from
+the tensor (level 0) or from one memo per level, keyed by basis-index
+tuples, in the recursion's own order of operations.  For a 2-form
+omega, R^k.omega is antisymmetric in every slot pair and in its last two
+slots, so the two other forms of it work on Lambda^2, in one set of
+packed coordinates: pairs a < b in ``np.triu_indices`` order,
+N2 = n(n-1)/2 of them.  A slot pair (X, Y) is c_ab = X_a Y_b - X_b Y_a,
+so omega(X, Y) = <w, c> for w = ``pack_two_form(omega, n)``, and
+R(e_x, e_y) acts on Lambda^2 as the N2 x N2 matrix rho_P, P = (x, y)
+(``pair_operator``).  R^k.omega is held
 whole, N2^(k+1) entries (``r_power_levels``), or evaluated at vectors, k!
-branches per probe (``r_power_probe``), whose last level is one bilinear
-form per probe, -<Z, K> with Z the sum of the branches' last two pairs
-c1 c2^T.  The kernel takes packed pairs, so ``reduce_to_basis`` can try
-the unit pairs of basis components, CANDIDATE_BATCH per kernel call.
+branches per probe (``r_power_probe``): a checked packing step
+(``pack_probe``) gives w and the packed pairs, and the kernel
+(``pair_probe``) ends in one bilinear form per probe, -<Z, K> with Z the
+sum of the branches' last two pairs c1 c2^T.  ``reduce_to_basis`` takes a
+probe's packed w and pairs and tries the unit pairs of basis components
+in the kernel, CANDIDATE_BATCH per call.
 """
 
 from __future__ import annotations
@@ -54,19 +60,34 @@ class RecursionCapError(ValueError):
 
 
 class CurvatureProvider:
-    """The ``dim``, basis-image memo and pair operator of every curvature
-    provider; a subclass supplies ``_image`` and ``full_tensor``."""
+    """The ``dim``, basis-image rows and pair operator of every curvature
+    provider; a subclass supplies ``_image`` and ``full_tensor``.
+
+    The images R(e_i, e_j) e_t are memoized in one row per (i, j), a list
+    over t whose entries are None until first read (``basis_image``), so
+    that ``r_power_action`` fetches a node's row once and indexes it per
+    slot.
+    """
 
     def __init__(self, dim):
         self.dim = dim
-        self._images = {}
+        self._rows = {}
+
+    def image_row(self, i, j) -> list:
+        """The row [R(e_i, e_j) e_t for t < dim] of the memo, an entry None
+        while not yet computed."""
+        row = self._rows.get((i, j))
+        if row is None:
+            row = self._rows[i, j] = [None] * self.dim
+        return row
 
     def basis_image(self, i, j, t):
-        """Nonzeros of R(e_i, e_j) e_t as ((index, coeff), ...), memoized."""
-        key = (i, j, t)
-        out = self._images.get(key)
+        """Nonzeros of R(e_i, e_j) e_t as ((index, coeff), ...), computed
+        on first use into its image row."""
+        row = self.image_row(i, j)
+        out = row[t]
         if out is None:
-            out = self._images[key] = self._image(i, j, t)
+            out = row[t] = self._image(i, j, t)
         return out
 
     @cached_property
@@ -133,17 +154,20 @@ class GeometricCurvature(CurvatureProvider):
         super().__init__(self.R.shape[0])
 
     def _image(self, i, j, t):
-        vec = self.R[:, t, i, j]
-        return tuple((int(m), float(vec[m])) for m in np.nonzero(vec)[0])
+        """The nonzeros of the column R[:, t, i, j], scanned as one list:
+        the same pairs as np.nonzero and float() per entry give, -0.0
+        skipped like 0.0."""
+        return tuple((m, v) for m, v in enumerate(self.R[:, t, i, j].tolist()) if v != 0.0)
 
     def full_tensor(self):
         return self.R
 
 
 def _expand_arg(arg, dim):
-    """An argument is a basis index or a vector; expand to (index, coeff)."""
+    """An argument is a basis index, kept as an int, or a vector, expanded
+    to its nonzeros ((index, coeff), ...)."""
     if isinstance(arg, (int, np.integer)):
-        return ((int(arg), 1.0),)
+        return int(arg)
     vec = np.asarray(arg, dtype=float)
     if vec.shape != (dim,):
         raise ArityError(f"argument vector has shape {vec.shape}, expected ({dim},)")
@@ -177,48 +201,80 @@ def r_power_action(provider, tensor, k: int, args) -> float:
     """Evaluate (R^k . T)(args) by the defining recursion.
 
     ``tensor`` is a dense (0,p) component array; ``args`` are 2k+p basis
-    indices or vectors (vectors expand multilinearly).  Each node takes
-    the provider's basis images R(e_x, e_y) e_z of its slots and skips a
-    slot whose image is empty (subtracting its 0.0 term is a no-op).  Values are
-    memoized in one dict per level, keyed by the basis-index tuple.
+    indices or vectors (vectors expand multilinearly over their nonzeros).
+    A node (x, y, rest) at level k fetches the image row of (x, y) from the
+    provider once, skips a slot whose image is empty (subtracting its 0.0
+    term is a no-op) and reads each term below it inline: a level-0 term
+    straight from the tensor, a memoized one from the dict of its level
+    (one per level, keyed by the basis-index tuple).  In the multilinear
+    sum over ``args`` a run of basis-index positions is one step:
+    0.0 + 1.0 * v is v + 0.0, so the value is that of the term-by-term sum,
+    bit for bit, signed zeros included.
     """
     t = np.asarray(tensor, dtype=float)
     p = t.ndim
     _check_power(provider, k)
     if len(args) != 2 * k + p:
         raise ArityError(f"expected {2 * k + p} arguments, got {len(args)}")
-    dim = provider.dim
-    image_of = provider.basis_image
-    memos = [{} for _ in range(k + 1)]
+    rows, image_row, basis_image = provider._rows, provider.image_row, provider.basis_image
+    leaf = t.item
+    memos = [None] + [{} for _ in range(k)]
 
     def eval_idx(k, idxs):
-        if k == 0:
-            return float(t[idxs])
-        got = memos[k].get(idxs)
-        if got is not None:
-            return got
+        # (R^k.T)(idxs) for k >= 1, not in its memo yet
         x, y = idxs[0], idxs[1]
         rest = idxs[2:]
+        row = rows.get((x, y)) or image_row(x, y)
+        below = memos[k - 1]
         total = 0.0
         for slot, z in enumerate(rest):
-            image = image_of(x, y, z)
+            image = row[z]
+            if image is None:
+                image = basis_image(x, y, z)
             if image:
+                head, tail = rest[:slot], rest[slot + 1:]
                 acc = 0.0
-                for m, coeff in image:
-                    acc += coeff * eval_idx(k - 1, rest[:slot] + (m,) + rest[slot + 1:])
+                if below is None:
+                    for m, coeff in image:
+                        acc += coeff * leaf(head + (m,) + tail)
+                else:
+                    for m, coeff in image:
+                        key = head + (m,) + tail
+                        got = below.get(key)
+                        if got is None:
+                            got = eval_idx(k - 1, key)
+                        acc += coeff * got
                 total -= acc
         memos[k][idxs] = total
         return total
 
-    expansions = [_expand_arg(a, dim) for a in args]
+    # the args as segments (a run of basis indices, the terms of the vector
+    # after it), the last segment's terms None
+    segments, run = [], ()
+    for arg in args:
+        arg = _expand_arg(arg, provider.dim)
+        if isinstance(arg, int):
+            run += (arg,)
+        else:
+            segments.append((run, arg))
+            run = ()
+    segments.append((run, None))
+    top = memos[k]
 
-    def eval_args(pos, idxs):
-        if pos == len(expansions):
-            return eval_idx(k, idxs)
-        out = 0.0
-        for m, coeff in expansions[pos]:
-            out += coeff * eval_args(pos + 1, idxs + (m,))
-        return out
+    def eval_args(seg, idxs):
+        fixed, terms = segments[seg]
+        idxs += fixed
+        if terms is not None:
+            out = 0.0
+            for m, coeff in terms:
+                out += coeff * eval_args(seg + 1, idxs + (m,))
+        elif top is None:
+            out = leaf(idxs)
+        else:
+            out = top.get(idxs)
+            if out is None:
+                out = eval_idx(k, idxs)
+        return out + 0.0 if fixed else out
 
     try:
         return eval_args(0, ())
@@ -265,7 +321,7 @@ def pack_two_form(omega, n: int) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
     if w.shape != (n, n):
         raise ArityError(f"expected a 2-form of shape ({n}, {n}), got {w.shape}")
-    if not np.max(np.abs(w + w.T)) <= OMEGA_ANTISYM_TOL:
+    if not np.abs(w + w.T).max() <= OMEGA_ANTISYM_TOL:
         raise ArityError("tensor is not an antisymmetric 2-form")
     return w[_pairs(n)]
 
@@ -278,17 +334,15 @@ def _pack_pairs(vectors) -> np.ndarray:
     return x[..., a] * y[..., b] - x[..., b] * y[..., a]
 
 
-def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
-    """Evaluate (R^k . omega)(X_1, Y_1, ..., X_k, Y_k, U, V) for a 2-form
-    omega at vector arguments.
+def pack_probe(provider, omega, k: int, vectors) -> tuple:
+    """The checked packing step of ``r_power_probe``: returns
+    w = ``pack_two_form(omega, n)`` and the packed slot pairs of
+    ``vectors``, shape (..., k+1, N2) for vectors of shape (..., 2k+2, n),
+    the input of the kernel ``pair_probe``.
 
-    ``vectors`` has shape (..., 2k+2, n) and the result has shape (...).
-    Each slot pair is carried as its packed 2-vector (``_pack_pairs``), so
-    the pair kernel ``_pair_probe`` ends in k! branches, not (2k)!!, summed
-    in one bilinear last level.
-    Raises ArityError unless omega is an n x n 2-form (``pack_two_form``),
-    and RecursionCapError if a level would hold more than TENSOR_ENTRY_CAP
-    entries.
+    Raises ArityError unless omega is an n x n 2-form and the vectors have
+    that shape, and RecursionCapError if k is beyond the provider's cap or
+    a kernel level would hold more than TENSOR_ENTRY_CAP entries.
     """
     v = np.asarray(vectors, dtype=float)
     n = provider.dim
@@ -297,25 +351,38 @@ def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
     if v.shape[-2:] != (2 * k + 2, n):
         raise ArityError(f"expected vectors of shape (..., {2 * k + 2}, {n}), "
                          f"got {v.shape}")
-    batch = v.shape[:-2]
-    size = math.prod(batch)
     n2 = len(w)
     # a level with q pairs after its first forms one N2 x N2 matrix and
     # q branches of q pairs for each branch that enters it.  The last level
     # (q = 1) forms one N2 x N2 sum per probe, not a matrix per branch, so
     # this count over-counts it: a probe is refused exactly where a last
     # level of one matrix per branch would be
+    size = math.prod(v.shape[:-2])
     entries, branches = size * (k + 1) * n2, size
     for q in range(k, 0, -1):
         entries = max(entries, branches * n2 * max(n2, q * q))
         branches *= q
     if entries > TENSOR_ENTRY_CAP:
         raise RecursionCapError(f"R^{k} probe would hold {entries} entries")
-    pairs = _pack_pairs(v.reshape(size, 2 * k + 2, n))
-    return _pair_probe(provider, w, pairs).reshape(batch)
+    return w, _pack_pairs(v)
 
 
-def _pair_probe(provider, w, pairs) -> np.ndarray:
+def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
+    """Evaluate (R^k . omega)(X_1, Y_1, ..., X_k, Y_k, U, V) for a 2-form
+    omega at vector arguments.
+
+    ``vectors`` has shape (..., 2k+2, n) and the result has shape (...):
+    the checked packing step ``pack_probe``, then the kernel ``pair_probe``
+    on its packed pairs, k! branches per probe, not (2k)!!, summed in one
+    bilinear last level.  ``pack_probe`` names the errors raised.
+    """
+    w, pairs = pack_probe(provider, omega, k, vectors)
+    batch = pairs.shape[:-2]
+    return pair_probe(provider, w, pairs.reshape(math.prod(batch), k + 1, len(w))
+                      ).reshape(batch)
+
+
+def pair_probe(provider, w, pairs) -> np.ndarray:
     """The kernel of ``r_power_probe``, without its checks: packed pairs of
     shape (b, k+1, N2) and the packed 2-form w give the b values of
     R^k.omega.  A level with more than two pairs forms M = sum_P c1_P rho_P
@@ -336,7 +403,7 @@ def _pair_probe(provider, w, pairs) -> np.ndarray:
     for q in range(m - 1, 1, -1):
         mat = (pairs[:, 0] @ flat).reshape(b, n2, n2)
         rest = pairs[:, 1:]
-        out = np.repeat(rest[:, None], q, axis=1)
+        out = rest[:, None].repeat(q, axis=1)
         # the diagonal (i, i) of the q x q branch grid, as a strided view
         out.reshape(b, q * q, n2)[:, ::q + 1] = -(rest @ mat)
         b *= q
@@ -354,35 +421,36 @@ CANDIDATE_BATCH = 3
 def _candidate_values(provider, w, probe, slot, units, order):
     """Yield (r, value of the probe with unit pair ``units[r]`` in
     ``slot``) for each r in ``order``, CANDIDATE_BATCH candidates per
-    ``_pair_probe`` call, so a caller that stops early evaluates at most
+    ``pair_probe`` call, so a caller that stops early evaluates at most
     one batch beyond need."""
     for start in range(0, len(order), CANDIDATE_BATCH):
         rs = order[start:start + CANDIDATE_BATCH]
-        batch = np.repeat(probe[None], len(rs), axis=0)
+        batch = probe[None].repeat(len(rs), axis=0)
         batch[:, slot] = units[rs]
-        yield from zip(rs, _pair_probe(provider, w, batch).tolist())
+        yield from zip(rs, pair_probe(provider, w, batch).tolist())
 
 
-def reduce_to_basis(provider, omega, vectors, current) -> tuple:
+def reduce_to_basis(provider, w, pairs, current) -> tuple:
     """Replace each slot pair of a probe by a unit pair (a row of
     ``np.eye(N2)``) that keeps the value nonzero; returns the basis-index
-    tuple, a < b within each pair.  ``current`` is the nonzero value that
-    ``r_power_probe`` returned at ``vectors`` after its checks.  The probe
-    is linear in each pair c = sum_{a<b} c_ab u_ab, so some unit pair u_ab
-    reaches |current| / ||c||_1; candidates are tried in decreasing |c_ab|
-    (a stable order), CANDIDATE_BATCH per kernel call, and the first one
-    that reaches the target is taken.  If rounding defeats all of them the
-    first largest one is kept; values after the taken one are ignored.
+    tuple, a < b within each pair.  ``w`` and ``pairs`` (shape (k+1, N2))
+    are one probe as ``pack_probe`` returned it, and ``current`` is the
+    nonzero value the kernel gave there.  The probe is linear in each pair
+    c = sum_{a<b} c_ab u_ab, so some unit pair u_ab reaches
+    |current| / ||c||_1; candidates are tried in decreasing |c_ab| (a
+    stable order), CANDIDATE_BATCH per kernel call, and the first one that
+    reaches the target is taken.  If rounding defeats all of them the first
+    largest one is kept; values after the taken one are ignored.
     """
     a, b = _pairs(provider.dim)
-    w = pack_two_form(omega, provider.dim)
     units = np.eye(len(a))
-    probe = _pack_pairs(np.asarray(vectors, dtype=float))
+    probe = pairs.copy()
     args = []
-    for slot, c in enumerate(probe.copy()):
-        target = abs(current) / np.sum(np.abs(c))
+    for slot, c in enumerate(pairs):
+        mags = np.abs(c)
+        target = abs(current) / mags.sum()
         best_r, best = None, None
-        order = np.argsort(-np.abs(c), kind="stable")
+        order = (-mags).argsort(kind="stable")
         for r, got in _candidate_values(provider, w, probe, slot, units, order):
             if best is None or abs(got) > abs(best):
                 best_r, best = r, got

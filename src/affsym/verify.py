@@ -37,8 +37,8 @@ import numpy as np
 
 from . import canonical, geometry
 from .model import ComplexBlock, ModelError, RealBlock, assemble, random_omega
-from .tensor_ops import (AlgebraicCurvature, pack_two_form, r_power_action,
-                         r_power_levels, r_power_probe, reduce_to_basis)
+from .tensor_ops import (AlgebraicCurvature, pack_probe, pack_two_form, pair_probe,
+                         r_power_action, r_power_levels, reduce_to_basis)
 
 #: per-draw tolerance: abs_err <= ORACLE_RTOL * max(1, |closed|)
 ORACLE_RTOL = 1e-9
@@ -812,9 +812,11 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
     generator (Schwartz-Zippel: nonzero with probability 1 exactly when the
     tensor is nonzero), reduce that probe one slot pair at a time to a unit
     pair (e_a, e_b), a < b (``reduce_to_basis``), and take the component's
-    value from the basis-index recursion.  A missing witness is reported as
-    a finding, never silently dropped.  Raises OracleError unless p_max and
-    trials are at least 1: a search over nothing finds nothing.
+    value from the basis-index recursion.  The probe and its reduction read
+    one packing of omega and the vectors (``pack_probe``).  A missing
+    witness is reported as a finding, never silently dropped.  Raises
+    OracleError unless p_max and trials are at least 1: a search over
+    nothing finds nothing.
     """
     if p_max < 1:
         raise OracleError(f"witness power p_max {p_max} is below 1")
@@ -834,11 +836,12 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
                 degenerate += 1
                 entries.append(WitnessEntry(power, trial, False, (), 0.0, "degenerate"))
                 continue
-            vectors = rng.standard_normal((2 * power + 2, dim))
-            value = float(r_power_probe(prov, w, power, vectors))
+            packed, pairs = pack_probe(prov, w, power,
+                                       rng.standard_normal((2 * power + 2, dim)))
+            value = float(pair_probe(prov, packed, pairs[None])[0])
             found = None
             if abs(value) > WITNESS_THRESHOLD:
-                args = reduce_to_basis(prov, w, vectors, value)
+                args = reduce_to_basis(prov, packed, pairs, value)
                 value = r_power_action(prov, w, power, args)
                 if abs(value) > WITNESS_THRESHOLD:
                     found = WitnessEntry(power, trial, True, args, value, "probe")

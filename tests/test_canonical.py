@@ -296,7 +296,7 @@ def _ladder_without_skips(a, h):
         except CanonicalError:
             continue
         if step > 0:
-            cand = replace(cand, warnings=cand.warnings + (
+            cand = replace(cand, threshold_step=step, warnings=cand.warnings + (
                 f"clustering threshold escalated to {delta:.3e}",))
         if max(cand.residual_jordan, cand.residual_h) < 1e-6:
             return cand
@@ -316,6 +316,57 @@ def test_skipping_repeated_clusterings_changes_no_result(blocks, seed):
     assert pair.transform.tobytes() == ref.transform.tobytes()
     assert (pair.residual_jordan, pair.residual_h) == (ref.residual_jordan, ref.residual_h)
     assert pair.warnings == ref.warnings
+    assert pair.threshold_step == ref.threshold_step
+
+
+def _escalation_warnings(pair, a):
+    """The pair's escalation warnings, and the one its threshold step
+    gives."""
+    base = 1e-6 * max(1.0, float(np.max(np.abs(a))))
+    got = [w for w in pair.warnings if "clustering threshold escalated" in w]
+    delta = base * canonical._DELTA_LADDER[pair.threshold_step]
+    return got, f"clustering threshold escalated to {delta:.3e}"
+
+
+def test_threshold_step_of_a_diagonal_pair_is_zero():
+    a = np.diag([1.0, -2.0, 0.5, 3.0])
+    pair = decompose(a, np.diag([1.0, -1.0, 1.0, 1.0]))
+    assert pair.threshold_step == 0
+    assert _escalation_warnings(pair, a)[0] == []
+
+
+def test_threshold_step_of_a_size3_jordan_block_names_its_escalation():
+    # a rotated size-3 Jordan block scatters its eigenvalues by about
+    # eps^(1/3), beyond the base threshold, so the ladder escalates
+    m = assemble([RealBlock(3, 0.7, 1), RealBlock(1, -0.5, 1)])
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    a = q.T @ m.S @ q
+    pair = decompose(a, q.T @ m.H @ q)
+    assert [b.size for b in pair.blocks] == [3, 1]
+    assert pair.threshold_step >= 1
+    got, want = _escalation_warnings(pair, a)
+    assert got == [want]
+
+
+def test_best_effort_pair_keeps_its_threshold_step(monkeypatch):
+    # every attempt comes out above 1e-6, each later one better than the
+    # one before, so the best effort is the last distinct clustering's
+    attempt, steps = canonical._attempt, []
+
+    def poor_attempt(*args):
+        steps.append(args[4])
+        return replace(attempt(*args), residual_jordan=1.0 / len(steps))
+
+    monkeypatch.setattr(canonical, "_attempt", poor_attempt)
+    m = assemble([RealBlock(3, 0.7, 1), RealBlock(1, -0.5, 1)])
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    a = q.T @ m.S @ q
+    pair = decompose(a, q.T @ m.H @ q)
+    assert len(steps) >= 2 and "best effort" in pair.warnings[-1]
+    got, want = _escalation_warnings(pair, a)
+    assert pair.threshold_step >= 1 and got == [want]
+    assert steps[-1] == pytest.approx(1e-6 * max(1.0, float(np.max(np.abs(a))))
+                                      * canonical._DELTA_LADDER[pair.threshold_step])
 
 
 def test_each_distinct_clustering_is_attempted_once(monkeypatch):

@@ -158,7 +158,38 @@ def test_decompose_command(tmp_path):
     assert sorted(b["sign"] for b in blocks) == [-1, -1, 1, 1]
     assert rec["rank"]["value"] == 0
     assert rec["classify"]["params"]["final_form"] == "zero"
+    assert rec["decompose"]["params"]["threshold_step"] == 0
     assert "master_seed" not in rep   # decompose draws nothing
+
+
+def test_decompose_reports_its_threshold_step(tmp_path):
+    # a rotated size-3 Jordan block escalates the clustering threshold
+    m = assemble([RealBlock(3, 0.7, 1), RealBlock(1, -0.5, 1)])
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"dim": 4, "A": (q.T @ m.S @ q).ravel().tolist(),
+                               "H": (q.T @ m.H @ q).ravel().tolist()}))
+    out = tmp_path / "rep.json"
+    assert main(["decompose", str(mat), "--output", str(out)]) == 0
+    params = next(r for r in _load(out)["checks"] if r["name"] == "decompose")["params"]
+    assert params["threshold_step"] >= 1
+    assert any("clustering threshold escalated" in w for w in params["warnings"])
+
+
+@pytest.mark.parametrize("command", ["list-oracles", "oracles", "check-geometry",
+                                     "decompose"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_is_usage_error(command, target, tmp_path, capsys):
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"dim": 2, "A": [0.0] * 4, "H": [1.0, 0.0, 0.0, 1.0]}))
+    argv = {"list-oracles": ["list-oracles"],
+            "oracles": ["oracles", "--filter", "lemma36", "--trials", "1"],
+            "check-geometry": ["check-geometry", "--scenario", "paraboloid"],
+            "decompose": ["decompose", str(mat)]}[command]
+    path = str(tmp_path / "nowhere" / "r.json") if target == "missing" else str(tmp_path)
+    rc, err = _usage_error(argv + ["--output", path], capsys)
+    reason = "No such file or directory" if target == "missing" else "Is a directory"
+    assert rc == 2 and err == [f"error: cannot write report {path!r}: {reason}"]
 
 
 def test_decompose_roundtrip_file(tmp_path):

@@ -11,6 +11,10 @@ sort_keys=True)`` for each family's draws at the seeds ``oracles`` uses.
 ``witness_criterion5.json`` pins every ``WitnessEntry`` of
 ``theorem_witness`` on the seven inadmissible shapes of acceptance
 criterion 5, bit for bit: power, trial, found, args and ``value.hex()``.
+
+``oracle_brute.json`` pins the brute value of every draw, bit for bit, as
+``brute.hex()`` for each family's ``run_family(oid, 25, seed=0)``: the
+draws whose worst error per power group ``oracles_trials25`` reports.
 """
 
 import hashlib
@@ -22,7 +26,7 @@ import numpy as np
 import pytest
 
 from affsym.cli import main
-from affsym.verify import list_oracles, sample_spec, theorem_witness
+from affsym.verify import list_oracles, run_family, sample_spec, theorem_witness
 from test_verify import INADMISSIBLE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,3 +118,17 @@ def test_witness_entries_match_golden():
     got = witness_entries(want["p_max"], want["trials"], want["seeds"])
     assert list(got) == list(want["entries"])
     assert {name: seeds for name, seeds in got.items() if seeds != want["entries"][name]} == {}
+
+
+def oracle_brutes(draws, seed, p_max):
+    """``brute.hex()`` of every draw of each family, as the golden fixture
+    stores them."""
+    return {oid: [r.brute.hex() for r in run_family(oid, draws, seed=seed, p_max=p_max)]
+            for oid, _ in list_oracles()}
+
+
+def test_oracle_brutes_match_golden():
+    want = json.loads((GOLDEN / "oracle_brute.json").read_text())
+    got = oracle_brutes(want["draws"], want["seed"], want["p_max"])
+    assert list(got) == list(want["brute"])
+    assert {oid: hexes for oid, hexes in got.items() if hexes != want["brute"][oid]} == {}

@@ -1,3 +1,4 @@
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -13,10 +14,10 @@ from affsym.expr import parse_expr
 from affsym.jets import component_jets
 from affsym.tensor_ops import (CANDIDATE_BATCH, K_CAP_GEOMETRIC, AlgebraicCurvature,
                                ArityError, GeometricCurvature, RecursionCapError,
-                               _pack_pairs, _pair_probe, _pairs,
-                               alternating_sum_identity, nabla_powers,
-                               pack_two_form, r_power_action, r_power_levels,
-                               r_power_probe, reduce_to_basis)
+                               _pack_pairs, _pairs, alternating_sum_identity,
+                               nabla_powers, pack_probe, pack_two_form, pair_probe,
+                               r_power_action, r_power_levels, r_power_probe,
+                               reduce_to_basis)
 
 
 def tridiagonal_omega(dim):
@@ -113,7 +114,7 @@ def test_memoized_matches_plain_bit_for_bit():
         k = int(rng.integers(1, 4))
         args = tuple(int(v) for v in rng.integers(0, 4, size=2 * k + 2))
         assert r_power_action(prov, w, k, args) == \
-            _reference_r_power_action(prov, w, k, args, memo=False)
+            _numpy_reference_r_power_action(prov, w, k, args, memo=False)
 
 
 def test_tensor_mode_matches_recursion():
@@ -381,17 +382,31 @@ def block_models(draw, dims=(2, 4, 6)):
     return GaussModel(len(s_op), s_op, h, tuple(blocks))
 
 
+@hst.composite
+def drawn_geometric(draw, dims=(4, 5, 6, 7, 8)):
+    """A ``GeometricCurvature`` of a drawn R[l, t, i, j]: about half its
+    entries zero, some of them -0.0, the rest standard normal."""
+    n = draw(hst.sampled_from(dims))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    r = rng.standard_normal((n,) * 4)
+    r[rng.random(r.shape) < 0.5] = 0.0
+    r[rng.random(r.shape) < 0.05] = -0.0
+    return GeometricCurvature(r)
+
+
 @settings(max_examples=60, deadline=None)
-@given(block_models())
-def test_basis_image_is_the_full_tensor_column(model):
+@given(hst.one_of(block_models().map(AlgebraicCurvature), drawn_geometric()))
+def test_basis_image_is_the_full_tensor_column(prov):
     # the Gauss rule's two forms, lazy per image and whole tensor, agree
-    # bit for bit: the same products h[j, t] * S[l, i] and h[i, t] * S[l, j]
-    prov = AlgebraicCurvature(model)
+    # bit for bit: the same products h[j, t] * S[l, i] and h[i, t] * S[l, j];
+    # a drawn R is read as it is, its -0.0 entries skipped like zeros.
+    # Each image is computed once, into its row
     full = prov.full_tensor()
     for i, j, t in np.ndindex(full.shape[1:]):
         col = full[:, t, i, j]
-        assert prov.basis_image(i, j, t) == \
-            tuple((int(l), float(col[l])) for l in np.nonzero(col)[0]), (i, j, t)
+        want = tuple((int(l), float(col[l])) for l in np.nonzero(col)[0])
+        assert prov.basis_image(i, j, t) == want, (i, j, t)
+        assert prov.basis_image(i, j, t) is prov.image_row(i, j)[t]
 
 
 @settings(max_examples=40, deadline=None)
@@ -519,7 +534,7 @@ def test_unit_two_vector_is_the_pair_of_basis_vectors():
     for k in range(4):
         picks = rng.integers(0, len(units), size=k + 1)
         args = [int(i) for r in picks for i in (a[r], b[r])]
-        got = _pair_probe(prov, pack_two_form(w, 4), units[picks][None])[0]
+        got = pair_probe(prov, pack_two_form(w, 4), units[picks][None])[0]
         assert got == r_power_probe(prov, w, k, e[args])
 
 
@@ -538,7 +553,7 @@ def _reference_reduce_to_basis(provider, omega, vectors, current):
         best_r, best = None, None
         for count, r in enumerate(np.argsort(-np.abs(c), kind="stable"), 1):
             probe[slot] = units[r]
-            got = float(_pair_probe(provider, w, probe[None])[0])
+            got = float(pair_probe(provider, w, probe[None])[0])
             if best is None or abs(got) > abs(best):
                 best_r, best = r, got
             if abs(got) >= target:
@@ -551,9 +566,13 @@ def _reference_reduce_to_basis(provider, omega, vectors, current):
 
 
 def _assert_reduction_matches_reference(prov, w, vectors):
-    value = float(r_power_probe(prov, w, len(vectors) // 2 - 1, vectors))
+    k = len(vectors) // 2 - 1
+    value = float(r_power_probe(prov, w, k, vectors))
     args, tries = _reference_reduce_to_basis(prov, w, vectors, value)
-    assert reduce_to_basis(prov, w, vectors, value) == args
+    packed, pairs = pack_probe(prov, w, k, vectors)
+    # the packing step and the kernel are the probe, bit for bit
+    assert pair_probe(prov, packed, pairs[None])[0] == value
+    assert reduce_to_basis(prov, packed, pairs, value) == args
     return tries
 
 
@@ -681,7 +700,60 @@ def _dense_r_power(provider, tensor, k):
     return t
 
 
-def _reference_r_power_action(provider, tensor, k, args, memo=True):
+def _reference_r_power_action(provider, tensor, k, args):
+    """Reference: the basis-index recursion with one closure call per
+    term: basis images memoized on (i, j, t) tuples, one memo per level
+    checked at the node's entry, and every argument (basis index or
+    vector) expanded into the multilinear sum term by term."""
+    t = np.asarray(tensor, dtype=float)
+    images = {}
+
+    def image_of(i, j, z):
+        if (i, j, z) not in images:
+            images[i, j, z] = provider._image(i, j, z)
+        return images[i, j, z]
+
+    memos = [{} for _ in range(k + 1)]
+
+    def eval_idx(k, idxs):
+        if k == 0:
+            return float(t[idxs])
+        got = memos[k].get(idxs)
+        if got is not None:
+            return got
+        x, y = idxs[0], idxs[1]
+        rest = idxs[2:]
+        total = 0.0
+        for slot, z in enumerate(rest):
+            image = image_of(x, y, z)
+            if image:
+                acc = 0.0
+                for m, coeff in image:
+                    acc += coeff * eval_idx(k - 1, rest[:slot] + (m,) + rest[slot + 1:])
+                total -= acc
+        memos[k][idxs] = total
+        return total
+
+    def expand(arg):
+        if isinstance(arg, (int, np.integer)):
+            return ((int(arg), 1.0),)
+        vec = np.asarray(arg, dtype=float)
+        return tuple((int(m), float(vec[m])) for m in np.nonzero(vec)[0])
+
+    expansions = [expand(a) for a in args]
+
+    def eval_args(pos, idxs):
+        if pos == len(expansions):
+            return eval_idx(k, idxs)
+        out = 0.0
+        for m, coeff in expansions[pos]:
+            out += coeff * eval_args(pos + 1, idxs + (m,))
+        return out
+
+    return eval_args(0, ())
+
+
+def _numpy_reference_r_power_action(provider, tensor, k, args, memo=True):
     """Reference: the basis-index recursion with one cache keyed by (k,
     idxs), every slot visited, and images taken from numpy arrays."""
     t = np.asarray(tensor, dtype=float)
@@ -736,7 +808,7 @@ def _assert_recursion_matches_reference(prov, w, k, vectors, seed):
         args[slot] = rng.standard_normal(prov.dim)
     got = r_power_action(prov, w, k, args)
     for memo in (True, False):
-        assert got == _reference_r_power_action(prov, w, k, args, memo=memo)
+        assert got == _numpy_reference_r_power_action(prov, w, k, args, memo=memo)
 
 
 @settings(max_examples=40, deadline=None)
@@ -754,6 +826,72 @@ def test_recursion_matches_numpy_reference_bit_for_bit(model, k, vectors, seed):
 def test_geometric_recursion_matches_numpy_reference_bit_for_bit(name, k, vectors, seed):
     prov, w = _scenario_curvature(name)
     _assert_recursion_matches_reference(prov, w, k, vectors, seed)
+
+
+ARG_KINDS = hst.sampled_from(("index", "index", "unit", "zero", "general"))
+
+
+def _mixed_args(data, rng, dim, count):
+    """``count`` arguments: basis indices and unit, zero and general
+    vectors, at most two of them general (each expands into up to dim
+    terms, and the sum runs over every combination)."""
+    args, general = [], 0
+    for _ in range(count):
+        kind = data.draw(ARG_KINDS)
+        m = data.draw(hst.integers(0, dim - 1))
+        if kind == "general" and general < 2:
+            general += 1
+            v = rng.standard_normal(dim)
+            v[rng.random(dim) < 0.3] = 0.0
+            args.append(v)
+        elif kind == "unit":
+            args.append(np.eye(dim)[m])
+        elif kind == "zero":
+            args.append(np.zeros(dim))
+        else:
+            args.append(m)
+    return args
+
+
+def _signed_zero_two_form(dim, seed):
+    """A 2-form with -0.0 at (0, 1) and (1, 0), and at about a third of its
+    other off-diagonal entries (both of each pair, which the recursion
+    does not check)."""
+    w = _random_two_form(dim, seed)
+    zero = np.triu(np.random.default_rng(seed + 1).random((dim, dim)) < 0.3, 1)
+    zero[0, 1] = True
+    w[zero | zero.T] = -0.0
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.one_of(block_models(dims=(4, 5, 6, 7, 8)).map(AlgebraicCurvature),
+                  drawn_geometric()),
+       hst.integers(0, 4), hst.integers(0, 2 ** 32 - 1), hst.data())
+def test_recursion_matches_term_by_term_reference_bytes(prov, k, seed, data):
+    # struct bytes, so that a -0.0 where the reference gives 0.0 fails
+    k = min(k, prov.cap)
+    w = _signed_zero_two_form(prov.dim, seed)
+    args = _mixed_args(data, np.random.default_rng(seed), prov.dim, 2 * k + 2)
+    got = r_power_action(prov, w, k, args)
+    assert struct.pack("<d", got) == \
+        struct.pack("<d", _reference_r_power_action(prov, w, k, args))
+
+
+def test_recursion_keeps_the_sign_of_zero_as_the_reference():
+    # a basis-index argument adds 0.0 as the term-by-term sum does: the
+    # -0.0 entry comes out +0.0, and a zero vector gives +0.0 too
+    prov = AlgebraicCurvature(_model())
+    w = _signed_zero_two_form(4, 0)
+    e = np.eye(4)
+    for args in ((0, 1), (e[0], 1), (0, e[1]), (e[0], e[1]), (np.zeros(4), 1)):
+        got = r_power_action(prov, w, 0, args)
+        assert struct.pack("<d", got) == \
+            struct.pack("<d", _reference_r_power_action(prov, w, 0, args)) == \
+            struct.pack("<d", 0.0), args
+    # a tensor of order 0 has no argument at all: its value as it is
+    assert struct.pack("<d", r_power_action(prov, np.array(-0.0), 0, ())) == \
+        struct.pack("<d", -0.0)
 
 
 def _random_three_tensor(dim, seed):
