@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, canonical, geometry, verify
 from .expr import ExprError
-from .jets import MAX_JET_ORDER, JetError, component_jets
+from .jets import MAX_JET_ORDER, JetError
 from .model import RealBlock
 from .scenarios import ScenarioFormatError, json_dim, load_scenario
 from .tensor_ops import (K_CAP_ALGEBRAIC, GeometricCurvature, RecursionCapError,
@@ -183,22 +183,15 @@ def _identity_trials(rng, dim, p_max, trials):
 
 def _geometry_records(sc, checks, structures, seed):
     """Records of every resolved check (``_resolve_checks``) at every
-    sample point, from the point's one structure solve in ``structures``
-    (``Scenario.validate``).
+    sample point, from the point's one structure solve and omega jets in
+    ``structures`` (``Scenario.validate``).
 
     Each check yields (name, value, params) rows, PASS below its ``tol`` and
-    FAIL otherwise unless the check sets its own verdict.  Where a check
-    reads omega's nabla chain, omega's jets and the chain are built here,
-    once per point, so an omega entry whose derivatives are not finite at
-    a sample point raises JetDomainError in this loop.
+    FAIL otherwise unless the check sets its own verdict.
     """
-    with_chain = any(c["name"] in ("rank_theorem", "alternating_identity")
-                     for c in checks)
     records = []
-    for pi, (point, sj) in enumerate(zip(sc.sample_points, structures)):
-        k = sj.order + 1
-        nablas = (nabla_powers(component_jets(sc.omega, point, k, sc.coords), sj, k)
-                  if with_chain else None)
+    for pi, (point, (sj, omega)) in enumerate(zip(sc.sample_points, structures)):
+        nablas = nabla_powers(omega, sj, sj.order + 1)
         prov = GeometricCurvature(geometry.curvature(sj))
         res = geometry.fundamental_residuals(sj, prov.R)
         for check in checks:
@@ -324,7 +317,6 @@ def cmd_decompose(args):
     t0 = time.perf_counter()
     pair = canonical.decompose(a, h, tol=args.tol)
     wall = (time.perf_counter() - t0) * 1e3
-    summary = canonical.classify(pair)
     blocks = [{"kind": "real" if isinstance(b, RealBlock) else "complex",
                **dataclasses.asdict(b)} for b in pair.blocks]
     residual = max(pair.residual_jordan, pair.residual_h)
@@ -335,14 +327,9 @@ def cmd_decompose(args):
                  "residual_h": pair.residual_h,
                  "threshold_step": pair.threshold_step,
                  "warnings": list(pair.warnings)}, wall),
-        _record("classify", "PASS", None, None, {
-            "counts": [list(c) for c in summary.counts],
-            "max_real_size": summary.max_real_size,
-            "has_complex": summary.has_complex,
-            "admissible_shape": summary.admissible_shape,
-            "final_form": summary.final_form,
-            "sign_classes": [[lam, size, list(signs)]
-                             for lam, size, signs in summary.sign_classes]}),
+        # vars, not dataclasses.asdict, which deep-copies every leaf at 25
+        # times the cost; json.dumps writes the tuples as lists
+        _record("classify", "PASS", None, None, vars(canonical.classify(pair))),
         _record("rank", "PASS", canonical.rank(a), None, {}),
     ]
     return _finish(records, base, args.output, args.strict)

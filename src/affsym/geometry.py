@@ -71,24 +71,23 @@ class Scenario:
 
     def validate(self, order: int) -> tuple:
         """Reject bad sample points up front: constraints, frame,
-        degenerate h, antisymmetry, degenerate omega.
+        degenerate h, omega not finite, antisymmetry, degenerate omega.
 
-        The constraint and frame checks are one structure solve per point,
-        to ``order``; the solves are returned in sample-point order, so a
-        caller that validates at the order its checks need solves each
-        point once.
+        Each point is solved once, to ``order``, and its omega evaluated
+        once, to ``order + 1`` (``component_jets``): the orders its checks
+        read.  Returns each point's (StructureJets, omega jets) in order.
         """
         solved = []
         for pt in self.sample_points:
             # raises ConstraintError or SingularFrameError if bad
             sj = structure_jets(self, pt, order)
-            solved.append(sj)
             # the singularity test canonical.decompose applies to h
             if 1.0 / np.linalg.cond(sj.h[0]) <= H_RCOND_MIN:
                 raise GeometryError(
                     f"h degenerate at sample point {tuple(pt)}: "
                     f"1/cond at or below {H_RCOND_MIN:g}")
-            w = component_jets(self.omega, pt, 0, self.coords)[0]
+            omega = component_jets(self.omega, pt, order + 1, self.coords)
+            w = omega[0]
             if np.max(np.abs(w + w.T)) > OMEGA_ANTISYM_TOL:
                 raise GeometryError(
                     f"omega not antisymmetric at sample point {tuple(pt)}")
@@ -96,6 +95,7 @@ class Scenario:
                 raise GeometryError(
                     f"omega degenerate at sample point {tuple(pt)}: "
                     f"|det| below {OMEGA_DET_MIN:g}")
+            solved.append((sj, omega))
         return tuple(solved)
 
 

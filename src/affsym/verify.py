@@ -126,8 +126,6 @@ def _size(block):
 
 def _decode(entry):
     kind, size, a, b = entry
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"block entry {entry!r} is not finite")
     if kind == "real":
         return RealBlock(int(size), float(a), int(b))
     if kind == "complex":
@@ -756,7 +754,7 @@ def run_oracle(spec: OracleSpec) -> OracleResult:
         power = fam.power(q)
     except OracleError:
         raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise OracleError(f"malformed params: {err!r}") from None
     lead, w, prov = m.blocks[0], d.w, AlgebraicCurvature(m)
     symbols = ({"alpha": lead.alpha, "beta": lead.beta} if isinstance(lead, ComplexBlock)
@@ -815,8 +813,10 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
     value from the basis-index recursion.  The probe and its reduction read
     one packing of omega and the vectors (``pack_probe``).  A missing
     witness is reported as a finding, never silently dropped.  Raises
-    OracleError unless p_max and trials are at least 1: a search over
-    nothing finds nothing.
+    OracleError unless p_max and trials are at least 1 (a search over
+    nothing finds nothing), and where the probe or the component's value
+    is not finite, which shows no vanishing; the search runs under one
+    ``np.errstate``, so an overflow does not warn.
     """
     if p_max < 1:
         raise OracleError(f"witness power p_max {p_max} is below 1")
@@ -827,26 +827,30 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
     dim = m.dim
     entries = []
     degenerate = 0
-    for power in range(1, p_max + 1):
-        for trial in range(trials):
-            rng = np.random.default_rng((seed, power, trial))
-            try:
-                w = random_omega(dim, rng)
-            except ModelError:
-                degenerate += 1
-                entries.append(WitnessEntry(power, trial, False, (), 0.0, "degenerate"))
-                continue
-            packed, pairs = pack_probe(prov, w, power,
-                                       rng.standard_normal((2 * power + 2, dim)))
-            value = float(pair_probe(prov, packed, pairs[None])[0])
-            found = None
-            if abs(value) > WITNESS_THRESHOLD:
-                args = reduce_to_basis(prov, packed, pairs, value)
-                value = r_power_action(prov, w, power, args)
-                if abs(value) > WITNESS_THRESHOLD:
-                    found = WitnessEntry(power, trial, True, args, value, "probe")
-            entries.append(found if found is not None else
-                           WitnessEntry(power, trial, False, (), 0.0, "exhausted"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for power in range(1, p_max + 1):
+            for trial in range(trials):
+                rng = np.random.default_rng((seed, power, trial))
+                try:
+                    w = random_omega(dim, rng)
+                except ModelError:
+                    degenerate += 1
+                    entries.append(WitnessEntry(power, trial, False, (), 0.0, "degenerate"))
+                    continue
+                packed, pairs = pack_probe(prov, w, power,
+                                           rng.standard_normal((2 * power + 2, dim)))
+                value = float(pair_probe(prov, packed, pairs[None])[0])
+                found = None
+                if math.isfinite(value) and abs(value) > WITNESS_THRESHOLD:
+                    args = reduce_to_basis(prov, packed, pairs, value)
+                    value = r_power_action(prov, w, power, args)
+                    if abs(value) > WITNESS_THRESHOLD:
+                        found = WitnessEntry(power, trial, True, args, value, "probe")
+                if not math.isfinite(value):
+                    raise OracleError(f"witness at power {power}, trial {trial}: "
+                                      f"R^{power} omega is not finite ({value})")
+                entries.append(found if found is not None else
+                               WitnessEntry(power, trial, False, (), 0.0, "exhausted"))
     return WitnessReport(tuple(blocks), p_max, trials, seed, tuple(entries), degenerate)
 
 

@@ -566,6 +566,39 @@ def test_check_geometry_solves_each_point_once(monkeypatch, tmp_path):
     assert calls == {"solve": 3, "curvature": 3}
 
 
+def test_check_geometry_reads_omega_once_per_point(monkeypatch, tmp_path):
+    # Scenario.validate evaluates omega to the order the checks read and
+    # the records take those jets: the chain needs no second evaluation
+    calls, evaluate = [], geometry.component_jets
+
+    def counted(components, point, order, coords):
+        calls.append((tuple(point), order))
+        return evaluate(components, point, order, coords)
+
+    monkeypatch.setattr(geometry, "component_jets", counted)
+    assert main(["check-geometry", "--scenario", "paper_example_n2",
+                 "--output", str(tmp_path / "rep.json")]) == 0
+    # rank_theorem at p_max 3 needs structure jets of order 2, so nabla^3 omega
+    # reads omega's jets of order 3
+    points = _shipped("paper_example_n2")["sample_points"]
+    assert calls == [(tuple(p), 3) for p in points]
+    assert "component_jets" not in vars(cli)
+
+
+@pytest.mark.parametrize("checks", [[{"name": "frame"}], [{"name": "rank_theorem"}], []])
+def test_omega_derivative_not_finite_exits_two_under_every_check_list(
+        checks, tmp_path, capsys):
+    # d^2/du1^2 sqrt(u1) overflows at u1 = 1e-300 while the value does not;
+    # omega is evaluated once, at load, to the order the checks read
+    omega = _shipped("paraboloid")["omega"]
+    omega[0][1], omega[1][0] = "1 + sqrt(u1)", "-(1 + sqrt(u1))"
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped("paraboloid", omega=omega, checks=checks,
+                                      sample_points=[[1e-300, 0.1, 0.2, 0.3]])))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1 and "omega[0][1]" in err[0]
+
+
 def test_check_geometry_reads_its_scenario_once(monkeypatch, tmp_path):
     # the digest describes the very bytes that were checked
     calls, read = [], scenarios._scenario_bytes

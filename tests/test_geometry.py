@@ -104,7 +104,7 @@ def test_ricci_and_codazzi_residuals_at_nonzero_dtau():
     sc = load_scenario("paraboloid")
     sc = replace(sc, transversal=tuple(parse_expr(e, sc.coords) for e in (
         "0.3*u2", "0", "0.2*u1*u3", "0", "1 + 0.1*u1*u2")))
-    for sj in sc.validate(1):
+    for sj, _ in sc.validate(1):
         res = geo.fundamental_residuals(sj, geo.curvature(sj))
         residuals = (res.gauss, res.codazzi_h, res.codazzi_s, res.ricci)
         assert max(residuals) < 1e-12 and res.dtau > 0.1, res

@@ -40,25 +40,35 @@ def test_complex_block_form():
 @pytest.mark.parametrize("make, words", [
     (lambda: RealBlock(0, 1.0, 1), "real block size must be >= 1"),
     (lambda: RealBlock(1, 0.0, 2), "real block sign must be +1 or -1"),
-    (lambda: ComplexBlock(0, 0.5, 1.0), "complex block half-size must be >= 1")],
-    ids=["real_size", "real_sign", "complex_half_size"])
+    (lambda: ComplexBlock(0, 0.5, 1.0), "complex block half-size must be >= 1"),
+    (lambda: RealBlock(1, float("inf"), 1), "real block eigenvalue inf is not finite"),
+    (lambda: RealBlock(2, float("nan"), -1), "real block eigenvalue nan is not finite"),
+    (lambda: ComplexBlock(1, float("nan"), 1.0), "complex block eigenvalue nan+1.0i is not finite"),
+    (lambda: ComplexBlock(1, 0.5, float("-inf")),
+     "complex block eigenvalue 0.5-infi is not finite")],
+    ids=["real_size", "real_sign", "complex_half_size", "real_inf", "real_nan",
+         "complex_alpha_nan", "complex_beta_inf"])
 def test_block_fields_are_checked(make, words):
     with pytest.raises(ModelError) as err:
         make()
     assert str(err.value) == words
 
 
-def test_blocks_are_selfadjoint_pairs():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        if rng.random() < 0.5:
-            b = RealBlock(int(rng.integers(1, 6)), float(rng.uniform(-2, 2)),
-                          int(rng.choice((-1, 1))))
-        else:
-            b = ComplexBlock(int(rng.integers(1, 4)), float(rng.uniform(-2, 2)),
-                             float(rng.uniform(0.2, 2)))
-        s, h = direct_sum([b])
-        assert np.max(np.abs(s.T @ h - h @ s)) == 0.0
+# finite values of every magnitude, subnormals among them
+FINITE_VALUES = hst.floats(-1e300, 1e300, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.lists(hst.one_of(
+    hst.builds(RealBlock, hst.integers(1, 5), FINITE_VALUES, hst.sampled_from((1, -1))),
+    hst.builds(ComplexBlock, hst.integers(1, 5), FINITE_VALUES,
+               FINITE_VALUES.filter(lambda v: v != 0.0))), min_size=1, max_size=4))
+def test_blocks_are_selfadjoint_pairs(blocks):
+    # H is a signed permutation and every entry of S^T H and H S a single
+    # product with +-1: an assembled pair needs no numeric check
+    s, h = direct_sum(blocks)
+    assert np.array_equal(s.T @ h - h @ s, np.zeros_like(s))
+    assert abs(np.linalg.det(h)) == 1.0
 
 
 def test_assemble_examples():

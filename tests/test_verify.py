@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,8 +46,10 @@ def test_unknown_oracle_id():
 @pytest.mark.parametrize("change, words", [
     (lambda q: q["blocks"][0].__setitem__(2, float("nan")), "is not finite"),
     (lambda q: q["blocks"][0].__setitem__(0, "triangle"), "unknown block kind 'triangle'"),
-    (lambda q: q.pop("omega"), "KeyError('omega')")],
-    ids=["nan_entry", "unknown_kind", "no_omega"])
+    (lambda q: q.pop("omega"), "KeyError('omega')"),
+    (lambda q: q["blocks"][0].__setitem__(1, float("inf")), "cannot convert float infinity"),
+    (lambda q: q["blocks"][0].__setitem__(3, float("inf")), "cannot convert float infinity")],
+    ids=["nan_entry", "unknown_kind", "no_omega", "inf_size", "inf_sign"])
 def test_malformed_spec_is_an_oracle_error(change, words):
     spec = sample_spec("lemma34", np.random.default_rng(0))
     params = {**spec.params, "blocks": [list(b) for b in spec.params["blocks"]]}
@@ -284,6 +288,17 @@ def test_witness_is_deterministic_and_found_by_probe():
 def test_witness_search_over_nothing_is_an_error(p_max, trials):
     with pytest.raises(OracleError, match="below 1"):
         theorem_witness(INADMISSIBLE["diag_rank2"], p_max=p_max, trials=trials)
+
+
+@pytest.mark.parametrize("eigenvalue, power", [(1e200, 2), (1e80, 4)])
+def test_overflowing_witness_probe_is_an_oracle_error(eigenvalue, power):
+    # rank S = 2, so R^p omega is nonzero at every power: a probe that
+    # overflows shows nothing, and is neither "exhausted" nor a warning
+    blocks = [RealBlock(2, eigenvalue, 1), RealBlock(1, 0.0, 1), RealBlock(1, 0.0, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleError, match=f"at power {power}, trial 0: .* not finite"):
+            theorem_witness(blocks, p_max=4, trials=1)
 
 
 def test_degenerate_form_draws_are_reported(monkeypatch):
