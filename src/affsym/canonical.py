@@ -12,10 +12,19 @@ pairings are killed by completing the square along the chain).
 Everything is plain double precision; the residuals carried on the result
 are the honest quality measure, and borderline rank/cluster decisions are
 surfaced as warnings rather than silently resolved.
+
+LAPACK is skipped only where the shape fixes what it would return.  A real
+stage of dimension 1 takes its 2-norms as |n| and its chain generator as
+x = 1.0 with score |f|: eigh's eigenvector of a 1x1 matrix is 1.0, and svd
+returns |n| unless dgesdd rescales an entry outside about [6.7e-139,
+1.5e138], where it can move the last bit but the stage still takes length
+1 and no warning.  A chain that fills its stage ends it, without the SVD
+of an empty complement.  No block, transform, residual or warning moves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,7 +95,9 @@ def _pick_isotropy_vector(f, complex_field):
     """
     d = f.shape[0]
     if not complex_field:
-        candidates = list(np.linalg.eigh(f)[1].T)
+        # contiguous rows: np.linalg.norm dots a contiguous copy, and a
+        # strided dot can round differently
+        candidates = list(np.linalg.eigh(f)[1].T.copy())
     else:
         u, _, vh = np.linalg.svd(f)
         eye = np.eye(d, dtype=complex)
@@ -96,7 +107,7 @@ def _pick_isotropy_vector(f, complex_field):
                 candidates += [eye[i] + eye[j], eye[i] - eye[j], eye[i] + 1j * eye[j]]
     best, best_score = None, -1.0
     for x in candidates:
-        nrm = np.linalg.norm(x)
+        nrm = math.sqrt(x.dot(x)) if not complex_field else np.linalg.norm(x)
         if nrm == 0.0:
             continue
         x = x / nrm
@@ -104,6 +115,14 @@ def _pick_isotropy_vector(f, complex_field):
         if score > best_score:
             best, best_score = x, score
     return best, best_score
+
+
+def _norm2(x):
+    """The float np.linalg.norm(x, 2) returns, as svd(x)[0] at less cost;
+    a real 1x1 x's is |x|, without LAPACK (see the module docstring)."""
+    if x.shape == (1, 1) and x.dtype.kind == "f":
+        return float(abs(x[0, 0]))
+    return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
 def _extract_chains(a, h, basis, lam, complex_field, warnings):
@@ -122,13 +141,12 @@ def _extract_chains(a, h, basis, lam, complex_field, warnings):
         n_cur = a_cur - lam * np.eye(cur.shape[1], dtype=a_cur.dtype)
 
         # nilpotency index at this stage
-        # svd(x)[0] is the float np.linalg.norm(x, 2) returns, at less cost
-        scale = max(1.0, float(np.linalg.svd(n_cur, compute_uv=False)[0]))
+        scale = max(1.0, _norm2(n_cur))
         length = cur.shape[1]
         power = np.eye(cur.shape[1], dtype=n_cur.dtype)
         for j in range(1, cur.shape[1] + 1):
             power = power @ n_cur
-            nrm = float(np.linalg.svd(power, compute_uv=False)[0])
+            nrm = _norm2(power)
             if nrm <= 1e-7 * scale ** j:
                 length = j
                 break
@@ -140,7 +158,9 @@ def _extract_chains(a, h, basis, lam, complex_field, warnings):
         n_top = np.linalg.matrix_power(n_cur, length - 1)
         f = h_cur @ n_top
         f = (f + f.T) / 2.0
-        x, score = _pick_isotropy_vector(f, complex_field)
+        # eigh's eigenvector of a real 1x1 f is 1.0, already of unit length
+        x, score = ((np.ones(1), abs(f[0, 0])) if f.shape == (1, 1) and not complex_field
+                    else _pick_isotropy_vector(f, complex_field))
         if x is None or score < 1e-10:
             raise CanonicalError(
                 f"could not find a chain generator at eigenvalue {lam} "
@@ -150,8 +170,9 @@ def _extract_chains(a, h, basis, lam, complex_field, warnings):
             ys = [vec]
             for _ in range(length - 1):
                 ys.append(n_cur @ ys[-1])
-            cs = [ys[0] @ h_cur @ y for y in ys]
-            return ys, cs
+            # x @ H @ y is (x @ H) @ y: one x @ H serves every pairing
+            xh = vec @ h_cur
+            return ys, [xh @ y for y in ys]
 
         ys, cs = pairings(x)
         for d in range(1, length):
@@ -168,6 +189,8 @@ def _extract_chains(a, h, basis, lam, complex_field, warnings):
         ys, cs = pairings(x)
 
         chains.append((length, sign, [q @ y for y in ys]))
+        if len(ys) == cur.shape[1]:
+            break  # the chain fills the stage: its complement is empty
 
         # pass to the h-orthogonal complement of the chain
         rows = np.array([y @ h_cur for y in ys])
@@ -189,14 +212,21 @@ def _root_space(a, lam, mult, warnings):
 def _clusters(eigvals, delta):
     """(mean, multiplicity) of the real clusters and of the upper-half-plane
     complex clusters of ``eigvals`` at threshold ``delta``."""
-    n = len(eigvals)
-    reals = [eigvals[i].real for i in range(n) if abs(eigvals[i].imag) <= delta]
-    uppers = [eigvals[i] for i in range(n) if eigvals[i].imag > delta]
-    real_clusters = tuple((float(np.mean([reals[i] for i in g])), len(g))
+    values = eigvals.tolist()
+    reals = [v.real for v in values if abs(v.imag) <= delta]
+    uppers = [v for v in values if v.imag > delta]
+    # a real cluster of one is its own mean, x / 1
+    real_clusters = tuple((reals[g[0]] if len(g) == 1 else float(_mean(reals, g)), len(g))
                           for g in _cluster(reals, delta))
-    cplx_clusters = tuple((complex(np.mean([uppers[i] for i in g])), len(g))
+    cplx_clusters = tuple((complex(_mean(uppers, g)), len(g))
                           for g in _cluster(uppers, delta))
     return real_clusters, cplx_clusters
+
+
+def _mean(values, members):
+    """The mean of ``values`` at ``members`` as np.mean computes it: one
+    np.add.reduce over an array, then one division."""
+    return np.add.reduce(np.array([values[i] for i in members])) / len(members)
 
 
 def _peel(a, h, lam, mult, complex_field, peeled):

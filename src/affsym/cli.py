@@ -18,7 +18,6 @@ Exit codes: 0 no failures, 1 at least one FAIL record (or WARN under
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import fnmatch
 import functools
 import json
@@ -317,8 +316,10 @@ def cmd_decompose(args):
     t0 = time.perf_counter()
     pair = canonical.decompose(a, h, tol=args.tol)
     wall = (time.perf_counter() - t0) * 1e3
-    blocks = [{"kind": "real" if isinstance(b, RealBlock) else "complex",
-               **dataclasses.asdict(b)} for b in pair.blocks]
+    # vars, here and for classify, not dataclasses.asdict, which deep-copies
+    # every leaf at many times the cost; json.dumps writes tuples as lists
+    blocks = [{"kind": "real" if isinstance(b, RealBlock) else "complex", **vars(b)}
+              for b in pair.blocks]
     residual = max(pair.residual_jordan, pair.residual_h)
     records = [
         _record("decompose", "PASS" if residual < 1e-6 else "WARN", residual, 1e-6,
@@ -327,8 +328,6 @@ def cmd_decompose(args):
                  "residual_h": pair.residual_h,
                  "threshold_step": pair.threshold_step,
                  "warnings": list(pair.warnings)}, wall),
-        # vars, not dataclasses.asdict, which deep-copies every leaf at 25
-        # times the cost; json.dumps writes the tuples as lists
         _record("classify", "PASS", None, None, vars(canonical.classify(pair))),
         _record("rank", "PASS", canonical.rank(a), None, {}),
     ]

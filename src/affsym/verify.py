@@ -126,10 +126,19 @@ def _size(block):
 
 def _decode(entry):
     kind, size, a, b = entry
+
+    def integer(v, what):
+        # a size or sign of 6.5, 6.0 or True is refused, not truncated; inf
+        # and nan fail in int(), as it words them
+        n = int(v)
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"block {entry!r}: {what} {v!r} is not an integer")
+        return n
+
     if kind == "real":
-        return RealBlock(int(size), float(a), int(b))
+        return RealBlock(integer(size, "size"), float(a), integer(b, "sign"))
     if kind == "complex":
-        return ComplexBlock(int(size), float(a), float(b))
+        return ComplexBlock(integer(size, "size"), float(a), float(b))
     raise ValueError(f"unknown block kind {kind!r}")
 
 

@@ -544,3 +544,38 @@ def test_real_isotropy_pick_is_the_eigenvector_maximum(f):
     x, score = _pick_isotropy_vector(f, complex_field=False)
     assert score >= (1 - 8 * np.finfo(float).eps) * _full_candidate_score(f)
     assert abs(np.linalg.norm(x) - 1.0) < 1e-12 and score == abs(x @ f @ x)
+
+
+#: dgesdd rescales a matrix whose largest entry lies outside
+#: [sqrt(tiny) / eps, eps / sqrt(tiny)], about [6.7e-139, 1.5e138]
+_SVD_SMLNUM = float(np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps)
+
+# signed zeros, subnormals, both edges of dgesdd's unscaled range and
+# values up to ENTRY_MAX
+_SCALARS = hst.one_of(
+    hst.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-300, _SVD_SMLNUM,
+                      np.nextafter(_SVD_SMLNUM, 0.0), 1.0 / _SVD_SMLNUM,
+                      np.nextafter(1.0 / _SVD_SMLNUM, np.inf), 1e150, -1e150)),
+    hst.floats(-1e150, 1e150, allow_nan=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SCALARS)
+def test_real_1x1_stage_shortcut_matches_lapack(v):
+    # a real stage of dimension 1 takes x = 1.0 and score |f| instead of
+    # eigh, and its 2-norms as |n| instead of svd
+    m = np.array([[v]])
+    x, score = _pick_isotropy_vector(m, complex_field=False)
+    assert x.tobytes() == np.ones(1).tobytes()
+    assert float(score).hex() == float(abs(m[0, 0])).hex()
+    sv = float(np.linalg.svd(m, compute_uv=False)[0])
+    nrm = canonical._norm2(m)
+    assert nrm.hex() == float(abs(m[0, 0])).hex()
+    if v == 0.0 or _SVD_SMLNUM <= nrm <= 1.0 / _SVD_SMLNUM:
+        assert nrm.hex() == sv.hex()
+    else:
+        # dgesdd scales such an entry into range and back, which can move
+        # its last bit; the stage's length and warning come out the same
+        assert abs(nrm - sv) <= np.spacing(nrm)
+        assert [(s <= 1e-7 * max(1.0, s), s <= 1e-5 * max(1.0, s)) for s in (nrm, sv)] \
+            == [(nrm <= 1e-7, nrm <= 1e-5)] * 2

@@ -15,6 +15,14 @@ criterion 5, bit for bit: power, trial, found, args and ``value.hex()``.
 ``oracle_brute.json`` pins the brute value of every draw, bit for bit, as
 ``brute.hex()`` for each family's ``run_family(oid, 25, seed=0)``: the
 draws whose worst error per power group ``oracles_trials25`` reports.
+
+``decompose_pairs.json`` pins the canonical pair of 60 seeded congruent
+pairs of dims 4-10 (``cases``: the blocks and the ``_conjugate`` seed of
+each), bit for bit: blocks with their floats as ``.hex()``,
+``threshold_step``, warnings, both residuals as ``.hex()`` and the sha256
+of ``transform.tobytes()``.  The cases hold 1x1 real blocks of both signs,
+complex blocks, and size-3 and size-4 Jordan blocks that climb the
+clustering ladder.
 """
 
 import hashlib
@@ -25,8 +33,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from affsym.canonical import decompose
 from affsym.cli import main
+from affsym.model import ComplexBlock, RealBlock, assemble
 from affsym.verify import list_oracles, run_family, sample_spec, theorem_witness
+from test_canonical import _conjugate
 from test_verify import INADMISSIBLE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -132,3 +143,31 @@ def test_oracle_brutes_match_golden():
     got = oracle_brutes(want["draws"], want["seed"], want["p_max"])
     assert list(got) == list(want["brute"])
     assert {oid: hexes for oid, hexes in got.items() if hexes != want["brute"][oid]} == {}
+
+
+def decompose_pairs(cases):
+    """The canonical pair of each case, as the golden fixture stores it."""
+    out = []
+    for case in cases:
+        blocks = [RealBlock(size, a, b) if kind == "real" else ComplexBlock(size, a, b)
+                  for kind, size, a, b in case["blocks"]]
+        a, h, _ = _conjugate(np.random.default_rng(case["seed"]), assemble(blocks))
+        pair = decompose(a, h)
+        out.append({
+            "blocks": [["real", b.size, b.eigenvalue.hex(), b.sign] if isinstance(b, RealBlock)
+                       else ["complex", b.half_size, b.alpha.hex(), b.beta.hex()]
+                       for b in pair.blocks],
+            "threshold_step": pair.threshold_step,
+            "warnings": list(pair.warnings),
+            "residual_jordan": pair.residual_jordan.hex(),
+            "residual_h": pair.residual_h.hex(),
+            "transform_sha256": hashlib.sha256(pair.transform.tobytes()).hexdigest(),
+        })
+    return out
+
+
+def test_decompose_pairs_match_golden():
+    want = json.loads((GOLDEN / "decompose_pairs.json").read_text())
+    got = decompose_pairs(want["cases"])
+    assert len(got) == len(want["pairs"])
+    assert [i for i, (g, w) in enumerate(zip(got, want["pairs"])) if g != w] == []

@@ -59,6 +59,21 @@ def test_malformed_spec_is_an_oracle_error(change, words):
     assert words in str(err.value)
 
 
+@pytest.mark.parametrize("size, sign", [(6.5, -1.5), (6, -1.5), (True, -1), (6, -1.0)],
+                         ids=["float_size_and_sign", "float_sign", "bool_size",
+                              "integral_float_sign"])
+def test_block_size_or_sign_that_is_no_int_is_refused(size, sign):
+    # the lead block is ["real", 6, 0.0, -1]; int() used to truncate these,
+    # so the record named a block that was never built
+    spec = sample_spec("lemma34", np.random.default_rng(0))
+    params = {**spec.params, "blocks": [list(b) for b in spec.params["blocks"]]}
+    params["blocks"][0] = ["real", size, 0.0, sign]
+    entry = repr(params["blocks"][0])
+    with pytest.raises(OracleError, match="malformed params: ") as err:
+        run_oracle(OracleSpec(spec.id, params))
+    assert entry in str(err.value) and "is not an integer" in str(err.value)
+
+
 def test_hypothesis_violations_are_named():
     w4 = tridiagonal_omega(4).tolist()
     cases = [
