@@ -162,18 +162,61 @@ def test_decompose_command(tmp_path):
     assert "master_seed" not in rep   # decompose draws nothing
 
 
+def _rotated(blocks):
+    """The matrix file of ``assemble(blocks)`` under a seeded orthogonal Q."""
+    m = assemble(blocks)
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(m.dim, m.dim)))
+    return {"dim": m.dim, "A": (q.T @ m.S @ q).ravel().tolist(),
+            "H": (q.T @ m.H @ q).ravel().tolist()}
+
+
+def _decompose_records(pair, tmp_path):
+    """Each record of ``decompose`` on ``pair`` by name, after exit 0."""
+    mat, out = tmp_path / "mat.json", tmp_path / "rep.json"
+    mat.write_text(json.dumps(pair))
+    assert main(["decompose", str(mat), "--output", str(out)]) == 0
+    return {r["name"]: r for r in _load(out)["checks"]}
+
+
 def test_decompose_reports_its_threshold_step(tmp_path):
     # a rotated size-3 Jordan block escalates the clustering threshold
-    m = assemble([RealBlock(3, 0.7, 1), RealBlock(1, -0.5, 1)])
-    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
-    mat = tmp_path / "mat.json"
-    mat.write_text(json.dumps({"dim": 4, "A": (q.T @ m.S @ q).ravel().tolist(),
-                               "H": (q.T @ m.H @ q).ravel().tolist()}))
-    out = tmp_path / "rep.json"
-    assert main(["decompose", str(mat), "--output", str(out)]) == 0
-    params = next(r for r in _load(out)["checks"] if r["name"] == "decompose")["params"]
+    params = _decompose_records(_rotated([RealBlock(3, 0.7, 1), RealBlock(1, -0.5, 1)]),
+                                tmp_path)["decompose"]["params"]
     assert params["threshold_step"] >= 1
     assert any("clustering threshold escalated" in w for w in params["warnings"])
+
+
+# the sip matrix of a 2-block beside (+1) and (-1)
+_SIP_H = [0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1]
+# a rank-one nilpotent 2-block with that H
+_NILPOTENT_PAIR = {"dim": 4, "A": [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                   "H": _SIP_H}
+# a complex pair 0.3 +- 1.2i beside (+1) and (-1)
+_PAIR = {"dim": 4, "A": [0.3, 1.2, 0, 0, -1.2, 0.3, 0, 0, 0, 0, 0.5, 0, 0, 0, 0, -0.7],
+         "H": _SIP_H}
+
+
+@pytest.mark.parametrize("pair, holds", [
+    (_NILPOTENT_PAIR, lambda classify, dec: classify["final_form"] == "rank_one_nilpotent"),
+    # the complex clustering and root-space path
+    (_PAIR, lambda classify, dec: classify["has_complex"] is True),
+    # every root space has dimension 1, so every stage takes the 1x1
+    # shortcut and every chain fills its stage
+    ({"dim": 4, "A": np.diag([1.5, -0.7, 0.4, -2.2]).ravel().tolist(),
+      "H": np.diag([1.0, -1.0, 1.0, -1.0]).ravel().tolist()},
+     lambda classify, dec: dec["threshold_step"] == 0 and dec["warnings"] == []
+     and [(b["kind"], b["size"], b["eigenvalue"], b["sign"]) for b in dec["blocks"]]
+     == [("real", 1, -2.2, -1), ("real", 1, -0.7, -1), ("real", 1, 0.4, 1), ("real", 1, 1.5, 1)]),
+    # the scattered eigenvalues of a nilpotent 4-block fail the first
+    # clustering, and the escalated one reuses the simple eigenvalues' chains
+    (_rotated([RealBlock(4, 0.0, 1), RealBlock(1, 1.3, 1), RealBlock(1, -0.8, -1)]),
+     lambda classify, dec: any("clustering threshold escalated" in w for w in dec["warnings"])
+     and 4 in [b["size"] for b in dec["blocks"]]),
+], ids=["rank_one_nilpotent", "complex_pair", "diagonal", "rotated_nilpotent_4_block"])
+def test_decompose_reports_its_pair(pair, holds, tmp_path):
+    rec = _decompose_records(pair, tmp_path)
+    assert [r["status"] for r in rec.values()] == ["PASS"] * 3, rec
+    assert holds(rec["classify"]["params"], rec["decompose"]["params"]), rec
 
 
 @pytest.mark.parametrize("command", ["list-oracles", "oracles", "check-geometry",
@@ -714,25 +757,69 @@ def _long_literal_scenario():
     return json.dumps(data).replace('"LONG"', "1" * 5000)
 
 
-@pytest.mark.parametrize("text, words", [
+def _paraboloid_text(**changes):
+    return json.dumps(_shipped("paraboloid", **changes))
+
+
+def _first_immersion_entry(entry):
+    return [entry] + _shipped("paraboloid")["immersion"][1:]
+
+
+def _nan_omega():
+    omega = _shipped("paraboloid")["omega"]
+    omega[0][1] = float("nan")
+    return omega
+
+
+# immersion[0] entries nested beyond MAX_NESTING or overflowing in a sum
+_DEEP_OR_OVERFLOWING = [
+    ("(" * 3000 + "u1" + ")" * 3000, "nesting deeper than 100"),
+    ("-" * 3000 + "u1", "nesting deeper than 100"),
+    ("sin(" * 2000 + "u1" + ")" * 2000, "nesting deeper than 100"),
+    # exp(0.3)^3000 overflows, and the error names the 3000-term sum
+    (" + ".join(["u1"] + ["exp(u1)^3000"] * 2999), "immersion[0]: ^3000 is not finite"),
+]
+_DEEP_IDS = ["parentheses", "unary_minus", "calls", "overflowing_sum"]
+_SCENARIO_IN = ["check-geometry", "--scenario", "IN"]
+
+
+@pytest.mark.parametrize("text, argv, words", [
     # without the cap this alternating_identity check would not finish
-    (json.dumps(_shipped("paraboloid", checks=[
-        {"name": "alternating_identity", "trials": 10 ** 12}])), "cap 10000"),
-    (_long_literal_scenario(), "4300 digits"),
-], ids=["huge_trials", "long_integer_literal"])
-def test_oversized_input_exits_two(text, words, tmp_path):
-    sc = tmp_path / "sc.json"
-    sc.write_text(text)
-    run = _affsym_python(_RUN_CLI, "check-geometry", "--scenario", str(sc))
-    err = run.stderr.strip().splitlines()
-    assert run.returncode == 2 and len(err) == 1 and words in err[0], run.stderr
+    (_paraboloid_text(checks=[{"name": "alternating_identity", "trials": 10 ** 12}]),
+     _SCENARIO_IN, "cap 10000"),
+    (_long_literal_scenario(), _SCENARIO_IN, "4300 digits"),
+    *[(_paraboloid_text(immersion=_first_immersion_entry(entry)), _SCENARIO_IN, words)
+      for entry, words in _DEEP_OR_OVERFLOWING],
+    (_paraboloid_text(immersion=_first_immersion_entry("u1 + 1e400")), _SCENARIO_IN,
+     "offset"),
+    (_paraboloid_text(sample_points=[]), _SCENARIO_IN, "no sample points"),
+    (_paraboloid_text(omega=_nan_omega()), _SCENARIO_IN, "omega[0][1] is not finite"),
+    (None, ["check-geometry", "--scenario", "paraboloid", "--seed", "-1"], "--seed"),
+    (None, ["oracles", "--filter", "rp_ei_ek", "--trials", "1", "--seed", "-1"], "--seed"),
+    (json.dumps(_NILPOTENT_PAIR), ["decompose", "IN", "--tol", "nan"], "--tol"),
+    (json.dumps({"dim": 2, "A": [1, 0, 0, {"x": 1}], "H": [1, 0, 0, 1]}), ["decompose", "IN"],
+     "must hold JSON numbers"),
+], ids=["huge_trials", "long_integer_literal", *_DEEP_IDS, "literal_beyond_double_range",
+        "no_sample_points", "nan_omega_entry", "check_geometry_negative_seed",
+        "oracles_negative_seed", "nan_tol", "object_matrix_entry"])
+def test_refused_input_exits_two_within_20_s(text, argv, words, tmp_path):
+    """In a fresh interpreter, where a RuntimeWarning prints instead of
+    raising, a refused input (the file IN holds ``text``) ends in exit 2
+    and one stderr line of under 200 bytes, within 20 s."""
+    path = tmp_path / "in.json"
+    if text is not None:
+        path.write_text(text)
+    run = _affsym_python(_RUN_CLI, *[str(path) if a == "IN" else a for a in argv],
+                         timeout=20)
+    assert run.returncode == 2 and run.stderr.count("\n") == 1, run.stderr
+    assert words in run.stderr and len(run.stderr.encode()) < 200, run.stderr
 
 
 @pytest.mark.parametrize("trials", [TRIALS_CAP + 1, 10 ** 12])
 def test_oracles_trials_beyond_cap_exits_two(trials):
     # without the cap run_family would keep 10**12 results and not finish
     run = _affsym_python(_RUN_CLI, "oracles", "--filter", "rp_ei_ek",
-                         "--trials", str(trials), timeout=30)
+                         "--trials", str(trials), timeout=20)
     err = run.stderr.strip().splitlines()
     assert run.returncode == 2 and err == [
         f"error: --trials {trials} is beyond the cap {TRIALS_CAP}"], run.stderr
@@ -773,8 +860,14 @@ def test_bare_check_takes_its_defaults(name, tol, params, tmp_path):
 def test_scenario_without_checks_runs_the_table(tmp_path):
     data = _shipped("paraboloid")
     del data["checks"]
-    assert _check_records(data, tmp_path) == \
-        _check_records(_shipped("paraboloid"), tmp_path)
+    shipped = _check_records(_shipped("paraboloid"), tmp_path)
+    assert _check_records(data, tmp_path) == shipped
+    # checks that name no field take the table's defaults, which the
+    # shipped file spells out
+    names = ("rank_theorem", "alternating_identity")
+    bare = _shipped("paraboloid", checks=[{"name": name} for name in names])
+    assert _check_records(bare, tmp_path) == \
+        [r for r in shipped if r["name"].split("@")[0] in names]
 
 
 def test_unknown_check_keeps_its_own_tol(tmp_path):
@@ -850,17 +943,26 @@ def test_cli_runs_without_scipy(tmp_path):
         "import sys, affsym, affsym.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert run.returncode == 0 and run.stdout == "[]\n", run.stderr
-    mat = tmp_path / "mat.json"
+    mat, pair = tmp_path / "mat.json", tmp_path / "pair.json"
     mat.write_text(json.dumps({"dim": 4, "A": [0.0] * 16,
                                "H": np.eye(4).ravel().tolist()}))
+    pair.write_text(json.dumps(_NILPOTENT_PAIR))
     # a None entry makes every import of scipy raise ImportError
     blocked = "import sys; sys.modules['scipy'] = None; " + _RUN_CLI
     for argv in (["list-oracles"],
                  ["oracles", "--filter", "cx_*", "--trials", "5"],
                  ["check-geometry", "--scenario", "paper_example_n3"],
-                 ["decompose", str(mat)]):
+                 ["decompose", str(mat)],
+                 ["decompose", str(pair)]):
         run = _affsym_python(blocked, *argv, "--output", str(tmp_path / "rep.json"))
         assert run.returncode == 0, (argv, run.stderr)
+
+
+def test_induced_structure_is_not_exported():
+    # the induced structure at a point is read from StructureJets, the one
+    # structure object per point
+    for name in ("InducedStructure", "induced_structure"):
+        assert not hasattr(affsym, name) and name not in affsym.__all__, name
 
 
 def _diag_rank2_twin(point, eps=1.0):
@@ -966,18 +1068,10 @@ def test_identity_trials_are_the_per_trial_draws(dim, p_max):
         assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("entry, words", [
-    ("(" * 3000 + "u1" + ")" * 3000, "nesting deeper than 100"),
-    ("-" * 3000 + "u1", "nesting deeper than 100"),
-    ("sin(" * 2000 + "u1" + ")" * 2000, "nesting deeper than 100"),
-    # exp(0.3)^3000 overflows, and the error names the 3000-term sum
-    (" + ".join(["u1"] + ["exp(u1)^3000"] * 2999), "not finite"),
-], ids=["parentheses", "unary_minus", "calls", "overflowing_sum"])
+@pytest.mark.parametrize("entry, words", _DEEP_OR_OVERFLOWING, ids=_DEEP_IDS)
 def test_deep_or_overflowing_expression_is_usage_error(entry, words, tmp_path, capsys):
-    data = _shipped("paraboloid")
-    data["immersion"][0] = entry
     sc = tmp_path / "sc.json"
-    sc.write_text(json.dumps(data))
+    sc.write_text(_paraboloid_text(immersion=_first_immersion_entry(entry)))
     rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
     assert rc == 2 and len(err) == 1 and words in err[0]
 
@@ -1069,7 +1163,8 @@ def test_rank_check_warns_on_shape_operator_without_canonical_form(tmp_path):
     params = rec[0]["params"]
     assert params["final_form"] is None and params["rank_S"] == 1
     assert params["power"] == 1 and params["max_nabla"] == 0.0
-    assert "no canonical form" in params["reason"] and "selfadjoint" in params["reason"]
+    assert params["reason"].startswith("(S, h) has no canonical form")
+    assert "selfadjoint" in params["reason"]
     assert main(["check-geometry", "--scenario", str(sc), "--strict",
                  "--output", str(out)]) == 1
     # with every check, the report is written and equiaffine fails on h S
@@ -1169,10 +1264,7 @@ def test_any_scenario_text_exits_cleanly():
     assert codes.count(1) >= len(codes) / 10, codes
 
 
-# one H-selfadjoint pair, a complex pair 0.3 +- 1.2i beside (+1) and (-1),
-# and mutations of its matrix file
-_PAIR = {"dim": 4, "A": [0.3, 1.2, 0, 0, -1.2, 0.3, 0, 0, 0, 0, 0.5, 0, 0, 0, 0, -0.7],
-         "H": [0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1]}
+# mutations of the matrix file of _PAIR
 _ENTRIES = hst.one_of(
     hst.sampled_from([None, True, False, "1", "NaN", [], [1.0], {}, {"x": 1},
                       10 ** 400, -(10 ** 400), 2 ** 63, float("nan"), float("inf"),

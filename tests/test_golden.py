@@ -85,7 +85,7 @@ def _mismatches(got, want, path="$"):
 @pytest.mark.parametrize("tag", sorted(RUNS))
 def test_report_matches_golden(tag, tmp_path):
     out = tmp_path / "report.json"
-    main(RUNS[tag] + ["--output", str(out)])
+    assert main(RUNS[tag] + ["--output", str(out)]) == 0
     got = _strip_timing(json.loads(out.read_text()))
     want = json.loads((GOLDEN / f"{tag}.json").read_text())
     assert [(r["name"], r["status"]) for r in got["checks"]] == \
