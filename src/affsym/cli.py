@@ -126,10 +126,10 @@ def _resolve_checks(sc):
 
     Each sample point is solved once at this order.  A field that a known
     check does not take (one outside its ``CHECKS`` entry), a check field
-    of the wrong type, a rank_theorem power that ``check_packed_power`` refuses
-    for the geometric curvature, a power beyond the jet order cap and
-    alternating_identity trials beyond TRIALS_CAP are rejected here as
-    scenario errors.
+    of the wrong type, a rank_theorem or alternating_identity power that
+    ``check_packed_power`` refuses for the geometric curvature, a power
+    beyond the jet order cap and alternating_identity trials beyond
+    TRIALS_CAP are rejected here as scenario errors.
     """
     checks, order = [], 1
     for check in sc.checks or [{"name": name} for name in CHECKS]:
@@ -145,12 +145,14 @@ def _resolve_checks(sc):
             check["tol"] = float(check["tol"])
         checks.append(check)
         p_max = check.get("p_max")
-        if name == "rank_theorem":
+        if name in ("rank_theorem", "alternating_identity"):
+            # both read the packed R^p_max omega of each point
             try:
                 check_packed_power(GeometricCurvature, sc.dim, 1, p_max)
             except RecursionCapError as err:
                 raise ScenarioFormatError(
-                    f"check 'rank_theorem', p_max at dim {sc.dim}: {err}") from None
+                    f"check '{name}', p_max at dim {sc.dim}: {err}") from None
+        if name == "rank_theorem":
             need = p_max - 1
         elif name == "alternating_identity":
             if check["trials"] > TRIALS_CAP:
@@ -169,15 +171,14 @@ def _resolve_checks(sc):
 
 
 def _identity_trials(rng, dim, p_max, trials):
-    """The (pairs, ys) arguments of each alternating-identity trial: p_max
-    index pairs, then two indices, all below ``dim``.  One draw of a
-    (trials, 2 p_max + 2) block gives the same integers, and leaves ``rng``
-    in the same state, as drawing the pairs and then the ys per trial:
-    numpy's bounded int64 draws take the bit generator's values one by one
-    either way."""
-    rows = rng.integers(0, dim, size=(trials, 2 * p_max + 2)).tolist()
-    return [(list(zip(r[0:2 * p_max:2], r[1:2 * p_max:2])), r[2 * p_max:])
-            for r in rows]
+    """The arguments of the alternating-identity trials, all below ``dim``:
+    index pairs of shape (trials, p_max, 2) and the last two indices of
+    shape (trials, 2).  One draw of a (trials, 2 p_max + 2) block gives the
+    same integers, and leaves ``rng`` in the same state, as drawing the
+    pairs and then the ys per trial: numpy's bounded int64 draws take the
+    bit generator's values one by one either way."""
+    rows = rng.integers(0, dim, size=(trials, 2 * p_max + 2))
+    return rows[:, :2 * p_max].reshape(trials, p_max, 2), rows[:, 2 * p_max:]
 
 
 def _geometry_records(sc, checks, structures, seed):
@@ -222,11 +223,9 @@ def _geometry_records(sc, checks, structures, seed):
             elif name == "alternating_identity":
                 trials = check["trials"]
                 rng = np.random.default_rng((seed, 17, pi))
-                worst = 0.0
-                for pairs, ys in _identity_trials(rng, sc.dim, p_max, trials):
-                    lhs, rhs = alternating_sum_identity(
-                        nablas[0], nablas[2 * p_max], prov, p_max, pairs, ys)
-                    worst = max(worst, abs(lhs - rhs))
+                lhs, rhs = alternating_sum_identity(nablas[0], nablas[2 * p_max], prov, p_max,
+                                                    *_identity_trials(rng, sc.dim, p_max, trials))
+                worst = float(np.max(np.abs(lhs - rhs)))
                 rows = [(label, worst, {"point": point, "k": p_max, "trials": trials})]
             else:
                 status = "WARN"

@@ -190,20 +190,23 @@ def _graded_solve(space, frame, rhs):
     """Solve frame @ sol = rhs for jet coefficient arrays, degree by degree.
 
     frame: (ncoeff, N, N); rhs: (ncoeff, N, K).  The constant-term frame is
-    factored once; the coefficients of each degree subtract the jet product
-    of the frame's higher terms with the lower-degree solution found so far.
+    factored once, its row swaps composed into one permutation; the
+    coefficients of degree d subtract the jet product of the frame's higher
+    terms with the lower-degree solution found so far, formed in
+    ``jet_space(dim, d)``, whose coefficients end at degree d.
     """
     lu, piv = _lu_factor(frame[0])
+    perm = list(range(len(piv)))
+    for i, p in enumerate(piv):
+        perm[i], perm[p] = perm[p], perm[i]
     higher = frame.copy()
     higher[0] = 0.0
     sol = np.zeros_like(rhs)
     lo = 0
-    for hi in space.prefix:
-        acc = rhs[lo:hi] - space.einsum("rs,sk->rk", higher, sol)[lo:hi]
-        # one column per (coefficient, right-hand side) pair
-        x = np.moveaxis(acc, 1, 0).reshape(acc.shape[1], -1)
-        for i, p in enumerate(piv):
-            x[[i, p]] = x[[p, i]]
+    for d, hi in enumerate(space.prefix):
+        acc = rhs[lo:hi] - jet_space(space.dim, d).einsum("rs,sk->rk", higher, sol)[lo:]
+        # one column per (coefficient, right-hand side) pair, rows pivoted
+        x = np.moveaxis(acc, 1, 0)[perm].reshape(acc.shape[1], -1)
         for i in range(1, len(x)):
             x[i] -= lu[i, :i] @ x[:i]
         # divide by the pivots: a batched triangular solve multiplies by

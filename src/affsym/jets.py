@@ -4,8 +4,9 @@ A jet stores the value and all Taylor-normalized partial derivatives of a
 scalar at a point, up to a fixed total degree: the coefficient attached to
 multi-index m is (d^m f)(x) / m!.  Jets, and jet-valued tensors, are plain
 float arrays with the coefficient axis first; ``JetSpace.einsum``
-multiplies and contracts them and ``JetSpace.partial`` differentiates
-them, whole.
+multiplies and contracts them (a contraction, each index at most once per
+operand, is one batched matmul over all coefficient pairs) and
+``JetSpace.partial`` differentiates them, whole.
 
 ``eval_jets`` evaluates expressions straight into such arrays, each
 distinct subtree once: sums are array sums, products and quotients the
@@ -107,14 +108,23 @@ class JetSpace:
 
         ``a`` and ``b`` hold the coefficient axis first, of this space or of
         a higher order in the same dimension (graded order makes truncation
-        a prefix).  ``subscripts`` names the other axes and must not use
-        ``z``; the result carries this space's coefficient axis first.
+        a prefix).  ``subscripts`` names the other axes, each index at most
+        once per operand and every index of one operand only in the output;
+        ``...,...->...`` is the coefficient-wise product.  A contraction is
+        one batched matmul, (shared, free, contracted) of the gathered pairs
+        of a by (shared, contracted, free) of b.  The result carries this
+        space's coefficient axis first.
         """
         ii, jj, starts = self._product_plan
-        operands, out = subscripts.split("->")
-        left, right = operands.split(",")
-        terms = np.einsum(f"z{left},z{right}->z{out}", a[ii], b[jj])
-        return np.add.reduceat(terms, starts, axis=0)
+        if subscripts == _PRODUCT:
+            return np.add.reduceat(a[ii] * b[jj], starts, axis=0)
+        perm_a, perm_b, perm_out, lead, mid = _contraction_plan(subscripts)
+        # gathering from the transposed views leaves x and y contiguous
+        x, y = a.transpose(perm_a)[ii], b.transpose(perm_b)[jj]
+        k = math.prod(x.shape[mid:])
+        terms = x.reshape(x.shape[:lead] + (-1, k)) @ y.reshape(y.shape[:lead] + (k, -1))
+        terms = terms.reshape(x.shape[:mid] + y.shape[lead + x.ndim - mid:])
+        return np.add.reduceat(terms.transpose(perm_out), starts, axis=0)
 
     def partial(self, c, axis):
         """Derivative along a coordinate of a coefficient array (coefficient
@@ -140,6 +150,22 @@ class JetSpace:
 
 #: subscripts of the coefficient-wise jet product, for ``JetSpace.einsum``
 _PRODUCT = "...,...->..."
+
+
+@lru_cache(maxsize=None)
+def _contraction_plan(subscripts):
+    """The matmul layout of a ``JetSpace.einsum`` contraction: the axis
+    permutations of a, b and the product back to the output (z first), and
+    the ends of the leading (z and shared) axes and of a's free axes."""
+    operands, out = subscripts.split("->")
+    left, right, out = ("z" + s for s in (*operands.split(","), out))
+    shared, free_a, free_b = ([c for c in out if (c in left, c in right) == key]
+                              for key in ((True, True), (True, False), (False, True)))
+    summed = [c for c in left if c in right and c not in out]
+    product = "".join(shared + free_a + free_b)
+    return (tuple(left.index(c) for c in shared + free_a + summed),
+            tuple(right.index(c) for c in shared + summed + free_b),
+            tuple(product.index(c) for c in out), len(shared), len(shared + free_a))
 
 
 def _constant(space, value):

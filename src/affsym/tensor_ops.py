@@ -522,37 +522,39 @@ def nabla_powers(t, structure, k: int) -> list:
 
 
 def alternating_sum_identity(omega, nabla, provider, k: int, x_pairs, y_idxs):
-    """Both sides of the curvature-vs-derivative alternating identity.
+    """Both sides of the curvature-vs-derivative alternating identity for
+    a 2-form omega, broadcast over trials: ``x_pairs`` of shape (..., k, 2)
+    and ``y_idxs`` of shape (..., 2) give both sides of shape (...).
+    ``nabla`` is the dense nabla^{2k} omega at the point.
 
-    ``omega`` is the (0,p) tensor at the point and ``nabla`` its dense
-    nabla^{2k} there (arity 2k + p), computed once by the caller.
-
-    lhs = (R^k . T)(X^1_1, X^1_{-1}, ..., Y...);
+    lhs = (R^k . omega)(X^1_1, X^1_{-1}, ..., Y...), an entry of packed
+          R^k omega (the last level of ``r_power_levels``) times the
+          orientation sign of each slot pair, 0 where x = y;
     rhs = sum over sign assignments a of sgn(a) *
-          (nabla^{2k} T)(X^1_{a(1)}, X^1_{-a(1)}, ..., Y...).
+          (nabla^{2k} omega)(X^1_{a(1)}, X^1_{-a(1)}, ..., Y...),
+          one gather of ``nabla`` per assignment.
+    Anything but a 2-form, or other argument shapes, raise ArityError.
     """
-    if len(x_pairs) != k:
-        raise ArityError(f"need {k} argument pairs, got {len(x_pairs)}")
-    if np.ndim(nabla) != 2 * k + np.ndim(omega):
-        raise ArityError(f"rhs needs nabla^{2 * k} of the tensor, got arity "
-                         f"{np.ndim(nabla)}")
-    flat = []
-    for a, b in x_pairs:
-        flat.extend((a, b))
-    flat.extend(y_idxs)
-    lhs = r_power_action(provider, omega, k, flat)
+    w, x, y = np.asarray(omega, dtype=float), np.asarray(x_pairs), np.asarray(y_idxs)
+    if (w.ndim, np.ndim(nabla), x.shape) != (2, 2 * k + 2, y.shape[:-1] + (k, 2)) \
+            or y.shape[-1:] != (2,):
+        raise ArityError(f"need a 2-form, its nabla^{2 * k}, pairs (..., {k}, 2) and "
+                         f"ys (..., 2), got arities {w.ndim} and {np.ndim(nabla)}, "
+                         f"shapes {x.shape} and {y.shape}")
+    packed = pack_two_form(w, provider.dim)
+    for packed in r_power_levels(provider, packed, k):
+        pass     # R^k omega is the last level
+    slots = np.concatenate([x, y[..., None, :]], axis=-2)
+    s, t = slots[..., 0], slots[..., 1]
+    a, b = _pairs(provider.dim)
+    pair = np.zeros((provider.dim,) * 2, dtype=int)
+    pair[a, b] = pair[b, a] = np.arange(len(a))    # s = t reads entry 0, times sign 0
+    lhs = np.sign(t - s).prod(axis=-1) * packed[tuple(np.moveaxis(pair[s, t], -1, 0))]
 
     rhs = 0.0
     for bits in range(2 ** k):
-        sgn = 1.0
-        idxs = []
-        for t in range(k):
-            a, b = x_pairs[t]
-            if (bits >> t) & 1:
-                sgn = -sgn
-                idxs.extend((b, a))
-            else:
-                idxs.extend((a, b))
-        idxs.extend(y_idxs)
-        rhs += sgn * nabla[tuple(idxs)]
+        flip = [(bits >> q) & 1 for q in range(k)] + [0]
+        args = np.where(np.array(flip)[:, None], slots[..., ::-1], slots)
+        args = np.moveaxis(args.reshape(slots.shape[:-2] + (-1,)), -1, 0)
+        rhs = rhs + (-1.0) ** sum(flip) * nabla[tuple(args)]
     return lhs, rhs

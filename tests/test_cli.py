@@ -739,6 +739,28 @@ def test_rank_theorem_cap_counts_packed_entries(tmp_path, capsys):
     assert rc == 2 and len(err) == 1 and "68574961 entries" in err[0]
 
 
+def test_alternating_identity_cap_counts_packed_entries(monkeypatch, tmp_path, capsys):
+    # the identity's lhs reads packed R^p_max omega: at dim 26 and p_max 2
+    # that holds 325^3 = 34.3M entries, within the cap ...
+    data = _paraboloid(26, 2)
+    data["checks"] = [{"name": "alternating_identity", "p_max": 2}]
+    assert _resolve_checks(scenario_from_dict(data))[1] == 3
+    # ... and at dim 28 378^3 = 54.0M, beyond it, refused before any jet
+    data = _paraboloid(28, 2)
+    data["checks"] = [{"name": "alternating_identity", "p_max": 2}]
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(data))
+
+    def no_jets(*args):
+        raise AssertionError("sample points solved before the cap was checked")
+
+    monkeypatch.setattr(geometry.Scenario, "validate", no_jets)
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    assert rc == 2 and len(err) == 1, err
+    assert "alternating_identity" in err[0] and "54010152 entries" in err[0]
+    assert "cap 40000000" in err[0]
+
+
 def test_huge_p_max_exits_two(tmp_path):
     # N2 ** (p_max + 1) for this p_max would not finish
     sc = tmp_path / "sc.json"
@@ -892,11 +914,11 @@ def test_decompose_huge_integer_entry_is_usage_error(tmp_path, capsys):
     assert rc == 2 and len(err) == 1 and "too large" in err[0]
 
 
-def _affsym_python(code, *args, timeout=60):
-    """Run ``code`` in a fresh interpreter that imports this affsym; a hang
-    fails after ``timeout`` s."""
+def _affsym_python(code, *args, timeout=60, env=None):
+    """Run ``code`` in a fresh interpreter that imports this affsym, with
+    ``env`` added to the environment; a hang fails after ``timeout`` s."""
     src = str(Path(affsym.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run(
         [sys.executable, "-c", code, *args],
@@ -936,6 +958,19 @@ def test_decompose_large_entries_exit_two(case, tmp_path):
     # one line: a RuntimeWarning would add two more
     err = run.stderr.strip().splitlines()
     assert run.returncode == 2 and len(err) == 1 and words in err[0], run.stderr
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    # jet contractions run through BLAS matmul, whose threading must not
+    # reach the report
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"rep{threads}.json"
+        run = _affsym_python(_RUN_CLI, "check-geometry", "--scenario", "paper_example_n3",
+                             "--output", str(out), env={"OPENBLAS_NUM_THREADS": threads})
+        assert run.returncode == 0, run.stderr
+        reports.append(json.dumps(_strip_timing(_load(out)), sort_keys=True))
+    assert reports[0] == reports[1]
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -1056,14 +1091,13 @@ def test_identity_trials_are_the_per_trial_draws(dim, p_max):
     of the bit generator's values."""
     for seed in range(40):
         ref_rng = np.random.default_rng((seed, 17, 0))
-        want = []
+        want_pairs, want_ys = [], []
         for _ in range(9):
-            pairs = [(int(a), int(b)) for a, b in
-                     ref_rng.integers(0, dim, size=(p_max, 2))]
-            ys = [int(v) for v in ref_rng.integers(0, dim, size=2)]
-            want.append((pairs, ys))
+            want_pairs.append(ref_rng.integers(0, dim, size=(p_max, 2)).tolist())
+            want_ys.append(ref_rng.integers(0, dim, size=2).tolist())
         rng = np.random.default_rng((seed, 17, 0))
-        assert _identity_trials(rng, dim, p_max, 9) == want
+        pairs, ys = _identity_trials(rng, dim, p_max, 9)
+        assert pairs.tolist() == want_pairs and ys.tolist() == want_ys
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rng.random() == ref_rng.random()
 

@@ -2,9 +2,11 @@
 coefficient axis first, multiplied by JetSpace.einsum and differentiated
 by JetSpace.partial."""
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -44,13 +46,35 @@ def _scalar_product(space, a, b):
     return out
 
 
-@given(jet_arrays(2, extra=(3,)))
-def test_array_product_matches_scalar_jets(case):
-    space, (a, b) = case
-    prod = space.einsum(PRODUCT, a, b)
-    for col in range(a.shape[1]):
-        want = _scalar_product(space, a[:, col], b[:, col])
-        _close(prod[:, col], want, np.max(np.abs(want)))
+#: the coefficient-wise product and the contractions callers pass: the
+#: frame solve's and ``nabla_powers``' over 2-4 slots
+SUBSCRIPTS = {"product": PRODUCT, "frame_solve": "rs,sk->rk"}
+SUBSCRIPTS.update(
+    (f"nabla_{slots}_{r}", f"mi{r},{slots[:s]}m{slots[s + 1:]}->i{slots}")
+    for slots in ("ab", "abc", "abcd") for s, r in enumerate(slots))
+
+
+@pytest.mark.parametrize("subscripts", SUBSCRIPTS.values(), ids=SUBSCRIPTS.keys())
+@given(data=st.data())
+def test_array_product_matches_scalar_jets(subscripts, data):
+    """Each column of a product or contraction is the scalar jet product of
+    the operands' columns, summed over the contracted index; every index
+    has length 2 (the product's one axis 3)."""
+    space = jet_space(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)))
+    operands, out = ("x,x->x" if subscripts == PRODUCT else subscripts).split("->")
+    left, right = operands.split(",")
+    length = 3 if subscripts == PRODUCT else 2
+    a, b = (data.draw(hnp.arrays(np.float64, (space.size,) + (length,) * len(s),
+                                 elements=ELEMENTS)) for s in (left, right))
+    prod = space.einsum(subscripts, a, b)
+    letters = out + "".join(sorted(set(left + right) - set(out)))
+    want = np.zeros((space.size,) + (length,) * len(out))
+    for values in itertools.product(range(length), repeat=len(letters)):
+        at = dict(zip(letters, values))
+        col = lambda s: (slice(None),) + tuple(at[c] for c in s)  # noqa: E731
+        want[col(out)] += _scalar_product(space, a[col(left)], b[col(right)])
+    assert prod.shape == want.shape
+    _close(prod, want, np.max(np.abs(want)))
 
 
 @given(jet_arrays(3))

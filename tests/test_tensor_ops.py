@@ -341,6 +341,57 @@ def test_alternating_identity_depth_two():
         assert abs(lhs - rhs) < 1e-7
 
 
+@lru_cache(maxsize=None)
+def _identity_case(source, k):
+    """A provider, its 2-form and a nabla^{2k} of matching arity: the
+    algebraic model with a random omega (a random stand-in for nabla), or
+    ``paper_example_n3``'s first sample point with its own omega chain."""
+    rng = np.random.default_rng(31)
+    if source == "algebraic":
+        model = _model()
+        return (AlgebraicCurvature(model), random_omega(model.dim, rng),
+                rng.normal(size=(model.dim,) * (2 * k + 2)))
+    sc = load_scenario(source)
+    point = sc.sample_points[0]
+    sj = geo.structure_jets(sc, point, 2 * k - 1)
+    chain = nabla_powers(component_jets(sc.omega, point, 2 * k, sc.coords), sj, 2 * k)
+    return GeometricCurvature(geo.curvature(sj)), chain[0], chain[2 * k]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("source", ["algebraic", "paper_example_n3"])
+def test_alternating_identity_lhs_matches_the_recursion(source, k):
+    """The broadcast lhs, read from packed R^k omega with orientation signs,
+    agrees with ``r_power_action`` trial by trial, x = y pairs among them;
+    and a batch equals its trials taken one by one, bit for bit."""
+    prov, w, nabla = _identity_case(source, k)
+    n = prov.dim
+    rng = np.random.default_rng(k)
+    x, y = rng.integers(0, n, size=(40, k, 2)), rng.integers(0, n, size=(40, 2))
+    x[::4, 0, 1] = x[::4, 0, 0]          # a repeated index in the first pair
+    y[1::5, 1] = y[1::5, 0]              # ... in the last pair
+    x[2::7, k - 1, 0] = x[2::7, k - 1, 1]
+    lhs, rhs = alternating_sum_identity(w, nabla, prov, k, x, y)
+    assert lhs.shape == rhs.shape == (40,)
+    *_, packed = r_power_levels(prov, pack_two_form(w, n), k)
+    scale = max(1.0, float(np.max(np.abs(packed))))
+    for i in range(40):
+        want = r_power_action(prov, w, k, [*x[i].ravel().tolist(), *y[i].tolist()])
+        assert abs(lhs[i] - want) <= 1e-13 * scale
+        if len(set(y[i].tolist())) == 1 or any(a == b for a, b in x[i].tolist()):
+            assert lhs[i] == 0.0
+        one = alternating_sum_identity(w, nabla, prov, k, x[i], y[i])
+        assert one[0] == lhs[i] and one[1] == rhs[i]
+
+
+def test_alternating_identity_takes_two_forms_only():
+    prov, w, nabla = _identity_case("algebraic", 1)
+    with pytest.raises(ArityError, match="got arities 1 and 3"):
+        alternating_sum_identity(w[0], nabla[..., 0], prov, 1, [(0, 1)], (2, 3))
+    with pytest.raises(ArityError, match=r"shapes \(2, 2\) and \(2,\)"):
+        alternating_sum_identity(w, nabla, prov, 1, [(0, 1), (1, 2)], (2, 3))
+
+
 # -- R^k.T at vector arguments -------------------------------------------
 
 
