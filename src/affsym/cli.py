@@ -34,7 +34,7 @@ from .model import RealBlock
 from .scenarios import ScenarioFormatError, json_dim, load_scenario
 from .tensor_ops import (K_CAP_ALGEBRAIC, GeometricCurvature, RecursionCapError,
                          alternating_sum_identity, check_packed_power,
-                         nabla_powers)
+                         nabla_powers, pack_two_form, r_power_levels)
 
 #: the checks of check-geometry in run order, each with the values that the
 #: fields a scenario check omits take; a scenario without checks runs them all
@@ -187,12 +187,16 @@ def _geometry_records(sc, checks, structures, seed):
     ``structures`` (``Scenario.validate``).
 
     Each check yields (name, value, params) rows, PASS below its ``tol`` and
-    FAIL otherwise unless the check sets its own verdict.
+    FAIL otherwise unless the check sets its own verdict.  Each point steps
+    one packed R^q omega ladder, to the largest p_max of the checks reading it.
     """
     records = []
+    p_top = max((check["p_max"] for check in checks
+                 if check["name"] in ("rank_theorem", "alternating_identity")), default=0)
     for pi, (point, (sj, omega)) in enumerate(zip(sc.sample_points, structures)):
         nablas = nabla_powers(omega, sj, sj.order + 1)
         prov = GeometricCurvature(geometry.curvature(sj))
+        levels = list(r_power_levels(prov, pack_two_form(nablas[0], sc.dim), p_top))
         res = geometry.fundamental_residuals(sj, prov.R)
         for check in checks:
             name, tol, p_max = check["name"], check.get("tol"), check.get("p_max")
@@ -214,7 +218,7 @@ def _geometry_records(sc, checks, structures, seed):
                          {"point": point, "dtau": res.dtau,
                           "h_selfadjoint": res.h_selfadjoint})]
             elif name == "rank_theorem":
-                v = verify.check_rank_theorem(prov, sj.S[0], sj.h[0], nablas, p_max, tol)
+                v = verify.check_rank_theorem(levels[:p_max], sj.S[0], sj.h[0], nablas, tol)
                 params = {"point": point, "power": v.power, "rank_S": v.rank_s,
                           "max_nabla": v.max_nabla, "final_form": v.final_form}
                 if v.reason is not None:
@@ -223,7 +227,7 @@ def _geometry_records(sc, checks, structures, seed):
             elif name == "alternating_identity":
                 trials = check["trials"]
                 rng = np.random.default_rng((seed, 17, pi))
-                lhs, rhs = alternating_sum_identity(nablas[0], nablas[2 * p_max], prov, p_max,
+                lhs, rhs = alternating_sum_identity(levels[p_max - 1], nablas[2 * p_max], p_max,
                                                     *_identity_trials(rng, sc.dim, p_max, trials))
                 worst = float(np.max(np.abs(lhs - rhs)))
                 rows = [(label, worst, {"point": point, "k": p_max, "trials": trials})]

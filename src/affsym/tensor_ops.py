@@ -22,14 +22,14 @@ packed coordinates: pairs a < b in ``np.triu_indices`` order,
 N2 = n(n-1)/2 of them.  A slot pair (X, Y) is c_ab = X_a Y_b - X_b Y_a,
 so omega(X, Y) = <w, c> for w = ``pack_two_form(omega, n)``, and
 R(e_x, e_y) acts on Lambda^2 as the N2 x N2 matrix rho_P, P = (x, y)
-(``pair_operator``).  R^k.omega is held
-whole, N2^(k+1) entries (``r_power_levels``), or evaluated at vectors, k!
-branches per probe (``r_power_probe``): a checked packing step
-(``pack_probe``) gives w and the packed pairs, and the kernel
-(``pair_probe``) ends in one bilinear form per probe, -<Z, K> with Z the
-sum of the branches' last two pairs c1 c2^T.  ``reduce_to_basis`` takes a
-probe's packed w and pairs and tries the unit pairs of basis components
-in the kernel, CANDIDATE_BATCH per call.
+(``pair_operator``).  R^k.omega is held whole, N2^(k+1) entries, one
+level per power (``r_power_levels``, a ladder its caller steps once), or
+evaluated at the vectors of one probe, k >= 1, in k! branches: a checked
+packing step (``pack_probe``) gives K = rho w and the packed pairs, and
+the kernel (``pair_probe``) ends in one bilinear form per probe, -<Z, K>
+with Z the sum of the branches' last two pairs c1 c2^T.
+``reduce_to_basis`` tries the unit pairs of basis components in the
+kernel, CANDIDATE_BATCH per call.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ K_CAP_GEOMETRIC = 3
 
 #: entry cap for packed R^k.omega and for the arrays of a vector probe
 TENSOR_ENTRY_CAP = 40_000_000
+
+#: candidates of a slot that ``reduce_to_basis`` evaluates in one kernel call
+CANDIDATE_BATCH = 3
 
 
 class ArityError(ValueError):
@@ -294,14 +297,24 @@ def _pairs(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _pair_index(n: int) -> np.ndarray:
+    """pair[a, b] = pair[b, a], the packed index of {a, b} on R^n, and 0
+    on the diagonal, built once per dimension and read-only."""
+    a, b = _pairs(n)
+    pair = np.zeros((n, n), dtype=int)
+    pair[a, b] = pair[b, a] = np.arange(len(a))
+    pair.flags.writeable = False
+    return pair
+
+
+@lru_cache(maxsize=None)
 def _pair_tables(n: int) -> tuple:
     """The part of ``pair_operator`` that depends only on the dimension:
     for each of its two nonzero sets, the rows A, the columns B, the entry
     (m, t) of M that goes there and its sign, as (row, col, m, t, sign)
     with sign a column, built once per dimension."""
     a, b = _pairs(n)
-    pair = np.zeros((n, n), dtype=int)
-    pair[a, b] = pair[b, a] = np.arange(len(a))
+    pair = _pair_index(n)
     row, m = np.nonzero(np.arange(n) != b[:, None])
     first = (row, pair[m, b[row]], m, a[row], np.where(m < b[row], 1.0, -1.0)[:, None])
     row, m = np.nonzero(np.arange(n) != a[:, None])
@@ -335,70 +348,52 @@ def _pack_pairs(vectors) -> np.ndarray:
 
 
 def pack_probe(provider, omega, k: int, vectors) -> tuple:
-    """The checked packing step of ``r_power_probe``: returns
-    w = ``pack_two_form(omega, n)`` and the packed slot pairs of
-    ``vectors``, shape (..., k+1, N2) for vectors of shape (..., 2k+2, n),
-    the input of the kernel ``pair_probe``.
+    """The checked packing step of one probe of R^k.omega, k >= 1, at
+    ``vectors`` of shape (2k+2, n): returns K = rho w (K[P, A] =
+    sum_B rho[P, A, B] w_B, flattened, w = ``pack_two_form(omega, n)``)
+    and the packed slot pairs, shape (k+1, N2), the kernel's inputs.
 
-    Raises ArityError unless omega is an n x n 2-form and the vectors have
-    that shape, and RecursionCapError if k is beyond the provider's cap or
-    a kernel level would hold more than TENSOR_ENTRY_CAP entries.
+    Raises ArityError unless k >= 1, omega is an n x n 2-form and the
+    vectors have that shape, and RecursionCapError if k is beyond the
+    provider's cap or a kernel level of a batch of CANDIDATE_BATCH probes
+    would hold more than TENSOR_ENTRY_CAP entries.
     """
     v = np.asarray(vectors, dtype=float)
     n = provider.dim
+    if k < 1:
+        raise ArityError("a probe needs k >= 1")
     _check_power(provider, k)
     w = pack_two_form(omega, n)
-    if v.shape[-2:] != (2 * k + 2, n):
-        raise ArityError(f"expected vectors of shape (..., {2 * k + 2}, {n}), "
-                         f"got {v.shape}")
+    if v.shape != (2 * k + 2, n):
+        raise ArityError(f"expected vectors of shape ({2 * k + 2}, {n}), got {v.shape}")
     n2 = len(w)
     # a level with q pairs after its first forms one N2 x N2 matrix and
     # q branches of q pairs for each branch that enters it.  The last level
     # (q = 1) forms one N2 x N2 sum per probe, not a matrix per branch, so
-    # this count over-counts it: a probe is refused exactly where a last
+    # this count over-counts it: a batch is refused exactly where a last
     # level of one matrix per branch would be
-    size = math.prod(v.shape[:-2])
-    entries, branches = size * (k + 1) * n2, size
+    entries, branches = CANDIDATE_BATCH * (k + 1) * n2, CANDIDATE_BATCH
     for q in range(k, 0, -1):
         entries = max(entries, branches * n2 * max(n2, q * q))
         branches *= q
     if entries > TENSOR_ENTRY_CAP:
-        raise RecursionCapError(f"R^{k} probe would hold {entries} entries")
-    return w, _pack_pairs(v)
+        raise RecursionCapError(f"R^{k} probe batch of {CANDIDATE_BATCH} would hold "
+                                f"{entries} entries")
+    return provider.pair_operator.reshape(n2 * n2, n2) @ w, _pack_pairs(v)
 
 
-def r_power_probe(provider, omega, k: int, vectors) -> np.ndarray:
-    """Evaluate (R^k . omega)(X_1, Y_1, ..., X_k, Y_k, U, V) for a 2-form
-    omega at vector arguments.
-
-    ``vectors`` has shape (..., 2k+2, n) and the result has shape (...):
-    the checked packing step ``pack_probe``, then the kernel ``pair_probe``
-    on its packed pairs, k! branches per probe, not (2k)!!, summed in one
-    bilinear last level.  ``pack_probe`` names the errors raised.
-    """
-    w, pairs = pack_probe(provider, omega, k, vectors)
-    batch = pairs.shape[:-2]
-    return pair_probe(provider, w, pairs.reshape(math.prod(batch), k + 1, len(w))
-                      ).reshape(batch)
-
-
-def pair_probe(provider, w, pairs) -> np.ndarray:
-    """The kernel of ``r_power_probe``, without its checks: packed pairs of
-    shape (b, k+1, N2) and the packed 2-form w give the b values of
+def pair_probe(provider, k_mat, pairs) -> np.ndarray:
+    """The kernel of a probe, without its checks: packed pairs of shape
+    (b, k+1, N2), k >= 1, and the K of ``pack_probe`` give the b values of
     R^k.omega.  A level with more than two pairs forms M = sum_P c1_P rho_P
     for the first pair c1 of every branch at once, then branches once per
     remaining pair c, which becomes -M^T c: the derivation R(X_1, Y_1)
     applied to both of its slots.  The last level, pairs (c1, c2), is
-    bilinear: its leaf <w, -M^T c2> is -c1^T K c2 with
-    K[P, A] = sum_B rho[P, A, B] w_B, so each probe sums Z = c1 c2^T over
-    its k! branches and its value is -<Z, K>.  At k = 0 the value is
-    omega(U, V) = <w, c>.
+    bilinear: its leaf <w, -M^T c2> is -c1^T K c2, so each probe sums
+    Z = c1 c2^T over its k! branches and its value is -<Z, K>.
     """
     size, m, n2 = pairs.shape
-    if m == 1:
-        return pairs[:, 0] @ w
-    rho = provider.pair_operator
-    flat = rho.reshape(n2, n2 * n2)
+    flat = provider.pair_operator.reshape(n2, n2 * n2)
     b = size
     for q in range(m - 1, 1, -1):
         mat = (pairs[:, 0] @ flat).reshape(b, n2, n2)
@@ -410,15 +405,10 @@ def pair_probe(provider, w, pairs) -> np.ndarray:
         pairs = out.reshape(b, q, n2)
     last = pairs.reshape(size, math.factorial(m - 1), 2, n2)
     z = last[:, :, 0].transpose(0, 2, 1) @ last[:, :, 1]
-    k_mat = rho.reshape(n2 * n2, n2) @ w
     return -(z.reshape(size, n2 * n2) @ k_mat)
 
 
-#: candidates of a slot that ``reduce_to_basis`` evaluates in one kernel call
-CANDIDATE_BATCH = 3
-
-
-def _candidate_values(provider, w, probe, slot, units, order):
+def _candidate_values(provider, k_mat, probe, slot, units, order):
     """Yield (r, value of the probe with unit pair ``units[r]`` in
     ``slot``) for each r in ``order``, CANDIDATE_BATCH candidates per
     ``pair_probe`` call, so a caller that stops early evaluates at most
@@ -427,15 +417,15 @@ def _candidate_values(provider, w, probe, slot, units, order):
         rs = order[start:start + CANDIDATE_BATCH]
         batch = probe[None].repeat(len(rs), axis=0)
         batch[:, slot] = units[rs]
-        yield from zip(rs, pair_probe(provider, w, batch).tolist())
+        yield from zip(rs, pair_probe(provider, k_mat, batch).tolist())
 
 
-def reduce_to_basis(provider, w, pairs, current) -> tuple:
+def reduce_to_basis(provider, k_mat, pairs, current) -> tuple:
     """Replace each slot pair of a probe by a unit pair (a row of
     ``np.eye(N2)``) that keeps the value nonzero; returns the basis-index
-    tuple, a < b within each pair.  ``w`` and ``pairs`` (shape (k+1, N2))
-    are one probe as ``pack_probe`` returned it, and ``current`` is the
-    nonzero value the kernel gave there.  The probe is linear in each pair
+    tuple, a < b within each pair.  ``k_mat`` and ``pairs`` are one probe
+    as ``pack_probe`` returned them, and ``current`` is the nonzero value
+    the kernel gave there.  The probe is linear in each pair
     c = sum_{a<b} c_ab u_ab, so some unit pair u_ab reaches
     |current| / ||c||_1; candidates are tried in decreasing |c_ab| (a
     stable order), CANDIDATE_BATCH per kernel call, and the first one that
@@ -451,7 +441,7 @@ def reduce_to_basis(provider, w, pairs, current) -> tuple:
         target = abs(current) / mags.sum()
         best_r, best = None, None
         order = (-mags).argsort(kind="stable")
-        for r, got in _candidate_values(provider, w, probe, slot, units, order):
+        for r, got in _candidate_values(provider, k_mat, probe, slot, units, order):
             if best is None or abs(got) > abs(best):
                 best_r, best = r, got
             if abs(got) >= target:
@@ -475,9 +465,9 @@ def r_power_levels(provider, packed, k: int):
     n2 = check_packed_power(provider, provider.dim, t.ndim, k)
     if any(size != n2 for size in t.shape):
         raise ArityError(f"packed axes must have length {n2}, got shape {t.shape}")
-    rho = provider.pair_operator
     for _ in range(k):
-        out = np.zeros((n2,) + t.shape)
+        # built on the first level only, so k = 0 builds no pair operator
+        rho, out = provider.pair_operator, np.zeros((n2,) + t.shape)
         for s in range(t.ndim):
             out -= np.moveaxis(np.tensordot(rho, t, axes=([2], [s])), 1, s + 1)
         t = out
@@ -521,35 +511,33 @@ def nabla_powers(t, structure, k: int) -> list:
     return powers
 
 
-def alternating_sum_identity(omega, nabla, provider, k: int, x_pairs, y_idxs):
+def alternating_sum_identity(packed_rk, nabla, k: int, x_pairs, y_idxs):
     """Both sides of the curvature-vs-derivative alternating identity for
     a 2-form omega, broadcast over trials: ``x_pairs`` of shape (..., k, 2)
     and ``y_idxs`` of shape (..., 2) give both sides of shape (...).
-    ``nabla`` is the dense nabla^{2k} omega at the point.
+    ``packed_rk`` is packed R^k omega (a level of ``r_power_levels``, or
+    ``pack_two_form(omega, n)`` at k = 0) and ``nabla`` the dense
+    nabla^{2k} omega at the point; both sides are gathers.
 
-    lhs = (R^k . omega)(X^1_1, X^1_{-1}, ..., Y...), an entry of packed
-          R^k omega (the last level of ``r_power_levels``) times the
-          orientation sign of each slot pair, 0 where x = y;
+    lhs = (R^k . omega)(X^1_1, X^1_{-1}, ..., Y...), an entry of
+          ``packed_rk`` times the orientation sign of each slot pair, 0
+          where x = y;
     rhs = sum over sign assignments a of sgn(a) *
           (nabla^{2k} omega)(X^1_{a(1)}, X^1_{-a(1)}, ..., Y...),
           one gather of ``nabla`` per assignment.
-    Anything but a 2-form, or other argument shapes, raise ArityError.
+    Arrays of other shapes raise ArityError.
     """
-    w, x, y = np.asarray(omega, dtype=float), np.asarray(x_pairs), np.asarray(y_idxs)
-    if (w.ndim, np.ndim(nabla), x.shape) != (2, 2 * k + 2, y.shape[:-1] + (k, 2)) \
-            or y.shape[-1:] != (2,):
-        raise ArityError(f"need a 2-form, its nabla^{2 * k}, pairs (..., {k}, 2) and "
-                         f"ys (..., 2), got arities {w.ndim} and {np.ndim(nabla)}, "
-                         f"shapes {x.shape} and {y.shape}")
-    packed = pack_two_form(w, provider.dim)
-    for packed in r_power_levels(provider, packed, k):
-        pass     # R^k omega is the last level
+    r, nabla, x, y = (np.asarray(v) for v in (packed_rk, nabla, x_pairs, y_idxs))
+    n = nabla.shape[0] if nabla.ndim else 0
+    want = ((n * (n - 1) // 2,) * (k + 1), (n,) * (2 * k + 2), y.shape[:-1] + (k, 2), (2,))
+    if (r.shape, nabla.shape, x.shape, y.shape[-1:]) != want:
+        raise ArityError(f"need packed R^{k} omega, its nabla^{2 * k}, pairs (..., {k}, 2) "
+                         f"and ys (..., 2), got shapes {r.shape}, {nabla.shape}, "
+                         f"{x.shape} and {y.shape}")
     slots = np.concatenate([x, y[..., None, :]], axis=-2)
     s, t = slots[..., 0], slots[..., 1]
-    a, b = _pairs(provider.dim)
-    pair = np.zeros((provider.dim,) * 2, dtype=int)
-    pair[a, b] = pair[b, a] = np.arange(len(a))    # s = t reads entry 0, times sign 0
-    lhs = np.sign(t - s).prod(axis=-1) * packed[tuple(np.moveaxis(pair[s, t], -1, 0))]
+    pair = _pair_index(n)    # s = t reads entry 0, times sign 0
+    lhs = np.sign(t - s).prod(axis=-1) * r[tuple(np.moveaxis(pair[s, t], -1, 0))]
 
     rhs = 0.0
     for bits in range(2 ** k):

@@ -21,10 +21,11 @@ indices 0..k-1, so the "end vector" of the lead block is index k-1.
 
 Beyond the catalog there are two theorem-level checks: a witness search
 that exhibits nonzero R^p omega components on inadmissible block shapes
-(one Gaussian probe of the operator on vectors, reduced one slot pair at
-a time to a unit pair (e_a, e_b), a < b, so to a basis component),
-and the rank check that ties a vanishing operator to rank(S) <= 1 with an
-admissible canonical shape.
+(one Gaussian probe of the operator on vectors, packed once with its
+K = rho w, reduced one slot pair at a time to a unit pair (e_a, e_b),
+a < b, so to a basis component), and the rank check that reads the
+packed R^q omega ladder its caller stepped and ties the first vanishing
+operator to rank(S) <= 1 with an admissible canonical shape.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 
 from . import canonical, geometry
 from .model import ComplexBlock, ModelError, RealBlock, assemble, random_omega
-from .tensor_ops import (AlgebraicCurvature, pack_probe, pack_two_form, pair_probe,
-                         r_power_action, r_power_levels, reduce_to_basis)
+from .tensor_ops import (AlgebraicCurvature, pack_probe, pair_probe, r_power_action,
+                         reduce_to_basis)
 
 #: per-draw tolerance: abs_err <= ORACLE_RTOL * max(1, |closed|)
 ORACLE_RTOL = 1e-9
@@ -820,8 +821,8 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
     tensor is nonzero), reduce that probe one slot pair at a time to a unit
     pair (e_a, e_b), a < b (``reduce_to_basis``), and take the component's
     value from the basis-index recursion.  The probe and its reduction read
-    one packing of omega and the vectors (``pack_probe``).  A missing
-    witness is reported as a finding, never silently dropped.  Raises
+    one packing of omega, K = rho w, and the vectors (``pack_probe``).  A
+    missing witness is reported as a finding, never silently dropped.  Raises
     OracleError unless p_max and trials are at least 1 (a search over
     nothing finds nothing), and where the probe or the component's value
     is not finite, which shows no vanishing; the search runs under one
@@ -846,12 +847,12 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
                     degenerate += 1
                     entries.append(WitnessEntry(power, trial, False, (), 0.0, "degenerate"))
                     continue
-                packed, pairs = pack_probe(prov, w, power,
-                                           rng.standard_normal((2 * power + 2, dim)))
-                value = float(pair_probe(prov, packed, pairs[None])[0])
+                k_mat, pairs = pack_probe(prov, w, power,
+                                          rng.standard_normal((2 * power + 2, dim)))
+                value = float(pair_probe(prov, k_mat, pairs[None])[0])
                 found = None
                 if math.isfinite(value) and abs(value) > WITNESS_THRESHOLD:
-                    args = reduce_to_basis(prov, packed, pairs, value)
+                    args = reduce_to_basis(prov, k_mat, pairs, value)
                     value = r_power_action(prov, w, power, args)
                     if abs(value) > WITNESS_THRESHOLD:
                         found = WitnessEntry(power, trial, True, args, value, "probe")
@@ -877,17 +878,18 @@ class RankVerdict:
     reason: str | None = None   # why a WARN is no FAIL
 
 
-def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> RankVerdict:
+def check_rank_theorem(levels, s_op, h, nablas, tol: float = 1e-8) -> RankVerdict:
     """Tie the first vanishing operator power q <= p to the rank-one conclusion.
 
-    ``prov`` is the curvature provider of a point (or of a Gauss model),
-    ``s_op`` and ``h`` its shape operator and second fundamental form, and
-    ``nablas`` = [omega, nabla omega, ...] its omega chain, as far as it is
-    known: check-geometry hands over ``nabla_powers`` of the point, a Gauss
-    model [omega] alone.
+    ``levels`` = [R^1 omega, ..., R^p omega], p >= 1, packed, of a point or
+    a Gauss model: the caller steps ``r_power_levels`` once, so levels past
+    the first vanishing q are computed but not read.  ``s_op`` and ``h``
+    are its shape operator and second fundamental form, ``nablas`` =
+    [omega, nabla omega, ...] its omega chain, as far as it is known:
+    check-geometry hands over ``nabla_powers`` of the point, a Gauss model
+    [omega] alone.
 
-    R^q omega is stepped one packed level at a time for q = 1..p and the
-    scan stops at the first q at which R^q omega or nabla^q omega (for
+    The scan stops at the first q at which R^q omega or nabla^q omega (for
     q < len(nablas)) vanishes.  R^q omega scales like
     (|S| |h|)^q |omega|, so it counts as vanishing when
     max |R^q omega| <= tol * (max |S| * max |h|)^q * max |omega| (an exact
@@ -905,10 +907,10 @@ def check_rank_theorem(prov, s_op, h, nablas, p: int, tol: float = 1e-8) -> Rank
     w = nablas[0]
     if not geometry.omega_nondegenerate(w):
         raise OracleError("degenerate 2-form in rank check")
+    p = len(levels)
     if p < 1:
         raise OracleError(f"rank check power {p} is below 1")
 
-    levels = r_power_levels(prov, pack_two_form(w, prov.dim), p)
     rank_s = canonical.rank(s_op)
     scale = float(np.max(np.abs(s_op))) * float(np.max(np.abs(h)))
     w_max = float(np.max(np.abs(w)))

@@ -181,7 +181,8 @@ def test_criterion_5_theorem_witnesses_and_rank_verdicts():
             sj = geo.structure_jets(sc, point, 2)
             prov = GeometricCurvature(geo.curvature(sj))
             nablas = nabla_powers(component_jets(sc.omega, point, 3, sc.coords), sj, 3)
-            per_power = [verify.check_rank_theorem(prov, sj.S[0], sj.h[0], nablas, p, 1e-8)
+            levels = list(r_power_levels(prov, pack_two_form(nablas[0], sc.dim), 3))
+            per_power = [verify.check_rank_theorem(levels[:p], sj.S[0], sj.h[0], nablas, 1e-8)
                          for p in range(1, 4)]
             assert all(v.verdict != "FAIL" for v in per_power), (scenario_name, point)
             triggered = [v.verdict for v in per_power if v.verdict != "VACUOUS"]
@@ -203,10 +204,11 @@ def test_criterion_6_alternating_identity():
             prov = GeometricCurvature(geo.curvature(sj))
             w = component_jets(sc.omega, point, 0, sc.coords)[0]
             nabla = nabla_powers(component_jets(sc.omega, point, 2, sc.coords), sj, 2)[2]
+            [r1] = r_power_levels(prov, pack_two_form(w, sc.dim), 1)
             for _ in range(50):
                 pair = (int(rng.integers(0, sc.dim)), int(rng.integers(0, sc.dim)))
                 ys = tuple(int(v) for v in rng.integers(0, sc.dim, size=2))
-                lhs, rhs = alternating_sum_identity(w, nabla, prov, 1, [pair], ys)
+                lhs, rhs = alternating_sum_identity(r1, nabla, 1, [pair], ys)
                 worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-7
     _verdict(6, ok, f"k=1 identity over 50 tuples per scenario, worst gap {worst:.3e}")

@@ -14,7 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 import affsym
-from affsym import cli, geometry, scenarios
+from affsym import cli, geometry, scenarios, tensor_ops, verify
 from affsym.cli import TRIALS_CAP, _identity_trials, _resolve_checks, main
 from affsym.expr import MAX_NESTING
 from affsym.model import RealBlock, assemble
@@ -591,7 +591,9 @@ def test_integer_power_overflow_at_sample_point_is_usage_error(field, tmp_path, 
 
 
 def test_check_geometry_solves_each_point_once(monkeypatch, tmp_path):
-    calls = {"solve": 0, "curvature": 0}
+    # one structure solve and curvature per point, and one packing of omega
+    # and one R^q omega ladder that rank_theorem and alternating_identity share
+    calls = {"solve": 0, "curvature": 0, "pack_two_form": 0, "r_power_levels": 0}
     solve, curvature = geometry.StructureJets.__init__, geometry.curvature
 
     def counted_solve(self, *args):
@@ -602,11 +604,22 @@ def test_check_geometry_solves_each_point_once(monkeypatch, tmp_path):
         calls["curvature"] += 1
         return curvature(*args)
 
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
     monkeypatch.setattr(geometry.StructureJets, "__init__", counted_solve)
     monkeypatch.setattr(geometry, "curvature", counted_curvature)
+    for name in ("pack_two_form", "r_power_levels"):
+        wrapper = counted(name, getattr(tensor_ops, name))
+        for module in (cli, verify, tensor_ops):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     assert main(["check-geometry", "--scenario", "paper_example_n2",
                  "--output", str(tmp_path / "rep.json")]) == 0
-    assert calls == {"solve": 3, "curvature": 3}
+    assert calls == {"solve": 3, "curvature": 3, "pack_two_form": 3, "r_power_levels": 3}
 
 
 def test_check_geometry_reads_omega_once_per_point(monkeypatch, tmp_path):
@@ -890,6 +903,19 @@ def test_scenario_without_checks_runs_the_table(tmp_path):
     bare = _shipped("paraboloid", checks=[{"name": name} for name in names])
     assert _check_records(bare, tmp_path) == \
         [r for r in shipped if r["name"].split("@")[0] in names]
+
+
+@pytest.mark.parametrize("rank_p, identity_p", [(1, 2), (3, 1)])
+def test_checks_that_share_a_ladder_report_as_alone(rank_p, identity_p, tmp_path):
+    # rank_theorem and alternating_identity read one R^q omega ladder per
+    # point, stepped to the larger p_max; each reports as it does alone
+    rank = {"name": "rank_theorem", "p_max": rank_p}
+    identity = {"name": "alternating_identity", "p_max": identity_p}
+    both = _check_records(_shipped("paper_example_n2", checks=[rank, identity]), tmp_path)
+    for check in (rank, identity):
+        alone = _check_records(_shipped("paper_example_n2", checks=[check]), tmp_path)
+        assert [r for r in both if r["name"].startswith(check["name"] + "@")] == alone
+        assert len(alone) == 3
 
 
 def test_unknown_check_keeps_its_own_tol(tmp_path):

@@ -16,8 +16,7 @@ from affsym.tensor_ops import (CANDIDATE_BATCH, K_CAP_GEOMETRIC, AlgebraicCurvat
                                ArityError, GeometricCurvature, RecursionCapError,
                                _pack_pairs, _pairs, alternating_sum_identity,
                                nabla_powers, pack_probe, pack_two_form, pair_probe,
-                               r_power_action, r_power_levels, r_power_probe,
-                               reduce_to_basis)
+                               r_power_action, r_power_levels, reduce_to_basis)
 
 
 def tridiagonal_omega(dim):
@@ -303,11 +302,12 @@ def test_alternating_identity_on_scenarios():
         prov = GeometricCurvature(geo.curvature(sj))
         w = _omega_at(sc, point)
         nabla = _nablas(w, sc, sj, 2)[2]
+        r1 = _packed_r_power(prov, w, 1)
         rng = np.random.default_rng(8)
         for _ in range(20):
             pair = (int(rng.integers(0, sc.dim)), int(rng.integers(0, sc.dim)))
             ys = tuple(int(v) for v in rng.integers(0, sc.dim, size=2))
-            lhs, rhs = alternating_sum_identity(w, nabla, prov, 1, [pair], ys)
+            lhs, rhs = alternating_sum_identity(r1, nabla, 1, [pair], ys)
             assert abs(lhs - rhs) < 1e-7
 
 
@@ -318,11 +318,13 @@ def test_alternating_identity_example_value():
     prov = GeometricCurvature(geo.curvature(sj))
     w = _omega_at(sc, point)
     nabla = _nablas(w, sc, sj, 2)[2]
-    lhs, rhs = alternating_sum_identity(w, nabla, prov, 1, [(0, 2)], (0, 2))
+    lhs, rhs = alternating_sum_identity(_packed_r_power(prov, w, 1), nabla, 1,
+                                        [(0, 2)], (0, 2))
     assert abs(lhs - (-2.0)) < 1e-12
     assert abs(lhs - rhs) < 1e-7
     with pytest.raises(ArityError):  # k = 2 needs nabla^4, not nabla^2
-        alternating_sum_identity(w, nabla, prov, 2, [(0, 2), (1, 3)], (0, 2))
+        alternating_sum_identity(_packed_r_power(prov, w, 2), nabla, 2,
+                                 [(0, 2), (1, 3)], (0, 2))
 
 
 def test_alternating_identity_depth_two():
@@ -333,11 +335,12 @@ def test_alternating_identity_depth_two():
     sj = geo.structure_jets(sc, point, 3)
     w = _omega_at(sc, point)
     nabla = _nablas(w, sc, sj, 4)[4]
+    r2 = _packed_r_power(prov, w, 2)
     rng = np.random.default_rng(14)
     for _ in range(6):
         pairs = [(int(a), int(b)) for a, b in rng.integers(0, 4, size=(2, 2))]
         ys = tuple(int(v) for v in rng.integers(0, 4, size=2))
-        lhs, rhs = alternating_sum_identity(w, nabla, prov, 2, pairs, ys)
+        lhs, rhs = alternating_sum_identity(r2, nabla, 2, pairs, ys)
         assert abs(lhs - rhs) < 1e-7
 
 
@@ -371,25 +374,28 @@ def test_alternating_identity_lhs_matches_the_recursion(source, k):
     x[::4, 0, 1] = x[::4, 0, 0]          # a repeated index in the first pair
     y[1::5, 1] = y[1::5, 0]              # ... in the last pair
     x[2::7, k - 1, 0] = x[2::7, k - 1, 1]
-    lhs, rhs = alternating_sum_identity(w, nabla, prov, k, x, y)
+    packed = _packed_r_power(prov, w, k)
+    lhs, rhs = alternating_sum_identity(packed, nabla, k, x, y)
     assert lhs.shape == rhs.shape == (40,)
-    *_, packed = r_power_levels(prov, pack_two_form(w, n), k)
     scale = max(1.0, float(np.max(np.abs(packed))))
     for i in range(40):
         want = r_power_action(prov, w, k, [*x[i].ravel().tolist(), *y[i].tolist()])
         assert abs(lhs[i] - want) <= 1e-13 * scale
         if len(set(y[i].tolist())) == 1 or any(a == b for a, b in x[i].tolist()):
             assert lhs[i] == 0.0
-        one = alternating_sum_identity(w, nabla, prov, k, x[i], y[i])
+        one = alternating_sum_identity(packed, nabla, k, x[i], y[i])
         assert one[0] == lhs[i] and one[1] == rhs[i]
 
 
-def test_alternating_identity_takes_two_forms_only():
+def test_alternating_identity_takes_matching_shapes_only():
     prov, w, nabla = _identity_case("algebraic", 1)
-    with pytest.raises(ArityError, match="got arities 1 and 3"):
-        alternating_sum_identity(w[0], nabla[..., 0], prov, 1, [(0, 1)], (2, 3))
-    with pytest.raises(ArityError, match=r"shapes \(2, 2\) and \(2,\)"):
-        alternating_sum_identity(w, nabla, prov, 1, [(0, 1), (1, 2)], (2, 3))
+    r1 = _packed_r_power(prov, w, 1)
+    with pytest.raises(ArityError, match=r"got shapes \(6, 6\), \(4, 4, 4\)"):
+        alternating_sum_identity(r1, nabla[..., 0], 1, [(0, 1)], (2, 3))
+    with pytest.raises(ArityError, match=r"got shapes \(6,\), \(4, 4, 4, 4\)"):
+        alternating_sum_identity(r1[0], nabla, 1, [(0, 1)], (2, 3))
+    with pytest.raises(ArityError, match=r"\(2, 2\) and \(2,\)"):
+        alternating_sum_identity(r1, nabla, 1, [(0, 1), (1, 2)], (2, 3))
 
 
 # -- R^k.T at vector arguments -------------------------------------------
@@ -403,10 +409,17 @@ def _contract(tensor, vectors):
     return float(out)
 
 
+def _probe(prov, omega, k, vectors):
+    """R^k.omega at the vectors of one probe: the packing step, then the
+    kernel on its pairs."""
+    k_mat, pairs = pack_probe(prov, omega, k, vectors)
+    return float(pair_probe(prov, k_mat, pairs[None])[0])
+
+
 def _assert_probe_matches_dense(prov, w, k, seed):
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((2 * k + 2, prov.dim))
-    got = float(r_power_probe(prov, w, k, vectors))
+    got = _probe(prov, w, k, vectors)
     ref = _contract(_unpacked_r_power(prov, w, k), vectors)
     assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (got, ref)
 
@@ -461,7 +474,7 @@ def test_basis_image_is_the_full_tensor_column(prov):
 
 
 @settings(max_examples=40, deadline=None)
-@given(block_models(), hst.integers(0, 3), hst.integers(0, 2 ** 32 - 1))
+@given(block_models(), hst.integers(1, 3), hst.integers(0, 2 ** 32 - 1))
 def test_probe_matches_dense_contraction_on_models(model, k, seed):
     prov = AlgebraicCurvature(model)
     w = random_omega(model.dim, np.random.default_rng(seed))
@@ -477,7 +490,7 @@ def _scenario_curvature(name):
 
 
 @settings(max_examples=25, deadline=None)
-@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(0, 3), hst.integers(0, 2 ** 32 - 1))
+@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(1, 3), hst.integers(0, 2 ** 32 - 1))
 def test_probe_matches_dense_contraction_on_scenarios(name, k, seed):
     prov, w = _scenario_curvature(name)
     _assert_probe_matches_dense(prov, w, k, seed)
@@ -511,46 +524,44 @@ def _reference_r_power_probe(provider, tensor, k, vectors):
     return leaves.reshape(batch + (-1,)).sum(axis=-1)
 
 
-def _assert_probe_matches_reference(prov, w, k, batch, seed):
-    vectors = np.random.default_rng(seed).standard_normal(batch + (2 * k + 2, prov.dim))
-    got = r_power_probe(prov, w, k, vectors)
-    ref = _reference_r_power_probe(prov, w, k, vectors)
-    assert got.shape == ref.shape == batch
-    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (got, ref)
-
-
-BATCHES = hst.sampled_from(((), (2, 3)))
+def _assert_probe_matches_reference(prov, w, k, seed):
+    vectors = np.random.default_rng(seed).standard_normal((2 * k + 2, prov.dim))
+    got = _probe(prov, w, k, vectors)
+    ref = float(_reference_r_power_probe(prov, w, k, vectors))
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
 
 
 @settings(max_examples=40, deadline=None)
-@given(block_models(dims=(4, 5, 6, 7, 8)), hst.integers(0, 4), BATCHES,
-       hst.integers(0, 2 ** 32 - 1))
-def test_probe_matches_vector_reference_on_models(model, k, batch, seed):
+@given(block_models(dims=(4, 5, 6, 7, 8)), hst.integers(1, 4), hst.integers(0, 2 ** 32 - 1))
+def test_probe_matches_vector_reference_on_models(model, k, seed):
     prov = AlgebraicCurvature(model)
-    _assert_probe_matches_reference(prov, _random_two_form(model.dim, seed), k,
-                                    batch, seed)
+    _assert_probe_matches_reference(prov, _random_two_form(model.dim, seed), k, seed)
 
 
 @settings(max_examples=25, deadline=None)
-@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(0, K_CAP_GEOMETRIC), BATCHES,
+@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(1, K_CAP_GEOMETRIC),
        hst.integers(0, 2 ** 32 - 1))
-def test_probe_matches_vector_reference_on_scenarios(name, k, batch, seed):
+def test_probe_matches_vector_reference_on_scenarios(name, k, seed):
     prov, w = _scenario_curvature(name)
-    _assert_probe_matches_reference(prov, w, k, batch, seed)
+    _assert_probe_matches_reference(prov, w, k, seed)
 
 
 def test_probe_batch_matches_single_calls():
+    # the kernel on the stacked pairs of several probes of one omega gives
+    # each probe's value alone; every probe packs the same K
     prov = AlgebraicCurvature(_model())
     rng = np.random.default_rng(5)
     w = random_omega(4, rng)
-    for k in range(4):
-        vectors = rng.standard_normal((2, 3, 2 * k + 2, 4))
-        batched = r_power_probe(prov, w, k, vectors)
-        assert batched.shape == (2, 3)
-        for idx in np.ndindex(2, 3):
-            single = r_power_probe(prov, w, k, vectors[idx])
-            assert single.shape == ()
-            assert abs(batched[idx] - single) <= 1e-12 * max(1.0, abs(single))
+    for k in range(1, 4):
+        probes = [pack_probe(prov, w, k, rng.standard_normal((2 * k + 2, 4)))
+                  for _ in range(6)]
+        k_mat = probes[0][0]
+        batched = pair_probe(prov, k_mat, np.stack([pairs for _, pairs in probes]))
+        assert batched.shape == (6,)
+        for got, (k_one, pairs) in zip(batched, probes):
+            assert np.array_equal(k_one, k_mat)
+            single = pair_probe(prov, k_mat, pairs[None])[0]
+            assert abs(got - single) <= 1e-12 * max(1.0, abs(single))
 
 
 def test_probe_of_basis_vectors_is_the_component():
@@ -558,15 +569,15 @@ def test_probe_of_basis_vectors_is_the_component():
     e = np.eye(4)
     rng = np.random.default_rng(6)
     w = tridiagonal_omega(4)
-    for k in range(5):
+    for k in range(1, 5):
         args = tuple(int(v) for v in rng.integers(0, 4, size=2 * k + 2))
         ref = r_power_action(prov, w, k, args)
-        got = r_power_probe(prov, w, k, e[list(args)])
+        got = _probe(prov, w, k, e[list(args)])
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
     # the recursion takes (0,p) tensors of any order, the probe 2-forms only
     for t in (np.array(1.5), rng.standard_normal(4), rng.standard_normal((4, 4, 4))):
         with pytest.raises(ArityError):
-            r_power_probe(prov, t, 1, np.ones((2 + t.ndim, 4)))
+            pack_probe(prov, t, 1, np.ones((4, 4)))
 
 
 def test_unit_two_vector_is_the_pair_of_basis_vectors():
@@ -582,11 +593,12 @@ def test_unit_two_vector_is_the_pair_of_basis_vectors():
     for r, (x, y) in enumerate(zip(a, b)):
         assert units[r].tobytes() == _pack_pairs(e[[x, y]])[0].tobytes()
     rng = np.random.default_rng(8)
-    for k in range(4):
+    for k in range(1, 4):
         picks = rng.integers(0, len(units), size=k + 1)
         args = [int(i) for r in picks for i in (a[r], b[r])]
-        got = pair_probe(prov, pack_two_form(w, 4), units[picks][None])[0]
-        assert got == r_power_probe(prov, w, k, e[args])
+        k_mat, _ = pack_probe(prov, w, k, e[args])
+        got = pair_probe(prov, k_mat, units[picks][None])[0]
+        assert got == _probe(prov, w, k, e[args])
 
 
 def _reference_reduce_to_basis(provider, omega, vectors, current):
@@ -595,16 +607,17 @@ def _reference_reduce_to_basis(provider, omega, vectors, current):
     |current| / ||c||_1 and otherwise the first largest.  Returns the
     basis-index tuple and the number of candidates tried per slot."""
     a, b = _pairs(provider.dim)
-    w = pack_two_form(omega, provider.dim)
+    vectors = np.asarray(vectors, dtype=float)
+    k_mat, _ = pack_probe(provider, omega, len(vectors) // 2 - 1, vectors)
     units = np.eye(len(a))
-    probe = _pack_pairs(np.asarray(vectors, dtype=float))
+    probe = _pack_pairs(vectors)
     args, tries = [], []
     for slot, c in enumerate(probe.copy()):
         target = abs(current) / np.sum(np.abs(c))
         best_r, best = None, None
         for count, r in enumerate(np.argsort(-np.abs(c), kind="stable"), 1):
             probe[slot] = units[r]
-            got = float(pair_probe(provider, w, probe[None])[0])
+            got = float(pair_probe(provider, k_mat, probe[None])[0])
             if best is None or abs(got) > abs(best):
                 best_r, best = r, got
             if abs(got) >= target:
@@ -618,17 +631,15 @@ def _reference_reduce_to_basis(provider, omega, vectors, current):
 
 def _assert_reduction_matches_reference(prov, w, vectors):
     k = len(vectors) // 2 - 1
-    value = float(r_power_probe(prov, w, k, vectors))
+    value = _probe(prov, w, k, vectors)
     args, tries = _reference_reduce_to_basis(prov, w, vectors, value)
-    packed, pairs = pack_probe(prov, w, k, vectors)
-    # the packing step and the kernel are the probe, bit for bit
-    assert pair_probe(prov, packed, pairs[None])[0] == value
-    assert reduce_to_basis(prov, packed, pairs, value) == args
+    k_mat, pairs = pack_probe(prov, w, k, vectors)
+    assert reduce_to_basis(prov, k_mat, pairs, value) == args
     return tries
 
 
 @settings(max_examples=40, deadline=None)
-@given(block_models(dims=(4, 5, 6, 7, 8)), hst.integers(0, 4), hst.integers(0, 2 ** 32 - 1))
+@given(block_models(dims=(4, 5, 6, 7, 8)), hst.integers(1, 4), hst.integers(0, 2 ** 32 - 1))
 def test_reduction_matches_one_candidate_reference_on_models(model, k, seed):
     vectors = np.random.default_rng(seed).standard_normal((2 * k + 2, model.dim))
     _assert_reduction_matches_reference(AlgebraicCurvature(model),
@@ -647,42 +658,48 @@ def test_reduction_across_candidate_batches():
     assert tries == [3, 11] and max(tries) > CANDIDATE_BATCH
 
 
-def test_probe_of_an_empty_batch_is_empty():
+def test_kernel_of_an_empty_batch_is_empty():
+    # the last level's k! branch count does not come from the batch size
     prov = AlgebraicCurvature(_model())
-    w = tridiagonal_omega(4)
-    # every k, k = 0 included: the last level's k! branch count does not
-    # come from the batch size
-    for k in range(4):
-        for batch in ((0,), (3, 0)):
-            got = r_power_probe(prov, w, k, np.ones(batch + (2 * k + 2, 4)))
-            assert got.shape == batch
+    for k in range(1, 4):
+        k_mat, _ = pack_probe(prov, tridiagonal_omega(4), k, np.ones((2 * k + 2, 4)))
+        assert pair_probe(prov, k_mat, np.ones((0, k + 1, 6))).shape == (0,)
 
 
 def test_probe_arity_and_cap_checks():
     prov = AlgebraicCurvature(_model())
     w = tridiagonal_omega(4)
     with pytest.raises(ArityError):
-        r_power_probe(prov, w, 1, np.ones((3, 4)))
+        pack_probe(prov, w, 1, np.ones((3, 4)))
     with pytest.raises(ArityError):
-        r_power_probe(prov, w, 1, np.ones((4, 3)))
+        pack_probe(prov, w, 1, np.ones((4, 3)))
     with pytest.raises(ArityError):
-        r_power_probe(prov, w, -1, np.ones((0, 4)))
+        pack_probe(prov, w, -1, np.ones((0, 4)))
+    # a probe is of R^k omega, k >= 1, at the vectors of one probe
+    with pytest.raises(ArityError, match="k >= 1"):
+        pack_probe(prov, w, 0, np.ones((2, 4)))
+    with pytest.raises(ArityError, match=r"got \(2, 4, 4\)"):
+        pack_probe(prov, w, 1, np.ones((2, 4, 4)))
     with pytest.raises(RecursionCapError):
-        r_power_probe(prov, w, 9, np.ones((20, 4)))
+        pack_probe(prov, w, 9, np.ones((20, 4)))
     sc_prov, sc_w = _scenario_curvature("paraboloid")
     with pytest.raises(RecursionCapError):
-        r_power_probe(sc_prov, sc_w, 4, np.ones((10, 4)))
+        pack_probe(sc_prov, sc_w, 4, np.ones((10, 4)))
     # k! branches: at k = 8 and dim 8 (N2 = 28) one probe peaks at its last
     # level, where 8! branches each form a 28 x 28 matrix (31610880
-    # entries), so ten of them exceed the entry cap
+    # entries).  The reduction runs the kernel on CANDIDATE_BATCH probes,
+    # three times that, beyond the entry cap, so the probe is refused at
+    # its packing; at k = 7 a batch peaks at 3 * 7! * 28^2 = 11854080
     big = AlgebraicCurvature(assemble([RealBlock(4, 0.7, 1)] + [RealBlock(1, 0.0, 1)] * 4))
-    with pytest.raises(RecursionCapError, match="316108800 entries"):
-        r_power_probe(big, tridiagonal_omega(8), 8, np.ones((10, 18, 8)))
+    with pytest.raises(RecursionCapError, match="batch of 3 would hold 94832640 entries"):
+        pack_probe(big, tridiagonal_omega(8), 8, np.ones((18, 8)))
+    k_mat, pairs = pack_probe(big, tridiagonal_omega(8), 7, np.ones((16, 8)))
+    assert k_mat.shape == (28 * 28,) and pairs.shape == (8, 28)
     # a form antisymmetric only to 1e-6 is no 2-form
     bent = w.copy()
     bent[0, 3] += 1e-6
     with pytest.raises(ArityError, match="antisymmetric"):
-        r_power_probe(prov, bent, 1, np.ones((4, 4)))
+        pack_probe(prov, bent, 1, np.ones((4, 4)))
 
 
 # -- R^k.omega packed on Lambda^2 ------------------------------------------
@@ -719,14 +736,20 @@ def test_pair_operator_matches_gather_reference_on_sample_points():
             assert prov.pair_operator is rho and not rho.flags.writeable
 
 
-def _unpacked_r_power(provider, omega, k):
-    """R^k.omega as a dense array of arity 2k+2: the last packed level of
-    ``r_power_levels`` (omega itself for k = 0), each pair axis unpacked
-    to its antisymmetric n x n slots."""
-    n = provider.dim
-    t = pack_two_form(omega, n)
+def _packed_r_power(provider, omega, k):
+    """Packed R^k.omega: the last level of ``r_power_levels``, omega
+    itself for k = 0."""
+    t = pack_two_form(omega, provider.dim)
     for t in r_power_levels(provider, t, k):
         pass
+    return t
+
+
+def _unpacked_r_power(provider, omega, k):
+    """R^k.omega as a dense array of arity 2k+2: ``_packed_r_power``, each
+    pair axis unpacked to its antisymmetric n x n slots."""
+    n = provider.dim
+    t = _packed_r_power(provider, omega, k)
     a, b = np.triu_indices(n, 1)
     unpack = np.zeros((len(a), n, n))
     unpack[np.arange(len(a)), a, b] = 1.0

@@ -11,7 +11,7 @@ from affsym.jets import component_jets
 from affsym.model import ComplexBlock, ModelError, RealBlock, assemble, random_omega
 from affsym.scenarios import load_scenario
 from affsym.tensor_ops import (AlgebraicCurvature, GeometricCurvature, nabla_powers,
-                               r_power_action)
+                               pack_two_form, r_power_action, r_power_levels)
 from affsym.verify import (OracleError, OracleSpec, check_rank_theorem,
                            list_oracles, run_family, run_oracle, sample_spec,
                            theorem_witness)
@@ -337,11 +337,18 @@ def test_no_false_witness_on_admissible_rank_one_shape():
     assert not report.all_found
 
 
+def _rank_check(prov, s_op, h, nablas, p):
+    """check_rank_theorem handed the ladder R^1 omega .. R^p omega that
+    its caller steps, omega = nablas[0]."""
+    levels = r_power_levels(prov, pack_two_form(nablas[0], prov.dim), p)
+    return check_rank_theorem(list(levels), s_op, h, nablas)
+
+
 def _rank_on_model(m, p, nablas=None):
     """check_rank_theorem on a Gauss model, by default with the tridiagonal
     form."""
     nablas = [tridiagonal_omega(m.dim)] if nablas is None else nablas
-    return check_rank_theorem(AlgebraicCurvature(m), m.S, m.H, nablas, p)
+    return _rank_check(AlgebraicCurvature(m), m.S, m.H, nablas, p)
 
 
 def test_check_rank_theorem_on_models():
@@ -405,8 +412,7 @@ def _rank_at_first_point(name, p):
     sc = load_scenario(name)
     sj = geo.structure_jets(sc, sc.sample_points[0], 2)
     nablas = nabla_powers(component_jets(sc.omega, sj.point, 3, sc.coords), sj, 3)
-    return check_rank_theorem(GeometricCurvature(geo.curvature(sj)), sj.S[0], sj.h[0],
-                              nablas, p)
+    return _rank_check(GeometricCurvature(geo.curvature(sj)), sj.S[0], sj.h[0], nablas, p)
 
 
 def test_check_rank_theorem_on_scenarios():
