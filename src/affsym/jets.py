@@ -5,15 +5,19 @@ scalar at a point, up to a fixed total degree: the coefficient attached to
 multi-index m is (d^m f)(x) / m!.  Jets, and jet-valued tensors, are plain
 float arrays with the coefficient axis first; ``JetSpace.einsum``
 multiplies and contracts them (a contraction, each index at most once per
-operand, is one batched matmul over all coefficient pairs) and
-``JetSpace.partial`` differentiates them, whole.
+operand, is one batched matmul over all coefficient pairs, each target
+coefficient summing its pairs in ``np.add.reduceat``'s order: in place,
+rank by rank, where no target has more than 8 pairs, else by ``reduceat``)
+and ``JetSpace.partial`` differentiates them, whole.
 
 ``eval_jets`` evaluates expressions straight into such arrays, each
 distinct subtree once: sums are array sums, products and quotients the
 jet product, and reciprocals, non-integer powers and the elementary
 functions one Horner series over that product (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 13).  Arithmetic is exact for
-polynomials up to the truncation order.
+*Evaluating Derivatives*, 2nd ed., ch. 13), or, when the argument is a
+coordinate plus a constant, its coefficients placed on that coordinate's
+powers with no product.  Arithmetic is exact for polynomials up to the
+truncation order.
 """
 
 from __future__ import annotations
@@ -103,6 +107,24 @@ class JetSpace:
         starts = np.searchsorted(tt[by_target], np.arange(self.size))
         return ii[by_target], jj[by_target], starts
 
+    @cached_property
+    def _rank_plan(self):
+        """The coefficient pairs ordered by their rank in their target's
+        segment, then by target, longest segment first: rank r is rows
+        ``lo:hi`` of ``blocks[r - 1]`` (rank 0 the first ``size`` rows), and
+        ``back`` takes the rank-0 rows back to target order.  None when a
+        segment is longer than ``_SEGMENT_MAX``."""
+        ii, jj, starts = self._product_plan
+        lengths = np.diff(starts, append=len(ii))
+        if lengths.max() > _SEGMENT_MAX:
+            return None
+        by_length = np.argsort(-lengths, kind="stable")
+        counts = [int(np.sum(lengths > r)) for r in range(lengths.max())]
+        pairs = np.concatenate([starts[by_length[:n]] + r for r, n in enumerate(counts)])
+        ends = np.cumsum(counts).tolist()
+        back = np.argsort(by_length, kind="stable")
+        return ii[pairs], jj[pairs], list(zip(ends[:-1], ends[1:])), back
+
     def einsum(self, subscripts, a, b):
         """Jet product of two coefficient arrays, contracted like ``np.einsum``.
 
@@ -114,17 +136,41 @@ class JetSpace:
         one batched matmul, (shared, free, contracted) of the gathered pairs
         of a by (shared, contracted, free) of b.  The result carries this
         space's coefficient axis first.
+
+        Each target coefficient sums its pairs a0, ..., a_{L-1} in the
+        order ``np.add.reduceat`` does: a0 + (a1 + ... + a_{L-1}), the
+        inner sum left to right, which is numpy's pairwise sum for L <= 8.
+        A contraction in a space whose segments are all that short takes
+        the pairs rank by rank (``_rank_plan``), so the sum is whole-block
+        in-place adds on the contiguous matmul output, then one gather back
+        to target order; longer segments, and the coefficient-wise product,
+        go through ``reduceat``.
         """
-        ii, jj, starts = self._product_plan
         if subscripts == _PRODUCT:
+            ii, jj, starts = self._product_plan
             return np.add.reduceat(a[ii] * b[jj], starts, axis=0)
         perm_a, perm_b, perm_out, lead, mid = _contraction_plan(subscripts)
+        plan = self._rank_plan
+        if plan is None:
+            ii, jj, starts = self._product_plan
+        else:
+            ii, jj, blocks, back = plan
         # gathering from the transposed views leaves x and y contiguous
         x, y = a.transpose(perm_a)[ii], b.transpose(perm_b)[jj]
         k = math.prod(x.shape[mid:])
         terms = x.reshape(x.shape[:lead] + (-1, k)) @ y.reshape(y.shape[:lead] + (k, -1))
         terms = terms.reshape(x.shape[:mid] + y.shape[lead + x.ndim - mid:])
-        return np.add.reduceat(terms.transpose(perm_out), starts, axis=0)
+        if plan is None:
+            return np.add.reduceat(terms.transpose(perm_out), starts, axis=0)
+        if blocks:
+            (lo, hi), *rest = blocks
+            # the rank-1 rows take a1 + ... + a_{L-1} left to right, then a0 adds it
+            tail = terms[lo:hi]
+            for r_lo, r_hi in rest:
+                tail[: r_hi - r_lo] += terms[r_lo:r_hi]
+            terms[: hi - lo] += tail
+        # the coefficient axis is the first of the output and of the product
+        return terms.transpose(perm_out)[back]
 
     def partial(self, c, axis):
         """Derivative along a coordinate of a coefficient array (coefficient
@@ -133,6 +179,13 @@ class JetSpace:
             raise JetOrderError("cannot differentiate an order-0 jet")
         src, scale = self.partial_maps[axis]
         return scale.reshape((-1,) + (1,) * (c.ndim - 1)) * c[src]
+
+    @cached_property
+    def coordinate_powers(self):
+        """Row r: the indices of x_i^0, ..., x_i^order, x_i the coordinate
+        of the degree-1 coefficient r + 1."""
+        return np.array([[self.index_of[tuple(j * v for v in m)] for j in range(self.order + 1)]
+                         for m in self.multi_indices[1: self.dim + 1]], dtype=int)
 
     @cached_property
     def partial_maps(self):
@@ -150,6 +203,8 @@ class JetSpace:
 
 #: subscripts of the coefficient-wise jet product, for ``JetSpace.einsum``
 _PRODUCT = "...,...->..."
+#: the longest segment that numpy's pairwise sum adds left to right
+_SEGMENT_MAX = 8
 
 
 @lru_cache(maxsize=None)
@@ -176,9 +231,19 @@ def _constant(space, value):
 
 def _series(space, u, coeffs):
     """sum_j coeffs[j] * (u - u0)^j by Horner over the jet product, u0 being
-    the constant term of ``u``: a univariate Taylor series composed with u."""
+    the constant term of ``u``: a univariate Taylor series composed with u.
+
+    When u - u0 is exactly the monomial x_i (u a coordinate plus a
+    constant), the coefficients go straight onto x_i^0, ..., x_i^order: that
+    is what Horner's products with x_i produce, up to the sign of a zero,
+    and it costs no product."""
     tilde = u.copy()
     tilde[0] = 0.0
+    hits = np.flatnonzero(tilde)
+    if len(hits) == 1 and hits[0] <= space.dim and tilde[hits[0]] == 1.0:
+        out = np.zeros(space.size)
+        out[space.coordinate_powers[hits[0] - 1]] = coeffs
+        return out
     acc = _constant(space, coeffs[-1])
     for c in coeffs[-2::-1]:
         acc = space.einsum(_PRODUCT, acc, tilde)

@@ -3,6 +3,7 @@ coefficient axis first, multiplied by JetSpace.einsum and differentiated
 by JetSpace.partial."""
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from affsym import geometry as geo
-from affsym.jets import jet_space
+from affsym.jets import _contraction_plan, jet_space
 from affsym.scenarios import load_scenario
 from affsym.tensor_ops import nabla_powers
 
@@ -75,6 +76,47 @@ def test_array_product_matches_scalar_jets(subscripts, data):
         want[col(out)] += _scalar_product(space, a[col(left)], b[col(right)])
     assert prod.shape == want.shape
     _close(prod, want, np.max(np.abs(want)))
+
+
+#: values whose sums show the association: signed zeros and triples
+#: such as (1e16, 1.0, -1e16), which sum to 0.0 or 1.0 by grouping
+SUM_ORDER_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.5, 3.0]), ELEMENTS)
+
+
+def _reduceat_contraction(space, subscripts, a, b):
+    """The contraction summed by ``np.add.reduceat``: the coefficient pairs
+    in target order, the same matmul as ``JetSpace.einsum``, then each
+    target's segment of the transposed product."""
+    ii, jj, starts = space._product_plan
+    perm_a, perm_b, perm_out, lead, mid = _contraction_plan(subscripts)
+    x, y = a.transpose(perm_a)[ii], b.transpose(perm_b)[jj]
+    k = math.prod(x.shape[mid:])
+    terms = x.reshape(x.shape[:lead] + (-1, k)) @ y.reshape(y.shape[:lead] + (k, -1))
+    terms = terms.reshape(x.shape[:mid] + y.shape[lead + x.ndim - mid:])
+    return np.add.reduceat(terms.transpose(perm_out), starts, axis=0)
+
+
+@pytest.mark.parametrize("subscripts", [s for s in SUBSCRIPTS.values() if s != PRODUCT],
+                         ids=[k for k, s in SUBSCRIPTS.items() if s != PRODUCT])
+@given(data=st.data())
+def test_contraction_sums_like_reduceat(subscripts, data):
+    """Every contraction equals ``np.add.reduceat`` over the same terms bit
+    for bit, signed zeros included, in dims 1-6 and orders 0-5: segments of
+    at most 8 pairs (orders 0-3, and dim 1) through the rank plan, longer
+    ones through ``reduceat`` itself.  An index has length 1 or 2, so a
+    term is a single product or a sum of two; the reference is the
+    installed numpy's, so a numpy that groups its sums otherwise fails here."""
+    space = jet_space(data.draw(st.integers(1, 6)), data.draw(st.integers(0, 5)))
+    operands, _ = subscripts.split("->")
+    left, right = operands.split(",")
+    length = {c: data.draw(st.integers(1, 2)) for c in sorted(set(left + right))}
+    a, b = (data.draw(hnp.arrays(np.float64, (space.size,) + tuple(length[c] for c in s),
+                                 elements=SUM_ORDER_ELEMENTS)) for s in (left, right))
+    got = space.einsum(subscripts, a, b)
+    want = _reduceat_contraction(space, subscripts, a, b)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @given(jet_arrays(3))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affsym import jets
 from affsym.expr import FUNCTIONS, Bin, Call, Neg, Num, Pow, Var, parse_expr
 from affsym.jets import (_PRODUCT, JetDomainError, JetOrderError, _call, _constant,
                          _head, _power, _reciprocal, eval_jets, jet_space)
@@ -357,3 +358,71 @@ def test_long_sum_costs_about_one_walk():
     parsed = parse_expr(" + ".join(f"{i}*x*sin(y)" for i in range(4000)), TWO)
     value = eval_jets([parsed], point, 0, TWO)[0][0]
     assert value == pytest.approx(sum(range(4000)) * 0.3 * math.sin(0.7), rel=1e-12)
+
+
+# -- series of a coordinate --------------------------------------------
+
+
+def _horner(space, u, coeffs):
+    """Reference: sum_j coeffs[j] (u - u0)^j by Horner over JetSpace.einsum."""
+    tilde = u.copy()
+    tilde[0] = 0.0
+    acc = _constant(space, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = space.einsum(PRODUCT, acc, tilde)
+        acc[0] += c
+    return acc
+
+
+#: f(u) for every series: the elementary functions, 1/u and two powers
+SERIES = {f: (lambda u, f=f: Call(f, u)) for f in FUNCTIONS}
+SERIES.update({"1/u": lambda u: Bin("/", Num(1.0), u),
+               "u^0.5": lambda u: Pow(u, 0.5), "u^-1.5": lambda u: Pow(u, -1.5)})
+#: u as a coordinate plus a constant, and that constant
+SHIFTED = {"x": (Var("x"), 0.0), "x + 0.75": (Bin("+", Var("x"), Num(0.75)), 0.75),
+           "y - 2": (Bin("-", Var("y"), Num(2.0)), -2.0),
+           "-3 + y": (Bin("+", Num(-3.0), Var("y")), -3.0)}
+
+
+@pytest.mark.parametrize("arg", SHIFTED)
+@pytest.mark.parametrize("f", SERIES)
+def test_series_of_a_shifted_coordinate_is_horner(f, arg, monkeypatch):
+    """Every series composed with a coordinate plus a constant equals
+    Horner's over the jet product, coefficient by coefficient, at u0 = 0
+    and pi among others (sin and cos at their zeros).  ``==`` lets the
+    sign of a zero differ: Horner's zero coefficients are sums of zero
+    products."""
+    calls = []
+    series = jets._series
+
+    def spy(space, u, coeffs):
+        calls.append((space, u, coeffs, series(space, u, coeffs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(jets, "_series", spy)
+    u, shift = SHIFTED[arg]
+    checked = 0
+    for u0 in (0.0, math.pi, 0.4, 2.5):
+        for order in (1, 4):
+            calls.clear()
+            try:
+                eval_jets([SERIES[f](u)], (u0 - shift, u0 - shift), order, TWO)
+            except JetDomainError:
+                continue
+            checked += 1
+            for space, u_jet, coeffs, out in calls:
+                assert np.array_equal(out, _horner(space, u_jet, coeffs)), (u0, order)
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("src, products", [
+    ("sin(x)", 0), ("cos(y + 1)", 0), ("sin(2*x)", 1 + 3), ("sin(x*y)", 1 + 3)])
+def test_only_a_shifted_coordinate_skips_the_products(src, products, monkeypatch):
+    """A series of a coordinate plus a constant is placed with no jet
+    product; any other argument, 2x or xy, takes Horner's order-3 products."""
+    count = []
+    einsum = jets.JetSpace.einsum
+    monkeypatch.setattr(jets.JetSpace, "einsum",
+                        lambda self, *args: count.append(1) or einsum(self, *args))
+    _jet(src, TWO, (0.3, 0.6), 3)
+    assert len(count) == products
