@@ -6,9 +6,10 @@ multi-index m is (d^m f)(x) / m!.  Jets, and jet-valued tensors, are plain
 float arrays with the coefficient axis first; ``JetSpace.einsum``
 multiplies and contracts them (a contraction, each index at most once per
 operand, is one batched matmul over all coefficient pairs, each target
-coefficient summing its pairs in ``np.add.reduceat``'s order: in place,
-rank by rank, where no target has more than 8 pairs, else by ``reduceat``)
-and ``JetSpace.partial`` differentiates them, whole.
+coefficient summing its pairs in place on the matmul output, rank by
+rank, in ``np.add.reduceat``'s order wherever a target has at most 8
+pairs, as at every order up to 3) and ``JetSpace.partial``
+differentiates them, whole.
 
 ``eval_jets`` evaluates expressions straight into such arrays, each
 distinct subtree once: sums are array sums, products and quotients the
@@ -112,12 +113,9 @@ class JetSpace:
         """The coefficient pairs ordered by their rank in their target's
         segment, then by target, longest segment first: rank r is rows
         ``lo:hi`` of ``blocks[r - 1]`` (rank 0 the first ``size`` rows), and
-        ``back`` takes the rank-0 rows back to target order.  None when a
-        segment is longer than ``_SEGMENT_MAX``."""
+        ``back`` takes the rank-0 rows back to target order."""
         ii, jj, starts = self._product_plan
         lengths = np.diff(starts, append=len(ii))
-        if lengths.max() > _SEGMENT_MAX:
-            return None
         by_length = np.argsort(-lengths, kind="stable")
         counts = [int(np.sum(lengths > r)) for r in range(lengths.max())]
         pairs = np.concatenate([starts[by_length[:n]] + r for r, n in enumerate(counts)])
@@ -137,31 +135,24 @@ class JetSpace:
         of a by (shared, contracted, free) of b.  The result carries this
         space's coefficient axis first.
 
-        Each target coefficient sums its pairs a0, ..., a_{L-1} in the
-        order ``np.add.reduceat`` does: a0 + (a1 + ... + a_{L-1}), the
-        inner sum left to right, which is numpy's pairwise sum for L <= 8.
-        A contraction in a space whose segments are all that short takes
-        the pairs rank by rank (``_rank_plan``), so the sum is whole-block
-        in-place adds on the contiguous matmul output, then one gather back
-        to target order; longer segments, and the coefficient-wise product,
-        go through ``reduceat``.
+        A contraction takes the pairs rank by rank (``_rank_plan``), so
+        each target coefficient sums its pairs a0, ..., a_{L-1} as
+        a0 + (a1 + ... + a_{L-1}), the inner sum left to right, in
+        whole-block in-place adds on the contiguous matmul output, then one
+        gather back to target order.  For L <= 8, which holds at every order
+        up to 3, that is ``np.add.reduceat``'s association bit for bit; the
+        coefficient-wise product sums with ``reduceat`` itself.
         """
         if subscripts == _PRODUCT:
             ii, jj, starts = self._product_plan
             return np.add.reduceat(a[ii] * b[jj], starts, axis=0)
         perm_a, perm_b, perm_out, lead, mid = _contraction_plan(subscripts)
-        plan = self._rank_plan
-        if plan is None:
-            ii, jj, starts = self._product_plan
-        else:
-            ii, jj, blocks, back = plan
+        ii, jj, blocks, back = self._rank_plan
         # gathering from the transposed views leaves x and y contiguous
         x, y = a.transpose(perm_a)[ii], b.transpose(perm_b)[jj]
         k = math.prod(x.shape[mid:])
         terms = x.reshape(x.shape[:lead] + (-1, k)) @ y.reshape(y.shape[:lead] + (k, -1))
         terms = terms.reshape(x.shape[:mid] + y.shape[lead + x.ndim - mid:])
-        if plan is None:
-            return np.add.reduceat(terms.transpose(perm_out), starts, axis=0)
         if blocks:
             (lo, hi), *rest = blocks
             # the rank-1 rows take a1 + ... + a_{L-1} left to right, then a0 adds it
@@ -203,8 +194,6 @@ class JetSpace:
 
 #: subscripts of the coefficient-wise jet product, for ``JetSpace.einsum``
 _PRODUCT = "...,...->..."
-#: the longest segment that numpy's pairwise sum adds left to right
-_SEGMENT_MAX = 8
 
 
 @lru_cache(maxsize=None)

@@ -427,3 +427,16 @@ def test_only_a_shifted_coordinate_skips_the_products(src, products, monkeypatch
                         lambda self, *args: count.append(1) or einsum(self, *args))
     _jet(src, TWO, (0.3, 0.6), 3)
     assert len(count) == products
+
+
+def test_closed_form_series_keeps_a_finite_prefix():
+    """ln(x) at x = 5e-201 overflows in its order-2 coefficient only.  Placed
+    in closed form, that coefficient never meets a zero in a product, so a
+    result kept to order 1 is finite and equal to the order-1 jet; Horner's
+    inf * 0 would have made it NaN (``ln(2*x)`` still takes that path)."""
+    point, log = (5e-201, 1.0), parse_expr("ln(x)", TWO)
+    with pytest.raises(JetDomainError):
+        eval_jets([log], point, 2, TWO)
+    kept = eval_jets([log], point, 2, TWO, keep=[1])[0]
+    assert np.all(np.isfinite(kept))
+    assert kept.tobytes() == eval_jets([log], point, 1, TWO)[0].tobytes()
