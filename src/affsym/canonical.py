@@ -45,6 +45,9 @@ RANK_TOL = 1e-9
 #: entries leaves double precision
 ENTRY_MAX = 1e150
 
+#: ``decompose`` accepts canonical residuals below this, else warns
+RESIDUAL_MAX = 1e-6
+
 
 class CanonicalError(ValueError):
     pass
@@ -367,7 +370,7 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
         if step > 0:
             cand = replace(cand, threshold_step=step, warnings=cand.warnings + (
                 f"clustering threshold escalated to {base * factor:.3e}",))
-        if max(cand.residual_jordan, cand.residual_h) < 1e-6:
+        if max(cand.residual_jordan, cand.residual_h) < RESIDUAL_MAX:
             return cand
         if best is None or max(cand.residual_jordan, cand.residual_h) < \
                 max(best.residual_jordan, best.residual_h):

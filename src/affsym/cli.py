@@ -29,28 +29,11 @@ import numpy as np
 
 from . import __version__, canonical, geometry, verify
 from .expr import ExprError
-from .jets import MAX_JET_ORDER, JetError
+from .jets import JetError
 from .model import RealBlock
-from .scenarios import ScenarioFormatError, json_dim, load_scenario
-from .tensor_ops import (K_CAP_ALGEBRAIC, GeometricCurvature, RecursionCapError,
-                         alternating_sum_identity, check_packed_power,
+from .scenarios import TRIALS_CAP, ScenarioFormatError, load_matrix_pair, load_scenario
+from .tensor_ops import (K_CAP_ALGEBRAIC, GeometricCurvature, alternating_sum_identity,
                          nabla_powers, pack_two_form, r_power_levels)
-
-#: the checks of check-geometry in run order, each with the values that the
-#: fields a scenario check omits take; a scenario without checks runs them all
-CHECKS = {
-    "frame": {"tol": 1e-9},
-    "fundamental": {"tol": 1e-8},
-    "gauss_model": {"tol": 1e-8},
-    "equiaffine": {"tol": 1e-9},
-    "codazzi_shape": {"tol": 1e-8},
-    "rank_theorem": {"p_max": 3, "tol": 1e-8},
-    "alternating_identity": {"p_max": 1, "tol": 1e-7, "trials": 50},
-}
-
-#: most trials an alternating_identity check (200 times its default) or
-#: ``oracles --trials`` (100 times its default) may ask for
-TRIALS_CAP = 10_000
 
 #: json.dumps ``default``: numpy scalars and arrays print as plain numbers and lists
 _TOLIST = operator.methodcaller("tolist")
@@ -107,69 +90,6 @@ def _finish(records, base, output, strict):
     return 1 if counts["fail"] or (strict and counts["warn"]) else 0
 
 
-def _check_field(name, key, value):
-    """Raise unless a check's ``p_max`` or ``trials`` is a JSON integer
-    >= 1, or its ``tol`` a JSON number > 0 within the double range."""
-    if key == "tol":
-        ok = isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
-        want = "a finite number > 0"
-    else:
-        ok = isinstance(value, int) and value >= 1
-        want = "an integer >= 1"
-    if isinstance(value, bool) or not ok:
-        raise ScenarioFormatError(f"check '{name}': {key} must be {want}, got {value!r}")
-
-
-def _resolve_checks(sc):
-    """The checks of ``sc``, each with the ``CHECKS`` values of the fields
-    it omits, and the structure jet order that all of them fit in.
-
-    Each sample point is solved once at this order.  A field that a known
-    check does not take (one outside its ``CHECKS`` entry), a check field
-    of the wrong type, a rank_theorem or alternating_identity power that
-    ``check_packed_power`` refuses for the geometric curvature, a power
-    beyond the jet order cap and alternating_identity trials beyond
-    TRIALS_CAP are rejected here as scenario errors.
-    """
-    checks, order = [], 1
-    for check in sc.checks or [{"name": name} for name in CHECKS]:
-        name = check["name"]
-        unread = sorted(set(check) - {"name", *CHECKS[name]}) if name in CHECKS else []
-        if unread:
-            raise ScenarioFormatError(f"check '{name}' takes no field '{unread[0]}'")
-        for key in ("p_max", "trials", "tol"):
-            if key in check:
-                _check_field(name, key, check[key])
-        check = {**CHECKS.get(name, {}), **check}
-        if "tol" in check:
-            check["tol"] = float(check["tol"])
-        checks.append(check)
-        p_max = check.get("p_max")
-        if name in ("rank_theorem", "alternating_identity"):
-            # both read the packed R^p_max omega of each point
-            try:
-                check_packed_power(GeometricCurvature, sc.dim, 1, p_max)
-            except RecursionCapError as err:
-                raise ScenarioFormatError(
-                    f"check '{name}', p_max at dim {sc.dim}: {err}") from None
-        if name == "rank_theorem":
-            need = p_max - 1
-        elif name == "alternating_identity":
-            if check["trials"] > TRIALS_CAP:
-                raise ScenarioFormatError(
-                    f"check 'alternating_identity': trials {check['trials']} is "
-                    f"beyond the cap {TRIALS_CAP}")
-            need = 2 * p_max - 1
-        else:
-            continue
-        if need + 2 > MAX_JET_ORDER:
-            raise ScenarioFormatError(
-                f"check '{name}': p_max {p_max} needs structure jets of order "
-                f"{need}, beyond the cap {MAX_JET_ORDER - 2}")
-        order = max(order, need)
-    return checks, order
-
-
 def _identity_trials(rng, dim, p_max, trials):
     """The arguments of the alternating-identity trials, all below ``dim``:
     index pairs of shape (trials, p_max, 2) and the last two indices of
@@ -181,24 +101,24 @@ def _identity_trials(rng, dim, p_max, trials):
     return rows[:, :2 * p_max].reshape(trials, p_max, 2), rows[:, 2 * p_max:]
 
 
-def _geometry_records(sc, checks, structures, seed):
-    """Records of every resolved check (``_resolve_checks``) at every
-    sample point, from the point's one structure solve and omega jets in
-    ``structures`` (``Scenario.validate``).
+def _geometry_records(sc, structures, seed):
+    """Records of every check of ``sc`` at every sample point, from the
+    point's one structure solve and omega jets in ``structures``
+    (``Scenario.validate``).
 
     Each check yields (name, value, params) rows, PASS below its ``tol`` and
     FAIL otherwise unless the check sets its own verdict.  Each point steps
     one packed R^q omega ladder, to the largest p_max of the checks reading it.
     """
     records = []
-    p_top = max((check["p_max"] for check in checks
+    p_top = max((check["p_max"] for check in sc.checks
                  if check["name"] in ("rank_theorem", "alternating_identity")), default=0)
     for pi, (point, (sj, omega)) in enumerate(zip(sc.sample_points, structures)):
         nablas = nabla_powers(omega, sj, sj.order + 1)
         prov = GeometricCurvature(geometry.curvature(sj))
         levels = list(r_power_levels(prov, pack_two_form(nablas[0], sc.dim), p_top))
         res = geometry.fundamental_residuals(sj, prov.R)
-        for check in checks:
+        for check in sc.checks:
             name, tol, p_max = check["name"], check.get("tol"), check.get("p_max")
             label = f"{name}@point{pi}"
             t0 = time.perf_counter()
@@ -246,12 +166,9 @@ def cmd_check_geometry(args):
     sc = load_scenario(args.scenario)
     if not sc.sample_points:
         raise UsageError(f"scenario {sc.name!r} has no sample points to check")
-    checks, order = _resolve_checks(sc)
-    structures = sc.validate(order)
-    base = _header("check-geometry", scenario=sc.name,
-                   scenario_digest=sc.digest,
+    base = _header("check-geometry", scenario=sc.name, scenario_digest=sc.digest,
                    master_seed=args.seed)
-    records = _geometry_records(sc, checks, structures, args.seed)
+    records = _geometry_records(sc, sc.validate(sc.jet_order), args.seed)
     return _finish(records, base, args.output, args.strict)
 
 
@@ -273,10 +190,9 @@ def cmd_oracles(args):
     records = []
     for oid in matched:
         t0 = time.perf_counter()
-        results = verify.run_family(oid, args.trials, seed=args.seed, p_max=args.p_max)
         by_power = {}
-        for r in results:
-            by_power.setdefault(verify.power_of(oid, r.params), []).append(r)
+        for r in verify.run_family(oid, args.trials, seed=args.seed, p_max=args.p_max):
+            by_power.setdefault(r.power, []).append(r)
         for power in sorted(by_power):
             group = by_power[power]
             worst = max(group, key=lambda r: r.scaled_err)
@@ -289,33 +205,11 @@ def cmd_oracles(args):
     return _finish(records, base, args.output, args.strict)
 
 
-def _read_matrix(data, key, dim):
-    """``data[key]``, dim x dim JSON numbers (flat or in rows), as a float
-    matrix; an entry that is no JSON number (a string, a boolean, an object)
-    is a ValueError like any other misfit."""
-    entries = np.asarray(data[key], dtype=object)
-    for x in entries.flat:
-        if type(x) not in (int, float):
-            raise ValueError(f"{key} must hold JSON numbers, got {x!r}")
-    return entries.astype(float).reshape(dim, dim)
-
-
 def cmd_decompose(args):
     if not 0 < args.tol <= sys.float_info.max:
         raise UsageError(f"--tol must be a finite number > 0, got {args.tol}")
-    try:
-        with open(args.matrix_file) as fh:
-            data = json.load(fh)
-        dim = json_dim(data)
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        a, h = _read_matrix(data, "A", dim), _read_matrix(data, "H", dim)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(h))):
-            raise ValueError("A and H must have finite entries")
-    except (OSError, KeyError, ValueError, OverflowError) as err:
-        raise UsageError(f"cannot read matrix file: {err}") from None
-    base = _header("decompose", matrix_file=args.matrix_file,
-                   parameters={"tol": args.tol})
+    a, h = load_matrix_pair(args.matrix_file)
+    base = _header("decompose", matrix_file=args.matrix_file, parameters={"tol": args.tol})
     t0 = time.perf_counter()
     pair = canonical.decompose(a, h, tol=args.tol)
     wall = (time.perf_counter() - t0) * 1e3
@@ -325,7 +219,8 @@ def cmd_decompose(args):
               for b in pair.blocks]
     residual = max(pair.residual_jordan, pair.residual_h)
     records = [
-        _record("decompose", "PASS" if residual < 1e-6 else "WARN", residual, 1e-6,
+        _record("decompose", "PASS" if residual < canonical.RESIDUAL_MAX else "WARN",
+                residual, canonical.RESIDUAL_MAX,
                 {"blocks": blocks,
                  "residual_jordan": pair.residual_jordan,
                  "residual_h": pair.residual_h,

@@ -60,7 +60,8 @@ class Scenario:
     omega: np.ndarray       # (2n, 2n) object array of expressions / floats
     sample_points: tuple
     constraints: tuple = field(default=())   # (name, expression) pairs, require > 0
-    checks: tuple = field(default=())
+    checks: tuple = field(default=())     # resolved by scenario_from_dict
+    jet_order: int = 1      # the structure jet order the checks need
     digest: str = ""        # sha256 of the bytes load_scenario parsed, if it did
 
     def check_constraints(self, point):

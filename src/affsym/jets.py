@@ -225,7 +225,9 @@ def _series(space, u, coeffs):
     When u - u0 is exactly the monomial x_i (u a coordinate plus a
     constant), the coefficients go straight onto x_i^0, ..., x_i^order: that
     is what Horner's products with x_i produce, up to the sign of a zero,
-    and it costs no product."""
+    and it costs no product.  Horner sums the coefficients before the first
+    that is not finite and sets every degree from its index on to NaN, so
+    that no inf * 0 with the zero constant term of u - u0 spoils a lower one."""
     tilde = u.copy()
     tilde[0] = 0.0
     hits = np.flatnonzero(tilde)
@@ -233,10 +235,13 @@ def _series(space, u, coeffs):
         out = np.zeros(space.size)
         out[space.coordinate_powers[hits[0] - 1]] = coeffs
         return out
-    acc = _constant(space, coeffs[-1])
-    for c in coeffs[-2::-1]:
+    top = next((j for j, c in enumerate(coeffs) if not math.isfinite(c)), len(coeffs))
+    acc = _constant(space, coeffs[top - 1] if top else math.nan)
+    for c in reversed(coeffs[: max(top - 1, 0)]):
         acc = space.einsum(_PRODUCT, acc, tilde)
         acc[0] += c
+    if top < len(coeffs):
+        acc[space.degrees >= top] = math.nan
     return acc
 
 

@@ -1,8 +1,8 @@
-"""Scenario files: JSON schema, loading, and the shipped gallery.
+"""The JSON input contract: scenario files, their checks, and matrix files.
 
-Schema (all keys required except constraints/checks; every check field
-but ``name`` is optional, and a known check given a field it does not
-take, one outside its entry in ``cli.CHECKS``, exits 2)::
+Every JSON input a command reads is checked here, and any it refuses is
+one ``ScenarioFormatError`` line.  Scenario schema (all keys required
+except constraints/checks)::
 
     {
       "name": str,
@@ -17,7 +17,13 @@ take, one outside its entry in ``cli.CHECKS``, exits 2)::
     }
 
 Expressions use the calculus grammar over the declared coordinates.
-Loading only parses: ``Scenario.validate`` checks the sample points.
+Loading resolves the checks of check-geometry (``CHECKS``, all of them if
+none is given) into ``Scenario.checks``, each field omitted taking its
+``CHECKS`` value, and their structure jet order into ``Scenario.jet_order``;
+a check of unknown name is kept as given.  ``Scenario.validate`` checks
+the sample points.  A ``decompose`` matrix file (``load_matrix_pair``)
+holds an integer ``dim`` >= 1 and ``A`` and ``H``, each dim x dim finite
+JSON numbers, flat row-major or in rows.
 """
 
 from __future__ import annotations
@@ -26,19 +32,55 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 from importlib import resources
 
 import numpy as np
 
 from .expr import ExprError, parse_expr
 from .geometry import Scenario
+from .jets import MAX_JET_ORDER
+from .tensor_ops import GeometricCurvature, RecursionCapError, check_packed_power
 
 BUILTIN_NAMES = ("paper_example_n2", "paper_example_n3", "paraboloid",
                  "centroaffine_sphere")
 
+#: the checks of check-geometry in run order, each with the values that the
+#: fields a scenario check omits take; a scenario without checks runs them all
+CHECKS = {
+    "frame": {"tol": 1e-9},
+    "fundamental": {"tol": 1e-8},
+    "gauss_model": {"tol": 1e-8},
+    "equiaffine": {"tol": 1e-9},
+    "codazzi_shape": {"tol": 1e-8},
+    "rank_theorem": {"p_max": 3, "tol": 1e-8},
+    "alternating_identity": {"p_max": 1, "tol": 1e-7, "trials": 50},
+}
+
+#: most trials an alternating_identity check (200 times its default) or
+#: ``oracles --trials`` (100 times its default) may ask for
+TRIALS_CAP = 10_000
+
 
 class ScenarioFormatError(ValueError):
     pass
+
+
+# a decoded JSON integer or number; Python's bool is an int, JSON's is not
+def _json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: the numeric check fields in the order they are checked, each with its
+#: test and the wording of its error
+_COUNT = (lambda v: _json_int(v) and v >= 1, "an integer >= 1")
+_CHECK_FIELDS = {"p_max": _COUNT, "trials": _COUNT,
+                 "tol": (lambda v: _json_number(v) and 0 < v <= sys.float_info.max,
+                         "a finite number > 0")}
 
 
 def _parse_field(source, coords, where):
@@ -54,7 +96,7 @@ def json_dim(data) -> int:
         raise ScenarioFormatError(
             f"expected a JSON object at the top level, got {type(data).__name__}")
     dim = data["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int):
+    if not _json_int(dim):
         raise ScenarioFormatError(f"dim must be a JSON integer, got {dim!r}")
     return dim
 
@@ -83,7 +125,7 @@ def _sample_points(raw) -> tuple:
         raise ScenarioFormatError("sample_points must be a list of coordinate lists")
     for p in raw:
         for v in p:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if not _json_number(v):
                 raise ScenarioFormatError(
                     f"sample point {p} has a non-numeric coordinate {v!r}")
     return tuple(tuple(_to_float(v, f"a coordinate of sample point {i}") for v in p)
@@ -133,8 +175,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             if isinstance(v, bool):
                 raise ScenarioFormatError(
                     f"omega[{i}][{j}] must be a number or an expression, got {v!r}")
-            omega[i, j] = _to_float(v, f"omega[{i}][{j}]") \
-                if isinstance(v, (int, float)) \
+            omega[i, j] = _to_float(v, f"omega[{i}][{j}]") if _json_number(v) \
                 else _parse_field(v, coords, f"omega[{i}][{j}]")
             if isinstance(omega[i, j], float) and not np.isfinite(omega[i, j]):
                 raise ScenarioFormatError(f"omega[{i}][{j}] is not finite")
@@ -144,14 +185,48 @@ def scenario_from_dict(data: dict) -> Scenario:
     constraints = tuple(
         (str(c["name"]), _parse_field(c["expr"], coords, f"constraint '{c['name']}'"))
         for c in constraint_src)
+
     for c in check_src:
         if not isinstance(c, dict) or not isinstance(c.get("name"), str):
             raise ScenarioFormatError(
                 f"check {c!r} needs a key 'name' with a string value")
-    checks = tuple(dict(c) for c in check_src)
+    # each check with the CHECKS values of the fields it omits, and the
+    # structure jet order all of them fit in: each point is solved once
+    checks, jet_order = [], 1
+    for c in check_src or [{"name": key} for key in CHECKS]:
+        kind = c["name"]
+        unread = sorted(set(c) - {"name", *CHECKS[kind]}) if kind in CHECKS else []
+        if unread:
+            raise ScenarioFormatError(f"check '{kind}' takes no field '{unread[0]}'")
+        for key, (ok, want) in _CHECK_FIELDS.items():
+            if key in c and not ok(c[key]):
+                raise ScenarioFormatError(
+                    f"check '{kind}': {key} must be {want}, got {c[key]!r}")
+        check = {**CHECKS.get(kind, {}), **c}
+        if "tol" in check:
+            check["tol"] = float(check["tol"])
+        checks.append(check)
+        if kind not in ("rank_theorem", "alternating_identity"):
+            continue
+        # both read the packed R^p_max omega of each point
+        p_max = check["p_max"]
+        try:
+            check_packed_power(GeometricCurvature, dim, 1, p_max)
+        except RecursionCapError as err:
+            raise ScenarioFormatError(f"check '{kind}', p_max at dim {dim}: {err}") from None
+        if kind == "alternating_identity" and check["trials"] > TRIALS_CAP:
+            raise ScenarioFormatError(
+                f"check 'alternating_identity': trials {check['trials']} is "
+                f"beyond the cap {TRIALS_CAP}")
+        need = p_max - 1 if kind == "rank_theorem" else 2 * p_max - 1
+        if need + 2 > MAX_JET_ORDER:
+            raise ScenarioFormatError(
+                f"check '{kind}': p_max {p_max} needs structure jets of order "
+                f"{need}, beyond the cap {MAX_JET_ORDER - 2}")
+        jet_order = max(jet_order, need)
 
     return Scenario(name, dim, coords, immersion, transversal, omega,
-                    points, constraints, checks)
+                    points, constraints, tuple(checks), jet_order)
 
 
 def _scenario_bytes(path_or_name: str) -> bytes:
@@ -187,3 +262,27 @@ def load_scenario(path_or_name: str) -> Scenario:
         raise ScenarioFormatError(f"unreadable JSON: {err}") from err
     return dataclasses.replace(scenario_from_dict(data),
                                digest=hashlib.sha256(raw).hexdigest())
+
+
+def load_matrix_pair(path: str) -> tuple:
+    """The (A, H) float matrices of a ``decompose`` matrix file.  Any misfit,
+    an entry that is no JSON number (a string, a boolean, an object) among
+    them, is a ScenarioFormatError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        dim = json_dim(data)
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        pair = []
+        for key in ("A", "H"):
+            entries = np.asarray(data[key], dtype=object)
+            for x in entries.flat:
+                if not _json_number(x):
+                    raise ValueError(f"{key} must hold JSON numbers, got {x!r}")
+            pair.append(entries.astype(float).reshape(dim, dim))
+        if not all(np.all(np.isfinite(m)) for m in pair):
+            raise ValueError("A and H must have finite entries")
+    except (OSError, KeyError, ValueError, OverflowError) as err:
+        raise ScenarioFormatError(f"cannot read matrix file: {err}") from None
+    return tuple(pair)

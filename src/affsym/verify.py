@@ -13,8 +13,8 @@ parameter, the variants, and each slot as a set in terms of (k, dim)),
 the slots whose blocks are null directions (``Nulls``), the coefficient
 vectors of the power steps (``Vectors``) and the 2-form with its zero
 pairs (``Omega``); its ``power`` is the R^p a draw exercises.
-sample_spec draws the fields in order, run_oracle checks each of them,
-and power_of reads the power.
+sample_spec draws the fields in order, and run_oracle checks each of them
+and reports the power on its result.
 
 Index convention: everything here is 0-based; a block of size k occupies
 indices 0..k-1, so the "end vector" of the lead block is index k-1.
@@ -64,6 +64,7 @@ class OracleResult:
     closed: float
     abs_err: float
     params: dict
+    power: int
 
     @property
     def scaled_err(self):
@@ -728,11 +729,6 @@ def _family_of(oracle_id):
     return fam
 
 
-def power_of(oracle_id: str, params: dict) -> int:
-    """Operator power R^p exercised by a sampled draw (1 for plain R checks)."""
-    return _family_of(oracle_id).power(params)
-
-
 def sample_spec(oracle_id: str, rng, p_max: int = 4) -> OracleSpec:
     """Draw a family's fields in declaration order, every exercised power
     <= p_max; OracleError if the family's least power is above p_max."""
@@ -772,7 +768,7 @@ def run_oracle(spec: OracleSpec) -> OracleResult:
     brute, closed = fam.closed(**{**q, **symbols, "m": m, "prov": prov, "w": w, "power": power,
                                   "act": lambda args, k=power: r_power_action(prov, w, k, args)})
     return OracleResult(spec.id, float(brute), float(closed),
-                        abs(float(brute) - float(closed)), spec.params)
+                        abs(float(brute) - float(closed)), spec.params, power)
 
 
 def run_family(oracle_id: str, draws: int, seed: int = 0, p_max: int = 4):

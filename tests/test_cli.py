@@ -15,10 +15,10 @@ from hypothesis import strategies as hst
 
 import affsym
 from affsym import cli, geometry, scenarios, tensor_ops, verify
-from affsym.cli import TRIALS_CAP, _identity_trials, _resolve_checks, main
+from affsym.cli import _identity_trials, main
 from affsym.expr import MAX_NESTING
 from affsym.model import RealBlock, assemble
-from affsym.scenarios import scenario_from_dict
+from affsym.scenarios import TRIALS_CAP, scenario_from_dict
 from test_geometry import graph_twin
 from test_verify import INADMISSIBLE
 
@@ -743,7 +743,7 @@ def _paraboloid(dim, p_max):
 
 def test_rank_theorem_cap_counts_packed_entries(tmp_path, capsys):
     # dim 10: packed R^3 omega holds 45^4 = 4.1M entries (dense 10^8)
-    assert _resolve_checks(scenario_from_dict(_paraboloid(10, 3)))[1] == 2
+    assert scenario_from_dict(_paraboloid(10, 3)).jet_order == 2
     # ... and at dim 14 91^4 = 68.6M, beyond the cap; a power beyond the
     # curvature power cap 3 is refused before its entries are counted
     sc = tmp_path / "sc.json"
@@ -757,7 +757,7 @@ def test_alternating_identity_cap_counts_packed_entries(monkeypatch, tmp_path, c
     # that holds 325^3 = 34.3M entries, within the cap ...
     data = _paraboloid(26, 2)
     data["checks"] = [{"name": "alternating_identity", "p_max": 2}]
-    assert _resolve_checks(scenario_from_dict(data))[1] == 3
+    assert scenario_from_dict(data).jet_order == 3
     # ... and at dim 28 378^3 = 54.0M, beyond it, refused before any jet
     data = _paraboloid(28, 2)
     data["checks"] = [{"name": "alternating_identity", "p_max": 2}]

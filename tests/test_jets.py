@@ -432,11 +432,24 @@ def test_only_a_shifted_coordinate_skips_the_products(src, products, monkeypatch
 def test_closed_form_series_keeps_a_finite_prefix():
     """ln(x) at x = 5e-201 overflows in its order-2 coefficient only.  Placed
     in closed form, that coefficient never meets a zero in a product, so a
-    result kept to order 1 is finite and equal to the order-1 jet; Horner's
-    inf * 0 would have made it NaN (``ln(2*x)`` still takes that path)."""
+    result kept to order 1 is finite and equal to the order-1 jet."""
     point, log = (5e-201, 1.0), parse_expr("ln(x)", TWO)
     with pytest.raises(JetDomainError):
         eval_jets([log], point, 2, TWO)
     kept = eval_jets([log], point, 2, TWO, keep=[1])[0]
     assert np.all(np.isfinite(kept))
+    assert kept.tobytes() == eval_jets([log], point, 1, TWO)[0].tobytes()
+
+
+@pytest.mark.parametrize("arg", ["x", "2*x"])
+def test_overflowing_series_coefficient_spoils_only_its_degree(arg):
+    """ln(x) at x = 5e-201, and ln(2*x) there, overflow in the order-2
+    coefficient only, on the closed-form and on the Horner path.  An
+    expression that keeps order 1 of that subtree stays finite, equal to
+    the order-1 jet, and the one that reads order 2 is the one named."""
+    point, log = (5e-201, 1.0), parse_expr(f"ln({arg})", TWO)
+    exprs = [log, parse_expr(f"ln({arg}) * y", TWO)]
+    with pytest.raises(JetDomainError, match=r"^expression 1: ln is not finite"):
+        eval_jets(exprs, point, 2, TWO, keep=[1, 2])
+    kept = eval_jets([log], point, 2, TWO, keep=[1])[0]
     assert kept.tobytes() == eval_jets([log], point, 1, TWO)[0].tobytes()

@@ -38,8 +38,6 @@ def test_unknown_oracle_id():
     with pytest.raises(OracleError):
         sample_spec("nope", np.random.default_rng(0))
     with pytest.raises(OracleError):
-        verify.power_of("nope", {})
-    with pytest.raises(OracleError):
         run_family("nope", 1)
 
 
@@ -165,7 +163,7 @@ def test_draws_honour_p_max(p_max):
             # only a family whose least power is 2 is refused, at p_max 1
             assert p_max == 1 and f"{oid} needs p_max >= 2" in str(err)
             continue
-        assert max(verify.power_of(oid, s.params) for s in specs) <= p_max, oid
+        assert max(verify.CATALOG[oid].power(s.params) for s in specs) <= p_max, oid
 
 
 def _omega_list(dim):
@@ -239,11 +237,12 @@ def test_brute_invariant_under_trailing_permutation():
 
 
 def test_power_of_mapping():
-    assert verify.power_of("even_odd", {"pp": 1, "parity": "odd"}) == 3
-    assert verify.power_of("rw_double", {"pp": 2}) == 4
-    assert verify.power_of("diag_pair", {"l": 2}) == 4
-    assert verify.power_of("kgt3_basics", {}) == 1
-    assert verify.power_of("lemma36", {"p": 3}) == 3
+    power = {oid: fam.power for oid, fam in verify.CATALOG.items()}
+    assert power["even_odd"]({"pp": 1, "parity": "odd"}) == 3
+    assert power["rw_double"]({"pp": 2}) == 4
+    assert power["diag_pair"]({"l": 2}) == 4
+    assert power["kgt3_basics"]({}) == 1
+    assert power["lemma36"]({"p": 3}) == 3
 
 
 INADMISSIBLE = {
