@@ -66,7 +66,8 @@ def _record(name, status, value=None, tol=None, params=None, wall_ms=0.0):
 def _emit(report, output):
     """Write the report to stdout or to the ``--output`` path; a path that
     cannot be written is a UsageError."""
-    text = json.dumps(report, indent=2, sort_keys=True, default=_TOLIST) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=_TOLIST,
+                      allow_nan=False) + "\n"
     if output in (None, "-"):
         sys.stdout.write(text)
         return
@@ -101,6 +102,18 @@ def _identity_trials(rng, dim, p_max, trials):
     return rows[:, :2 * p_max].reshape(trials, p_max, 2), rows[:, 2 * p_max:]
 
 
+def _require_finite(point, nablas, levels, res):
+    """GeometryError naming the sample point and the first nabla^q omega,
+    R^q omega or residual there that is not finite: a value past the double
+    range shows nothing about any check."""
+    named = [(f"nabla^{q} omega", v) for q, v in enumerate(nablas)]
+    named += [(f"R^{q} omega", v) for q, v in enumerate(levels, start=1)]
+    named += [(f"residual {name}", v) for name, v in vars(res).items()]
+    for what, value in named:
+        if not np.isfinite(value).all():
+            raise geometry.GeometryError(f"{what} is not finite at sample point {tuple(point)}")
+
+
 def _geometry_records(sc, structures, seed):
     """Records of every check of ``sc`` at every sample point, from the
     point's one structure solve and omega jets in ``structures``
@@ -114,10 +127,13 @@ def _geometry_records(sc, structures, seed):
     p_top = max((check["p_max"] for check in sc.checks
                  if check["name"] in ("rank_theorem", "alternating_identity")), default=0)
     for pi, (point, (sj, omega)) in enumerate(zip(sc.sample_points, structures)):
-        nablas = nabla_powers(omega, sj, sj.order + 1)
-        prov = GeometricCurvature(geometry.curvature(sj))
-        levels = list(r_power_levels(prov, pack_two_form(nablas[0], sc.dim), p_top))
-        res = geometry.fundamental_residuals(sj, prov.R)
+        # a value past the double range is refused below, so it does not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            nablas = nabla_powers(omega, sj, sj.order + 1)
+            prov = GeometricCurvature(geometry.curvature(sj))
+            levels = list(r_power_levels(prov, pack_two_form(nablas[0], sc.dim), p_top))
+            res = geometry.fundamental_residuals(sj, prov.R)
+        _require_finite(point, nablas, levels, res)
         for check in sc.checks:
             name, tol, p_max = check["name"], check.get("tol"), check.get("p_max")
             label = f"{name}@point{pi}"

@@ -227,7 +227,9 @@ def _series(space, u, coeffs):
     is what Horner's products with x_i produce, up to the sign of a zero,
     and it costs no product.  Horner sums the coefficients before the first
     that is not finite and sets every degree from its index on to NaN, so
-    that no inf * 0 with the zero constant term of u - u0 spoils a lower one."""
+    that no inf * 0 with the zero constant term of u - u0 spoils a lower one.
+    When u - u0 is all zeros it sums coeffs[0] alone, with no step, so the
+    constant term is the same at every order, the sign of a zero included."""
     tilde = u.copy()
     tilde[0] = 0.0
     hits = np.flatnonzero(tilde)
@@ -236,8 +238,9 @@ def _series(space, u, coeffs):
         out[space.coordinate_powers[hits[0] - 1]] = coeffs
         return out
     top = next((j for j, c in enumerate(coeffs) if not math.isfinite(c)), len(coeffs))
-    acc = _constant(space, coeffs[top - 1] if top else math.nan)
-    for c in reversed(coeffs[: max(top - 1, 0)]):
+    last = top - 1 if len(hits) else min(top - 1, 0)
+    acc = _constant(space, coeffs[last] if top else math.nan)
+    for c in reversed(coeffs[: max(last, 0)]):
         acc = space.einsum(_PRODUCT, acc, tilde)
         acc[0] += c
     if top < len(coeffs):

@@ -11,7 +11,7 @@ model or geometric induced structure):
   computed on the field's jet coefficient array so no finite differencing
   is needed.
 
-Single components of R^k.T use the recursion verbatim
+Single components of R^k.T, at basis indices, use the recursion verbatim
 (``r_power_action``): a node reads the basis images R(e_x, e_y) e_z of
 its slots from the provider's image row of (x, y), and its terms from
 the tensor (level 0) or from one memo per level, keyed by basis-index
@@ -24,12 +24,12 @@ so omega(X, Y) = <w, c> for w = ``pack_two_form(omega, n)``, and
 R(e_x, e_y) acts on Lambda^2 as the N2 x N2 matrix rho_P, P = (x, y)
 (``pair_operator``).  R^k.omega is held whole, N2^(k+1) entries, one
 level per power (``r_power_levels``, a ladder its caller steps once), or
-evaluated at the vectors of one probe, k >= 1, in k! branches: a checked
-packing step (``pack_probe``) gives K = rho w and the packed pairs, and
-the kernel (``pair_probe``) ends in one bilinear form per probe, -<Z, K>
-with Z the sum of the branches' last two pairs c1 c2^T.
-``reduce_to_basis`` tries the unit pairs of basis components in the
-kernel, CANDIDATE_BATCH per call.
+evaluated at vector arguments, one probe of 2k+2 vectors, k >= 1, in k!
+branches: a checked packing step (``pack_probe``) gives K = rho w and
+the packed pairs, and the kernel (``pair_probe``) ends in one bilinear
+form per probe, -<Z, K> with Z the sum of the branches' last two pairs
+c1 c2^T.  ``reduce_to_basis`` tries the unit pairs of basis components
+in the kernel, CANDIDATE_BATCH per call.
 """
 
 from __future__ import annotations
@@ -166,17 +166,6 @@ class GeometricCurvature(CurvatureProvider):
         return self.R
 
 
-def _expand_arg(arg, dim):
-    """An argument is a basis index, kept as an int, or a vector, expanded
-    to its nonzeros ((index, coeff), ...)."""
-    if isinstance(arg, (int, np.integer)):
-        return int(arg)
-    vec = np.asarray(arg, dtype=float)
-    if vec.shape != (dim,):
-        raise ArityError(f"argument vector has shape {vec.shape}, expected ({dim},)")
-    return tuple((int(m), float(vec[m])) for m in np.nonzero(vec)[0])
-
-
 def _check_power(provider, k: int):
     """The one R^k power gate: ArityError unless k >= 0, RecursionCapError
     if k is beyond ``provider.cap`` (a provider or its class)."""
@@ -203,24 +192,30 @@ def check_packed_power(provider, n: int, axes: int, k: int) -> int:
 def r_power_action(provider, tensor, k: int, args) -> float:
     """Evaluate (R^k . T)(args) by the defining recursion.
 
-    ``tensor`` is a dense (0,p) component array; ``args`` are 2k+p basis
-    indices or vectors (vectors expand multilinearly over their nonzeros).
-    A node (x, y, rest) at level k fetches the image row of (x, y) from the
-    provider once, skips a slot whose image is empty (subtracting its 0.0
-    term is a no-op) and reads each term below it inline: a level-0 term
-    straight from the tensor, a memoized one from the dict of its level
-    (one per level, keyed by the basis-index tuple).  In the multilinear
-    sum over ``args`` a run of basis-index positions is one step:
-    0.0 + 1.0 * v is v + 0.0, so the value is that of the term-by-term sum,
-    bit for bit, signed zeros included.
+    ``tensor`` is a dense (0,p) component array and ``args`` are 2k+p basis
+    indices, ints in 0..dim-1 (vectors go to ``pack_probe``); at k = 0 the
+    value is the stored entry.  A node (x, y, rest) at level k fetches the
+    image row of (x, y) from the provider once, skips a slot whose image
+    is empty (subtracting its 0.0 term is a no-op) and reads each term
+    below it inline: a level-0 term straight from the tensor, a memoized
+    one from the dict of its level (one per level, keyed by the
+    basis-index tuple).  A node starts at +0.0 and only subtracts, so it
+    never returns -0.0.
     """
     t = np.asarray(tensor, dtype=float)
     p = t.ndim
     _check_power(provider, k)
     if len(args) != 2 * k + p:
         raise ArityError(f"expected {2 * k + p} arguments, got {len(args)}")
+    for pos, arg in enumerate(args):
+        if isinstance(arg, bool) or not isinstance(arg, (int, np.integer)) \
+                or not 0 <= arg < provider.dim:
+            raise ArityError(f"argument {pos} ({type(arg).__name__}) is not a basis index "
+                             f"in 0..{provider.dim - 1}")
+    idxs, leaf = tuple(map(int, args)), t.item
+    if k == 0:
+        return leaf(idxs)
     rows, image_row, basis_image = provider._rows, provider.image_row, provider.basis_image
-    leaf = t.item
     memos = [None] + [{} for _ in range(k)]
 
     def eval_idx(k, idxs):
@@ -251,40 +246,12 @@ def r_power_action(provider, tensor, k: int, args) -> float:
         memos[k][idxs] = total
         return total
 
-    # the args as segments (a run of basis indices, the terms of the vector
-    # after it), the last segment's terms None
-    segments, run = [], ()
-    for arg in args:
-        arg = _expand_arg(arg, provider.dim)
-        if isinstance(arg, int):
-            run += (arg,)
-        else:
-            segments.append((run, arg))
-            run = ()
-    segments.append((run, None))
-    top = memos[k]
-
-    def eval_args(seg, idxs):
-        fixed, terms = segments[seg]
-        idxs += fixed
-        if terms is not None:
-            out = 0.0
-            for m, coeff in terms:
-                out += coeff * eval_args(seg + 1, idxs + (m,))
-        elif top is None:
-            out = leaf(idxs)
-        else:
-            out = top.get(idxs)
-            if out is None:
-                out = eval_idx(k, idxs)
-        return out + 0.0 if fixed else out
-
     try:
-        return eval_args(0, ())
+        return eval_idx(k, idxs)
     finally:
-        # the closures call themselves through their cells: clearing them
-        # frees the provider they hold now, not at a later cyclic collection
-        eval_idx = eval_args = None
+        # the closure calls itself through its cell: clearing it frees the
+        # provider it holds now, not at a later cyclic collection
+        eval_idx = None
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,10 @@
 
 Each catalog family pins one closed-form identity for the iterated
 curvature action on a block-built Gauss model: the brute value comes from
-the defining recursion (tensor_ops.r_power_action) or, at power 1, from one
-basis image of the model's AlgebraicCurvature, the closed value from the
-formula, and the absolute error is the reported quantity.
+the recursion at basis indices (tensor_ops.r_power_action), the pair kernel
+at vectors (pack_probe, pair_probe) or, at power 1, one basis image of the
+model's AlgebraicCurvature, the closed value from the formula, and the
+absolute error is the reported quantity.
 
 A family is declared once, beside its closed form: its fields, in draw
 order, state the lead block(s) (``Lead``), the trailing 1x1 blocks
@@ -327,8 +328,9 @@ def _family(oracle_id, description, *fields, power=lambda q: q["p"]):
     """Declare a family: its fields in draw order, its power and, below, its
     closed form.  That takes the params, the model ``m``, the form ``w``, the
     lead block's ``alpha`` with ``eps`` (real) or ``beta`` (complex), the
-    ``power`` and ``act(args, k=power)`` = R^k omega(args), and returns the
-    brute and the closed value."""
+    ``power``, ``act(args, k=power)`` = R^k omega(args) at basis indices and
+    ``probe(rows)`` = R^power omega at the 2 power + 2 vectors ``rows``, and
+    returns the brute and the closed value."""
     def register(closed):
         CATALOG[oracle_id] = OracleFamily(oracle_id, description, fields, closed, power)
         return closed
@@ -348,12 +350,14 @@ def _cx_hyp_pairs(k, full):
          "against the block end vector",
          P, Lead("real", (2, 5)), Trail(1, 3), Vectors("xs"),
          Choice("i", lambda k, dim, q: range(1, dim)), OMEGA)
-def _with_pi_x(act, m, w, k, p, xs, i, alpha, eps, **_):
-    vecs = np.zeros((p, m.dim))
-    vecs[:, :k] = xs
-    args = [t for vec in vecs for t in (vec, k - 1)]
+def _with_pi_x(probe, m, w, k, p, xs, i, alpha, eps, **_):
+    # rows x_1, e_k, ..., x_p, e_k, e_i, e_k
+    rows = np.zeros((2 * p + 2, m.dim))
+    rows[:-2:2, :k] = xs
+    rows[1::2, k - 1] = 1.0
+    rows[-2, i] = 1.0
     proj = math.prod(c[0] for c in xs)
-    return act(args + [i, k - 1]), proj * eps ** p * alpha ** p * w[i, k - 1]
+    return probe(rows), proj * eps ** p * alpha ** p * w[i, k - 1]
 
 
 @_family("rp_ei_ek", "single real block: (eps*alpha)^p scaling of omega against "
@@ -592,7 +596,7 @@ def _cx_b4(act, k, p, pos, **_):
          Lead("complex", (2, 3)), Trail(0, 1, step=2), P,
          Choice("variant", ("a", "b", "cor")),
          Omega(lambda k, q: _cx_hyp_pairs(k, False)))
-def _cx_b45(act, m, w, k, p, variant, alpha, beta, **_):
+def _cx_b45(act, probe, m, w, k, p, variant, alpha, beta, **_):
     s, ss = 2 * k - 2, 2 * k - 1  # 0-based penultimate/last block vectors
     lead = _pairs((0, s), p)
     if variant == "a":
@@ -604,7 +608,9 @@ def _cx_b45(act, m, w, k, p, variant, alpha, beta, **_):
                   - alpha * (-beta) ** (p - 1) * w[0, ss])
         return act(lead + (1, ss)), closed
     closed = (-1.0) ** p * beta ** (p - 1) * alpha * (alpha * w[0, s] - beta * w[0, ss])
-    return act(lead + (1, np.asarray(m.S[:, s]))), closed
+    rows = np.eye(m.dim)[list(lead + (1, 1))]
+    rows[-1] = m.S[:, s]
+    return probe(rows), closed
 
 
 @_family("cx_b5", "large complex block under form side conditions: first-position "
@@ -765,8 +771,14 @@ def run_oracle(spec: OracleSpec) -> OracleResult:
     lead, w, prov = m.blocks[0], d.w, AlgebraicCurvature(m)
     symbols = ({"alpha": lead.alpha, "beta": lead.beta} if isinstance(lead, ComplexBlock)
                else {"alpha": lead.eigenvalue, "eps": lead.sign})
+
+    def probe(rows):
+        k_mat, pairs = pack_probe(prov, w, power, rows)
+        return pair_probe(prov, k_mat, pairs[None])[0]
+
     brute, closed = fam.closed(**{**q, **symbols, "m": m, "prov": prov, "w": w, "power": power,
-                                  "act": lambda args, k=power: r_power_action(prov, w, k, args)})
+                                  "act": lambda args, k=power: r_power_action(prov, w, k, args),
+                                  "probe": probe})
     return OracleResult(spec.id, float(brute), float(closed),
                         abs(float(brute) - float(closed)), spec.params, power)
 

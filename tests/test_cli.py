@@ -500,6 +500,32 @@ def test_omega_beyond_the_determinant_range_is_nondegenerate(tmp_path, capsys):
     assert _load(out)["summary"]["fail"] == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, scale, q, index", [
+    ("paper_example_n2", 1e307, 3, 1),
+    ("paper_example_n2", 1.7e308, 1, 0),
+    ("centroaffine_sphere", 1e307, 3, 0),
+    ("centroaffine_sphere", 1.7e308, 1, 0),
+])
+def test_derivatives_of_omega_past_the_double_range_are_usage_errors(name, scale, q, index,
+                                                                     tmp_path, capsys):
+    # omega itself is finite; nabla^q omega overflows at a sample point,
+    # which is refused before any check reads it, with no numpy warning
+    data = _shipped(name)
+    data["omega"] = [[scale * v for v in row] for row in data["omega"]]
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(data))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    point = tuple(data["sample_points"][index])
+    assert rc == 2 and err == [f"error: nabla^{q} omega is not finite at sample point {point}"]
+
+
+def test_a_report_with_nan_is_refused(tmp_path):
+    # json would write the non-JSON literal NaN
+    with pytest.raises(ValueError, match="Out of range float values"):
+        cli._emit({"value": float("nan")}, str(tmp_path / "rep.json"))
+
+
 @pytest.mark.parametrize("key", ["A", "H"])
 def test_non_finite_decompose_matrix_is_usage_error(key, tmp_path, capsys):
     data = {"dim": 2, "A": [1.0, 0.0, 0.0, 2.0], "H": [1.0, 0.0, 0.0, 1.0]}

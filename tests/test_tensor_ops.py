@@ -1,3 +1,5 @@
+import itertools
+import math
 import struct
 from functools import lru_cache
 
@@ -53,10 +55,20 @@ def test_arity_checks():
     w = tridiagonal_omega(4)
     with pytest.raises(ArityError):
         r_power_action(prov, w, 1, (0, 1, 2))
-    with pytest.raises(ArityError, match=r"argument vector has shape \(3,\), expected \(4,\)"):
-        r_power_action(prov, w, 1, (0, 1, 2, np.ones(3)))
     with pytest.raises(RecursionCapError):
         r_power_action(prov, w, 9, tuple(0 for _ in range(20)))
+    # basis indices only: an index outside 0..3 is not read as w[3, 2]
+    # or left to a bare IndexError, and a vector goes to the pair kernel
+    for arg, kind in ((-1, "int"), (4, "int"), (np.int64(7), "int64"), (True, "bool"),
+                      (2.0, "float"), (np.ones(4), "ndarray"),
+                      (np.ones((20, 20)), "ndarray"), ([0, 1], "list")):
+        for k in (0, 1):
+            args = [0] * (2 * k + 2)
+            args[-1] = arg
+            with pytest.raises(ArityError) as err:
+                r_power_action(prov, w, k, tuple(args))
+            assert str(err.value) == f"argument {2 * k + 1} ({kind}) is not a basis index in 0..3"
+    assert r_power_action(prov, w, 0, (np.int64(1), np.int32(2))) == w[1, 2]
 
 
 def test_pair_swap_negates_exactly():
@@ -76,6 +88,8 @@ def test_pair_swap_negates_exactly():
 
 
 def test_multilinearity():
+    # at vectors R^k omega is the pair kernel's; linear in each slot, it is
+    # the combination of the basis-index recursion's values
     prov = AlgebraicCurvature(_model())
     rng = np.random.default_rng(3)
     w = rng.uniform(-1, 1, (4, 4))
@@ -86,22 +100,15 @@ def test_multilinearity():
         args = [int(v) for v in rng.integers(0, 4, size=2 * k + 2)]
         slot = int(rng.integers(0, len(args)))
         i, j = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        # power-of-two coefficients: scaling commutes with rounding, so exact
-        combo = list(args)
-        combo[slot] = 2.0 * e[i] + 0.5 * e[j]
-        lhs = r_power_action(prov, w, k, combo)
+        c1, c2 = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
+        rows = e[args]
+        rows[slot] = c1 * e[i] + c2 * e[j]
         a1 = list(args)
         a1[slot] = i
         a2 = list(args)
         a2[slot] = j
-        assert lhs == 2.0 * r_power_action(prov, w, k, a1) \
-            + 0.5 * r_power_action(prov, w, k, a2)
-        # arbitrary real coefficients agree to relative 1e-12
-        c1, c2 = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-        combo[slot] = c1 * e[i] + c2 * e[j]
-        lhs = r_power_action(prov, w, k, combo)
         ref = c1 * r_power_action(prov, w, k, a1) + c2 * r_power_action(prov, w, k, a2)
-        assert abs(lhs - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert abs(_probe(prov, w, k, rows) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_memoized_matches_plain_bit_for_bit():
@@ -776,9 +783,8 @@ def _dense_r_power(provider, tensor, k):
 
 def _reference_r_power_action(provider, tensor, k, args):
     """Reference: the basis-index recursion with one closure call per
-    term: basis images memoized on (i, j, t) tuples, one memo per level
-    checked at the node's entry, and every argument (basis index or
-    vector) expanded into the multilinear sum term by term."""
+    term: basis images memoized on (i, j, t) tuples and one memo per level
+    checked at the node's entry."""
     t = np.asarray(tensor, dtype=float)
     images = {}
 
@@ -808,23 +814,7 @@ def _reference_r_power_action(provider, tensor, k, args):
         memos[k][idxs] = total
         return total
 
-    def expand(arg):
-        if isinstance(arg, (int, np.integer)):
-            return ((int(arg), 1.0),)
-        vec = np.asarray(arg, dtype=float)
-        return tuple((int(m), float(vec[m])) for m in np.nonzero(vec)[0])
-
-    expansions = [expand(a) for a in args]
-
-    def eval_args(pos, idxs):
-        if pos == len(expansions):
-            return eval_idx(k, idxs)
-        out = 0.0
-        for m, coeff in expansions[pos]:
-            out += coeff * eval_args(pos + 1, idxs + (m,))
-        return out
-
-    return eval_args(0, ())
+    return eval_idx(k, tuple(args))
 
 
 def _numpy_reference_r_power_action(provider, tensor, k, args, memo=True):
@@ -859,72 +849,29 @@ def _numpy_reference_r_power_action(provider, tensor, k, args, memo=True):
             cache[k, idxs] = total
         return total
 
-    def eval_args(pos, idxs):
-        if pos == len(args):
-            return eval_idx(k, idxs)
-        arg = args[pos]
-        if isinstance(arg, int):
-            terms = ((arg, 1.0),)
-        else:
-            terms = tuple((int(m), float(arg[m])) for m in np.nonzero(arg)[0])
-        out = 0.0
-        for m, coeff in terms:
-            out += coeff * eval_args(pos + 1, idxs + (m,))
-        return out
-
-    return eval_args(0, ())
+    return eval_idx(k, tuple(args))
 
 
-def _assert_recursion_matches_reference(prov, w, k, vectors, seed):
+def _assert_recursion_matches_reference(prov, w, k, seed):
     rng = np.random.default_rng(seed)
     args = [int(v) for v in rng.integers(0, prov.dim, size=2 * k + np.ndim(w))]
-    for slot in rng.choice(len(args), size=vectors, replace=False):
-        args[slot] = rng.standard_normal(prov.dim)
     got = r_power_action(prov, w, k, args)
     for memo in (True, False):
         assert got == _numpy_reference_r_power_action(prov, w, k, args, memo=memo)
 
 
 @settings(max_examples=40, deadline=None)
-@given(block_models(dims=(4, 6, 8)), hst.integers(0, 3), hst.integers(0, 2),
-       hst.integers(0, 2 ** 32 - 1))
-def test_recursion_matches_numpy_reference_bit_for_bit(model, k, vectors, seed):
+@given(block_models(dims=(4, 6, 8)), hst.integers(0, 3), hst.integers(0, 2 ** 32 - 1))
+def test_recursion_matches_numpy_reference_bit_for_bit(model, k, seed):
     prov = AlgebraicCurvature(model)
-    _assert_recursion_matches_reference(prov, _random_two_form(model.dim, seed), k,
-                                        vectors, seed)
+    _assert_recursion_matches_reference(prov, _random_two_form(model.dim, seed), k, seed)
 
 
 @settings(max_examples=25, deadline=None)
-@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(0, 3), hst.integers(0, 2),
-       hst.integers(0, 2 ** 32 - 1))
-def test_geometric_recursion_matches_numpy_reference_bit_for_bit(name, k, vectors, seed):
+@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(0, 3), hst.integers(0, 2 ** 32 - 1))
+def test_geometric_recursion_matches_numpy_reference_bit_for_bit(name, k, seed):
     prov, w = _scenario_curvature(name)
-    _assert_recursion_matches_reference(prov, w, k, vectors, seed)
-
-
-ARG_KINDS = hst.sampled_from(("index", "index", "unit", "zero", "general"))
-
-
-def _mixed_args(data, rng, dim, count):
-    """``count`` arguments: basis indices and unit, zero and general
-    vectors, at most two of them general (each expands into up to dim
-    terms, and the sum runs over every combination)."""
-    args, general = [], 0
-    for _ in range(count):
-        kind = data.draw(ARG_KINDS)
-        m = data.draw(hst.integers(0, dim - 1))
-        if kind == "general" and general < 2:
-            general += 1
-            v = rng.standard_normal(dim)
-            v[rng.random(dim) < 0.3] = 0.0
-            args.append(v)
-        elif kind == "unit":
-            args.append(np.eye(dim)[m])
-        elif kind == "zero":
-            args.append(np.zeros(dim))
-        else:
-            args.append(m)
-    return args
+    _assert_recursion_matches_reference(prov, w, k, seed)
 
 
 def _signed_zero_two_form(dim, seed):
@@ -946,26 +893,32 @@ def test_recursion_matches_term_by_term_reference_bytes(prov, k, seed, data):
     # struct bytes, so that a -0.0 where the reference gives 0.0 fails
     k = min(k, prov.cap)
     w = _signed_zero_two_form(prov.dim, seed)
-    args = _mixed_args(data, np.random.default_rng(seed), prov.dim, 2 * k + 2)
+    args = data.draw(hst.lists(hst.integers(0, prov.dim - 1), min_size=2 * k + 2,
+                               max_size=2 * k + 2))
     got = r_power_action(prov, w, k, args)
     assert struct.pack("<d", got) == \
         struct.pack("<d", _reference_r_power_action(prov, w, k, args))
 
 
-def test_recursion_keeps_the_sign_of_zero_as_the_reference():
-    # a basis-index argument adds 0.0 as the term-by-term sum does: the
-    # -0.0 entry comes out +0.0, and a zero vector gives +0.0 too
+def test_recursion_keeps_the_stored_sign_of_zero():
+    # k = 0 reads the stored entry, -0.0 included; a node at k >= 1 starts
+    # at +0.0 and only subtracts, so it never gives -0.0
     prov = AlgebraicCurvature(_model())
     w = _signed_zero_two_form(4, 0)
-    e = np.eye(4)
-    for args in ((0, 1), (e[0], 1), (0, e[1]), (e[0], e[1]), (np.zeros(4), 1)):
-        got = r_power_action(prov, w, 0, args)
-        assert struct.pack("<d", got) == \
-            struct.pack("<d", _reference_r_power_action(prov, w, 0, args)) == \
-            struct.pack("<d", 0.0), args
+    for args in itertools.product(range(4), repeat=2):
+        assert struct.pack("<d", r_power_action(prov, w, 0, args)) == \
+            struct.pack("<d", w[args]), args
+    assert struct.pack("<d", r_power_action(prov, w, 0, (0, 1))) == struct.pack("<d", -0.0)
     # a tensor of order 0 has no argument at all: its value as it is
     assert struct.pack("<d", r_power_action(prov, np.array(-0.0), 0, ())) == \
         struct.pack("<d", -0.0)
+    zeros = 0
+    for k in (1, 2):
+        for args in itertools.product(range(4), repeat=2 * k + 2):
+            got = r_power_action(prov, w, k, args)
+            assert math.copysign(1.0, got) == 1.0 or got != 0.0, args
+            zeros += got == 0.0
+    assert zeros
 
 
 def _random_three_tensor(dim, seed):
@@ -973,23 +926,18 @@ def _random_three_tensor(dim, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(block_models(dims=(4, 6)), hst.integers(0, 3), hst.integers(0, 2),
-       hst.integers(0, 2 ** 32 - 1))
-def test_recursion_on_three_tensors_matches_plain_recursion(model, k, vectors, seed):
+@given(block_models(dims=(4, 6)), hst.integers(0, 3), hst.integers(0, 2 ** 32 - 1))
+def test_recursion_on_three_tensors_matches_plain_recursion(model, k, seed):
     # (0,3) tensors: the tests above draw only 2-forms
     prov = AlgebraicCurvature(model)
-    _assert_recursion_matches_reference(prov, _random_three_tensor(model.dim, seed), k,
-                                        vectors, seed)
+    _assert_recursion_matches_reference(prov, _random_three_tensor(model.dim, seed), k, seed)
 
 
 @settings(max_examples=25, deadline=None)
-@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(0, 3), hst.integers(0, 2),
-       hst.integers(0, 2 ** 32 - 1))
-def test_geometric_recursion_on_three_tensors_matches_plain_recursion(name, k, vectors,
-                                                                      seed):
+@given(hst.sampled_from(BUILTIN_NAMES), hst.integers(0, 3), hst.integers(0, 2 ** 32 - 1))
+def test_geometric_recursion_on_three_tensors_matches_plain_recursion(name, k, seed):
     prov, _ = _scenario_curvature(name)
-    _assert_recursion_matches_reference(prov, _random_three_tensor(prov.dim, seed), k,
-                                        vectors, seed)
+    _assert_recursion_matches_reference(prov, _random_three_tensor(prov.dim, seed), k, seed)
 
 
 def _random_two_form(dim, seed):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -213,6 +215,47 @@ def test_cx_detpow_pinned_example():
 def test_every_family_holds_on_seeded_draws(oracle_id):
     for res in run_family(oracle_id, draws=25, seed=11, p_max=4):
         assert res.scaled_err <= verify.ORACLE_RTOL, (oracle_id, res.params)
+
+
+def _term_by_term(prov, w, k, args):
+    """Reference: R^k omega at basis indices and vectors, each vector
+    expanded into its nonzeros and the multilinear sum taken term by term
+    over the basis-index recursion."""
+    terms = [((arg, 1.0),) if isinstance(arg, int) else
+             tuple((int(m), float(arg[m])) for m in np.flatnonzero(arg)) for arg in args]
+    total = 0.0
+    for combo in itertools.product(*terms):
+        coeff = math.prod(c for _, c in combo)
+        total += coeff * r_power_action(prov, w, k, tuple(m for m, _ in combo))
+    return total
+
+
+def _vector_args(res):
+    """The arguments of the two families that read the pair kernel, from a
+    draw's params: with_pi_x's (x_1, e_k, ..., x_p, e_k, e_i, e_k) and
+    cx_b45 cor's ((e_1, e_s) p times, e_2, S e_s), s = 2k - 1, 1-based."""
+    q = res.params
+    m = assemble([verify._decode(entry) for entry in q["blocks"]])
+    k, p = q["k"], q["p"]
+    if res.id == "with_pi_x":
+        args = []
+        for x in q["xs"]:
+            vec = np.zeros(m.dim)
+            vec[:k] = x
+            args += [vec, k - 1]
+        return m, args + [q["i"], k - 1]
+    return m, [0, 2 * k - 2] * p + [1, m.S[:, 2 * k - 2]]
+
+
+def test_kernel_brute_matches_term_by_term_reference():
+    draws = run_family("with_pi_x", 25) + [res for res in run_family("cx_b45", 25)
+                                           if res.params["variant"] == "cor"]
+    assert len(draws) > 25
+    for res in draws:
+        m, args = _vector_args(res)
+        ref = _term_by_term(AlgebraicCurvature(m), np.array(res.params["omega"]), res.power,
+                            args)
+        assert abs(res.brute - ref) <= 1e-12 * max(1.0, abs(ref)), (res.id, res.params)
 
 
 def test_brute_invariant_under_trailing_permutation():
