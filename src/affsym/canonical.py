@@ -13,6 +13,17 @@ Everything is plain double precision; the residuals carried on the result
 are the honest quality measure, and borderline rank/cluster decisions are
 surfaced as warnings rather than silently resolved.
 
+A stage is one pass of the peel: it factors its basis, finds the
+nilpotency index of N = A - lam I there by a ladder of 2-norms that starts
+at N itself (the norm that also scales the ladder), and takes one chain
+of that length.  A real stage of index 1 and dimension above 1 is
+semisimple: the eigenvectors of sym(h) on it, from the one eigh that picks
+a chain generator, are h-orthogonal, so each, scaled to |x^T h x| = 1, is
+a chain of length 1, and the stage takes them all at once, in decreasing
+|x^T h x| (the order a pick per stage would meet them), each behind the
+same degenerate-pairing guard.  A complex stage still takes one chain per
+stage: x^T F x is no Hermitian form, and no eigh diagonalises it.
+
 LAPACK is skipped only where the shape fixes what it would return.  A real
 stage of dimension 1 takes its 2-norms as |n| and its chain generator as
 x = 1.0 with score |f|: eigh's eigenvector of a 1x1 matrix is 1.0, and svd
@@ -86,6 +97,19 @@ def _cluster(values, delta):
     return groups
 
 
+def _scored_eigenvectors(f):
+    """The unit eigenvectors x of a real symmetric F, each with its score
+    |x^T F x|, in decreasing score (eigh's order among equal scores)."""
+    # contiguous rows: np.linalg.norm dots a contiguous copy, and a
+    # strided dot can round differently
+    scored = []
+    for x in np.linalg.eigh(f)[1].T.copy():
+        x = x / math.sqrt(x.dot(x))
+        scored.append((x, abs(x @ f @ x)))
+    scored.sort(key=lambda pair: -pair[1])
+    return scored
+
+
 def _pick_isotropy_vector(f, complex_field):
     """Vector x with |x^T F x| as large as practical; F symmetric, nonzero.
 
@@ -96,24 +120,18 @@ def _pick_isotropy_vector(f, complex_field):
     repeats, so unit vectors and the pairs e_i + e_j, e_i - e_j and
     e_i + i e_j are tried as well.
     """
-    d = f.shape[0]
     if not complex_field:
-        # contiguous rows: np.linalg.norm dots a contiguous copy, and a
-        # strided dot can round differently
-        candidates = list(np.linalg.eigh(f)[1].T.copy())
-    else:
-        u, _, vh = np.linalg.svd(f)
-        eye = np.eye(d, dtype=complex)
-        candidates = [np.conj(vh[0]), u[:, 0], *eye]
-        for i in range(d):
-            for j in range(i + 1, d):
-                candidates += [eye[i] + eye[j], eye[i] - eye[j], eye[i] + 1j * eye[j]]
+        return _scored_eigenvectors(f)[0]
+    d = f.shape[0]
+    u, _, vh = np.linalg.svd(f)
+    eye = np.eye(d, dtype=complex)
+    candidates = [np.conj(vh[0]), u[:, 0], *eye]
+    for i in range(d):
+        for j in range(i + 1, d):
+            candidates += [eye[i] + eye[j], eye[i] - eye[j], eye[i] + 1j * eye[j]]
     best, best_score = None, -1.0
     for x in candidates:
-        nrm = math.sqrt(x.dot(x)) if not complex_field else np.linalg.norm(x)
-        if nrm == 0.0:
-            continue
-        x = x / nrm
+        x = x / np.linalg.norm(x)
         score = abs(x @ f @ x)
         if score > best_score:
             best, best_score = x, score
@@ -126,6 +144,14 @@ def _norm2(x):
     if x.shape == (1, 1) and x.dtype.kind == "f":
         return float(abs(x[0, 0]))
     return float(np.linalg.svd(x, compute_uv=False)[0])
+
+
+def _require_generator(lam, score):
+    """CanonicalError unless the chain generator's |x^T F x| is usable."""
+    if score < 1e-10:
+        raise CanonicalError(
+            f"could not find a chain generator at eigenvalue {lam} "
+            f"(pairing form degenerate to {score:.3e})")
 
 
 def _extract_chains(a, h, basis, lam, complex_field, warnings):
@@ -143,13 +169,16 @@ def _extract_chains(a, h, basis, lam, complex_field, warnings):
         h_cur = q.T @ h @ q          # bilinear form: plain transpose
         n_cur = a_cur - lam * np.eye(cur.shape[1], dtype=a_cur.dtype)
 
-        # nilpotency index at this stage
-        scale = max(1.0, _norm2(n_cur))
+        # nilpotency index at this stage: the ladder starts at N, whose
+        # 2-norm the scale already holds
+        nrm = _norm2(n_cur)
+        scale = max(1.0, nrm)
         length = cur.shape[1]
-        power = np.eye(cur.shape[1], dtype=n_cur.dtype)
+        power = n_cur
         for j in range(1, cur.shape[1] + 1):
-            power = power @ n_cur
-            nrm = _norm2(power)
+            if j > 1:
+                power = power @ n_cur
+                nrm = _norm2(power)
             if nrm <= 1e-7 * scale ** j:
                 length = j
                 break
@@ -161,13 +190,19 @@ def _extract_chains(a, h, basis, lam, complex_field, warnings):
         n_top = np.linalg.matrix_power(n_cur, length - 1)
         f = h_cur @ n_top
         f = (f + f.T) / 2.0
+        if length == 1 and f.shape != (1, 1) and not complex_field:
+            # a semisimple stage: the eigenvectors of f = sym(h_cur) are
+            # h_cur-orthogonal, so each is a chain of length 1, taken in the
+            # order a pick per stage meets them
+            for x, score in _scored_eigenvectors(f):
+                _require_generator(lam, score)
+                top = (x @ h_cur) @ x
+                chains.append((1, 1 if top > 0 else -1, [q @ (x / np.sqrt(abs(top)))]))
+            break
         # eigh's eigenvector of a real 1x1 f is 1.0, already of unit length
         x, score = ((np.ones(1), abs(f[0, 0])) if f.shape == (1, 1) and not complex_field
                     else _pick_isotropy_vector(f, complex_field))
-        if x is None or score < 1e-10:
-            raise CanonicalError(
-                f"could not find a chain generator at eigenvalue {lam} "
-                f"(pairing form degenerate to {score:.3e})")
+        _require_generator(lam, score)
 
         def pairings(vec):
             ys = [vec]
@@ -346,7 +381,10 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
     defect = np.abs(a.T @ h - h @ a)
     sums = np.abs(a).T @ np.abs(h) + np.abs(h) @ np.abs(a)
     bound = np.minimum(max(norm_h * norm_a, norm_h, 1e-300), np.maximum(sums, norm_h))
-    if np.any(defect > tol * bound):
+    # a tol * bound past the double range is inf: it refuses no defect
+    with np.errstate(over="ignore"):
+        refused = np.any(defect > tol * bound)
+    if refused:
         raise NotSelfadjointError(
             f"A is not H-selfadjoint: ||A^T H - H A|| = {np.max(defect):.3e}")
 

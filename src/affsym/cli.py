@@ -24,6 +24,7 @@ import json
 import operator
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -79,7 +80,9 @@ def _emit(report, output):
 
 
 def _finish(records, base, output, strict):
-    records.sort(key=lambda r: (r["name"],
+    # by name, and by the params' JSON only where a name repeats
+    names = Counter(r["name"] for r in records)
+    records.sort(key=lambda r: (r["name"], "" if names[r["name"]] == 1 else
                                 json.dumps(r["params"], sort_keys=True, default=_TOLIST)))
     counts = {"pass": 0, "fail": 0, "vacuous": 0, "warn": 0}
     for r in records:

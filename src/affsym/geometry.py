@@ -102,8 +102,11 @@ class Scenario:
 
 def omega_nondegenerate(w) -> bool:
     """|det w| >= OMEGA_DET_MIN, read from ``np.linalg.slogdet`` so that no
-    entry size overflows the determinant; a NaN entry fails it."""
-    sign, logdet = np.linalg.slogdet(w)
+    entry size overflows the determinant; a NaN entry fails it.  An LU pivot
+    past the double range reads as a log of inf or of 0, which the
+    comparison decides, so it does not warn."""
+    with np.errstate(all="ignore"):
+        sign, logdet = np.linalg.slogdet(w)
     return sign != 0 and logdet >= np.log(OMEGA_DET_MIN)
 
 
@@ -137,18 +140,30 @@ class StructureJets:
         space = jet_space(n, order)
         up = jet_space(n, order + 1)
         f = np.stack(jets[:nf], axis=1)
-        xi = np.stack(jets[nf:], axis=1)
-        df = [jet_space(n, order + 2).partial(f, j) for j in range(n)]
+        # frame[c, r, j]: d_j f_r for j < n and xi_r for j = n, to order + 1
+        frame = np.empty((up.size, n + 1, n + 1))
+        frame[:, :, :n] = np.moveaxis(jet_space(n, order + 2).gradient(f), 1, 2)
+        frame[:, :, n] = np.stack(jets[nf:], axis=1)
+        self.frame = frame[: space.size]
+        # rhs column p is d_j of frame column i: d_i d_j f_r over i <= j, then
+        # d_i xi_r; one gather over the stacked partial map of order + 1
         iu = np.triu_indices(n)
-        self.frame = np.stack(df + [xi], axis=2)[: space.size]
-        self.rhs = np.stack([up.partial(df[i], j) for i, j in zip(*iu)]
-                            + [up.partial(xi, i) for i in range(n)], axis=2)
+        along = np.concatenate([iu[1], np.arange(n)])
+        column = np.concatenate([iu[0], np.full(n, n)])
+        src, scale = up.gradient_map
+        self.rhs = scale[:, None, along] * frame[src[:, None, along],
+                                                 np.arange(n + 1)[:, None], column]
 
         self.cond = float(np.linalg.cond(self.frame[0]))
         if not np.isfinite(self.cond) or self.cond > FRAME_COND_LIMIT:
             raise SingularFrameError(
                 f"frame condition {self.cond:.3e} at point {self.point}")
-        sol = _graded_solve(space, self.frame, self.rhs)
+        # a solution past the double range is refused below, so it does not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = _graded_solve(space, self.frame, self.rhs)
+        if not np.isfinite(sol).all():
+            raise GeometryError(
+                f"Gamma, h, S or tau is not finite at sample point {self.point}")
 
         npairs = len(iu[0])
         self.gamma = np.empty((space.size, n, n, n))

@@ -8,8 +8,8 @@ multiplies and contracts them (a contraction, each index at most once per
 operand, is one batched matmul over all coefficient pairs, each target
 coefficient summing its pairs in place on the matmul output, rank by
 rank, in ``np.add.reduceat``'s order wherever a target has at most 8
-pairs, as at every order up to 3) and ``JetSpace.partial``
-differentiates them, whole.
+pairs, as at every order up to 3) and ``JetSpace.gradient``
+differentiates them, whole, along every coordinate in one gather.
 
 ``eval_jets`` evaluates expressions straight into such arrays, each
 distinct subtree once: sums are array sums, products and quotients the
@@ -101,12 +101,37 @@ class JetSpace:
         return np.concatenate(ii), np.concatenate(jj), np.concatenate(tt)
 
     @cached_property
-    def _product_plan(self):
-        # every target t receives the pair (t, 0), so no segment is empty
+    def _by_target(self):
+        """The coefficient pairs (i, j) of a product and their targets t,
+        by target, each target's pairs in ``mul_table``'s order."""
         ii, jj, tt = self.mul_table
         by_target = np.argsort(tt, kind="stable")
-        starts = np.searchsorted(tt[by_target], np.arange(self.size))
-        return ii[by_target], jj[by_target], starts
+        return ii[by_target], jj[by_target], tt[by_target]
+
+    @cached_property
+    def _product_plan(self):
+        # every target t receives the pair (t, 0), so no segment is empty
+        ii, jj, tt = self._by_target
+        return ii, jj, np.searchsorted(tt, np.arange(self.size))
+
+    def horner_step(self, acc, tilde, c):
+        """c + acc * tilde, for a coefficient array ``tilde`` of this space
+        whose constant term is zero, summing only the pairs whose ``tilde``
+        coefficient is not zero, in ``einsum``'s order for the
+        coefficient-wise product; a target with no such pair is +0.0, and
+        the constant term is c itself.  So coefficient d reads only the
+        coefficients of acc below d and is the same at every order >= d,
+        and for tilde = x_i the step moves each coefficient of acc up by
+        x_i exactly."""
+        ii, jj, tt = self._by_target
+        hit = tilde[jj] != 0.0
+        ii, jj, tt = ii[hit], jj[hit], tt[hit]
+        out = np.zeros(self.size)
+        if len(tt):
+            starts = np.flatnonzero(np.diff(tt, prepend=-1))
+            out[tt[starts]] = np.add.reduceat(acc[ii] * tilde[jj], starts)
+        out[0] = c
+        return out
 
     @cached_property
     def _rank_plan(self):
@@ -163,13 +188,13 @@ class JetSpace:
         # the coefficient axis is the first of the output and of the product
         return terms.transpose(perm_out)[back]
 
-    def partial(self, c, axis):
-        """Derivative along a coordinate of a coefficient array (coefficient
-        axis first, this order or higher); the result is one order lower."""
-        if self.order == 0:
-            raise JetOrderError("cannot differentiate an order-0 jet")
-        src, scale = self.partial_maps[axis]
-        return scale.reshape((-1,) + (1,) * (c.ndim - 1)) * c[src]
+    def gradient(self, c):
+        """Every first partial of a coefficient array (coefficient axis
+        first, this order or higher) in one gather: the derivative along
+        coordinate l, one order lower, at index l of a new axis 1.  The
+        result is C-contiguous."""
+        src, scale = self.gradient_map
+        return scale.reshape(scale.shape + (1,) * (c.ndim - 1)) * c[src]
 
     @cached_property
     def coordinate_powers(self):
@@ -179,17 +204,17 @@ class JetSpace:
                          for m in self.multi_indices[1: self.dim + 1]], dtype=int)
 
     @cached_property
-    def partial_maps(self):
-        """Per axis, the source coefficient and factor of each one order lower."""
-        maps = []
-        for axis in range(self.dim):
-            src, scale = [], []
-            for m in jet_space(self.dim, self.order - 1).multi_indices:
-                up = tuple(v + (1 if a == axis else 0) for a, v in enumerate(m))
-                src.append(self.index_of[up])
-                scale.append(m[axis] + 1)
-            maps.append((np.array(src, dtype=int), np.array(scale, dtype=float)))
-        return maps
+    def gradient_map(self):
+        """(src, scale), each of shape (size one order lower, dim):
+        coefficient k of the derivative along coordinate l is
+        ``scale[k, l] * c[src[k, l]]``."""
+        if self.order == 0:
+            raise JetOrderError("cannot differentiate an order-0 jet")
+        lower = jet_space(self.dim, self.order - 1).multi_indices
+        src = [[self.index_of[m[:l] + (m[l] + 1,) + m[l + 1:]] for l in range(self.dim)]
+               for m in lower]
+        scale = [[m[l] + 1 for l in range(self.dim)] for m in lower]
+        return np.array(src, dtype=int), np.array(scale, dtype=float)
 
 
 #: subscripts of the coefficient-wise jet product, for ``JetSpace.einsum``
@@ -223,26 +248,26 @@ def _series(space, u, coeffs):
     the constant term of ``u``: a univariate Taylor series composed with u.
 
     When u - u0 is exactly the monomial x_i (u a coordinate plus a
-    constant), the coefficients go straight onto x_i^0, ..., x_i^order: that
-    is what Horner's products with x_i produce, up to the sign of a zero,
-    and it costs no product.  Horner sums the coefficients before the first
-    that is not finite and sets every degree from its index on to NaN, so
-    that no inf * 0 with the zero constant term of u - u0 spoils a lower one.
-    When u - u0 is all zeros it sums coeffs[0] alone, with no step, so the
-    constant term is the same at every order, the sign of a zero included."""
+    constant), the coefficients go straight onto x_i^0, ..., x_i^order with
+    no product: the same bits Horner's steps give, as each moves acc up by
+    x_i exactly.  Each Horner step is ``JetSpace.horner_step``, which sums
+    only the pairs with a coefficient of u - u0 that is not zero, so
+    coefficient d of the result is computed alike at every order >= d:
+    a jet is the prefix of its higher orders, bit for bit, whichever way
+    the series takes at each order.  Horner sums only the coefficients
+    before the first that is not finite, and either way every degree from
+    that index on is NaN."""
     tilde = u.copy()
     tilde[0] = 0.0
     hits = np.flatnonzero(tilde)
-    if len(hits) == 1 and hits[0] <= space.dim and tilde[hits[0]] == 1.0:
-        out = np.zeros(space.size)
-        out[space.coordinate_powers[hits[0] - 1]] = coeffs
-        return out
     top = next((j for j, c in enumerate(coeffs) if not math.isfinite(c)), len(coeffs))
-    last = top - 1 if len(hits) else min(top - 1, 0)
-    acc = _constant(space, coeffs[last] if top else math.nan)
-    for c in reversed(coeffs[: max(last, 0)]):
-        acc = space.einsum(_PRODUCT, acc, tilde)
-        acc[0] += c
+    if len(hits) == 1 and hits[0] <= space.dim and tilde[hits[0]] == 1.0:
+        acc = np.zeros(space.size)
+        acc[space.coordinate_powers[hits[0] - 1]] = coeffs
+    else:
+        acc = _constant(space, coeffs[top - 1] if top else math.nan)
+        for c in reversed(coeffs[: max(top - 1, 0)]):
+            acc = space.horner_step(acc, tilde, c)
     if top < len(coeffs):
         acc[space.degrees >= top] = math.nan
     return acc
@@ -319,20 +344,22 @@ def _call(space, func, u):
 
 
 def _fields(e):
-    """Key fields and children of an expression node."""
-    if isinstance(e, ex.Bin):
-        return (ex.Bin, e.op), (e.lhs, e.rhs)
-    if isinstance(e, ex.Neg):
-        return (ex.Neg,), (e.operand,)
-    if isinstance(e, ex.Pow):
-        return (ex.Pow, e.exponent), (e.base,)
-    if isinstance(e, ex.Call):
-        return (ex.Call, e.func), (e.arg,)
-    if isinstance(e, ex.Num):
+    """Key fields and children of an expression node, told apart by exact
+    type, the most frequent first."""
+    t = type(e)
+    if t is ex.Bin:
+        return (t, e.op), (e.lhs, e.rhs)
+    if t is ex.Num:
         # 0.0 and -0.0 compare equal but are different constants
-        return (ex.Num, e.value, math.copysign(1.0, e.value)), ()
-    if isinstance(e, ex.Var):
-        return (ex.Var, e.name), ()
+        return (t, e.value, math.copysign(1.0, e.value)), ()
+    if t is ex.Var:
+        return (t, e.name), ()
+    if t is ex.Call:
+        return (t, e.func), (e.arg,)
+    if t is ex.Neg:
+        return (t,), (e.operand,)
+    if t is ex.Pow:
+        return (t, e.exponent), (e.base,)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -356,28 +383,26 @@ def _tape(exprs):
                 # (node, fields, children), its children keyed by now
                 e, fields, kids = e
                 kid_ids = tuple([done[id(k)] for k in kids])
-                i = ids.get(fields + kid_ids)
-                if i is None:
-                    i = ids[fields + kid_ids] = len(tape)
-                    tape.append((e, kid_ids))
-                done[id(e)] = i
-            elif id(e) not in done:
+            elif id(e) in done:
+                continue
+            else:
                 fields, kids = _fields(e)
-                stack.append((e, fields, kids))
-                stack.extend(kids[::-1])
+                if kids:
+                    stack.append((e, fields, kids))
+                    stack.extend(kids[::-1])
+                    continue
+                kid_ids = ()
+            i = done[id(e)] = ids.setdefault(fields + kid_ids, len(tape))
+            if i == len(tape):
+                tape.append((e, kid_ids))
         roots.append(done[id(root)])
     return tape, roots
 
 
 def _apply(e, args, space, env):
     """One tape node, given the coefficient arrays of its children."""
-    if isinstance(e, ex.Num):
-        return _constant(space, e.value)
-    if isinstance(e, ex.Var):
-        return env[e.name][: space.size]
-    if isinstance(e, ex.Neg):
-        return -args[0]
-    if isinstance(e, ex.Bin):
+    t = type(e)
+    if t is ex.Bin:
         a, b = args
         if e.op == "+":
             return a + b
@@ -386,9 +411,15 @@ def _apply(e, args, space, env):
         if e.op == "/":
             b = _reciprocal(space, b)
         return space.einsum(_PRODUCT, a, b)
-    if isinstance(e, ex.Pow):
-        return _power(space, args[0], e.exponent)
-    return _call(space, e.func, args[0])
+    if t is ex.Num:
+        return _constant(space, e.value)
+    if t is ex.Var:
+        return env[e.name][: space.size]
+    if t is ex.Call:
+        return _call(space, e.func, args[0])
+    if t is ex.Neg:
+        return -args[0]
+    return _power(space, args[0], e.exponent)
 
 
 def eval_jets(exprs, point, order: int, coords, keep=None, labels=None) -> list:
@@ -435,19 +466,25 @@ def eval_jets(exprs, point, order: int, coords, keep=None, labels=None) -> list:
     for root, q in zip(roots, keep):
         need[root] = max(need[root], q)
     for i in range(len(tape) - 1, -1, -1):
+        q_i = need[i]
         for k in tape[i][1]:
-            need[k] = max(need[k], need[i])
+            if need[k] < q_i:
+                need[k] = q_i
     spaces = [jet_space(len(coords), q) for q in range(order + 1)]
+    sizes = [s.size for s in spaces]
     values, out = [], []
     # an overflow or invalid operation is reported once, as the error below
     with np.errstate(all="ignore"):
         for root, q, label in zip(roots, keep, labels):
             # the subtrees that this expression is the first to hold
             try:
-                for node, kids in tape[len(values): root + 1]:
-                    at = spaces[need[len(values)]]
-                    values.append(_apply(node, [values[k][: at.size] for k in kids],
-                                         at, env))
+                for i in range(len(values), root + 1):
+                    node, kids = tape[i]
+                    q_i = need[i]
+                    # a child kept to this node's order is read whole
+                    args = [values[k] if need[k] == q_i else values[k][: sizes[q_i]]
+                            for k in kids]
+                    values.append(_apply(node, args, spaces[q_i], env))
             except JetDomainError as err:
                 raise JetDomainError(f"{label}: {err} at {point}") from None
             jet = values[root][: spaces[q].size].copy()

@@ -469,7 +469,7 @@ def nabla_powers(t, structure, k: int) -> list:
     for q in range(k - 1, -1, -1):
         space = jet_space(n, q)
         slots = "abcdefgh"[: t.ndim - 1]
-        out = np.stack([jet_space(n, q + 1).partial(t, l) for l in range(n)], axis=1)
+        out = jet_space(n, q + 1).gradient(t)
         for s, r in enumerate(slots):
             out -= space.einsum(f"mi{r},{slots[:s]}m{slots[s + 1:]}->i{slots}",
                                 structure.gamma, t)

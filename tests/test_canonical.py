@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -579,3 +580,54 @@ def test_real_1x1_stage_shortcut_matches_lapack(v):
         assert abs(nrm - sv) <= np.spacing(nrm)
         assert [(s <= 1e-7 * max(1.0, s), s <= 1e-5 * max(1.0, s)) for s in (nrm, sv)] \
             == [(nrm <= 1e-7, nrm <= 1e-5)] * 2
+
+
+def _any_dim(blocks):
+    """The model pair of ``blocks`` as ``_conjugate`` reads it, in any
+    dimension (``assemble`` takes even dimensions from 4 only)."""
+    s, h = direct_sum(blocks)
+    return SimpleNamespace(dim=len(s), S=s, H=h)
+
+
+@hst.composite
+def semisimple_stages(draw):
+    """One grid eigenvalue carrying 2-6 signed 1x1 blocks, maybe one 2-block
+    at the same eigenvalue, and up to two blocks at other eigenvalues: a
+    real block of size <= 3 or a complex 1-block."""
+    lam, *others = draw(hst.permutations(_EIG_GRID))
+    cplx = draw(hst.permutations(_COMPLEX_GRID))
+    sign = hst.sampled_from((1, -1))
+    blocks = [RealBlock(1, lam, draw(sign)) for _ in range(draw(hst.integers(2, 6)))]
+    if draw(hst.booleans()):
+        blocks.append(RealBlock(2, lam, draw(sign)))
+    for other in others[: draw(hst.integers(0, 2))]:
+        blocks.append(ComplexBlock(1, *cplx.pop()) if draw(hst.booleans())
+                      else RealBlock(draw(hst.integers(1, 3)), other, draw(sign)))
+    return draw(hst.permutations(blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(semisimple_stages(), hst.integers(0, 2 ** 32 - 1))
+def test_a_semisimple_stage_peels_every_sign(blocks, seed):
+    """The 1x1 blocks of a semisimple stage, taken at once from one eigh,
+    keep their sizes and inertia signs, and the transform still takes H to
+    the sip form."""
+    a, h, _ = _conjugate(np.random.default_rng(seed), _any_dim(blocks))
+    pair = decompose(a, h)
+    assert sorted(map(_block_key, pair.blocks)) == sorted(map(_block_key, blocks))
+    assert max(pair.residual_jordan, pair.residual_h) < canonical.RESIDUAL_MAX
+    t = pair.transform
+    assert np.max(np.abs(t.T @ h @ t - direct_sum(pair.blocks)[1])) < canonical.RESIDUAL_MAX
+
+
+@pytest.mark.parametrize("signs", [(1, -1), (1, 1, -1), (-1, 1, 1, -1, 1)])
+def test_a_semisimple_stage_takes_one_qr(signs, monkeypatch):
+    # one stage peels all its 1x1 chains; peeled one per stage, a stage of
+    # dimension d took d QR factorisations
+    a, h, _ = _conjugate(np.random.default_rng(len(signs)),
+                         _any_dim([RealBlock(1, 0.6, s) for s in signs]))
+    shapes, qr = [], np.linalg.qr
+    monkeypatch.setattr(canonical.np.linalg, "qr", lambda m: shapes.append(m.shape) or qr(m))
+    pair = decompose(a, h)
+    assert shapes == [(len(signs), len(signs))]
+    assert sorted(b.sign for b in pair.blocks) == sorted(signs)

@@ -6,17 +6,18 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as hst
 
 import affsym
 from affsym import cli, geometry, scenarios, tensor_ops, verify
 from affsym.cli import _identity_trials, main
-from affsym.expr import MAX_NESTING
+from affsym.expr import FUNCTIONS, MAX_NESTING
 from affsym.model import RealBlock, assemble
 from affsym.scenarios import TRIALS_CAP, scenario_from_dict
 from test_geometry import graph_twin
@@ -1412,3 +1413,132 @@ def test_any_matrix_file_exits_cleanly(changes):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     else:
         assert lines == [] and json.loads(out.getvalue())["command"] == "decompose"
+
+
+# -- every input ends in one error line or a report JSON reads ---------
+
+#: expression leaves: the coordinates of the dim-4 shipped scenarios and
+#: constants at the edges of the double range
+_FUZZ_ATOMS = ("1e300", "1e-300", "1e-8", "0", "2", "0.5")
+
+
+def _fuzz_sources(coords):
+    """Expression sources over ``coords``, every function, ``^`` and ``/``."""
+    return hst.recursive(
+        hst.sampled_from((*coords, *_FUZZ_ATOMS)),
+        lambda sub: hst.one_of(
+            hst.builds("({}) {} ({})".format, sub, hst.sampled_from("+-*/"), sub),
+            hst.builds("-({})".format, sub),
+            hst.builds("({})^{}".format, sub, hst.sampled_from(("2", "3", "0.5", "1.5", "3000"))),
+            hst.builds("{}({})".format, hst.sampled_from(FUNCTIONS), sub)),
+        max_leaves=5)
+
+
+@hst.composite
+def _scenario_runs(draw):
+    """check-geometry on a shipped dim-4 scenario with 0-3 immersion or
+    transversal entries replaced by random expressions, at times an
+    expression in omega or omega scaled towards the edges of the double
+    range, one sample point and at times random rank and identity checks."""
+    data = _shipped(draw(hst.sampled_from(
+        ("paraboloid", "paper_example_n2", "centroaffine_sphere"))))
+    sources = _fuzz_sources(data["coords"])
+    for _ in range(draw(hst.integers(0, 3))):
+        field = draw(hst.sampled_from(("immersion", "transversal")))
+        data[field][draw(hst.integers(0, 4))] = draw(sources)
+    omega = data["omega"]
+    if draw(hst.booleans()):
+        i, j = draw(hst.sampled_from([(i, j) for i in range(4) for j in range(i + 1, 4)]))
+        src = draw(sources)
+        omega[i][j], omega[j][i] = src, f"-({src})"
+    scale = draw(hst.sampled_from((1.0, 1.0, 1e-12, 1e9, 1e280, 1e307, 1.7e308)))
+    data["omega"] = [[v * scale if isinstance(v, (int, float)) else f"{scale!r}*({v})"
+                      for v in row] for row in omega]
+    values = hst.sampled_from((0.0, 1.0, -1.0, 0.3, -0.7, 1e-8, 2.5, 710.0, 1e3))
+    data["sample_points"] = [draw(hst.sampled_from(data["sample_points"]))
+                             if draw(hst.booleans()) else [draw(values) for _ in range(4)]]
+    if draw(hst.booleans()):
+        data["checks"] = [{"name": "rank_theorem", "p_max": draw(hst.integers(1, 3))},
+                          {"name": "alternating_identity", "p_max": draw(hst.integers(1, 2)),
+                           "trials": draw(hst.integers(1, 5))}][: draw(hst.integers(1, 2))]
+    argv = ["check-geometry", "--scenario", "FILE", "--seed", str(draw(hst.integers(0, 9)))]
+    return argv + ["--strict"] * draw(hst.booleans()), json.dumps(data)
+
+
+@hst.composite
+def _decompose_runs(draw):
+    """decompose on a congruent pair of a block shape, scaled towards the
+    edges of the double range, at times with one entry replaced by an edge
+    value or by no number, written flat or in rows, under several tols."""
+    blocks = draw(hst.sampled_from((
+        [RealBlock(1, 0.6, 1), RealBlock(1, 0.6, -1), RealBlock(2, 0.0, 1)],
+        [RealBlock(2, 0.0, 1), RealBlock(1, 0.0, 1), RealBlock(1, 0.0, -1)],
+        [RealBlock(3, 1.3, -1), RealBlock(1, -0.8, 1)],
+        [RealBlock(4, 0.0, 1)])))
+    m = assemble(blocks)
+    q = np.random.default_rng(draw(hst.integers(0, 99))).normal(size=(4, 4))
+    qi = np.linalg.inv(q)
+    scale = draw(hst.sampled_from((1.0, 1e-300, 1e-8, 1e8, 1e150, 1e151, 1e300)))
+    a, h = ((q @ m.S @ qi) * scale).ravel().tolist(), (qi.T @ m.H @ qi).ravel().tolist()
+    if draw(hst.booleans()):
+        entries = draw(hst.sampled_from((a, h)))
+        entries[draw(hst.integers(0, 15))] = draw(hst.sampled_from(
+            (0.0, -0.0, 5e-324, 1e308, -1e308, 2 ** 63, 10 ** 400, "x", None, True)))
+    if draw(hst.booleans()):
+        a, h = ([row[i:i + 4] for i in range(0, 16, 4)] for row in (a, h))
+    tol = draw(hst.sampled_from(("1e-8", "1e-300", "1", "1e300")))
+    return ["decompose", "FILE", "--tol", tol], json.dumps({"dim": 4, "A": a, "H": h})
+
+
+@hst.composite
+def _oracle_runs(draw):
+    """oracles with a catalog id or pattern and small or refused flags."""
+    argv = ["oracles", "--filter", draw(_FILTERS), "--trials", str(draw(hst.integers(-1, 3))),
+            "--p-max", str(draw(hst.integers(-1, 6))), "--seed", str(draw(hst.integers(-2, 99)))]
+    return argv, None
+
+
+def _refuse_constant(name):
+    raise ValueError(f"the report holds the non-JSON constant {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.one_of(_scenario_runs(), _decompose_runs(), _oracle_runs()))
+# the structure solve overflowed with numpy warnings before a later error line
+@example((["check-geometry", "--scenario", "FILE", "--seed", "0"],
+          json.dumps(_shipped("paraboloid", transversal=["(u1) * (1e300)", "0", "0", "0", "1"],
+                              sample_points=[[0.0, 0.0, 0.0, 0.0]]))))
+# slogdet of omega overflowed, and underflowed to log 0, with numpy warnings
+@example((["check-geometry", "--scenario", "FILE", "--seed", "0"],
+          json.dumps(_shipped("paraboloid", sample_points=[[0.3, -0.7, 1.2, 0.5]], omega=[
+              [0.0, 1.7e308, 0.0, "1.7e+308*(u1)"], [-1.7e308, 0.0, 1.7e308, 0.0],
+              [0.0, -1.7e308, 0.0, 1.7e308], ["1.7e+308*(-(u1))", 0.0, -1.7e308, 0.0]]))))
+@example((["check-geometry", "--scenario", "FILE", "--seed", "0"],
+          json.dumps(_shipped("paraboloid", sample_points=[[0.3, -0.7, 1.2, 0.5]], omega=[
+              [0.0, "1e-12*(1e-300)", 0.0, 0.0], ["1e-12*(-(1e-300))", 0.0, 1e-12, 0.0],
+              [0.0, -1e-12, 0.0, 1e-12], [0.0, 0.0, -1e-12, 0.0]]))))
+# the selfadjointness bound tol * |A| |H| overflowed with a numpy warning
+@example((["decompose", "FILE", "--tol", "1e300"],
+          json.dumps({"dim": 2, "A": [1e9, 0, 0, 2e9], "H": [1, 0, 0, -1]})))
+def test_every_run_gives_one_error_line_or_a_json_report(tmp_path_factory, run):
+    """Mutated scenario files, decompose matrix files and oracles flags,
+    every numpy warning raised as an error: a run exits 2 with exactly one
+    ``error:`` line, or 0 or 1 with nothing on stderr and a report that
+    JSON reads without NaN or Infinity."""
+    argv, text = run
+    if text is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "input.json"
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    event(f"{argv[0]} exit {rc}")
+    lines = err.getvalue().splitlines()
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert rc in (0, 1) and lines == []
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)

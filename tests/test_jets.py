@@ -178,7 +178,7 @@ def test_transcendental_derivatives_against_analytic():
 
 def test_partial_drops_one_order():
     c = _jet("x^2*y", ("x", "y"), (1.5, 2.0), 3)
-    dx = jet_space(2, 3).partial(c, 0)
+    dx = jet_space(2, 3).gradient(c)[:, 0]
     at = jet_space(2, 2).index_of
     assert dx.shape == (jet_space(2, 2).size,)
     assert dx[at[(0, 0)]] == 6.0          # 2xy at (1.5, 2)
@@ -433,11 +433,13 @@ def test_series_of_a_shifted_coordinate_is_horner(f, arg, monkeypatch):
     ("sin(x)", 0), ("cos(y + 1)", 0), ("sin(2*x)", 1 + 3), ("sin(x*y)", 1 + 3)])
 def test_only_a_shifted_coordinate_skips_the_products(src, products, monkeypatch):
     """A series of a coordinate plus a constant is placed with no jet
-    product; any other argument, 2x or xy, takes Horner's order-3 products."""
+    product; any other argument, 2x or xy, takes Horner's order-3 products
+    (``JetSpace.horner_step``) beside its own (``JetSpace.einsum``)."""
     count = []
-    einsum = jets.JetSpace.einsum
-    monkeypatch.setattr(jets.JetSpace, "einsum",
-                        lambda self, *args: count.append(1) or einsum(self, *args))
+    for name in ("einsum", "horner_step"):
+        kernel = getattr(jets.JetSpace, name)
+        monkeypatch.setattr(jets.JetSpace, name, lambda self, *args, kernel=kernel:
+                            count.append(1) or kernel(self, *args))
     _jet(src, TWO, (0.3, 0.6), 3)
     assert len(count) == products
 
@@ -466,3 +468,57 @@ def test_overflowing_series_coefficient_spoils_only_its_degree(arg):
         eval_jets(exprs, point, 2, TWO, keep=[1, 2])
     kept = eval_jets([log], point, 2, TWO, keep=[1])[0]
     assert kept.tobytes() == eval_jets([log], point, 1, TWO)[0].tobytes()
+
+
+# -- a jet is the prefix of its higher orders --------------------------
+
+#: constants at the edges of the double range: signed zeros, subnormals
+#: and +-1e+-300, beside ordinary values
+EDGE_CONSTANTS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e300, -1e300)),
+    st.floats(-8.0, 8.0))
+EDGE_TREES = st.recursive(
+    st.one_of(st.builds(Num, EDGE_CONSTANTS), st.sampled_from(TWO).map(Var)),
+    lambda sub: st.one_of(
+        st.builds(Bin, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Pow, sub, st.sampled_from((0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, 1.5, -1.5))),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub)),
+    max_leaves=6)
+EDGE_POINTS = st.tuples(*[st.sampled_from((0.0, -0.0, 1.0, -0.5, 2.3, 5e-324, 1e-300,
+                                           -1e300))] * 2)
+
+
+@settings(max_examples=400, deadline=None)
+# Horner's steps once multiplied by the zero constant term of u - u0: sin(-x)
+# at 0 was -0.0 at order 0 and (1 * 0.0) + -0.0 = +0.0 from order 1 on
+@example(Call("sin", Neg(Var("x"))), (0.0, 0.0), 0, 1)
+# 1/y at y = 5e-324 overflows: at order 1 the closed form placed inf, and
+# 1/(x/y) read 1/inf = 0, where the same series at order 0 took Horner's NaN
+@example(Pow(Bin("/", Var("x"), Var("y")), -1.0), (1.0, 5e-324), 0, 1)
+# sin(x) at 0 is the monomial x to order 1 but not to order 3, so cos of it
+# took the closed form, then Horner, whose sums of zero products gave
+# -0.0 where the closed form left +0.0
+@example(Call("cos", Call("sin", Var("x"))), (0.0, 0.0), 1, 2)
+@given(EDGE_TREES, EDGE_POINTS, st.integers(0, 2), st.integers(1, 3))
+def test_a_jet_is_the_prefix_of_its_higher_orders(e, point, q, rise):
+    """A jet kept to order q is the same, bit for bit and the sign of a
+    zero included, whether its subtree was evaluated to order q or to a
+    higher order for another expression; it fails alone exactly when it
+    fails beside that expression, and only a failure of the higher-order
+    expression, which comes second, may be added."""
+    top = q + rise
+    try:
+        want = eval_jets([e], point, q, TWO)[0]
+    except JetDomainError as err:
+        with pytest.raises(JetDomainError) as got:
+            eval_jets([e, e], point, top, TWO, keep=[q, top])
+        assert str(got.value) == str(err)
+        return
+    try:
+        low, high = eval_jets([e, e], point, top, TWO, keep=[q, top])
+    except JetDomainError as err:
+        assert str(err).startswith("expression 1: ")
+        return
+    assert low.tobytes() == want.tobytes()
+    assert high[: low.size].tobytes() == want.tobytes()
