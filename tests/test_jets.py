@@ -292,6 +292,8 @@ SIN_MINUS_ZERO = Call("sin", Neg(Num(0.0)))
 @settings(max_examples=200, deadline=None)
 # sin(-0.0) kept at order 0 is -0.0 whether or not it was evaluated at order 1
 @example(([SIN_MINUS_ZERO, SIN_MINUS_ZERO], 1, (0.0, 0.0), [1, 0]))
+# and so is sin(-x) at 0, whose Horner steps once multiplied by a zero
+@example(([Call("sin", Neg(Var("x")))] * 2, 1, (0.0, 0.0), [1, 0]))
 @given(one_pass_cases())
 def test_one_pass_equals_one_expression_at_a_time(case):
     """Byte-equal to the reference at each kept order; kept orders that do
