@@ -221,6 +221,13 @@ class _Parser:
                          expected="number, identifier or '('")
 
 
+def is_identifier(name: str) -> bool:
+    """Whether ``name`` is one identifier token, so that an expression can
+    name it as a coordinate."""
+    m = _TOKEN_RE.fullmatch(name)
+    return m is not None and m.group("ident") == name
+
+
 def parse_expr(source: str, coords) -> Expr:
     """Parse ``source`` against the coordinate list ``coords``.
 

@@ -245,8 +245,8 @@ def first_partials(sj: StructureJets, coeffs) -> np.ndarray:
     ``sj.S``, ``sj.tau``: its degree-1 coefficients, d_l on a leading axis l."""
     if sj.order < 1:
         raise GeometryError("the induced structure needs structure jets of order >= 1")
-    index_of = jet_space(sj.dim, sj.order).index_of
-    return coeffs[[index_of[tuple(u)] for u in np.eye(sj.dim, dtype=int).tolist()]]
+    # gradient_map src[0, l] is coordinate l's degree-1 coefficient
+    return coeffs[jet_space(sj.dim, sj.order).gradient_map[0][0]]
 
 
 def curvature(sj: StructureJets) -> np.ndarray:

@@ -4,21 +4,23 @@ A jet stores the value and all Taylor-normalized partial derivatives of a
 scalar at a point, up to a fixed total degree: the coefficient attached to
 multi-index m is (d^m f)(x) / m!.  Jets, and jet-valued tensors, are plain
 float arrays with the coefficient axis first; ``JetSpace.einsum``
-multiplies and contracts them (a contraction, each index at most once per
-operand, is one batched matmul over all coefficient pairs, each target
-coefficient summing its pairs in place on the matmul output, rank by
-rank, in ``np.add.reduceat``'s order wherever a target has at most 8
-pairs, as at every order up to 3) and ``JetSpace.gradient``
-differentiates them, whole, along every coordinate in one gather.
+multiplies and contracts them over one cached table of coefficient pairs
+by target (a contraction, each index at most once per operand, is one
+batched matmul over all pairs, each target coefficient summing its pairs
+in place on the matmul output, rank by rank, in ``np.add.reduceat``'s
+order wherever a target has at most 8 pairs, as at every order up to 3)
+and ``JetSpace.gradient`` differentiates them, whole, along every
+coordinate in one gather.
 
 ``eval_jets`` evaluates expressions straight into such arrays, each
-distinct subtree once: sums are array sums, products and quotients the
-jet product, and reciprocals, non-integer powers and the elementary
-functions one Horner series over that product (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 13), or, when the argument is a
-coordinate plus a constant, its coefficients placed on that coordinate's
-powers with no product.  Arithmetic is exact for polynomials up to the
-truncation order.
+distinct subtree once, all at the pass's order, and cuts each result to
+the order it keeps: a jet is the prefix of its higher orders, bit for
+bit.  Sums are array sums, products and quotients the jet product, and
+reciprocals, non-integer powers and the elementary functions one Horner
+series over that product (Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., ch. 13), or, when the argument is a coordinate plus a constant,
+its coefficients placed on that coordinate's powers with no product.
+Arithmetic is exact for polynomials up to the truncation order.
 """
 
 from __future__ import annotations
@@ -83,36 +85,22 @@ class JetSpace:
         self.prefix = [int(np.sum(self.degrees <= q)) for q in range(order + 1)]
 
     @cached_property
-    def mul_table(self):
+    def _by_target(self):
+        """``(ii, jj, tt, starts)``: the coefficient pairs (i, j) of a
+        product, deg i + deg j <= order, and their targets t, sorted by t
+        and each target's pairs by i; ``starts[t]`` is target t's first
+        row (every t receives the pair (t, 0), so no segment is empty)."""
         # multi-index sums have component sums <= order, so encoding in
         # base order+1 makes index keys additive with no carries
-        m = np.array(self.multi_indices, dtype=np.int64)
-        powers = (self.order + 1) ** np.arange(self.dim, dtype=np.int64)
-        keys = m @ powers
-        by_key = np.argsort(keys, kind="stable")
-        sorted_keys = keys[by_key]
-        ii, jj, tt = [], [], []
-        for i in range(self.size):
-            nj = self.prefix[self.order - int(self.degrees[i])]
-            sums = keys[i] + keys[:nj]
-            ii.append(np.full(nj, i, dtype=np.int64))
-            jj.append(np.arange(nj, dtype=np.int64))
-            tt.append(by_key[np.searchsorted(sorted_keys, sums)])
-        return np.concatenate(ii), np.concatenate(jj), np.concatenate(tt)
-
-    @cached_property
-    def _by_target(self):
-        """The coefficient pairs (i, j) of a product and their targets t,
-        by target, each target's pairs in ``mul_table``'s order."""
-        ii, jj, tt = self.mul_table
+        keys = np.array(self.multi_indices, dtype=np.int64) @ (
+            (self.order + 1) ** np.arange(self.dim, dtype=np.int64))
+        by_key = np.argsort(keys)
+        ii, jj = np.nonzero(self.degrees[:, None] + self.degrees <= self.order)
+        tt = by_key[np.searchsorted(keys[by_key], keys[ii] + keys[jj])]
+        # the pairs came by i, so a stable sort keeps each target's by i
         by_target = np.argsort(tt, kind="stable")
-        return ii[by_target], jj[by_target], tt[by_target]
-
-    @cached_property
-    def _product_plan(self):
-        # every target t receives the pair (t, 0), so no segment is empty
-        ii, jj, tt = self._by_target
-        return ii, jj, np.searchsorted(tt, np.arange(self.size))
+        ii, jj, tt = ii[by_target], jj[by_target], tt[by_target]
+        return ii, jj, tt, np.searchsorted(tt, np.arange(self.size))
 
     def horner_step(self, acc, tilde, c):
         """c + acc * tilde, for a coefficient array ``tilde`` of this space
@@ -123,7 +111,7 @@ class JetSpace:
         coefficients of acc below d and is the same at every order >= d,
         and for tilde = x_i the step moves each coefficient of acc up by
         x_i exactly."""
-        ii, jj, tt = self._by_target
+        ii, jj, tt, _ = self._by_target
         hit = tilde[jj] != 0.0
         ii, jj, tt = ii[hit], jj[hit], tt[hit]
         out = np.zeros(self.size)
@@ -139,7 +127,7 @@ class JetSpace:
         segment, then by target, longest segment first: rank r is rows
         ``lo:hi`` of ``blocks[r - 1]`` (rank 0 the first ``size`` rows), and
         ``back`` takes the rank-0 rows back to target order."""
-        ii, jj, starts = self._product_plan
+        ii, jj, _, starts = self._by_target
         lengths = np.diff(starts, append=len(ii))
         by_length = np.argsort(-lengths, kind="stable")
         counts = [int(np.sum(lengths > r)) for r in range(lengths.max())]
@@ -169,7 +157,7 @@ class JetSpace:
         coefficient-wise product sums with ``reduceat`` itself.
         """
         if subscripts == _PRODUCT:
-            ii, jj, starts = self._product_plan
+            ii, jj, _, starts = self._by_target
             return np.add.reduceat(a[ii] * b[jj], starts, axis=0)
         perm_a, perm_b, perm_out, lead, mid = _contraction_plan(subscripts)
         ii, jj, blocks, back = self._rank_plan
@@ -414,7 +402,7 @@ def _apply(e, args, space, env):
     if t is ex.Num:
         return _constant(space, e.value)
     if t is ex.Var:
-        return env[e.name][: space.size]
+        return env[e.name]
     if t is ex.Call:
         return _call(space, e.func, args[0])
     if t is ex.Neg:
@@ -429,10 +417,10 @@ def eval_jets(exprs, point, order: int, coords, keep=None, labels=None) -> list:
     Result k holds the coefficients of ``exprs[k]`` to order ``keep[k]``
     (default ``order``, and at most ``order``), shape
     ``(jet_space(len(coords), keep[k]).size,)``; its order-0 coefficient
-    is the value.  Every distinct subtree is evaluated once, to the highest
-    order kept of an expression that holds it; graded order makes a lower
-    order the prefix of a higher one, which is how an expression kept to a
-    lower order reads such a subtree.
+    is the value.  Every distinct subtree is evaluated once, to ``order``;
+    graded order makes a lower order the prefix of a higher one, and a
+    jet's lower coefficients are the same bits at every order, so result
+    k is the first coefficients of its root's jet.
 
     Raises JetDomainError for an argument outside a function's domain, and
     if a kept coefficient is not finite (an integer power that overflows,
@@ -456,38 +444,23 @@ def eval_jets(exprs, point, order: int, coords, keep=None, labels=None) -> list:
     if len(point) != len(coords):
         raise JetError("point dimension does not match coordinate count")
     space = jet_space(len(coords), order)
-    env = {}
-    for i, name in enumerate(coords):
-        env[name] = _constant(space, point[i])
-        if order >= 1:
-            env[name][space.index_of[tuple(int(a == i) for a in range(space.dim))]] = 1.0
+    env = {name: _constant(space, v) for name, v in zip(coords, point)}
+    if order >= 1:
+        # src[0, l]: the index of coordinate l's degree-1 coefficient
+        for name, unit in zip(coords, space.gradient_map[0][0]):
+            env[name][unit] = 1.0
     tape, roots = _tape(exprs)
-    need = [0] * len(tape)
-    for root, q in zip(roots, keep):
-        need[root] = max(need[root], q)
-    for i in range(len(tape) - 1, -1, -1):
-        q_i = need[i]
-        for k in tape[i][1]:
-            if need[k] < q_i:
-                need[k] = q_i
-    spaces = [jet_space(len(coords), q) for q in range(order + 1)]
-    sizes = [s.size for s in spaces]
     values, out = [], []
     # an overflow or invalid operation is reported once, as the error below
     with np.errstate(all="ignore"):
         for root, q, label in zip(roots, keep, labels):
             # the subtrees that this expression is the first to hold
             try:
-                for i in range(len(values), root + 1):
-                    node, kids = tape[i]
-                    q_i = need[i]
-                    # a child kept to this node's order is read whole
-                    args = [values[k] if need[k] == q_i else values[k][: sizes[q_i]]
-                            for k in kids]
-                    values.append(_apply(node, args, spaces[q_i], env))
+                for node, kids in tape[len(values): root + 1]:
+                    values.append(_apply(node, [values[k] for k in kids], space, env))
             except JetDomainError as err:
                 raise JetDomainError(f"{label}: {err} at {point}") from None
-            jet = values[root][: spaces[q].size].copy()
+            jet = values[root][: space.prefix[q]].copy()
             if not np.all(np.isfinite(jet)):
                 head = _head(_first_not_finite(tape, values, root, jet.size))
                 raise JetDomainError(f"{label}: {head} is not finite at {point}")

@@ -7,7 +7,7 @@ except constraints/checks)::
     {
       "name": str,
       "dim": even int >= 4,
-      "coords": [str, ...],                  # dim entries
+      "coords": [str, ...],                  # dim distinct identifiers
       "immersion": [expr, ...],              # dim+1 expressions
       "transversal": [expr, ...],            # dim+1 expressions
       "omega": [[num-or-expr, ...], ...],    # dim x dim, antisymmetric
@@ -37,7 +37,7 @@ from importlib import resources
 
 import numpy as np
 
-from .expr import ExprError, parse_expr
+from .expr import ExprError, is_identifier, parse_expr
 from .geometry import Scenario
 from .jets import MAX_JET_ORDER
 from .tensor_ops import GeometricCurvature, RecursionCapError, check_packed_power
@@ -149,6 +149,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioFormatError(f"dim must be an even integer >= 4, got {dim}")
     if len(coords) != dim:
         raise ScenarioFormatError(f"expected {dim} coords, got {len(coords)}")
+    for i, c in enumerate(coords):
+        if not is_identifier(c):
+            raise ScenarioFormatError(f"coords[{i}] {c!r} is not an identifier")
+        if c in coords[:i]:
+            raise ScenarioFormatError(f"coords[{i}] {c!r} repeats coords[{coords.index(c)}]")
     if len(imm_src) != dim + 1:
         raise ScenarioFormatError(
             f"expected {dim + 1} immersion components, got {len(imm_src)}")

@@ -1436,19 +1436,20 @@ def _fuzz_sources(coords):
 
 @hst.composite
 def _scenario_runs(draw):
-    """check-geometry on a shipped dim-4 scenario with 0-3 immersion or
-    transversal entries replaced by random expressions, at times an
+    """check-geometry on a shipped scenario, dim 4 or 6, with 0-3 immersion
+    or transversal entries replaced by random expressions, at times an
     expression in omega or omega scaled towards the edges of the double
     range, one sample point and at times random rank and identity checks."""
     data = _shipped(draw(hst.sampled_from(
-        ("paraboloid", "paper_example_n2", "centroaffine_sphere"))))
+        ("paraboloid", "paper_example_n2", "centroaffine_sphere", "paper_example_n3"))))
+    dim = data["dim"]
     sources = _fuzz_sources(data["coords"])
     for _ in range(draw(hst.integers(0, 3))):
         field = draw(hst.sampled_from(("immersion", "transversal")))
-        data[field][draw(hst.integers(0, 4))] = draw(sources)
+        data[field][draw(hst.integers(0, dim))] = draw(sources)
     omega = data["omega"]
     if draw(hst.booleans()):
-        i, j = draw(hst.sampled_from([(i, j) for i in range(4) for j in range(i + 1, 4)]))
+        i, j = draw(hst.sampled_from([(i, j) for i in range(dim) for j in range(i + 1, dim)]))
         src = draw(sources)
         omega[i][j], omega[j][i] = src, f"-({src})"
     scale = draw(hst.sampled_from((1.0, 1.0, 1e-12, 1e9, 1e280, 1e307, 1.7e308)))
@@ -1456,7 +1457,7 @@ def _scenario_runs(draw):
                       for v in row] for row in omega]
     values = hst.sampled_from((0.0, 1.0, -1.0, 0.3, -0.7, 1e-8, 2.5, 710.0, 1e3))
     data["sample_points"] = [draw(hst.sampled_from(data["sample_points"]))
-                             if draw(hst.booleans()) else [draw(values) for _ in range(4)]]
+                             if draw(hst.booleans()) else [draw(values) for _ in range(dim)]]
     if draw(hst.booleans()):
         data["checks"] = [{"name": "rank_theorem", "p_max": draw(hst.integers(1, 3))},
                           {"name": "alternating_identity", "p_max": draw(hst.integers(1, 2)),

@@ -41,10 +41,28 @@ def _close(got, want, scale=1.0):
 def _scalar_product(space, a, b):
     """Product of two scalar jets, pair by pair: a_i b_j adds to the
     coefficient of the sum of multi-indices i and j."""
-    ii, jj, tt = space.mul_table
+    ii, jj, tt, _ = space._by_target
     out = np.zeros(space.size)
     np.add.at(out, tt, a[ii] * b[jj])
     return out
+
+
+@pytest.mark.parametrize("dim, order", itertools.product(range(1, 7), range(5)))
+def test_pair_table_lists_each_pair_once_by_target_then_i(dim, order):
+    """``_by_target`` holds every pair (i, j) with deg i + deg j <= order
+    once, its target t the multi-index sum, sorted by t and by i within a
+    target, ``starts[t]`` the first row of t: the order whose sums the
+    reduceat references below take as theirs."""
+    space = jet_space(dim, order)
+    ii, jj, tt, starts = space._by_target
+    m = space.multi_indices
+    pairs = [(i, j) for i in range(space.size) for j in range(space.size)
+             if space.degrees[i] + space.degrees[j] <= order]
+    assert sorted(zip(ii.tolist(), jj.tolist())) == pairs
+    assert all(m[t] == tuple(a + b for a, b in zip(m[i], m[j])) for i, j, t in zip(ii, jj, tt))
+    rows = list(zip(tt.tolist(), ii.tolist()))
+    assert rows == sorted(rows)
+    assert starts.tolist() == [tt.tolist().index(t) for t in range(space.size)]
 
 
 #: the coefficient-wise product and the contractions callers pass: the
@@ -88,7 +106,7 @@ def _reduceat_contraction(space, subscripts, a, b):
     """The contraction summed by ``np.add.reduceat``: the coefficient pairs
     in target order, the same matmul as ``JetSpace.einsum``, then each
     target's segment of the transposed product."""
-    ii, jj, starts = space._product_plan
+    ii, jj, _, starts = space._by_target
     perm_a, perm_b, perm_out, lead, mid = _contraction_plan(subscripts)
     x, y = a.transpose(perm_a)[ii], b.transpose(perm_b)[jj]
     k = math.prod(x.shape[mid:])

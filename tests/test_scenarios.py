@@ -57,8 +57,13 @@ def test_dimension_checks():
     (lambda d: d.pop("omega"), "missing scenario key 'omega'"),
     (lambda d: d.update(sample_points=[0.1, 0.2, 0.3, 0.4]),
      "sample_points must be a list of coordinate lists"),
-    (lambda d: d["transversal"].pop(0), "expected 5 transversal components, got 4")],
-    ids=["no_omega", "flat_sample_points", "short_transversal"])
+    (lambda d: d["transversal"].pop(0), "expected 5 transversal components, got 4"),
+    (lambda d: d.update(coords=["a", "b", "a", "d"]), "coords[2] 'a' repeats coords[0]"),
+    (lambda d: d.update(coords=["a", "b", "c", "d d"]), "coords[3] 'd d' is not an identifier"),
+    (lambda d: d.update(coords=["a", 1, "c", "d"]), "coords[1] '1' is not an identifier"),
+    (lambda d: d.update(coords=[" a", "b", "c", "d"]), "coords[0] ' a' is not an identifier")],
+    ids=["no_omega", "flat_sample_points", "short_transversal", "repeated_coord",
+         "coord_with_a_space", "numeric_coord", "coord_with_a_leading_space"])
 def test_malformed_fields_are_named(change, words):
     data = _minimal()
     change(data)
