@@ -16,7 +16,7 @@ surfaced as warnings rather than silently resolved.
 A stage is one pass of the peel: it factors its basis, finds the
 nilpotency index of N = A - lam I there by a ladder of 2-norms that starts
 at N itself (the norm that also scales the ladder), and takes one chain
-of that length.  A real stage of index 1 and dimension above 1 is
+of that length.  A real stage of index 1, of any dimension, is
 semisimple: the eigenvectors of sym(h) on it, from the one eigh that picks
 a chain generator, are h-orthogonal, so each, scaled to |x^T h x| = 1, is
 a chain of length 1, and the stage takes them all at once, in decreasing
@@ -25,7 +25,7 @@ same degenerate-pairing guard.  A complex stage still takes one chain per
 stage: x^T F x is no Hermitian form, and no eigh diagonalises it.
 
 LAPACK is skipped only where the shape fixes what it would return.  A real
-stage of dimension 1 takes its 2-norms as |n| and its chain generator as
+stage of dimension 1 takes its 2-norms as |n| and its one eigenvector as
 x = 1.0 with score |f|: eigh's eigenvector of a 1x1 matrix is 1.0, and svd
 returns |n| unless dgesdd rescales an entry outside about [6.7e-139,
 1.5e138], where it can move the last bit but the stage still takes length
@@ -42,8 +42,8 @@ import numpy as np
 
 from .model import BlockSpec, ComplexBlock, RealBlock, direct_sum
 
-#: an H whose reciprocal condition number is at or below this is singular
-H_RCOND_MIN = 1e-10
+#: a form (H, h or omega) with 1/cond at or below this is degenerate
+RCOND_MIN = 1e-10
 
 #: ``classify`` takes |eigenvalue| <= ZERO_TOL * max(1, max |eigenvalue|) as 0
 ZERO_TOL = 1e-8
@@ -62,6 +62,14 @@ RESIDUAL_MAX = 1e-6
 
 class CanonicalError(ValueError):
     pass
+
+
+def nondegenerate(m) -> bool:
+    """1/cond of m / max|m| above ``RCOND_MIN``: no scale of m moves it, and
+    no singular value overflows; an all-zero or non-finite m is degenerate."""
+    m = np.asarray(m, dtype=float)
+    top = float(np.max(np.abs(m)))
+    return 0.0 < top < math.inf and 1.0 / np.linalg.cond(m / top) > RCOND_MIN
 
 
 class NotSelfadjointError(CanonicalError):
@@ -99,7 +107,10 @@ def _cluster(values, delta):
 
 def _scored_eigenvectors(f):
     """The unit eigenvectors x of a real symmetric F, each with its score
-    |x^T F x|, in decreasing score (eigh's order among equal scores)."""
+    |x^T F x|, in decreasing score (eigh's order among equal scores); a
+    1x1 F's is 1.0, as eigh returns it, with score |f|."""
+    if f.shape == (1, 1):
+        return [(np.ones(1), abs(f[0, 0]))]
     # contiguous rows: np.linalg.norm dots a contiguous copy, and a
     # strided dot can round differently
     scored = []
@@ -190,7 +201,7 @@ def _extract_chains(a, h, basis, lam, complex_field, warnings):
         n_top = np.linalg.matrix_power(n_cur, length - 1)
         f = h_cur @ n_top
         f = (f + f.T) / 2.0
-        if length == 1 and f.shape != (1, 1) and not complex_field:
+        if length == 1 and not complex_field:
             # a semisimple stage: the eigenvectors of f = sym(h_cur) are
             # h_cur-orthogonal, so each is a chain of length 1, taken in the
             # order a pick per stage meets them
@@ -199,9 +210,7 @@ def _extract_chains(a, h, basis, lam, complex_field, warnings):
                 top = (x @ h_cur) @ x
                 chains.append((1, 1 if top > 0 else -1, [q @ (x / np.sqrt(abs(top)))]))
             break
-        # eigh's eigenvector of a real 1x1 f is 1.0, already of unit length
-        x, score = ((np.ones(1), abs(f[0, 0])) if f.shape == (1, 1) and not complex_field
-                    else _pick_isotropy_vector(f, complex_field))
+        x, score = _pick_isotropy_vector(f, complex_field)
         _require_generator(lam, score)
 
         def pairings(vec):
@@ -376,7 +385,7 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
             f"got {max(norm_a, norm_h):.3e}")
     if np.max(np.abs(h - h.T)) > 1e-10 * max(1.0, norm_h):
         raise CanonicalError("H is not symmetric")
-    if 1.0 / np.linalg.cond(h) <= H_RCOND_MIN:
+    if not nondegenerate(h):
         raise CanonicalError("H is numerically singular")
     defect = np.abs(a.T @ h - h @ a)
     sums = np.abs(a).T @ np.abs(h) + np.abs(h) @ np.abs(a)

@@ -169,6 +169,8 @@ def _geometry_records(sc, structures, seed):
                 lhs, rhs = alternating_sum_identity(levels[p_max - 1], nablas[2 * p_max], p_max,
                                                     *_identity_trials(rng, sc.dim, p_max, trials))
                 worst = float(np.max(np.abs(lhs - rhs)))
+                # linear in omega: the bound is tol * max|omega|, at most the largest double
+                tol = min(tol * float(np.max(np.abs(nablas[0]))), sys.float_info.max)
                 rows = [(label, worst, {"point": point, "k": p_max, "trials": trials})]
             else:
                 status = "WARN"

@@ -20,14 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import H_RCOND_MIN
+from .canonical import RCOND_MIN, nondegenerate
 from .jets import component_jets, eval_jets, jet_space
 
 #: frames with condition number beyond this are rejected
 FRAME_COND_LIMIT = 1e12
-
-#: a 2-form with |det| below this counts as degenerate
-OMEGA_DET_MIN = 1e-12
 
 #: a 2-form with |w + w^T| above this counts as not antisymmetric
 OMEGA_ANTISYM_TOL = 1e-10
@@ -82,32 +79,22 @@ class Scenario:
         for pt in self.sample_points:
             # raises ConstraintError or SingularFrameError if bad
             sj = structure_jets(self, pt, order)
-            # the singularity test canonical.decompose applies to h
-            if 1.0 / np.linalg.cond(sj.h[0]) <= H_RCOND_MIN:
+            # the one nondegeneracy test, which decompose applies to H
+            if not nondegenerate(sj.h[0]):
                 raise GeometryError(
                     f"h degenerate at sample point {tuple(pt)}: "
-                    f"1/cond at or below {H_RCOND_MIN:g}")
+                    f"1/cond at or below {RCOND_MIN:g}")
             omega = component_jets(self.omega, pt, order + 1, self.coords)
             w = omega[0]
             if np.max(np.abs(w + w.T)) > OMEGA_ANTISYM_TOL:
                 raise GeometryError(
                     f"omega not antisymmetric at sample point {tuple(pt)}")
-            if not omega_nondegenerate(w):
+            if not nondegenerate(w):
                 raise GeometryError(
                     f"omega degenerate at sample point {tuple(pt)}: "
-                    f"|det| below {OMEGA_DET_MIN:g}")
+                    f"1/cond at or below {RCOND_MIN:g}")
             solved.append((sj, omega))
         return tuple(solved)
-
-
-def omega_nondegenerate(w) -> bool:
-    """|det w| >= OMEGA_DET_MIN, read from ``np.linalg.slogdet`` so that no
-    entry size overflows the determinant; a NaN entry fails it.  An LU pivot
-    past the double range reads as a log of inf or of 0, which the
-    comparison decides, so it does not warn."""
-    with np.errstate(all="ignore"):
-        sign, logdet = np.linalg.slogdet(w)
-    return sign != 0 and logdet >= np.log(OMEGA_DET_MIN)
 
 
 class StructureJets:

@@ -413,7 +413,8 @@ def _apply(e, args, space, env):
 def eval_jets(exprs, point, order: int, coords, keep=None, labels=None) -> list:
     """Coefficient arrays of the expressions ``exprs`` at ``point``.
 
-    ``coords`` names the coordinates in the order matching ``point``.
+    ``coords`` names the coordinates in the order matching ``point``, each
+    once: a repeated name raises JetError.
     Result k holds the coefficients of ``exprs[k]`` to order ``keep[k]``
     (default ``order``, and at most ``order``), shape
     ``(jet_space(len(coords), keep[k]).size,)``; its order-0 coefficient
@@ -443,6 +444,9 @@ def eval_jets(exprs, point, order: int, coords, keep=None, labels=None) -> list:
     point = tuple(float(v) for v in point)
     if len(point) != len(coords):
         raise JetError("point dimension does not match coordinate count")
+    for i, name in enumerate(coords):
+        if name in coords[:i]:
+            raise JetError(f"coordinate {name!r} is repeated")
     space = jet_space(len(coords), order)
     env = {name: _constant(space, v) for name, v in zip(coords, point)}
     if order >= 1:
@@ -486,16 +490,13 @@ def _first_not_finite(tape, values, root, size):
 
 def _head(e) -> str:
     """The top of an expression node as the source writes it: ``^3000``,
-    ``exp``, an operator, a name or a number."""
-    if isinstance(e, ex.Pow):
-        return f"^{e.exponent:g}"
-    if isinstance(e, ex.Num):
-        return f"{e.value:g}"
-    if isinstance(e, ex.Neg):
-        return "-"
-    if isinstance(e, ex.Bin):
-        return e.op
-    return e.func if isinstance(e, ex.Call) else e.name
+    ``exp``, an operator, a name or a number; read off its ``_fields``."""
+    (t, *key), _ = _fields(e)
+    if t is ex.Pow:
+        return f"^{key[0]:g}"
+    if t is ex.Num:
+        return f"{key[0]:g}"
+    return key[0] if key else "-"
 
 
 def component_jets(components, point, order: int, coords) -> np.ndarray:

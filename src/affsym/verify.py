@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import canonical, geometry
+from . import canonical
 from .model import ComplexBlock, ModelError, RealBlock, assemble, random_omega
 from .tensor_ops import (AlgebraicCurvature, pack_probe, pair_probe, r_power_action,
                          reduce_to_basis)
@@ -901,9 +901,9 @@ def check_rank_theorem(levels, s_op, h, nablas, tol: float = 1e-8) -> RankVerdic
     q < len(nablas)) vanishes.  R^q omega scales like
     (|S| |h|)^q |omega|, so it counts as vanishing when
     max |R^q omega| <= tol * (max |S| * max |h|)^q * max |omega| (an exact
-    zero does so at S = 0); nabla^q omega vanishes below the absolute
-    ``tol``.  R^{q+1} omega = R.(R^q omega) vanishes with
-    R^q omega, and nabla^{q+1} omega with nabla^q omega where that vanishes
+    zero does so at S = 0), and nabla^q omega when max |nabla^q omega| <
+    tol * max |omega|.  R^{q+1} omega = R.(R^q omega) vanishes with R^q
+    omega, and nabla^{q+1} omega with nabla^q omega where that vanishes
     identically, so no power beyond q is needed.  Verdict PASS means the
     operator vanished at q and the shape conclusions hold, FAIL that R^q
     omega vanished and they do not, VACUOUS (reported at p) that neither
@@ -913,7 +913,7 @@ def check_rank_theorem(levels, s_op, h, nablas, tol: float = 1e-8) -> RankVerdic
     theorem assumes), or that (S, h) has no canonical form to check.
     """
     w = nablas[0]
-    if not geometry.omega_nondegenerate(w):
+    if not canonical.nondegenerate(w):
         raise OracleError("degenerate 2-form in rank check")
     p = len(levels)
     if p < 1:
@@ -926,7 +926,7 @@ def check_rank_theorem(levels, s_op, h, nablas, tol: float = 1e-8) -> RankVerdic
         max_r = float(np.max(np.abs(packed)))
         max_nabla = float(np.max(np.abs(nablas[q]))) if q < len(nablas) else None
         r_zero = max_r <= tol * scale ** q * w_max
-        if r_zero or (max_nabla is not None and max_nabla < tol):
+        if r_zero or (max_nabla is not None and max_nabla < tol * w_max):
             break
     else:
         return RankVerdict("VACUOUS", p, max_r, max_nabla, rank_s, None)

@@ -69,6 +69,22 @@ def test_not_selfadjoint_rejected():
         decompose(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e12, 1.7e308])
+def test_nondegenerate_does_not_move_with_scale(scale):
+    # the same verdicts on c m as on m, a 1/cond of about 1e-11 and 1e-9
+    # either side of RCOND_MIN included; the top singular value of
+    # 1.7e308 * [[1, 1], [1, -1]] is past the double range
+    assert canonical.nondegenerate(scale * np.array([[1.0, 1.0], [1.0, -1.0]]))
+    assert canonical.nondegenerate(scale * np.diag([1.0, 1e-9]))
+    assert not canonical.nondegenerate(scale * np.diag([1.0, 1e-11]))
+
+
+@pytest.mark.parametrize("m", [np.zeros((2, 2)), [[1.0, np.nan], [0.0, 1.0]],
+                               [[1.0, np.inf], [0.0, 1.0]]])
+def test_zero_or_non_finite_forms_are_degenerate(m):
+    assert not canonical.nondegenerate(m)
+
+
 def _conjugate(rng, m, spread=2.0):
     n = m.dim
     u, _, vt = np.linalg.svd(rng.normal(size=(n, n)))

@@ -491,7 +491,8 @@ def test_scenario_without_sample_points_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_omega_beyond_the_determinant_range_is_nondegenerate(tmp_path, capsys):
-    # det(1e200 * omega) = 1e800 overflows a double; its slogdet does not
+    # det(1e200 * omega) = 1e800 overflows a double; the nondegeneracy test
+    # reads 1/cond of omega / max|omega|, which no scale moves
     omega = [[1e200 * v for v in row] for row in _shipped("paraboloid")["omega"]]
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps(_shipped("paraboloid", omega=omega)))
@@ -1509,7 +1510,8 @@ def _refuse_constant(name):
 @example((["check-geometry", "--scenario", "FILE", "--seed", "0"],
           json.dumps(_shipped("paraboloid", transversal=["(u1) * (1e300)", "0", "0", "0", "1"],
                               sample_points=[[0.0, 0.0, 0.0, 0.0]]))))
-# slogdet of omega overflowed, and underflowed to log 0, with numpy warnings
+# a determinant test of omega overflowed, and underflowed to log 0, with
+# numpy warnings; 1/cond of the prescaled omega does neither
 @example((["check-geometry", "--scenario", "FILE", "--seed", "0"],
           json.dumps(_shipped("paraboloid", sample_points=[[0.3, -0.7, 1.2, 0.5]], omega=[
               [0.0, 1.7e308, 0.0, "1.7e+308*(u1)"], [-1.7e308, 0.0, 1.7e308, 0.0],

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from affsym import jets
 from affsym.expr import FUNCTIONS, Bin, Call, Neg, Num, Pow, Var, parse_expr
-from affsym.jets import (_PRODUCT, JetDomainError, JetOrderError, _call, _constant,
-                         _head, _power, _reciprocal, eval_jets, jet_space)
+from affsym.jets import (_PRODUCT, JetDomainError, JetError, JetOrderError, _call,
+                         _constant, _head, _power, _reciprocal, eval_jets, jet_space)
 
 PRODUCT = "...,...->..."
 
@@ -339,6 +339,14 @@ def test_kept_orders_are_checked():
         eval_jets([x, x], (0.0, 0.0), 2, TWO, keep=[1])
     with pytest.raises(ValueError, match="point dimension does not match coordinate count"):
         eval_jets([x], (0.0, 0.0, 0.0), 2, TWO)
+
+
+def test_a_repeated_coordinate_is_refused():
+    # each name once: the last of two a's would take the point value with
+    # two unit coefficients
+    coords = ["a", "b", "a"]
+    with pytest.raises(JetError, match="^coordinate 'a' is repeated$"):
+        eval_jets([parse_expr("a", coords)], (0.1, 0.2, 0.3), 1, coords)
 
 
 def _balanced_sum(terms):
