@@ -26,8 +26,15 @@ from .jets import component_jets, eval_jets, jet_space
 #: frames with condition number beyond this are rejected
 FRAME_COND_LIMIT = 1e12
 
-#: a 2-form with |w + w^T| above this counts as not antisymmetric
+#: a 2-form with |w + w^T| / max|w| above this counts as not antisymmetric
 OMEGA_ANTISYM_TOL = 1e-10
+
+
+def antisymmetric(w) -> bool:
+    """|w + w^T| at most ``OMEGA_ANTISYM_TOL`` on the scale max|w|, so no
+    scale of w moves it and w + w^T cannot overflow; a non-finite w is not."""
+    top = np.max(np.abs(w)) or 1.0
+    return bool(np.max(np.abs(w / top + w.T / top)) <= OMEGA_ANTISYM_TOL)
 
 
 class GeometryError(ValueError):
@@ -86,7 +93,7 @@ class Scenario:
                     f"1/cond at or below {RCOND_MIN:g}")
             omega = component_jets(self.omega, pt, order + 1, self.coords)
             w = omega[0]
-            if np.max(np.abs(w + w.T)) > OMEGA_ANTISYM_TOL:
+            if not antisymmetric(w):
                 raise GeometryError(
                     f"omega not antisymmetric at sample point {tuple(pt)}")
             if not nondegenerate(w):

@@ -410,6 +410,13 @@ def _apply(e, args, space, env):
     return _power(space, args[0], e.exponent)
 
 
+def repeated_coordinate(coords):
+    """The first i whose ``coords[i]`` is among ``coords[:i]``, or None."""
+    if len(set(coords)) == len(coords):
+        return None
+    return next(i for i, c in enumerate(coords) if c in coords[:i])
+
+
 def eval_jets(exprs, point, order: int, coords, keep=None, labels=None) -> list:
     """Coefficient arrays of the expressions ``exprs`` at ``point``.
 
@@ -444,9 +451,9 @@ def eval_jets(exprs, point, order: int, coords, keep=None, labels=None) -> list:
     point = tuple(float(v) for v in point)
     if len(point) != len(coords):
         raise JetError("point dimension does not match coordinate count")
-    for i, name in enumerate(coords):
-        if name in coords[:i]:
-            raise JetError(f"coordinate {name!r} is repeated")
+    i = repeated_coordinate(coords)
+    if i is not None:
+        raise JetError(f"coordinate {coords[i]!r} is repeated")
     space = jet_space(len(coords), order)
     env = {name: _constant(space, v) for name, v in zip(coords, point)}
     if order >= 1:

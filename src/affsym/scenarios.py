@@ -39,7 +39,7 @@ import numpy as np
 
 from .expr import ExprError, is_identifier, parse_expr
 from .geometry import Scenario
-from .jets import MAX_JET_ORDER
+from .jets import MAX_JET_ORDER, repeated_coordinate
 from .tensor_ops import GeometricCurvature, RecursionCapError, check_packed_power
 
 BUILTIN_NAMES = ("paper_example_n2", "paper_example_n3", "paraboloid",
@@ -152,8 +152,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     for i, c in enumerate(coords):
         if not is_identifier(c):
             raise ScenarioFormatError(f"coords[{i}] {c!r} is not an identifier")
-        if c in coords[:i]:
-            raise ScenarioFormatError(f"coords[{i}] {c!r} repeats coords[{coords.index(c)}]")
+    i = repeated_coordinate(coords)
+    if i is not None:
+        raise ScenarioFormatError(
+            f"coords[{i}] {coords[i]!r} repeats coords[{coords.index(coords[i])}]")
     if len(imm_src) != dim + 1:
         raise ScenarioFormatError(
             f"expected {dim + 1} immersion components, got {len(imm_src)}")

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import OMEGA_ANTISYM_TOL, gauss_curvature_tensor
+from .geometry import antisymmetric, gauss_curvature_tensor
 from .jets import jet_space
 from .model import GaussModel
 
@@ -294,14 +294,14 @@ def _pair_tables(n: int) -> tuple:
 def pack_two_form(omega, n: int) -> np.ndarray:
     """The coefficients omega[a, b], a < b, of a 2-form on R^n.
 
-    Raises ArityError unless omega is an antisymmetric n x n array, within
-    the tolerance scenarios are validated with: the packed form reads only
-    the upper triangle.
+    Raises ArityError unless omega is an n x n array that
+    ``geometry.antisymmetric`` accepts, the test scenarios are validated
+    with: the packed form reads only the upper triangle.
     """
     w = np.asarray(omega, dtype=float)
     if w.shape != (n, n):
         raise ArityError(f"expected a 2-form of shape ({n}, {n}), got {w.shape}")
-    if not np.abs(w + w.T).max() <= OMEGA_ANTISYM_TOL:
+    if not antisymmetric(w):
         raise ArityError("tensor is not an antisymmetric 2-form")
     return w[_pairs(n)]
 

@@ -459,6 +459,20 @@ def test_degenerate_omega_is_usage_error(tmp_path, capsys):
     assert rc == 2 and len(err) == 1 and "degenerate" in err[0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 1e-11, 1e-300, 1.7e308])
+def test_symmetric_omega_is_usage_error_at_every_scale(scale, tmp_path, capsys):
+    # antisymmetry is read on the scale max|omega|, so no scale makes a
+    # symmetric form a 2-form, and w + w^T at 1.7e308 does not overflow
+    sym = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(_shipped("paraboloid",
+                                      omega=[[scale * v for v in row] for row in sym])))
+    rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+    point = tuple(_shipped("paraboloid")["sample_points"][0])
+    assert rc == 2 and err == [f"error: omega not antisymmetric at sample point {point}"]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_sample_point_is_usage_error(value, tmp_path, capsys):
     sc = tmp_path / "sc.json"

@@ -709,6 +709,18 @@ def test_probe_arity_and_cap_checks():
         pack_probe(prov, bent, 1, np.ones((4, 4)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-11, 1.0, 1.7e308])
+def test_a_two_form_is_told_apart_at_every_scale(scale):
+    # the test reads w + w^T on the scale max|w|: a symmetric form is
+    # refused at every scale, a 2-form packed, and neither overflows
+    w = scale * tridiagonal_omega(4)
+    assert np.array_equal(pack_two_form(w, 4), w[_pairs(4)])
+    with pytest.raises(ArityError, match="antisymmetric"):
+        pack_two_form(np.abs(w), 4)
+    assert np.array_equal(pack_two_form(np.zeros((4, 4)), 4), np.zeros(6))
+
+
 # -- R^k.omega packed on Lambda^2 ------------------------------------------
 
 
