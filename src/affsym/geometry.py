@@ -33,8 +33,9 @@ OMEGA_ANTISYM_TOL = 1e-10
 def antisymmetric(w) -> bool:
     """|w + w^T| at most ``OMEGA_ANTISYM_TOL`` on the scale max|w|, so no
     scale of w moves it and w + w^T cannot overflow; a non-finite w is not."""
-    top = np.max(np.abs(w)) or 1.0
-    return bool(np.max(np.abs(w / top + w.T / top)) <= OMEGA_ANTISYM_TOL)
+    top = np.abs(w).max() or 1.0
+    u = w / top
+    return bool(np.abs(u + u.T).max() <= OMEGA_ANTISYM_TOL)
 
 
 class GeometryError(ValueError):
