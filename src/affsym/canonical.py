@@ -45,6 +45,9 @@ from .model import BlockSpec, ComplexBlock, RealBlock, direct_sum
 #: a form (H, h or omega) with 1/cond at or below this is degenerate
 RCOND_MIN = 1e-10
 
+#: a form with max|m - sign m^T| / max|m| above this is not (anti)symmetric
+SYMMETRY_TOL = 1e-10
+
 #: ``classify`` takes |eigenvalue| <= ZERO_TOL * max(1, max |eigenvalue|) as 0
 ZERO_TOL = 1e-8
 
@@ -70,6 +73,13 @@ def nondegenerate(m) -> bool:
     m = np.asarray(m, dtype=float)
     top = float(np.max(np.abs(m)))
     return 0.0 < top < math.inf and 1.0 / np.linalg.cond(m / top) > RCOND_MIN
+
+
+def symmetric(m, sign: int = 1) -> bool:
+    """max|u - sign u^T| <= ``SYMMETRY_TOL``, u = m / max|m| (m if all zero): no scale
+    of m moves it or overflows; sign -1 tests antisymmetry; a non-finite m fails."""
+    u = m / (np.abs(m).max() or 1.0)
+    return bool(np.abs(u - u.T if sign == 1 else u + u.T).max() <= SYMMETRY_TOL)
 
 
 class NotSelfadjointError(CanonicalError):
@@ -362,15 +372,16 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
 
     ``tol`` gates the selfadjointness precondition, normwise and entry by
     entry (one huge entry must not widen the bound for the others; |A|
-    counts as at least 1 in both); eigenvalues are clustered at
-    1e-6 * ||A||, escalated along ``_DELTA_LADDER`` when the canonical
-    residuals come out poor; each cluster is peeled once per call and reused
-    by the later steps that keep it (a failed peel is redone).  The pair
-    carries the step it was clustered at as ``threshold_step`` (0 for the
-    base threshold), on the best-effort return too.  An entry
-    beyond ``ENTRY_MAX``, or a product that still overflows, raises
-    CanonicalError; the overflow is caught where it happens, because
-    LAPACK's SVD need not return on the NaN it would lead to.
+    counts as at least 1 in both).  Past the gates H is read as H / 4^k,
+    max|H / 4^k| in [1, 4), and T as T 2^-k, both exact.  Eigenvalues are
+    clustered at 1e-6 * ||A||, escalated along ``_DELTA_LADDER`` when the
+    canonical residuals come out poor; each cluster is peeled once per call
+    and reused by the later steps that keep it (a failed peel is redone).
+    The pair carries its clustering step as ``threshold_step`` (0 for the
+    base threshold), on the best-effort return too.  An entry beyond
+    ``ENTRY_MAX``, or a product that still overflows, raises CanonicalError;
+    the overflow is caught where it happens, because LAPACK's SVD need not
+    return on the NaN it would lead to.
     """
     a = np.asarray(a, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -383,7 +394,7 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
         raise CanonicalError(
             f"A and H entries must be at most {ENTRY_MAX:g} in magnitude, "
             f"got {max(norm_a, norm_h):.3e}")
-    if np.max(np.abs(h - h.T)) > 1e-10 * max(1.0, norm_h):
+    if not symmetric(h):
         raise CanonicalError("H is not symmetric")
     if not nondegenerate(h):
         raise CanonicalError("H is numerically singular")
@@ -397,6 +408,8 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
         raise NotSelfadjointError(
             f"A is not H-selfadjoint: ||A^T H - H A|| = {np.max(defect):.3e}")
 
+    k = (math.frexp(norm_h)[1] - 1) // 2
+    h = np.ldexp(h, -2 * k)
     eigvals = np.linalg.eigvals(a)
     base = 1e-6 * max(1.0, norm_a)
     best, tried, peeled = None, set(), {}
@@ -418,13 +431,13 @@ def decompose(a, h, tol: float = 1e-8) -> CanonicalPair:
             cand = replace(cand, threshold_step=step, warnings=cand.warnings + (
                 f"clustering threshold escalated to {base * factor:.3e}",))
         if max(cand.residual_jordan, cand.residual_h) < RESIDUAL_MAX:
-            return cand
+            return replace(cand, transform=np.ldexp(cand.transform, -k))
         if best is None or max(cand.residual_jordan, cand.residual_h) < \
                 max(best.residual_jordan, best.residual_h):
             best = cand
     if best is None:
         raise CanonicalError("no clustering attempt produced a decomposition")
-    return replace(best, warnings=best.warnings + (
+    return replace(best, transform=np.ldexp(best.transform, -k), warnings=best.warnings + (
         "canonical residuals above 1e-6; result is best effort",))
 
 

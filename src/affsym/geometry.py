@@ -20,22 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import RCOND_MIN, nondegenerate
+from .canonical import RCOND_MIN, nondegenerate, symmetric
 from .jets import component_jets, eval_jets, jet_space
 
 #: frames with condition number beyond this are rejected
 FRAME_COND_LIMIT = 1e12
-
-#: a 2-form with |w + w^T| / max|w| above this counts as not antisymmetric
-OMEGA_ANTISYM_TOL = 1e-10
-
-
-def antisymmetric(w) -> bool:
-    """|w + w^T| at most ``OMEGA_ANTISYM_TOL`` on the scale max|w|, so no
-    scale of w moves it and w + w^T cannot overflow; a non-finite w is not."""
-    top = np.abs(w).max() or 1.0
-    u = w / top
-    return bool(np.abs(u + u.T).max() <= OMEGA_ANTISYM_TOL)
 
 
 class GeometryError(ValueError):
@@ -87,20 +76,17 @@ class Scenario:
         for pt in self.sample_points:
             # raises ConstraintError or SingularFrameError if bad
             sj = structure_jets(self, pt, order)
-            # the one nondegeneracy test, which decompose applies to H
+            at = f"at sample point {tuple(pt)}"
+            # the one nondegeneracy and (anti)symmetry tests, which decompose
+            # applies to H
             if not nondegenerate(sj.h[0]):
-                raise GeometryError(
-                    f"h degenerate at sample point {tuple(pt)}: "
-                    f"1/cond at or below {RCOND_MIN:g}")
+                raise GeometryError(f"h degenerate {at}: 1/cond at or below {RCOND_MIN:g}")
             omega = component_jets(self.omega, pt, order + 1, self.coords)
             w = omega[0]
-            if not antisymmetric(w):
-                raise GeometryError(
-                    f"omega not antisymmetric at sample point {tuple(pt)}")
+            if not symmetric(w, -1):
+                raise GeometryError(f"omega not antisymmetric {at}")
             if not nondegenerate(w):
-                raise GeometryError(
-                    f"omega degenerate at sample point {tuple(pt)}: "
-                    f"1/cond at or below {RCOND_MIN:g}")
+                raise GeometryError(f"omega degenerate {at}: 1/cond at or below {RCOND_MIN:g}")
             solved.append((sj, omega))
         return tuple(solved)
 

@@ -39,7 +39,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import antisymmetric, gauss_curvature_tensor
+from .canonical import symmetric
+from .geometry import gauss_curvature_tensor
 from .jets import jet_space
 from .model import GaussModel
 
@@ -295,13 +296,13 @@ def pack_two_form(omega, n: int) -> np.ndarray:
     """The coefficients omega[a, b], a < b, of a 2-form on R^n.
 
     Raises ArityError unless omega is an n x n array that
-    ``geometry.antisymmetric`` accepts, the test scenarios are validated
-    with: the packed form reads only the upper triangle.
+    ``canonical.symmetric(omega, -1)`` accepts, as scenarios and oracle
+    params are: the packed form reads only the upper triangle.
     """
     w = np.asarray(omega, dtype=float)
     if w.shape != (n, n):
         raise ArityError(f"expected a 2-form of shape ({n}, {n}), got {w.shape}")
-    if not antisymmetric(w):
+    if not symmetric(w, -1):
         raise ArityError("tensor is not an antisymmetric 2-form")
     return w[_pairs(n)]
 

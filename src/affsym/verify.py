@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,15 @@ from .tensor_ops import (AlgebraicCurvature, pack_probe, pair_probe, r_power_act
 ORACLE_RTOL = 1e-9
 
 WITNESS_THRESHOLD = 1e-9
+
+
+def vanishing_bound(tol, q, s_op, h, w) -> float:
+    """tol (max|S| max|h|)^q max|omega|, on R^q omega's scale, at most the largest double."""
+    scale = float(np.abs(s_op).max()) * float(np.abs(h).max())
+    try:
+        return min(tol * scale ** q * float(np.abs(w).max()), sys.float_info.max)
+    except OverflowError:  # a Python float power past the double range
+        return sys.float_info.max
 
 
 class OracleError(ValueError):
@@ -288,7 +298,7 @@ class Omega:
         d.q["omega"] = random_omega(d.dim, d.rng, self.pairs(d.k, d.q)).tolist()
 
     def check(self, d):
-        _require(d.w.shape == (d.dim, d.dim) and np.max(np.abs(d.w + d.w.T)) < 1e-12,
+        _require(d.w.shape == (d.dim, d.dim) and canonical.symmetric(d.w, -1),
                  "omega must be antisymmetric of the model dimension")
         pairs = self.pairs(d.k, d.q)
         _require(all(d.w[i, j] == 0.0 for i, j in pairs),
@@ -384,7 +394,7 @@ def _kgt3_basics(m, prov, k, formula, variant, component, alpha, eps, **_):
         6: ((k - 2, k - 1, k - 2 if variant == 0 else k - 1), zero),
     }
     args, expected = table[formula]
-    return dict(prov.basis_image(*args)).get(component, 0.0), float(expected[component])
+    return dict(prov.basis_image(*args)).get(component, 0.0), expected[component]
 
 
 @_family("lemma34", "real block of size > 3: repeated-pair vanishing and "
@@ -500,7 +510,7 @@ def _cx_basic(m, prov, formula, i, component, alpha, beta, **_):
         t, expected = 1, -beta * e[0] - alpha * e[1]
     else:
         t, expected = i, np.zeros(m.dim)
-    return dict(prov.basis_image(0, 1, t)).get(component, 0.0), float(expected[component])
+    return dict(prov.basis_image(0, 1, t)).get(component, 0.0), expected[component]
 
 
 @_family("cx_detpow", "2-dimensional complex block: determinant power formula",
@@ -536,7 +546,7 @@ def _cx_other(act, m, w, pp, i, j, variant, alpha, beta, **_):
          Choice("s", lambda k, dim, q: range(2 * k)),
          Choice("j", lambda k, dim, q: range(2 * k, dim)), OMEGA)
 def _cx_c1(act, m, w, k, p, i, s, j, **_):
-    closed = 0.0 if s < 2 * k - 1 else -float(m.S[:, i] @ w[:, j])
+    closed = 0.0 if s < 2 * k - 1 else -(m.S[:, i] @ w[:, j])
     return act(_pairs((0, 2 * k - 3), p - 1) + (i, s, 0, j)), closed
 
 
@@ -544,7 +554,7 @@ def _cx_c1(act, m, w, k, p, i, s, j, **_):
          Lead("complex", (2, 3)), Trail(2, 2), P,
          Choice("j", lambda k, dim, q: range(2 * k, dim)), OMEGA)
 def _cx_c2(act, m, w, k, p, j, beta, **_):
-    closed = -((-beta) ** (p - 1)) * float(m.S[:, 2] @ w[:, j])
+    closed = -((-beta) ** (p - 1)) * (m.S[:, 2] @ w[:, j])
     return act(_pairs((0, 2 * k - 2), p - 1) + (2, 2 * k - 1, 0, j)), closed
 
 
@@ -553,7 +563,7 @@ def _cx_c2(act, m, w, k, p, j, beta, **_):
          Choice("i", lambda k, dim, q: range(2 * k)),
          Choice("j", lambda k, dim, q: range(2 * k, dim)), OMEGA)
 def _cx_c3(act, m, w, k, p, i, j, beta, **_):
-    closed = (-beta) ** (p - 1) * float(m.S[:, 2 * k - 1] @ w[:, j]) if i == 0 else 0.0
+    closed = (-beta) ** (p - 1) * (m.S[:, 2 * k - 1] @ w[:, j]) if i == 0 else 0.0
     return act(_pairs((1, 2 * k - 1), p - 1) + (i, 2 * k - 1, 2 * k - 1, j)), closed
 
 
@@ -565,7 +575,7 @@ def _cx_b2(act, m, w, k, p, i, variant, beta, **_):
     lead = _pairs((0, 2 * k - 2), p)
     if variant == "q1":
         return act(lead + (i, 2 * k - 2)), 0.0
-    closed = (-beta) ** (p - 1) * float(w[i, :] @ m.S[:, 2 * k - 2])
+    closed = (-beta) ** (p - 1) * (w[i, :] @ m.S[:, 2 * k - 2])
     return act(lead + (i, 2 * k - 1)), closed
 
 
@@ -577,7 +587,7 @@ def _cx_b3(act, m, w, k, p, i, variant, beta, **_):
     lead = _pairs((1, 2 * k - 1), p)
     if variant == "t1":
         return act(lead + (i, 2 * k - 1)), 0.0
-    closed = beta ** (p - 1) * float(w[i, :] @ m.S[:, 2 * k - 1])
+    closed = beta ** (p - 1) * (w[i, :] @ m.S[:, 2 * k - 1])
     return act(lead + (i, 2 * k - 2)), closed
 
 
@@ -622,7 +632,7 @@ def _cx_b5(act, m, w, k, p, pos, beta, **_):
     s, ss = 2 * k - 2, 2 * k - 1
     closed = 0.0
     if pos == 1:
-        closed = (-beta) ** (p - 1) * (-float(m.S[:, s] @ w[:, 1]) + float(w[0, :] @ m.S[:, ss]))
+        closed = (-beta) ** (p - 1) * (-(m.S[:, s] @ w[:, 1]) + w[0, :] @ m.S[:, ss])
     return act(_pairs((0, s), pos - 1) + (s, ss) + _pairs((0, s), p - pos) + (0, 1)), closed
 
 
@@ -828,9 +838,10 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
     generator (Schwartz-Zippel: nonzero with probability 1 exactly when the
     tensor is nonzero), reduce that probe one slot pair at a time to a unit
     pair (e_a, e_b), a < b (``reduce_to_basis``), and take the component's
-    value from the basis-index recursion.  The probe and its reduction read
-    one packing of omega, K = rho w, and the vectors (``pack_probe``).  A
-    missing witness is reported as a finding, never silently dropped.  Raises
+    value from the basis-index recursion, each nonzero above the floor
+    ``vanishing_bound(WITNESS_THRESHOLD, p, S, H, omega)``.  The probe and
+    its reduction read one packing of omega, K = rho w, and the vectors
+    (``pack_probe``).  A missing witness is a finding, not dropped.  Raises
     OracleError unless p_max and trials are at least 1 (a search over
     nothing finds nothing), and where the probe or the component's value
     is not finite, which shows no vanishing; the search runs under one
@@ -858,11 +869,12 @@ def theorem_witness(blocks, p_max: int, trials: int, seed: int = 0) -> WitnessRe
                 k_mat, pairs = pack_probe(prov, w, power,
                                           rng.standard_normal((2 * power + 2, dim)))
                 value = float(pair_probe(prov, k_mat, pairs[None])[0])
+                bound = vanishing_bound(WITNESS_THRESHOLD, power, m.S, m.H, w)
                 found = None
-                if math.isfinite(value) and abs(value) > WITNESS_THRESHOLD:
+                if math.isfinite(value) and abs(value) > bound:
                     args = reduce_to_basis(prov, k_mat, pairs, value)
                     value = r_power_action(prov, w, power, args)
-                    if abs(value) > WITNESS_THRESHOLD:
+                    if abs(value) > bound:
                         found = WitnessEntry(power, trial, True, args, value, "probe")
                 if not math.isfinite(value):
                     raise OracleError(f"witness at power {power}, trial {trial}: "
@@ -897,11 +909,9 @@ def check_rank_theorem(levels, s_op, h, nablas, tol: float = 1e-8) -> RankVerdic
     check-geometry hands over ``nabla_powers`` of the point, a Gauss model
     [omega] alone.
 
-    The scan stops at the first q at which R^q omega or nabla^q omega (for
-    q < len(nablas)) vanishes.  R^q omega scales like
-    (|S| |h|)^q |omega|, so it counts as vanishing when
-    max |R^q omega| <= tol * (max |S| * max |h|)^q * max |omega| (an exact
-    zero does so at S = 0), and nabla^q omega when max |nabla^q omega| <
+    The scan stops at the first q at which max |R^q omega| <=
+    ``vanishing_bound(tol, q, S, h, omega)`` (an exact zero does so at
+    S = 0) or, for q < len(nablas), max |nabla^q omega| < its q = 0 bound,
     tol * max |omega|.  R^{q+1} omega = R.(R^q omega) vanishes with R^q
     omega, and nabla^{q+1} omega with nabla^q omega where that vanishes
     identically, so no power beyond q is needed.  Verdict PASS means the
@@ -920,13 +930,12 @@ def check_rank_theorem(levels, s_op, h, nablas, tol: float = 1e-8) -> RankVerdic
         raise OracleError(f"rank check power {p} is below 1")
 
     rank_s = canonical.rank(s_op)
-    scale = float(np.max(np.abs(s_op))) * float(np.max(np.abs(h)))
-    w_max = float(np.max(np.abs(w)))
+    nabla_bound = vanishing_bound(tol, 0, s_op, h, w)
     for q, packed in enumerate(levels, start=1):
         max_r = float(np.max(np.abs(packed)))
         max_nabla = float(np.max(np.abs(nablas[q]))) if q < len(nablas) else None
-        r_zero = max_r <= tol * scale ** q * w_max
-        if r_zero or (max_nabla is not None and max_nabla < tol * w_max):
+        r_zero = max_r <= vanishing_bound(tol, q, s_op, h, w)
+        if r_zero or (max_nabla is not None and max_nabla < nabla_bound):
             break
     else:
         return RankVerdict("VACUOUS", p, max_r, max_nabla, rank_s, None)

@@ -85,6 +85,45 @@ def test_zero_or_non_finite_forms_are_degenerate(m):
     assert not canonical.nondegenerate(m)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-13, 1.0, 1e13, 1.7e308])
+def test_symmetric_does_not_move_with_scale(scale):
+    # one rule for both signs: a defect of 1e-11 of max|m| passes, 1e-9 not
+    sym = np.array([[1.0, 0.5], [0.5 + 1e-11, -1.0]])
+    anti = np.array([[0.0, 1.0], [-1.0 - 1e-11, 0.0]])
+    assert canonical.symmetric(scale * sym) and not canonical.symmetric(scale * sym, -1)
+    assert canonical.symmetric(scale * anti, -1) and not canonical.symmetric(scale * anti)
+    sym[1, 0], anti[1, 0] = 0.5 + 1e-9, -1.0 - 1e-9
+    assert not canonical.symmetric(scale * sym) and not canonical.symmetric(scale * anti, -1)
+
+
+def test_non_symmetric_h_is_refused_at_every_scale():
+    # 1e-11 H used to pass a bound of 1e-10 * max(1, max|H|) and fail later,
+    # with "no clustering attempt produced a decomposition"
+    h = np.array([[1.0, 0.5], [0.0, -1.0]])
+    for scale in (1e-11, 1.0, 1e11):
+        with pytest.raises(CanonicalError, match="H is not symmetric"):
+            decompose(np.zeros((2, 2)), scale * h)
+
+
+@pytest.mark.parametrize("blocks", [
+    [RealBlock(3, 0.7, 1), RealBlock(1, -0.5, -1)],
+    [ComplexBlock(1, 0.3, 1.2), RealBlock(2, 0.0, -1)],
+    [RealBlock(2, 0.0, 1), RealBlock(1, 1.3, 1), RealBlock(1, -0.8, -1)],
+    [RealBlock(1, 1.5, 1), RealBlock(1, -0.7, -1), RealBlock(1, 0.4, -1), RealBlock(1, 0.0, 1)],
+], ids=["size3_jordan", "complex", "nilpotent_2_block", "diagonal"])
+def test_decompose_does_not_move_with_the_scale_of_h(blocks):
+    # decompose reads H / 4^k, max|H / 4^k| in [1, 4), so 4^e H gives the
+    # pair of H with its transform times 2^-e, bit for bit
+    a, h, _ = _conjugate(np.random.default_rng(3), assemble(blocks))
+    one = decompose(a, h)
+    for e in range(-40, 41):
+        pair = decompose(a, 4.0 ** e * h)
+        assert repr(pair.blocks) == repr(one.blocks), e
+        assert (pair.warnings, pair.threshold_step) == (one.warnings, one.threshold_step)
+        assert (pair.residual_jordan, pair.residual_h) == (one.residual_jordan, one.residual_h)
+        assert (pair.transform * 2.0 ** e).tobytes() == one.transform.tobytes()
+
+
 def _conjugate(rng, m, spread=2.0):
     n = m.dim
     u, _, vt = np.linalg.svd(rng.normal(size=(n, n)))

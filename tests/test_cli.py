@@ -269,6 +269,15 @@ def test_decompose_rejects_bad_pair(tmp_path, capsys):
     assert "selfadjoint" in capsys.readouterr().err
 
 
+def test_non_symmetric_small_h_is_usage_error(tmp_path, capsys):
+    # symmetry is read on the scale max|H|: a 1e-11 H used to pass its gate
+    # and end in "no clustering attempt produced a decomposition"
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"dim": 2, "A": [0.0] * 4, "H": [1e-11, 5e-12, 0.0, -1e-11]}))
+    rc, err = _usage_error(["decompose", str(mat)], capsys)
+    assert rc == 2 and err == ["error: H is not symmetric"]
+
+
 def _strip_timing(report):
     report.pop("generated_unix", None)
     for rec in report.get("checks", []):

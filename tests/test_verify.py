@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -100,6 +101,20 @@ def test_hypothesis_violations_are_named():
         with pytest.raises(OracleError) as err:
             run_oracle(OracleSpec(oid, params))
         assert fragment in str(err.value), (oid, str(err.value))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e200])
+def test_symmetric_omega_is_refused_at_every_scale(scale):
+    # antisymmetry is read on the scale max|omega|: a symmetric 1e-13 omega
+    # passed the absolute max|w + w^T| < 1e-12 and ran to a PASS
+    spec = sample_spec("lemma36", np.random.default_rng(0))
+    dim = len(spec.params["omega"])
+    params = {**spec.params, "omega": (scale * np.ones((dim, dim))).tolist()}
+    with pytest.raises(OracleError, match="omega must be antisymmetric"):
+        run_oracle(OracleSpec(spec.id, params))
+    # an antisymmetric omega at that scale is a 2-form
+    run_oracle(OracleSpec(spec.id, {**spec.params, "omega": (
+        scale * np.asarray(spec.params["omega"])).tolist()}))
 
 
 #: (id, params change, parameter named in the error) outside the family's
@@ -318,6 +333,26 @@ def test_witness_found_on_inadmissible_shape(shape):
             w = random_omega(prov.dim, rng)
             assert r_power_action(prov, w, entry.power, entry.args) == entry.value
             assert abs(entry.value) > verify.WITNESS_THRESHOLD
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-6])
+def test_witness_floor_moves_with_the_scale_of_s(c):
+    # R^p omega scales like max|S|^p: with an absolute floor of 1e-9 the
+    # search reported "exhausted" at p = 3 and 4 for c = 1e-3
+    blocks = [RealBlock(1, c, 1), RealBlock(1, -0.5 * c, -1),
+              RealBlock(1, 0.0, 1), RealBlock(1, 0.0, 1)]
+    report = theorem_witness(blocks, p_max=4, trials=3)
+    assert report.all_found, [e for e in report.entries if not e.found]
+    assert sorted({e.power for e in report.entries}) == [1, 2, 3, 4]
+
+
+def test_vanishing_bound_is_held_at_the_largest_double():
+    s, h, w = np.diag([2.0, 0.5]), np.eye(2), np.array([[0.0, 3.0], [-3.0, 0.0]])
+    assert verify.vanishing_bound(1e-8, 0, s, h, w) == 1e-8 * 3.0
+    assert verify.vanishing_bound(1e-8, 2, s, h, w) == 1e-8 * 4.0 * 3.0
+    # (1e200)^2 raises OverflowError in Python floats
+    assert verify.vanishing_bound(1e-8, 2, 1e200 * s, h, w) == sys.float_info.max
+    assert verify.vanishing_bound(1e300, 0, s, h, 1e300 * w) == sys.float_info.max
 
 
 def test_witness_value_is_reproducible():
