@@ -124,21 +124,19 @@ def _geometry_records(sc, structures, seed):
 
     Each check yields (name, value, params) rows, PASS below its ``tol`` and
     FAIL otherwise unless the check sets its own verdict.  Each point steps
-    one packed R^q omega ladder, to the largest p_max of the checks reading it.
+    one packed R^q omega ladder, to ``sc.r_power``.
     """
     records = []
-    p_top = max((check["p_max"] for check in sc.checks
-                 if check["name"] in ("rank_theorem", "alternating_identity")), default=0)
     for pi, (point, (sj, omega)) in enumerate(zip(sc.sample_points, structures)):
         # a value past the double range is refused below, so it does not warn
         with np.errstate(over="ignore", invalid="ignore"):
             nablas = nabla_powers(omega, sj, sj.order + 1)
             prov = GeometricCurvature(geometry.curvature(sj))
-            levels = list(r_power_levels(prov, pack_two_form(nablas[0], sc.dim), p_top))
+            levels = list(r_power_levels(prov, pack_two_form(nablas[0], sc.dim), sc.r_power))
             res = geometry.fundamental_residuals(sj, prov.R)
         _require_finite(point, nablas, levels, res)
         for check in sc.checks:
-            name, tol, p_max = check["name"], check.get("tol"), check.get("p_max")
+            name, tol, p_max = check["name"], check["tol"], check.get("p_max")
             label = f"{name}@point{pi}"
             t0 = time.perf_counter()
             status = None
@@ -163,7 +161,7 @@ def _geometry_records(sc, structures, seed):
                 if v.reason is not None:
                     params["reason"] = v.reason
                 status, rows = v.verdict, [(label, v.max_r_power, params)]
-            elif name == "alternating_identity":
+            else:    # alternating_identity
                 trials = check["trials"]
                 rng = np.random.default_rng((seed, 17, pi))
                 lhs, rhs = alternating_sum_identity(levels[p_max - 1], nablas[2 * p_max], p_max,
@@ -171,9 +169,6 @@ def _geometry_records(sc, structures, seed):
                 worst = float(np.max(np.abs(lhs - rhs)))
                 tol = verify.vanishing_bound(tol, 0, sj.S[0], sj.h[0], nablas[0])
                 rows = [(label, worst, {"point": point, "k": p_max, "trials": trials})]
-            else:
-                status = "WARN"
-                rows = [(label, None, {"reason": f"unknown check '{name}'"})]
             wall_ms = (time.perf_counter() - t0) * 1e3
             records.extend(
                 _record(row, status or ("PASS" if value < tol else "FAIL"),

@@ -56,6 +56,7 @@ class Scenario:
     constraints: tuple = field(default=())   # (name, expression) pairs, require > 0
     checks: tuple = field(default=())     # resolved by scenario_from_dict
     jet_order: int = 1      # the structure jet order the checks need
+    r_power: int = 0        # the top power of the R^q omega ladder they read
     digest: str = ""        # sha256 of the bytes load_scenario parsed, if it did
 
     def check_constraints(self, point):
@@ -99,7 +100,8 @@ class StructureJets:
     ``S[c, k, i]`` of S^k_i, and ``h[c, i, j]``, ``tau[c, i]`` likewise.
     ``frame`` holds the frame matrix {d_1 f, ..., d_n f, xi} and ``rhs`` the
     stacked right-hand sides (d_i d_j f for i <= j, then d_i xi), both as
-    coefficient arrays.  The scenario is read while solving, not kept.
+    coefficient arrays, and ``solution`` the solve's order-0 coefficient.
+    The scenario is read while solving, not kept.
     """
 
     def __init__(self, scenario, point, order):
@@ -146,6 +148,7 @@ class StructureJets:
             raise GeometryError(
                 f"Gamma, h, S or tau is not finite at sample point {self.point}")
 
+        self.solution = sol[0]
         npairs = len(iu[0])
         self.gamma = np.empty((space.size, n, n, n))
         self.gamma[:, :, iu[0], iu[1]] = sol[:, :n, :npairs]
@@ -289,10 +292,6 @@ def fundamental_residuals(sj: StructureJets, r: np.ndarray) -> FundamentalResidu
 
 def frame_residual(sj: StructureJets) -> float:
     """Relative reconstruction error of the two splitting formulas."""
-    frame, rhs = sj.frame[0], sj.rhs[0]
-    iu = np.triu_indices(sj.dim)
-    coeffs = np.concatenate([
-        np.vstack([sj.gamma[0][:, iu[0], iu[1]], sj.h[0][iu]]),
-        np.vstack([-sj.S[0], sj.tau[0]])], axis=1)
-    err = np.max(np.abs(rhs - frame @ coeffs), axis=0)
+    rhs = sj.rhs[0]
+    err = np.max(np.abs(rhs - sj.frame[0] @ sj.solution), axis=0)
     return float(np.max(err / np.maximum(1.0, np.max(np.abs(rhs), axis=0))))

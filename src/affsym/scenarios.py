@@ -18,12 +18,13 @@ except constraints/checks)::
 
 Expressions use the calculus grammar over the declared coordinates.
 Loading resolves the checks of check-geometry (``CHECKS``, all of them if
-none is given) into ``Scenario.checks``, each field omitted taking its
-``CHECKS`` value, and their structure jet order into ``Scenario.jet_order``;
-a check of unknown name is kept as given.  ``Scenario.validate`` checks
-the sample points.  A ``decompose`` matrix file (``load_matrix_pair``)
-holds an integer ``dim`` >= 1 and ``A`` and ``H``, each dim x dim finite
-JSON numbers, flat row-major or in rows.
+none is given, a name outside them refused) into ``Scenario.checks``, each
+field omitted taking its ``CHECKS`` value, their structure jet order into
+``Scenario.jet_order`` and their top power of R^q omega into
+``Scenario.r_power``.  ``Scenario.validate`` checks the sample points.  A
+``decompose`` matrix file (``load_matrix_pair``) holds an integer ``dim``
+>= 1 and ``A`` and ``H``, each dim x dim finite JSON numbers, flat
+row-major or in rows.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .expr import ExprError, is_identifier, parse_expr
 from .geometry import Scenario
 from .jets import MAX_JET_ORDER, repeated_coordinate
-from .tensor_ops import GeometricCurvature, RecursionCapError, check_packed_power
+from .tensor_ops import K_CAP_GEOMETRIC, RecursionCapError, check_packed_power
 
 BUILTIN_NAMES = ("paper_example_n2", "paper_example_n3", "paraboloid",
                  "centroaffine_sphere")
@@ -198,27 +199,29 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioFormatError(
                 f"check {c!r} needs a key 'name' with a string value")
     # each check with the CHECKS values of the fields it omits, and the
-    # structure jet order all of them fit in: each point is solved once
-    checks, jet_order = [], 1
+    # structure jet order and R^q omega ladder all of them fit in: each
+    # point is solved once and steps one ladder
+    checks, jet_order, r_power = [], 1, 0
     for c in check_src or [{"name": key} for key in CHECKS]:
         kind = c["name"]
-        unread = sorted(set(c) - {"name", *CHECKS[kind]}) if kind in CHECKS else []
+        if kind not in CHECKS:
+            raise ScenarioFormatError(f"unknown check {kind!r} (checks: {', '.join(CHECKS)})")
+        unread = sorted(set(c) - {"name", *CHECKS[kind]})
         if unread:
             raise ScenarioFormatError(f"check '{kind}' takes no field '{unread[0]}'")
         for key, (ok, want) in _CHECK_FIELDS.items():
             if key in c and not ok(c[key]):
                 raise ScenarioFormatError(
                     f"check '{kind}': {key} must be {want}, got {c[key]!r}")
-        check = {**CHECKS.get(kind, {}), **c}
-        if "tol" in check:
-            check["tol"] = float(check["tol"])
+        check = {**CHECKS[kind], **c}
+        check["tol"] = float(check["tol"])
         checks.append(check)
         if kind not in ("rank_theorem", "alternating_identity"):
             continue
         # both read the packed R^p_max omega of each point
         p_max = check["p_max"]
         try:
-            check_packed_power(GeometricCurvature, dim, 1, p_max)
+            check_packed_power(K_CAP_GEOMETRIC, dim, 1, p_max)
         except RecursionCapError as err:
             raise ScenarioFormatError(f"check '{kind}', p_max at dim {dim}: {err}") from None
         if kind == "alternating_identity" and check["trials"] > TRIALS_CAP:
@@ -230,10 +233,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioFormatError(
                 f"check '{kind}': p_max {p_max} needs structure jets of order "
                 f"{need}, beyond the cap {MAX_JET_ORDER - 2}")
-        jet_order = max(jet_order, need)
+        jet_order, r_power = max(jet_order, need), max(r_power, p_max)
 
     return Scenario(name, dim, coords, immersion, transversal, omega,
-                    points, constraints, tuple(checks), jet_order)
+                    points, constraints, tuple(checks), jet_order, r_power)
 
 
 def _scenario_bytes(path_or_name: str) -> bytes:

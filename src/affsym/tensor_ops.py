@@ -64,8 +64,9 @@ class RecursionCapError(ValueError):
 
 
 class CurvatureProvider:
-    """The ``dim``, basis-image rows and pair operator of every curvature
-    provider; a subclass supplies ``_image`` and ``full_tensor``.
+    """The basis-image rows and pair operator of every curvature provider,
+    which supplies ``dim``, ``cap`` (its power cap) and the array
+    R[l, t, i, j] as ``R``, and may override ``_image`` with a faster rule.
 
     The images R(e_i, e_j) e_t are memoized in one row per (i, j), a list
     over t whose entries are None until first read (``basis_image``), so
@@ -94,6 +95,12 @@ class CurvatureProvider:
             out = row[t] = self._image(i, j, t)
         return out
 
+    def _image(self, i, j, t):
+        """The nonzeros of the column R[:, t, i, j], scanned as one list:
+        the same pairs as np.nonzero and float() per entry give, -0.0
+        skipped like 0.0."""
+        return tuple((m, v) for m, v in enumerate(self.R[:, t, i, j].tolist()) if v != 0.0)
+
     @cached_property
     def pair_operator(self) -> np.ndarray:
         """rho[P, A, B]: the derivation R(e_x, e_y) on 2-forms, P = (x, y),
@@ -106,7 +113,7 @@ class CurvatureProvider:
         sign(a < m) M[m, b] at B = {a, m}, the two sets meeting at B = A only.
         """
         a, b = _pairs(self.dim)
-        r = self.full_tensor()[:, :, a, b]    # r[m, t, P] = M[m, t]
+        r = self.R[:, :, a, b]    # r[m, t, P] = M[m, t]
         rho = np.zeros((len(a),) * 3)
         (row, col, m, t, sign), second = _pair_tables(self.dim)
         rho[:, row, col] = (sign * r[m, t]).T
@@ -144,7 +151,10 @@ class AlgebraicCurvature(CurvatureProvider):
         vec = [hj * a - hi * b for a, b in zip(s_cols[i], s_cols[j])]
         return tuple((m, v) for m, v in enumerate(vec) if v != 0.0)
 
-    def full_tensor(self):
+    @cached_property
+    def R(self) -> np.ndarray:
+        """The whole tensor, built on first read (by ``pair_operator``), so
+        a provider whose images alone are read never builds it."""
         return gauss_curvature_tensor(self.model.S, self.model.H)
 
 
@@ -157,31 +167,21 @@ class GeometricCurvature(CurvatureProvider):
         self.R = np.asarray(r, dtype=float)
         super().__init__(self.R.shape[0])
 
-    def _image(self, i, j, t):
-        """The nonzeros of the column R[:, t, i, j], scanned as one list:
-        the same pairs as np.nonzero and float() per entry give, -0.0
-        skipped like 0.0."""
-        return tuple((m, v) for m, v in enumerate(self.R[:, t, i, j].tolist()) if v != 0.0)
 
-    def full_tensor(self):
-        return self.R
-
-
-def _check_power(provider, k: int):
-    """The one R^k power gate: ArityError unless k >= 0, RecursionCapError
-    if k is beyond ``provider.cap`` (a provider or its class)."""
+def _check_power(cap: int, k: int):
+    """The one R^k power gate: ArityError unless k >= 0, RecursionCapError if k > cap."""
     if k < 0:
         raise ArityError("k must be >= 0")
-    if k > provider.cap:
-        raise RecursionCapError(f"power {k} is beyond the curvature power cap {provider.cap}")
+    if k > cap:
+        raise RecursionCapError(f"power {k} is beyond the curvature power cap {cap}")
 
 
-def check_packed_power(provider, n: int, axes: int, k: int) -> int:
+def check_packed_power(cap: int, n: int, axes: int, k: int) -> int:
     """Gate R^k of a tensor with ``axes`` packed Lambda^2 axes on R^n: the
-    power against ``provider.cap`` first, so a huge k is never
-    exponentiated, then the N2^(axes+k) entries against TENSOR_ENTRY_CAP.
-    Returns N2 = n(n-1)/2."""
-    _check_power(provider, k)
+    power against ``cap`` first, so a huge k is never exponentiated, then
+    the N2^(axes+k) entries against TENSOR_ENTRY_CAP.  Returns
+    N2 = n(n-1)/2."""
+    _check_power(cap, k)
     n2 = n * (n - 1) // 2
     entries = n2 ** (axes + k)
     if entries > TENSOR_ENTRY_CAP:
@@ -205,7 +205,7 @@ def r_power_action(provider, tensor, k: int, args) -> float:
     """
     t = np.asarray(tensor, dtype=float)
     p = t.ndim
-    _check_power(provider, k)
+    _check_power(provider.cap, k)
     if len(args) != 2 * k + p:
         raise ArityError(f"expected {2 * k + p} arguments, got {len(args)}")
     for pos, arg in enumerate(args):
@@ -330,7 +330,7 @@ def pack_probe(provider, omega, k: int, vectors) -> tuple:
     n = provider.dim
     if k < 1:
         raise ArityError("a probe needs k >= 1")
-    _check_power(provider, k)
+    _check_power(provider.cap, k)
     w = pack_two_form(omega, n)
     if v.shape != (2 * k + 2, n):
         raise ArityError(f"expected vectors of shape ({2 * k + 2}, {n}), got {v.shape}")
@@ -430,7 +430,7 @@ def r_power_levels(provider, packed, k: int):
     checks, ``check_packed_power`` among them, run at the first ``next``.
     """
     t = np.asarray(packed, dtype=float)
-    n2 = check_packed_power(provider, provider.dim, t.ndim, k)
+    n2 = check_packed_power(provider.cap, provider.dim, t.ndim, k)
     if any(size != n2 for size in t.shape):
         raise ArityError(f"packed axes must have length {n2}, got shape {t.shape}")
     for _ in range(k):

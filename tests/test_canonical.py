@@ -13,6 +13,8 @@ from affsym.canonical import (CanonicalError, NotSelfadjointError, _cluster,
 from affsym.model import ComplexBlock, RealBlock, assemble, direct_sum
 from affsym.scenarios import load_scenario
 
+pytestmark = pytest.mark.contract
+
 
 def _inertia(h):
     """(positive, negative) eigenvalue counts of a symmetric matrix."""

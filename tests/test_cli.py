@@ -23,6 +23,8 @@ from affsym.scenarios import TRIALS_CAP, scenario_from_dict
 from test_geometry import graph_twin
 from test_verify import INADMISSIBLE
 
+pytestmark = pytest.mark.contract
+
 
 def _load(path):
     with open(path) as fh:
@@ -301,17 +303,13 @@ def test_reports_are_deterministic(tmp_path):
 
 
 def test_strict_flag_promotes_warnings(tmp_path):
-    # an unknown check name produces a WARN record
+    # at the twin's origin nabla omega vanishes pointwise: rank_theorem
+    # warns, and the other checks pass
     sc = tmp_path / "warn.json"
-    sc.write_text(json.dumps({
-        "name": "warny", "dim": 4, "coords": ["a", "b", "c", "d"],
-        "immersion": ["a", "b", "c", "d", "a^2 + b^2 + c^2 + d^2"],
-        "transversal": ["0", "0", "0", "0", "1"],
-        "omega": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
-        "sample_points": [[0.0, 0.0, 0.0, 0.0]],
-        "checks": [{"name": "no_such_check"}],
-    }))
-    assert main(["check-geometry", "--scenario", str(sc)]) == 0
+    sc.write_text(json.dumps({**_diag_rank2_twin([0.0, 0.0, 0.0, 0.0]), "checks": []}))
+    out = tmp_path / "rep.json"
+    assert main(["check-geometry", "--scenario", str(sc), "--output", str(out)]) == 0
+    assert _load(out)["summary"]["warn"] == 1
     assert main(["check-geometry", "--scenario", str(sc), "--strict"]) == 1
 
 
@@ -969,11 +967,17 @@ def test_checks_that_share_a_ladder_report_as_alone(rank_p, identity_p, tmp_path
         assert len(alone) == 3
 
 
-def test_unknown_check_keeps_its_own_tol(tmp_path):
-    records = _check_records(_shipped("paraboloid", checks=[
-        {"name": "no_such_check"}, {"name": "other_check", "tol": 0.5}]), tmp_path)
-    assert {(r["name"].split("@")[0], r["status"], r["tol"]) for r in records} == \
-        {("no_such_check", "WARN", None), ("other_check", "WARN", 0.5)}
+def test_unknown_check_name_is_refused(tmp_path, capsys):
+    # a misspelt check would run nothing at all: it is refused at load, in
+    # one line (a newline in the name is escaped) that lists every check
+    sc = tmp_path / "sc.json"
+    for name in ("rank_theroem", "other check\n"):
+        sc.write_text(json.dumps(_shipped("paraboloid", checks=[
+            {"name": "frame"}, {"name": name, "tol": 0.5}])))
+        rc, err = _usage_error(["check-geometry", "--scenario", str(sc)], capsys)
+        assert rc == 2 and err == [
+            f"error: unknown check {name!r} (checks: frame, fundamental, gauss_model, "
+            "equiaffine, codazzi_shape, rank_theorem, alternating_identity)"], name
 
 
 @pytest.mark.parametrize("dim", [0, -2])

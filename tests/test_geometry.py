@@ -372,7 +372,7 @@ def _assert_twin_is_exact(blocks):
     assert not np.any(sj.gamma[0])
     r = geo.curvature(sj)
     algebraic = AlgebraicCurvature(m)
-    assert np.array_equal(r, algebraic.full_tensor())
+    assert np.array_equal(r, algebraic.R)
     w = pack_two_form(np.eye(m.dim, k=1) - np.eye(m.dim, k=-1), m.dim)
     maxima = [[float(np.max(np.abs(t))) for t in r_power_levels(prov, w, 3)]
               for prov in (GeometricCurvature(r), algebraic)]

@@ -40,6 +40,8 @@ from affsym.verify import list_oracles, run_family, sample_spec, theorem_witness
 from test_canonical import _conjugate
 from test_verify import INADMISSIBLE
 
+pytestmark = pytest.mark.contract
+
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
 

@@ -11,6 +11,11 @@ identity's worst gap and its bound) are c times those at c = 1.
 A constant phi != 0 maps h to h / phi and S to phi S and leaves Gamma, R
 and so every R^q omega and nabla^q omega as they are: the records keep
 their names and statuses, and rank_theorem its conclusions.
+
+An ambient affine map, f -> B f + c and xi -> B xi with B invertible,
+maps the frame {d_i f, xi} to B times itself, so Gamma, h, S and tau, and
+every value a record reports, are the same up to the rounding that
+cond(B) amplifies.
 """
 
 import contextlib
@@ -19,11 +24,14 @@ import io
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from affsym.cli import main
+
+pytestmark = pytest.mark.contract
 
 SCENARIOS = ("paraboloid", "paper_example_n2", "centroaffine_sphere", "paper_example_n3")
 
@@ -142,3 +150,36 @@ def test_check_geometry_verdicts_do_not_move_with_the_scale_of_xi(tmp_path_facto
             assert (nabla is None) == (nabla1 is None)
             assert nabla is None or _close(nabla, nabla1, 1.0)
             assert r["params"] == r1["params"] and r["tol"] == r1["tol"]
+
+
+def _mapped(data, b, c):
+    """``data`` with f -> B f + c and xi -> B xi, each component written
+    as a sum of ``(b)*(f_s)`` terms."""
+    def image(components, shift):
+        return [" + ".join(f"({v!r})*({e})" for v, e in zip(row, components))
+                + (f" + ({shift[r]!r})" if shift is not None else "")
+                for r, row in enumerate(b.tolist())]
+    return dict(data, immersion=image(data["immersion"], c.tolist()),
+                transversal=image(data["transversal"], None))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_check_geometry_does_not_see_an_ambient_affine_map(tmp_path_factory, name, seed):
+    base = tmp_path_factory.getbasetemp()
+    one = json.loads(_at_one(base / f"{name}-False.json", name, False))
+    data = _shipped(name)
+    rng = np.random.default_rng(seed)
+    m = len(data["immersion"])
+    b, c = np.eye(m) + rng.uniform(-2.0, 2.0, (m, m)), rng.uniform(-2.0, 2.0, m)
+    cond = np.linalg.cond(b)
+    rc, report = _check_geometry(base / "mapped.json", _mapped(data, b, c))
+    assert rc == 0, (name, seed)
+    assert [(r["name"], r["status"]) for r in report["checks"]] == \
+        [(r["name"], r["status"]) for r in one["checks"]]
+    for r, r1 in zip(report["checks"], one["checks"]):
+        v, v1 = r["value"], r1["value"]
+        assert abs(v - v1) <= 1e-14 * cond * max(1.0, abs(v1)), (r["name"], v, v1, cond)
+        if r["name"].startswith("rank_theorem"):
+            for key in ("power", "rank_S", "final_form"):
+                assert r["params"][key] == r1["params"][key], (r["name"], key)

@@ -13,7 +13,7 @@ from test_tensor_ops import tridiagonal_omega
 def _curvature(m, x, y, z):
     """R(X, Y) Z of a Gauss model, contracted from its provider's full
     tensor R[l, t, i, j]."""
-    return np.einsum("ltij,i,j,t->l", AlgebraicCurvature(m).full_tensor(), x, y, z)
+    return np.einsum("ltij,i,j,t->l", AlgebraicCurvature(m).R, x, y, z)
 
 
 def test_real_block_forms():

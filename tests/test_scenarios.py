@@ -11,6 +11,8 @@ from affsym.jets import component_jets
 from affsym.scenarios import (BUILTIN_NAMES, CHECKS, ScenarioFormatError,
                               load_matrix_pair, load_scenario, scenario_from_dict)
 
+pytestmark = pytest.mark.contract
+
 
 def test_builtins_load_and_validate():
     for name in BUILTIN_NAMES:
@@ -187,25 +189,31 @@ def _structure_order(check):
 @example([{"name": "rank_theorem", "p_max": True}])
 @example([{"name": "frame", "tol": 1}, {"name": "no_such_check", "tol": 10 ** 400}])
 @example([{"name": "alternating_identity", "tol": math.nan, "trials": 2}])
+@example([{"name": "rank_theorem", "p_max": 2}, {"name": "alternating_identity"}])
 def test_checks_resolve_or_give_one_check_line(checks):
     try:
         sc = scenario_from_dict(_minimal(checks=checks))
     except ScenarioFormatError as err:
-        assert str(err).startswith("check ") and "\n" not in str(err)
+        unknown = [c["name"] for c in checks
+                   if isinstance(c, dict) and c.get("name") not in CHECKS]
+        if unknown and str(err).startswith("unknown check"):
+            assert str(err) == f"unknown check {unknown[0]!r} (checks: {', '.join(CHECKS)})"
+        else:
+            assert str(err).startswith("check ") and "\n" not in str(err)
         return
     given_checks = checks or [{"name": name} for name in CHECKS]
     assert len(sc.checks) == len(given_checks)
     for got, given_check in zip(sc.checks, given_checks):
-        want = {**CHECKS.get(given_check["name"], {}), **given_check}
-        assert got == want
-        if given_check["name"] in CHECKS:
-            assert got.keys() == {"name", *CHECKS[got["name"]]}
+        assert got == {**CHECKS[given_check["name"]], **given_check}
+        assert got.keys() == {"name", *CHECKS[got["name"]]}
         for key, value in got.items():
             if key == "tol":
                 assert type(value) is float and 0 < value < math.inf
             elif key in ("p_max", "trials"):
                 assert type(value) is int and value >= 1
     assert sc.jet_order == max([1, *map(_structure_order, sc.checks)])
+    assert sc.r_power == max([0, *(c["p_max"] for c in sc.checks
+                                   if c["name"] in ("rank_theorem", "alternating_identity"))])
 
 
 def _matrix(draw, dim):

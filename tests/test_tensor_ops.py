@@ -20,6 +20,8 @@ from affsym.tensor_ops import (CANDIDATE_BATCH, K_CAP_GEOMETRIC, AlgebraicCurvat
                                nabla_powers, pack_probe, pack_two_form, pair_probe,
                                r_power_action, r_power_levels, reduce_to_basis)
 
+pytestmark = pytest.mark.contract
+
 
 def tridiagonal_omega(dim):
     """Test form: antisymmetric, superdiagonal ones, Pfaffian 1."""
@@ -465,6 +467,16 @@ def drawn_geometric(draw, dims=(4, 5, 6, 7, 8)):
     return GeometricCurvature(r)
 
 
+def test_algebraic_images_do_not_build_the_tensor():
+    # R is built on its first read, by the pair operator: a draw that reads
+    # basis images only never builds it
+    prov = AlgebraicCurvature(_model())
+    prov.basis_image(0, 1, 2)
+    assert "R" not in vars(prov)
+    prov.pair_operator
+    assert "R" in vars(prov)
+
+
 @settings(max_examples=60, deadline=None)
 @given(hst.one_of(block_models().map(AlgebraicCurvature), drawn_geometric()))
 def test_basis_image_is_the_full_tensor_column(prov):
@@ -472,7 +484,7 @@ def test_basis_image_is_the_full_tensor_column(prov):
     # bit for bit: the same products h[j, t] * S[l, i] and h[i, t] * S[l, j];
     # a drawn R is read as it is, its -0.0 entries skipped like zeros.
     # Each image is computed once, into its row
-    full = prov.full_tensor()
+    full = prov.R
     for i, j, t in np.ndindex(full.shape[1:]):
         col = full[:, t, i, j]
         want = tuple((int(l), float(col[l])) for l in np.nonzero(col)[0])
@@ -513,7 +525,7 @@ def _reference_r_power_probe(provider, tensor, k, vectors):
     v = np.asarray(vectors, dtype=float)
     p, n = t.ndim, provider.dim
     batch = v.shape[:-2]
-    r2 = provider.full_tensor().reshape(n * n, n * n)
+    r2 = provider.R.reshape(n * n, n * n)
     v = v.reshape(-1, 2 * k + p, n)
     for _ in range(k):
         b, q = v.shape[0], v.shape[1] - 2
@@ -730,7 +742,7 @@ def _gather_pair_operator(provider):
     w(e_a, R e_b) with its Kronecker deltas."""
     c, d = np.triu_indices(provider.dim, 1)
     a, b = c[:, None], d[:, None]
-    r = provider.full_tensor()[:, :, c, d]
+    r = provider.R[:, :, c, d]
     rho = (r[c, a] * (b == d)[..., None] - r[d, a] * (b == c)[..., None]
            + r[d, b] * (a == c)[..., None] - r[c, b] * (a == d)[..., None])
     return np.moveaxis(rho, 2, 0)
@@ -783,7 +795,7 @@ def _dense_r_power(provider, tensor, k):
     """Reference: R^k.T as a dense array, one contraction per slot."""
     t = np.asarray(tensor, dtype=float)
     n = provider.dim
-    r_full = provider.full_tensor()
+    r_full = provider.R
     for _ in range(k):
         out = np.zeros((n, n) + t.shape)
         for slot in range(t.ndim):

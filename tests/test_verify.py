@@ -20,6 +20,8 @@ from affsym.verify import (OracleError, OracleSpec, check_rank_theorem,
                            theorem_witness)
 from test_tensor_ops import block_models, tridiagonal_omega
 
+pytestmark = pytest.mark.contract
+
 EXPECTED_IDS = [
     "with_pi_x", "rp_ei_ek", "kgt3_basics", "lemma34", "even_odd", "lemma36",
     "lematD", "blk3_12", "blk3_12ij", "blk3_122i", "blk3_2312", "two_blk2",
